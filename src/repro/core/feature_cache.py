@@ -39,12 +39,13 @@ import os
 from collections import OrderedDict
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 from repro.runtime import report as report_mod
 from repro.runtime.cache import (
     ArtifactCache,
     code_fingerprint,
+    code_paths,
     default_cache_dir,
     record_fingerprint,
 )
@@ -98,6 +99,16 @@ def _memory_budget() -> int:
     return max(budget, 1)
 
 
+def _feature_code_files() -> List[Path]:
+    root = Path(__file__).resolve().parent  # src/repro/core
+    return [root / entry for entry in _FEATURE_CODE_FILES]
+
+
+def feature_code_paths() -> List[Path]:
+    """Every source file whose bytes :func:`feature_code_fingerprint` covers."""
+    return code_paths() + _feature_code_files()
+
+
 @lru_cache(maxsize=1)
 def feature_code_fingerprint() -> str:
     """Digest of everything that can change extracted features.
@@ -109,9 +120,7 @@ def feature_code_fingerprint() -> str:
     """
     digest = hashlib.sha256()
     digest.update(code_fingerprint().encode())
-    root = Path(__file__).resolve().parent  # src/repro/core
-    for entry in _FEATURE_CODE_FILES:
-        path = root / entry
+    for entry, path in zip(_FEATURE_CODE_FILES, _feature_code_files()):
         digest.update(entry.encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

@@ -14,6 +14,11 @@ Three levels of features are extracted for every sampled path:
 The same module also produces the per-path token sequences consumed by the
 transformer path model and the whole-graph records consumed by the GNN
 baseline.
+
+Extraction runs as array passes over the compiled CSR graph
+(:func:`extract_path_dataset_uncached`).  The historical per-path extractor
+is kept as :func:`extract_path_dataset_reference`; the two agree bit for bit
+in every array of the returned :class:`PathDataset`.
 """
 
 from __future__ import annotations
@@ -24,12 +29,18 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dataset import DesignRecord
-from repro.core.sampling import EndpointSamples, SamplingConfig, sample_design_paths
+from repro.core.sampling import (
+    EndpointSamples,
+    SamplingConfig,
+    sample_design_paths,
+    sample_design_paths_reference,
+)
 from repro.ml.gnn import GraphData
 from repro.runtime.report import stage as _stage
+from repro.sta.csr import KIND_GATE, AttributeColumns, CSRTimingGraph
 from repro.sta.engine import STAReport
 from repro.sta.network import TimingNetwork, VertexKind
-from repro.sta.paths import path_arrival
+from repro.sta.paths import edge_delays, path_arrival
 
 
 #: Column names of the path feature matrix (order matters).
@@ -60,6 +71,17 @@ PATH_FEATURE_NAMES: Tuple[str, ...] = (
 
 #: Token alphabet for the transformer path model.
 _TOKEN_FUNCTIONS: Tuple[str, ...] = ("AND", "OR", "XOR", "NOT", "MUX", "REG", "input", "const")
+
+_COLUMN: Dict[str, int] = {name: index for index, name in enumerate(PATH_FEATURE_NAMES)}
+
+#: Operator-count columns and the gate cell function each one counts.
+_OPERATOR_COLUMNS: Tuple[Tuple[str, str], ...] = (
+    ("path_n_and", "AND"),
+    ("path_n_or", "OR"),
+    ("path_n_xor", "XOR"),
+    ("path_n_not", "NOT"),
+    ("path_n_mux", "MUX"),
+)
 
 
 @dataclass
@@ -106,23 +128,93 @@ def extract_path_dataset(
 
     def extractor() -> PathDataset:
         with _stage("features.extract_path_dataset"):
-            return _extract_path_dataset(record, variant, sampling, endpoint_names)
+            return extract_path_dataset_uncached(record, variant, sampling, endpoint_names)
 
     return cached_extract_path_dataset(record, variant, sampling, endpoint_names, extractor)
 
 
-def _extract_path_dataset(
+def extract_path_dataset_uncached(
     record: DesignRecord,
-    variant: str,
-    sampling: Optional[SamplingConfig],
-    endpoint_names: Optional[Sequence[str]],
+    variant: str = "sog",
+    sampling: Optional[SamplingConfig] = None,
+    endpoint_names: Optional[Sequence[str]] = None,
 ) -> PathDataset:
+    """The extraction proper, without the cache: array passes over one design.
+
+    Bit-identical to :func:`extract_path_dataset_reference` in every array
+    of the result, tokens included (fuzzed by the
+    ``array_vs_reference_features`` oracle).
+    """
     sampling = sampling or SamplingConfig()
     network = record.pseudo_networks[variant]
     report = record.pseudo_reports[variant]
 
     wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
     samples = sample_design_paths(network, report, sampling, wanted)
+    rank_percent = _endpoint_rank_percent(report, wanted)
+
+    kept: List[EndpointSamples] = []
+    kept_names: List[str] = []
+    endpoint_labels: List[float] = []
+    paths: List[List[int]] = []
+    groups: List[int] = []
+    for name in wanted:
+        endpoint_samples = samples.get(name)
+        if endpoint_samples is None:
+            continue
+        groups.extend([len(kept)] * len(endpoint_samples.paths))
+        paths.extend(path.vertices for path in endpoint_samples.paths)
+        kept.append(endpoint_samples)
+        kept_names.append(name)
+        endpoint_labels.append(record.labels[name])
+    group_index = np.array(groups, dtype=int)
+
+    features = np.zeros((len(paths), len(PATH_FEATURE_NAMES)))
+    tokens: List[np.ndarray] = []
+    if paths:
+        tokens = _fill_path_columns(network, report, paths, features)
+        for statistic, value in _design_statistics(network).items():
+            features[:, _COLUMN[f"design_{statistic}"]] = value
+        drivers = np.array([endpoint.driver for endpoint in kept], dtype=np.int64)
+        per_endpoint = {
+            "design_rank_percent": np.array([rank_percent.get(name, 0.0) for name in kept_names]),
+            "cone_n_driving_regs": np.array([e.n_driving_registers for e in kept], dtype=float),
+            "endpoint_fanout": np.diff(network.compiled().fanout_indptr)[drivers],
+            "endpoint_pseudo_arrival": report.arrivals[drivers],
+        }
+        for column, values in per_endpoint.items():
+            features[:, _COLUMN[column]] = values[group_index]
+
+    return PathDataset(
+        design=record.name,
+        variant=variant,
+        features=features,
+        groups=group_index,
+        tokens=tokens,
+        endpoint_names=kept_names,
+        endpoint_signals=[endpoint.signal for endpoint in kept],
+        endpoint_labels=np.array(endpoint_labels),
+        endpoint_designs=[record.name] * len(kept_names),
+    )
+
+
+def extract_path_dataset_reference(
+    record: DesignRecord,
+    variant: str = "sog",
+    sampling: Optional[SamplingConfig] = None,
+    endpoint_names: Optional[Sequence[str]] = None,
+) -> PathDataset:
+    """The per-path extractor :func:`extract_path_dataset_uncached` must match.
+
+    Kept as the reference for tests and the ``array_vs_reference_features``
+    fuzz oracle; production code never calls it.
+    """
+    sampling = sampling or SamplingConfig()
+    network = record.pseudo_networks[variant]
+    report = record.pseudo_reports[variant]
+
+    wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
+    samples = sample_design_paths_reference(network, report, sampling, wanted)
 
     design_stats = _design_statistics(network)
     rank_percent = _endpoint_rank_percent(report, wanted)
@@ -231,6 +323,85 @@ def _endpoint_rank_percent(report: STAReport, names: Sequence[str]) -> Dict[str,
     arrivals.sort(key=lambda pair: -pair[1])
     total = max(len(arrivals) - 1, 1)
     return {name: 100.0 * index / total for index, (name, _) in enumerate(arrivals)}
+
+
+def _token_codes(compiled: CSRTimingGraph, cols: AttributeColumns) -> np.ndarray:
+    """Per-vertex index into ``_TOKEN_FUNCTIONS``.
+
+    The label is the cell function, or the vertex kind for cell-less
+    vertices; anything outside the alphabet counts as ``const``.
+    """
+    const = _TOKEN_FUNCTIONS.index("const")
+
+    def code(label: str) -> int:
+        return _TOKEN_FUNCTIONS.index(label) if label in _TOKEN_FUNCTIONS else const
+
+    by_row = np.array([const] + [code(cell.function) for cell in cols.cells[1:]])
+    by_kind = np.array([code(kind.value) for kind in VertexKind])  # compiled kind-code order
+    return np.where(cols.cell_row != 0, by_row[cols.cell_row], by_kind[compiled.kind])
+
+
+def _token_table(codes: np.ndarray, fanouts: np.ndarray, last: np.ndarray) -> np.ndarray:
+    """Per-vertex token rows: one-hot label, fanout count, then ``last``."""
+    table = np.zeros((len(codes), len(_TOKEN_FUNCTIONS) + 2))
+    table[np.arange(len(codes)), codes] = 1.0
+    table[:, len(_TOKEN_FUNCTIONS)] = fanouts
+    table[:, len(_TOKEN_FUNCTIONS) + 1] = last
+    return table
+
+
+def _fill_path_columns(
+    network: TimingNetwork,
+    report: STAReport,
+    paths: List[List[int]],
+    features: np.ndarray,
+) -> List[np.ndarray]:
+    """Write the path-level columns of ``features``; return the token sequences.
+
+    Paths are bucketed by length, so each statistic is one axis-1 reduction
+    over a C-contiguous ``(n_paths, length)`` block, which numpy evaluates
+    row by row exactly as the reference's 1-D call on the path.  The pseudo
+    arrival adds the edge delays column by column, in the reference's order.
+    """
+    compiled = network.compiled()
+    cols = compiled.columns(network)
+    fanouts = np.diff(compiled.fanout_indptr).astype(np.float64)
+    codes = _token_codes(compiled, cols)
+    token_table = _token_table(codes, fanouts, report.loads / 10.0)
+    is_gate = compiled.kind == KIND_GATE
+    gate_codes = np.where(is_gate, codes, -1)
+
+    tokens: List[np.ndarray] = [None] * len(paths)  # type: ignore[list-item]
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
+    for length in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == length)
+        block = np.array([paths[row] for row in rows.tolist()], dtype=np.int64)
+        arrival = report.arrivals[block[:, 0]]
+        delays = edge_delays(cols, report, block[:, 1:], block[:, :-1])
+        for step in range(length - 1):
+            arrival = arrival + delays[:, step]
+        fanout = fanouts[block]
+        load = report.loads[block]
+        operators = gate_codes[block]
+        columns = {
+            "path_pseudo_arrival": arrival,
+            "path_n_levels": float(length),
+            "path_n_operators": is_gate[block].sum(axis=1),
+            "path_fanout_sum": fanout.sum(axis=1),
+            "path_fanout_avg": fanout.mean(axis=1),
+            "path_fanout_std": fanout.std(axis=1),
+            "path_load_sum": load.sum(axis=1),
+            "path_load_avg": load.mean(axis=1),
+            "path_load_std": load.std(axis=1),
+            "path_slew_avg": report.slews[block].mean(axis=1),
+        }
+        for column, function in _OPERATOR_COLUMNS:
+            columns[column] = (operators == _TOKEN_FUNCTIONS.index(function)).sum(axis=1)
+        for column, values in columns.items():
+            features[rows, _COLUMN[column]] = values
+        for row, sequence in zip(rows.tolist(), token_table[block]):
+            tokens[row] = sequence
+    return tokens
 
 
 def _path_feature_vector(
@@ -346,18 +517,14 @@ DESIGN_FEATURE_NAMES: Tuple[str, ...] = (
 def bog_graph_data(record: DesignRecord, variant: str = "sog") -> GraphData:
     """Whole-design graph record for the customized GNN baseline."""
     network = record.pseudo_networks[variant]
-    fanouts = network.fanouts()
-    levels = _vertex_levels(network)
-
-    n = len(network.vertices)
-    features = np.zeros((n, len(_TOKEN_FUNCTIONS) + 2))
-    for vertex in network.vertices:
-        label = vertex.cell.function if vertex.cell is not None else vertex.kind.value
-        if label not in _TOKEN_FUNCTIONS:
-            label = "const"
-        features[vertex.id, _TOKEN_FUNCTIONS.index(label)] = 1.0
-        features[vertex.id, len(_TOKEN_FUNCTIONS)] = len(fanouts[vertex.id])
-        features[vertex.id, len(_TOKEN_FUNCTIONS) + 1] = levels[vertex.id] / 10.0
+    compiled = network.compiled()
+    # Node features: the token row of each vertex, with its logic level / 10
+    # in place of the load.
+    features = _token_table(
+        _token_codes(compiled, compiled.columns(network)),
+        np.diff(compiled.fanout_indptr),
+        np.asarray(network.levels()) / 10.0,
+    )
 
     edge_src: List[int] = []
     edge_dst: List[int] = []
@@ -387,12 +554,3 @@ def bog_graph_data(record: DesignRecord, variant: str = "sog") -> GraphData:
     # Stash the endpoint names for downstream evaluation.
     graph.endpoint_names = endpoint_names  # type: ignore[attr-defined]
     return graph
-
-
-def _vertex_levels(network: TimingNetwork) -> List[int]:
-    levels = [0] * len(network.vertices)
-    for vertex_id in network.topological_order():
-        vertex = network.vertices[vertex_id]
-        if vertex.fanins:
-            levels[vertex_id] = 1 + max(levels[f] for f in vertex.fanins)
-    return levels

@@ -24,7 +24,10 @@ violation messages (empty list == clean):
 * ``optimize_search`` — the search-based optimizer: replay determinism of a
   random short campaign, accepted-candidate scores against a from-scratch
   re-analysis, and Pareto-front dominance integrity through the pure
-  predicate (catches the ``optimize.dominance`` fault).
+  predicate (catches the ``optimize.dominance`` fault);
+* ``array_vs_reference_features`` — the array-native path-feature extractor
+  against the kept per-path reference, bit for bit in every array of the
+  dataset, under random sampling configurations and endpoint subsets.
 
 A :class:`FuzzContext` lazily shares the expensive artifacts (analyzed
 design, BOG variants, full DesignRecord) between the oracles of one design.
@@ -50,8 +53,15 @@ from repro.bog.simulate import (
 )
 from repro.bog.transforms import build_variants
 from repro.core.dataset import DesignRecord, build_design_record
-from repro.core.features import extract_path_dataset
+from repro.core.features import (
+    PATH_FEATURE_NAMES,
+    PathDataset,
+    extract_path_dataset,
+    extract_path_dataset_reference,
+    extract_path_dataset_uncached,
+)
 from repro.core.optimize import ranking_from_labels
+from repro.core.sampling import SamplingConfig
 from repro.fuzz.corpus import FuzzDesign
 from repro.hdl.design import Design
 from repro.hdl.interpret import Interpreter
@@ -524,6 +534,87 @@ def optimize_search(ctx: FuzzContext, rng: random.Random) -> List[str]:
     return problems
 
 
+def _dataset_differences(production: PathDataset, reference: PathDataset) -> List[str]:
+    """How two path datasets differ (empty when every array is identical)."""
+    problems: List[str] = []
+    if production.features.shape != reference.features.shape:
+        problems.append(
+            f"feature matrix shape {production.features.shape} != reference "
+            f"{reference.features.shape}"
+        )
+    elif not np.array_equal(production.features, reference.features):
+        column = int(np.flatnonzero((production.features != reference.features).any(axis=0))[0])
+        problems.append(f"features differ, first in column {PATH_FEATURE_NAMES[column]!r}")
+    for label in ("groups", "endpoint_labels"):
+        if not np.array_equal(getattr(production, label), getattr(reference, label)):
+            problems.append(f"{label} differ")
+    for label in ("endpoint_names", "endpoint_signals"):
+        if getattr(production, label) != getattr(reference, label):
+            problems.append(f"{label} differ")
+    if len(production.tokens) != len(reference.tokens) or not all(
+        np.array_equal(ours, theirs) for ours, theirs in zip(production.tokens, reference.tokens)
+    ):
+        problems.append("token sequences differ")
+    return problems
+
+
+def array_vs_reference_features(ctx: FuzzContext, rng: random.Random) -> List[str]:
+    """Array-native path features vs the kept per-path extractor, bit for bit.
+
+    Every BOG variant is lowered and pseudo-timed with a few randomized
+    derates and wire loads, then extracted by both implementations under a
+    random :class:`SamplingConfig` and a random endpoint subset.  No
+    synthesis runs (labels are random stand-ins), so the oracle stays cheap
+    enough for the ``large`` size class.
+    """
+    clock = ClockConstraint(period=1000.0)
+    networks = {}
+    reports = {}
+    for variant, graph in ctx.variants.items():
+        network = from_bog(graph)
+        n = len(network.vertices)
+        for _ in range(min(16, n)):
+            vertex = network.vertices[rng.randrange(n)]
+            vertex.derate = rng.uniform(0.4, 1.6)
+            vertex.extra_load = rng.uniform(0.0, 6.0)
+        networks[variant] = network
+        reports[variant] = sta_analyze(network, clock)
+    names = sorted({e.name for e in networks["sog"].endpoints if e.kind == "register"})
+    # The extractors read only the pseudo-timing side of a record and its labels.
+    record = DesignRecord(
+        name=ctx.fuzz.name,
+        spec=None,
+        design=ctx.design,
+        source=ctx.fuzz.source,
+        bogs=ctx.variants,
+        pseudo_networks=networks,
+        pseudo_reports=reports,
+        synthesis=None,
+        clock=clock,
+        labels={name: rng.uniform(0.0, 500.0) for name in names},
+    )
+    problems: List[str] = []
+    for variant in networks:
+        sampling = SamplingConfig(
+            seed=rng.randrange(1 << 16),
+            k_max=rng.randint(1, 6),
+            use_sampling=rng.random() < 0.8,
+        )
+        subset = None
+        if names and rng.random() < 0.5:
+            subset = rng.sample(names, rng.randint(1, len(names)))
+        production = extract_path_dataset_uncached(record, variant, sampling, subset)
+        reference = extract_path_dataset_reference(record, variant, sampling, subset)
+        scope = "all endpoints" if subset is None else f"{len(subset)} endpoints"
+        problems.extend(
+            f"{variant} ({sampling}, {scope}): {message}"
+            for message in _dataset_differences(production, reference)
+        )
+        if problems:
+            return problems
+    return problems
+
+
 #: Registry: oracle name -> callable.  ``DEFAULT_CADENCE`` spaces out the
 #: oracles whose cost is a full extra record build.
 ORACLES: Dict[str, OracleFn] = {
@@ -535,6 +626,7 @@ ORACLES: Dict[str, OracleFn] = {
     "array_vs_reference_sta": array_vs_reference_sta,
     "packed_vs_scalar_sim": packed_vs_scalar_sim,
     "optimize_search": optimize_search,
+    "array_vs_reference_features": array_vs_reference_features,
 }
 
 DEFAULT_CADENCE: Dict[str, int] = {
@@ -546,4 +638,5 @@ DEFAULT_CADENCE: Dict[str, int] = {
     "array_vs_reference_sta": 1,
     "packed_vs_scalar_sim": 1,
     "optimize_search": 3,
+    "array_vs_reference_features": 1,
 }

@@ -98,7 +98,8 @@ def cache_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _code_paths() -> List[Path]:
+def code_paths() -> List[Path]:
+    """The source files whose bytes :func:`code_fingerprint` covers."""
     root = Path(__file__).resolve().parent.parent  # src/repro
     paths: List[Path] = []
     for entry in _CODE_SCOPE:
@@ -123,7 +124,7 @@ def code_fingerprint() -> str:
     digest.update(f"python={sys.version_info[:2]}".encode())
     digest.update(f"numpy={np.__version__}".encode())
     digest.update(f"pickle={PICKLE_PROTOCOL}".encode())
-    for path in _code_paths():
+    for path in code_paths():
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
         digest.update(path.read_bytes())

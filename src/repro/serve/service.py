@@ -347,6 +347,12 @@ class TimingService:
                     lambda: build_design_record(source, name=name),
                     self.report,
                 )
+        # The build key is a full content identity of the record (source ⊕
+        # name ⊕ build code).  Stamped on the record, it addresses the
+        # path-feature cache here and in pool workers (which receive the
+        # record pickled) without pickling the record into a fingerprint.
+        record.__dict__.pop("_feature_fingerprint", None)
+        record.__dict__["_content_key"] = key
         with self._record_mutex:
             self._record_cache[key] = record
             self._record_cache.move_to_end(key)

@@ -235,6 +235,11 @@ class AttributeColumns:
     def has_cell(self) -> np.ndarray:
         return self.cell_row != 0
 
+    @property
+    def cells(self) -> List[object]:
+        """The distinct cells, indexed by ``cell_row`` (row 0 is ``None``)."""
+        return self._cells
+
 
 class _SweepPlan:
     """Precomputed structural layout of one full level sweep.

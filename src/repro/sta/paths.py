@@ -6,6 +6,11 @@ always choosing the fanin that determined the max arrival, until a launch
 point (register output or primary input) is reached.  Also provides random
 path sampling within an endpoint's input cone, used to generate the
 additional ``K`` paths per endpoint.
+
+The per-endpoint functions walk the object graph one vertex at a time and are
+kept as the reference implementation.  The array section at the end computes
+the same quantities for every endpoint at once on the compiled
+:class:`~repro.sta.csr.CSRTimingGraph`, bit for bit.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ import random
 from dataclasses import dataclass
 from typing import List, Sequence, Set
 
+import numpy as np
+
+from repro.sta.csr import KIND_GATE, KIND_INPUT, KIND_REGISTER, AttributeColumns, gather_edges
 from repro.sta.engine import STAReport, arrival_delay_of
 from repro.sta.network import TimingNetwork, VertexKind
 
@@ -126,3 +134,123 @@ def path_cells(network: TimingNetwork, vertices: Sequence[int]) -> List[str]:
         else:
             names.append(vertex.kind.value)
     return names
+
+
+# ---------------------------------------------------------------------------
+# Array-native path primitives (all endpoints at once, on the compiled CSR)
+# ---------------------------------------------------------------------------
+
+#: Bits set in each byte value, for popcounting uint64 bitsets as bytes.
+_POPCOUNT8 = np.array([bin(value).count("1") for value in range(256)], dtype=np.int64)
+
+#: Upper bound on uint64 words held per launch-point bitset block
+#: (vertices x words); wider designs propagate their bitsets in column blocks.
+_BITSET_BLOCK_WORDS = 1 << 22
+
+
+def edge_delays(
+    cols: AttributeColumns, report: STAReport, consumers: np.ndarray, fanins: np.ndarray
+) -> np.ndarray:
+    """:func:`arrival_delay_of` over parallel ``(consumer, fanin)`` id arrays.
+
+    Evaluates ``derate * ((intrinsic + resistance*load) + slew_factor*slew)``
+    in the scalar reference's float64 operation order, so every element is
+    bit-identical to the per-edge call; consumers without a cell give 0.0.
+    """
+    load = report.loads[consumers]
+    delay = cols.derate[consumers] * (
+        (cols.param("intrinsic_delay")[consumers] + cols.param("resistance")[consumers] * load)
+        + cols.param("slew_factor")[consumers] * report.slews[fanins]
+    )
+    return np.where(cols.has_cell()[consumers], delay, 0.0)
+
+
+def _critical_fanins(network: TimingNetwork, report: STAReport) -> np.ndarray:
+    """The fanin each vertex's slowest-path backtrace steps to, or -1 where it stops.
+
+    One segment argmax over the CSR fanin slices of every gate: the candidate
+    of edge ``f -> v`` is ``arrivals[f] + arrival_delay_of(v, f)``, and ties go
+    to the first fanin, exactly as ``max`` in :func:`trace_critical_path`.
+    """
+    compiled = network.compiled()
+    cols = compiled.columns(network)
+    best = np.full(compiled.n, -1, dtype=np.int64)
+    n_fanins = np.diff(compiled.fanin_indptr)
+    gates = np.flatnonzero((compiled.kind == KIND_GATE) & (n_fanins > 0))
+    if not gates.size:
+        return best
+    positions, counts = gather_edges(compiled.fanin_indptr, gates)
+    fanins = compiled.fanin_indices[positions].astype(np.int64)
+    owners = np.repeat(gates, counts)
+    cand = report.arrivals[fanins] + edge_delays(cols, report, owners, fanins)
+    starts = np.zeros(len(gates), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    seg_max = np.maximum.reduceat(cand, starts)
+    # The lowest edge position attaining its segment's maximum is the first
+    # maximal fanin in list order.
+    position = np.where(cand == np.repeat(seg_max, counts), np.arange(cand.size), cand.size)
+    best[gates] = fanins[np.minimum.reduceat(position, starts)]
+    return best
+
+
+def trace_critical_paths(
+    network: TimingNetwork, report: STAReport, drivers: Sequence[int]
+) -> List[List[int]]:
+    """:func:`trace_critical_path` vertex lists for many endpoint drivers at once.
+
+    All walks take one backward step per iteration through the
+    :func:`_critical_fanins` table, so the loop runs once per level of the
+    deepest path, not once per vertex.
+    """
+    # The trailing -1 makes a finished walk (at -1) stay at -1.
+    step = np.append(_critical_fanins(network, report), -1)
+    current = np.asarray(drivers, dtype=np.int64)
+    columns = [current]
+    while True:
+        current = step[current]
+        if not (current >= 0).any():
+            break
+        columns.append(current)
+    walks = np.column_stack(columns)  # driver first, -1 padded
+    lengths = (walks >= 0).sum(axis=1).tolist()
+    return [row[:length][::-1].tolist() for row, length in zip(walks, lengths)]
+
+
+def launch_point_counts(network: TimingNetwork, drivers: Sequence[int]) -> np.ndarray:
+    """``len(driving_launch_points(network, d))`` for every driver ``d`` at once.
+
+    Every launch point owns one bit of a uint64 bitset.  Bitsets are
+    OR-propagated along the fanin edges level by level
+    (``np.bitwise_or.reduceat`` over each level's fanin slices), so each
+    vertex ends up holding its whole input cone's launch points, and are
+    popcounted at the drivers.
+    """
+    compiled = network.compiled()
+    drivers = np.asarray(drivers, dtype=np.int64)
+    counts = np.zeros(len(drivers), dtype=np.int64)
+    launch = np.flatnonzero((compiled.kind == KIND_INPUT) | (compiled.kind == KIND_REGISTER))
+    n_words = (launch.size + 63) // 64
+    if not drivers.size or not n_words:
+        return counts
+    # Level >= 1 vertices are exactly those with fanins, so no segment is empty.
+    sweeps = []
+    for level in range(1, compiled.n_levels):
+        ids = compiled.level_slice(level).astype(np.int64)
+        positions, n_fanins = gather_edges(compiled.fanin_indptr, ids)
+        starts = np.zeros(len(ids), dtype=np.int64)
+        np.cumsum(n_fanins[:-1], out=starts[1:])
+        sweeps.append((ids, compiled.fanin_indices[positions], starts))
+    bit = np.arange(launch.size)
+    block = max(1, _BITSET_BLOCK_WORDS // max(compiled.n, 1))
+    for first_word in range(0, n_words, block):
+        width = min(block, n_words - first_word)
+        local = bit - 64 * first_word
+        owned = (local >= 0) & (local < 64 * width)
+        bits = np.zeros((compiled.n, width), dtype=np.uint64)
+        bits[launch[owned], local[owned] // 64] = np.left_shift(
+            np.uint64(1), (local[owned] % 64).astype(np.uint64)
+        )
+        for ids, sources, starts in sweeps:
+            bits[ids] |= np.bitwise_or.reduceat(bits[sources], starts, axis=0)
+        counts += _POPCOUNT8[bits[drivers].view(np.uint8)].sum(axis=1)
+    return counts

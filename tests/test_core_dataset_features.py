@@ -137,6 +137,22 @@ class TestFeatures:
         assert len(graph.endpoint_nodes) == len(tiny_record.labels)
         assert len(graph.edge_src) == len(graph.edge_dst)
         assert graph.endpoint_targets.min() >= 0
+        # Node features: one-hot cell/kind label, fanout count, logic level / 10.
+        network = tiny_record.pseudo_networks["sog"]
+        labels = ("AND", "OR", "XOR", "NOT", "MUX", "REG", "input", "const")
+        fanouts = network.fanouts()
+        levels = [0] * len(network.vertices)
+        for vertex_id in network.topological_order():
+            fanins = network.vertices[vertex_id].fanins
+            if fanins:
+                levels[vertex_id] = 1 + max(levels[f] for f in fanins)
+        expected = np.zeros((len(network.vertices), len(labels) + 2))
+        for vertex in network.vertices:
+            label = vertex.cell.function if vertex.cell is not None else vertex.kind.value
+            expected[vertex.id, labels.index(label if label in labels else "const")] = 1.0
+            expected[vertex.id, len(labels)] = len(fanouts[vertex.id])
+            expected[vertex.id, len(labels) + 1] = levels[vertex.id] / 10.0
+        assert np.array_equal(graph.node_features, expected)
 
     def test_variant_datasets_share_endpoints(self, tiny_record):
         sog = extract_path_dataset(tiny_record, "sog", SamplingConfig(use_sampling=False))

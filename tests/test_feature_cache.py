@@ -1,19 +1,24 @@
 """Tests for the fold-aware path-feature cache."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core.feature_cache import (
     CACHE_HIT_STAGE,
     FEATURE_CACHE_DISK_ENV_VAR,
     FEATURE_CACHE_ENV_VAR,
     PathFeatureCache,
+    feature_code_paths,
     path_feature_cache,
     path_dataset_key,
     record_fingerprint_cached,
     reset_feature_cache,
 )
-from repro.core.features import extract_path_dataset
+from repro.core.features import extract_path_dataset, extract_path_dataset_uncached
 from repro.core.sampling import SamplingConfig
 from repro.runtime import RuntimeReport, activate
 from repro.runtime.cache import record_fingerprint
@@ -119,6 +124,28 @@ class TestKeys:
         assert value == f"fp:{record_fingerprint(tiny_record)}"
         assert tiny_record.__dict__["_feature_fingerprint"] == value
         assert record_fingerprint_cached(tiny_record) == value
+
+    def test_extractor_code_lies_in_the_key(self, tiny_record):
+        """Every source file the extractor runs is hashed into the cache key.
+
+        Otherwise an edit to that file would leave stale features on disk.
+        """
+        package = Path(repro.__file__).resolve().parent
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(Path(frame.f_code.co_filename).resolve())
+
+        sys.setprofile(profile)
+        try:
+            for sampling in (SamplingConfig(), SamplingConfig(use_sampling=False)):
+                extract_path_dataset_uncached(tiny_record, "sog", sampling)
+        finally:
+            sys.setprofile(None)
+        ours = {path for path in called if package in path.parents}
+        fingerprinted = {path.resolve() for path in feature_code_paths()}
+        assert ours and ours <= fingerprinted, sorted(map(str, ours - fingerprinted))
 
     def test_engine_built_records_reuse_content_key(self, tiny_record):
         import copy

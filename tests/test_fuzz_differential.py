@@ -13,11 +13,13 @@ from __future__ import annotations
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.faults import FAULT_ENV_VAR, fault_active
+from repro.fuzz import oracles
 from repro.fuzz.corpus import (
     SIZE_CLASSES,
     FuzzDesign,
@@ -29,6 +31,7 @@ from repro.fuzz.oracles import (
     DEFAULT_CADENCE,
     ORACLES,
     FuzzContext,
+    array_vs_reference_features,
     array_vs_reference_sta,
     hist_vs_exact_gbm,
     incremental_vs_full,
@@ -172,6 +175,25 @@ class TestKernelOracles:
         monkeypatch.setenv(FAULT_ENV_VAR, "simulate.packed_and")
         broken = packed_vs_scalar_sim(FuzzContext(fuzz), random.Random(11))
         assert broken, "AND-as-OR in the packed evaluator must diverge from scalar"
+
+    def test_feature_oracle_registered_and_clean(self):
+        assert DEFAULT_CADENCE["array_vs_reference_features"] == 1
+        for iteration in range(3):
+            fuzz = generate_fuzz_design(design_seed_for(0, iteration), "small")
+            assert array_vs_reference_features(FuzzContext(fuzz), random.Random(iteration)) == []
+
+    def test_feature_oracle_reports_a_one_ulp_divergence(self, monkeypatch):
+        extract = oracles.extract_path_dataset_uncached
+
+        def off_by_one_ulp(*args):
+            dataset = extract(*args)
+            dataset.features[-1, -1] = np.nextafter(dataset.features[-1, -1], np.inf)
+            return dataset
+
+        monkeypatch.setattr(oracles, "extract_path_dataset_uncached", off_by_one_ulp)
+        fuzz = generate_fuzz_design(design_seed_for(0, 0), "tiny")
+        problems = array_vs_reference_features(FuzzContext(fuzz), random.Random(0))
+        assert problems and "'endpoint_pseudo_arrival'" in problems[0]
 
     def test_large_size_class_reaches_kernel_scale(self):
         """The ``large`` class exists to exercise the array kernels at depth."""

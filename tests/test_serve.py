@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import threading
 import time
 import urllib.error
@@ -11,6 +12,8 @@ import urllib.request
 import pytest
 
 from repro.core import RTLTimer
+from repro.core.feature_cache import path_dataset_key
+from repro.core.sampling import SamplingConfig
 from repro.runtime.report import RuntimeReport
 from repro.serve import ServeConfig, TimingService, start_server
 from tests.test_registry import TINY_TIMER_CONFIG
@@ -155,6 +158,28 @@ def test_service_record_cache(served_timer, simple_source, tmp_path, monkeypatch
         assert service.report.counters.get("serve_record_hits", 0) == 1
     finally:
         service.close()
+
+
+def test_served_records_carry_their_build_key(served_timer, simple_source, tmp_path, monkeypatch):
+    """Feature-cache keys of served records never pickle the record, here or in a worker."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+
+    def refuse(record):
+        raise AssertionError("a served record was fingerprinted by pickling")
+
+    monkeypatch.setattr("repro.runtime.cache.record_fingerprint", refuse)
+    monkeypatch.setattr("repro.core.feature_cache.record_fingerprint", refuse)
+    sampling = SamplingConfig()
+    # First a fresh build, then a second service loading it from the artifact cache.
+    for _ in range(2):
+        service = TimingService(served_timer)
+        try:
+            record = service.record_for_source(simple_source, name="simple")
+            key = path_dataset_key(record, "sog", sampling, None)
+            shipped = pickle.loads(pickle.dumps(record))  # what a pool worker receives
+            assert path_dataset_key(shipped, "sog", sampling, None) == key
+        finally:
+            service.close()
 
 
 # ---------------------------------------------------------------------------
