@@ -10,10 +10,10 @@ Two subsystems prove themselves against injected faults:
   shrink;
 * the **resilient serving runtime** (:mod:`repro.serve.supervisor` /
   :mod:`repro.serve.resilience`) claims availability under component loss.
-  Probabilistic faults (worker crash/hang, slow IO, cache corruption,
-  kernel exceptions) let the chaos harness (``python -m repro chaos``)
-  drive real traffic through a service whose components keep failing, and
-  assert the recovery invariants.
+  Probabilistic faults (worker crash/hang, slow IO, cache corruption) let
+  the chaos harness (``python -m repro chaos``) drive real traffic through
+  a service whose components keep failing, and assert the recovery
+  invariants.
 
 Syntax
 ------
@@ -65,12 +65,6 @@ Availability (crashes and slowdowns, each survived by the serving runtime):
 * ``cache.corrupt_entry`` — an :class:`~repro.runtime.cache.ArtifactCache`
   read returns bit-flipped bytes; the cache treats the entry as corrupt
   (counted, deleted, rebuilt) and the caller recomputes.
-* ``kernel.exception`` — the array STA kernel raises instead of sweeping;
-  the serving layer's kernel circuit breaker falls back to the bit-identical
-  ``reference`` kernel.
-* ``serve.batch_fail`` — a multi-request micro-batch raises before the
-  model pass; the service degrades to serial per-request predicts
-  (bit-identical, only slower).
 * ``parallel.worker_crash`` — a dataset-build pool worker exits hard; the
   engine retries the unfinished specs on the serial path.
 
@@ -105,8 +99,6 @@ FAULT_REGISTRY: Dict[str, str] = {
     "worker.hang": "serve pool worker sleeps forever inside a request",
     "worker.slow_io": "serve pool worker sleeps briefly before answering",
     "cache.corrupt_entry": "ArtifactCache read returns bit-flipped bytes",
-    "kernel.exception": "array STA kernel raises instead of sweeping",
-    "serve.batch_fail": "multi-request micro-batch raises before the model pass",
     "parallel.worker_crash": "dataset-build pool worker exits hard",
 }
 
@@ -163,11 +155,6 @@ def format_faults(specs: Dict[str, float], seed: int = 0) -> str:
         name if probability >= 1.0 else f"{name}:p={probability}:seed={seed}"
         for name, probability in specs.items()
     )
-
-
-def active_faults() -> frozenset:
-    """The set of fault names currently enabled via the environment."""
-    return frozenset(parse_faults())
 
 
 def fault_active(name: str) -> bool:

@@ -211,11 +211,6 @@ class ArtifactCache:
         self.enabled = cache_enabled() if enabled is None else bool(enabled)
         self.counter_prefix = counter_prefix
         self.stats = CacheStats()
-        # Optional circuit breaker (duck-typed: allows/record_failure/
-        # record_success), installed by the serving layer so a corrupt or
-        # failing disk degrades to in-memory recompute instead of being
-        # re-probed on every request.  None outside serving.
-        self.breaker = None
 
     def path_for(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
@@ -228,12 +223,6 @@ class ArtifactCache:
         it cannot fail again.
         """
         if not self.enabled:
-            self._miss()
-            return default
-        if self.breaker is not None and not self.breaker.allows():
-            # Disk dependency is tripped: degrade straight to recompute.
-            report_mod.incr(f"{self.counter_prefix}_breaker_skips")
-            report_mod.incr("serve_degraded_cache_recompute")
             self._miss()
             return default
         path = self.path_for(key)
@@ -249,9 +238,6 @@ class ArtifactCache:
             return default
         except Exception:
             report_mod.incr(f"{self.counter_prefix}_corrupt")
-            if self.breaker is not None:
-                self.breaker.record_failure()
-                report_mod.incr("serve_degraded_cache_recompute")
             try:
                 path.unlink()
             except OSError:
@@ -260,8 +246,6 @@ class ArtifactCache:
             return default
         self.stats.hits += 1
         report_mod.incr(f"{self.counter_prefix}_hits")
-        if self.breaker is not None:
-            self.breaker.record_success()
         return value
 
     def put(self, key: str, value: Any) -> bool:

@@ -12,8 +12,8 @@ This package is the repo's train-once/serve-many boundary:
   passes and records ``serve.*`` runtime stages,
 * :mod:`repro.serve.http` — a stdlib JSON-over-HTTP server exposing
   ``/predict``, ``/whatif``, ``/health`` and ``/metrics``,
-* :mod:`repro.serve.resilience` — admission control, per-dependency
-  circuit breakers, deadlines, and the bit-identical degradation ladder,
+* :mod:`repro.serve.resilience` — admission control, deadlines and the
+  serving error types,
 * :mod:`repro.serve.supervisor` — the supervised pre-forked worker pool
   behind :class:`~repro.serve.service.PooledTimingService`,
 * :mod:`repro.serve.chaos` — the seed-replayable fault-injection campaign
@@ -36,7 +36,6 @@ from repro.serve.registry import (
 )
 from repro.serve.resilience import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     RejectedError,
@@ -55,7 +54,6 @@ __all__ = [
     "load_model",
     "save_model",
     "AdmissionController",
-    "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",
     "RejectedError",

@@ -8,22 +8,22 @@ than trusting the happy path.  One campaign:
 1. builds (or is handed) a small design set and a fitted timer, and
    computes the **healthy oracle** — the exact JSON every request must
    produce — before any fault is armed;
-2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption,
-   kernel exceptions, batch failures — per-fault probability, one campaign
-   seed) and only then builds a :class:`PooledTimingService` behind the
-   real HTTP server, so forked workers inherit the faults;
+2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption —
+   per-fault probability, one campaign seed) and only then builds a
+   :class:`PooledTimingService` behind the real HTTP server, so forked
+   workers inherit the faults;
 3. drives concurrent HTTP traffic (registered-name predicts, raw-source
    predicts that exercise elaboration + disk cache + STA kernel, what-if
    sweeps) and checks every 200 against the oracle byte for byte;
-4. runs a **directed ladder sweep** — each configured fault armed alone at
-   probability 1 with traffic shaped to hit it — so "every degradation
-   step exercised" holds on every seed, not just lucky ones;
+4. runs a **directed sweep** — each configured fault armed alone at
+   probability 1 with traffic shaped to hit it — so "every recovery path
+   exercised" holds on every seed, not just lucky ones;
 5. clears the faults and measures **recovery**: how long until the service
    answers every design correctly again;
 6. asserts the invariants — zero wrong answers, zero lost accepted
    requests (shed 429s are not accepted and not lost), availability over
    accepted traffic at or above the floor, recovery within the bound, and
-   every fault-implied degradation-ladder step actually exercised — and
+   every fault-implied recovery path actually exercised — and
    publishes ``serve.chaos_*`` / ``serve.availability`` stages for the CI
    trend gate.
 
@@ -50,7 +50,7 @@ from repro.faults import FAULT_ENV_VAR, FAULT_REGISTRY, format_faults, reset_dra
 from repro.runtime import report as report_mod
 from repro.runtime.cache import CACHE_DIR_ENV_VAR
 from repro.serve.http import prediction_to_json, start_server
-from repro.serve.service import PooledTimingService, ServeConfig
+from repro.serve.service import PooledTimingService, ServeConfig, _percentile
 from repro.serve.supervisor import PoolConfig
 
 #: Schema tag of the replayable failure bundle.
@@ -64,25 +64,21 @@ P99_STAGE = "serve.chaos_p99"
 RECOVERY_STAGE = "serve.chaos_recovery"
 AVAILABILITY_STAGE = "serve.availability"
 
-#: Default fault mix of the CI chaos lane: every ladder step implied.
+#: Default fault mix of the CI chaos lane: every recovery path implied.
 DEFAULT_FAULTS: Dict[str, float] = {
     "worker.crash": 0.08,
     "worker.hang": 0.03,
     "cache.corrupt_entry": 0.3,
-    "kernel.exception": 0.3,
-    "serve.batch_fail": 0.15,
 }
 
 #: Which observable evidence each fault must leave behind (any one counter
-#: moving counts).  This is how "every degradation-ladder step exercised"
-#: is asserted rather than assumed.
+#: moving counts).  This is how "every recovery path exercised" is asserted
+#: rather than assumed.
 FAULT_EVIDENCE: Dict[str, Sequence[str]] = {
     "worker.crash": ("serve_worker_restarts",),
     "worker.hang": ("serve_worker_restarts",),
     "worker.slow_io": (),
-    "cache.corrupt_entry": ("cache_corrupt", "serve_degraded_cache_recompute"),
-    "kernel.exception": ("serve_degraded_kernel_reference",),
-    "serve.batch_fail": ("serve_degraded_serial_predict",),
+    "cache.corrupt_entry": ("cache_corrupt",),
 }
 
 
@@ -284,7 +280,7 @@ def run_campaign(
                     deadline_s=config.deadline_s,
                     # Keep the in-memory record LRU smaller than the design
                     # rotation so raw-source requests keep hitting the disk
-                    # cache (where corruption + kernel faults live).
+                    # cache (where corruption faults live).
                     record_cache_entries=1,
                 ),
                 report=report,
@@ -304,7 +300,7 @@ def run_campaign(
             try:
                 _drive_traffic(config, records, predict_oracle, whatif_oracle,
                                whatif_k, host, port, result)
-                _directed_ladder(
+                _directed_sweep(
                     config, records, predict_oracle, report, host, port, result
                 )
                 # Recovery: disarm faults (fresh forks inherit the clean
@@ -430,12 +426,12 @@ def _drive_traffic(
 
     latencies.sort()
     if latencies:
-        result.p50_s = _pct(latencies, 0.50)
-        result.p95_s = _pct(latencies, 0.95)
-        result.p99_s = _pct(latencies, 0.99)
+        result.p50_s = _percentile(latencies, 0.50)
+        result.p95_s = _percentile(latencies, 0.95)
+        result.p99_s = _percentile(latencies, 0.99)
 
 
-def _directed_ladder(
+def _directed_sweep(
     config: ChaosConfig,
     records,
     predict_oracle: Dict[str, Dict[str, Any]],
@@ -447,7 +443,7 @@ def _directed_ladder(
     """Arm each configured fault alone at p=1 and drive traffic shaped to hit it.
 
     The probabilistic phase is faithful chaos but can leave a low-probability
-    fault undrawn on some seeds; this sweep makes "every ladder step
+    fault undrawn on some seeds; this sweep makes "every recovery path
     exercised" hold deterministically.  Requests here obey the same
     invariants as the main phase — every answer is still checked against the
     healthy oracle.
@@ -484,36 +480,7 @@ def _directed_ladder(
                 continue
             os.environ[FAULT_ENV_VAR] = format_faults({fault: 1.0}, seed=config.seed)
             for attempt in range(6):
-                if fault == "serve.batch_fail":
-                    # A batch only forms from concurrent arrivals: post the
-                    # whole design set at once from separate threads.
-                    statuses: List[Any] = [None] * len(records)
-
-                    def fire(slot: int, record) -> None:
-                        try:
-                            statuses[slot] = (record, *client_pool[slot].post(
-                                "/predict", {"name": record.name}
-                            ))
-                        except Exception as exc:
-                            statuses[slot] = (record, -1, {"error": repr(exc)})
-
-                    client_pool = [
-                        _Client(host, port, timeout=config.deadline_s + 10.0)
-                        for _ in records
-                    ]
-                    threads = [
-                        threading.Thread(target=fire, args=(slot, record), daemon=True)
-                        for slot, record in enumerate(records)
-                    ]
-                    for thread in threads:
-                        thread.start()
-                    for thread in threads:
-                        thread.join()
-                    for slot_client in client_pool:
-                        slot_client.close()
-                    for record, status, body in statuses:
-                        check(f"{fault}[{attempt}]", record, status, body)
-                elif fault == "cache.corrupt_entry":
+                if fault == "cache.corrupt_entry":
                     # Two raw-source posts per design: the first stores the
                     # built record in the (cold or evicted) disk cache, the
                     # second reads it back through the corruption hook.
@@ -524,19 +491,6 @@ def _directed_ladder(
                                 {"source": record.source, "name": record.name},
                             )
                             check(f"{fault}[{attempt}]", record, status, body)
-                elif fault == "kernel.exception":
-                    # Whitespace-padded source changes the cache key, forcing
-                    # a fresh elaboration + STA build through the kernel
-                    # fallback guard (a plain repeat would be a cache hit).
-                    record = records[attempt % len(records)]
-                    status, body = client.post(
-                        "/predict",
-                        {
-                            "source": record.source + "\n" * (attempt + 1),
-                            "name": record.name,
-                        },
-                    )
-                    check(f"{fault}[{attempt}]", record, status, body)
                 else:  # worker.crash / worker.hang / worker.slow_io
                     record = records[attempt % len(records)]
                     status, body = client.post("/predict", {"name": record.name})
@@ -585,13 +539,6 @@ def _measure_recovery(
         client.close()
 
 
-def _pct(sorted_values: List[float], fraction: float) -> float:
-    index = min(
-        len(sorted_values) - 1, max(0, int(round(fraction * (len(sorted_values) - 1))))
-    )
-    return sorted_values[index]
-
-
 def _finalize(
     config: ChaosConfig, report: report_mod.RuntimeReport, result: ChaosResult
 ) -> None:
@@ -605,9 +552,6 @@ def _finalize(
         for name in (
             "serve_worker_restarts",
             "serve_request_retries",
-            "serve_degraded_kernel_reference",
-            "serve_degraded_cache_recompute",
-            "serve_degraded_serial_predict",
             "serve_pool_local_fallbacks",
             "cache_corrupt",
         )
@@ -706,7 +650,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--faults",
         default=None,
         help="fault mix name=prob,... ('none' for a fault-free baseline; "
-        "default: the standard ladder-covering mix)",
+        "default: the standard mix covering every recovery path)",
     )
     parser.add_argument("--deadline", type=float, default=30.0, help="per-request deadline seconds")
     parser.add_argument(

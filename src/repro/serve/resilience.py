@@ -5,37 +5,27 @@ Everything the fault-tolerant serving stack shares lives here:
 * :class:`Deadline` — absolute wall-clock request deadlines, propagated
   from the HTTP edge through the batching queue into pool workers so a
   request never outlives its client timeout;
-* :class:`CircuitBreaker` — per-dependency failure gate (registry load,
-  feature-cache disk, array STA kernel) with closed → open → half-open
-  transitions and counters;
 * :class:`AdmissionController` — bounded admission with per-route
   concurrency limits; rejections carry a ``Retry-After`` hint and surface
   as HTTP 429 load shedding, never as queue growth;
-* the **degradation ladder** — named, counted fallbacks that trade latency
-  for availability without ever changing results: the array STA kernel
-  degrades to the bit-identical ``reference`` kernel, a corrupt disk cache
-  entry degrades to in-memory recompute, a failing micro-batch degrades to
-  serial per-request predicts.
+* the error types the HTTP layer maps onto status codes
+  (:class:`RejectedError`, :class:`DeadlineExceeded`,
+  :class:`WorkerUnavailable`).
 
-Every degradation is logged (``repro.serve`` logger) and counted
-(``serve_degraded_*`` counters), so a chaos campaign can assert that each
-ladder step actually fired — and that the answers stayed bit-identical.
+Recovery from worker crashes, hangs and RSS leaks lives in
+:mod:`repro.serve.supervisor`; a corrupt cache entry is deleted and
+recomputed inside :meth:`repro.runtime.cache.ArtifactCache.get`.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, TypeVar
+from typing import Dict, Optional
 
 from repro.runtime import report as report_mod
-
-T = TypeVar("T")
-
-log = logging.getLogger("repro.serve")
 
 #: Admission queue bound (pending + in-flight requests) before load shedding.
 QUEUE_MAX_ENV_VAR = "REPRO_SERVE_QUEUE_MAX"
@@ -48,12 +38,6 @@ RETRY_AFTER_ENV_VAR = "REPRO_SERVE_RETRY_AFTER_S"
 
 #: Maximum concurrent what-if sweeps (they are much heavier than predicts).
 WHATIF_CONCURRENCY_ENV_VAR = "REPRO_SERVE_WHATIF_CONCURRENCY"
-
-#: Consecutive failures before a circuit breaker opens.
-BREAKER_THRESHOLD_ENV_VAR = "REPRO_SERVE_BREAKER_THRESHOLD"
-
-#: Seconds an open breaker waits before letting one half-open probe through.
-BREAKER_RESET_ENV_VAR = "REPRO_SERVE_BREAKER_RESET_S"
 
 
 def _env_int(name: str, default: int) -> int:
@@ -128,114 +112,6 @@ def remaining_or_none(deadline: Optional[Deadline]) -> Optional[float]:
     if deadline is None:
         return None
     return max(deadline.remaining(), 0.0)
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------------
-
-
-class CircuitBreaker:
-    """Per-dependency failure gate with closed / open / half-open states.
-
-    * **closed** — calls flow; consecutive failures are counted.
-    * **open** — after ``failure_threshold`` consecutive failures the
-      breaker trips: :meth:`allows` answers False until ``reset_after_s``
-      elapsed, so a dead dependency is not hammered on every request.
-    * **half-open** — after the reset window one probe is allowed through;
-      success closes the breaker, failure re-opens it (with a fresh window).
-
-    Thread-safe; also duck-type compatible with
-    :attr:`repro.runtime.cache.ArtifactCache.breaker` (``allows`` /
-    ``record_failure`` / ``record_success``), which is how the disk-cache
-    dependency gets its gate without :mod:`repro.runtime` importing this
-    module.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        failure_threshold: Optional[int] = None,
-        reset_after_s: Optional[float] = None,
-        report: Optional[report_mod.RuntimeReport] = None,
-    ):
-        self.name = name
-        self.failure_threshold = max(
-            failure_threshold
-            if failure_threshold is not None
-            else _env_int(BREAKER_THRESHOLD_ENV_VAR, 3),
-            1,
-        )
-        self.reset_after_s = (
-            reset_after_s
-            if reset_after_s is not None
-            else _env_float(BREAKER_RESET_ENV_VAR, 5.0)
-        )
-        self.report = report
-        self._lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._opened_at: Optional[float] = None
-        self._probing = False
-        self.trips = 0
-        self.failures = 0
-
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state_locked()
-
-    def _state_locked(self) -> str:
-        if self._opened_at is None:
-            return "closed"
-        if time.monotonic() - self._opened_at >= self.reset_after_s:
-            return "half_open"
-        return "open"
-
-    def allows(self) -> bool:
-        """Whether a call may proceed (consumes the half-open probe slot)."""
-        with self._lock:
-            state = self._state_locked()
-            if state == "closed":
-                return True
-            if state == "half_open" and not self._probing:
-                self._probing = True
-                return True
-            return False
-
-    def record_failure(self) -> None:
-        with self._lock:
-            self.failures += 1
-            self._consecutive_failures += 1
-            self._probing = False
-            tripped = (
-                self._opened_at is None
-                and self._consecutive_failures >= self.failure_threshold
-            )
-            if tripped or self._opened_at is not None:
-                # Trip, or re-open after a failed half-open probe.
-                if self._opened_at is None:
-                    self.trips += 1
-                    self._incr(f"breaker_{self.name}_trips")
-                self._opened_at = time.monotonic()
-        self._incr(f"breaker_{self.name}_failures")
-        if self.state != "closed":
-            log.warning("circuit breaker %r is %s", self.name, self.state)
-
-    def record_success(self) -> None:
-        with self._lock:
-            reopened = self._opened_at is not None
-            self._consecutive_failures = 0
-            self._opened_at = None
-            self._probing = False
-        if reopened:
-            self._incr(f"breaker_{self.name}_recoveries")
-            log.info("circuit breaker %r closed again", self.name)
-
-    def _incr(self, counter: str) -> None:
-        if self.report is not None:
-            self.report.incr(counter)
-        else:
-            report_mod.incr(counter)
 
 
 # ---------------------------------------------------------------------------
@@ -327,61 +203,3 @@ class _Admission:
     def __exit__(self, *exc_info) -> None:
         self._controller._release(self._route)
 
-
-# ---------------------------------------------------------------------------
-# Degradation ladder
-# ---------------------------------------------------------------------------
-
-#: Ladder steps, most-preferred path first.  Every step preserves results
-#: bit-for-bit; only latency degrades.
-DEGRADATION_LADDER: Dict[str, str] = {
-    "kernel_reference": "array STA kernel -> per-vertex reference kernel",
-    "cache_recompute": "disk artifact/feature cache -> in-memory recompute",
-    "serial_predict": "batched predict -> serial per-request predicts",
-    "registry_payload": "registry bundle load -> cached in-memory payload",
-}
-
-
-def degrade(step: str, report: Optional[report_mod.RuntimeReport] = None) -> None:
-    """Count + log one degradation-ladder step."""
-    counter = f"serve_degraded_{step}"
-    if report is not None:
-        report.incr(counter)
-    else:
-        report_mod.incr(counter)
-    log.warning("degraded: %s", DEGRADATION_LADDER.get(step, step))
-
-
-def run_with_kernel_fallback(
-    breaker: CircuitBreaker,
-    fn: Callable[[], T],
-    report: Optional[report_mod.RuntimeReport] = None,
-) -> T:
-    """Run ``fn`` preferring the array STA kernel, degrading to ``reference``.
-
-    While the breaker is closed (or grants a half-open probe) the call runs
-    under the ambient kernel selection; any exception counts against the
-    breaker and the call is retried once under the forced ``reference``
-    kernel.  While the breaker is open, calls go straight to the reference
-    kernel — no per-request exception cost on a known-bad dependency.
-
-    The two kernels are bit-identical by contract (fuzz-verified), so this
-    fallback can never change a result — only its latency.  Errors that
-    have nothing to do with the kernel (e.g. a Verilog parse error) fail
-    again identically on the degraded retry and surface unchanged; they may
-    transiently trip the breaker, which costs reference-kernel latency,
-    never correctness.
-    """
-    from repro.sta import engine
-
-    if breaker.allows():
-        try:
-            result = fn()
-        except Exception:
-            breaker.record_failure()
-        else:
-            breaker.record_success()
-            return result
-    degrade("kernel_reference", report)
-    with engine.kernel_forced("reference"):
-        return fn()

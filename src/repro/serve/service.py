@@ -29,21 +29,17 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.core.dataset import DesignRecord, build_design_record
 from repro.core.pipeline import RTLTimer, RTLTimerPrediction
-from repro.faults import fault_fires
 from repro.runtime.cache import ArtifactCache, record_key
 from repro.runtime.report import RuntimeReport, activate
 from repro.serve.resilience import (
     DEADLINE_ENV_VAR,
     WHATIF_CONCURRENCY_ENV_VAR,
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     DeadlineExceeded,
     WorkerUnavailable,
     _env_int,
-    degrade,
     remaining_or_none,
-    run_with_kernel_fallback,
 )
 from repro.serve.supervisor import PoolConfig, WorkerPool
 
@@ -144,12 +140,7 @@ class TimingService:
             retry_after_s=self.config.retry_after_s,
             report=self.report,
         )
-        #: Per-dependency circuit breakers feeding the degradation ladder.
-        self.kernel_breaker = CircuitBreaker("kernel", report=self.report)
-        self.cache_breaker = CircuitBreaker("cache_disk", report=self.report)
         self._artifacts = ArtifactCache() if self.config.cache_records else None
-        if self._artifacts is not None:
-            self._artifacts.breaker = self.cache_breaker
         self._worker = threading.Thread(
             target=self._serve_loop, name="timing-service-batcher", daemon=True
         )
@@ -300,15 +291,11 @@ class TimingService:
             if candidates is None:
                 prediction = self.predict(record)
             with self._whatif_mutex, activate(self.report), self.report.stage(WHATIF_STAGE):
-                estimates = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: self.timer.what_if(
-                        record,
-                        candidates=candidates,
-                        prediction=prediction,
-                        k=self.config.whatif_k if k is None else k,
-                    ),
-                    self.report,
+                estimates = self.timer.what_if(
+                    record,
+                    candidates=candidates,
+                    prediction=prediction,
+                    k=self.config.whatif_k if k is None else k,
                 )
             self.report.incr("serve_whatif_requests")
             return estimates
@@ -329,24 +316,15 @@ class TimingService:
             self.report.incr("serve_record_hits")
             return cached
         with activate(self.report), self.report.stage("serve.build_record"):
-            # The build runs the STA kernel; the breaker degrades a failing
-            # array kernel to the bit-identical reference loop.  A corrupt
-            # disk-cache entry already degrades to recompute inside
-            # ArtifactCache.get (gated by cache_breaker).
+            # A corrupt disk-cache entry is deleted and rebuilt inside
+            # ArtifactCache.get; a build error (e.g. a Verilog syntax error)
+            # surfaces to the caller unchanged.
             if self._artifacts is not None:
-                record = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: self._artifacts.load_or_build(
-                        key, lambda: build_design_record(source, name=name)
-                    ),
-                    self.report,
+                record = self._artifacts.load_or_build(
+                    key, lambda: build_design_record(source, name=name)
                 )
             else:
-                record = run_with_kernel_fallback(
-                    self.kernel_breaker,
-                    lambda: build_design_record(source, name=name),
-                    self.report,
-                )
+                record = build_design_record(source, name=name)
         # The build key is a full content identity of the record (source ⊕
         # name ⊕ build code).  Stamped on the record, it addresses the
         # path-feature cache here and in pool workers (which receive the
@@ -377,10 +355,6 @@ class TimingService:
             "active_bundle_id": self.active_bundle_id,
             "eval_digest": self.eval_digest,
             "admission_depth": self.admission.depth(),
-            "breakers": {
-                "kernel": self.kernel_breaker.state,
-                "cache_disk": self.cache_breaker.state,
-            },
         }
         if latencies:
             serving["predict_p50"] = round(_percentile(latencies, 0.50), 6)
@@ -432,19 +406,11 @@ class TimingService:
 
     def _execute_batch(self, batch: List[_Request]) -> None:
         """Fill ``prediction`` for every request in ``batch`` (one model pass)."""
-        if fault_fires("serve.batch_fail") and len(batch) > 1:
-            raise RuntimeError("injected fault: serve.batch_fail")
         predictions = self.timer.predict_batch(
             [request.record for request in batch], report=self.report
         )
         for request, prediction in zip(batch, predictions):
             request.prediction = prediction
-
-    def _execute_serial(self, record: DesignRecord) -> RTLTimerPrediction:
-        """One in-process predict, kernel-breaker protected (the ladder floor)."""
-        return run_with_kernel_fallback(
-            self.kernel_breaker, lambda: self.timer.predict(record), self.report
-        )
 
     def _serve_loop(self) -> None:
         while True:
@@ -466,15 +432,15 @@ class TimingService:
                 try:
                     with activate(self.report), self.report.stage(PREDICT_BATCH_STAGE):
                         self._execute_batch(ready)
-                except BaseException:  # degrade: the batch failed as a unit
-                    if len(ready) > 1:
-                        degrade("serial_predict", self.report)
+                except BaseException:
+                    # The batch failed as a unit: re-run each request alone
+                    # so a bad record fails only its own caller.
                     for request in ready:
                         try:
                             with activate(self.report), self.report.stage(
                                 PREDICT_BATCH_STAGE
                             ):
-                                request.prediction = self._execute_serial(request.record)
+                                request.prediction = self.timer.predict(request.record)
                         except BaseException as exc:
                             request.error = exc
             self.report.incr("serve_requests", len(batch))
@@ -501,7 +467,7 @@ class PooledTimingService(TimingService):
     """A :class:`TimingService` whose predicts run on a supervised worker pool.
 
     The parent keeps everything the single-process service has — admission,
-    micro-batch queueing, deadlines, breakers, the degradation ladder — and
+    micro-batch queueing, deadlines, per-request error isolation — and
     fans each taken batch out over :class:`~repro.serve.supervisor.WorkerPool`
     workers (pinned by record name so repeated designs hit warm worker
     caches).  A worker crash/hang mid-request is retried on a sibling by the
@@ -546,8 +512,6 @@ class PooledTimingService(TimingService):
         self.pool.close()
 
     def _execute_batch(self, batch: List[_Request]) -> None:
-        if fault_fires("serve.batch_fail") and len(batch) > 1:
-            raise RuntimeError("injected fault: serve.batch_fail")
         handles = [
             (
                 request,
@@ -564,10 +528,10 @@ class PooledTimingService(TimingService):
             try:
                 request.prediction = handle.result()
             except WorkerUnavailable:
-                # Ladder floor: the parent's own timer, bit-identical.
+                # Pool floor: the parent's own timer, bit-identical.
                 self.report.incr("serve_pool_local_fallbacks")
                 try:
-                    request.prediction = self._execute_serial(request.record)
+                    request.prediction = self.timer.predict(request.record)
                 except BaseException as exc:
                     request.error = exc
             except BaseException as exc:

@@ -23,8 +23,8 @@ a restart storm.
 
 :class:`~repro.serve.service.PooledTimingService` plugs the pool into the
 :class:`~repro.serve.service.TimingService` front end: admission,
-micro-batch queueing, deadlines and the degradation ladder stay in the
-parent; batch execution fans out over the pool, falling back to the
+micro-batch queueing, deadlines and per-request error isolation stay in
+the parent; batch execution fans out over the pool, falling back to the
 parent's own timer (bit-identical, counted) if the pool is momentarily
 empty.
 """
@@ -49,7 +49,6 @@ from repro.serve.resilience import (
     WorkerUnavailable,
     _env_float,
     _env_int,
-    degrade,
     remaining_or_none,
 )
 
@@ -201,13 +200,6 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
                         continue
                     prediction = timer.predict(record)
                     send(("ok", request_id, prediction))
-                elif kind == "whatif":
-                    record, candidates, k, expires_at = data
-                    if expires_at is not None and time.time() >= expires_at:
-                        send(("deadline", request_id, None))
-                        continue
-                    estimates = timer.what_if(record, candidates=candidates, k=k)
-                    send(("ok", request_id, estimates))
                 else:
                     send(("error", request_id, f"unknown request kind {kind!r}"))
             except SystemExit:
@@ -579,14 +571,14 @@ class WorkerPool:
         time.sleep(backoff)
         if self._closed:
             return
-        # Prefer a fresh registry read (picks up repaired bundles); degrade
+        # Prefer a fresh registry read (picks up repaired bundles); fall back
         # to the cached in-memory payload when the registry itself is the
         # failing dependency.
         try:
             self._payload = self._payload_provider()
         except Exception:
-            degrade("registry_payload", self.report)
             self.report.incr("serve_registry_fallbacks")
+            log.warning("registry payload unreadable; respawning on the cached payload")
         self._spawn(worker)
 
     def _supervise(self) -> None:

@@ -10,15 +10,12 @@ the quantities PrimeTime provides in the paper's flow.
 
 from __future__ import annotations
 
-import contextlib
 import os
-import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.faults import fault_fires
 from repro.sta.constraints import ClockConstraint
 from repro.sta.network import TimingNetwork, VertexKind
 
@@ -29,36 +26,9 @@ STA_KERNEL_ENV_VAR = "REPRO_STA_KERNEL"
 
 _KERNELS = ("array", "reference")
 
-# Thread-local forced override, installed by the serving layer's kernel
-# circuit breaker.  It outranks both the explicit argument and the env var:
-# a degraded retry must not re-enter the failing array path just because a
-# caller deep in the stack hard-codes kernel="array".
-_FORCED = threading.local()
-
-
-@contextlib.contextmanager
-def kernel_forced(kernel: str) -> Iterator[None]:
-    """Force every :func:`analyze` call on this thread onto ``kernel``.
-
-    Used by :func:`repro.serve.resilience.run_with_kernel_fallback` to pin a
-    degraded retry to the ``reference`` kernel.  Thread-local so concurrent
-    healthy requests keep the array path.
-    """
-    if kernel not in _KERNELS:
-        raise ValueError(f"unknown STA kernel {kernel!r}; choose one of {_KERNELS}")
-    previous = getattr(_FORCED, "kernel", None)
-    _FORCED.kernel = kernel
-    try:
-        yield
-    finally:
-        _FORCED.kernel = previous
-
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The kernel backend to use: forced override, else argument, else env var."""
-    forced = getattr(_FORCED, "kernel", None)
-    if forced is not None:
-        return forced
+    """The kernel backend to use: the argument, else the env var, else array."""
     value = kernel if kernel is not None else os.environ.get(STA_KERNEL_ENV_VAR) or "array"
     if value not in _KERNELS:
         raise ValueError(
@@ -235,8 +205,6 @@ def analyze(
     slews = np.full(n, clock.input_slew)
 
     if resolve_kernel(kernel) == "array":
-        if fault_fires("kernel.exception"):
-            raise RuntimeError("injected fault: kernel.exception")
         compiled = network.compiled()
         cols = compiled.columns(network)
         if loads is None:

@@ -112,8 +112,6 @@ def test_operations_doc_covers_every_resilience_knob():
     operations = (REPO_ROOT / "docs/operations.md").read_text()
     serving = (REPO_ROOT / "docs/serving.md").read_text()
     from repro.serve.resilience import (
-        BREAKER_RESET_ENV_VAR,
-        BREAKER_THRESHOLD_ENV_VAR,
         DEADLINE_ENV_VAR,
         QUEUE_MAX_ENV_VAR,
         RETRY_AFTER_ENV_VAR,
@@ -135,8 +133,6 @@ def test_operations_doc_covers_every_resilience_knob():
         DEADLINE_ENV_VAR,
         RETRY_AFTER_ENV_VAR,
         WHATIF_CONCURRENCY_ENV_VAR,
-        BREAKER_THRESHOLD_ENV_VAR,
-        BREAKER_RESET_ENV_VAR,
         WORKERS_ENV_VAR,
         HEARTBEAT_ENV_VAR,
         HEARTBEAT_TIMEOUT_ENV_VAR,

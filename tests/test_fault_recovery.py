@@ -66,30 +66,6 @@ def test_cache_corruption_recovers_under_concurrency(
             assert prediction.overall == healthy.overall
         counters = service.report.counters
         assert counters.get("cache_corrupt", 0) >= 1
-        assert counters.get("serve_degraded_cache_recompute", 0) >= 1
-
-
-def test_cache_breaker_trips_on_repeated_corruption(
-    recovery_timer, simple_source, tmp_path, monkeypatch
-):
-    """Sustained corruption trips the disk breaker: later lookups skip the
-    disk entirely (recompute) instead of re-probing a bad dependency."""
-    cache_dir = tmp_path / "cache"
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
-
-    with TimingService(recovery_timer, ServeConfig(record_cache_entries=1)) as service:
-        service.cache_breaker.failure_threshold = 1
-        service.cache_breaker.reset_after_s = 60.0
-        healthy_record = service.record_for_source(simple_source, name="simple")
-        healthy = recovery_timer.predict(healthy_record)
-        for _ in range(3):
-            # Each round: evict from the LRU, corrupt the disk copy, re-request.
-            service.record_for_source(simple_source, name="other")
-            _flip_all_cache_entries(cache_dir)
-            record = service.record_for_source(simple_source, name="simple")
-            assert recovery_timer.predict(record).signal_slack == healthy.signal_slack
-        assert service.cache_breaker.state != "closed"
-        assert service.report.counters.get("cache_breaker_skips", 0) >= 1
 
 
 def test_registry_payload_rejects_corrupted_bundle(recovery_timer, tmp_path):

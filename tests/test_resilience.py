@@ -1,4 +1,4 @@
-"""Resilience primitives: faults registry, breakers, admission, deadlines."""
+"""Resilience primitives: faults registry, admission, deadlines."""
 
 from __future__ import annotations
 
@@ -18,13 +18,10 @@ from repro.faults import (
 from repro.runtime.report import RuntimeReport
 from repro.serve.resilience import (
     AdmissionController,
-    CircuitBreaker,
     Deadline,
     RejectedError,
     remaining_or_none,
-    run_with_kernel_fallback,
 )
-from repro.sta import engine as sta_engine
 
 
 # ---------------------------------------------------------------------------
@@ -68,42 +65,6 @@ def test_fault_inactive_without_env(monkeypatch):
 def test_every_registered_fault_parses():
     encoded = format_faults({name: 0.5 for name in FAULT_REGISTRY}, seed=1)
     assert set(parse_faults(encoded)) == set(FAULT_REGISTRY)
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker
-# ---------------------------------------------------------------------------
-
-
-def test_breaker_trips_after_threshold_and_recovers():
-    report = RuntimeReport()
-    breaker = CircuitBreaker("dep", failure_threshold=2, reset_after_s=0.05, report=report)
-    assert breaker.state == "closed"
-    assert breaker.allows()
-    breaker.record_failure()
-    assert breaker.state == "closed"  # one failure is not a trip
-    breaker.record_failure()
-    assert breaker.state == "open"
-    assert not breaker.allows()
-    assert report.counters["breaker_dep_trips"] == 1
-
-    time.sleep(0.06)
-    assert breaker.allows()  # half-open probe
-    assert breaker.state == "half_open"
-    assert not breaker.allows()  # only one probe at a time
-    breaker.record_success()
-    assert breaker.state == "closed"
-    assert report.counters["breaker_dep_recoveries"] == 1
-
-
-def test_breaker_failed_probe_reopens():
-    breaker = CircuitBreaker("dep", failure_threshold=1, reset_after_s=0.01)
-    breaker.record_failure()
-    time.sleep(0.02)
-    assert breaker.allows()
-    breaker.record_failure()  # probe failed
-    assert breaker.state == "open"
-    assert not breaker.allows()
 
 
 # ---------------------------------------------------------------------------
@@ -156,51 +117,3 @@ def test_deadline_remaining_and_expiry():
     assert remaining_or_none(None) is None
     assert Deadline.after(None) is None
 
-
-# ---------------------------------------------------------------------------
-# Kernel degradation
-# ---------------------------------------------------------------------------
-
-
-def test_kernel_forced_overrides_and_restores(monkeypatch):
-    monkeypatch.delenv(sta_engine.STA_KERNEL_ENV_VAR, raising=False)
-    assert sta_engine.resolve_kernel(None) == "array"
-    with sta_engine.kernel_forced("reference"):
-        assert sta_engine.resolve_kernel(None) == "reference"
-        assert sta_engine.resolve_kernel("array") == "reference"  # forced wins
-    assert sta_engine.resolve_kernel(None) == "array"
-    with pytest.raises(ValueError):
-        with sta_engine.kernel_forced("warp-drive"):
-            pass
-
-
-def test_run_with_kernel_fallback_degrades_once(monkeypatch):
-    monkeypatch.setenv(FAULT_ENV_VAR, "kernel.exception")
-    report = RuntimeReport()
-    breaker = CircuitBreaker("kernel", failure_threshold=3, report=report)
-    calls = []
-
-    def flaky():
-        calls.append(sta_engine.resolve_kernel(None))
-        if sta_engine.resolve_kernel(None) == "array":
-            raise RuntimeError("injected fault: kernel.exception")
-        return "ok"
-
-    assert run_with_kernel_fallback(breaker, flaky, report) == "ok"
-    assert calls == ["array", "reference"]
-    assert report.counters["serve_degraded_kernel_reference"] == 1
-    assert report.counters["breaker_kernel_failures"] == 1
-
-
-def test_run_with_kernel_fallback_skips_primary_when_open():
-    report = RuntimeReport()
-    breaker = CircuitBreaker("kernel", failure_threshold=1, reset_after_s=60.0, report=report)
-    breaker.record_failure()  # trip it
-    calls = []
-
-    def fn():
-        calls.append(sta_engine.resolve_kernel(None))
-        return "ok"
-
-    assert run_with_kernel_fallback(breaker, fn, report) == "ok"
-    assert calls == ["reference"]  # open breaker: no array attempt at all

@@ -12,8 +12,10 @@ import urllib.request
 import pytest
 
 from repro.core import RTLTimer
+from repro.core.dataset import build_design_record
 from repro.core.feature_cache import path_dataset_key
 from repro.core.sampling import SamplingConfig
+from repro.hdl.parser import ParseError
 from repro.runtime.report import RuntimeReport
 from repro.serve import ServeConfig, TimingService, start_server
 from tests.test_registry import TINY_TIMER_CONFIG
@@ -180,6 +182,81 @@ def test_served_records_carry_their_build_key(served_timer, simple_source, tmp_p
             assert path_dataset_key(shipped, "sog", sampling, None) == key
         finally:
             service.close()
+
+
+def test_malformed_sources_build_once_and_leave_healthy_requests_alone(
+    served_timer, simple_source, tmp_path, monkeypatch
+):
+    """A parse error surfaces after one build and never slows later requests."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    calls = []
+
+    def counting_build(source, name=None):
+        calls.append(name)
+        return build_design_record(source, name=name)
+
+    monkeypatch.setattr("repro.serve.service.build_design_record", counting_build)
+    service = TimingService(served_timer)
+    try:
+        for index in range(4):
+            source = simple_source.replace("endmodule", f"assign y = {index} +;\nendmodule")
+            with pytest.raises(ParseError):
+                service.record_for_source(source, name=f"bad{index}")
+            assert calls == [f"bad{i}" for i in range(index + 1)]
+
+        record = service.record_for_source(simple_source, name="simple")
+        assert served_timer.predict(record).design == "simple"
+        counters = service.report.counters
+        assert not [
+            name for name in counters if name.startswith(("serve_degraded_", "breaker_"))
+        ], counters
+    finally:
+        service.close()
+
+
+def test_bad_record_in_a_batch_fails_alone(served_timer, tiny_records, monkeypatch):
+    """When a batched model pass raises, only the request that caused it fails."""
+    records = tiny_records[:3]
+    expected = {record.name: served_timer.predict(record) for record in records}
+    bad_name = records[1].name
+    real_predict = served_timer.bitwise.predict
+
+    def predict_or_fail(record):
+        if record.name == bad_name:
+            raise RuntimeError(f"cannot predict {record.name}")
+        return real_predict(record)
+
+    monkeypatch.setattr(served_timer.bitwise, "predict", predict_or_fail)
+    service = TimingService(served_timer, ServeConfig(max_batch=3, batch_window_s=5.0))
+    try:
+        barrier = threading.Barrier(len(records))
+        results = {}
+
+        def run(record):
+            barrier.wait(timeout=30.0)
+            try:
+                results[record.name] = service.predict(record)
+            except Exception as exc:
+                results[record.name] = exc
+
+        threads = [threading.Thread(target=run, args=(record,)) for record in records]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+            assert not thread.is_alive()
+
+        assert service.report.counters["serve_batches"] == 1
+        assert service.report.counters["serve_batched_requests"] == 3
+        assert isinstance(results[bad_name], RuntimeError)
+        for record in records:
+            if record.name != bad_name:
+                served, serial = results[record.name], expected[record.name]
+                assert served.bitwise_arrival == serial.bitwise_arrival
+                assert served.signal_slack == serial.signal_slack
+                assert served.overall == serial.overall
+    finally:
+        service.close()
 
 
 # ---------------------------------------------------------------------------
