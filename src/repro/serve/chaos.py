@@ -280,7 +280,9 @@ def run_campaign(
                     deadline_s=config.deadline_s,
                     # Keep the in-memory record LRU smaller than the design
                     # rotation so raw-source requests keep hitting the disk
-                    # cache (where corruption faults live).
+                    # cache (where corruption faults live).  It also sizes
+                    # the pool workers' record LRUs, so a change of design
+                    # evicts there too.
                     record_cache_entries=1,
                 ),
                 report=report,

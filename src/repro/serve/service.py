@@ -72,7 +72,8 @@ class ServeConfig:
     #: memory on long-lived services).
     latency_window: int = 4096
     #: In-process DesignRecords kept hot for repeated source payloads (LRU);
-    #: evicted entries fall back to the on-disk artifact cache.
+    #: evicted entries fall back to the on-disk artifact cache.  Also the
+    #: size of each pool worker's record LRU.
     record_cache_entries: int = 64
     #: Admission bound on queued + in-flight requests before load shedding
     #: (None: ``$REPRO_SERVE_QUEUE_MAX``, default 128).
@@ -327,8 +328,8 @@ class TimingService:
                 record = build_design_record(source, name=name)
         # The build key is a full content identity of the record (source ⊕
         # name ⊕ build code).  Stamped on the record, it addresses the
-        # path-feature cache here and in pool workers (which receive the
-        # record pickled) without pickling the record into a fingerprint.
+        # path-feature cache here and in pool workers without pickling the
+        # record into a fingerprint, and keys the workers' record caches.
         record.__dict__.pop("_feature_fingerprint", None)
         record.__dict__["_content_key"] = key
         with self._record_mutex:
@@ -469,10 +470,13 @@ class PooledTimingService(TimingService):
     The parent keeps everything the single-process service has — admission,
     micro-batch queueing, deadlines, per-request error isolation — and
     fans each taken batch out over :class:`~repro.serve.supervisor.WorkerPool`
-    workers (pinned by record name so repeated designs hit warm worker
-    caches).  A worker crash/hang mid-request is retried on a sibling by the
-    pool; if the whole pool is momentarily down the parent answers from its
-    own timer — the same bundle state, so every path is bit-identical.
+    workers.  Records stamped with a build key (every record from
+    :meth:`record_for_source`) are pinned by that key, and each worker keeps
+    the last ``record_cache_entries`` of them, so a repeated design ships
+    its key instead of the record.  A worker crash/hang mid-request is
+    retried on a sibling by the pool; if the whole pool is momentarily down
+    the parent answers from its own timer — the same bundle state, so every
+    path is bit-identical.
 
     ``payload_provider`` supplies verified bundle payload bytes for worker
     (re)loads — typically ``lambda: registry.payload(ref)[0]``; by default
@@ -489,6 +493,7 @@ class PooledTimingService(TimingService):
         payload_provider: Optional[Callable[[], bytes]] = None,
     ):
         report = report if report is not None else RuntimeReport()
+        config = config or ServeConfig()
         if payload_provider is None:
             from repro.serve.registry import state_payload
 
@@ -500,6 +505,7 @@ class PooledTimingService(TimingService):
             payload_provider,
             config=pool_config or PoolConfig.from_env(),
             report=report,
+            record_cache_entries=config.record_cache_entries,
         )
         try:
             super().__init__(timer, config=config, report=report, manifest=manifest)
@@ -519,7 +525,7 @@ class PooledTimingService(TimingService):
                     "predict",
                     request.record,
                     deadline=request.deadline,
-                    content_key=getattr(request.record, "name", None),
+                    content_key=getattr(request.record, "_content_key", None),
                 ),
             )
             for request in batch

@@ -38,6 +38,7 @@ import os
 import pickle
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -129,7 +130,24 @@ def _rss_mb() -> float:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
+def _cache_record(
+    records: "OrderedDict[str, Any]", capacity: int, key: str, record: Any
+) -> None:
+    """One LRU step on a record cache: store/refresh ``key``, evict the oldest.
+
+    The worker runs it on its record cache and the parent on its mirror of
+    that cache (which stores ``None``), so both hold the same keys in the
+    same order.
+    """
+    records[key] = record
+    records.move_to_end(key)
+    while len(records) > capacity:
+        records.popitem(last=False)
+
+
+def _worker_main(
+    slot: int, conn, payload: bytes, config: PoolConfig, record_capacity: int
+) -> None:
     """Entry point of one pool worker process.
 
     Heartbeats travel over the same per-worker duplex pipe as results —
@@ -150,6 +168,7 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
     busy = [0.0]
     stop = threading.Event()
     send_lock = threading.Lock()
+    records: "OrderedDict[str, Any]" = OrderedDict()
 
     def send(message) -> bool:
         try:
@@ -177,9 +196,19 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
                 break
             busy[0] = time.time()
             try:
-                if kind == "ping":
-                    send(("ok", request_id, None))
+                if kind != "predict":
+                    send(("error", request_id, f"unknown request kind {kind!r}"))
                     continue
+                key, record, expires_at = data
+                # The record cache step comes first, the same step the parent
+                # took on its mirror for this send, so the two stay in sync
+                # whatever happens to the request afterwards.  A key the
+                # cache does not hold is a bug: it raises into the error
+                # reply below.
+                if key is not None:
+                    if record is None:
+                        record = records[key]
+                    _cache_record(records, record_capacity, key, record)
                 # Chaos hooks fire before any work, exactly like a crash
                 # between accept and compute would in production.  Draws are
                 # keyed by the pool-wide request id: unique per dispatch, so
@@ -193,15 +222,10 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
                     time.sleep(3600.0)
                 if fault_fires("worker.slow_io", token):
                     time.sleep(0.05)
-                if kind == "predict":
-                    record, expires_at = data
-                    if expires_at is not None and time.time() >= expires_at:
-                        send(("deadline", request_id, None))
-                        continue
-                    prediction = timer.predict(record)
-                    send(("ok", request_id, prediction))
-                else:
-                    send(("error", request_id, f"unknown request kind {kind!r}"))
+                if expires_at is not None and time.time() >= expires_at:
+                    send(("deadline", request_id, None))
+                    continue
+                send(("ok", request_id, timer.predict(record)))
             except SystemExit:
                 raise
             except BaseException as exc:
@@ -221,10 +245,19 @@ def _worker_main(slot: int, conn, payload: bytes, config: PoolConfig) -> None:
 class PoolRequestHandle:
     """Parent-side completion handle for one pool request."""
 
-    def __init__(self, kind: str, data: Tuple, deadline: Optional[Deadline]):
+    def __init__(
+        self,
+        kind: str,
+        data: Tuple,
+        deadline: Optional[Deadline],
+        content_key: Optional[str] = None,
+    ):
         self.kind = kind
         self.data = data
         self.deadline = deadline
+        #: Build key of ``data[0]``: the pin and the worker record-cache key,
+        #: kept here so retries and parked flushes keep both.
+        self.content_key = content_key
         self.attempts = 0
         self.done = threading.Event()
         self.result_value: Any = None
@@ -264,6 +297,9 @@ class _Worker:
         #: whose generation trails the pool's is rolled onto the new bundle.
         self.generation = 0
         self.pending: Dict[int, PoolRequestHandle] = {}
+        #: Mirror of the worker's record LRU (keys only).  Touched under
+        #: ``send_lock`` in pipe order and reset together with ``conn``.
+        self.records: "OrderedDict[str, None]" = OrderedDict()
 
 
 class WorkerPool:
@@ -274,9 +310,12 @@ class WorkerPool:
         payload_provider: Callable[[], bytes],
         config: Optional[PoolConfig] = None,
         report: Optional[RuntimeReport] = None,
+        record_cache_entries: int = 64,
     ):
         self.config = config or PoolConfig.from_env()
         self.report = report if report is not None else RuntimeReport()
+        #: Capacity of each worker's record LRU (and of its parent mirror).
+        self.record_cache_entries = max(record_cache_entries, 1)
         self._payload_provider = payload_provider
         self._payload = payload_provider()  # fail fast on a broken registry
         self._ctx = (
@@ -354,12 +393,14 @@ class WorkerPool:
     ) -> PoolRequestHandle:
         """Dispatch one request to a worker; returns a completion handle.
 
-        ``content_key`` pins equal keys to the same (alive) worker so
-        repeated requests for one design hit that worker's warm caches;
-        without it requests round-robin.
+        ``content_key`` is the build key of the record ``data[0]`` (equal
+        keys must mean equal records).  It pins the request to one (alive)
+        worker, which caches the record under that key, so a repeated
+        request ships the key instead of the record.  Without a key the
+        record ships whole and requests round-robin.
         """
-        handle = PoolRequestHandle(kind, tuple(data), deadline)
-        if not self._dispatch(handle, content_key=content_key):
+        handle = PoolRequestHandle(kind, tuple(data), deadline, content_key)
+        if not self._dispatch(handle):
             with self._lock:
                 if self._closed:
                     handle._resolve(error=WorkerUnavailable("worker pool closed"))
@@ -369,27 +410,35 @@ class WorkerPool:
                     self.report.incr("serve_pool_parked")
         return handle
 
-    def _dispatch(
-        self, handle: PoolRequestHandle, content_key: Optional[str] = None
-    ) -> bool:
+    def _dispatch(self, handle: PoolRequestHandle) -> bool:
+        key = handle.content_key
         with self._lock:
             if self._closed:
                 return False
             alive = [worker for worker in self._workers if worker.alive]
             if not alive:
                 return False
-            if content_key is not None:
-                worker = alive[hash(content_key) % len(alive)]
+            if key is not None:
+                worker = alive[hash(key) % len(alive)]
             else:
                 worker = alive[next(self._route_counter) % len(alive)]
             request_id = next(self._request_ids)
             worker.pending[request_id] = handle
         handle.attempts += 1
         expires_at = handle.deadline.expires_at if handle.deadline is not None else None
-        message = (handle.kind, request_id, handle.data + (expires_at,))
+        record = handle.data[0]
         try:
             with worker.send_lock:
-                worker.conn.send(message)
+                # The mirror is read and stepped under the same lock as the
+                # send, so it sees exactly the pipe order the worker sees.
+                # It is stepped only after a send that went through: a
+                # failed send takes the slot down and its respawn starts
+                # both caches empty.
+                hit = key is not None and key in worker.records
+                data = (key, None if hit else record, expires_at)
+                worker.conn.send((handle.kind, request_id, data))
+                if key is not None:
+                    _cache_record(worker.records, self.record_cache_entries, key, None)
         # A concurrently restarted slot can close the pipe between the alive
         # check and the send; a closed Connection surfaces as TypeError (its
         # handle is None) and a conn replaced mid-flight as AttributeError.
@@ -397,7 +446,8 @@ class WorkerPool:
             with self._lock:
                 worker.pending.pop(request_id, None)
             self._mark_dead(worker, reason="send failed")
-            return self._dispatch(handle, content_key=content_key)
+            return self._dispatch(handle)
+        self.report.incr("serve_pool_record_hits" if hit else "serve_pool_record_sends")
         return True
 
     # -- worker lifecycle --------------------------------------------------------
@@ -406,16 +456,23 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(worker.slot, child_conn, self._payload, self.config),
+            args=(
+                worker.slot, child_conn, self._payload, self.config,
+                self.record_cache_entries,
+            ),
             name=f"timing-worker-{worker.slot}",
             daemon=True,
         )
         process.start()
         child_conn.close()
         now = time.time()
-        with self._lock:
+        # A new pipe means a new, empty worker cache: swap conn and mirror
+        # together under send_lock, so no racing sender can pair the fresh
+        # pipe with the old incarnation's mirror.
+        with self._lock, worker.send_lock:
             worker.process = process
             worker.conn = parent_conn
+            worker.records = OrderedDict()
             worker.alive = True
             worker.last_heartbeat = now  # grace until the first real beat
             worker.busy_since = 0.0
