@@ -208,11 +208,12 @@ def build_dataset(
 ) -> List[DesignRecord]:
     """Build records for a benchmark suite (Table 3 of the paper).
 
-    Delegates to the :mod:`repro.runtime` engine: specs already present in
-    the content-addressed artifact cache are loaded from disk, the rest are
-    elaborated in parallel across ``jobs`` worker processes (``REPRO_JOBS``
-    env var, default ``os.cpu_count()``), and results come back in spec
-    order — element-wise identical to a serial build.  See
+    Delegates to the :mod:`repro.runtime` engine: specs (and raw-source
+    :class:`~repro.runtime.parallel.SourceItem` items) already present in the
+    content-addressed artifact cache are loaded from disk, the rest are
+    elaborated in one fan-out across ``jobs`` worker processes
+    (``REPRO_JOBS`` env var, default ``os.cpu_count()``), and results come
+    back in spec order — element-wise identical to a serial build.  See
     :func:`repro.runtime.parallel.build_dataset_parallel` for the knobs.
     """
     from repro.runtime.parallel import build_dataset_parallel

@@ -132,26 +132,13 @@ def _resolve_specs(config: RetrainConfig):
     return train, holdout
 
 
-def _ingest_fuzz_records(config: RetrainConfig, report) -> List[Any]:
-    """Elaborate fuzz-corpus seeds into DesignRecords via the artifact cache."""
-    if not config.fuzz_seeds:
-        return []
-    from repro.core.dataset import build_design_record
+def _fuzz_items(config: RetrainConfig) -> List[Any]:
+    """The fuzz-corpus seeds as raw-source build items."""
     from repro.fuzz.corpus import generate_fuzz_design
-    from repro.runtime.cache import ArtifactCache, record_key
+    from repro.runtime.parallel import SourceItem
 
-    cache = ArtifactCache()
-    records = []
-    for seed in config.fuzz_seeds:
-        design = generate_fuzz_design(int(seed), config.fuzz_size_class)
-        records.append(
-            cache.load_or_build(
-                record_key(design.source, None, design.name),
-                lambda design=design: build_design_record(design.source, name=design.name),
-            )
-        )
-    report.incr("lifecycle_fuzz_ingested", len(records))
-    return records
+    designs = [generate_fuzz_design(int(seed), config.fuzz_size_class) for seed in config.fuzz_seeds]
+    return [SourceItem(design.source, design.name) for design in designs]
 
 
 def run_retrain(
@@ -177,9 +164,14 @@ def run_retrain(
 
     with report_mod.activate(report):
         with report.stage(INGEST_STAGE):
-            train_records = build_dataset(train_specs, report=report)
-            train_records.extend(_ingest_fuzz_records(config, report))
-            holdout_records = build_dataset(holdout_specs, report=report)
+            # One fan-out for the whole ingest: training specs, fuzz sources
+            # and holdout specs share the pool, largest first.
+            fuzz_items = _fuzz_items(config)
+            records = build_dataset(train_specs + fuzz_items + holdout_specs, report=report)
+            split = len(train_specs) + len(fuzz_items)
+            train_records, holdout_records = records[:split], records[split:]
+            if fuzz_items:
+                report.incr("lifecycle_fuzz_ingested", len(fuzz_items))
         report.incr("lifecycle_train_designs", len(train_records))
 
         with report.stage(RETRAIN_STAGE):

@@ -254,6 +254,22 @@ class ArtifactCache:
         The cache is best-effort: a full disk or read-only directory must
         never break the build, so OS errors are swallowed.
         """
+
+        def dump(handle) -> None:
+            with gc_paused():
+                pickle.dump(value, handle, protocol=PICKLE_PROTOCOL)
+
+        return self._write(key, dump)
+
+    def put_bytes(self, key: str, blob: bytes) -> bool:
+        """Store an already pickled value (``blob``) under ``key``, as :meth:`put`.
+
+        For values pickled elsewhere — a pool worker's record — so the
+        writer never pickles them a second time.
+        """
+        return self._write(key, lambda handle: handle.write(blob))
+
+    def _write(self, key: str, write: Callable[[Any], Any]) -> bool:
         if not self.enabled:
             return False
         path = self.path_for(key)
@@ -261,8 +277,8 @@ class ArtifactCache:
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
             try:
-                with os.fdopen(fd, "wb") as handle, gc_paused():
-                    pickle.dump(value, handle, protocol=PICKLE_PROTOCOL)
+                with os.fdopen(fd, "wb") as handle:
+                    write(handle)
                 os.replace(tmp_name, path)
             except BaseException:
                 try:

@@ -1,20 +1,30 @@
 """Parallel, cached dataset construction.
 
-Each benchmark design is elaborated completely independently of the others
+Each design is elaborated completely independently of the others
 (generate → parse → bit-blast → pseudo-STA → label synthesis), so dataset
 construction is embarrassingly parallel — the same property the LZ DAQ
-exploits across digitizer channels.  :func:`build_dataset_parallel` fans the
-cache-missing specs out over a :class:`~concurrent.futures.ProcessPoolExecutor`
-and reassembles results in spec order, so the output is element-wise
-identical to a serial build (``repro.runtime.cache.record_fingerprint``
-equality is covered by the determinism tests).
+exploits across digitizer channels.  :func:`build_dataset_parallel` takes
+benchmark :class:`~repro.hdl.generate.DesignSpec` items and raw-source
+:class:`SourceItem` items side by side, so one ingest (a retrain's training,
+fuzz and holdout designs together) is one fan-out over a
+:class:`~concurrent.futures.ProcessPoolExecutor`:
+
+* tasks are submitted largest source first, so the longest builds never
+  trail behind a worker that drew them last;
+* each worker pickles its record once (protocol 5, GC paused) and returns
+  the bytes; the parent writes those bytes as the cache entry and loads
+  them once, so no record is ever pickled twice;
+* results come back in item order regardless of completion order, so the
+  output is element-wise identical to a serial build
+  (``repro.runtime.cache.record_fingerprint`` equality is covered by the
+  determinism tests).
 
 Worker count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
 environment variable, else ``os.cpu_count()``; always clamped to the number
 of tasks.  ``REPRO_JOBS=1`` forces the serial path, and any failure to stand
-up the pool (sandboxed environments without fork, unpicklable config, a
-worker crash taking down the pool) degrades gracefully to the same serial
-path rather than failing the build.
+up the pool (sandboxed environments without fork, unpicklable config) or a
+worker crash taking down the pool degrades gracefully: whatever the pool did
+not return is built serially in-process rather than failing the build.
 """
 
 from __future__ import annotations
@@ -25,14 +35,30 @@ import multiprocessing
 import os
 import pickle
 import sys
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from typing import Any, List, Optional, Sequence, Tuple
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.runtime import report as report_mod
-from repro.runtime.cache import ArtifactCache, gc_paused, record_key
+from repro.runtime.cache import PICKLE_PROTOCOL, ArtifactCache, gc_paused, record_key
 
 #: Environment variable fixing the worker count (``1`` = serial).
 JOBS_ENV_VAR = "REPRO_JOBS"
+
+#: Failures that cost one task (or, for a broken pool, every pending task)
+#: but never the build: the lost items are rebuilt in-process.
+_POOL_ERRORS = (OSError, ValueError, BrokenExecutor, pickle.PicklingError)
+
+
+class SourceItem(NamedTuple):
+    """A raw-Verilog build item: ``source`` elaborated as design ``name``.
+
+    Keyed exactly like ``/predict`` keys raw source
+    (``record_key(source, config, name)``), so a design ingested here and
+    the same design posted to a server share one cache entry.
+    """
+
+    source: str
+    name: str
 
 
 def resolve_jobs(n_tasks: Optional[int] = None, jobs: Optional[int] = None) -> int:
@@ -51,6 +77,30 @@ def resolve_jobs(n_tasks: Optional[int] = None, jobs: Optional[int] = None) -> i
     return max(1, jobs)
 
 
+def _item_key(item: Any, config: Any = None) -> str:
+    """The artifact-cache key of one build item (spec, source item or text)."""
+    if isinstance(item, SourceItem):
+        return record_key(item.source, config, item.name)
+    return record_key(item, config)
+
+
+def _build_item(item: Any, config: Any) -> Any:
+    from repro.core.dataset import build_design_record
+
+    if isinstance(item, SourceItem):
+        return build_design_record(item.source, config, name=item.name)
+    return build_design_record(item, config)
+
+
+def _source_size(item: Any) -> int:
+    """Characters of Verilog an item elaborates (the scheduling weight)."""
+    from repro.hdl.generate import DesignSpec, generate_design
+
+    if isinstance(item, DesignSpec):
+        return len(generate_design(item))
+    return len(item.source if isinstance(item, SourceItem) else item)
+
+
 def _reintern(value: Any) -> Any:
     """Re-intern the strings of a transported spec/config dataclass.
 
@@ -66,6 +116,8 @@ def _reintern(value: Any) -> Any:
         # Raw Verilog sources also land here; interning only pays (and only
         # restores literal sharing) for short identifier-like strings.
         return sys.intern(value) if len(value) <= 256 else value
+    if isinstance(value, SourceItem):
+        return SourceItem(value.source, _reintern(value.name))
     if isinstance(value, tuple):
         return tuple(_reintern(item) for item in value)
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
@@ -78,15 +130,16 @@ def _reintern(value: Any) -> Any:
     return value
 
 
-def _build_record_task(payload: Tuple[int, Any, Any]) -> Tuple[int, Any]:
-    """Worker entry point: build one DesignRecord (must be module-level)."""
-    from repro.core.dataset import build_design_record
+def _build_record_task(payload: Tuple[int, Any, Any]) -> Tuple[int, bytes]:
+    """Worker entry point: build one DesignRecord, return it pickled once."""
     from repro.faults import fault_fires
 
-    index, spec, config = payload
-    if fault_fires("parallel.worker_crash", token=getattr(spec, "name", str(index))):
+    index, item, config = payload
+    if fault_fires("parallel.worker_crash", token=getattr(item, "name", str(index))):
         os._exit(13)  # hard exit: breaks the pool, exercising the retry path
-    return index, build_design_record(_reintern(spec), _reintern(config))
+    record = _build_item(_reintern(item), _reintern(config))
+    with gc_paused():
+        return index, pickle.dumps(record, protocol=PICKLE_PROTOCOL)
 
 
 def _make_executor(max_workers: int) -> ProcessPoolExecutor:
@@ -100,65 +153,78 @@ def _make_executor(max_workers: int) -> ProcessPoolExecutor:
     return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
 
 
+#: ``store(index, record, blob)``: called once per record as it arrives, so
+#: each worker's bytes are written and dropped at once rather than all held
+#: to the end.  ``blob`` is ``None`` for a record built in-process.
+Store = Callable[[int, Any, Optional[bytes]], None]
+
+
+def _build_records(items: List[Any], config: Any, jobs: Optional[int], store: Store) -> List[Any]:
+    """Build ``items`` in one fan-out; records in item order."""
+    records: Dict[int, Any] = {}
+
+    def build_serial(indices: Sequence[int], stage_name: str) -> None:
+        with report_mod.stage(stage_name):
+            for index in indices:
+                records[index] = _build_item(items[index], config)
+                store(index, records[index], None)
+
+    jobs = resolve_jobs(len(items), jobs)
+    if jobs <= 1 or len(items) <= 1:
+        build_serial(range(len(items)), "dataset.build_serial")
+        return [records[index] for index in range(len(items))]
+
+    order = sorted(range(len(items)), key=lambda index: -_source_size(items[index]))
+    fallback = False
+    try:
+        with report_mod.stage("dataset.build_parallel"), _make_executor(jobs) as pool:
+            futures = {}
+            for index in order:
+                with contextlib.suppress(*_POOL_ERRORS, RuntimeError):
+                    futures[pool.submit(_build_record_task, (index, items[index], config))] = index
+            for future in as_completed(futures):
+                # One crashed worker breaks its own future — and, for a
+                # BrokenProcessPool, every future still queued — but the
+                # records already returned stay good.  Only the losses are
+                # rebuilt below; completed work is never discarded.
+                try:
+                    index, blob = future.result()
+                except _POOL_ERRORS:
+                    continue
+                with gc_paused():
+                    records[index] = pickle.loads(blob)
+                store(index, records[index], blob)
+    except _POOL_ERRORS:
+        # Pool never stood up (sandbox without fork, unpicklable config).
+        fallback = True
+        report_mod.incr("parallel_fallbacks")
+    lost = [index for index in range(len(items)) if index not in records]
+    if lost:
+        # A genuine per-design build error reproduces here with a clean
+        # traceback.
+        if fallback:
+            build_serial(lost, "dataset.build_serial")
+        else:
+            report_mod.incr("parallel_worker_retries", len(lost))
+            build_serial(lost, "dataset.build_retry_serial")
+    return [records[index] for index in range(len(items))]
+
+
 def parallel_build_records(
     specs: Sequence[Any],
     config: Any = None,
     jobs: Optional[int] = None,
 ) -> List[Any]:
-    """Build DesignRecords for ``specs``, fanning out across processes.
+    """Build DesignRecords for ``specs`` (uncached), fanning out across processes.
 
-    Results are returned in spec order regardless of completion order.
-    Falls back to the serial path when ``jobs`` resolves to 1 or the pool
-    cannot be used.
+    Items are :class:`~repro.hdl.generate.DesignSpec` or :class:`SourceItem`
+    objects, or raw Verilog text.  Results are returned in item order regardless of
+    completion order.  Falls back to the serial path when ``jobs`` resolves
+    to 1 or the pool cannot be used.
     """
-    from repro.core.dataset import DatasetConfig, build_design_record
+    from repro.core.dataset import DatasetConfig
 
-    specs = list(specs)
-    config = config or DatasetConfig()
-    jobs = resolve_jobs(len(specs), jobs)
-
-    def serial() -> List[Any]:
-        with report_mod.stage("dataset.build_serial"):
-            return [build_design_record(spec, config) for spec in specs]
-
-    if jobs <= 1 or len(specs) <= 1:
-        return serial()
-
-    tasks = [(index, spec, config) for index, spec in enumerate(specs)]
-    results: dict = {}
-    failed: List[Tuple[int, Any, Any]] = []
-    try:
-        with report_mod.stage("dataset.build_parallel"):
-            with _make_executor(jobs) as pool:
-                futures = []
-                for task in tasks:
-                    try:
-                        futures.append((task, pool.submit(_build_record_task, task)))
-                    except (OSError, ValueError, BrokenExecutor, RuntimeError):
-                        failed.append(task)
-                for task, future in futures:
-                    # One crashed worker breaks its own future — and, for a
-                    # BrokenProcessPool, every future still queued — but the
-                    # records already returned stay good.  Collect only the
-                    # losses; never discard completed work.
-                    try:
-                        index, record = future.result()
-                        results[index] = record
-                    except (OSError, ValueError, BrokenExecutor, pickle.PicklingError):
-                        failed.append(task)
-    except (OSError, ValueError, BrokenExecutor, pickle.PicklingError):
-        # Pool never stood up (sandbox without fork, unpicklable config):
-        # degrade to the serial path instead of failing the build.
-        report_mod.incr("parallel_fallbacks")
-        return serial()
-    if failed:
-        # Retry exactly the failed specs serially in-process; a genuine
-        # per-design build error reproduces here with a clean traceback.
-        report_mod.incr("parallel_worker_retries", len(failed))
-        with report_mod.stage("dataset.build_retry_serial"):
-            for index, spec, _ in failed:
-                results[index] = build_design_record(spec, config)
-    return [results[index] for index in range(len(specs))]
+    return _build_records(list(specs), config or DatasetConfig(), jobs, lambda *_: None)
 
 
 def build_dataset_parallel(
@@ -171,8 +237,10 @@ def build_dataset_parallel(
 ) -> List[Any]:
     """Cached, parallel equivalent of the seed's serial ``build_dataset``.
 
-    Per-spec records are first looked up in the content-addressed artifact
-    cache; only the misses are built (in parallel) and stored back.  Pass
+    ``specs`` mixes :class:`~repro.hdl.generate.DesignSpec` and
+    :class:`SourceItem` items freely.  Per-item records are first looked up in
+    the content-addressed artifact cache; only the misses are built (in one
+    parallel fan-out) and stored back.  Pass
     ``cache=ArtifactCache(enabled=False)`` — or set ``REPRO_CACHE=0`` — to
     force a full rebuild, and ``report=`` (or an outer
     :func:`repro.runtime.report.activate` block) to collect per-stage wall
@@ -181,7 +249,7 @@ def build_dataset_parallel(
     from repro.core.dataset import DatasetConfig
     from repro.hdl.generate import BENCHMARK_SPECS
 
-    specs = list(BENCHMARK_SPECS if specs is None else specs)
+    items = list(BENCHMARK_SPECS if specs is None else specs)
     config = config or DatasetConfig()
     if cache is None:
         cache = ArtifactCache()
@@ -189,7 +257,7 @@ def build_dataset_parallel(
     scope = report_mod.activate(report) if report is not None else contextlib.nullcontext()
     with scope:
         with report_mod.stage("dataset.build"):
-            keys = [record_key(spec, config) for spec in specs]
+            keys = [_item_key(item, config) for item in items]
             with report_mod.stage("dataset.cache_lookup"), gc_paused():
                 # One GC pause across the whole loop: re-enabling between
                 # entries makes the collector walk the ever-growing heap of
@@ -197,21 +265,28 @@ def build_dataset_parallel(
                 records: List[Any] = [cache.get(key) for key in keys]
             missing = [index for index, record in enumerate(records) if record is None]
             if missing:
-                built = parallel_build_records([specs[i] for i in missing], config, jobs)
-                with report_mod.stage("dataset.cache_store"):
-                    for index, record in zip(missing, built):
-                        records[index] = record
-                        cache.put(keys[index], record)
+
+                def store(position: int, record: Any, blob: Optional[bytes]) -> None:
+                    key = keys[missing[position]]
+                    with report_mod.stage("dataset.cache_store"):
+                        if blob is None:
+                            cache.put(key, record)
+                        else:
+                            cache.put_bytes(key, blob)
+
+                built = _build_records([items[index] for index in missing], config, jobs, store)
+                for index, record in zip(missing, built):
+                    records[index] = record
                 # New stores may have pushed the directory past its size
                 # budget (old code generations leave unreachable entries).
                 cache.prune()
             for record, key in zip(records, keys):
                 # The build key is a full content identity for the record
-                # (spec ⊕ config ⊕ build code); stash it so downstream caches
+                # (item ⊕ config ⊕ build code); stash it so downstream caches
                 # (path features) can address the record without re-pickling
                 # it into a fingerprint.  Any fingerprint that rode along in a
                 # cached pickle predates this session's key and is dropped.
                 record.__dict__.pop("_feature_fingerprint", None)
                 record.__dict__["_content_key"] = key
-            report_mod.incr("designs", len(specs))
+            report_mod.incr("designs", len(items))
     return records

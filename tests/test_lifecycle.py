@@ -25,6 +25,7 @@ from repro.lifecycle.evaluate import (
     MIN_R_DELTA_ENV_VAR,
 )
 from repro.serve.http import start_server
+from repro.runtime import RuntimeReport
 from repro.serve.registry import ModelRegistry, state_payload
 from repro.serve.service import PooledTimingService, ServeConfig, TimingService
 from repro.serve.supervisor import PoolConfig
@@ -182,6 +183,56 @@ def test_run_retrain_promotes_then_rejects_degraded(tmp_path):
     restored = registry.rollback("m")
     assert restored["bundle_id"] == first_id
     assert registry.resolve("m@promoted") == first_id
+
+
+def _fuzz_retrain_config(tmp_path, **overrides) -> RetrainConfig:
+    """Tiny injected train/holdout split widened with one fuzz seed."""
+    return RetrainConfig(
+        name="m",
+        fast=True,
+        estimators=10,
+        train_specs=TINY_SPECS[:3],
+        holdout_specs=TINY_SPECS[3:],
+        fuzz_seeds=(5,),
+        fuzz_size_class="tiny",
+        report_out=str(tmp_path / "eval.json"),
+        **overrides,
+    )
+
+
+def test_run_retrain_never_fingerprints_ingested_records(tmp_path, monkeypatch):
+    """Every ingested record, fuzz ones included, carries its build key, so
+    the path-feature cache never pickles a record into a fingerprint."""
+    import repro.core.feature_cache as feature_cache
+    import repro.runtime.cache as cache_mod
+
+    def refuse(record):
+        raise AssertionError(f"{record.name} was fingerprinted by pickling")
+
+    for module in (cache_mod, feature_cache):
+        monkeypatch.setattr(module, "record_fingerprint", refuse)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    result = run_retrain(_fuzz_retrain_config(tmp_path), registry=ModelRegistry(tmp_path / "models"))
+    assert result["promoted"]
+    assert result["candidate"]["metadata"]["train_designs"] == 4
+
+
+def test_run_retrain_ingests_in_one_fan_out(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    registry = ModelRegistry(tmp_path / "models")
+    designs = 3 + 1 + 2  # train + fuzz + holdout
+
+    cold = RuntimeReport()
+    run_retrain(_fuzz_retrain_config(tmp_path), registry=registry, report=cold)
+    assert cold.stage_calls["dataset.build_parallel"] == 1
+    assert cold.counters["cache_stores"] == designs
+    assert cold.counters["lifecycle_fuzz_ingested"] == 1
+
+    warm = RuntimeReport()
+    run_retrain(_fuzz_retrain_config(tmp_path), registry=registry, report=warm)
+    assert warm.counters["cache_hits"] == designs
+    assert "dataset.build_parallel" not in warm.stage_calls
 
 
 def test_run_retrain_guards_holdout_overlap(tmp_path):

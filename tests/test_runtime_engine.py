@@ -10,10 +10,13 @@ import pickle
 import pytest
 
 from repro.core import RTLTimer, RTLTimerConfig, BitwiseConfig, build_dataset, build_dataset_serial
-from repro.core.dataset import DatasetConfig
+from repro.core.dataset import DatasetConfig, build_design_record
+from repro.faults import FAULT_ENV_VAR, fault_fires
+from repro.fuzz.corpus import generate_fuzz_design
 from repro.runtime import (
     ArtifactCache,
     RuntimeReport,
+    SourceItem,
     activate,
     build_dataset_parallel,
     incr,
@@ -162,6 +165,86 @@ def test_build_dataset_cold_then_warm(cache):
     assert report.counters["cache_hits"] == 2
     assert report.counters["designs"] == 4
     assert [record_fingerprint(r) for r in warm] == [record_fingerprint(r) for r in cold]
+
+
+def _mixed_items():
+    """Two benchmark specs and one fuzz design as a raw-source item."""
+    fuzz = generate_fuzz_design(7, "tiny")
+    return [TINY_SPECS[0], SourceItem(fuzz.source, fuzz.name), TINY_SPECS[1]]
+
+
+def _serial_fingerprints(items):
+    return [
+        record_fingerprint(
+            build_design_record(item.source, name=item.name)
+            if isinstance(item, SourceItem)
+            else build_design_record(item)
+        )
+        for item in items
+    ]
+
+
+def test_worker_written_entries_match_serial_build(cache):
+    items = _mixed_items()
+    expected = _serial_fingerprints(items)
+    report = RuntimeReport()
+    built = build_dataset_parallel(items, jobs=2, cache=cache, report=report)
+    assert report.stage_calls["dataset.build_parallel"] == 1
+    assert report.counters["cache_stores"] == len(items)
+    assert [record.name for record in built] == [item.name for item in items]
+    assert [record_fingerprint(record) for record in built] == expected
+    # The bytes the workers pickled are the cache entries: reloading them
+    # gives the same records, under the same keys /predict uses for source.
+    keys = [record_key(TINY_SPECS[0]), record_key(items[1].source, None, items[1].name),
+            record_key(TINY_SPECS[1])]
+    assert [record._content_key for record in built] == keys
+    reloaded = [cache.get(key) for key in keys]
+    assert [record_fingerprint(record) for record in reloaded] == expected
+
+
+def test_parallel_build_with_disabled_cache_writes_nothing(tmp_path):
+    items = _mixed_items()
+    built = build_dataset_parallel(
+        items, jobs=2, cache=ArtifactCache(directory=tmp_path, enabled=False)
+    )
+    assert [record.name for record in built] == [item.name for item in items]
+    assert not any(tmp_path.iterdir())
+
+
+def test_parallel_build_survives_an_unwritable_cache(tmp_path):
+    blocker = tmp_path / "not-a-directory"
+    blocker.write_text("")  # entries would need <blocker>/<xx>/: mkdir fails
+    report = RuntimeReport()
+    items = _mixed_items()
+    built = build_dataset_parallel(
+        items, jobs=2, cache=ArtifactCache(directory=blocker, enabled=True), report=report
+    )
+    assert [record.name for record in built] == [item.name for item in items]
+    assert [record_fingerprint(record) for record in built] == _serial_fingerprints(items)
+    assert "cache_stores" not in report.counters
+
+
+def test_crashed_worker_on_a_source_item_is_retried_serially(cache, monkeypatch):
+    items = _mixed_items()
+    fuzz = items[1]
+    # A fault seed that crashes the worker building the fuzz item only.
+    for seed in range(200):
+        monkeypatch.setenv(FAULT_ENV_VAR, f"parallel.worker_crash:p=0.5:seed={seed}")
+        if fault_fires("parallel.worker_crash", token=fuzz.name) and not any(
+            fault_fires("parallel.worker_crash", token=spec.name) for spec in TINY_SPECS[:2]
+        ):
+            break
+    else:
+        pytest.fail("no fault seed isolates the fuzz item")
+    report = RuntimeReport()
+    built = build_dataset_parallel(items, jobs=2, cache=cache, report=report)
+    assert report.counters["parallel_worker_retries"] >= 1
+    assert "dataset.build_retry_serial" in report.stages
+    record = built[1]
+    assert record.name == fuzz.name
+    assert record._content_key == record_key(fuzz.source, None, fuzz.name)
+    assert record_fingerprint(record) == _serial_fingerprints([fuzz])[0]
+    assert [r.name for r in built] == [item.name for item in items]
 
 
 def test_build_dataset_serial_fallback_via_jobs_env(cache, monkeypatch):
