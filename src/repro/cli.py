@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
 from typing import List, Optional, Sequence
 
+from repro import settings
 from repro.runtime import report as report_mod
 
 #: Default model name used by ``train`` / ``predict`` / ``serve``.
@@ -204,7 +204,8 @@ def cmd_serve(args) -> int:
 
     registry = _registry(args)
     timer, manifest = registry.load_with_manifest(args.model)
-    config = ServeConfig(
+    config = settings.configure(
+        ServeConfig,
         max_batch=args.max_batch,
         batch_window_s=args.batch_window_ms / 1000.0,
     )
@@ -216,7 +217,7 @@ def cmd_serve(args) -> int:
             timer,
             config,
             manifest=manifest,
-            pool_config=PoolConfig.from_env(workers=args.workers),
+            pool_config=settings.configure(PoolConfig, workers=args.workers),
             # Workers (re)load the verified registry payload, not a pickle of
             # the parent's in-memory state — exactly what a restart would see.
             payload_provider=lambda: registry.payload(args.model)[0],
@@ -233,12 +234,7 @@ def cmd_serve(args) -> int:
     watcher = None
     refresh_s = args.refresh_s
     if refresh_s is None:
-        from repro.serve.service import REFRESH_ENV_VAR
-
-        try:
-            refresh_s = float(os.environ.get(REFRESH_ENV_VAR) or 0.0)
-        except ValueError:
-            refresh_s = 0.0
+        refresh_s = settings.get("REPRO_SERVE_REFRESH_S")
     if refresh_s > 0:
         from repro.lifecycle.watch import PromotionWatcher
 
@@ -363,7 +359,8 @@ def cmd_optimize(args) -> int:
         for record in records:
             ranking = ranking_from_labels(record)
             for budget in budgets:
-                config = SearchConfig.from_env(
+                config = settings.configure(
+                    SearchConfig,
                     strategy=args.strategy,
                     budget=budget,
                     seed=args.seed,
@@ -580,6 +577,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     arguments: List[str] = list(sys.argv[1:] if argv is None else argv)
+    try:
+        # Every knob is parsed up front: a malformed value fails here, at
+        # startup, instead of on the first request that reads it.
+        settings.snapshot()
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     if arguments and arguments[0] == "fuzz":
         # Full pass-through: the fuzz runner owns its (pre-existing) CLI.
         from repro.fuzz.runner import main as fuzz_main

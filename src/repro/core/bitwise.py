@@ -49,7 +49,7 @@ class BitwiseConfig:
     max_depth: int = 6
     learning_rate: float = 0.12
     splitter: str = "hist"  # GBM split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = REPRO_GBM_BINS)
+    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     mlp_hidden: Tuple[int, ...] = (64, 64)
     mlp_epochs: int = 150
     transformer_epochs: int = 60

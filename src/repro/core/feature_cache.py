@@ -25,11 +25,11 @@ Cache hits are recorded as the ``features.cache_hit`` stage and the
 Environment knobs:
 
 * ``REPRO_FEATURE_CACHE=0`` — disable both layers (every call re-extracts),
-* ``REPRO_FEATURE_CACHE_DISK=0`` — keep the cache in-memory only,
-* ``REPRO_FEATURE_CACHE_MEM`` — max in-memory entries (default 256),
-* ``REPRO_FEATURE_CACHE_MAX_MB`` — on-disk size budget in MiB (default 256);
-  the feature store prunes itself and is invisible to the record cache's
-  own budget.
+* ``REPRO_FEATURE_CACHE_DISK=0`` — keep the cache in-memory only.
+
+The on-disk layer's size budget is a fixed 1/8 share of
+``REPRO_CACHE_MAX_MB`` (256 MiB by default); the feature store prunes
+itself and is invisible to the record cache's own budget.
 """
 
 from __future__ import annotations
@@ -41,8 +41,10 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro import settings
 from repro.runtime import report as report_mod
 from repro.runtime.cache import (
+    CACHE_MAX_MB_ENV_VAR,
     ArtifactCache,
     code_fingerprint,
     code_paths,
@@ -56,16 +58,10 @@ FEATURE_CACHE_ENV_VAR = "REPRO_FEATURE_CACHE"
 #: Set to ``0`` to skip the on-disk layer (in-memory only).
 FEATURE_CACHE_DISK_ENV_VAR = "REPRO_FEATURE_CACHE_DISK"
 
-#: Maximum number of in-memory entries before LRU eviction.
-FEATURE_CACHE_MEM_ENV_VAR = "REPRO_FEATURE_CACHE_MEM"
-
-#: Size budget (in MiB) of the on-disk layer (default 256).
-FEATURE_CACHE_MAX_MB_ENV_VAR = "REPRO_FEATURE_CACHE_MAX_MB"
-
-#: Default on-disk budget in MiB; feature entries are small and cheap to
-#: rebuild relative to DesignRecords, so the budget is much tighter than the
-#: record cache's.
-DEFAULT_DISK_MB = 256
+#: Share of ``REPRO_CACHE_MAX_MB`` given to the on-disk layer; feature
+#: entries are small and cheap to rebuild relative to DesignRecords, so the
+#: budget is much tighter than the record cache's.
+DISK_BUDGET_SHARE = 8
 
 #: Disk stores between prune passes (a prune walks the cache directory).
 _PRUNE_EVERY = 64
@@ -83,20 +79,12 @@ _FEATURE_CODE_FILES = ("features.py", "sampling.py")
 
 def feature_cache_enabled() -> bool:
     """Whether the path-feature cache is enabled (``REPRO_FEATURE_CACHE=0`` disables)."""
-    return os.environ.get(FEATURE_CACHE_ENV_VAR, "1") != "0"
+    return settings.get(FEATURE_CACHE_ENV_VAR)
 
 
 def feature_disk_enabled() -> bool:
     """Whether the on-disk layer is enabled (``REPRO_FEATURE_CACHE_DISK=0`` disables)."""
-    return os.environ.get(FEATURE_CACHE_DISK_ENV_VAR, "1") != "0"
-
-
-def _memory_budget() -> int:
-    try:
-        budget = int(os.environ.get(FEATURE_CACHE_MEM_ENV_VAR, str(DEFAULT_MEM_ENTRIES)))
-    except ValueError:
-        budget = DEFAULT_MEM_ENTRIES
-    return max(budget, 1)
+    return settings.get(FEATURE_CACHE_DISK_ENV_VAR)
 
 
 def _feature_code_files() -> List[Path]:
@@ -181,12 +169,12 @@ class PathFeatureCache:
     def __init__(
         self,
         directory: Optional[os.PathLike] = None,
-        max_entries: Optional[int] = None,
+        max_entries: int = DEFAULT_MEM_ENTRIES,
         disk: Optional[bool] = None,
     ):
         if directory is None:
             directory = default_cache_dir() / "features"
-        self.max_entries = _memory_budget() if max_entries is None else max(int(max_entries), 1)
+        self.max_entries = max(int(max_entries), 1)
         self.disk = ArtifactCache(directory, counter_prefix="feature_disk")
         if disk is not None:
             self.disk.enabled = bool(disk)
@@ -233,11 +221,8 @@ class PathFeatureCache:
     # -- internals -----------------------------------------------------------
 
     def _disk_budget_bytes(self) -> int:
-        try:
-            budget = int(os.environ.get(FEATURE_CACHE_MAX_MB_ENV_VAR, str(DEFAULT_DISK_MB)))
-        except ValueError:
-            budget = DEFAULT_DISK_MB
-        return max(budget, 1) * 1024 * 1024
+        budget = settings.get(CACHE_MAX_MB_ENV_VAR) * 1024 * 1024 // DISK_BUDGET_SHARE
+        return max(budget, 1024 * 1024)
 
     def _remember(self, key: str, value: Any) -> None:
         self._memory[key] = value

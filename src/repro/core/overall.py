@@ -37,7 +37,7 @@ class OverallConfig:
     n_estimators: int = 40
     max_depth: int = 3
     splitter: str = "hist"  # tree split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = REPRO_GBM_BINS)
+    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -77,10 +77,11 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, Optional
+
+from repro import settings
 
 #: Comma-separated list of active fault entries (debug/chaos only).
 FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
@@ -126,21 +127,25 @@ def _parse_entry(entry: str) -> Optional[FaultSpec]:
     probability = 1.0
     seed = 0
     for part in parts[1:]:
+        # A typo'd parameter falling back to p=1.0 would fire the fault on
+        # every draw — reject it as loudly as an unknown name.
         key, _, value = part.partition("=")
         try:
             if key == "p":
                 probability = float(value)
             elif key == "seed":
                 seed = int(value)
-        except ValueError:
-            continue  # a malformed knob falls back to its default
+            else:
+                raise ValueError(f"unknown fault parameter {key!r}")
+        except ValueError as exc:
+            raise ValueError(f"fault entry {entry.strip()!r}: {exc}") from None
     return FaultSpec(name=name, probability=probability, seed=seed)
 
 
 def parse_faults(raw: Optional[str] = None) -> Dict[str, FaultSpec]:
     """Parse a ``REPRO_FAULT_INJECT`` value (default: the environment)."""
     if raw is None:
-        raw = os.environ.get(FAULT_ENV_VAR, "")
+        raw = settings.get(FAULT_ENV_VAR)
     specs: Dict[str, FaultSpec] = {}
     for entry in raw.split(","):
         spec = _parse_entry(entry)
@@ -164,7 +169,7 @@ def fault_active(name: str) -> bool:
     individual draws (:func:`fault_fires`) may not fire.  The deterministic
     differential faults use this predicate directly, exactly as before.
     """
-    raw = os.environ.get(FAULT_ENV_VAR, "")
+    raw = settings.get(FAULT_ENV_VAR)
     if not raw:
         return False
     return name in parse_faults(raw)
@@ -194,7 +199,7 @@ def fault_fires(name: str, token: Optional[str] = None) -> bool:
     token)`` — with ``token`` defaulting to a per-process draw counter — so
     a fixed seed replays the same fault pattern for the same draw sequence.
     """
-    raw = os.environ.get(FAULT_ENV_VAR, "")
+    raw = settings.get(FAULT_ENV_VAR)
     if not raw or name not in raw:  # cheap rejection before parsing
         return False
     spec = parse_faults(raw).get(name)

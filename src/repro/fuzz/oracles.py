@@ -68,7 +68,7 @@ from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
 from repro.incremental.whatif import WhatIfConfig, patches_for_options
-from repro.ml.tree import DecisionTreeRegressor, NewtonTreeRegressor, resolve_max_bins
+from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
 from repro.optimize.artifact import canonical_payload
 from repro.optimize.pareto import dominates
 from repro.optimize.search import SearchConfig, run_search
@@ -83,16 +83,6 @@ from repro.sta.network import VertexKind, from_bog
 #: property tests in ``tests/test_incremental.py``; both paths share
 #: ``propagate_vertex`` so agreement is bit-for-bit in practice).
 STA_TOLERANCE = 1e-9
-
-def _gbm_row_cap() -> int:
-    """Row cap for the splitter-equivalence fit.
-
-    At most as many rows as the *effective* histogram bin budget
-    (``REPRO_GBM_BINS``-aware) keeps every feature column's distinct-value
-    count within the budget, the regime where histogram and exact splits are
-    defined to coincide.
-    """
-    return resolve_max_bins()
 
 
 @dataclass(frozen=True)
@@ -274,7 +264,10 @@ def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
     X = np.asarray(dataset.features, dtype=float)
     if len(X) < 2:
         return []
-    row_cap = _gbm_row_cap()
+    # At most as many rows as the histogram bin budget keeps every feature
+    # column's distinct-value count within it, the regime where histogram
+    # and exact splits are defined to coincide.
+    row_cap = MAX_BINS
     if len(X) > row_cap:
         X = X[:row_cap]
         groups = dataset.groups[:row_cap]

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.faults import FAULT_ENV_VAR
 from repro.fuzz.corpus import (
     SIZE_CLASSES,
@@ -201,7 +202,7 @@ def write_bundle(
         "config": dataclasses.asdict(fuzz.config),
         "constructs": sorted(construct_profile(fuzz.source)),
         "source": fuzz.source,
-        "environment": {"fault_inject": os.environ.get(FAULT_ENV_VAR, "")},
+        "environment": {"fault_inject": settings.get(FAULT_ENV_VAR)},
         "replay": f"python -m repro.fuzz --replay {directory.name}/<this file>",
     }
     if shrunk is not None:

@@ -15,11 +15,7 @@ closes the loop between the two:
 """
 
 from repro.lifecycle.evaluate import (
-    DEFAULT_LATENCY_RATIO,
-    DEFAULT_MIN_R_DELTA,
     EVAL_REPORT_SCHEMA,
-    LATENCY_RATIO_ENV_VAR,
-    MIN_R_DELTA_ENV_VAR,
     EvalThresholds,
     build_eval_report,
     compare_evals,
@@ -39,13 +35,9 @@ from repro.lifecycle.retrain import (
 from repro.lifecycle.watch import PromotionWatcher
 
 __all__ = [
-    "DEFAULT_LATENCY_RATIO",
-    "DEFAULT_MIN_R_DELTA",
     "EVAL_REPORT_SCHEMA",
     "EVAL_STAGE",
     "INGEST_STAGE",
-    "LATENCY_RATIO_ENV_VAR",
-    "MIN_R_DELTA_ENV_VAR",
     "RETRAIN_STAGE",
     "EvalThresholds",
     "PromotionWatcher",

@@ -18,56 +18,33 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core.metrics import pearson_r
+from repro.settings import configure, knob_field
 
 #: Version tag of the eval-report JSON layout.
 EVAL_REPORT_SCHEMA = "repro-eval-report/1"
 
-#: Maximum tolerated drop of the holdout mean signal-arrival R before a
-#: candidate is rejected (candidate may be up to this much *worse* than the
-#: promoted baseline; improvements always pass).
-MIN_R_DELTA_ENV_VAR = "REPRO_EVAL_MIN_R_DELTA"
-DEFAULT_MIN_R_DELTA = 0.02
-
-#: Latency budget: candidate mean predict seconds may be at most this
-#: multiple of the baseline's (generous by default — the gate catches
-#: pathological slowness, not benchmark noise).
-LATENCY_RATIO_ENV_VAR = "REPRO_EVAL_LATENCY_RATIO"
-DEFAULT_LATENCY_RATIO = 5.0
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name)
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
 
 @dataclass(frozen=True)
 class EvalThresholds:
-    """No-regression bounds applied by :func:`compare_evals`."""
+    """No-regression bounds applied by :func:`compare_evals`.
 
-    #: Candidate mean R may be at most this much below the baseline's.
-    min_r_delta: float = DEFAULT_MIN_R_DELTA
+    ``repro.settings.configure(EvalThresholds)`` reads them from the
+    ``REPRO_EVAL_*`` environment.
+    """
+
+    #: Candidate mean R may be at most this much below the baseline's
+    #: (improvements always pass).
+    min_r_delta: float = knob_field("REPRO_EVAL_MIN_R_DELTA")
     #: Candidate mean predict latency may be at most this multiple of the
-    #: baseline's.
-    latency_ratio: float = DEFAULT_LATENCY_RATIO
-
-    @classmethod
-    def from_env(cls) -> "EvalThresholds":
-        return cls(
-            min_r_delta=_env_float(MIN_R_DELTA_ENV_VAR, DEFAULT_MIN_R_DELTA),
-            latency_ratio=_env_float(LATENCY_RATIO_ENV_VAR, DEFAULT_LATENCY_RATIO),
-        )
+    #: baseline's (generous by default — the gate catches pathological
+    #: slowness, not benchmark noise).
+    latency_ratio: float = knob_field("REPRO_EVAL_LATENCY_RATIO")
 
 
 def design_signal_r(timer: Any, record: Any, prediction: Optional[Any] = None) -> float:
@@ -121,7 +98,7 @@ def compare_evals(
     baseline or its mean predict latency exceeds ``latency_ratio`` times
     the baseline's.
     """
-    thresholds = thresholds or EvalThresholds.from_env()
+    thresholds = thresholds or configure(EvalThresholds)
     reasons: List[str] = []
     if baseline is None:
         return {

@@ -35,6 +35,7 @@ from repro.lifecycle.evaluate import (
     write_eval_report,
 )
 from repro.runtime import report as report_mod
+from repro.settings import configure
 
 #: Stage names of the retrain flow (shared with the lifecycle benchmark).
 INGEST_STAGE = "lifecycle.ingest"
@@ -203,7 +204,7 @@ def run_retrain(
                 # (content addressing): the candidate is its own baseline.
                 baseline_eval = candidate_eval
 
-        thresholds = config.thresholds or EvalThresholds.from_env()
+        thresholds = config.thresholds or configure(EvalThresholds)
         verdict = compare_evals(
             candidate_eval,
             baseline_eval if baseline_id is not None else None,

@@ -45,10 +45,6 @@ from repro.optimize.pareto import (
 )
 from repro.optimize.search import (
     ANCHOR_TOLERANCE,
-    OPT_AREA_WEIGHT_ENV_VAR,
-    OPT_BUDGET_ENV_VAR,
-    OPT_REANCHOR_ENV_VAR,
-    OPT_STRATEGY_ENV_VAR,
     STRATEGIES,
     DriftError,
     IncrementalEvaluator,
@@ -75,10 +71,6 @@ __all__ = [
     "DriftError",
     "IncrementalEvaluator",
     "OPTIMIZE_RUN_SCHEMA",
-    "OPT_AREA_WEIGHT_ENV_VAR",
-    "OPT_BUDGET_ENV_VAR",
-    "OPT_REANCHOR_ENV_VAR",
-    "OPT_STRATEGY_ENV_VAR",
     "ParetoFront",
     "ParetoPoint",
     "STRATEGIES",

@@ -17,12 +17,13 @@ trajectory — the optimizer's analogue of the fuzz runner's ``--replay``.
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 from typing import List, Optional
 
+from repro import settings
 from repro.faults import FAULT_ENV_VAR
 from repro.optimize.search import SearchConfig, SearchResult, run_search
+from repro.runtime.parallel import JOBS_ENV_VAR
 from repro.sta.engine import STA_KERNEL_ENV_VAR
 
 #: Schema tag of the run artifact.
@@ -67,9 +68,9 @@ def build_artifact(result: SearchResult, record=None) -> dict:
     payload["source"] = getattr(record, "source", None)
     payload["front_hypervolume"] = result.front_hypervolume()
     payload["environment"] = {
-        "sta_kernel": os.environ.get(STA_KERNEL_ENV_VAR, ""),
-        "jobs": os.environ.get("REPRO_JOBS", ""),
-        "fault_inject": os.environ.get(FAULT_ENV_VAR, ""),
+        "sta_kernel": settings.get(STA_KERNEL_ENV_VAR),
+        "jobs": settings.get(JOBS_ENV_VAR),
+        "fault_inject": settings.get(FAULT_ENV_VAR),
     }
     payload["perf"] = {"search_seconds": round(result.elapsed_seconds, 6)}
     payload["replay"] = "python -m repro optimize --replay <this file>"

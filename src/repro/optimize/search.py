@@ -32,7 +32,6 @@ trajectory event.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -64,6 +63,7 @@ from repro.runtime.report import (
     OPT_SCORE_STAGE,
     OPT_SEARCH_STAGE,
 )
+from repro.settings import KNOBS, configure, knob_field
 from repro.sta.engine import analyze as sta_analyze
 from repro.synth.optimizer import SynthesisOptions
 
@@ -71,13 +71,8 @@ from repro.synth.optimizer import SynthesisOptions
 #: as the fuzz oracles' STA tolerance).
 ANCHOR_TOLERANCE = 1e-9
 
-#: ``SearchConfig.from_env`` knobs.
-OPT_STRATEGY_ENV_VAR = "REPRO_OPT_STRATEGY"
-OPT_BUDGET_ENV_VAR = "REPRO_OPT_BUDGET"
-OPT_REANCHOR_ENV_VAR = "REPRO_OPT_REANCHOR"
-OPT_AREA_WEIGHT_ENV_VAR = "REPRO_OPT_AREA_WEIGHT"
-
-STRATEGIES = ("anneal", "evolution", "sweep")
+#: The strategy names, as the ``REPRO_OPT_STRATEGY`` knob declares them.
+STRATEGIES = KNOBS["REPRO_OPT_STRATEGY"].parse.choices
 
 
 class DriftError(RuntimeError):
@@ -91,43 +86,24 @@ class SearchConfig:
 
     ``(seed, strategy, budget)`` plus these knobs fully determine the
     trajectory; the whole config is embedded in the run artifact.
+    ``repro.settings.configure(SearchConfig)`` fills the knob-bound fields
+    from the ``REPRO_OPT_*`` environment.
     """
 
-    strategy: str = "anneal"
+    strategy: str = knob_field("REPRO_OPT_STRATEGY")
     budget: int = 32  # unique candidates scored (memo hits are free)
     seed: int = 0
-    reanchor_every: int = 8  # full-synthesis anchor cadence (0 disables)
+    reanchor_every: int = knob_field("REPRO_OPT_REANCHOR")  # full-synthesis anchor cadence (0 disables)
     mu: int = 4  # evolution: parents kept
     lam: int = 8  # evolution: offspring per generation
     t0_fraction: float = 0.05  # anneal: T0 as a fraction of the clock period
     alpha: float = 0.92  # anneal: geometric cooling factor
-    area_weight: float = 0.5  # energy: periods charged per 100% area growth
+    area_weight: float = knob_field("REPRO_OPT_AREA_WEIGHT")  # energy: periods charged per 100% area growth
 
-    @classmethod
-    def from_env(cls, **overrides) -> "SearchConfig":
-        """Environment-resolved config; explicit non-None overrides win."""
-        values: Dict[str, object] = {}
-        strategy = os.environ.get(OPT_STRATEGY_ENV_VAR)
-        if strategy:
-            values["strategy"] = strategy
-        budget = os.environ.get(OPT_BUDGET_ENV_VAR)
-        if budget:
-            values["budget"] = int(budget)
-        reanchor = os.environ.get(OPT_REANCHOR_ENV_VAR)
-        if reanchor:
-            values["reanchor_every"] = int(reanchor)
-        area_weight = os.environ.get(OPT_AREA_WEIGHT_ENV_VAR)
-        if area_weight:
-            values["area_weight"] = float(area_weight)
-        values.update({k: v for k, v in overrides.items() if v is not None})
-        config = cls(**values)
-        if config.strategy not in STRATEGIES:
-            raise ValueError(
-                f"unknown strategy {config.strategy!r}; expected one of {STRATEGIES}"
-            )
-        if config.budget < 1:
+    def __post_init__(self) -> None:
+        KNOBS["REPRO_OPT_STRATEGY"].parse(self.strategy)
+        if self.budget < 1:
             raise ValueError("budget must be >= 1")
-        return config
 
     def to_dict(self) -> dict:
         return {
@@ -639,9 +615,7 @@ def run_search(
     ``candidates`` is only meaningful for the ``sweep`` strategy, which
     scores an explicit option list instead of navigating the genome space.
     """
-    config = config or SearchConfig.from_env()
-    if config.strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {config.strategy!r}; expected one of {STRATEGIES}")
+    config = config or configure(SearchConfig)
     if config.strategy == "sweep" and candidates is None:
         raise ValueError("the sweep strategy needs an explicit candidate list")
     if cache is None:

@@ -32,7 +32,6 @@ _EXPORTS = {
     "incr": "repro.runtime.report",
     "write_bench_report": "repro.runtime.report",
     "BENCH_ENV_VAR": "repro.runtime.report",
-    "DEFAULT_BENCH_PATH": "repro.runtime.report",
     # cache
     "ArtifactCache": "repro.runtime.cache",
     "CacheStats": "repro.runtime.cache",

@@ -39,6 +39,7 @@ from typing import Any, Callable, Iterator, List, Optional, TypeVar
 
 import numpy as np
 
+from repro import settings
 from repro.faults import fault_fires
 from repro.runtime import report as report_mod
 
@@ -82,7 +83,7 @@ def gc_paused() -> Iterator[None]:
 
 def default_cache_dir() -> Path:
     """Resolve the cache directory from the environment."""
-    env = os.environ.get(CACHE_DIR_ENV_VAR)
+    env = settings.get(CACHE_DIR_ENV_VAR)
     if env:
         return Path(env).expanduser()
     return Path.home() / ".cache" / "repro"
@@ -90,7 +91,7 @@ def default_cache_dir() -> Path:
 
 def cache_enabled() -> bool:
     """Whether the on-disk cache is enabled (``REPRO_CACHE=0`` disables)."""
-    return os.environ.get(CACHE_ENABLE_ENV_VAR, "1") != "0"
+    return settings.get(CACHE_ENABLE_ENV_VAR)
 
 
 # ---------------------------------------------------------------------------
@@ -324,10 +325,7 @@ class ArtifactCache:
             # on-disk state it was told not to touch.
             return 0
         if max_bytes is None:
-            try:
-                max_bytes = int(os.environ.get(CACHE_MAX_MB_ENV_VAR, "2048")) * 1024 * 1024
-            except ValueError:
-                max_bytes = 2048 * 1024 * 1024
+            max_bytes = settings.get(CACHE_MAX_MB_ENV_VAR) * 1024 * 1024
         entries = []
         total = 0
         try:

@@ -38,6 +38,7 @@ import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from repro import settings
 from repro.runtime import report as report_mod
 from repro.runtime.cache import PICKLE_PROTOCOL, ArtifactCache, gc_paused, record_key
 
@@ -64,12 +65,7 @@ class SourceItem(NamedTuple):
 def resolve_jobs(n_tasks: Optional[int] = None, jobs: Optional[int] = None) -> int:
     """Resolve the effective worker count (argument > env > cpu count)."""
     if jobs is None:
-        env = os.environ.get(JOBS_ENV_VAR, "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                jobs = None
+        jobs = settings.get(JOBS_ENV_VAR)
     if jobs is None or jobs <= 0:
         jobs = os.cpu_count() or 1
     if n_tasks is not None:

@@ -28,11 +28,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
+from repro import settings
+
 #: Environment variable overriding where :meth:`RuntimeReport.write` puts the report.
 BENCH_ENV_VAR = "REPRO_BENCH_OUT"
-
-#: Default report filename (relative to the current working directory).
-DEFAULT_BENCH_PATH = "BENCH_runtime.json"
 
 #: Version tag of the emitted JSON schema.
 REPORT_SCHEMA = "repro-bench-runtime/1"
@@ -187,6 +186,7 @@ class RuntimeReport:
                 "python": platform.python_version(),
                 "platform": platform.platform(),
                 "argv": sys.argv[:4],
+                "settings": settings.snapshot(),
                 **self.meta,
             },
             "stages": {name: round(seconds, 6) for name, seconds in sorted(self.stages.items())},
@@ -203,7 +203,7 @@ class RuntimeReport:
         ``BENCH_runtime.json`` in the current directory.
         """
         if path is None:
-            path = os.environ.get(BENCH_ENV_VAR) or DEFAULT_BENCH_PATH
+            path = settings.get(BENCH_ENV_VAR)
         destination = Path(path)
         if destination.parent != Path("."):
             destination.parent.mkdir(parents=True, exist_ok=True)

@@ -17,7 +17,8 @@ which is exactly what feeds the service's micro-batching queue.  Endpoints:
 ``GET /health``
     Liveness + the manifest of the served model bundle, with the active
     bundle id and promotion eval digest surfaced at the top level (so a
-    canary promotion is observable with one probe).
+    canary promotion is observable with one probe), plus every effective
+    ``REPRO_*`` setting (:func:`repro.settings.snapshot`).
 
 ``GET /metrics``
     The service's :class:`~repro.runtime.report.RuntimeReport` snapshot with
@@ -34,6 +35,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
+from repro import settings
 from repro.core.pipeline import RTLTimerPrediction
 from repro.serve.resilience import DeadlineExceeded, RejectedError, WorkerUnavailable
 from repro.serve.service import TimingService
@@ -158,6 +160,7 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
                         "uptime_seconds": round(
                             service.metrics()["serving"]["uptime_seconds"], 3
                         ),
+                        "settings": settings.snapshot(),
                     }
                 )
             elif self.path == "/metrics":

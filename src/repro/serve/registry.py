@@ -52,6 +52,7 @@ try:  # POSIX-only; the registry degrades to lock-free updates elsewhere
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
+from repro import settings
 from repro.runtime import report as report_mod
 from repro.runtime.cache import ArtifactCache, PICKLE_PROTOCOL, default_cache_dir, gc_paused
 
@@ -77,7 +78,7 @@ class RegistryError(RuntimeError):
 
 def default_model_dir() -> Path:
     """Registry directory: ``REPRO_MODEL_DIR`` or ``<cache dir>/models``."""
-    env = os.environ.get(MODEL_DIR_ENV_VAR)
+    env = settings.get(MODEL_DIR_ENV_VAR)
     if env:
         return Path(env).expanduser()
     return default_cache_dir() / "models"

@@ -19,40 +19,12 @@ recomputed inside :meth:`repro.runtime.cache.ArtifactCache.get`.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.runtime import report as report_mod
-
-#: Admission queue bound (pending + in-flight requests) before load shedding.
-QUEUE_MAX_ENV_VAR = "REPRO_SERVE_QUEUE_MAX"
-
-#: Default per-request deadline (seconds) when the client sends none.
-DEADLINE_ENV_VAR = "REPRO_SERVE_DEADLINE_S"
-
-#: ``Retry-After`` hint (seconds) attached to shed requests.
-RETRY_AFTER_ENV_VAR = "REPRO_SERVE_RETRY_AFTER_S"
-
-#: Maximum concurrent what-if sweeps (they are much heavier than predicts).
-WHATIF_CONCURRENCY_ENV_VAR = "REPRO_SERVE_WHATIF_CONCURRENCY"
-
-
-def _env_int(name: str, default: int) -> int:
-    try:
-        return int(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    try:
-        return float(os.environ.get(name, "") or default)
-    except ValueError:
-        return default
-
 
 # ---------------------------------------------------------------------------
 # Errors
@@ -131,20 +103,14 @@ class AdmissionController:
 
     def __init__(
         self,
-        queue_max: Optional[int] = None,
+        queue_max: int,
         route_limits: Optional[Dict[str, int]] = None,
-        retry_after_s: Optional[float] = None,
+        retry_after_s: float = 1.0,
         report: Optional[report_mod.RuntimeReport] = None,
     ):
-        self.queue_max = max(
-            queue_max if queue_max is not None else _env_int(QUEUE_MAX_ENV_VAR, 128), 1
-        )
+        self.queue_max = max(queue_max, 1)
         self.route_limits = dict(route_limits or {})
-        self.retry_after_s = (
-            retry_after_s
-            if retry_after_s is not None
-            else _env_float(RETRY_AFTER_ENV_VAR, 1.0)
-        )
+        self.retry_after_s = retry_after_s
         self.report = report
         self._lock = threading.Lock()
         self._total = 0

@@ -20,7 +20,6 @@ serve benchmark appends to ``BENCH_runtime.json``.
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from collections import OrderedDict, deque
@@ -32,16 +31,14 @@ from repro.core.pipeline import RTLTimer, RTLTimerPrediction
 from repro.runtime.cache import ArtifactCache, record_key
 from repro.runtime.report import RuntimeReport, activate
 from repro.serve.resilience import (
-    DEADLINE_ENV_VAR,
-    WHATIF_CONCURRENCY_ENV_VAR,
     AdmissionController,
     Deadline,
     DeadlineExceeded,
     WorkerUnavailable,
-    _env_int,
     remaining_or_none,
 )
 from repro.serve.supervisor import PoolConfig, WorkerPool
+from repro.settings import configure, knob_field
 
 #: Stage names emitted by the service (kept as constants so the serve
 #: benchmark and the docs cannot drift from the implementation).
@@ -49,14 +46,14 @@ PREDICT_BATCH_STAGE = "serve.predict_batch"
 PREDICT_P50_STAGE = "serve.predict_p50"
 WHATIF_STAGE = "serve.whatif"
 
-#: Seconds between promotion polls of a serving process following a
-#: ``name@promoted`` model reference (0 disables following).
-REFRESH_ENV_VAR = "REPRO_SERVE_REFRESH_S"
-
 
 @dataclass(frozen=True)
 class ServeConfig:
-    """Batching and record-cache knobs of one :class:`TimingService`."""
+    """Batching, record-cache and admission knobs of one :class:`TimingService`.
+
+    ``repro.settings.configure(ServeConfig)`` fills the knob-bound fields
+    from the ``REPRO_SERVE_*`` environment.
+    """
 
     #: Maximum number of requests fused into one ``predict_batch`` call.
     max_batch: int = 16
@@ -75,18 +72,14 @@ class ServeConfig:
     #: evicted entries fall back to the on-disk artifact cache.  Also the
     #: size of each pool worker's record LRU.
     record_cache_entries: int = 64
-    #: Admission bound on queued + in-flight requests before load shedding
-    #: (None: ``$REPRO_SERVE_QUEUE_MAX``, default 128).
-    queue_max: Optional[int] = None
-    #: Default per-request deadline in seconds (None: ``$REPRO_SERVE_DEADLINE_S``,
-    #: default no deadline).
-    deadline_s: Optional[float] = None
-    #: ``Retry-After`` hint attached to shed requests (None:
-    #: ``$REPRO_SERVE_RETRY_AFTER_S``, default 1s).
-    retry_after_s: Optional[float] = None
-    #: Concurrent what-if sweeps admitted (None:
-    #: ``$REPRO_SERVE_WHATIF_CONCURRENCY``, default 4).
-    whatif_concurrency: Optional[int] = None
+    #: Admission bound on queued + in-flight requests before load shedding.
+    queue_max: int = knob_field("REPRO_SERVE_QUEUE_MAX")
+    #: Default per-request deadline in seconds (None: no deadline).
+    deadline_s: Optional[float] = knob_field("REPRO_SERVE_DEADLINE_S")
+    #: ``Retry-After`` hint attached to shed requests.
+    retry_after_s: float = knob_field("REPRO_SERVE_RETRY_AFTER_S")
+    #: Concurrent what-if sweeps admitted (they are much heavier than predicts).
+    whatif_concurrency: int = knob_field("REPRO_SERVE_WHATIF_CONCURRENCY")
 
 
 @dataclass
@@ -114,7 +107,7 @@ class TimingService:
         manifest: Optional[Dict[str, Any]] = None,
     ):
         self.timer = timer
-        self.config = config or ServeConfig()
+        self.config = config or configure(ServeConfig)
         self.report = report if report is not None else RuntimeReport()
         #: Manifest of the bundle this service was loaded from (None when the
         #: timer was fitted in-process); surfaced by ``/health``.
@@ -130,14 +123,9 @@ class TimingService:
         self._whatif_mutex = threading.Lock()
         self._record_cache: "OrderedDict[str, DesignRecord]" = OrderedDict()
         self._record_mutex = threading.Lock()
-        whatif_limit = (
-            self.config.whatif_concurrency
-            if self.config.whatif_concurrency is not None
-            else _env_int(WHATIF_CONCURRENCY_ENV_VAR, 4)
-        )
         self.admission = AdmissionController(
             queue_max=self.config.queue_max,
-            route_limits={"whatif": max(whatif_limit, 1)},
+            route_limits={"whatif": max(self.config.whatif_concurrency, 1)},
             retry_after_s=self.config.retry_after_s,
             report=self.report,
         )
@@ -213,15 +201,6 @@ class TimingService:
 
     # -- inference ---------------------------------------------------------------
 
-    def _default_deadline_s(self) -> Optional[float]:
-        if self.config.deadline_s is not None:
-            return self.config.deadline_s
-        raw = os.environ.get(DEADLINE_ENV_VAR)
-        try:
-            return float(raw) if raw else None
-        except ValueError:
-            return None
-
     def predict(
         self, record: DesignRecord, deadline_s: Optional[float] = None
     ) -> RTLTimerPrediction:
@@ -246,7 +225,7 @@ class TimingService:
         deadline propagates into pool workers).
         """
         deadline = Deadline.after(
-            deadline_s if deadline_s is not None else self._default_deadline_s()
+            deadline_s if deadline_s is not None else self.config.deadline_s
         )
         with self.admission.admit("predict"):
             request = _Request(
@@ -493,7 +472,7 @@ class PooledTimingService(TimingService):
         payload_provider: Optional[Callable[[], bytes]] = None,
     ):
         report = report if report is not None else RuntimeReport()
-        config = config or ServeConfig()
+        config = config or configure(ServeConfig)
         if payload_provider is None:
             from repro.serve.registry import state_payload
 
@@ -503,7 +482,7 @@ class PooledTimingService(TimingService):
         # batching thread starts accepting requests.
         self.pool = WorkerPool(
             payload_provider,
-            config=pool_config or PoolConfig.from_env(),
+            config=pool_config,
             report=report,
             record_cache_entries=config.record_cache_entries,
         )

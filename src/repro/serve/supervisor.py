@@ -39,7 +39,7 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import fault_fires
@@ -48,66 +48,35 @@ from repro.serve.resilience import (
     Deadline,
     DeadlineExceeded,
     WorkerUnavailable,
-    _env_float,
-    _env_int,
     remaining_or_none,
 )
+from repro.settings import configure, knob_field
 
 log = logging.getLogger("repro.serve")
-
-#: Number of pool workers (0 disables the pool: in-process serving).
-WORKERS_ENV_VAR = "REPRO_SERVE_WORKERS"
-
-#: Seconds between worker heartbeats.
-HEARTBEAT_ENV_VAR = "REPRO_SERVE_HEARTBEAT_S"
-
-#: Seconds without any heartbeat before a worker is declared dead.
-HEARTBEAT_TIMEOUT_ENV_VAR = "REPRO_SERVE_HEARTBEAT_TIMEOUT_S"
-
-#: Seconds a worker may stay inside one request before it counts as hung.
-HANG_TIMEOUT_ENV_VAR = "REPRO_SERVE_HANG_TIMEOUT_S"
-
-#: RSS watermark per worker in MiB (0 disables the leak check).
-RSS_LIMIT_ENV_VAR = "REPRO_SERVE_RSS_MB"
-
-#: Base of the exponential restart backoff, seconds.
-BACKOFF_ENV_VAR = "REPRO_SERVE_BACKOFF_S"
-
-#: Upper bound of the restart backoff, seconds.
-BACKOFF_MAX_ENV_VAR = "REPRO_SERVE_BACKOFF_MAX_S"
-
-#: How many times one request may be retried on a sibling worker.
-RETRIES_ENV_VAR = "REPRO_SERVE_RETRIES"
 
 
 @dataclass(frozen=True)
 class PoolConfig:
-    """Supervision knobs of one :class:`WorkerPool`."""
+    """Supervision knobs of one :class:`WorkerPool`.
+
+    ``repro.settings.configure(PoolConfig)`` fills the knob-bound fields
+    from the ``REPRO_SERVE_*`` environment.
+    """
 
     workers: int = 2
-    heartbeat_interval_s: float = 0.25
-    heartbeat_timeout_s: float = 5.0
-    hang_timeout_s: float = 10.0
-    rss_limit_mb: float = 0.0
-    backoff_base_s: float = 0.1
-    backoff_max_s: float = 5.0
-    retry_limit: int = 2
-
-    @classmethod
-    def from_env(cls, **overrides) -> "PoolConfig":
-        config = cls(
-            workers=_env_int(WORKERS_ENV_VAR, cls.workers),
-            heartbeat_interval_s=_env_float(HEARTBEAT_ENV_VAR, cls.heartbeat_interval_s),
-            heartbeat_timeout_s=_env_float(
-                HEARTBEAT_TIMEOUT_ENV_VAR, cls.heartbeat_timeout_s
-            ),
-            hang_timeout_s=_env_float(HANG_TIMEOUT_ENV_VAR, cls.hang_timeout_s),
-            rss_limit_mb=_env_float(RSS_LIMIT_ENV_VAR, cls.rss_limit_mb),
-            backoff_base_s=_env_float(BACKOFF_ENV_VAR, cls.backoff_base_s),
-            backoff_max_s=_env_float(BACKOFF_MAX_ENV_VAR, cls.backoff_max_s),
-            retry_limit=_env_int(RETRIES_ENV_VAR, cls.retry_limit),
-        )
-        return replace(config, **overrides) if overrides else config
+    #: Seconds between worker heartbeats.
+    heartbeat_interval_s: float = knob_field("REPRO_SERVE_HEARTBEAT_S")
+    #: Seconds without any heartbeat before a worker is declared dead.
+    heartbeat_timeout_s: float = knob_field("REPRO_SERVE_HEARTBEAT_TIMEOUT_S")
+    #: Seconds a worker may stay inside one request before it counts as hung.
+    hang_timeout_s: float = knob_field("REPRO_SERVE_HANG_TIMEOUT_S")
+    #: RSS watermark per worker in MiB (0 disables the leak check).
+    rss_limit_mb: float = knob_field("REPRO_SERVE_RSS_MB")
+    #: Base and upper bound of the exponential restart backoff, seconds.
+    backoff_base_s: float = knob_field("REPRO_SERVE_BACKOFF_S")
+    backoff_max_s: float = knob_field("REPRO_SERVE_BACKOFF_MAX_S")
+    #: How many times one request may be retried on a sibling worker.
+    retry_limit: int = knob_field("REPRO_SERVE_RETRIES")
 
 
 def _rss_mb() -> float:
@@ -312,7 +281,7 @@ class WorkerPool:
         report: Optional[RuntimeReport] = None,
         record_cache_entries: int = 64,
     ):
-        self.config = config or PoolConfig.from_env()
+        self.config = config or configure(PoolConfig)
         self.report = report if report is not None else RuntimeReport()
         #: Capacity of each worker's record LRU (and of its parent mirror).
         self.record_cache_entries = max(record_cache_entries, 1)

@@ -10,12 +10,12 @@ the quantities PrimeTime provides in the paper's flow.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro import settings
 from repro.sta.constraints import ClockConstraint
 from repro.sta.network import TimingNetwork, VertexKind
 
@@ -24,18 +24,12 @@ from repro.sta.network import TimingNetwork, VertexKind
 #: (the per-vertex Python loop).  The two are bit-identical by contract.
 STA_KERNEL_ENV_VAR = "REPRO_STA_KERNEL"
 
-_KERNELS = ("array", "reference")
-
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
     """The kernel backend to use: the argument, else the env var, else array."""
-    value = kernel if kernel is not None else os.environ.get(STA_KERNEL_ENV_VAR) or "array"
-    if value not in _KERNELS:
-        raise ValueError(
-            f"unknown STA kernel {value!r} (from ${STA_KERNEL_ENV_VAR}); "
-            f"choose one of {_KERNELS}"
-        )
-    return value
+    if kernel is None:
+        return settings.get(STA_KERNEL_ENV_VAR)
+    return settings.KNOBS[STA_KERNEL_ENV_VAR].parse(kernel)
 
 
 @dataclass(slots=True)

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
-import socket
+import queue
+import re
 import subprocess
 import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -223,13 +225,37 @@ def test_cli_whatif(trained_cli_registry, design_file):
     assert {"wns", "tns", "n_patches"} <= set(payload["candidates"][0])
 
 
+def _serving_port(server: subprocess.Popen, timeout_s: float = 120.0) -> int:
+    """The port a ``repro serve`` process reports on stderr once it listens.
+
+    A daemon thread keeps draining stderr afterwards so the server never
+    blocks on a full pipe.
+    """
+    lines: "queue.Queue[str | None]" = queue.Queue()
+
+    def drain():
+        for line in server.stderr:
+            lines.put(line)
+        lines.put(None)
+
+    threading.Thread(target=drain, daemon=True).start()
+    seen = []
+    deadline = time.time() + timeout_s
+    while True:
+        try:
+            line = lines.get(timeout=max(deadline - time.time(), 0.0))
+        except queue.Empty:
+            pytest.fail(f"server never reported its port; stderr so far: {seen}")
+        assert line is not None, f"server exited before serving: {seen}"
+        seen.append(line)
+        match = re.search(r" on http://[^:/]+:(\d+)", line)
+        if match:
+            return int(match.group(1))
+
+
 def test_cli_serve_answers_http(trained_cli_registry, design_file):
     """train -> serve -> HTTP /predict must match the CLI's own predict."""
     tmp_path, env, _ = trained_cli_registry
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        port = probe.getsockname()[1]
-
     reference = subprocess.run(
         [sys.executable, "-m", "repro", "predict", "--model", "cli-test", str(design_file)],
         capture_output=True,
@@ -243,7 +269,7 @@ def test_cli_serve_answers_http(trained_cli_registry, design_file):
     server = subprocess.Popen(
         [
             sys.executable, "-m", "repro", "serve",
-            "--model", "cli-test", "--port", str(port),
+            "--model", "cli-test", "--port", "0",
             "--bench-out", str(bench_out),
         ],
         stdout=subprocess.PIPE,
@@ -252,6 +278,9 @@ def test_cli_serve_answers_http(trained_cli_registry, design_file):
         env=env,
     )
     try:
+        # Port 0: the server binds a free port itself and reports it, so no
+        # other process can take the port between choosing and binding it.
+        port = _serving_port(server)
         payload = json.dumps({"source": design_file.read_text(), "name": "simple"}).encode()
         response = None
         deadline = time.time() + 120

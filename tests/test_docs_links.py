@@ -63,17 +63,87 @@ def test_docs_cross_reference_each_other():
     assert "api.md" in architecture and "serving.md" in architecture
 
 
+#: Variables the test and benchmark harnesses read; the package never does.
+HARNESS_KNOBS = ("REPRO_BENCH_FAST", "REPRO_HYPOTHESIS_SCALE")
+
+#: Where ``REPRO_*`` names may be mentioned.
+KNOB_MENTION_FILES = sorted(
+    [
+        REPO_ROOT / "README.md",
+        *(REPO_ROOT / "docs").glob("*.md"),
+        *(path for path in (REPO_ROOT / "examples").iterdir() if path.is_file()),
+    ]
+)
+
+_KNOB_RE = re.compile(r"REPRO_[A-Z0-9_]*[A-Z0-9](?:_\*)?")
+
+
+def _shown_default(default) -> str:
+    if default is None or default == "":
+        return "unset"
+    if isinstance(default, bool):
+        return f"`{int(default)}`"
+    return f"`{default}`"
+
+
+def _knob_table_rows() -> dict:
+    """``{knob name: shown default}`` for each row of the one knob table."""
+    rows = {}
+    for line in (REPO_ROOT / "docs/serving.md").read_text().splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if len(cells) >= 2 and cells[0].startswith("`REPRO_"):
+            rows[cells[0].strip("`")] = cells[1]
+    return rows
+
+
+def _bound_knobs(*classes) -> list:
+    """The knobs bound to fields of the given config dataclasses."""
+    import dataclasses
+
+    return [
+        field.metadata["knob"]
+        for cls in classes
+        for field in dataclasses.fields(cls)
+        if "knob" in field.metadata
+    ]
+
+
+def test_knob_table_matches_settings():
+    """The one knob table and every knob mention agree with ``repro.settings``.
+
+    Every declared knob has a row in docs/serving.md showing its declared
+    default, and every ``REPRO_*`` name mentioned in the docs, the README or
+    the examples is declared (or is a harness knob), so a removed knob
+    cannot leave a stale row or mention behind.
+    """
+    from repro.settings import KNOBS
+
+    rows = _knob_table_rows()
+    for name, knob in KNOBS.items():
+        assert name in rows, f"docs/serving.md has no knob-table row for {name}"
+        assert rows[name] == _shown_default(knob.default), (
+            f"docs/serving.md shows default {rows[name]} for {name}, "
+            f"declared {_shown_default(knob.default)}"
+        )
+
+    known = set(KNOBS) | set(HARNESS_KNOBS)
+    stale = []
+    for path in KNOB_MENTION_FILES:
+        for mention in set(_KNOB_RE.findall(path.read_text())):
+            if mention.endswith("*"):
+                ok = any(name.startswith(mention[:-1]) for name in known)
+            else:
+                ok = mention in known
+            if not ok:
+                stale.append(f"{path.relative_to(REPO_ROOT)}: {mention}")
+    assert not stale, f"undeclared REPRO_* knobs mentioned: {sorted(stale)}"
+
+
 def test_serving_doc_covers_every_env_knob():
-    """The serving page's knob table stays in sync with the code."""
+    """Every process-wide knob a module names is declared and documented."""
     serving = (REPO_ROOT / "docs/serving.md").read_text()
-    from repro.core.feature_cache import (
-        FEATURE_CACHE_DISK_ENV_VAR,
-        FEATURE_CACHE_ENV_VAR,
-        FEATURE_CACHE_MAX_MB_ENV_VAR,
-        FEATURE_CACHE_MEM_ENV_VAR,
-    )
+    from repro.core.feature_cache import FEATURE_CACHE_DISK_ENV_VAR, FEATURE_CACHE_ENV_VAR
     from repro.faults import FAULT_ENV_VAR
-    from repro.ml.tree import BINS_ENV_VAR
     from repro.runtime.cache import (
         CACHE_DIR_ENV_VAR,
         CACHE_ENABLE_ENV_VAR,
@@ -82,15 +152,13 @@ def test_serving_doc_covers_every_env_knob():
     from repro.runtime.parallel import JOBS_ENV_VAR
     from repro.runtime.report import BENCH_ENV_VAR
     from repro.serve.registry import MODEL_DIR_ENV_VAR
+    from repro.settings import KNOBS
     from repro.sta.engine import STA_KERNEL_ENV_VAR
 
     for variable in (
         FEATURE_CACHE_DISK_ENV_VAR,
         FEATURE_CACHE_ENV_VAR,
-        FEATURE_CACHE_MAX_MB_ENV_VAR,
-        FEATURE_CACHE_MEM_ENV_VAR,
         FAULT_ENV_VAR,
-        BINS_ENV_VAR,
         CACHE_DIR_ENV_VAR,
         CACHE_ENABLE_ENV_VAR,
         CACHE_MAX_MB_ENV_VAR,
@@ -99,66 +167,37 @@ def test_serving_doc_covers_every_env_knob():
         MODEL_DIR_ENV_VAR,
         STA_KERNEL_ENV_VAR,
     ):
+        assert variable in KNOBS, f"{variable} is not declared in repro.settings"
         assert variable in serving, f"docs/serving.md does not document {variable}"
 
 
 def test_operations_doc_covers_every_resilience_knob():
-    """The operations page's knob table stays in sync with the code.
-
-    Each resilience variable must appear both in docs/operations.md (the
-    table that defines it) and in docs/serving.md (the pointer list that
-    keeps the main knob page exhaustive).
-    """
+    """Every knob of the pool and the admission controller is a row of the
+    one knob table, and the operations page links that table."""
     operations = (REPO_ROOT / "docs/operations.md").read_text()
-    serving = (REPO_ROOT / "docs/serving.md").read_text()
-    from repro.serve.resilience import (
-        DEADLINE_ENV_VAR,
-        QUEUE_MAX_ENV_VAR,
-        RETRY_AFTER_ENV_VAR,
-        WHATIF_CONCURRENCY_ENV_VAR,
-    )
-    from repro.serve.supervisor import (
-        BACKOFF_ENV_VAR,
-        BACKOFF_MAX_ENV_VAR,
-        HANG_TIMEOUT_ENV_VAR,
-        HEARTBEAT_ENV_VAR,
-        HEARTBEAT_TIMEOUT_ENV_VAR,
-        RETRIES_ENV_VAR,
-        RSS_LIMIT_ENV_VAR,
-        WORKERS_ENV_VAR,
-    )
+    from repro.serve.service import ServeConfig
+    from repro.serve.supervisor import PoolConfig
 
-    for variable in (
-        QUEUE_MAX_ENV_VAR,
-        DEADLINE_ENV_VAR,
-        RETRY_AFTER_ENV_VAR,
-        WHATIF_CONCURRENCY_ENV_VAR,
-        WORKERS_ENV_VAR,
-        HEARTBEAT_ENV_VAR,
-        HEARTBEAT_TIMEOUT_ENV_VAR,
-        HANG_TIMEOUT_ENV_VAR,
-        RSS_LIMIT_ENV_VAR,
-        BACKOFF_ENV_VAR,
-        BACKOFF_MAX_ENV_VAR,
-        RETRIES_ENV_VAR,
-    ):
-        assert variable in operations, f"docs/operations.md does not document {variable}"
-        assert variable in serving, f"docs/serving.md does not mention {variable}"
+    assert "serving.md#environment-knobs" in operations, (
+        "docs/operations.md does not link the knob table"
+    )
+    rows = _knob_table_rows()
+    resilience = _bound_knobs(ServeConfig, PoolConfig)
+    assert resilience
+    for variable in resilience:
+        assert variable in rows, f"docs/serving.md has no knob-table row for {variable}"
 
 
 def test_docs_cover_every_lifecycle_knob():
-    """Every lifecycle env knob is documented on both ops-facing pages."""
+    """Every lifecycle knob is documented on both ops-facing pages."""
     operations = (REPO_ROOT / "docs/operations.md").read_text()
-    serving = (REPO_ROOT / "docs/serving.md").read_text()
-    from repro.lifecycle.evaluate import LATENCY_RATIO_ENV_VAR, MIN_R_DELTA_ENV_VAR
-    from repro.serve.service import REFRESH_ENV_VAR
+    from repro.lifecycle.evaluate import EVAL_REPORT_SCHEMA, EvalThresholds
 
-    for variable in (MIN_R_DELTA_ENV_VAR, LATENCY_RATIO_ENV_VAR, REFRESH_ENV_VAR):
+    rows = _knob_table_rows()
+    for variable in (*_bound_knobs(EvalThresholds), "REPRO_SERVE_REFRESH_S"):
         assert variable in operations, f"docs/operations.md does not document {variable}"
-        assert variable in serving, f"docs/serving.md does not mention {variable}"
+        assert variable in rows, f"docs/serving.md has no knob-table row for {variable}"
     # The eval-report schema tag is part of the operational contract too.
-    from repro.lifecycle.evaluate import EVAL_REPORT_SCHEMA
-
     assert EVAL_REPORT_SCHEMA in operations
 
 
@@ -184,29 +223,14 @@ def test_api_doc_matches_cli_subcommands():
         assert f"`{name}`" in api, f"docs/api.md does not document the {name} subcommand"
 
 
-def test_optimization_doc_covers_every_opt_knob():
-    """The optimizer page documents every ``REPRO_OPT_*`` knob, the fault
-    tooth and the artifact schema; serving.md's knob index points at them."""
+def test_docs_cover_strategies_and_report_schemas():
+    """The optimizer page documents every strategy, the fault tooth and the
+    artifact schema."""
     optimization = (REPO_ROOT / "docs/optimization.md").read_text()
-    serving = (REPO_ROOT / "docs/serving.md").read_text()
     from repro.optimize.artifact import OPTIMIZE_RUN_SCHEMA
     from repro.optimize.pareto import DOMINANCE_FAULT
-    from repro.optimize.search import (
-        OPT_AREA_WEIGHT_ENV_VAR,
-        OPT_BUDGET_ENV_VAR,
-        OPT_REANCHOR_ENV_VAR,
-        OPT_STRATEGY_ENV_VAR,
-        STRATEGIES,
-    )
+    from repro.optimize.search import STRATEGIES
 
-    for variable in (
-        OPT_STRATEGY_ENV_VAR,
-        OPT_BUDGET_ENV_VAR,
-        OPT_REANCHOR_ENV_VAR,
-        OPT_AREA_WEIGHT_ENV_VAR,
-    ):
-        assert variable in optimization, f"docs/optimization.md does not document {variable}"
-        assert variable in serving, f"docs/serving.md knob index misses {variable}"
     for strategy in STRATEGIES:
         assert f"`{strategy}`" in optimization, (
             f"docs/optimization.md does not document the {strategy} strategy"

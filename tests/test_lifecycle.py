@@ -19,16 +19,13 @@ from repro.lifecycle import (
     run_retrain,
     training_config,
 )
-from repro.lifecycle.evaluate import (
-    EVAL_REPORT_SCHEMA,
-    LATENCY_RATIO_ENV_VAR,
-    MIN_R_DELTA_ENV_VAR,
-)
+from repro.lifecycle.evaluate import EVAL_REPORT_SCHEMA
 from repro.serve.http import start_server
 from repro.runtime import RuntimeReport
 from repro.serve.registry import ModelRegistry, state_payload
 from repro.serve.service import PooledTimingService, ServeConfig, TimingService
 from repro.serve.supervisor import PoolConfig
+from repro.settings import configure
 from tests.conftest import TINY_SPECS
 from tests.test_registry import TINY_TIMER_CONFIG
 
@@ -112,13 +109,14 @@ def test_eval_gate_latency_budget():
 
 
 def test_eval_thresholds_from_env(monkeypatch):
-    monkeypatch.setenv(MIN_R_DELTA_ENV_VAR, "0.5")
-    monkeypatch.setenv(LATENCY_RATIO_ENV_VAR, "9.0")
-    thresholds = EvalThresholds.from_env()
+    monkeypatch.setenv("REPRO_EVAL_MIN_R_DELTA", "0.5")
+    monkeypatch.setenv("REPRO_EVAL_LATENCY_RATIO", "9.0")
+    thresholds = configure(EvalThresholds)
     assert thresholds.min_r_delta == 0.5
     assert thresholds.latency_ratio == 9.0
-    monkeypatch.setenv(MIN_R_DELTA_ENV_VAR, "not-a-number")
-    assert EvalThresholds.from_env().min_r_delta == EvalThresholds().min_r_delta
+    monkeypatch.setenv("REPRO_EVAL_MIN_R_DELTA", "not-a-number")
+    with pytest.raises(ValueError, match="REPRO_EVAL_MIN_R_DELTA"):
+        configure(EvalThresholds)
 
 
 def test_eval_digest_is_canonical():

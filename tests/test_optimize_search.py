@@ -46,6 +46,7 @@ from repro.optimize import (
     write_artifact,
 )
 from repro.runtime.cache import ArtifactCache
+from repro.settings import configure
 from repro.sta.engine import STA_KERNEL_ENV_VAR
 from repro.synth.optimizer import PathGroup, SynthesisOptions
 
@@ -382,17 +383,18 @@ class TestSearchBehaviour:
 
     def test_config_from_env_and_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_OPT_STRATEGY", "evolution")
-        monkeypatch.setenv("REPRO_OPT_BUDGET", "17")
         monkeypatch.setenv("REPRO_OPT_REANCHOR", "3")
         monkeypatch.setenv("REPRO_OPT_AREA_WEIGHT", "0.75")
-        config = SearchConfig.from_env()
+        config = configure(SearchConfig, budget=17)
         assert (config.strategy, config.budget) == ("evolution", 17)
         assert (config.reanchor_every, config.area_weight) == (3, 0.75)
-        override = SearchConfig.from_env(strategy="anneal", budget=9)
-        assert (override.strategy, override.budget) == ("anneal", 9)
+        override = configure(SearchConfig, strategy="anneal", budget=9, reanchor_every=None)
+        assert (override.strategy, override.budget, override.reanchor_every) == ("anneal", 9, 3)
         monkeypatch.setenv("REPRO_OPT_STRATEGY", "sideways")
-        with pytest.raises(ValueError):
-            SearchConfig.from_env()
+        with pytest.raises(ValueError, match="sideways"):
+            configure(SearchConfig)
+        with pytest.raises(ValueError, match="budget"):
+            SearchConfig(budget=0)
 
     def test_sweep_requires_candidates(self, tiny_record):
         ranking = ranking_from_labels(tiny_record)

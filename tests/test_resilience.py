@@ -38,9 +38,19 @@ def test_fault_parse_format_roundtrip():
     assert parsed["cache.corrupt_entry"].probability == 1.0
 
 
-def test_unknown_fault_name_rejected():
-    with pytest.raises(ValueError, match="unknown fault"):
-        parse_faults("no.such.fault:p=0.5")
+@pytest.mark.parametrize(
+    ("raw", "match"),
+    [
+        pytest.param("no.such.fault:p=0.5", "unknown fault", id="unknown-name"),
+        # A typo'd parameter must not silently fall back to p=1.0 (fire on
+        # every draw).
+        pytest.param("worker.crash:p=0.o5:seed=3", "0.o5", id="malformed-p"),
+        pytest.param("worker.crash:prob=0.05", "unknown fault parameter 'prob'", id="unknown-parameter"),
+    ],
+)
+def test_unknown_fault_name_rejected(raw, match):
+    with pytest.raises(ValueError, match=match):
+        parse_faults(raw)
 
 
 def test_fault_fires_deterministic_per_seed_and_token(monkeypatch):

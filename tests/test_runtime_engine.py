@@ -263,7 +263,8 @@ def test_resolve_jobs(monkeypatch):
     monkeypatch.setenv("REPRO_JOBS", "3")
     assert resolve_jobs(n_tasks=10) == 3
     monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-    assert resolve_jobs(n_tasks=10) >= 1
+    with pytest.raises(ValueError, match="REPRO_JOBS"):
+        resolve_jobs(n_tasks=10)
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +289,7 @@ def test_runtime_report_stages_counters_and_json(tmp_path):
     payload = json.loads(destination.read_text())
     assert payload["schema"] == "repro-bench-runtime/1"
     assert payload["meta"]["suite"] == "unit"
+    assert "REPRO_CACHE_MAX_MB" in payload["meta"]["settings"]
     assert payload["counters"]["designs"] == 4
     assert payload["derived"]["designs_per_second"] == pytest.approx(2.0)
 

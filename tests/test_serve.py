@@ -320,6 +320,7 @@ def test_http_health_and_metrics(http_server):
     # manifest); a registry-served promotion fills both fields in.
     assert "active_bundle_id" in health and health["active_bundle_id"] is None
     assert "eval_digest" in health and health["eval_digest"] is None
+    assert "REPRO_SERVE_QUEUE_MAX" in health["settings"]
     _post(http_server, "/predict", {"name": http_server.service.timer.training_designs_[0]})
     metrics = _get(http_server, "/metrics")
     assert metrics["serving"]["requests"] >= 1
