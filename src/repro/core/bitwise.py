@@ -35,6 +35,7 @@ from repro.ml.mlp import MLPRegressor
 from repro.ml.preprocessing import StandardScaler, TargetScaler
 from repro.ml.serialize import estimator_from_state, estimator_to_state
 from repro.ml.transformer import TransformerPathRegressor
+from repro.runtime.parallel import canonicalize, fan_out
 
 
 @dataclass(frozen=True)
@@ -114,6 +115,11 @@ class _VariantPathModel:
 
     # -- inference ---------------------------------------------------------------
 
+    def predict_design(self, record: DesignRecord) -> Tuple[List[str], np.ndarray]:
+        """Endpoint names and per-endpoint arrival predictions of one design."""
+        dataset = extract_path_dataset(record, self.variant, self.config.sampling())
+        return dataset.endpoint_names, self.predict_endpoints(dataset)
+
     def predict_endpoints(self, dataset: PathDataset) -> np.ndarray:
         """Per-endpoint arrival predictions (max over the endpoint's paths)."""
         features = self.scaler.transform(dataset.features)
@@ -167,28 +173,73 @@ class BitwiseArrivalModel:
     # -- training --------------------------------------------------------------------
 
     def fit(self, records: Sequence[DesignRecord]) -> "BitwiseArrivalModel":
+        """Fit every variant's path model, then the ensemble over them.
+
+        The variant fits are independent, so they fan out as one forked
+        worker task each (:func:`repro.runtime.parallel.fan_out`); each task
+        also predicts the training designs with its model, the ensemble's
+        inputs.  After the fit, ``training_predictions_[i]`` is
+        :meth:`predict` of ``records[i]``, bit for bit.
+        """
         config = self.config
-        self.variant_models_: Dict[str, _VariantPathModel] = {}
-        per_variant_training: Dict[str, PathDataset] = {}
+        ensembled = config.ensemble and len(config.variants) > 1
+        fitted: Dict[int, Tuple[_VariantPathModel, list]] = {}
 
-        for variant in config.variants:
+        def fit_variant(index: int) -> Tuple[_VariantPathModel, list]:
+            variant = config.variants[index]
             datasets = [self._extract(record, variant, training=True) for record in records]
-            combined = combine_path_datasets(datasets)
-            per_variant_training[variant] = combined
-            model = _VariantPathModel(config, variant)
-            model.fit(combined)
-            self.variant_models_[variant] = model
+            model = _VariantPathModel(config, variant).fit(combine_path_datasets(datasets))
+            if not (ensembled or index == 0):
+                return model, []
+            # The ensemble's inputs (without one, the fit's predictions).
+            return model, [model.predict_design(record) for record in records]
 
-        if config.ensemble and len(config.variants) > 1:
-            self._fit_ensemble(records)
+        def collect(index: int, result: Tuple[_VariantPathModel, list], blob: Optional[bytes]) -> None:
+            if blob is not None:
+                # A worker's copy: give it the parent's config (and whatever
+                # it shares with it) and object sharing, so the bundle bytes
+                # match an in-process fit.
+                result = canonicalize(result, result[0].config, config)
+            fitted[index] = result
+
+        fan_out(
+            fit_variant,
+            len(config.variants),
+            collect,
+            stage="bitwise.fit",
+            token=lambda index: config.variants[index],
+        )
+        self.variant_models_ = {
+            variant: fitted[index][0] for index, variant in enumerate(config.variants)
+        }
+        predicted = {variant: fitted[index][1] for index, variant in enumerate(config.variants)}
+        if ensembled:
+            self.training_predictions_ = self._fit_ensemble(records, predicted)
+        else:
+            self.training_predictions_ = [
+                dict(zip(names, values)) for names, values in predicted[config.variants[0]]
+            ]
         return self
 
-    def _fit_ensemble(self, records: Sequence[DesignRecord]) -> None:
+    def _fit_ensemble(
+        self,
+        records: Sequence[DesignRecord],
+        predicted: Dict[str, List[Tuple[List[str], np.ndarray]]],
+    ) -> List[Dict[str, float]]:
+        """Fit the ensemble on each variant's ``predict_design`` of ``records``.
+
+        Returns the ensemble's predictions for ``records``.
+        """
         rows: List[np.ndarray] = []
         labels: List[float] = []
-        for record in records:
-            features, names = self._ensemble_features(record)
+        design_names: List[List[str]] = []
+        for position, record in enumerate(records):
+            values = {variant: outputs[position][1] for variant, outputs in predicted.items()}
+            # Every variant lists the endpoints in the first variant's order.
+            names = predicted[self.config.variants[0]][position][0]
+            features, names = self._ensemble_features(record, (values, names))
             rows.append(features)
+            design_names.append(names)
             labels.extend(record.labels[name] for name in names)
         X = np.vstack(rows)
         y = np.array(labels)
@@ -206,6 +257,16 @@ class BitwiseArrivalModel:
             seed=self.config.seed,
         )
         self.ensemble_model_.fit(Xs, ys)
+        # Scaling and tree routing work row by row, so predicting the stacked
+        # matrix once equals predicting each design on its own.
+        predictions = self.ensemble_target_scaler_.inverse_transform(
+            self.ensemble_model_.predict(Xs)
+        )
+        bounds = np.cumsum([len(names) for names in design_names])[:-1]
+        return [
+            dict(zip(names, values))
+            for names, values in zip(design_names, np.split(predictions, bounds))
+        ]
 
     # -- inference --------------------------------------------------------------------
 
@@ -213,15 +274,18 @@ class BitwiseArrivalModel:
         predictions: Dict[str, np.ndarray] = {}
         names: Optional[List[str]] = None
         for variant, model in self.variant_models_.items():
-            dataset = extract_path_dataset(record, variant, self.config.sampling())
-            predictions[variant] = model.predict_endpoints(dataset)
+            variant_names, predictions[variant] = model.predict_design(record)
             if names is None:
-                names = dataset.endpoint_names
+                names = variant_names
         assert names is not None
         return predictions, names
 
-    def _ensemble_features(self, record: DesignRecord) -> Tuple[np.ndarray, List[str]]:
-        predictions, names = self._variant_predictions(record)
+    def _ensemble_features(
+        self,
+        record: DesignRecord,
+        predicted: Optional[Tuple[Dict[str, np.ndarray], List[str]]] = None,
+    ) -> Tuple[np.ndarray, List[str]]:
+        predictions, names = predicted or self._variant_predictions(record)
         stacked = np.column_stack([predictions[v] for v in self.variant_models_])
         stats = np.column_stack(
             [

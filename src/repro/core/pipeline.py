@@ -107,7 +107,8 @@ class RTLTimer:
         """Train all stages on the given designs (cross-design training set)."""
         self.bitwise.fit(records)
         bitwise_predictions = {
-            record.name: self.bitwise.predict(record) for record in records
+            record.name: prediction
+            for record, prediction in zip(records, self.bitwise.training_predictions_)
         }
         self.signalwise.fit(records, bitwise_predictions)
         self.overall.fit(records, bitwise_predictions)

@@ -65,8 +65,9 @@ Availability (crashes and slowdowns, each survived by the serving runtime):
 * ``cache.corrupt_entry`` — an :class:`~repro.runtime.cache.ArtifactCache`
   read returns bit-flipped bytes; the cache treats the entry as corrupt
   (counted, deleted, rebuilt) and the caller recomputes.
-* ``parallel.worker_crash`` — a dataset-build pool worker exits hard; the
-  engine retries the unfinished specs on the serial path.
+* ``parallel.worker_crash`` — a fan-out pool worker (dataset build or
+  variant fit) exits hard; the fan-out reruns the unfinished tasks
+  in-process.
 
 The hooks read the environment on every call so tests can flip them with
 ``monkeypatch.setenv`` without import-order concerns.  Production code never
@@ -100,7 +101,7 @@ FAULT_REGISTRY: Dict[str, str] = {
     "worker.hang": "serve pool worker sleeps forever inside a request",
     "worker.slow_io": "serve pool worker sleeps briefly before answering",
     "cache.corrupt_entry": "ArtifactCache read returns bit-flipped bytes",
-    "parallel.worker_crash": "dataset-build pool worker exits hard",
+    "parallel.worker_crash": "fan-out pool worker (dataset build, variant fit) exits hard",
 }
 
 

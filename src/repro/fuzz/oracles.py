@@ -10,7 +10,8 @@ violation messages (empty list == clean):
   re-analysis after random patch sequences (1e-9, bit-identical in practice);
 * ``hist_vs_exact_gbm`` — the histogram GBM splitter against the exact
   reference splitter on the design's extracted path features, plus flattened
-  (``FlatTree``) against recursive prediction;
+  (``FlatTree``) and packed-forest booster prediction against recursive
+  prediction;
 * ``build_determinism`` — a from-scratch rebuild and an artifact-cache
   round-trip must reproduce the record byte-for-byte
   (:func:`~repro.runtime.cache.record_fingerprint`);
@@ -68,6 +69,7 @@ from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
 from repro.incremental.whatif import WhatIfConfig, patches_for_options
+from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
 from repro.optimize.artifact import canonical_payload
 from repro.optimize.pareto import dominates
@@ -259,7 +261,7 @@ def _dyadic(values: np.ndarray) -> np.ndarray:
 
 
 def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
-    """Histogram vs exact splitter (and flat vs recursive predict)."""
+    """Histogram vs exact splitter (and packed vs recursive predict)."""
     dataset = extract_path_dataset(ctx.record, variant="sog")
     X = np.asarray(dataset.features, dtype=float)
     if len(X) < 2:
@@ -307,6 +309,22 @@ def hist_vs_exact_gbm(ctx: FuzzContext, rng: random.Random) -> List[str]:
                     f"{label}/{name} tree: FlatTree predict diverges from "
                     f"predict_recursive"
                 )
+    # A small booster: the packed-forest router against the per-tree sum of
+    # recursive predictions, added in tree order as boosting defines it.
+    booster = GradientBoostingRegressor(
+        n_estimators=rng.choice((2, 3, 5)),
+        max_depth=depth,
+        colsample=0.8,
+        seed=rng.randrange(1 << 16),
+    ).fit(X, y)
+    reference = np.full(len(X), booster.base_score_)
+    for tree in booster.trees_:
+        reference += booster.learning_rate * tree.predict_recursive(X)
+    if not np.array_equal(booster.predict(X), reference):
+        problems.append(
+            f"{len(booster.trees_)}-tree booster: packed predict diverges from the "
+            f"per-tree predict_recursive sum"
+        )
     return problems
 
 

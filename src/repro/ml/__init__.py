@@ -14,6 +14,7 @@ from repro.ml.tree import (
     DecisionTreeRegressor,
     FlatTree,
     NewtonTreeRegressor,
+    PackedForest,
     bin_feature_matrix,
     resolve_max_bins,
 )
@@ -49,6 +50,7 @@ __all__ = [
     "DecisionTreeRegressor",
     "FlatTree",
     "NewtonTreeRegressor",
+    "PackedForest",
     "bin_feature_matrix",
     "resolve_max_bins",
     "GradientBoostingRegressor",

@@ -16,7 +16,7 @@ from typing import Optional, Protocol, Tuple
 import numpy as np
 
 from repro.ml.base import Estimator, as_1d_array, as_2d_array
-from repro.ml.tree import NewtonTreeRegressor, bin_feature_matrix
+from repro.ml.tree import NewtonTreeRegressor, PackedForest, bin_feature_matrix
 from repro.runtime.report import stage as _stage
 
 
@@ -171,16 +171,21 @@ class GradientBoostingRegressor(Estimator):
                     rounds_since_best += 1
                     if rounds_since_best >= self.early_stopping_rounds:
                         break
+        self._pack()
         return self
+
+    def _pack(self) -> None:
+        # Packed once, when the trees are final: serving threads share one
+        # model, so predict must never build it lazily.
+        self.forest_ = PackedForest.pack(
+            [tree.flat_ for tree in self.trees_], scale=self.learning_rate
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         self._check_fitted("trees_")
         X = as_2d_array(features)
         with _stage("ml.predict_flat"):
-            predictions = np.full(len(X), self.base_score_)
-            for tree in self.trees_:
-                predictions += self.learning_rate * tree.predict(X)
-        return predictions
+            return self.forest_.predict(X, self.base_score_)
 
     # -- serialization ----------------------------------------------------------
 
@@ -208,6 +213,7 @@ class GradientBoostingRegressor(Estimator):
         self.base_score_ = float(fitted["base_score"])
         self.trees_ = [NewtonTreeRegressor.from_state(state) for state in fitted["trees"]]
         self.train_losses_ = list(fitted.get("train_losses", []))
+        self._pack()
 
     @classmethod
     def _params_from_state(cls, params) -> dict:
@@ -223,13 +229,7 @@ class GradientBoostingRegressor(Estimator):
     def staged_predict(self, features: np.ndarray) -> np.ndarray:
         """Prediction matrix after each boosting round (rounds x rows)."""
         self._check_fitted("trees_")
-        X = as_2d_array(features)
-        predictions = np.full(len(X), self.base_score_)
-        stages = np.empty((len(self.trees_), len(X)))
-        for index, tree in enumerate(self.trees_):
-            predictions = predictions + self.learning_rate * tree.predict(X)
-            stages[index] = predictions
-        return stages
+        return self.forest_.staged_predict(features, self.base_score_)
 
     def feature_importances(self) -> np.ndarray:
         """Split-count feature importance, normalized to sum to one."""

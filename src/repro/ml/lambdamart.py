@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.ml.base import Estimator, as_1d_array, as_2d_array
-from repro.ml.tree import NewtonTreeRegressor, bin_feature_matrix
+from repro.ml.tree import NewtonTreeRegressor, PackedForest, bin_feature_matrix
 from repro.runtime.report import stage as _stage
 
 
@@ -120,17 +120,22 @@ class LambdaMARTRanker(Estimator):
                 scores = scores + self.learning_rate * update
                 self.trees_.append(tree)
                 self.train_ndcg_.append(self._mean_ndcg(scores, rel))
+        self._pack()
         return self
+
+    def _pack(self) -> None:
+        # Packed once, when the trees are final (never lazily: serving
+        # threads share one model).
+        self.forest_ = PackedForest.pack(
+            [tree.flat_ for tree in self.trees_], scale=self.learning_rate
+        )
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Ranking scores (higher = predicted more critical)."""
         self._check_fitted("trees_")
         X = as_2d_array(features)
         with _stage("ml.predict_flat"):
-            scores = np.zeros(len(X))
-            for tree in self.trees_:
-                scores += self.learning_rate * tree.predict(X)
-        return scores
+            return self.forest_.predict(X, 0.0)
 
     # -- serialization ------------------------------------------------------------
 
@@ -145,6 +150,7 @@ class LambdaMARTRanker(Estimator):
     def _restore_fitted(self, fitted) -> None:
         self.trees_ = [NewtonTreeRegressor.from_state(state) for state in fitted["trees"]]
         self.train_ndcg_ = list(fitted.get("train_ndcg", []))
+        self._pack()
 
     def rank(self, features: np.ndarray) -> np.ndarray:
         """Rank positions (0 = most critical) for the given rows."""

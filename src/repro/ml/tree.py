@@ -16,8 +16,10 @@ points coincide with the exact splitter's candidate thresholds, so both
 splitters see identical split gains.
 
 Fitted trees are additionally *flattened* into parallel numpy arrays
-(feature / threshold / left / right / value) and predicted level-by-level
-over whole matrices (:class:`FlatTree`), replacing per-row Python recursion.
+(feature / threshold / left / right / value, :class:`FlatTree`), and the
+trees of a model are packed into one node array (:class:`PackedForest`) that
+routes every (tree, row) pair level by level over whole matrices, replacing
+per-row Python recursion and the per-tree loop.
 Leaf values can be plain means (standalone use) or Newton steps from
 per-sample gradients/hessians (XGBoost-style boosting).
 """
@@ -25,7 +27,7 @@ per-sample gradients/hessians (XGBoost-style boosting).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -206,20 +208,6 @@ class FlatTree:
                 right[index] = index_of[id(node.right)]
         return cls(feature=feature, threshold=threshold, left=left, right=right, value=value)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        """Route all rows level-by-level; one numpy pass per tree level."""
-        X = as_2d_array(features)
-        node = np.zeros(len(X), dtype=np.int32)
-        while True:
-            split_feature = self.feature[node]
-            active = np.nonzero(split_feature >= 0)[0]
-            if active.size == 0:
-                break
-            current = node[active]
-            go_left = X[active, split_feature[active]] <= self.threshold[current]
-            node[active] = np.where(go_left, self.left[current], self.right[current])
-        return self.value[node]
-
     def to_node(self) -> _Node:
         """Rebuild the linked-node form of the tree (index 0 is the root).
 
@@ -263,6 +251,110 @@ class FlatTree:
             right=np.asarray(state["right"], dtype=np.int32),
             value=np.asarray(state["value"], dtype=float),
         )
+
+
+#: Rows routed per pass of :class:`PackedForest`: bounds the (rows x trees)
+#: node-index scratch so large inputs stay cache-resident.
+ROUTE_CHUNK_ROWS = 512
+
+
+@dataclass
+class PackedForest:
+    """The :class:`FlatTree` s of one model packed into a single node array.
+
+    Tree ``t`` starts at node ``roots[t]``; ``children[2 * i]`` and
+    ``children[2 * i + 1]`` are node ``i``'s left and right child, and a leaf
+    is its own child on both sides (with feature 0), so routing every
+    (row, tree) pair one level down is the same gather for interior nodes
+    and leaves.  ``depth`` such passes land every pair on its leaf.
+    ``value`` holds each node's value times the model's ``scale`` (its
+    learning rate), the exact product the per-tree sum used to form.
+    """
+
+    feature: np.ndarray  # (n_nodes,) intp, 0 at leaves
+    threshold: np.ndarray  # (n_nodes,) float64
+    children: np.ndarray  # (2 * n_nodes,) intp
+    value: np.ndarray  # (n_nodes,) float64, scaled
+    roots: np.ndarray  # (n_trees,) intp
+    depth: int
+    n_features: int  # columns a routed matrix needs
+
+    @classmethod
+    def pack(cls, trees: List[FlatTree], scale: float = 1.0) -> "PackedForest":
+        sizes = [tree.n_nodes for tree in trees]
+        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)[: len(trees)]
+        feature = np.concatenate([tree.feature for tree in trees] or [[]]).astype(np.intp)
+        interior = feature >= 0
+        own = np.arange(len(feature), dtype=np.intp)
+        children = np.empty(2 * len(feature), dtype=np.intp)
+        for side, column in ((0, "left"), (1, "right")):
+            offset = [getattr(tree, column) + root for tree, root in zip(trees, roots)]
+            children[side::2] = np.where(interior, np.concatenate(offset or [[]]), own)
+        depth, frontier = 0, roots[interior[roots]]
+        while frontier.size:
+            depth += 1
+            frontier = children.reshape(-1, 2)[frontier].ravel()
+            frontier = frontier[interior[frontier]]
+        return cls(
+            feature=np.where(interior, feature, 0),
+            threshold=np.concatenate([tree.threshold for tree in trees] or [[]]),
+            children=children,
+            value=scale * np.concatenate([tree.value for tree in trees] or [[]]),
+            roots=roots,
+            depth=depth,
+            n_features=int(feature.max(initial=-1)) + 1,
+        )
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.roots)
+
+    def leaf_values(self, features: np.ndarray) -> Iterator[Tuple[slice, np.ndarray]]:
+        """Yield ``(rows, values)`` per chunk; ``values[t, r]`` is tree ``t``'s leaf value.
+
+        Rows go level-major: one gather pass per depth over every
+        (tree, row) pair of the chunk.  ``x <= threshold`` routes left, so a
+        NaN feature value goes right, as in the recursive reference.
+        """
+        X = as_2d_array(features)
+        if X.shape[1] < self.n_features:
+            raise ValueError(
+                f"feature matrix has {X.shape[1]} columns, the model splits on "
+                f"column {self.n_features - 1}"
+            )
+        width = X.shape[1]
+        for start in range(0, len(X), ROUTE_CHUNK_ROWS):
+            chunk = X[start : start + ROUTE_CHUNK_ROWS]
+            node = np.broadcast_to(self.roots[:, None], (self.n_trees, len(chunk)))
+            cells = chunk.ravel()
+            row_base = np.arange(0, len(chunk) * width, width, dtype=np.intp)
+            for _ in range(self.depth):
+                goes_left = cells[row_base + self.feature[node]] <= self.threshold[node]
+                node = self.children[2 * node + 1 - goes_left]
+            yield slice(start, start + len(chunk)), self.value[node]
+
+    def predict(self, features: np.ndarray, base: float) -> np.ndarray:
+        """``base`` plus every tree's leaf value, added in tree order."""
+        return self._running_sums(features, base, staged=False)[0]
+
+    def staged_predict(self, features: np.ndarray, base: float) -> np.ndarray:
+        """(trees, rows): the running sum of :meth:`predict` after each tree."""
+        return self._running_sums(features, base, staged=True)
+
+    def _running_sums(self, features: np.ndarray, base: float, staged: bool) -> np.ndarray:
+        # np.cumsum adds strictly in order, so each running sum is the float
+        # the per-tree loop ``predictions += lr * tree.predict(X)`` produced.
+        X = as_2d_array(features)
+        out = np.full((self.n_trees if staged else 1, len(X)), base)
+        if not self.n_trees:
+            return out
+        for rows, values in self.leaf_values(X):
+            sums = np.empty((self.n_trees + 1, values.shape[1]))
+            sums[0] = base
+            sums[1:] = values
+            np.cumsum(sums, axis=0, out=sums)
+            out[:, rows] = sums[1:] if staged else sums[-1]
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +489,18 @@ class DecisionTreeRegressor(Estimator):
         return self
 
     def predict(self, features: np.ndarray) -> np.ndarray:
+        """Leaf value of every row, routed by a one-tree :class:`PackedForest`.
+
+        The forest is packed per call (nothing cached on a shared model):
+        boosters predict through their own packed forest, so a lone tree's
+        predict is rare.
+        """
         self._check_fitted("flat_")
-        return self.flat_.predict(features)
+        X = as_2d_array(features)
+        out = np.empty(len(X))
+        for rows, values in PackedForest.pack([self.flat_]).leaf_values(X):
+            out[rows] = values[0]
+        return out
 
     def predict_recursive(self, features: np.ndarray) -> np.ndarray:
         """Reference per-row recursive predict (equivalence testing only)."""

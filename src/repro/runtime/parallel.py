@@ -1,42 +1,41 @@
-"""Parallel, cached dataset construction.
+"""Process-pool fan-out, and the parallel, cached dataset build on top of it.
 
-Each design is elaborated completely independently of the others
-(generate → parse → bit-blast → pseudo-STA → label synthesis), so dataset
-construction is embarrassingly parallel — the same property the LZ DAQ
-exploits across digitizer channels.  :func:`build_dataset_parallel` takes
-benchmark :class:`~repro.hdl.generate.DesignSpec` items and raw-source
-:class:`SourceItem` items side by side, so one ingest (a retrain's training,
-fuzz and holdout designs together) is one fan-out over a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+:func:`fan_out` runs independent tasks across forked workers: dataset
+construction (each design is elaborated on its own — the per-channel
+independence the LZ DAQ exploits across digitizer channels) and the
+per-variant path-model fits of :class:`~repro.core.bitwise.BitwiseArrivalModel`.
+Workers fork after the task is registered, so they inherit it and every
+input it reads; nothing is pickled on the way in.  Tasks are submitted
+largest first, and each worker pickles its result once (protocol 5, GC
+paused) and returns it with the runtime report it recorded.
 
-* tasks are submitted largest source first, so the longest builds never
-  trail behind a worker that drew them last;
-* each worker pickles its record once (protocol 5, GC paused) and returns
-  the bytes; the parent writes those bytes as the cache entry and loads
-  them once, so no record is ever pickled twice;
-* results come back in item order regardless of completion order, so the
-  output is element-wise identical to a serial build
-  (``repro.runtime.cache.record_fingerprint`` equality is covered by the
-  determinism tests).
+:func:`build_dataset_parallel` takes :class:`~repro.hdl.generate.DesignSpec`
+and raw-source :class:`SourceItem` items side by side, so one ingest (a
+retrain's training, fuzz and holdout designs) is one fan-out.  The parent
+writes each worker's bytes as the cache entry and loads them once, and
+records come back in item order, element-wise identical to a serial build
+(``record_fingerprint`` equality is covered by the determinism tests).
 
-Worker count resolution: explicit ``jobs`` argument, else the ``REPRO_JOBS``
-environment variable, else ``os.cpu_count()``; always clamped to the number
-of tasks.  ``REPRO_JOBS=1`` forces the serial path, and any failure to stand
-up the pool (sandboxed environments without fork, unpicklable config) or a
-worker crash taking down the pool degrades gracefully: whatever the pool did
-not return is built serially in-process rather than failing the build.
+Worker count: explicit ``jobs``, else ``REPRO_JOBS``, else
+``os.cpu_count()``, clamped to the number of tasks.  ``REPRO_JOBS=1`` and
+platforms without fork run in-process; a pool that cannot stand up or a
+crashed worker degrades gracefully: whatever the pool did not return runs
+in-process rather than failing.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import gc
+import itertools
 import multiprocessing
 import os
 import pickle
 import sys
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor, as_completed
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro import settings
 from repro.runtime import report as report_mod
@@ -46,7 +45,7 @@ from repro.runtime.cache import PICKLE_PROTOCOL, ArtifactCache, gc_paused, recor
 JOBS_ENV_VAR = "REPRO_JOBS"
 
 #: Failures that cost one task (or, for a broken pool, every pending task)
-#: but never the build: the lost items are rebuilt in-process.
+#: but never the fan-out: the lost tasks rerun in-process.
 _POOL_ERRORS = (OSError, ValueError, BrokenExecutor, pickle.PicklingError)
 
 
@@ -97,112 +96,197 @@ def _source_size(item: Any) -> int:
     return len(item.source if isinstance(item, SourceItem) else item)
 
 
-def _reintern(value: Any) -> Any:
-    """Re-intern the strings of a transported spec/config dataclass.
+def canonicalize(value: Any, copy: Any = None, original: Any = None) -> Any:
+    """Give a worker's result the object sharing of an in-process result.
 
-    Pool inputs arrive in the worker as pickle copies, so their short strings
-    (``"sog"``, design names, ...) are *distinct* objects from the interned
-    literals the worker's module code uses — whereas in an in-process build
-    they are the very same objects.  Pickle encodes that sharing topology in
-    its memo, so without re-interning, a worker-built record serializes to
-    different bytes than a serially-built one even though the content is
-    equal.  Interning restores the exact topology of the serial build.
+    In a pickle copy, short strings (``"sog"``, ``"hist"``) are no longer
+    the interned literals the parent's code uses, arrays carry private
+    dtype copies, and parts taken from an inherited object (``copy``, say a
+    config) are copies of ``original``'s parts.  Pickle encodes sharing in
+    its memo, so a state holding the copy serializes (and a bundle hashes)
+    differently although every value is equal.  This swaps each part of
+    ``copy`` for the matching part of ``original``, re-interns the other
+    strings and re-views arrays on the builtin dtype, in place where the
+    container is mutable; shared objects stay shared.
     """
-    if isinstance(value, str):
-        # Raw Verilog sources also land here; interning only pays (and only
-        # restores literal sharing) for short identifier-like strings.
-        return sys.intern(value) if len(value) <= 256 else value
-    if isinstance(value, SourceItem):
-        return SourceItem(value.source, _reintern(value.name))
-    if isinstance(value, tuple):
-        return tuple(_reintern(item) for item in value)
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        replacements = {
-            field.name: _reintern(getattr(value, field.name))
-            for field in dataclasses.fields(value)
-            if isinstance(getattr(value, field.name), (str, tuple))
-        }
-        return dataclasses.replace(value, **replacements) if replacements else value
-    return value
+    memo: Dict[int, Any] = {}
+
+    def pair(part: Any, counterpart: Any) -> None:
+        if id(part) in memo:
+            return
+        memo[id(part)] = counterpart
+        if isinstance(part, (list, tuple)):
+            for entry, match in zip(part, counterpart):
+                pair(entry, match)
+        elif isinstance(part, dict):
+            for key, entry in part.items():
+                pair(entry, counterpart[key])
+        elif isinstance(getattr(part, "__dict__", None), dict):
+            pair(vars(part), vars(counterpart))
+
+    def walk(item: Any) -> Any:
+        if item is None or isinstance(item, (bool, int, float)):
+            return item
+        if id(item) in memo:
+            return memo[id(item)]
+        if isinstance(item, str):
+            return sys.intern(item) if len(item) <= 256 else item
+        memo[id(item)] = item
+        if isinstance(item, np.ndarray):
+            builtin = np.dtype(item.dtype.str)
+            if builtin.isbuiltin and item.dtype is not builtin:
+                memo[id(item)] = item.view(builtin)
+        elif isinstance(item, list):
+            item[:] = [walk(entry) for entry in item]
+        elif isinstance(item, dict):
+            entries = [(walk(key), walk(entry)) for key, entry in item.items()]
+            item.clear()
+            item.update(entries)
+        elif isinstance(item, tuple):
+            entries = tuple(walk(entry) for entry in item)
+            if any(new is not old for new, old in zip(entries, item)):
+                memo[id(item)] = type(item)(*entries) if hasattr(item, "_fields") else entries
+        elif isinstance(getattr(item, "__dict__", None), dict):
+            # Attribute names come back interned already (pickle interns
+            # them); only the values need the walk.
+            attributes = vars(item)
+            for name, entry in attributes.items():
+                attributes[name] = walk(entry)
+        return memo[id(item)]
+
+    if copy is not None:
+        pair(copy, original)
+    return walk(value)
 
 
-def _build_record_task(payload: Tuple[int, Any, Any]) -> Tuple[int, bytes]:
-    """Worker entry point: build one DesignRecord, return it pickled once."""
+#: Tasks of the fan-outs in flight, by fan-out id.  A fan-out registers its
+#: task before its pool forks, so every worker inherits the task together
+#: with everything the task reads: no input is ever pickled.
+_INHERITED: Dict[int, Callable[[int], Any]] = {}
+_FAN_OUT_IDS = itertools.count()
+
+#: ``collect(index, value, blob)``: called once per task result as it
+#: arrives.  ``blob`` is the worker's pickle of ``value``, or ``None`` for a
+#: value computed in-process.
+Collect = Callable[[int, Any, Optional[bytes]], None]
+
+
+def _run_inherited(fan_out: int, index: int, token: str) -> Tuple[int, bytes, Any]:
+    """Worker entry point: run one inherited task, return its pickle and report."""
     from repro.faults import fault_fires
 
-    index, item, config = payload
-    if fault_fires("parallel.worker_crash", token=getattr(item, "name", str(index))):
+    if fault_fires("parallel.worker_crash", token=token):
         os._exit(13)  # hard exit: breaks the pool, exercising the retry path
-    record = _build_item(_reintern(item), _reintern(config))
+    report = report_mod.RuntimeReport()
+    with report_mod.activate(report):
+        value = _INHERITED[fan_out](index)
     with gc_paused():
-        return index, pickle.dumps(record, protocol=PICKLE_PROTOCOL)
+        return index, pickle.dumps(value, protocol=PICKLE_PROTOCOL), report
 
 
-def _make_executor(max_workers: int) -> ProcessPoolExecutor:
-    # Prefer fork where available: workers inherit sys.path and the already
-    # imported package, and the hash seed — keeping set/dict iteration order,
-    # and therefore build output, identical to the parent process.
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:
-        return ProcessPoolExecutor(max_workers=max_workers)
-    return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+def fan_out(
+    task: Callable[[int], Any],
+    n_tasks: int,
+    collect: Collect,
+    *,
+    stage: str,
+    token: Callable[[int], str],
+    size: Optional[Callable[[int], int]] = None,
+    jobs: Optional[int] = None,
+) -> None:
+    """Run ``task(0) .. task(n_tasks - 1)`` on forked workers; ``collect`` each result.
 
+    Tasks are submitted largest ``size`` first.  Each worker pickles its
+    result once (protocol 5, GC paused) and returns it with the
+    :class:`~repro.runtime.report.RuntimeReport` it recorded, which is merged
+    into the active report.  Whatever the pool does not return — a crashed
+    worker (``parallel_worker_retries``) or a pool that never stood up
+    (``parallel_fallbacks``) — runs in-process afterwards, as does the whole
+    fan-out when ``jobs`` resolves to 1 or the platform cannot fork.  Stages:
+    ``<stage>_parallel``, ``<stage>_serial`` and ``<stage>_retry_serial``.
+    ``token(index)`` names a task for the ``parallel.worker_crash`` fault.
+    """
+    done = set()
 
-#: ``store(index, record, blob)``: called once per record as it arrives, so
-#: each worker's bytes are written and dropped at once rather than all held
-#: to the end.  ``blob`` is ``None`` for a record built in-process.
-Store = Callable[[int, Any, Optional[bytes]], None]
-
-
-def _build_records(items: List[Any], config: Any, jobs: Optional[int], store: Store) -> List[Any]:
-    """Build ``items`` in one fan-out; records in item order."""
-    records: Dict[int, Any] = {}
-
-    def build_serial(indices: Sequence[int], stage_name: str) -> None:
+    def run_serial(indices: Sequence[int], stage_name: str) -> None:
         with report_mod.stage(stage_name):
             for index in indices:
-                records[index] = _build_item(items[index], config)
-                store(index, records[index], None)
+                collect(index, task(index), None)
+                done.add(index)
 
-    jobs = resolve_jobs(len(items), jobs)
-    if jobs <= 1 or len(items) <= 1:
-        build_serial(range(len(items)), "dataset.build_serial")
-        return [records[index] for index in range(len(items))]
+    jobs = resolve_jobs(n_tasks, jobs)
+    if jobs <= 1 or n_tasks <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        run_serial(range(n_tasks), f"{stage}_serial")
+        return
 
-    order = sorted(range(len(items)), key=lambda index: -_source_size(items[index]))
+    order = sorted(range(n_tasks), key=lambda index: -size(index)) if size else range(n_tasks)
+    key = next(_FAN_OUT_IDS)
+    _INHERITED[key] = task
     fallback = False
     try:
-        with report_mod.stage("dataset.build_parallel"), _make_executor(jobs) as pool:
+        # gc.freeze in each worker: its collector then never walks the
+        # inherited heap, which would cost a full pass over the parent's
+        # records and copy every page it touches.
+        with report_mod.stage(f"{stage}_parallel"), ProcessPoolExecutor(
+            max_workers=jobs, mp_context=multiprocessing.get_context("fork"), initializer=gc.freeze
+        ) as pool:
             futures = {}
             for index in order:
                 with contextlib.suppress(*_POOL_ERRORS, RuntimeError):
-                    futures[pool.submit(_build_record_task, (index, items[index], config))] = index
+                    futures[pool.submit(_run_inherited, key, index, token(index))] = index
             for future in as_completed(futures):
                 # One crashed worker breaks its own future — and, for a
                 # BrokenProcessPool, every future still queued — but the
-                # records already returned stay good.  Only the losses are
-                # rebuilt below; completed work is never discarded.
+                # results already returned stay good.  Only the losses are
+                # rerun below; completed work is never discarded.
                 try:
-                    index, blob = future.result()
+                    index, blob, worker_report = future.result()
                 except _POOL_ERRORS:
                     continue
+                active = report_mod.active_report()
+                if active is not None:
+                    active.merge(worker_report)
                 with gc_paused():
-                    records[index] = pickle.loads(blob)
-                store(index, records[index], blob)
+                    value = pickle.loads(blob)
+                collect(index, value, blob)
+                done.add(index)
     except _POOL_ERRORS:
-        # Pool never stood up (sandbox without fork, unpicklable config).
+        # Pool never stood up (resource limits, sandboxed process table).
         fallback = True
         report_mod.incr("parallel_fallbacks")
-    lost = [index for index in range(len(items)) if index not in records]
+    finally:
+        del _INHERITED[key]
+    lost = [index for index in range(n_tasks) if index not in done]
     if lost:
-        # A genuine per-design build error reproduces here with a clean
-        # traceback.
+        # A genuine task error reproduces here with a clean traceback.
         if fallback:
-            build_serial(lost, "dataset.build_serial")
+            run_serial(lost, f"{stage}_serial")
         else:
             report_mod.incr("parallel_worker_retries", len(lost))
-            build_serial(lost, "dataset.build_retry_serial")
+            run_serial(lost, f"{stage}_retry_serial")
+
+
+def _build_records(items: List[Any], config: Any, jobs: Optional[int], store: Collect) -> List[Any]:
+    """Build ``items`` in one fan-out; records in item order.
+
+    ``store`` sees each record as it arrives, so each worker's bytes are
+    written and dropped at once rather than all held to the end.
+    """
+    records: Dict[int, Any] = {}
+
+    def collect(index: int, record: Any, blob: Optional[bytes]) -> None:
+        records[index] = record
+        store(index, record, blob)
+
+    fan_out(
+        lambda index: _build_item(items[index], config),
+        len(items),
+        collect,
+        stage="dataset.build",
+        token=lambda index: getattr(items[index], "name", str(index)),
+        size=lambda index: _source_size(items[index]),
+        jobs=jobs,
+    )
     return [records[index] for index in range(len(items))]
 
 

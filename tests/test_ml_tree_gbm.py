@@ -5,12 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.ml.tree import ROUTE_CHUNK_ROWS
 from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingRegressor,
     GroupedMaxSquaredError,
     HuberObjective,
+    LambdaMARTRanker,
     NewtonTreeRegressor,
+    PackedForest,
     bin_feature_matrix,
     group_max,
     resolve_max_bins,
@@ -409,6 +412,117 @@ class TestFlatPredict:
         fresh = np.random.default_rng(22).normal(size=(150, X.shape[1]))
         assert np.array_equal(tree.predict(X), tree.predict_recursive(X))
         assert np.array_equal(tree.predict(fresh), tree.predict_recursive(fresh))
+def _per_tree_sum(model, X, base):
+    """The reference: each tree's recursive predict, added in tree order."""
+    total = np.full(len(X), base)
+    for tree in model.trees_:
+        total += model.learning_rate * tree.predict_recursive(X)
+    return total
+
+
+def _per_tree_stages(model, X, base):
+    total = np.full(len(X), base)
+    stages = []
+    for tree in model.trees_:
+        total = total + model.learning_rate * tree.predict_recursive(X)
+        stages.append(total)
+    return np.array(stages).reshape(len(model.trees_), len(X))
+
+
+class TestPackedForest:
+    """Packed predict equals the per-tree recursive sum, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"colsample": 0.6},
+            {"subsample": 0.7, "seed": 3},
+            {"early_stopping_rounds": 2, "n_estimators": 200, "learning_rate": 0.4},
+            {"objective": HuberObjective(delta=0.5), "max_depth": 3},
+        ],
+    )
+    def test_gbm_matches_per_tree_sum(self, params, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(**{"n_estimators": 25, **params}).fit(X, y)
+        fresh = np.random.default_rng(31).normal(size=(300, X.shape[1]))
+        for rows in (X, fresh):
+            assert np.array_equal(model.predict(rows), _per_tree_sum(model, rows, model.base_score_))
+            assert np.array_equal(
+                model.staged_predict(rows), _per_tree_stages(model, rows, model.base_score_)
+            )
+
+    def test_lambdamart_matches_per_tree_sum(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(240, 5))
+        relevance = (X[:, 0] > 0).astype(int) + (X[:, 1] > 0.5).astype(int)
+        ranker = LambdaMARTRanker(n_estimators=15).fit(X, relevance, np.arange(240) // 40)
+        assert np.array_equal(ranker.predict(X), _per_tree_sum(ranker, X, 0.0))
+
+    def test_restored_models_match_per_tree_sum(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=20, colsample=0.8).fit(X, y)
+        restored = GradientBoostingRegressor.from_state(model.to_state())
+        assert np.array_equal(restored.predict(X), _per_tree_sum(restored, X, restored.base_score_))
+        assert np.array_equal(restored.predict(X), model.predict(X))
+        ranker = LambdaMARTRanker(n_estimators=8).fit(X[:100], (y[:100] > 0).astype(int))
+        back = LambdaMARTRanker.from_state(ranker.to_state())
+        assert np.array_equal(back.predict(X), _per_tree_sum(back, X, 0.0))
+        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
+        again = DecisionTreeRegressor.from_state(tree.to_state())
+        assert np.array_equal(again.predict(X), tree.predict_recursive(X))
+
+    def test_packed_arrays_are_not_in_the_state(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=5).fit(X, y)
+        assert isinstance(model.forest_, PackedForest)
+        assert set(model.to_state()["fitted"]) == {"base_score", "trees", "train_losses"}
+
+    def test_zero_rows(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=5).fit(X, y)
+        empty = np.empty((0, X.shape[1]))
+        assert model.predict(empty).shape == (0,)
+        assert model.staged_predict(empty).shape == (5, 0)
+
+    def test_zero_trees(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=0).fit(X, y)
+        assert model.forest_.n_trees == 0
+        assert np.array_equal(model.predict(X), np.full(len(X), model.base_score_))
+        assert model.staged_predict(X).shape == (0, len(X))
+
+    def test_single_leaf_trees(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=6, max_depth=0).fit(X, y)
+        assert model.forest_.depth == 0
+        assert np.array_equal(model.predict(X), _per_tree_sum(model, X, model.base_score_))
+
+    def test_rows_with_nan(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=12, max_depth=4).fit(X, y)
+        holes = np.random.default_rng(33).normal(size=(200, X.shape[1]))
+        holes[::3, 0] = np.nan
+        holes[1::4, 1:3] = np.nan
+        assert np.array_equal(model.predict(holes), _per_tree_sum(model, holes, model.base_score_))
+        tree = DecisionTreeRegressor(max_depth=6).fit(X, y)
+        assert np.array_equal(tree.predict(holes), tree.predict_recursive(holes))
+
+    def test_more_rows_than_one_chunk(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=10, colsample=0.7).fit(X, y)
+        many = np.random.default_rng(34).normal(size=(2 * ROUTE_CHUNK_ROWS + 7, X.shape[1]))
+        assert np.array_equal(model.predict(many), _per_tree_sum(model, many, model.base_score_))
+        assert np.array_equal(
+            model.staged_predict(many), _per_tree_stages(model, many, model.base_score_)
+        )
+
+    def test_too_few_columns_rejected(self, regression_data):
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=5).fit(X, y)
+        with pytest.raises(ValueError, match="columns"):
+            model.predict(X[:, :1])
+
+
 @given(
     st.lists(
         st.tuples(st.floats(-100, 100), st.floats(-100, 100)), min_size=10, max_size=40

@@ -376,6 +376,90 @@ def test_predict_batch_runtime_includes_assembly(tiny_records, monkeypatch):
     assert timer.predict(test[0]).runtime_seconds >= 0.05
 
 
+# ---------------------------------------------------------------------------
+# Variant fits fan out
+# ---------------------------------------------------------------------------
+
+
+def _fit_under_jobs(records, jobs, tmp_path, monkeypatch, config=TINY_TIMER_CONFIG):
+    """Fit a tiny timer with ``REPRO_JOBS=jobs`` on a cold feature cache.
+
+    Returns the timer, its registry bundle id and the active report.
+    """
+    from repro.core.feature_cache import reset_feature_cache
+    from repro.serve.registry import ModelRegistry
+
+    monkeypatch.setenv("REPRO_JOBS", str(jobs))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / f"cache-{jobs}"))
+    reset_feature_cache()
+    report = RuntimeReport()
+    try:
+        with activate(report):
+            timer = RTLTimer(config).fit(records)
+    finally:
+        reset_feature_cache()
+    bundle_id = ModelRegistry(tmp_path / f"models-{jobs}").save(timer, "tiny")["bundle_id"]
+    return timer, bundle_id, report
+
+
+def test_variant_fits_in_workers_match_in_process_fit(tiny_records, tmp_path, monkeypatch):
+    train, test = tiny_records[:3], tiny_records[3:]
+    serial, serial_id, serial_report = _fit_under_jobs(train, 1, tmp_path, monkeypatch)
+    pooled, pooled_id, pooled_report = _fit_under_jobs(train, 2, tmp_path, monkeypatch)
+    assert "bitwise.fit_serial" in serial_report.stages
+    assert pooled_report.stage_calls["bitwise.fit_parallel"] == 1
+    # Models that come back from workers are pickle copies; the bundle bytes
+    # must not show it.
+    assert pooled_id == serial_id
+    for record in test:
+        assert pooled.predict(record).bitwise_arrival == serial.predict(record).bitwise_arrival
+        assert pooled.predict(record).overall == serial.predict(record).overall
+    # Worker-side stages and counters reach the parent's report.
+    for report in (serial_report, pooled_report):
+        assert report.stage_calls["ml.fit_hist"] >= len(TINY_TIMER_CONFIG.bitwise.variants)
+    assert pooled_report.stage_calls["ml.fit_hist"] == serial_report.stage_calls["ml.fit_hist"]
+    assert pooled_report.counters["feature_cache_misses"] == (
+        serial_report.counters["feature_cache_misses"]
+    )
+
+
+def test_worker_fitted_mlp_bundle_matches_in_process_fit(tiny_records, tmp_path, monkeypatch):
+    """The MLP shares its layer sizes with the config: a worker's copy must not."""
+    config = RTLTimerConfig(
+        bitwise=BitwiseConfig(model_type="mlp", mlp_hidden=(8,), mlp_epochs=3, seed=5)
+    )
+    train = tiny_records[:3]
+    _, serial_id, _ = _fit_under_jobs(train, 1, tmp_path, monkeypatch, config)
+    _, pooled_id, _ = _fit_under_jobs(train, 2, tmp_path, monkeypatch, config)
+    assert pooled_id == serial_id
+
+
+def test_training_predictions_equal_predict(tiny_records):
+    """The bit-wise fit hands back what predict() gives on the training set."""
+    train = tiny_records[:3]
+    model = RTLTimer(TINY_TIMER_CONFIG).fit(train).bitwise
+    assert len(model.training_predictions_) == len(train)
+    for record, predicted in zip(train, model.training_predictions_):
+        assert predicted == model.predict(record)
+
+
+def test_crashed_variant_fit_is_retried_serially(tiny_records, tmp_path, monkeypatch):
+    train = tiny_records[:3]
+    _, serial_id, _ = _fit_under_jobs(train, 1, tmp_path / "serial", monkeypatch)
+    variants = TINY_TIMER_CONFIG.bitwise.variants
+    # A fault seed that crashes at least one variant's worker.
+    for seed in range(200):
+        monkeypatch.setenv(FAULT_ENV_VAR, f"parallel.worker_crash:p=0.5:seed={seed}")
+        if any(fault_fires("parallel.worker_crash", token=variant) for variant in variants):
+            break
+    else:
+        pytest.fail("no fault seed crashes a variant fit")
+    _, crashed_id, report = _fit_under_jobs(train, 2, tmp_path / "crashed", monkeypatch)
+    assert report.counters["parallel_worker_retries"] >= 1
+    assert "bitwise.fit_retry_serial" in report.stages
+    assert crashed_id == serial_id
+
+
 def test_ranked_signals_breaks_ties_deterministically():
     """Regression: equal scores must rank by name, not dict insertion order."""
     from repro.core.pipeline import RTLTimerPrediction
