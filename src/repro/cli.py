@@ -233,8 +233,6 @@ def cmd_serve(args) -> int:
     )
     watcher = None
     refresh_s = args.refresh_s
-    if refresh_s is None:
-        refresh_s = settings.get("REPRO_SERVE_REFRESH_S")
     if refresh_s > 0:
         from repro.lifecycle.watch import PromotionWatcher
 
@@ -291,39 +289,27 @@ def cmd_retrain(args) -> int:
 
 
 def cmd_promote(args) -> int:
-    from repro.serve.registry import RegistryError
-
     registry = _registry(args)
     name = args.model.partition("@")[0]
-    try:
-        if args.ref is None:
-            _emit(
-                {
-                    "name": name,
-                    "promoted": registry.promoted(name),
-                    "history": registry.promotion_history(name),
-                },
-                args.out,
-            )
-        else:
-            entry = registry.promote(name, args.ref, source="manual")
-            _emit({"name": name, "promoted": entry}, args.out)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.ref is None:
+        _emit(
+            {
+                "name": name,
+                "promoted": registry.promoted(name),
+                "history": registry.promotion_history(name),
+            },
+            args.out,
+        )
+    else:
+        entry = registry.promote(name, args.ref, source="manual")
+        _emit({"name": name, "promoted": entry}, args.out)
     return 0
 
 
 def cmd_rollback(args) -> int:
-    from repro.serve.registry import RegistryError
-
     registry = _registry(args)
     name = args.model.partition("@")[0]
-    try:
-        entry = registry.rollback(name)
-    except RegistryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    entry = registry.rollback(name)
     _emit({"name": name, "promoted": entry}, args.out)
     return 0
 
@@ -494,9 +480,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
     serve.add_argument(
-        "--refresh-s", type=float, default=None,
+        "--refresh-s", type=float, default=0.0,
         help="poll the promoted alias every N seconds and hot-swap the bundle "
-             "(default $REPRO_SERVE_REFRESH_S; 0 disables)",
+             "(default 0: off)",
     )
     serve.set_defaults(handler=cmd_serve)
 
@@ -599,4 +585,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
-    return args.handler(args)
+    from repro.serve.registry import RegistryError
+
+    try:
+        return args.handler(args)
+    except RegistryError as exc:
+        # An unknown model, a missing version or a bundle that no longer
+        # restores is an operator error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1

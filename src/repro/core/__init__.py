@@ -64,7 +64,7 @@ from repro.core.bitwise import BitwiseArrivalModel, BitwiseConfig
 from repro.core.signalwise import SignalwiseConfig, SignalwiseModel
 from repro.core.overall import OverallConfig, OverallTimingModel
 from repro.core.baselines import GNNBaselineConfig, GNNBitwiseBaseline
-from repro.core.annotate import AnnotationConfig, annotate_design, ranking_groups
+from repro.core.annotate import annotate_design, ranking_groups
 from repro.core.optimize import (
     OptimizationOutcome,
     generate_candidates,
@@ -117,7 +117,6 @@ __all__ = [
     "OverallTimingModel",
     "GNNBaselineConfig",
     "GNNBitwiseBaseline",
-    "AnnotationConfig",
     "annotate_design",
     "ranking_groups",
     "OptimizationOutcome",

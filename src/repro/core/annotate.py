@@ -9,21 +9,17 @@ shown in Fig. 3 (step 3) of the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, Mapping
 
 from repro.core.dataset import DesignRecord
 from repro.core.metrics import criticality_groups
 from repro.hdl.writer import annotate_lines
 
 
-@dataclass(frozen=True)
-class AnnotationConfig:
-    """Formatting options for the HDL annotation."""
-
-    technology: str = "NanGate45-like (synthetic)"
-    time_unit: str = "ps"
-    group_prefix: str = "g"
+#: Technology named in the annotated file header.
+TECHNOLOGY = "NanGate45-like (synthetic)"
+#: Unit of every annotated time.
+TIME_UNIT = "ps"
 
 
 def ranking_groups(scores: Mapping[str, float]) -> Dict[str, int]:
@@ -47,7 +43,6 @@ def annotate_design(
     signal_slacks: Mapping[str, float],
     ranking_scores: Mapping[str, float],
     overall: Mapping[str, float],
-    config: Optional[AnnotationConfig] = None,
 ) -> str:
     """Return the design's Verilog source with slack annotations added.
 
@@ -55,7 +50,6 @@ def annotate_design(
     ``ranking_scores`` to its predicted criticality score, and ``overall``
     carries the predicted ``wns`` / ``tns`` of the whole design.
     """
-    config = config or AnnotationConfig()
     groups = ranking_groups(ranking_scores)
 
     comments: Dict[str, str] = {}
@@ -65,16 +59,13 @@ def annotate_design(
     fallback_group = max(groups.values(), default=4)
     for signal, slack in signal_slacks.items():
         group = groups.get(signal, fallback_group)
-        comments[signal] = (
-            f"({signal}) Slack@{slack:.1f}{config.time_unit} "
-            f"rank@{config.group_prefix}{group}"
-        )
+        comments[signal] = f"({signal}) Slack@{slack:.1f}{TIME_UNIT} rank@g{group}"
 
     header = [
-        f"Tech: {config.technology}",
+        f"Tech: {TECHNOLOGY}",
         (
-            f"Predicted WNS: {overall.get('wns', 0.0):.1f}{config.time_unit}, "
-            f"TNS: {overall.get('tns', 0.0):.1f}{config.time_unit}"
+            f"Predicted WNS: {overall.get('wns', 0.0):.1f}{TIME_UNIT}, "
+            f"TNS: {overall.get('tns', 0.0):.1f}{TIME_UNIT}"
         ),
         "Annotated by RTL-Timer reproduction (per-signal predicted slack and rank group)",
     ]

@@ -49,8 +49,6 @@ class BitwiseConfig:
     n_estimators: int = 60
     max_depth: int = 6
     learning_rate: float = 0.12
-    splitter: str = "hist"  # GBM split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     mlp_hidden: Tuple[int, ...] = (64, 64)
     mlp_epochs: int = 150
     transformer_epochs: int = 60
@@ -86,8 +84,6 @@ class _VariantPathModel:
                 min_samples_leaf=4,
                 colsample=0.8,
                 objective=objective,
-                splitter=config.splitter,
-                max_bins=config.max_bins,
                 seed=config.seed,
             )
             self.model_.fit(features, objective.row_targets())
@@ -252,8 +248,6 @@ class BitwiseArrivalModel:
             learning_rate=self.config.learning_rate,
             max_depth=4,
             min_samples_leaf=4,
-            splitter=self.config.splitter,
-            max_bins=self.config.max_bins,
             seed=self.config.seed,
         )
         self.ensemble_model_.fit(Xs, ys)

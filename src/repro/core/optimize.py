@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import DesignRecord
 from repro.core.metrics import DEFAULT_GROUP_FRACTIONS
-from repro.incremental.whatif import WhatIfConfig, WhatIfEstimate
+from repro.incremental.whatif import WhatIfEstimate
 from repro.optimize.search import SearchConfig, run_search
 from repro.optimize.space import (
     cached_synthesize,
@@ -207,7 +207,6 @@ def run_optimization_sweep(
     k: int = 8,
     ranking_source: str = "predicted",
     clock: Optional[ClockConstraint] = None,
-    whatif_config: Optional[WhatIfConfig] = None,
     cache: Optional[ArtifactCache] = None,
     seed: int = 7,
 ) -> OptimizationOutcome:
@@ -243,7 +242,6 @@ def run_optimization_sweep(
                     seed=seed,
                     reanchor_every=0,
                 ),
-                whatif_config=whatif_config,
                 cache=cache,
                 candidates=candidates,
             )

@@ -36,8 +36,6 @@ class OverallConfig:
     feature_mode: str = "full"
     n_estimators: int = 40
     max_depth: int = 3
-    splitter: str = "hist"  # tree split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -123,16 +121,12 @@ class OverallTimingModel:
             n_estimators=self.config.n_estimators,
             max_depth=self.config.max_depth,
             min_samples_leaf=2,
-            splitter=self.config.splitter,
-            max_bins=self.config.max_bins,
             seed=self.config.seed,
         )
         self.tns_model_ = GradientBoostingRegressor(
             n_estimators=self.config.n_estimators,
             max_depth=self.config.max_depth,
             min_samples_leaf=2,
-            splitter=self.config.splitter,
-            max_bins=self.config.max_bins,
             seed=self.config.seed + 1,
         )
         self.wns_model_.fit(Xs, wns)

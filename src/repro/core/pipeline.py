@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from repro.core.annotate import AnnotationConfig, annotate_design, ranking_groups
+from repro.core.annotate import annotate_design, ranking_groups
 from repro.core.bitwise import BitwiseArrivalModel, BitwiseConfig
 from repro.core.dataset import DesignRecord
 from repro.core.metrics import regression_metrics
@@ -45,7 +45,6 @@ class RTLTimerConfig:
     bitwise: BitwiseConfig = field(default_factory=BitwiseConfig)
     signalwise: SignalwiseConfig = field(default_factory=SignalwiseConfig)
     overall: OverallConfig = field(default_factory=OverallConfig)
-    annotation: AnnotationConfig = field(default_factory=AnnotationConfig)
 
 
 @dataclass
@@ -275,7 +274,6 @@ class RTLTimer:
             prediction.signal_slack,
             prediction.signal_ranking,
             prediction.overall,
-            self.config.annotation,
         )
 
     def synthesis_options(

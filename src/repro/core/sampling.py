@@ -59,19 +59,22 @@ class EndpointSamples:
     paths: List[PathSample] = field(default_factory=list)
 
 
+#: Random paths per endpoint grow as ``K_SCALE * sqrt(driving registers)``,
+#: at least ``K_MIN`` (the paper only states the count is proportional to the
+#: driving-register count).
+K_SCALE = 1.0
+K_MIN = 1
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Path sampling knobs.
 
-    ``k_scale`` scales the number of random paths with the square root of the
-    number of driving registers; ``k_max`` caps it (the paper only states the
-    count is proportional to the driving-register count).  ``use_sampling``
-    switches the random paths off entirely for the "w/o sample" ablation of
-    Table 4.
+    ``k_max`` caps the number of random paths per endpoint (see
+    :func:`sample_count`).  ``use_sampling`` switches the random paths off
+    entirely for the "w/o sample" ablation of Table 4.
     """
 
-    k_scale: float = 1.0
-    k_min: int = 1
     k_max: int = 4
     use_sampling: bool = True
     seed: int = 0
@@ -81,8 +84,8 @@ def sample_count(n_driving_registers: int, config: SamplingConfig) -> int:
     """Number of random paths for an endpoint with the given cone width."""
     if not config.use_sampling:
         return 0
-    k = int(round(config.k_scale * math.sqrt(max(n_driving_registers, 1))))
-    return max(config.k_min, min(config.k_max, k))
+    k = int(round(K_SCALE * math.sqrt(max(n_driving_registers, 1))))
+    return max(K_MIN, min(config.k_max, k))
 
 
 def sample_endpoint_paths(

@@ -30,6 +30,12 @@ from repro.ml.lambdamart import LambdaMARTRanker
 from repro.ml.preprocessing import StandardScaler, TargetScaler
 from repro.ml.serialize import estimator_from_state, estimator_to_state
 
+#: Tree depth of the LambdaMART ranker.
+RANKER_DEPTH = 4
+#: Criticality relevance levels of the ranking labels (most critical group
+#: gets ``RELEVANCE_LEVELS - 1``).
+RELEVANCE_LEVELS = 4
+
 
 @dataclass(frozen=True)
 class SignalwiseConfig:
@@ -39,10 +45,6 @@ class SignalwiseConfig:
     n_estimators: int = 60
     max_depth: int = 5
     ranker_estimators: int = 80
-    ranker_depth: int = 4
-    relevance_levels: int = 4
-    splitter: str = "hist"  # tree split finding: "hist" | "exact"
-    max_bins: Optional[int] = None  # histogram bin budget (None = 256)
     seed: int = 0
 
 
@@ -93,12 +95,12 @@ def _signal_feature_matrix(
     return np.vstack(rows), signals
 
 
-def _relevance_from_labels(labels: np.ndarray, levels: int) -> np.ndarray:
+def _relevance_from_labels(labels: np.ndarray) -> np.ndarray:
     """Criticality relevance labels: most critical group gets the highest value."""
     groups = criticality_groups(labels)
     relevance = np.zeros(len(labels), dtype=int)
     for group_index, members in enumerate(groups):
-        relevance[members] = max(levels - 1 - group_index, 0)
+        relevance[members] = max(RELEVANCE_LEVELS - 1 - group_index, 0)
     return relevance
 
 
@@ -133,7 +135,7 @@ class SignalwiseModel:
             values = np.array([signal_labels[s] for s in signals])
             feature_rows.append(features)
             labels.extend(values.tolist())
-            relevance.extend(_relevance_from_labels(values, config.relevance_levels).tolist())
+            relevance.extend(_relevance_from_labels(values).tolist())
             queries.extend([record.name] * len(signals))
 
         X = np.vstack(feature_rows)
@@ -147,17 +149,13 @@ class SignalwiseModel:
             n_estimators=config.n_estimators,
             max_depth=config.max_depth,
             min_samples_leaf=3,
-            splitter=config.splitter,
-            max_bins=config.max_bins,
             seed=config.seed,
         )
         self.regressor_.fit(Xs, ys)
 
         self.ranker_ = LambdaMARTRanker(
             n_estimators=config.ranker_estimators,
-            max_depth=config.ranker_depth,
-            splitter=config.splitter,
-            max_bins=config.max_bins,
+            max_depth=RANKER_DEPTH,
             seed=config.seed,
         )
         self.ranker_.fit(Xs, np.array(relevance), queries)

@@ -22,7 +22,6 @@ CONFIG_MODULES = {
     "BitwiseConfig": "repro.core.bitwise",
     "SignalwiseConfig": "repro.core.signalwise",
     "OverallConfig": "repro.core.overall",
-    "AnnotationConfig": "repro.core.annotate",
     "SamplingConfig": "repro.core.sampling",
     "DatasetConfig": "repro.core.dataset",
 }

@@ -68,7 +68,7 @@ from repro.hdl.design import Design
 from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
-from repro.incremental.whatif import WhatIfConfig, patches_for_options
+from repro.incremental.whatif import patches_for_options
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
 from repro.optimize.artifact import canonical_payload
@@ -479,14 +479,13 @@ def optimize_search(ctx: FuzzContext, rng: random.Random) -> List[str]:
     # specs and re-time them both incrementally and from scratch.
     netlist = record.synthesis.netlist
     baseline_report = record.synthesis.report
-    whatif_config = WhatIfConfig()
     checked = 0
     for entry in first.trajectory:
         if entry.kind != "eval" or not entry.accepted or entry.spec is None:
             continue
         spec = CandidateSpec.from_dict(entry.spec)
         options = spec.realize(ranking, seed=config.seed)
-        patches = patches_for_options(netlist, baseline_report, options, whatif_config)
+        patches = patches_for_options(netlist, baseline_report, options)
         if patches:
             engine = IncrementalSTA(netlist, record.clock, baseline=baseline_report)
             with engine.what_if(patches) as incremental:

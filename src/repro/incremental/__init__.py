@@ -22,7 +22,6 @@ from repro.incremental.patches import (
     TimingPatch,
 )
 from repro.incremental.whatif import (
-    WhatIfConfig,
     WhatIfEstimate,
     evaluate_candidates,
     patches_for_options,
@@ -36,7 +35,6 @@ __all__ = [
     "SetDerate",
     "SwapCell",
     "TimingPatch",
-    "WhatIfConfig",
     "WhatIfEstimate",
     "evaluate_candidates",
     "patches_for_options",

@@ -45,9 +45,9 @@ from repro.sta.csr import AttributeColumns
 from repro.sta.engine import (
     STAReport,
     analyze,
+    check_kernel,
     endpoint_timing,
     propagate_vertex,
-    resolve_kernel,
     summarize_slacks,
 )
 from repro.sta.network import TimingNetwork
@@ -79,14 +79,20 @@ class IncrementalSTA:
         network: TimingNetwork,
         clock: ClockConstraint,
         baseline: Optional[STAReport] = None,
+        kernel: str = "array",
     ):
         self.network = network
         self.clock = clock
+        #: STA backend of every pass (``repro.sta.engine.STA_KERNELS``); the
+        #: ``reference`` worklist exists for the tests that compare against it.
+        self.kernel = check_kernel(kernel)
         if baseline is not None and (
             baseline.clock != clock or len(baseline.arrivals) != len(network.vertices)
         ):
             baseline = None  # stale baseline: recompute rather than trust it
-        self._report = baseline if baseline is not None else analyze(network, clock)
+        self._report = (
+            baseline if baseline is not None else analyze(network, clock, kernel=kernel)
+        )
         self.last_stats: Optional[PropagationStats] = None
         self._endpoint_caps_cache: Optional[Dict[int, List[float]]] = None
         # Attribute-column cache of the array kernel path: valid for one
@@ -108,7 +114,7 @@ class IncrementalSTA:
         self._columns = None
         self._columns_csr = None
         self._stale_columns = set()
-        self._report = analyze(self.network, self.clock)
+        self._report = analyze(self.network, self.clock, kernel=self.kernel)
         return self._report
 
     def apply(self, patches: Sequence[TimingPatch]) -> STAReport:
@@ -302,7 +308,7 @@ class IncrementalSTA:
                     loads[vertex_id] = self._recompute_load(vertex_id, fanouts, endpoint_caps)
 
             seeds = dirty_delay | dirty_load
-            if resolve_kernel() == "array":
+            if self.kernel == "array":
                 changed_drivers, recomputed = self._propagate_array(
                     seeds, arrivals, slews, loads
                 )

@@ -35,18 +35,14 @@ from repro.synth.netlist import Netlist
 from repro.synth.optimizer import SynthesisOptions, group_endpoints
 
 
-@dataclass(frozen=True)
-class WhatIfConfig:
-    """Knobs of the directive -> patch projection."""
-
-    #: Derate applied to the driving gate of a retimed signal's worst bit
-    #: (models the register absorbing part of the stage delay).
-    retime_derate: float = 0.6
-    #: Extra wire load (fF) modelling area recovery on the least-critical group.
-    relax_load_ff: float = 2.0
-    #: Slack threshold (fraction of the clock period) above which an endpoint
-    #: is considered a safe area-recovery victim.
-    relax_slack_fraction: float = 0.35
+#: Derate applied to the driving gate of a retimed signal's worst bit
+#: (models the register absorbing part of the stage delay).
+RETIME_DERATE = 0.6
+#: Extra wire load (fF) modelling area recovery on the least-critical group.
+RELAX_LOAD_FF = 2.0
+#: Slack threshold (fraction of the clock period) above which an endpoint
+#: is considered a safe area-recovery victim.
+RELAX_SLACK_FRACTION = 0.35
 
 
 @dataclass
@@ -79,7 +75,6 @@ def patches_for_options(
     netlist: Netlist,
     report: STAReport,
     options: SynthesisOptions,
-    config: Optional[WhatIfConfig] = None,
     path_cache: Optional[Dict[str, object]] = None,
 ) -> List[TimingPatch]:
     """Project one option set onto the baseline netlist as a patch list.
@@ -88,7 +83,6 @@ def patches_for_options(
     baseline report is frozen during a sweep, so a shared dict lets K
     candidates trace each endpoint once instead of K times.
     """
-    config = config or WhatIfConfig()
     patches: List[TimingPatch] = []
     planned_cells: Dict[int, object] = {}
 
@@ -104,7 +98,7 @@ def patches_for_options(
         driver = netlist.vertices[worst.driver]
         if driver.kind is not VertexKind.GATE or driver.id in derated:
             continue
-        derated[driver.id] = driver.derate * config.retime_derate
+        derated[driver.id] = driver.derate * RETIME_DERATE
     patches.extend(SetDerate(vertex, derate) for vertex, derate in derated.items())
 
     # -- group_path: upsize along each group's worst critical paths, one
@@ -137,8 +131,8 @@ def patches_for_options(
 
     # -- area recovery on the least-critical group: its ample-slack nets get
     #    slightly heavier (downsized drivers upstream -> more RC per fF).
-    if groups and config.relax_load_ff > 0.0:
-        relax_threshold = config.relax_slack_fraction * report.clock.period
+    if groups:
+        relax_threshold = RELAX_SLACK_FRACTION * report.clock.period
         relaxed: set = set()
         wanted = set(groups[-1].signals)
         for endpoint in report.endpoints:
@@ -148,7 +142,7 @@ def patches_for_options(
             if driver in relaxed or driver in planned_cells or driver in derated:
                 continue
             relaxed.add(driver)
-            patches.append(AddExtraLoad(driver, config.relax_load_ff))
+            patches.append(AddExtraLoad(driver, RELAX_LOAD_FF))
 
     return patches
 
@@ -156,7 +150,6 @@ def patches_for_options(
 def evaluate_candidates(
     record,
     candidates: Sequence[SynthesisOptions],
-    config: Optional[WhatIfConfig] = None,
     engine: Optional[IncrementalSTA] = None,
     keep_reports: bool = False,
 ) -> List[WhatIfEstimate]:
@@ -176,7 +169,7 @@ def evaluate_candidates(
     path_cache: Dict[str, object] = {}
     estimates: List[WhatIfEstimate] = []
     for options in candidates:
-        patches = patches_for_options(netlist, baseline, options, config, path_cache=path_cache)
+        patches = patches_for_options(netlist, baseline, options, path_cache=path_cache)
         if not patches:
             estimates.append(
                 WhatIfEstimate(

@@ -24,7 +24,6 @@ from repro import settings
 from repro.faults import FAULT_ENV_VAR
 from repro.optimize.search import SearchConfig, SearchResult, run_search
 from repro.runtime.parallel import JOBS_ENV_VAR
-from repro.sta.engine import STA_KERNEL_ENV_VAR
 
 #: Schema tag of the run artifact.
 OPTIMIZE_RUN_SCHEMA = "repro-optimize-run/1"
@@ -68,7 +67,6 @@ def build_artifact(result: SearchResult, record=None) -> dict:
     payload["source"] = getattr(record, "source", None)
     payload["front_hypervolume"] = result.front_hypervolume()
     payload["environment"] = {
-        "sta_kernel": settings.get(STA_KERNEL_ENV_VAR),
         "jobs": settings.get(JOBS_ENV_VAR),
         "fault_inject": settings.get(FAULT_ENV_VAR),
     }

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import SwapCell, TimingPatch
-from repro.incremental.whatif import WhatIfConfig, WhatIfEstimate, patches_for_options
+from repro.incremental.whatif import WhatIfEstimate, patches_for_options
 from repro.optimize.pareto import (
     ParetoFront,
     ParetoPoint,
@@ -230,11 +230,10 @@ class IncrementalEvaluator:
     ``optimize_search`` fuzz oracle do.
     """
 
-    def __init__(self, record, whatif_config: Optional[WhatIfConfig] = None) -> None:
+    def __init__(self, record) -> None:
         self.record = record
         self.netlist = record.synthesis.netlist
         self.baseline_report = record.synthesis.report
-        self.config = whatif_config or WhatIfConfig()
         self.engine = IncrementalSTA(self.netlist, record.clock, baseline=self.baseline_report)
         self.path_cache: Dict = {}
         self.base_area = float(record.synthesis.qor.area)
@@ -248,7 +247,6 @@ class IncrementalEvaluator:
             self.netlist,
             self.baseline_report,
             options,
-            self.config,
             path_cache=self.path_cache,
         )
 
@@ -604,7 +602,6 @@ def run_search(
     record,
     ranked_signals: Sequence[str],
     config: Optional[SearchConfig] = None,
-    whatif_config: Optional[WhatIfConfig] = None,
     cache: Optional[ArtifactCache] = None,
     candidates: Optional[Sequence[SynthesisOptions]] = None,
 ) -> SearchResult:
@@ -622,7 +619,7 @@ def run_search(
         cache = ArtifactCache()
 
     rng = random.Random(f"repro-optimize/{config.seed}/{config.strategy}")
-    evaluator = IncrementalEvaluator(record, whatif_config)
+    evaluator = IncrementalEvaluator(record)
     state = _SearchState(record, ranked_signals, config, evaluator, cache)
 
     started = time.perf_counter()

@@ -155,7 +155,13 @@ def _open_bundle(bundle: Any, expected_id: Optional[str] = None):
         )
     with gc_paused():
         state = pickle.loads(payload)
-    timer = RTLTimer.from_state(state)
+    try:
+        timer = RTLTimer.from_state(state)
+    except (KeyError, TypeError, ValueError) as exc:
+        # Typically a bundle written before a config field was removed.
+        raise RegistryError(
+            f"bundle {manifest['bundle_id'][:12]} does not restore in this version: {exc}"
+        ) from exc
     return timer, manifest
 
 

@@ -12,7 +12,7 @@ Everything the fault-tolerant serving stack shares lives here:
   (:class:`RejectedError`, :class:`DeadlineExceeded`,
   :class:`WorkerUnavailable`).
 
-Recovery from worker crashes, hangs and RSS leaks lives in
+Recovery from worker crashes and hangs lives in
 :mod:`repro.serve.supervisor`; a corrupt cache entry is deleted and
 recomputed inside :meth:`repro.runtime.cache.ArtifactCache.get`.
 """

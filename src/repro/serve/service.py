@@ -46,6 +46,10 @@ PREDICT_BATCH_STAGE = "serve.predict_batch"
 PREDICT_P50_STAGE = "serve.predict_p50"
 WHATIF_STAGE = "serve.whatif"
 
+#: Latency samples kept for the percentile metrics (newest win; bounds
+#: memory on long-lived services).
+LATENCY_WINDOW = 4096
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -60,14 +64,8 @@ class ServeConfig:
     #: How long the first request of a batch waits for companions (seconds).
     #: 0 disables micro-batching (every request runs alone, still async-safe).
     batch_window_s: float = 0.005
-    #: Build-on-demand records for ``/predict`` source payloads go through
-    #: the content-addressed artifact cache when enabled.
-    cache_records: bool = True
     #: Default candidate count for ``what_if`` when none are supplied.
     whatif_k: int = 8
-    #: Latency samples kept for the percentile metrics (newest win; bounds
-    #: memory on long-lived services).
-    latency_window: int = 4096
     #: In-process DesignRecords kept hot for repeated source payloads (LRU);
     #: evicted entries fall back to the on-disk artifact cache.  Also the
     #: size of each pool worker's record LRU.
@@ -119,7 +117,7 @@ class TimingService:
         self._wakeup = threading.Condition(self._mutex)
         self._closed = False
         self._abort = False
-        self._latencies: Deque[float] = deque(maxlen=max(self.config.latency_window, 1))
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._whatif_mutex = threading.Lock()
         self._record_cache: "OrderedDict[str, DesignRecord]" = OrderedDict()
         self._record_mutex = threading.Lock()
@@ -129,7 +127,9 @@ class TimingService:
             retry_after_s=self.config.retry_after_s,
             report=self.report,
         )
-        self._artifacts = ArtifactCache() if self.config.cache_records else None
+        # Build-on-demand records for ``/predict`` source payloads go through
+        # the content-addressed artifact cache (``REPRO_CACHE=0`` disables it).
+        self._artifacts = ArtifactCache()
         self._worker = threading.Thread(
             target=self._serve_loop, name="timing-service-batcher", daemon=True
         )
@@ -299,12 +299,9 @@ class TimingService:
             # A corrupt disk-cache entry is deleted and rebuilt inside
             # ArtifactCache.get; a build error (e.g. a Verilog syntax error)
             # surfaces to the caller unchanged.
-            if self._artifacts is not None:
-                record = self._artifacts.load_or_build(
-                    key, lambda: build_design_record(source, name=name)
-                )
-            else:
-                record = build_design_record(source, name=name)
+            record = self._artifacts.load_or_build(
+                key, lambda: build_design_record(source, name=name)
+            )
         # The build key is a full content identity of the record (source ⊕
         # name ⊕ build code).  Stamped on the record, it addresses the
         # path-feature cache here and in pool workers without pickling the

@@ -10,8 +10,9 @@ that
 * **hang** — the heartbeat keeps arriving (the heartbeat *thread* is
   alive) but its ``busy_since`` timestamp shows the request loop stuck in
   one request longer than ``hang_timeout_s``;
-* **go silent** — no heartbeat at all for ``heartbeat_timeout_s``;
-* **leak** — reported RSS crossed ``rss_limit_mb``.
+* **go silent** — no heartbeat at all for ``heartbeat_timeout_s``.
+
+Heartbeats also carry the worker's RSS, reported by :meth:`WorkerPool.status`.
 
 Restarts use exponential backoff per slot.  In-flight requests on a dead
 worker are retried on a sibling (bounded by ``retry_limit``, respecting the
@@ -70,8 +71,6 @@ class PoolConfig:
     heartbeat_timeout_s: float = knob_field("REPRO_SERVE_HEARTBEAT_TIMEOUT_S")
     #: Seconds a worker may stay inside one request before it counts as hung.
     hang_timeout_s: float = knob_field("REPRO_SERVE_HANG_TIMEOUT_S")
-    #: RSS watermark per worker in MiB (0 disables the leak check).
-    rss_limit_mb: float = knob_field("REPRO_SERVE_RSS_MB")
     #: Base and upper bound of the exponential restart backoff, seconds.
     backoff_base_s: float = knob_field("REPRO_SERVE_BACKOFF_S")
     backoff_max_s: float = knob_field("REPRO_SERVE_BACKOFF_MAX_S")
@@ -629,11 +628,6 @@ class WorkerPool:
                     and now - worker.busy_since > self.config.hang_timeout_s
                 ):
                     self._restart(worker, reason="request hung")
-                elif (
-                    self.config.rss_limit_mb > 0.0
-                    and worker.rss_mb > self.config.rss_limit_mb
-                ):
-                    self._restart(worker, reason=f"rss {worker.rss_mb:.0f}MiB over limit")
                 elif worker.generation != self._generation:
                     # Promotion hot swap: roll this slot onto the current
                     # payload.  _restart respawns synchronously, so only one

@@ -11,7 +11,7 @@ doc) and read with :func:`get`:
   test's ``monkeypatch.setenv``, the chaos campaign arming a fault, a pool
   worker inheriting its parent's environment) takes effect on the next read.
 
-Process-wide knobs (caches, jobs, STA kernel, faults, directories) are read
+Process-wide knobs (caches, jobs, faults, directories) are read
 with :func:`get` where they are used.  Knobs of a config dataclass
 (``REPRO_SERVE_*``, ``REPRO_EVAL_*``, ``REPRO_OPT_*``) are bound to fields
 with :func:`knob_field` and applied by :func:`configure`.
@@ -74,8 +74,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_FEATURE_CACHE", _flag, True, "0 disables the path-feature cache"),
         Knob("REPRO_FEATURE_CACHE_DISK", _flag, True,
              "0 keeps the path-feature cache in memory only"),
-        Knob("REPRO_STA_KERNEL", OneOf("STA kernel", "array", "reference"), "array",
-             "STA kernel: array (CSR numpy sweep) or reference (per-vertex loop)"),
         Knob("REPRO_FAULT_INJECT", str, "",
              "fault injection: name[:p=<prob>][:seed=<seed>], comma-separated"),
         # -- serving ----------------------------------------------------------
@@ -89,15 +87,11 @@ KNOBS: Dict[str, Knob] = {
              "Retry-After hint attached to shed (429) responses"),
         Knob("REPRO_SERVE_WHATIF_CONCURRENCY", int, 4,
              "concurrent /whatif sweeps admitted, so sweeps cannot starve predicts"),
-        Knob("REPRO_SERVE_REFRESH_S", float, 0.0,
-             "promotion-watcher poll interval in seconds (0: off); serve --refresh-s overrides"),
         Knob("REPRO_SERVE_HEARTBEAT_S", float, 0.25, "pool-worker heartbeat interval"),
         Knob("REPRO_SERVE_HEARTBEAT_TIMEOUT_S", float, 5.0,
              "missed-heartbeat window before a worker is declared dead"),
         Knob("REPRO_SERVE_HANG_TIMEOUT_S", float, 10.0,
              "per-request hang bound before the worker is killed and the request retried"),
-        Knob("REPRO_SERVE_RSS_MB", float, 0.0,
-             "worker RSS watermark in MiB (0: off); a worker above it is restarted"),
         Knob("REPRO_SERVE_BACKOFF_S", float, 0.1,
              "base worker-restart backoff (doubles per rapid crash)"),
         Knob("REPRO_SERVE_BACKOFF_MAX_S", float, 5.0, "worker-restart backoff ceiling"),

@@ -10,12 +10,12 @@ from repro.sta.network import (
 )
 from repro.sta.csr import AttributeColumns, CSRTimingGraph
 from repro.sta.engine import (
-    STA_KERNEL_ENV_VAR,
+    STA_KERNELS,
     EndpointTiming,
     STAReport,
     analyze,
+    check_kernel,
     compute_loads,
-    resolve_kernel,
 )
 from repro.sta.paths import (
     TimingPath,
@@ -36,12 +36,12 @@ __all__ = [
     "from_bog",
     "AttributeColumns",
     "CSRTimingGraph",
-    "STA_KERNEL_ENV_VAR",
+    "STA_KERNELS",
     "EndpointTiming",
     "STAReport",
     "analyze",
+    "check_kernel",
     "compute_loads",
-    "resolve_kernel",
     "TimingPath",
     "driving_launch_points",
     "input_cone",

@@ -3,7 +3,7 @@
 A single-corner, setup-only STA over :class:`~repro.sta.network.TimingNetwork`
 graphs.  It propagates arrival times and transition times (slews) in
 topological order using the NLDM-style cell delay model of
-:mod:`repro.synth.library`, computes per-endpoint slack against a
+:mod:`repro.liberty`, computes per-endpoint slack against a
 :class:`~repro.sta.constraints.ClockConstraint`, and reports WNS / TNS —
 the quantities PrimeTime provides in the paper's flow.
 """
@@ -15,21 +15,21 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro import settings
 from repro.sta.constraints import ClockConstraint
 from repro.sta.network import TimingNetwork, VertexKind
 
-#: Environment knob selecting the STA kernel backend: ``array`` (default,
-#: level-sweep numpy kernel over the compiled CSR graph) or ``reference``
-#: (the per-vertex Python loop).  The two are bit-identical by contract.
-STA_KERNEL_ENV_VAR = "REPRO_STA_KERNEL"
+#: STA kernel backends: ``array`` (level-sweep numpy kernel over the
+#: compiled CSR graph, used everywhere) and ``reference`` (the per-vertex
+#: Python loop, kept for the ``array_vs_reference_sta`` oracle and the
+#: tests).  The two are bit-identical by contract.
+STA_KERNELS = ("array", "reference")
 
 
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The kernel backend to use: the argument, else the env var, else array."""
-    if kernel is None:
-        return settings.get(STA_KERNEL_ENV_VAR)
-    return settings.KNOBS[STA_KERNEL_ENV_VAR].parse(kernel)
+def check_kernel(kernel: str) -> str:
+    """``kernel`` if it names an STA backend; ``ValueError`` otherwise."""
+    if kernel not in STA_KERNELS:
+        raise ValueError(f"unknown STA kernel {kernel!r}; choose one of {STA_KERNELS}")
+    return kernel
 
 
 @dataclass(slots=True)
@@ -185,12 +185,11 @@ def analyze(
     network: TimingNetwork,
     clock: ClockConstraint,
     loads: Optional[np.ndarray] = None,
-    kernel: Optional[str] = None,
+    kernel: str = "array",
 ) -> STAReport:
     """Run setup STA on ``network`` against ``clock``.
 
-    ``kernel`` selects the backend (``array``/``reference``; default from
-    ``$REPRO_STA_KERNEL``, else the array kernel).  Both backends produce
+    ``kernel`` selects the backend (see :data:`STA_KERNELS`).  Both produce
     bit-identical reports: the array path evaluates the same NLDM recurrence
     as :func:`propagate_vertex`, one whole level per numpy sweep.
     """
@@ -198,7 +197,7 @@ def analyze(
     arrivals = np.zeros(n)
     slews = np.full(n, clock.input_slew)
 
-    if resolve_kernel(kernel) == "array":
+    if check_kernel(kernel) == "array":
         compiled = network.compiled()
         cols = compiled.columns(network)
         if loads is None:

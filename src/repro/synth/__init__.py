@@ -1,6 +1,6 @@
 """Logic synthesis substrate (Design Compiler stand-in)."""
 
-from repro.synth.library import Cell, Library, nangate45_like, pseudo_library
+from repro.liberty import Cell, Library, nangate45_like, pseudo_library
 from repro.synth.netlist import Netlist, QoR
 from repro.synth.mapper import map_to_netlist
 from repro.synth.optimizer import (

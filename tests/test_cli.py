@@ -117,6 +117,15 @@ def test_promote_and_rollback_error_cleanly(tmp_path, capsys, monkeypatch):
     assert "no promotion" in capsys.readouterr().err
 
 
+def test_unknown_model_fails_cleanly(tmp_path, capsys, monkeypatch, design_file):
+    monkeypatch.setenv("REPRO_MODEL_DIR", str(tmp_path / "models"))
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for command in ("predict", "whatif"):
+        assert main([command, "--model", "ghost", str(design_file)]) == 1
+        err = capsys.readouterr().err
+        assert "error: unknown model 'ghost'" in err and "Traceback" not in err
+
+
 def test_retrain_exit_code_reflects_verdict(tmp_path, capsys, monkeypatch):
     """Promotion exits 0; an eval-gate rejection exits 3 (not argparse's 2)."""
     import repro.lifecycle.retrain as retrain_mod

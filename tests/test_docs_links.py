@@ -153,7 +153,6 @@ def test_serving_doc_covers_every_env_knob():
     from repro.runtime.report import BENCH_ENV_VAR
     from repro.serve.registry import MODEL_DIR_ENV_VAR
     from repro.settings import KNOBS
-    from repro.sta.engine import STA_KERNEL_ENV_VAR
 
     for variable in (
         FEATURE_CACHE_DISK_ENV_VAR,
@@ -165,7 +164,6 @@ def test_serving_doc_covers_every_env_knob():
         JOBS_ENV_VAR,
         BENCH_ENV_VAR,
         MODEL_DIR_ENV_VAR,
-        STA_KERNEL_ENV_VAR,
     ):
         assert variable in KNOBS, f"{variable} is not declared in repro.settings"
         assert variable in serving, f"docs/serving.md does not document {variable}"
@@ -194,9 +192,10 @@ def test_docs_cover_every_lifecycle_knob():
     from repro.lifecycle.evaluate import EVAL_REPORT_SCHEMA, EvalThresholds
 
     rows = _knob_table_rows()
-    for variable in (*_bound_knobs(EvalThresholds), "REPRO_SERVE_REFRESH_S"):
+    for variable in _bound_knobs(EvalThresholds):
         assert variable in operations, f"docs/operations.md does not document {variable}"
         assert variable in rows, f"docs/serving.md has no knob-table row for {variable}"
+    assert "--refresh-s" in operations, "docs/operations.md does not document serve --refresh-s"
     # The eval-report schema tag is part of the operational contract too.
     assert EVAL_REPORT_SCHEMA in operations
 

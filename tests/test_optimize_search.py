@@ -24,8 +24,8 @@ import pytest
 
 from repro.core.optimize import options_from_ranking, ranking_from_labels
 from repro.faults import FAULT_ENV_VAR
+from repro.incremental import whatif
 from repro.incremental.patches import AddExtraLoad
-from repro.incremental.whatif import WhatIfConfig
 from repro.optimize import (
     CandidateSpec,
     DriftError,
@@ -47,7 +47,6 @@ from repro.optimize import (
 )
 from repro.runtime.cache import ArtifactCache
 from repro.settings import configure
-from repro.sta.engine import STA_KERNEL_ENV_VAR
 from repro.synth.optimizer import PathGroup, SynthesisOptions
 
 
@@ -233,9 +232,6 @@ class TestSearchDeterminism:
             return json.dumps(canonical_payload(result), sort_keys=True)
 
         baseline = payload()
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert payload() == baseline
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "array")
         monkeypatch.setenv("REPRO_JOBS", "2")
         assert payload() == baseline
 
@@ -319,14 +315,9 @@ class TestSearchBehaviour:
         config = SearchConfig(strategy="anneal", budget=8, seed=1, reanchor_every=1)
         # Negative slack threshold marks every endpoint as an area-recovery
         # victim, guaranteeing AddExtraLoad patches (where the fault lives).
+        monkeypatch.setattr(whatif, "RELAX_SLACK_FRACTION", -1.0)
         with pytest.raises(DriftError):
-            run_search(
-                tiny_record,
-                ranking,
-                config,
-                whatif_config=WhatIfConfig(relax_slack_fraction=-1.0),
-                cache=_no_cache(),
-            )
+            run_search(tiny_record, ranking, config, cache=_no_cache())
 
     def test_single_signal_ranking(self, tiny_record):
         ranking = ranking_from_labels(tiny_record)[:1]

@@ -34,7 +34,9 @@ from repro.serve.registry import (
     MODEL_BUNDLE_SCHEMA,
     ModelRegistry,
     RegistryError,
+    bundle_id_for,
     read_bundle_file,
+    state_payload,
     write_bundle_file,
 )
 
@@ -164,9 +166,24 @@ def test_unknown_estimator_state_rejected():
 def test_config_state_roundtrip():
     config = RTLTimerConfig(
         bitwise=BitwiseConfig(n_estimators=17, variants=("sog", "aig"), mlp_hidden=(32, 16)),
-        signalwise=SignalwiseConfig(relevance_levels=3),
+        signalwise=SignalwiseConfig(ranker_estimators=33),
     )
     assert config_from_state(config_to_state(config)) == config
+
+
+def test_bundle_with_removed_config_field_fails_as_registry_error(tiny_timer, tmp_path):
+    """A bundle whose config carries a field this version no longer has
+    (one written before the field was removed) is refused by name."""
+    path = tmp_path / "model.bundle"
+    write_bundle_file(tiny_timer, path)
+    bundle = pickle.loads(path.read_bytes())
+    state = pickle.loads(bundle["payload"])
+    state["config"]["fields"]["bitwise"]["fields"]["splitter"] = "hist"
+    bundle["payload"] = state_payload(state)
+    bundle["manifest"]["bundle_id"] = bundle_id_for(bundle["payload"])
+    path.write_bytes(pickle.dumps(bundle))
+    with pytest.raises(RegistryError, match="BitwiseConfig.*'splitter'"):
+        read_bundle_file(path)
 
 
 # ---------------------------------------------------------------------------

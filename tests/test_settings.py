@@ -70,7 +70,6 @@ def test_knob_set_after_import_takes_effect(monkeypatch):
         ("REPRO_SERVE_QUEUE_MAX", "1k"),
         ("REPRO_EVAL_MIN_R_DELTA", "2%"),
         ("REPRO_JOBS", "two"),
-        ("REPRO_STA_KERNEL", "simd"),
         ("REPRO_OPT_STRATEGY", "sideways"),
         ("REPRO_CACHE", "off"),
     ],

@@ -16,12 +16,10 @@ from repro.incremental import AddExtraLoad, IncrementalSTA, SetDerate, SwapCell
 from repro.liberty import pseudo_library
 from repro.sta import (
     ClockConstraint,
-    STA_KERNEL_ENV_VAR,
     TimingNetwork,
     VertexKind,
     analyze,
     from_bog,
-    resolve_kernel,
 )
 
 CLOCK = ClockConstraint(period=700.0)
@@ -45,36 +43,16 @@ def _both_kernels(network, clock=CLOCK):
 
 
 class TestKernelSelection:
-    def test_default_is_array(self, monkeypatch):
-        monkeypatch.delenv(STA_KERNEL_ENV_VAR, raising=False)
-        assert resolve_kernel() == "array"
-
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel() == "reference"
-
-    def test_explicit_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        assert resolve_kernel("array") == "array"
-
-    def test_empty_env_value_means_default(self, monkeypatch):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "")
-        assert resolve_kernel() == "array"
-
-    def test_unknown_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown STA kernel"):
-            resolve_kernel("vector")
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "simd")
-        with pytest.raises(ValueError, match="simd"):
-            resolve_kernel()
-
-    def test_analyze_respects_env_var(self, simple_design, monkeypatch):
+    def test_default_is_array(self, simple_design):
         network = from_bog(build_sog(simple_design))
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "reference")
-        reference = analyze(network, CLOCK)
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, "array")
-        array = analyze(network, CLOCK)
-        _assert_reports_identical(array, reference)
+        _assert_reports_identical(analyze(network, CLOCK), analyze(network, CLOCK, kernel="array"))
+
+    def test_unknown_kernel_rejected(self, simple_design):
+        network = from_bog(build_sog(simple_design))
+        with pytest.raises(ValueError, match="unknown STA kernel 'vector'"):
+            analyze(network, CLOCK, kernel="vector")
+        with pytest.raises(ValueError, match="unknown STA kernel 'simd'"):
+            IncrementalSTA(network, CLOCK, kernel="simd")
 
 
 class TestBitIdentity:
@@ -206,12 +184,9 @@ class TestTopologicalOrderDeterminism:
 
 class TestIncrementalKernelParity:
     @pytest.mark.parametrize("kernel", ["array", "reference"])
-    def test_incremental_matches_full_under_both_kernels(
-        self, simple_design, monkeypatch, kernel
-    ):
-        monkeypatch.setenv(STA_KERNEL_ENV_VAR, kernel)
+    def test_incremental_matches_full_under_both_kernels(self, simple_design, kernel):
         network = from_bog(build_sog(simple_design), library=LIBRARY)
-        engine = IncrementalSTA(network, CLOCK)
+        engine = IncrementalSTA(network, CLOCK, kernel=kernel)
         gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
         patches = [
             SetDerate(gates[0], 1.4),
@@ -227,12 +202,11 @@ class TestIncrementalKernelParity:
             assert incremental.wns == full.wns
             assert incremental.tns == full.tns
 
-    def test_incremental_stats_agree_between_kernels(self, simple_design, monkeypatch):
+    def test_incremental_stats_agree_between_kernels(self, simple_design):
         results = {}
         for kernel in ("array", "reference"):
-            monkeypatch.setenv(STA_KERNEL_ENV_VAR, kernel)
             network = from_bog(build_sog(simple_design))
-            engine = IncrementalSTA(network, CLOCK)
+            engine = IncrementalSTA(network, CLOCK, kernel=kernel)
             gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
             with engine.what_if([SetDerate(gates[2], 1.3)]) as incremental:
                 results[kernel] = (

@@ -316,11 +316,12 @@ def test_pooled_service_bit_identical(pool_timer, tiny_records):
         service.close()
 
 
-def test_pooled_service_ships_source_records_once(pool_timer, simple_source):
+def test_pooled_service_ships_source_records_once(pool_timer, simple_source, monkeypatch):
     """Source-built records carry a build key; the pool caches them per worker."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(batch_window_s=0.0, cache_records=False, record_cache_entries=3),
+        ServeConfig(batch_window_s=0.0, record_cache_entries=3),
         pool_config=_fast_pool_config(workers=1),
     )
     try:
