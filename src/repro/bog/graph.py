@@ -18,7 +18,10 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 
 class NodeType(enum.Enum):
@@ -46,6 +49,20 @@ VARIANT_OPERATORS: Dict[str, frozenset] = {
 BOG_VARIANTS: Tuple[str, ...] = ("sog", "aig", "aimg", "xag")
 
 _SOURCE_TYPES = frozenset({NodeType.CONST0, NodeType.CONST1, NodeType.INPUT, NodeType.REG})
+
+#: Integer code of each node type (its declaration index) in :meth:`BOG.fanin_csr`.
+NODE_TYPE_CODE: Dict[NodeType, int] = {node_type: code for code, node_type in enumerate(NodeType)}
+
+#: Fanin count each node type code requires (-1: sources, unchecked).
+_ARITY = np.array(
+    [{NodeType.NOT: 1, NodeType.MUX: 3}.get(t, 2 if t not in _SOURCE_TYPES else -1) for t in NodeType]
+)
+
+#: Per variant, whether each node type code may appear (sources always may).
+_ALLOWED: Dict[str, np.ndarray] = {
+    variant: np.array([t in _SOURCE_TYPES or t in operators for t in NodeType])
+    for variant, operators in VARIANT_OPERATORS.items()
+}
 
 
 @dataclass(slots=True)
@@ -104,6 +121,13 @@ class BOG:
         self._const1: Optional[int] = None
         self._strash: Dict[Tuple, int] = {}
         self._fanouts: Optional[List[List[int]]] = None
+        self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def __getstate__(self) -> dict:
+        # The fanin CSR is rebuilt from the nodes on demand.
+        state = self.__dict__.copy()
+        state["_csr"] = None
+        return state
 
     # -- construction --------------------------------------------------------
 
@@ -111,6 +135,7 @@ class BOG:
         node = Node(id=len(self.nodes), type=node_type, fanins=fanins, name=name)
         self.nodes.append(node)
         self._fanouts = None
+        self._csr = None
         return node.id
 
     def const0(self) -> int:
@@ -383,30 +408,64 @@ class BOG:
             "depth": float(self.depth()),
         }
 
+    def fanin_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(type codes, indptr, indices)`` of the nodes, cached until a node is added.
+
+        Type codes index :data:`NODE_TYPE_CODE`; the int32 CSR lists each
+        node's fanins in order.  :meth:`validate` rebuilds it, so the lowering
+        of a freshly validated graph (:func:`repro.sta.network.from_bog`)
+        reuses the checked arrays.
+        """
+        if self._csr is None:
+            from repro.sta.csr import build_fanin_csr
+
+            nodes = self.nodes
+            codes = np.fromiter(
+                map(NODE_TYPE_CODE.__getitem__, map(attrgetter("type"), nodes)),
+                dtype=np.int8,
+                count=len(nodes),
+            )
+            self._csr = (codes, *build_fanin_csr(list(map(attrgetter("fanins"), nodes))))
+        return self._csr
+
     def validate(self) -> None:
-        """Check structural invariants; raises ``ValueError`` on violation."""
-        for node in self.nodes:
-            for fanin in node.fanins:
-                if fanin >= node.id:
-                    raise ValueError(
-                        f"node {node.id} has fanin {fanin} that does not precede it"
-                    )
-                if fanin < 0 or fanin >= len(self.nodes):
-                    raise ValueError(f"node {node.id} has out-of-range fanin {fanin}")
-            if node.type is NodeType.NOT and len(node.fanins) != 1:
-                raise ValueError(f"NOT node {node.id} must have exactly one fanin")
-            if node.type in (NodeType.AND, NodeType.OR, NodeType.XOR) and len(node.fanins) != 2:
-                raise ValueError(f"{node.type.value} node {node.id} must have two fanins")
-            if node.type is NodeType.MUX and len(node.fanins) != 3:
-                raise ValueError(f"MUX node {node.id} must have three fanins")
-            if node.is_operator and node.type not in VARIANT_OPERATORS[self.variant]:
-                raise ValueError(
-                    f"node {node.id} of type {node.type.value} is not allowed in "
-                    f"variant {self.variant!r}"
-                )
+        """Check structural invariants; raises ``ValueError`` on violation.
+
+        Array tests over :meth:`fanin_csr` find the first offending node;
+        :meth:`_node_error` words its first violation.
+        """
+        self._csr = None
+        codes, indptr, indices = self.fanin_csr()
+        n_fanins = np.diff(indptr)
+        owner = np.repeat(np.arange(len(codes)), n_fanins)
+        bad = np.zeros(len(codes), dtype=bool)
+        bad[owner[(indices >= owner) | (indices < 0)]] = True
+        arity = _ARITY[codes]
+        bad |= (arity >= 0) & (n_fanins != arity)
+        bad |= ~_ALLOWED[self.variant][codes]
+        if bad.any():
+            raise ValueError(self._node_error(self.nodes[int(np.argmax(bad))]))
         for endpoint in self.endpoints:
             if endpoint.driver < 0 or endpoint.driver >= len(self.nodes):
                 raise ValueError(f"endpoint {endpoint.name} has invalid driver")
+
+    def _node_error(self, node: Node) -> str:
+        """The first invariant ``node`` violates, worded for :meth:`validate`."""
+        for fanin in node.fanins:
+            if fanin >= node.id:
+                return f"node {node.id} has fanin {fanin} that does not precede it"
+            if fanin < 0:
+                return f"node {node.id} has out-of-range fanin {fanin}"
+        if node.type is NodeType.NOT and len(node.fanins) != 1:
+            return f"NOT node {node.id} must have exactly one fanin"
+        if node.type in (NodeType.AND, NodeType.OR, NodeType.XOR) and len(node.fanins) != 2:
+            return f"{node.type.value} node {node.id} must have two fanins"
+        if node.type is NodeType.MUX and len(node.fanins) != 3:
+            return f"MUX node {node.id} must have three fanins"
+        return (
+            f"node {node.id} of type {node.type.value} is not allowed in "
+            f"variant {self.variant!r}"
+        )
 
     def __repr__(self) -> str:
         return (

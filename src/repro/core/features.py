@@ -364,7 +364,7 @@ def _fill_path_columns(
     arrival adds the edge delays column by column, in the reference's order.
     """
     compiled = network.compiled()
-    cols = compiled.columns(network)
+    cols = network.attribute_columns()
     fanouts = np.diff(compiled.fanout_indptr).astype(np.float64)
     codes = _token_codes(compiled, cols)
     token_table = _token_table(codes, fanouts, report.loads / 10.0)
@@ -521,17 +521,10 @@ def bog_graph_data(record: DesignRecord, variant: str = "sog") -> GraphData:
     # Node features: the token row of each vertex, with its logic level / 10
     # in place of the load.
     features = _token_table(
-        _token_codes(compiled, compiled.columns(network)),
+        _token_codes(compiled, network.attribute_columns()),
         np.diff(compiled.fanout_indptr),
-        np.asarray(network.levels()) / 10.0,
+        compiled.level / 10.0,
     )
-
-    edge_src: List[int] = []
-    edge_dst: List[int] = []
-    for vertex in network.vertices:
-        for fanin in vertex.fanins:
-            edge_src.append(fanin)
-            edge_dst.append(vertex.id)
 
     endpoint_nodes: List[int] = []
     endpoint_targets: List[float] = []
@@ -546,8 +539,8 @@ def bog_graph_data(record: DesignRecord, variant: str = "sog") -> GraphData:
     graph = GraphData(
         name=record.name,
         node_features=features,
-        edge_src=np.array(edge_src, dtype=int),
-        edge_dst=np.array(edge_dst, dtype=int),
+        edge_src=compiled.fanin_indices.astype(int),
+        edge_dst=np.repeat(np.arange(compiled.n), np.diff(compiled.fanin_indptr)),
         endpoint_nodes=np.array(endpoint_nodes, dtype=int),
         endpoint_targets=np.array(endpoint_targets),
     )

@@ -27,8 +27,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
+from repro.sta.csr import KIND_GATE
 from repro.sta.engine import STAReport
-from repro.sta.network import TimingEndpoint, TimingNetwork, VertexKind
+from repro.sta.network import TimingEndpoint, TimingNetwork
 from repro.sta.paths import (
     driving_launch_points,
     launch_point_counts,
@@ -147,11 +150,13 @@ def sample_design_paths(
     drivers = [endpoint.driver for endpoint in selected]
     n_driving = launch_point_counts(network, drivers).tolist()
     critical = trace_critical_paths(network, report, drivers)
-    # The fanin list a random walk chooses from at each vertex (None: stop).
-    steps = [
-        vertex.fanins if vertex.kind is VertexKind.GATE and vertex.fanins else None
-        for vertex in network.vertices
-    ] if config.use_sampling else []
+    # A random walk steps from a gate with fanins to a random entry of its
+    # CSR fanin slice, the same list (in the same order) as its fanins.
+    if config.use_sampling:
+        compiled = network.compiled()
+        ptr = compiled.fanin_indptr.tolist()
+        fanins = compiled.fanin_indices.tolist()
+        walks_on = ((compiled.kind == KIND_GATE) & (np.diff(compiled.fanin_indptr) > 0)).tolist()
 
     result: Dict[str, EndpointSamples] = {}
     for endpoint, n_registers, vertices in zip(selected, n_driving, critical):
@@ -164,12 +169,11 @@ def sample_design_paths(
         )
         samples.paths.append(PathSample(endpoint=endpoint.name, vertices=vertices, is_critical=True))
         for _ in range(sample_count(n_registers, config)):
-            walk = [endpoint.driver]
-            fanins = steps[endpoint.driver]
-            while fanins is not None:
-                current = rng.choice(fanins)
+            current = endpoint.driver
+            walk = [current]
+            while walks_on[current]:
+                current = rng.choice(fanins[ptr[current] : ptr[current + 1]])
                 walk.append(current)
-                fanins = steps[current]
             walk.reverse()
             samples.paths.append(PathSample(endpoint=endpoint.name, vertices=walk, is_critical=False))
         result[endpoint.name] = samples

@@ -87,7 +87,7 @@ class IncrementalSTA:
         #: ``reference`` worklist exists for the tests that compare against it.
         self.kernel = check_kernel(kernel)
         if baseline is not None and (
-            baseline.clock != clock or len(baseline.arrivals) != len(network.vertices)
+            baseline.clock != clock or len(baseline.arrivals) != len(network)
         ):
             baseline = None  # stale baseline: recompute rather than trust it
         self._report = (
@@ -216,7 +216,7 @@ class IncrementalSTA:
         that pass are stale by the time the next one starts.
         """
         if self._columns is None or self._columns_csr is not compiled:
-            self._columns = compiled.columns(self.network)
+            self._columns = self.network.attribute_columns()
             self._columns_csr = compiled
         else:
             refresh = self._stale_columns | dirty
@@ -277,7 +277,7 @@ class IncrementalSTA:
     def _propagate(self, patches: Sequence[TimingPatch]) -> STAReport:
         network = self.network
         base = self._report
-        n = len(network.vertices)
+        n = len(network)
         if n != len(base.arrivals):
             raise ValueError(
                 "network size changed under the incremental engine; patches must "

@@ -71,6 +71,13 @@ class Library:
             self._by_function.setdefault(cell.function, []).append(cell)
         for variants in self._by_function.values():
             variants.sort(key=lambda c: c.drive)
+        self._picked: Dict[Tuple[str, int], Cell] = {}
+
+    def __getstate__(self) -> dict:
+        # The pick memo depends on which cells were asked for, not on the library.
+        state = self.__dict__.copy()
+        state["_picked"] = {}
+        return state
 
     def cell(self, name: str) -> Cell:
         """Look up a cell by its full name (e.g. ``"NAND2_X2"``)."""
@@ -87,9 +94,13 @@ class Library:
             raise KeyError(f"library {self.name!r} has no cell for {function!r}") from exc
 
     def pick(self, function: str, drive: int = 1) -> Cell:
-        """Cell implementing ``function`` with drive closest to ``drive``."""
-        variants = self.variants(function)
-        best = min(variants, key=lambda c: abs(c.drive - drive))
+        """Cell implementing ``function`` with drive closest to ``drive`` (memoised)."""
+        best = self._picked.get((function, drive))
+        if best is None:
+            variants = self.variants(function)
+            best = self._picked[(function, drive)] = min(
+                variants, key=lambda c: abs(c.drive - drive)
+            )
         return best
 
     def upsize(self, cell: Cell) -> Optional[Cell]:

@@ -1,12 +1,14 @@
 """Compiled array-native view of a :class:`~repro.sta.network.TimingNetwork`.
 
-The object-graph representation (``TimingVertex`` dataclasses holding Python
-``fanins`` lists) is convenient to build and edit, but every hot kernel —
-full STA, the incremental dirty-cone sweep, load computation — used to walk
-it one Python object at a time.  :class:`CSRTimingGraph` is the compiled
-counterpart: int32 CSR fanin/fanout adjacency, a levelization pass
+A network at rest is columns (kind codes, a fanin CSR, a cell table and
+per-vertex attribute columns); code that edits it works on ``TimingVertex``
+objects.  :class:`CSRTimingGraph` is the compiled form every hot kernel —
+full STA, the incremental dirty-cone sweep, load computation — runs on:
+int32 CSR fanin/fanout adjacency, a levelization pass
 (``level = 1 + max fanin level``) and a level-major vertex order, over which
-the NLDM timing recurrence runs as whole-level numpy sweeps.
+the NLDM timing recurrence runs as whole-level numpy sweeps.  One
+constructor builds it from kind codes and a fanin CSR, whichever form the
+network is in.
 
 Two invariants make the array kernel a drop-in replacement for the
 per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
@@ -14,8 +16,8 @@ per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
 * **Structure vs attributes.**  The compiled CSR arrays depend only on the
   graph *structure* (fanins, kinds) and are invalidated exactly when the
   network's adjacency caches are (``TimingNetwork.invalidate``).  Mutable
-  per-vertex *attributes* (``derate``, ``extra_load``, the cell) are
-  re-gathered into :class:`AttributeColumns` per analysis, because value
+  per-vertex *attributes* (``derate``, ``extra_load``, the cell) are handed
+  over as fresh :class:`AttributeColumns` per analysis, because value
   patches edit them in place without a structural invalidation.
 * **Bit-identical math.**  Each numpy expression applies the same float64
   operations in the same per-element order as the scalar reference
@@ -28,15 +30,16 @@ per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from itertools import chain
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.faults import fault_active
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports nothing here)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports this module)
     from repro.sta.constraints import ClockConstraint
-    from repro.sta.network import TimingNetwork
+    from repro.sta.network import TimingNetwork, TimingVertex
 
 #: Integer codes of :class:`~repro.sta.network.VertexKind`, in declaration order.
 KIND_CONST = 0
@@ -44,32 +47,47 @@ KIND_INPUT = 1
 KIND_REGISTER = 2
 KIND_GATE = 3
 
-_KIND_CODE = {"const": KIND_CONST, "input": KIND_INPUT, "register": KIND_REGISTER, "gate": KIND_GATE}
-
-#: Cell-parameter columns gathered per cell (row 0 is the "no cell" sentinel).
-_CELL_PARAMS = (
-    "input_cap",
-    "intrinsic_delay",
-    "resistance",
-    "slew_factor",
-    "slew_intrinsic",
-    "slew_resistance",
-    "clk_to_q",
-)
-
 
 def build_fanin_csr(fanins_of: List[List[int]]) -> Tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of per-vertex fanin lists, preserving list order."""
     n = len(fanins_of)
     indptr = np.zeros(n + 1, dtype=np.int32)
-    for i, fanins in enumerate(fanins_of):
-        indptr[i + 1] = len(fanins)
-    np.cumsum(indptr, out=indptr)
-    flat: List[int] = []
-    for fanins in fanins_of:
-        flat.extend(fanins)
-    indices = np.asarray(flat, dtype=np.int32) if flat else np.empty(0, dtype=np.int32)
+    np.cumsum(np.fromiter(map(len, fanins_of), dtype=np.int32, count=n), out=indptr[1:])
+    indices = np.fromiter(
+        chain.from_iterable(fanins_of), dtype=np.int32, count=int(indptr[-1])
+    )
     return indptr, indices
+
+
+def check_fanin_range(indptr: np.ndarray, indices: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first fanin outside ``[0, n)``, if any."""
+    n = len(indptr) - 1
+    if not indices.size or (indices.min() >= 0 and indices.max() < n):
+        return
+    position = int(np.flatnonzero((indices < 0) | (indices >= n))[0])
+    vertex = int(np.searchsorted(indptr, position, side="right")) - 1
+    raise ValueError(f"vertex {vertex} has out-of-range fanin {int(indices[position])}")
+
+
+def cell_table(cells: Sequence[object]) -> Tuple[List[object], np.ndarray]:
+    """Distinct cells in first-use order (row 0 is ``None``) and each entry's row.
+
+    Rows follow first use, never ``id()`` order, so two processes gathering
+    the same vertex cells get the same table.
+    """
+    n = len(cells)
+    table: List[object] = [None]
+    if not n:
+        return table, np.empty(0, dtype=np.int32)
+    ids = np.fromiter(map(id, cells), dtype=np.int64, count=n)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    rows = np.zeros(len(first), dtype=np.int32)
+    for unique in np.argsort(first, kind="stable").tolist():
+        cell = cells[int(first[unique])]
+        if cell is not None:
+            rows[unique] = len(table)
+            table.append(cell)
+    return table, rows[inverse]
 
 
 def invert_csr(n: int, indptr: np.ndarray, indices: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -152,47 +170,43 @@ def levelize(
 
 
 class AttributeColumns:
-    """Columnar per-vertex attributes, re-gathered from the object graph.
+    """Columnar per-vertex attributes of one analysis.
 
     Cell parameters are stored as a small table of distinct cells plus a
     per-vertex row index (row 0 = no cell, all parameters zero), so the
     per-analysis gather touches one attribute per vertex instead of seven.
+    A network at rest hands over copies of its own columns; a materialized
+    network gathers them from its vertex objects (:meth:`gather`).
     """
 
     __slots__ = ("n", "derate", "extra_load", "cell_row", "_cell_rows", "_cells", "_params")
 
-    def __init__(self, network: "TimingNetwork"):
-        vertices = network.vertices
-        self.n = len(vertices)
-        self._params: Dict[str, np.ndarray] = {}
-        # This full gather runs once per analysis, so it is kept on C-speed
-        # iteration paths: fromiter for the float columns, and one id() pass
-        # plus np.unique for the (few distinct) cells — row numbering is
-        # arbitrary but self-consistent, and only the parameter *values* the
-        # rows index reach the timing math.
-        self.derate = np.fromiter((v.derate for v in vertices), dtype=np.float64, count=self.n)
-        self.extra_load = np.fromiter(
-            (v.extra_load for v in vertices), dtype=np.float64, count=self.n
-        )
-        cell_ids = np.fromiter((id(v.cell) for v in vertices), dtype=np.int64, count=self.n)
-        cells: List[object] = [None]
-        rows: Dict[int, int] = {id(None): 0}
-        if self.n:
-            unique, first, inverse = np.unique(
-                cell_ids, return_index=True, return_inverse=True
-            )
-            unique_rows = np.zeros(len(unique), dtype=np.int32)
-            for position, ident in enumerate(unique.tolist()):
-                if ident in rows:
-                    continue
-                rows[ident] = len(cells)
-                unique_rows[position] = len(cells)
-                cells.append(vertices[int(first[position])].cell)
-            self.cell_row = unique_rows[inverse]
-        else:
-            self.cell_row = np.empty(0, dtype=np.int32)
+    def __init__(
+        self,
+        cells: List[object],
+        cell_row: np.ndarray,
+        derate: np.ndarray,
+        extra_load: np.ndarray,
+    ):
+        self.n = len(cell_row)
+        self.derate = derate
+        self.extra_load = extra_load
+        self.cell_row = cell_row
         self._cells = cells
-        self._cell_rows = rows
+        self._cell_rows: Dict[int, int] = {id(cell): row for row, cell in enumerate(cells)}
+        self._params: Dict[str, np.ndarray] = {}
+
+    @classmethod
+    def gather(cls, vertices: Sequence["TimingVertex"]) -> "AttributeColumns":
+        """Columns of the current values of ``vertices`` (C-speed passes)."""
+        n = len(vertices)
+        cells, cell_row = cell_table([v.cell for v in vertices])
+        return cls(
+            cells,
+            cell_row,
+            np.fromiter((v.derate for v in vertices), dtype=np.float64, count=n),
+            np.fromiter((v.extra_load for v in vertices), dtype=np.float64, count=n),
+        )
 
     def _row_of(self, cell) -> int:
         if cell is None:
@@ -330,17 +344,17 @@ class CSRTimingGraph:
         "_plan",
     )
 
-    def __init__(self, network: "TimingNetwork"):
-        self.name = network.name
-        self.n = len(network.vertices)
-        self.fanin_indptr, self.fanin_indices = build_fanin_csr(
-            [v.fanins for v in network.vertices]
-        )
+    def __init__(
+        self, name: str, kind: np.ndarray, fanin_indptr: np.ndarray, fanin_indices: np.ndarray
+    ):
+        self.name = name
+        self.n = len(kind)
+        self.kind = kind
+        self.fanin_indptr = fanin_indptr
+        self.fanin_indices = fanin_indices
+        check_fanin_range(fanin_indptr, fanin_indices)
         self.fanout_indptr, self.fanout_indices = invert_csr(
             self.n, self.fanin_indptr, self.fanin_indices
-        )
-        self.kind = np.fromiter(
-            (_KIND_CODE[v.kind.value] for v in network.vertices), dtype=np.int8, count=self.n
         )
         self.level, self.order, self.level_ptr = levelize(
             self.n,
@@ -374,10 +388,6 @@ class CSRTimingGraph:
 
     def fanouts_of(self, vertex_id: int) -> np.ndarray:
         return self.fanout_indices[self.fanout_indptr[vertex_id] : self.fanout_indptr[vertex_id + 1]]
-
-    def columns(self, network: "TimingNetwork") -> AttributeColumns:
-        """Fresh attribute columns for the network's current values."""
-        return AttributeColumns(network)
 
     # -- kernels -------------------------------------------------------------
 

@@ -193,13 +193,13 @@ def analyze(
     bit-identical reports: the array path evaluates the same NLDM recurrence
     as :func:`propagate_vertex`, one whole level per numpy sweep.
     """
-    n = len(network.vertices)
+    n = len(network)
     arrivals = np.zeros(n)
     slews = np.full(n, clock.input_slew)
 
     if check_kernel(kernel) == "array":
         compiled = network.compiled()
-        cols = compiled.columns(network)
+        cols = network.attribute_columns()
         if loads is None:
             loads = compiled.compute_loads(network, cols)
         compiled.sweep_all(cols, clock, arrivals, slews, loads)

@@ -173,7 +173,7 @@ def _critical_fanins(network: TimingNetwork, report: STAReport) -> np.ndarray:
     to the first fanin, exactly as ``max`` in :func:`trace_critical_path`.
     """
     compiled = network.compiled()
-    cols = compiled.columns(network)
+    cols = network.attribute_columns()
     best = np.full(compiled.n, -1, dtype=np.int64)
     n_fanins = np.diff(compiled.fanin_indptr)
     gates = np.flatnonzero((compiled.kind == KIND_GATE) & (n_fanins > 0))
