@@ -7,19 +7,22 @@ primary outputs are the timing endpoints.  A BOG can be specialised into the
 four concrete variants used by RTL-Timer — SOG, AIG, AIMG and XAG — by
 restricting the operator alphabet (see :mod:`repro.bog.transforms`).
 
-The class below is a flat, append-only node store with structural hashing,
-constant folding hooks, topological iteration and level computation.  It is
-the "pseudo netlist" the paper runs pseudo-STA on, so it purposely looks like
-a gate-level netlist: every operator node can be treated as a pseudo standard
-cell.
+A BOG is an append-only graph with constant folding and structural hashing,
+the "pseudo netlist" the paper runs pseudo-STA on.  At rest it is columns:
+int type codes and fanin tuples appended by the op constructors, the source
+map (which names every source node) and endpoint columns; pickles carry the
+type codes, an int32 fanin CSR, the source names and the endpoint columns.
+Code that walks the graph one node at a time — the synthesis mapper, the
+simulators and the fuzz oracles — reads :attr:`BOG.nodes`, which builds
+:class:`Node` objects once; from then on the objects are the source of truth.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import attrgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import pairwise
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -53,6 +56,13 @@ _SOURCE_TYPES = frozenset({NodeType.CONST0, NodeType.CONST1, NodeType.INPUT, Nod
 #: Integer code of each node type (its declaration index) in :meth:`BOG.fanin_csr`.
 NODE_TYPE_CODE: Dict[NodeType, int] = {node_type: code for code, node_type in enumerate(NodeType)}
 
+_TYPES = tuple(NodeType)
+_CONST0, _CONST1, _INPUT, _REG, _AND, _OR, _XOR, _NOT, _MUX = (
+    NODE_TYPE_CODE[t] for t in _TYPES
+)
+_IS_OPERATOR = tuple(t not in _SOURCE_TYPES for t in _TYPES)
+_COMMUTATIVE = (_AND, _OR, _XOR)
+
 #: Fanin count each node type code requires (-1: sources, unchecked).
 _ARITY = np.array(
     [{NodeType.NOT: 1, NodeType.MUX: 3}.get(t, 2 if t not in _SOURCE_TYPES else -1) for t in NodeType]
@@ -63,6 +73,16 @@ _ALLOWED: Dict[str, np.ndarray] = {
     variant: np.array([t in _SOURCE_TYPES or t in operators for t in NodeType])
     for variant, operators in VARIANT_OPERATORS.items()
 }
+
+
+def _canonical(array: np.ndarray) -> np.ndarray:
+    """``array`` viewed through numpy's shared instance of its dtype.
+
+    An unpickled array holds a dtype instance of its own, which pickle would
+    write out again instead of referring back to the one shared by freshly
+    built arrays; the view keeps a re-pickle byte-identical to the original.
+    """
+    return array.view(array.dtype.type)
 
 
 @dataclass(slots=True)
@@ -105,105 +125,313 @@ class Endpoint:
     reg_node: Optional[int] = None  # node id of the register bit (if register)
 
 
+@dataclass(slots=True)
+class EndpointColumns:
+    """A BOG's endpoints as columns (their form at rest and in pickles).
+
+    ``reg_nodes`` holds -1 for an endpoint without a register node.  The
+    arrays are shared, not copied: callers must not write to them.
+    """
+
+    names: List[str]
+    signals: List[str]
+    bits: np.ndarray  # int32
+    drivers: np.ndarray  # int32
+    kinds: List[str]
+    reg_nodes: np.ndarray  # int32
+
+    @classmethod
+    def gather(cls, endpoints: List[Endpoint]) -> "EndpointColumns":
+        n = len(endpoints)
+        return cls(
+            [e.name for e in endpoints],
+            [e.signal for e in endpoints],
+            np.fromiter((e.bit for e in endpoints), dtype=np.int32, count=n),
+            np.fromiter((e.driver for e in endpoints), dtype=np.int32, count=n),
+            [e.kind for e in endpoints],
+            np.fromiter(
+                (-1 if e.reg_node is None else e.reg_node for e in endpoints),
+                dtype=np.int32,
+                count=n,
+            ),
+        )
+
+    def endpoints(self) -> List[Endpoint]:
+        """One :class:`Endpoint` per row."""
+        return [
+            Endpoint(name, signal, bit, driver, kind, None if reg_node < 0 else reg_node)
+            for name, signal, bit, driver, kind, reg_node in zip(
+                self.names,
+                self.signals,
+                self.bits.tolist(),
+                self.drivers.tolist(),
+                self.kinds,
+                self.reg_nodes.tolist(),
+            )
+        ]
+
+
 class BOG:
-    """Bit-level Boolean operator graph with structural hashing."""
+    """Bit-level Boolean operator graph with structural hashing.
+
+    The graph is in one of three forms, and exactly one is the source of
+    truth: the build columns (``_codes`` / ``_fanins``, appended by the op
+    constructors), the fanin CSR alone (after unpickling), or the node
+    objects (once :attr:`nodes` has been read).  Constructing a node on a
+    graph in either of the last two forms first rebuilds the build columns
+    and the structural hash table from it; node objects handed out earlier
+    are then detached.
+    """
 
     def __init__(self, name: str, variant: str = "sog"):
         if variant not in VARIANT_OPERATORS:
             raise ValueError(f"unknown BOG variant {variant!r}")
         self.name = name
         self.variant = variant
-        self.nodes: List[Node] = []
-        self.endpoints: List[Endpoint] = []
-        # name -> node id for INPUT/REG source bits
+        # name -> node id for INPUT/REG source bits; also the names column.
         self.sources: Dict[str, int] = {}
         self._const0: Optional[int] = None
         self._const1: Optional[int] = None
-        self._strash: Dict[Tuple, int] = {}
-        self._fanouts: Optional[List[List[int]]] = None
+        self._allowed: Tuple[bool, ...] = tuple(_ALLOWED[variant].tolist())
+        self._codes: Optional[List[int]] = []
+        self._fanins: Optional[List[Tuple[int, ...]]] = []
+        self._strash: Optional[Dict[Tuple[int, ...], int]] = {}
+        self._nodes: Optional[List[Node]] = None
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+        self._endpoints: Optional[List[Endpoint]] = []
+        self._endpoint_columns: Optional[EndpointColumns] = None
 
     def __getstate__(self) -> dict:
-        # The fanin CSR is rebuilt from the nodes on demand.
-        state = self.__dict__.copy()
-        state["_csr"] = None
-        return state
+        # Pickles carry columns only: never node objects or the strash table.
+        sources = self.sources
+        return {
+            "name": self.name,
+            "variant": self.variant,
+            "fanin_csr": self.fanin_csr(),
+            "source_names": list(sources),
+            "source_ids": np.fromiter(sources.values(), dtype=np.int32, count=len(sources)),
+            "endpoints": self.endpoint_columns(),
+        }
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(state["name"], state["variant"])
+        self._codes = self._fanins = self._strash = None
+        self._csr = tuple(map(_canonical, state["fanin_csr"]))
+        self.sources = dict(zip(state["source_names"], state["source_ids"].tolist()))
+        # const0()/const1() memoize the first node of each constant type.
+        constants = (np.flatnonzero(self._csr[0] == code) for code in (_CONST0, _CONST1))
+        self._const0, self._const1 = (int(ids[0]) if ids.size else None for ids in constants)
+        endpoints = state["endpoints"]
+        for column in ("bits", "drivers", "reg_nodes"):
+            setattr(endpoints, column, _canonical(getattr(endpoints, column)))
+        self.set_endpoint_columns(endpoints)
+
+    # -- representations -----------------------------------------------------
+
+    @property
+    def nodes(self) -> List[Node]:
+        """The node objects, built on first access; from then on the source of truth."""
+        if self._nodes is None:
+            codes, fanins = self._rows()
+            self._nodes = [
+                Node(node_id, _TYPES[code], node_fanins, name)
+                for node_id, (code, node_fanins, name) in enumerate(
+                    zip(codes, fanins, self.node_names())
+                )
+            ]
+            self._codes = self._fanins = self._strash = None
+            self._csr = None
+        return self._nodes
+
+    def _rows(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
+        """Type codes and fanin tuples of the nodes, from the current form."""
+        if self._codes is not None:
+            return self._codes, self._fanins
+        if self._nodes is not None:
+            return (
+                [NODE_TYPE_CODE[node.type] for node in self._nodes],
+                [node.fanins for node in self._nodes],
+            )
+        codes, indptr, indices = self._csr
+        flat = indices.tolist()
+        return codes.tolist(), [tuple(flat[lo:hi]) for lo, hi in pairwise(indptr.tolist())]
+
+    def fanin_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(type codes, indptr, indices)`` of the nodes.
+
+        Type codes index :data:`NODE_TYPE_CODE`; the int32 CSR lists each
+        node's fanins in order.  The arrays are cached until a node is
+        added, so the lowering of a freshly validated graph
+        (:func:`repro.sta.network.from_bog`) reuses the checked arrays; once
+        node objects exist they are gathered afresh on every call.
+        """
+        if self._csr is not None:
+            return self._csr
+        from repro.sta.csr import build_fanin_csr
+
+        codes, fanins = self._rows()
+        csr = (np.array(codes, dtype=np.int8), *build_fanin_csr(fanins))
+        if self._nodes is None:
+            self._csr = csr
+        return csr
+
+    def node_names(self) -> List[Optional[str]]:
+        """Name of each node: the source bit name, ``None`` for the rest."""
+        if self._nodes is not None:
+            return [node.name for node in self._nodes]
+        names: List[Optional[str]] = [None] * len(self)
+        for name, node_id in self.sources.items():
+            names[node_id] = name
+        return names
+
+    @property
+    def endpoints(self) -> List[Endpoint]:
+        """The endpoint objects, built from the columns on first access."""
+        if self._endpoints is None:
+            self._endpoints = self._endpoint_columns.endpoints()
+            self._endpoint_columns = None
+        return self._endpoints
+
+    def endpoint_columns(self) -> EndpointColumns:
+        """The endpoints as columns: their own at rest, else gathered from the objects."""
+        if self._endpoints is None:
+            return self._endpoint_columns
+        return EndpointColumns.gather(self._endpoints)
+
+    def set_endpoint_columns(self, columns: EndpointColumns) -> None:
+        """Replace the endpoints with ``columns`` (the graph holds them at rest)."""
+        self._endpoints = None
+        self._endpoint_columns = columns
 
     # -- construction --------------------------------------------------------
 
-    def _new_node(self, node_type: NodeType, fanins: Tuple[int, ...] = (), name: Optional[str] = None) -> int:
-        node = Node(id=len(self.nodes), type=node_type, fanins=fanins, name=name)
-        self.nodes.append(node)
-        self._fanouts = None
+    def _editable(self) -> Dict[Tuple[int, ...], int]:
+        """Make the build columns the source of truth; return the rebuilt strash table."""
+        codes, fanins = self._rows()
+        self._codes, self._fanins, self._nodes = codes, fanins, None
+        strash: Dict[Tuple[int, ...], int] = {}
+        for node_id, (code, node_fanins) in enumerate(zip(codes, fanins)):
+            if _IS_OPERATOR[code]:
+                key = tuple(sorted(node_fanins)) if code in _COMMUTATIVE else node_fanins
+                strash.setdefault((code, *key), node_id)
+        self._strash = strash
+        return strash
+
+    def _append(self, code: int, fanins: Tuple[int, ...] = ()) -> int:
+        if self._codes is None:
+            self._editable()
+        self._codes.append(code)
+        self._fanins.append(fanins)
         self._csr = None
-        return node.id
+        return len(self._codes) - 1
+
+    def _hashed(self, key: Tuple[int, ...], fanins: Tuple[int, ...]) -> int:
+        """The node of structural-hash ``key`` (code first), appended with ``fanins`` if new."""
+        strash = self._strash
+        if strash is None:
+            strash = self._editable()
+        node_id = strash.get(key)
+        if node_id is None:
+            codes = self._codes  # present whenever the strash table is
+            node_id = strash[key] = len(codes)
+            codes.append(key[0])
+            self._fanins.append(fanins)
+            self._csr = None
+        return node_id
+
+    def _not_allowed(self, code: int) -> ValueError:
+        return ValueError(
+            f"operator {_TYPES[code].value} not allowed in variant {self.variant!r}"
+        )
 
     def const0(self) -> int:
         """Return (creating if needed) the constant-zero node."""
         if self._const0 is None:
-            self._const0 = self._new_node(NodeType.CONST0)
+            self._const0 = self._append(_CONST0)
         return self._const0
 
     def const1(self) -> int:
         """Return (creating if needed) the constant-one node."""
         if self._const1 is None:
-            self._const1 = self._new_node(NodeType.CONST1)
+            self._const1 = self._append(_CONST1)
         return self._const1
 
     def add_input(self, name: str) -> int:
         """Add a primary-input bit (e.g. ``in_data0[3]``)."""
-        if name in self.sources:
-            return self.sources[name]
-        node_id = self._new_node(NodeType.INPUT, name=name)
-        self.sources[name] = node_id
+        node_id = self.sources.get(name)
+        if node_id is None:
+            node_id = self.sources[name] = self._append(_INPUT)
         return node_id
 
     def add_register(self, name: str) -> int:
         """Add a register bit source node (its data pin is attached later)."""
-        if name in self.sources:
-            return self.sources[name]
-        node_id = self._new_node(NodeType.REG, name=name)
-        self.sources[name] = node_id
+        node_id = self.sources.get(name)
+        if node_id is None:
+            node_id = self.sources[name] = self._append(_REG)
         return node_id
 
-    def _check_operator(self, node_type: NodeType) -> None:
-        allowed = VARIANT_OPERATORS[self.variant]
-        if node_type not in allowed:
-            raise ValueError(
-                f"operator {node_type.value} not allowed in variant {self.variant!r}"
-            )
-
-    def add_op(self, node_type: NodeType, *fanins: int) -> int:
-        """Add an operator node with constant folding and structural hashing."""
-        self._check_operator(node_type)
-        folded = self._fold(node_type, fanins)
-        if folded is not None:
-            return folded
-        key = self._hash_key(node_type, fanins)
-        existing = self._strash.get(key)
-        if existing is not None:
-            return existing
-        node_id = self._new_node(node_type, tuple(fanins))
-        self._strash[key] = node_id
-        return node_id
-
-    # Convenience operator constructors -------------------------------------
+    # Operator constructors: alphabet check, constant folding and trivial
+    # identities, then structural hashing (commutative fanins sorted in the
+    # key; the node keeps them in call order).
 
     def AND(self, a: int, b: int) -> int:
-        return self.add_op(NodeType.AND, a, b)
+        if not self._allowed[_AND]:
+            raise self._not_allowed(_AND)
+        c0, c1 = self._const0, self._const1
+        if a == c0 or b == c0:
+            return c0
+        if a == c1 or a == b:
+            return b
+        if b == c1:
+            return a
+        return self._hashed((_AND, a, b) if a < b else (_AND, b, a), (a, b))
 
     def OR(self, a: int, b: int) -> int:
-        return self.add_op(NodeType.OR, a, b)
+        if not self._allowed[_OR]:
+            raise self._not_allowed(_OR)
+        c0, c1 = self._const0, self._const1
+        if a == c1 or b == c1:
+            return c1
+        if a == c0 or a == b:
+            return b
+        if b == c0:
+            return a
+        return self._hashed((_OR, a, b) if a < b else (_OR, b, a), (a, b))
 
     def XOR(self, a: int, b: int) -> int:
-        return self.add_op(NodeType.XOR, a, b)
+        if not self._allowed[_XOR]:
+            raise self._not_allowed(_XOR)
+        if a == b:
+            return self.const0()
+        c0 = self._const0
+        if a == c0:
+            return b
+        if b == c0:
+            return a
+        return self._hashed((_XOR, a, b) if a < b else (_XOR, b, a), (a, b))
 
     def NOT(self, a: int) -> int:
-        return self.add_op(NodeType.NOT, a)
+        if not self._allowed[_NOT]:
+            raise self._not_allowed(_NOT)
+        if a == self._const0:
+            return self.const1()
+        if a == self._const1:
+            return self.const0()
+        if self._codes is None:
+            self._editable()
+        if self._codes[a] == _NOT:  # NOT(NOT(x)) -> x
+            return self._fanins[a][0]
+        return self._hashed((_NOT, a), (a,))
 
     def MUX(self, sel: int, a: int, b: int) -> int:
         """``sel ? a : b``."""
-        return self.add_op(NodeType.MUX, sel, a, b)
+        if not self._allowed[_MUX]:
+            raise self._not_allowed(_MUX)
+        if sel == self._const1 or a == b:
+            return a
+        if sel == self._const0:
+            return b
+        return self._hashed((_MUX, sel, a, b), (sel, a, b))
 
     def add_endpoint(
         self,
@@ -221,157 +449,71 @@ class BOG:
         self.endpoints.append(endpoint)
         return endpoint
 
-    # -- simplification ------------------------------------------------------
-
-    def _fold(self, node_type: NodeType, fanins: Sequence[int]) -> Optional[int]:
-        """Constant folding and trivial-identity simplification."""
-        c0, c1 = self._const0, self._const1
-
-        def is0(n: int) -> bool:
-            return c0 is not None and n == c0
-
-        def is1(n: int) -> bool:
-            return c1 is not None and n == c1
-
-        if node_type is NodeType.NOT:
-            (a,) = fanins
-            if is0(a):
-                return self.const1()
-            if is1(a):
-                return self.const0()
-            # NOT(NOT(x)) -> x
-            node = self.nodes[a]
-            if node.type is NodeType.NOT:
-                return node.fanins[0]
-            return None
-
-        if node_type is NodeType.AND:
-            a, b = fanins
-            if is0(a) or is0(b):
-                return self.const0()
-            if is1(a):
-                return b
-            if is1(b):
-                return a
-            if a == b:
-                return a
-            return None
-
-        if node_type is NodeType.OR:
-            a, b = fanins
-            if is1(a) or is1(b):
-                return self.const1()
-            if is0(a):
-                return b
-            if is0(b):
-                return a
-            if a == b:
-                return a
-            return None
-
-        if node_type is NodeType.XOR:
-            a, b = fanins
-            if a == b:
-                return self.const0()
-            if is0(a):
-                return b
-            if is0(b):
-                return a
-            return None
-
-        if node_type is NodeType.MUX:
-            sel, a, b = fanins
-            if is1(sel):
-                return a
-            if is0(sel):
-                return b
-            if a == b:
-                return a
-            return None
-
-        return None
-
-    @staticmethod
-    def _hash_key(node_type: NodeType, fanins: Sequence[int]) -> Tuple:
-        if node_type in (NodeType.AND, NodeType.OR, NodeType.XOR):
-            return (node_type, tuple(sorted(fanins)))
-        return (node_type, tuple(fanins))
-
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.nodes)
-
-    def node(self, node_id: int) -> Node:
-        return self.nodes[node_id]
-
-    @property
-    def register_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.type is NodeType.REG]
-
-    @property
-    def input_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.type is NodeType.INPUT]
+        if self._nodes is not None:
+            return len(self._nodes)
+        if self._codes is not None:
+            return len(self._codes)
+        return len(self._csr[0])
 
     @property
     def operator_nodes(self) -> List[Node]:
         return [n for n in self.nodes if n.is_operator]
 
     def fanouts(self) -> List[List[int]]:
-        """Fanout adjacency (node id -> list of consumer node ids), cached."""
-        if self._fanouts is None:
-            fanouts: List[List[int]] = [[] for _ in self.nodes]
-            for node in self.nodes:
-                for fanin in node.fanins:
-                    fanouts[fanin].append(node.id)
-            self._fanouts = fanouts
-        return self._fanouts
+        """Fanout adjacency (node id -> ascending consumer node ids)."""
+        from repro.sta.csr import invert_csr
 
-    def endpoint_fanout_counts(self) -> Dict[int, int]:
-        """Number of endpoints each node drives directly."""
-        counts: Dict[int, int] = {}
-        for endpoint in self.endpoints:
-            counts[endpoint.driver] = counts.get(endpoint.driver, 0) + 1
-        return counts
+        codes, indptr, indices = self.fanin_csr()
+        out_ptr, out_indices = invert_csr(len(codes), indptr, indices)
+        flat = out_indices.tolist()
+        return [flat[lo:hi] for lo, hi in pairwise(out_ptr.tolist())]
 
     def topological_order(self) -> List[int]:
         """Node ids in topological order (sources first), validated.
 
         The construction order is topological because fanins must exist
-        before an operator referencing them can be created — but transforms
-        build graphs by hand, so the invariant is *checked* here (O(V+E))
+        before an operator referencing them can be created — but node
+        objects can be edited by hand, so the invariant is *checked* here
         rather than assumed: a graph whose ids are not a topological order
         raises instead of letting evaluators silently read stale fanin
         values.  Both the scalar and the bit-packed simulators iterate this
-        order, and the levelization they share
-        (:meth:`levels`) relies on the same invariant.
+        order, and the levelization they share (:meth:`levels`) relies on
+        the same invariant.
         """
-        for node in self.nodes:
-            for fanin in node.fanins:
-                if not 0 <= fanin < node.id:
-                    raise ValueError(
-                        f"node {node.id} has fanin {fanin} that does not precede it; "
-                        "node ids are not a topological order"
-                    )
-        return list(range(len(self.nodes)))
+        _, indptr, indices = self.fanin_csr()
+        owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+        bad = (indices >= owner) | (indices < 0)
+        if bad.any():
+            position = int(np.argmax(bad))
+            raise ValueError(
+                f"node {int(owner[position])} has fanin {int(indices[position])} that "
+                "does not precede it; node ids are not a topological order"
+            )
+        return list(range(len(indptr) - 1))
 
     def levels(self) -> List[int]:
         """Logic level of each node (sources are level 0)."""
-        levels = [0] * len(self.nodes)
-        for node in self.nodes:
-            if node.is_operator and node.fanins:
-                levels[node.id] = 1 + max(levels[f] for f in node.fanins)
+        codes, fanins = self._rows()
+        levels = [0] * len(codes)
+        for node_id, (code, node_fanins) in enumerate(zip(codes, fanins)):
+            if _IS_OPERATOR[code] and node_fanins:
+                levels[node_id] = 1 + max(map(levels.__getitem__, node_fanins))
         return levels
 
     def depth(self) -> int:
         """Maximum logic level over all endpoint drivers."""
-        if not self.endpoints:
+        drivers = self.endpoint_columns().drivers.tolist()
+        if not drivers:
             return 0
         levels = self.levels()
-        return max(levels[e.driver] for e in self.endpoints)
+        return max(levels[driver] for driver in drivers)
 
     def transitive_fanin(self, node_id: int) -> Set[int]:
         """All node ids in the transitive fanin cone of ``node_id`` (inclusive)."""
+        _, fanins = self._rows()
         seen: Set[int] = set()
         stack = [node_id]
         while stack:
@@ -379,20 +521,19 @@ class BOG:
             if current in seen:
                 continue
             seen.add(current)
-            stack.extend(self.nodes[current].fanins)
+            stack.extend(fanins[current])
         return seen
 
     def driving_registers(self, node_id: int) -> List[int]:
         """Register/input source nodes in the transitive fanin of ``node_id``."""
+        codes = self.fanin_csr()[0]
         cone = self.transitive_fanin(node_id)
-        return [n for n in cone if self.nodes[n].type in (NodeType.REG, NodeType.INPUT)]
+        return [n for n in cone if codes[n] in (_REG, _INPUT)]
 
     def type_counts(self) -> Dict[str, int]:
         """Number of nodes per node type."""
-        counts: Dict[str, int] = {}
-        for node in self.nodes:
-            counts[node.type.value] = counts.get(node.type.value, 0) + 1
-        return counts
+        counts = np.bincount(self.fanin_csr()[0], minlength=len(_TYPES)).tolist()
+        return {t.value: count for t, count in zip(_TYPES, counts) if count}
 
     def stats(self) -> Dict[str, float]:
         """Summary statistics used as design-level features."""
@@ -400,75 +541,75 @@ class BOG:
         n_comb = sum(v for k, v in counts.items() if k not in ("input", "reg", "const0", "const1"))
         n_seq = counts.get("reg", 0)
         return {
-            "n_nodes": float(len(self.nodes)),
+            "n_nodes": float(len(self)),
             "n_combinational": float(n_comb),
             "n_sequential": float(n_seq),
             "n_inputs": float(counts.get("input", 0)),
-            "n_endpoints": float(len(self.endpoints)),
+            "n_endpoints": float(len(self.endpoint_columns().names)),
             "depth": float(self.depth()),
         }
-
-    def fanin_csr(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(type codes, indptr, indices)`` of the nodes, cached until a node is added.
-
-        Type codes index :data:`NODE_TYPE_CODE`; the int32 CSR lists each
-        node's fanins in order.  :meth:`validate` rebuilds it, so the lowering
-        of a freshly validated graph (:func:`repro.sta.network.from_bog`)
-        reuses the checked arrays.
-        """
-        if self._csr is None:
-            from repro.sta.csr import build_fanin_csr
-
-            nodes = self.nodes
-            codes = np.fromiter(
-                map(NODE_TYPE_CODE.__getitem__, map(attrgetter("type"), nodes)),
-                dtype=np.int8,
-                count=len(nodes),
-            )
-            self._csr = (codes, *build_fanin_csr(list(map(attrgetter("fanins"), nodes))))
-        return self._csr
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation.
 
-        Array tests over :meth:`fanin_csr` find the first offending node;
-        :meth:`_node_error` words its first violation.
+        Array tests over :meth:`fanin_csr` find the first offending node
+        (:meth:`_node_error` words its first violation), then the first
+        endpoint whose driver is not a node or whose register node is not a
+        REG node.
         """
-        self._csr = None
         codes, indptr, indices = self.fanin_csr()
+        n = len(codes)
         n_fanins = np.diff(indptr)
-        owner = np.repeat(np.arange(len(codes)), n_fanins)
-        bad = np.zeros(len(codes), dtype=bool)
+        owner = np.repeat(np.arange(n), n_fanins)
+        bad = np.zeros(n, dtype=bool)
         bad[owner[(indices >= owner) | (indices < 0)]] = True
         arity = _ARITY[codes]
         bad |= (arity >= 0) & (n_fanins != arity)
         bad |= ~_ALLOWED[self.variant][codes]
         if bad.any():
-            raise ValueError(self._node_error(self.nodes[int(np.argmax(bad))]))
-        for endpoint in self.endpoints:
-            if endpoint.driver < 0 or endpoint.driver >= len(self.nodes):
-                raise ValueError(f"endpoint {endpoint.name} has invalid driver")
+            raise ValueError(self._node_error(int(np.argmax(bad))))
 
-    def _node_error(self, node: Node) -> str:
-        """The first invariant ``node`` violates, worded for :meth:`validate`."""
-        for fanin in node.fanins:
-            if fanin >= node.id:
-                return f"node {node.id} has fanin {fanin} that does not precede it"
+        endpoints = self.endpoint_columns()
+        drivers, reg_nodes = endpoints.drivers, endpoints.reg_nodes
+        if self._endpoints is None:
+            has_reg = reg_nodes != -1
+        else:
+            has_reg = np.array([e.reg_node is not None for e in self._endpoints], dtype=bool)
+        in_range = (reg_nodes >= 0) & (reg_nodes < n)
+        is_reg = np.zeros(len(reg_nodes), dtype=bool)
+        is_reg[in_range] = codes[reg_nodes[in_range]] == _REG
+        bad_driver = (drivers < 0) | (drivers >= n)
+        bad_endpoint = bad_driver | (has_reg & ~is_reg)
+        if bad_endpoint.any():
+            first = int(np.argmax(bad_endpoint))
+            name = endpoints.names[first]
+            if bad_driver[first]:
+                raise ValueError(f"endpoint {name} has invalid driver")
+            raise ValueError(f"endpoint {name} has invalid reg_node {int(reg_nodes[first])}")
+
+    def _node_error(self, node_id: int) -> str:
+        """The first invariant node ``node_id`` violates, worded for :meth:`validate`."""
+        codes, indptr, indices = self.fanin_csr()
+        node_type = _TYPES[int(codes[node_id])]
+        fanins = indices[indptr[node_id] : indptr[node_id + 1]].tolist()
+        for fanin in fanins:
+            if fanin >= node_id:
+                return f"node {node_id} has fanin {fanin} that does not precede it"
             if fanin < 0:
-                return f"node {node.id} has out-of-range fanin {fanin}"
-        if node.type is NodeType.NOT and len(node.fanins) != 1:
-            return f"NOT node {node.id} must have exactly one fanin"
-        if node.type in (NodeType.AND, NodeType.OR, NodeType.XOR) and len(node.fanins) != 2:
-            return f"{node.type.value} node {node.id} must have two fanins"
-        if node.type is NodeType.MUX and len(node.fanins) != 3:
-            return f"MUX node {node.id} must have three fanins"
+                return f"node {node_id} has out-of-range fanin {fanin}"
+        if node_type is NodeType.NOT and len(fanins) != 1:
+            return f"NOT node {node_id} must have exactly one fanin"
+        if node_type in (NodeType.AND, NodeType.OR, NodeType.XOR) and len(fanins) != 2:
+            return f"{node_type.value} node {node_id} must have two fanins"
+        if node_type is NodeType.MUX and len(fanins) != 3:
+            return f"MUX node {node_id} must have three fanins"
         return (
-            f"node {node.id} of type {node.type.value} is not allowed in "
+            f"node {node_id} of type {node_type.value} is not allowed in "
             f"variant {self.variant!r}"
         )
 
     def __repr__(self) -> str:
         return (
-            f"BOG({self.name!r}, variant={self.variant}, nodes={len(self.nodes)}, "
-            f"endpoints={len(self.endpoints)})"
+            f"BOG({self.name!r}, variant={self.variant}, nodes={len(self)}, "
+            f"endpoints={len(self.endpoint_columns().names)})"
         )

@@ -10,47 +10,76 @@ pseudo-STA patterns the downstream models learn from:
 * **AIMG** — AND, NOT, MUX,
 * **XAG** — AND, XOR, NOT.
 
-:func:`convert` rewrites a SOG into a target variant node-by-node in
-topological order, reusing structural hashing in the destination graph so the
-result stays compact.  :func:`build_variants` is the convenience front end
-used by the RTL-Timer pipeline.
+:func:`convert` rewrites a SOG into a target variant in one pass over its
+type codes and fanin CSR, in topological (node-id) order, reusing structural
+hashing in the destination graph so the result stays compact.
+:func:`build_variants` is the convenience front end used by the RTL-Timer
+pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict
+from typing import Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.bog.builder import build_sog
-from repro.bog.graph import BOG, BOG_VARIANTS, Node, NodeType
+from repro.bog.graph import (
+    BOG,
+    BOG_VARIANTS,
+    NODE_TYPE_CODE,
+    VARIANT_OPERATORS,
+    EndpointColumns,
+    NodeType,
+)
 from repro.hdl.design import Design
 
 
 def convert(sog: BOG, variant: str) -> BOG:
-    """Convert a SOG into the requested variant (returns a new graph)."""
+    """Convert a SOG into the requested variant (returns a new graph).
+
+    One pass over the SOG's type codes and fanin CSR in node-id order: each
+    node goes through the target's folding, structurally hashed op
+    constructors, with the OR/XOR/MUX templates of ``variant`` chosen once.
+    The SOG is validated first, so every endpoint's driver and register node
+    name a node.
+    """
     if variant == "sog":
         return sog
     if variant not in BOG_VARIANTS:
         raise ValueError(f"unknown BOG variant {variant!r}")
+    sog.validate()
     target = BOG(sog.name, variant=variant)
-    mapping: Dict[int, int] = {}
+    codes, indptr, indices = sog.fanin_csr()
+    fanins = indices.tolist()
+    ops = _emitters(target, sog.node_names())
+    mapping: List[int] = []
+    emit = mapping.append
+    bounds = indptr.tolist()
+    for node_id, (code, lo, hi) in enumerate(zip(codes.tolist(), bounds, bounds[1:])):
+        arity = hi - lo
+        if arity == 2:
+            emit(ops[code](mapping[fanins[lo]], mapping[fanins[lo + 1]]))
+        elif arity == 1:
+            emit(ops[code](mapping[fanins[lo]]))
+        elif arity == 0:
+            emit(ops[code](node_id))
+        else:
+            emit(ops[code](mapping[fanins[lo]], mapping[fanins[lo + 1]], mapping[fanins[lo + 2]]))
 
-    emit_or = _or_builder(target)
-    emit_xor = _xor_builder(target)
-    emit_mux = _mux_builder(target)
-
-    for node in sog.nodes:
-        mapping[node.id] = _convert_node(node, target, mapping, emit_or, emit_xor, emit_mux)
-
-    for endpoint in sog.endpoints:
-        target.add_endpoint(
-            name=endpoint.name,
-            signal=endpoint.signal,
-            bit=endpoint.bit,
-            driver=mapping[endpoint.driver],
-            kind=endpoint.kind,
-            reg_node=mapping[endpoint.reg_node] if endpoint.reg_node is not None else None,
+    node_of = np.array(mapping, dtype=np.int32)
+    endpoints = sog.endpoint_columns()
+    reg_nodes = endpoints.reg_nodes
+    target.set_endpoint_columns(
+        EndpointColumns(
+            endpoints.names,
+            endpoints.signals,
+            endpoints.bits,
+            node_of[endpoints.drivers],
+            endpoints.kinds,
+            np.where(reg_nodes >= 0, node_of[reg_nodes], -1).astype(np.int32),
         )
-
+    )
     target.validate()
     return target
 
@@ -65,100 +94,61 @@ def build_variants(design: Design, variants: tuple = BOG_VARIANTS) -> Dict[str, 
 
 
 # ---------------------------------------------------------------------------
-# Per-node conversion
+# Per-variant templates
 # ---------------------------------------------------------------------------
 
 
-def _convert_node(
-    node: Node,
-    target: BOG,
-    mapping: Dict[int, int],
-    emit_or: Callable[[int, int], int],
-    emit_xor: Callable[[int, int], int],
-    emit_mux: Callable[[int, int, int], int],
-) -> int:
-    if node.type is NodeType.CONST0:
-        return target.const0()
-    if node.type is NodeType.CONST1:
-        return target.const1()
-    if node.type is NodeType.INPUT:
-        return target.add_input(node.name or f"pi_{node.id}")
-    if node.type is NodeType.REG:
-        return target.add_register(node.name or f"reg_{node.id}")
+def _emitters(target: BOG, names: List[Optional[str]]) -> Tuple[Callable[..., int], ...]:
+    """Per SOG type code, the function emitting that node into ``target``.
 
-    fanins = [mapping[f] for f in node.fanins]
-    if node.type is NodeType.NOT:
-        return target.NOT(fanins[0])
-    if node.type is NodeType.AND:
-        return target.AND(fanins[0], fanins[1])
-    if node.type is NodeType.OR:
-        return emit_or(fanins[0], fanins[1])
-    if node.type is NodeType.XOR:
-        return emit_xor(fanins[0], fanins[1])
-    if node.type is NodeType.MUX:
-        return emit_mux(fanins[0], fanins[1], fanins[2])
-    raise ValueError(f"cannot convert node type {node.type}")
-
-
-def _or_builder(target: BOG) -> Callable[[int, int], int]:
-    """Return a function computing OR within the target variant's alphabet."""
-    from repro.bog.graph import VARIANT_OPERATORS
-
+    Sources take the SOG node id; operators take their mapped fanins.  OR,
+    XOR and MUX outside the target's alphabet are rebuilt from the operators
+    it has.
+    """
+    AND, NOT, XOR, MUX = target.AND, target.NOT, target.XOR, target.MUX
     allowed = VARIANT_OPERATORS[target.variant]
-    if NodeType.OR in allowed:
-        return target.OR
 
     def or_via_and(a: int, b: int) -> int:
         # De Morgan: a | b = ~(~a & ~b)
-        return target.NOT(target.AND(target.NOT(a), target.NOT(b)))
+        return NOT(AND(NOT(a), NOT(b)))
 
-    return or_via_and
-
-
-def _xor_builder(target: BOG) -> Callable[[int, int], int]:
-    """Return a function computing XOR within the target variant's alphabet."""
-    from repro.bog.graph import VARIANT_OPERATORS
-
-    allowed = VARIANT_OPERATORS[target.variant]
-    if NodeType.XOR in allowed:
-        return target.XOR
-    if NodeType.MUX in allowed:
-
-        def xor_via_mux(a: int, b: int) -> int:
-            # a ^ b = a ? ~b : b
-            return target.MUX(a, target.NOT(b), b)
-
-        return xor_via_mux
+    def xor_via_mux(a: int, b: int) -> int:
+        # a ^ b = a ? ~b : b
+        return MUX(a, NOT(b), b)
 
     def xor_via_and(a: int, b: int) -> int:
         # a ^ b = ~(~(a & ~b) & ~(~a & b))
-        left = target.AND(a, target.NOT(b))
-        right = target.AND(target.NOT(a), b)
-        return target.NOT(target.AND(target.NOT(left), target.NOT(right)))
+        left = AND(a, NOT(b))
+        right = AND(NOT(a), b)
+        return NOT(AND(NOT(left), NOT(right)))
 
-    return xor_via_and
-
-
-def _mux_builder(target: BOG) -> Callable[[int, int, int], int]:
-    """Return a function computing MUX within the target variant's alphabet."""
-    from repro.bog.graph import VARIANT_OPERATORS
-
-    allowed = VARIANT_OPERATORS[target.variant]
-    if NodeType.MUX in allowed:
-        return target.MUX
-
-    if NodeType.XOR in allowed:
-
-        def mux_via_xor(sel: int, a: int, b: int) -> int:
-            # sel ? a : b  =  b ^ (sel & (a ^ b))
-            return target.XOR(b, target.AND(sel, target.XOR(a, b)))
-
-        return mux_via_xor
+    def mux_via_xor(sel: int, a: int, b: int) -> int:
+        # sel ? a : b  =  b ^ (sel & (a ^ b))
+        return XOR(b, AND(sel, XOR(a, b)))
 
     def mux_via_and(sel: int, a: int, b: int) -> int:
         # sel ? a : b  =  ~(~(sel & a) & ~(~sel & b))
-        left = target.AND(sel, a)
-        right = target.AND(target.NOT(sel), b)
-        return target.NOT(target.AND(target.NOT(left), target.NOT(right)))
+        left = AND(sel, a)
+        right = AND(NOT(sel), b)
+        return NOT(AND(NOT(left), NOT(right)))
 
-    return mux_via_and
+    emitters = {
+        NodeType.CONST0: lambda node_id: target.const0(),
+        NodeType.CONST1: lambda node_id: target.const1(),
+        NodeType.INPUT: lambda node_id: target.add_input(names[node_id] or f"pi_{node_id}"),
+        NodeType.REG: lambda node_id: target.add_register(names[node_id] or f"reg_{node_id}"),
+        NodeType.AND: AND,
+        NodeType.OR: target.OR if NodeType.OR in allowed else or_via_and,
+        NodeType.XOR: (
+            XOR
+            if NodeType.XOR in allowed
+            else xor_via_mux if NodeType.MUX in allowed else xor_via_and
+        ),
+        NodeType.NOT: NOT,
+        NodeType.MUX: (
+            MUX
+            if NodeType.MUX in allowed
+            else mux_via_xor if NodeType.XOR in allowed else mux_via_and
+        ),
+    }
+    return tuple(emitters[node_type] for node_type in NODE_TYPE_CODE)

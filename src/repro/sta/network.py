@@ -367,8 +367,9 @@ def from_bog(bog: BOG, library: Optional[Library] = None) -> TimingNetwork:
     """Lower a BOG into a timing network using pseudo standard cells.
 
     Vertex ``i`` is node ``i``, so the lowering is array passes over the
-    BOG's cached fanin CSR: each pseudo cell is resolved once per node type,
-    and the network stays columns (no vertex objects are built).
+    BOG's cached fanin CSR, names and endpoint columns: each pseudo cell is
+    resolved once per node type, and neither BOG node objects nor vertex
+    objects are built.
     """
     library = library or pseudo_library()
     reg_cell = library.pick("REG")
@@ -383,7 +384,7 @@ def from_bog(bog: BOG, library: Optional[Library] = None) -> TimingNetwork:
     row_of_type = np.zeros(len(_NODE_TYPES), dtype=np.int32)
     row_of_type[present] = rows
 
-    names = [node.name for node in bog.nodes]
+    names = bog.node_names()
     for node_type in (NodeType.CONST0, NodeType.CONST1):
         for vertex in np.flatnonzero(codes == NODE_TYPE_CODE[node_type]).tolist():
             names[vertex] = node_type.value
@@ -398,16 +399,23 @@ def from_bog(bog: BOG, library: Optional[Library] = None) -> TimingNetwork:
         extra_load=np.zeros(n),
         names=names,
     )
+    bog_endpoints = bog.endpoint_columns()
     endpoints = [
         TimingEndpoint(
-            name=endpoint.name,
-            signal=endpoint.signal,
-            bit=endpoint.bit,
-            driver=endpoint.driver,
-            kind=endpoint.kind,
-            capture_cell=reg_cell if endpoint.kind == "register" else None,
+            name=name,
+            signal=signal,
+            bit=bit,
+            driver=driver,
+            kind=kind,
+            capture_cell=reg_cell if kind == "register" else None,
         )
-        for endpoint in bog.endpoints
+        for name, signal, bit, driver, kind in zip(
+            bog_endpoints.names,
+            bog_endpoints.signals,
+            bog_endpoints.bits.tolist(),
+            bog_endpoints.drivers.tolist(),
+            bog_endpoints.kinds,
+        )
     ]
     network = TimingNetwork(f"{bog.name}.{bog.variant}", columns)
     network.endpoints = endpoints

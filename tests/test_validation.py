@@ -3,13 +3,15 @@
 Every branch is hit on a graph with two offending nodes (or vertices), so the
 tests pin both the message and which offender is reported first: the lowest
 id, with a node's fanin checks before its arity check before its alphabet
-check, and endpoint checks after all nodes.
+check, and endpoint checks (driver, then register node) after all nodes.
 """
 
+import pickle
 import re
 
 import pytest
 
+from repro.bog import convert
 from repro.bog.graph import BOG, Node, NodeType
 from repro.liberty import pseudo_library
 from repro.sta import TimingEndpoint, TimingNetwork, VertexKind
@@ -97,6 +99,34 @@ class TestBOGValidate:
         g.add_endpoint("R[2]", "R", 2, -1)
         with _raises("endpoint R[1] has invalid driver"):
             g.validate()
+
+    @pytest.mark.parametrize("reg_node", [99, -1, 4])
+    def test_bad_endpoint_reg_node(self, reg_node):
+        g = _bog()
+        g.add_endpoint("R[1]", "R", 1, 5, reg_node=reg_node)
+        g.add_endpoint("R[2]", "R", 2, 5, reg_node=98)
+        with _raises(f"endpoint R[1] has invalid reg_node {reg_node}"):
+            g.validate()
+
+    @pytest.mark.parametrize("reg_node", [99, 4])
+    def test_bad_endpoint_reg_node_at_rest(self, reg_node):
+        g = _bog()
+        g.add_endpoint("R[1]", "R", 1, 5, reg_node=reg_node)
+        with _raises(f"endpoint R[1] has invalid reg_node {reg_node}"):
+            pickle.loads(pickle.dumps(g)).validate()
+
+    def test_driver_check_precedes_reg_node_check(self):
+        g = _bog()
+        g.add_endpoint("R[1]", "R", 1, 6, reg_node=99)
+        with _raises("endpoint R[1] has invalid driver"):
+            g.validate()
+
+    def test_convert_rejects_bad_reg_node(self):
+        g = BOG("three", variant="sog")
+        a, b = g.add_input("a"), g.add_input("b")
+        g.add_endpoint("q", "q", 0, g.AND(a, b), reg_node=99)
+        with _raises("endpoint q has invalid reg_node 99"):
+            convert(g, "aig")
 
     def test_node_errors_precede_endpoint_errors(self):
         g = _bog()
