@@ -18,7 +18,7 @@ def test_fig4_option_effect_on_distribution(dataset_records, benchmark):
     record = next(r for r in dataset_records if r.name == "b17")
     ranking = ranking_from_labels(record)
     clock = record.clock
-    sog = record.bogs["sog"]
+    sog = record.sog
 
     flows = {
         "default": SynthesisOptions(seed=11),

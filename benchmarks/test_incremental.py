@@ -90,7 +90,7 @@ def test_incremental_whatif_sweep_vs_full_resynthesis(
         started = time.perf_counter()
         with runtime_report.stage(FULL_RESYNTHESIS_STAGE):
             full_results = [
-                synthesize_bog(record.bogs["sog"], record.clock, options, seed=7)
+                synthesize_bog(record.sog, record.clock, options, seed=7)
                 for options in candidates
             ]
         full_seconds = time.perf_counter() - started

@@ -138,7 +138,7 @@ def test_optimize_speedup_vs_full_resynthesis(dataset_records, runtime_report, b
                 options = CandidateSpec.from_dict(entry.spec).realize(
                     ranking, seed=config.seed
                 )
-                synthesize_bog(record.bogs["sog"], record.clock, options, seed=config.seed)
+                synthesize_bog(record.sog, record.clock, options, seed=config.seed)
         full_seconds = time.perf_counter() - started
     runtime_report.merge(local)
 

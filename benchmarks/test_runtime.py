@@ -26,13 +26,13 @@ def test_runtime_fractions(dataset_records, benchmark):
 
     # Default synthesis runtime (label flow).
     started = time.perf_counter()
-    synthesize_bog(record.bogs["sog"], record.clock, SynthesisOptions(seed=3), seed=3)
+    synthesize_bog(record.sog, record.clock, SynthesisOptions(seed=3), seed=3)
     synthesis_runtime = time.perf_counter() - started
 
     # RTL processing runtime: representation construction + path sampling/features.
     started = time.perf_counter()
     build_variants(record.design)
-    for variant in record.bogs:
+    for variant in record.pseudo_networks:
         extract_path_dataset(record, variant, SamplingConfig())
     rtl_processing_runtime = time.perf_counter() - started
 
@@ -44,7 +44,7 @@ def test_runtime_fractions(dataset_records, benchmark):
     # Optimization flow runtime overhead.
     ranking = ranking_from_labels(record)
     started = time.perf_counter()
-    synthesize_bog(record.bogs["sog"], record.clock, options_from_ranking(ranking, seed=3), seed=3)
+    synthesize_bog(record.sog, record.clock, options_from_ranking(ranking, seed=3), seed=3)
     optimized_runtime = time.perf_counter() - started
 
     rows = [

@@ -120,9 +120,9 @@ def test_array_kernel_speedup_on_largest_design(
 def test_packed_simulation_speedup(dataset_records, runtime_report):
     """Acceptance: packed simulation is >= 20x per vector vs the scalar loop."""
     record = max(
-        dataset_records, key=lambda r: len(r.bogs["sog"].nodes)
+        dataset_records, key=lambda r: len(r.sog)
     )
-    sog = record.bogs["sog"]
+    sog = record.sog
     names = list(sog.sources)
     rng = random.Random(1234)
     vectors = [

@@ -8,13 +8,15 @@ four concrete variants used by RTL-Timer — SOG, AIG, AIMG and XAG — by
 restricting the operator alphabet (see :mod:`repro.bog.transforms`).
 
 A BOG is an append-only graph with constant folding and structural hashing,
-the "pseudo netlist" the paper runs pseudo-STA on.  At rest it is columns:
-int type codes and fanin tuples appended by the op constructors, the source
-map (which names every source node) and endpoint columns; pickles carry the
-type codes, an int32 fanin CSR, the source names and the endpoint columns.
-Code that walks the graph one node at a time — the synthesis mapper, the
-simulators and the fuzz oracles — reads :attr:`BOG.nodes`, which builds
-:class:`Node` objects once; from then on the objects are the source of truth.
+the "pseudo netlist" the paper runs pseudo-STA on.  Columns are its only
+source of truth: int type codes and fanin tuples appended by the op
+constructors (or, after unpickling, the int32 fanin CSR), the source map
+(which names every source node) and the endpoint rows or columns; pickles
+carry the type codes, the fanin CSR, the source names and the endpoint
+columns.  Code that walks the graph one node at a time — the synthesis
+mapper, the simulators and the fuzz oracles — reads :attr:`BOG.nodes` and
+:attr:`BOG.endpoints`, cached tuples of immutable :class:`Node` and
+:class:`Endpoint` views rebuilt after any construction.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import pairwise
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -85,31 +87,17 @@ def _canonical(array: np.ndarray) -> np.ndarray:
     return array.view(array.dtype.type)
 
 
-@dataclass(slots=True)
-class Node:
-    """A single BOG node."""
+class Node(NamedTuple):
+    """A read-only view of one BOG node."""
 
     id: int
     type: NodeType
     fanins: Tuple[int, ...] = ()
     name: Optional[str] = None  # set for INPUT / REG bits, e.g. "R1[3]"
 
-    @property
-    def is_source(self) -> bool:
-        return self.type in _SOURCE_TYPES
 
-    @property
-    def is_operator(self) -> bool:
-        return not self.is_source
-
-    def __repr__(self) -> str:
-        label = f" {self.name}" if self.name else ""
-        return f"Node({self.id}, {self.type.value}{label}, fanins={list(self.fanins)})"
-
-
-@dataclass(slots=True)
-class Endpoint:
-    """A timing endpoint: a register data pin or a primary output.
+class Endpoint(NamedTuple):
+    """A read-only view of one timing endpoint: a register data pin or a primary output.
 
     ``driver`` is the node whose output feeds the endpoint.  ``signal`` and
     ``bit`` identify the word-level RTL signal the endpoint belongs to, which
@@ -141,25 +129,22 @@ class EndpointColumns:
     reg_nodes: np.ndarray  # int32
 
     @classmethod
-    def gather(cls, endpoints: List[Endpoint]) -> "EndpointColumns":
-        n = len(endpoints)
+    def from_rows(cls, rows: List[tuple]) -> "EndpointColumns":
+        """Columns of ``(name, signal, bit, driver, kind, reg_node)`` rows (``None``: no register node)."""
+        names, signals, bits, drivers, kinds, reg_nodes = zip(*rows) if rows else ((),) * 6
         return cls(
-            [e.name for e in endpoints],
-            [e.signal for e in endpoints],
-            np.fromiter((e.bit for e in endpoints), dtype=np.int32, count=n),
-            np.fromiter((e.driver for e in endpoints), dtype=np.int32, count=n),
-            [e.kind for e in endpoints],
-            np.fromiter(
-                (-1 if e.reg_node is None else e.reg_node for e in endpoints),
-                dtype=np.int32,
-                count=n,
-            ),
+            list(names),
+            list(signals),
+            np.array(bits, dtype=np.int32),
+            np.array(drivers, dtype=np.int32),
+            list(kinds),
+            np.array([-1 if r is None else r for r in reg_nodes], dtype=np.int32),
         )
 
-    def endpoints(self) -> List[Endpoint]:
-        """One :class:`Endpoint` per row."""
+    def rows(self) -> List[tuple]:
+        """One ``(name, signal, bit, driver, kind, reg_node)`` row per endpoint."""
         return [
-            Endpoint(name, signal, bit, driver, kind, None if reg_node < 0 else reg_node)
+            (name, signal, bit, driver, kind, None if reg_node < 0 else reg_node)
             for name, signal, bit, driver, kind, reg_node in zip(
                 self.names,
                 self.signals,
@@ -174,13 +159,13 @@ class EndpointColumns:
 class BOG:
     """Bit-level Boolean operator graph with structural hashing.
 
-    The graph is in one of three forms, and exactly one is the source of
-    truth: the build columns (``_codes`` / ``_fanins``, appended by the op
-    constructors), the fanin CSR alone (after unpickling), or the node
-    objects (once :attr:`nodes` has been read).  Constructing a node on a
-    graph in either of the last two forms first rebuilds the build columns
-    and the structural hash table from it; node objects handed out earlier
-    are then detached.
+    The graph is columns.  Nodes are the build lists (``_codes`` /
+    ``_fanins``, appended by the op constructors) or, after unpickling, the
+    fanin CSR alone; constructing a node on an unpickled graph first rebuilds
+    the build lists and the structural hash table from the CSR.  Endpoints
+    are rows appended by :meth:`add_endpoint` or, at rest, an
+    :class:`EndpointColumns`.  :attr:`nodes` and :attr:`endpoints` are
+    read-only views of the columns.
     """
 
     def __init__(self, name: str, variant: str = "sog"):
@@ -196,13 +181,15 @@ class BOG:
         self._codes: Optional[List[int]] = []
         self._fanins: Optional[List[Tuple[int, ...]]] = []
         self._strash: Optional[Dict[Tuple[int, ...], int]] = {}
-        self._nodes: Optional[List[Node]] = None
         self._csr: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
-        self._endpoints: Optional[List[Endpoint]] = []
+        self._endpoint_rows: Optional[List[tuple]] = []
         self._endpoint_columns: Optional[EndpointColumns] = None
+        # The read-only views, dropped whenever the columns grow.
+        self._nodes: Optional[Tuple[Node, ...]] = None
+        self._endpoints: Optional[Tuple[Endpoint, ...]] = None
 
     def __getstate__(self) -> dict:
-        # Pickles carry columns only: never node objects or the strash table.
+        # Pickles carry columns only: never the views or the strash table.
         sources = self.sources
         return {
             "name": self.name,
@@ -229,29 +216,22 @@ class BOG:
     # -- representations -----------------------------------------------------
 
     @property
-    def nodes(self) -> List[Node]:
-        """The node objects, built on first access; from then on the source of truth."""
+    def nodes(self) -> Tuple[Node, ...]:
+        """Read-only :class:`Node` views of the nodes, cached until a node is added."""
         if self._nodes is None:
             codes, fanins = self._rows()
-            self._nodes = [
+            self._nodes = tuple(
                 Node(node_id, _TYPES[code], node_fanins, name)
                 for node_id, (code, node_fanins, name) in enumerate(
                     zip(codes, fanins, self.node_names())
                 )
-            ]
-            self._codes = self._fanins = self._strash = None
-            self._csr = None
+            )
         return self._nodes
 
     def _rows(self) -> Tuple[List[int], List[Tuple[int, ...]]]:
-        """Type codes and fanin tuples of the nodes, from the current form."""
+        """Type codes and fanin tuples of the nodes: the build lists, else read off the CSR."""
         if self._codes is not None:
             return self._codes, self._fanins
-        if self._nodes is not None:
-            return (
-                [NODE_TYPE_CODE[node.type] for node in self._nodes],
-                [node.fanins for node in self._nodes],
-            )
         codes, indptr, indices = self._csr
         flat = indices.tolist()
         return codes.tolist(), [tuple(flat[lo:hi]) for lo, hi in pairwise(indptr.tolist())]
@@ -262,53 +242,45 @@ class BOG:
         Type codes index :data:`NODE_TYPE_CODE`; the int32 CSR lists each
         node's fanins in order.  The arrays are cached until a node is
         added, so the lowering of a freshly validated graph
-        (:func:`repro.sta.network.from_bog`) reuses the checked arrays; once
-        node objects exist they are gathered afresh on every call.
+        (:func:`repro.sta.network.from_bog`) reuses the checked arrays.
         """
-        if self._csr is not None:
-            return self._csr
-        from repro.sta.csr import build_fanin_csr
+        if self._csr is None:
+            from repro.sta.csr import build_fanin_csr
 
-        codes, fanins = self._rows()
-        csr = (np.array(codes, dtype=np.int8), *build_fanin_csr(fanins))
-        if self._nodes is None:
-            self._csr = csr
-        return csr
+            self._csr = (np.array(self._codes, dtype=np.int8), *build_fanin_csr(self._fanins))
+        return self._csr
 
     def node_names(self) -> List[Optional[str]]:
         """Name of each node: the source bit name, ``None`` for the rest."""
-        if self._nodes is not None:
-            return [node.name for node in self._nodes]
         names: List[Optional[str]] = [None] * len(self)
         for name, node_id in self.sources.items():
             names[node_id] = name
         return names
 
     @property
-    def endpoints(self) -> List[Endpoint]:
-        """The endpoint objects, built from the columns on first access."""
+    def endpoints(self) -> Tuple[Endpoint, ...]:
+        """Read-only :class:`Endpoint` views of the endpoints, cached until one is added."""
         if self._endpoints is None:
-            self._endpoints = self._endpoint_columns.endpoints()
-            self._endpoint_columns = None
+            self._endpoints = tuple(map(Endpoint._make, self.endpoint_columns().rows()))
         return self._endpoints
 
     def endpoint_columns(self) -> EndpointColumns:
-        """The endpoints as columns: their own at rest, else gathered from the objects."""
-        if self._endpoints is None:
-            return self._endpoint_columns
-        return EndpointColumns.gather(self._endpoints)
+        """The endpoints as columns, gathered from the appended rows once they are needed."""
+        if self._endpoint_columns is None:
+            self._endpoint_columns = EndpointColumns.from_rows(self._endpoint_rows)
+        return self._endpoint_columns
 
     def set_endpoint_columns(self, columns: EndpointColumns) -> None:
         """Replace the endpoints with ``columns`` (the graph holds them at rest)."""
-        self._endpoints = None
+        self._endpoint_rows = None
         self._endpoint_columns = columns
+        self._endpoints = None
 
     # -- construction --------------------------------------------------------
 
     def _editable(self) -> Dict[Tuple[int, ...], int]:
-        """Make the build columns the source of truth; return the rebuilt strash table."""
-        codes, fanins = self._rows()
-        self._codes, self._fanins, self._nodes = codes, fanins, None
+        """Rebuild the build lists and the strash table from the CSR; return the table."""
+        self._codes, self._fanins = codes, fanins = self._rows()
         strash: Dict[Tuple[int, ...], int] = {}
         for node_id, (code, node_fanins) in enumerate(zip(codes, fanins)):
             if _IS_OPERATOR[code]:
@@ -322,7 +294,7 @@ class BOG:
             self._editable()
         self._codes.append(code)
         self._fanins.append(fanins)
-        self._csr = None
+        self._csr = self._nodes = None
         return len(self._codes) - 1
 
     def _hashed(self, key: Tuple[int, ...], fanins: Tuple[int, ...]) -> int:
@@ -336,7 +308,7 @@ class BOG:
             node_id = strash[key] = len(codes)
             codes.append(key[0])
             self._fanins.append(fanins)
-            self._csr = None
+            self._csr = self._nodes = None
         return node_id
 
     def _not_allowed(self, code: int) -> ValueError:
@@ -441,47 +413,31 @@ class BOG:
         driver: int,
         kind: str = "register",
         reg_node: Optional[int] = None,
-    ) -> Endpoint:
+    ) -> None:
         """Register a timing endpoint fed by node ``driver``."""
-        endpoint = Endpoint(
-            name=name, signal=signal, bit=bit, driver=driver, kind=kind, reg_node=reg_node
-        )
-        self.endpoints.append(endpoint)
-        return endpoint
+        if self._endpoint_rows is None:
+            self._endpoint_rows = self._endpoint_columns.rows()
+        # A row keeps an explicit reg_node of -1 apart from None, so that
+        # validate() reports it; the columns write both as -1.
+        self._endpoint_rows.append((name, signal, bit, driver, kind, reg_node))
+        self._endpoint_columns = self._endpoints = None
 
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._nodes is not None:
-            return len(self._nodes)
-        if self._codes is not None:
-            return len(self._codes)
-        return len(self._csr[0])
-
-    @property
-    def operator_nodes(self) -> List[Node]:
-        return [n for n in self.nodes if n.is_operator]
-
-    def fanouts(self) -> List[List[int]]:
-        """Fanout adjacency (node id -> ascending consumer node ids)."""
-        from repro.sta.csr import invert_csr
-
-        codes, indptr, indices = self.fanin_csr()
-        out_ptr, out_indices = invert_csr(len(codes), indptr, indices)
-        flat = out_indices.tolist()
-        return [flat[lo:hi] for lo, hi in pairwise(out_ptr.tolist())]
+        return len(self._codes) if self._codes is not None else len(self._csr[0])
 
     def topological_order(self) -> List[int]:
         """Node ids in topological order (sources first), validated.
 
         The construction order is topological because fanins must exist
-        before an operator referencing them can be created — but node
-        objects can be edited by hand, so the invariant is *checked* here
-        rather than assumed: a graph whose ids are not a topological order
-        raises instead of letting evaluators silently read stale fanin
-        values.  Both the scalar and the bit-packed simulators iterate this
-        order, and the levelization they share (:meth:`levels`) relies on
-        the same invariant.
+        before an operator referencing them can be created — but a graph
+        unpickled from untrusted bytes need not have been constructed, so
+        the invariant is *checked* here rather than assumed: a graph whose
+        ids are not a topological order raises instead of letting
+        evaluators silently read stale fanin values.  Both the scalar and
+        the bit-packed simulators iterate this order, and the levelization
+        they share (:meth:`levels`) relies on the same invariant.
         """
         _, indptr, indices = self.fanin_csr()
         owner = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
@@ -510,25 +466,6 @@ class BOG:
             return 0
         levels = self.levels()
         return max(levels[driver] for driver in drivers)
-
-    def transitive_fanin(self, node_id: int) -> Set[int]:
-        """All node ids in the transitive fanin cone of ``node_id`` (inclusive)."""
-        _, fanins = self._rows()
-        seen: Set[int] = set()
-        stack = [node_id]
-        while stack:
-            current = stack.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            stack.extend(fanins[current])
-        return seen
-
-    def driving_registers(self, node_id: int) -> List[int]:
-        """Register/input source nodes in the transitive fanin of ``node_id``."""
-        codes = self.fanin_csr()[0]
-        cone = self.transitive_fanin(node_id)
-        return [n for n in cone if codes[n] in (_REG, _INPUT)]
 
     def type_counts(self) -> Dict[str, int]:
         """Number of nodes per node type."""
@@ -571,10 +508,11 @@ class BOG:
 
         endpoints = self.endpoint_columns()
         drivers, reg_nodes = endpoints.drivers, endpoints.reg_nodes
-        if self._endpoints is None:
+        rows = self._endpoint_rows
+        if rows is None:
             has_reg = reg_nodes != -1
         else:
-            has_reg = np.array([e.reg_node is not None for e in self._endpoints], dtype=bool)
+            has_reg = np.array([row[5] is not None for row in rows], dtype=bool)
         in_range = (reg_nodes >= 0) & (reg_nodes < n)
         is_reg = np.zeros(len(reg_nodes), dtype=bool)
         is_reg[in_range] = codes[reg_nodes[in_range]] == _REG

@@ -4,7 +4,10 @@ One :class:`DesignRecord` bundles everything RTL-Timer needs for a single
 design:
 
 * the word-level design parsed from (generated or user) Verilog,
-* the four BOG representation variants and their pseudo-STA reports,
+* the SOG, the one BOG read after lowering (label synthesis maps it),
+* the timing networks and pseudo-STA reports of all four BOG variants
+  (:data:`~repro.bog.graph.BOG_VARIANTS`); the AIG, AIMG and XAG graphs
+  themselves are dropped once lowered,
 * the ground-truth synthesis run (default options) whose netlist STA provides
   the per-endpoint arrival-time labels, plus design WNS/TNS,
 * the per-design clock constraint.
@@ -19,9 +22,9 @@ problem, which is driven by arrival times).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
-from repro.bog.graph import BOG, BOG_VARIANTS
+from repro.bog.graph import BOG
 from repro.bog.transforms import build_variants
 from repro.hdl.design import Design, analyze
 from repro.hdl.generate import BENCHMARK_SPECS, DesignSpec, generate_design
@@ -38,10 +41,8 @@ from repro.synth.optimizer import SynthesisOptions
 class DatasetConfig:
     """Knobs for dataset generation."""
 
-    variants: Tuple[str, ...] = BOG_VARIANTS
     clock_utilization: float = 0.82
     pseudo_clock_period: float = 1000.0
-    seed: int = 0
 
 
 @dataclass
@@ -52,7 +53,7 @@ class DesignRecord:
     spec: Optional[DesignSpec]
     design: Design
     source: str
-    bogs: Dict[str, BOG]
+    sog: BOG
     pseudo_networks: Dict[str, TimingNetwork]
     pseudo_reports: Dict[str, STAReport]
     synthesis: SynthesisResult
@@ -107,7 +108,7 @@ class DesignRecord:
         return self.label_report.tns
 
     def summary(self) -> Dict[str, float]:
-        stats = self.bogs["sog"].stats()
+        stats = self.sog.stats()
         return {
             "n_endpoints": float(len(self.labels)),
             "n_signals": float(len(self.signal_labels())),
@@ -148,7 +149,7 @@ def build_design_record(
         design_name = name
 
     with _stage("dataset.bog_variants"):
-        bogs = build_variants(design, tuple(config.variants))
+        bogs = build_variants(design)
 
     pseudo_clock = ClockConstraint(period=config.pseudo_clock_period)
     pseudo_networks: Dict[str, TimingNetwork] = {}
@@ -159,10 +160,12 @@ def build_design_record(
             pseudo_networks[variant] = network
             pseudo_reports[variant] = sta_analyze(network, pseudo_clock)
 
+    # Nothing reads the AIG, AIMG or XAG graphs once they are lowered.
+    sog = bogs["sog"]
     with _stage("dataset.label_synthesis"):
         # Ground-truth synthesis with default options.
         provisional_clock = ClockConstraint(period=config.pseudo_clock_period)
-        synthesis = synthesize_bog(bogs["sog"], provisional_clock, SynthesisOptions())
+        synthesis = synthesize_bog(sog, provisional_clock, SynthesisOptions())
 
         # Choose the design clock so that a realistic fraction of endpoints
         # violate, then recompute the label report against that clock.
@@ -181,7 +184,7 @@ def build_design_record(
     # Keep only endpoints that also exist in the RTL representation (register
     # consistency; retiming is never applied to the label run so in practice
     # this keeps everything).
-    rtl_endpoints = {e.name for e in bogs["sog"].endpoints if e.kind == "register"}
+    rtl_endpoints = {e.name for e in sog.endpoints if e.kind == "register"}
     labels = {name: arrival for name, arrival in labels.items() if name in rtl_endpoints}
 
     return DesignRecord(
@@ -189,7 +192,7 @@ def build_design_record(
         spec=spec,
         design=design,
         source=source,
-        bogs=bogs,
+        sog=sog,
         pseudo_networks=pseudo_networks,
         pseudo_reports=pseudo_reports,
         synthesis=synthesis,

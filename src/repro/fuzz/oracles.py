@@ -596,7 +596,7 @@ def array_vs_reference_features(ctx: FuzzContext, rng: random.Random) -> List[st
         spec=None,
         design=ctx.design,
         source=ctx.fuzz.source,
-        bogs=ctx.variants,
+        sog=ctx.variants["sog"],
         pseudo_networks=networks,
         pseudo_reports=reports,
         synthesis=None,

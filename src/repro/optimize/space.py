@@ -249,7 +249,7 @@ def cached_synthesize(
     """One full synthesis run through the content-addressed artifact cache."""
 
     def builder() -> SynthesisResult:
-        return synthesize_bog(record.bogs["sog"], clock, options, seed=seed)
+        return synthesize_bog(record.sog, clock, options, seed=seed)
 
     if cache is None:
         return builder()

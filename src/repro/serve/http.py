@@ -131,6 +131,9 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
         service = self.server.service
         name = payload.get("name")
         source = payload.get("source")
+        if name is not None and not isinstance(name, str):
+            self._send_error_json(400, "'name' must be a string")
+            return None
         if source is not None:
             if not isinstance(source, str):
                 self._send_error_json(400, "'source' must be a Verilog source string")
@@ -179,6 +182,12 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
         payload = self._read_body()
         if payload is None:
             return
+        k = payload.get("k")
+        if self.path == "/whatif" and k is not None and (
+            isinstance(k, bool) or not isinstance(k, int) or k < 1
+        ):
+            self._send_error_json(400, "'k' must be a positive integer")
+            return
         try:
             record = self._record_from(payload)
             if record is None:
@@ -188,10 +197,6 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
                 response = prediction_to_json(prediction)
                 response["serve"] = stats
             else:
-                k = payload.get("k")
-                if k is not None and (not isinstance(k, int) or k < 1):
-                    self._send_error_json(400, "'k' must be a positive integer")
-                    return
                 estimates = self.server.service.what_if(record, k=k)
                 response = {
                     "design": record.name,

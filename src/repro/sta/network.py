@@ -368,7 +368,7 @@ def from_bog(bog: BOG, library: Optional[Library] = None) -> TimingNetwork:
 
     Vertex ``i`` is node ``i``, so the lowering is array passes over the
     BOG's cached fanin CSR, names and endpoint columns: each pseudo cell is
-    resolved once per node type, and neither BOG node objects nor vertex
+    resolved once per node type, and neither BOG node views nor vertex
     objects are built.
     """
     library = library or pseudo_library()

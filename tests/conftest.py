@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings as hypothesis_settings
 
+from repro.bog.graph import BOG, NODE_TYPE_CODE
 from repro.core.dataset import DatasetConfig, DesignRecord, build_design_record
 from repro.hdl.design import analyze
 from repro.hdl.generate import DesignSpec
 from repro.hdl.parser import parse_source
+from repro.sta.csr import build_fanin_csr
 
 #: Per-test example budget before scaling (uniform across the suite).
 BASE_MAX_EXAMPLES = 25
@@ -113,3 +116,31 @@ def tiny_record(tiny_records) -> DesignRecord:
 @pytest.fixture(scope="session")
 def simple_record(simple_source) -> DesignRecord:
     return build_design_record(simple_source, name="simple")
+
+
+def corrupted_bog(graph: BOG, rows: dict) -> BOG:
+    """A fresh BOG unpickled from ``graph``'s columns with node rows rewritten.
+
+    ``rows`` maps a node id to ``(NodeType, fanins)``; ids past the last
+    node append rows in id order.  The op constructors cannot build such a
+    graph, but a pickle from the disk cache can carry one.
+    """
+    state = graph.__getstate__()
+    codes, indptr, indices = state["fanin_csr"]
+    flat = indices.tolist()
+    nodes = [
+        (code, flat[lo:hi]) for code, lo, hi in zip(codes.tolist(), indptr.tolist(), indptr[1:].tolist())
+    ]
+    for node_id, (node_type, fanins) in sorted(rows.items()):
+        row = (NODE_TYPE_CODE[node_type], list(fanins))
+        if node_id < len(nodes):
+            nodes[node_id] = row
+        else:
+            nodes.append(row)
+    state["fanin_csr"] = (
+        np.array([code for code, _ in nodes], dtype=np.int8),
+        *build_fanin_csr([fanins for _, fanins in nodes]),
+    )
+    corrupted = BOG.__new__(BOG)
+    corrupted.__setstate__(state)
+    return corrupted

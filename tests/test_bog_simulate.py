@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.bog.builder import build_sog
-from repro.bog.graph import BOG
+from repro.bog.graph import BOG, NodeType
 from repro.bog.simulate import (
     PACKED_LANES,
     evaluate_endpoints,
@@ -17,6 +17,8 @@ from repro.bog.simulate import (
     unpack_lane,
 )
 from repro.bog.transforms import build_variants
+
+from tests.conftest import corrupted_bog
 
 
 @pytest.fixture
@@ -129,8 +131,7 @@ class TestTopologicalOrderValidation:
         node = g.AND(a, b)
         g.add_endpoint("R[0]", "R", 0, node, reg_node=r)
         # Point the AND at a node id that does not precede it.
-        g.nodes[node].fanins = (node, b)
-        return g
+        return corrupted_bog(g, {node: (NodeType.AND, (node, b))})
 
     def test_corrupted_graph_rejected_by_topological_order(self):
         with pytest.raises(ValueError, match="not a topological order"):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bog import BOG, BOG_VARIANTS, build_variants
 from repro.core.dataset import dataset_summary
 from repro.core.features import (
     PATH_FEATURE_NAMES,
@@ -16,12 +17,16 @@ from repro.core.sampling import SamplingConfig, sample_count, sample_design_path
 
 class TestDataset:
     def test_record_contains_all_variants(self, tiny_record):
-        assert set(tiny_record.bogs) == {"sog", "aig", "aimg", "xag"}
-        assert set(tiny_record.pseudo_reports) == set(tiny_record.bogs)
+        assert isinstance(tiny_record.sog, BOG) and tiny_record.sog.variant == "sog"
+        assert not hasattr(tiny_record, "bogs")
+        assert tuple(tiny_record.pseudo_networks) == BOG_VARIANTS
+        assert tuple(tiny_record.pseudo_reports) == BOG_VARIANTS
+        for variant, graph in build_variants(tiny_record.design).items():
+            assert len(tiny_record.pseudo_networks[variant]) == len(graph)
 
     def test_labels_cover_register_endpoints(self, tiny_record):
         rtl_registers = {
-            e.name for e in tiny_record.bogs["sog"].endpoints if e.kind == "register"
+            e.name for e in tiny_record.sog.endpoints if e.kind == "register"
         }
         assert set(tiny_record.labels) == rtl_registers
         assert all(value >= 0 for value in tiny_record.labels.values())

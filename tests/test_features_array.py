@@ -92,7 +92,7 @@ def _record(network: TimingNetwork) -> DesignRecord:
         spec=None,
         design=None,
         source="",
-        bogs={},
+        sog=None,
         pseudo_networks={"sog": network},
         pseudo_reports={"sog": report},
         synthesis=None,

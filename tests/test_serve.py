@@ -328,7 +328,7 @@ def test_http_health_and_metrics(http_server):
     assert "active_bundle_id" in metrics["serving"]
 
 
-def test_http_error_paths(http_server):
+def test_http_error_paths(http_server, simple_source):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _get(http_server, "/nope")
     assert excinfo.value.code == 404
@@ -349,6 +349,24 @@ def test_http_error_paths(http_server):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(http_server, "/whatif", {"name": "whatever", "k": -3})
     assert excinfo.value.code in (400, 404)
+
+    # A name must be a string: a list is unhashable, and an int 7 would share
+    # the record cache key of the string "7".
+    for path, payload in (
+        ("/predict", {"name": ["x"]}),
+        ("/predict", {"source": simple_source, "name": 7}),
+        ("/whatif", {"name": ["x"]}),
+    ):
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            _post(http_server, path, payload)
+        assert excinfo.value.code == 400
+        assert "'name' must be a string" in json.loads(excinfo.value.read())["error"]
+
+    # JSON true is a Python int, but not a candidate count.
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(http_server, "/whatif", {"name": "whatever", "k": True})
+    assert excinfo.value.code == 400
+    assert "'k' must be a positive integer" in json.loads(excinfo.value.read())["error"]
 
 
 def test_http_post_unknown_path_does_not_desync_keepalive(http_server):

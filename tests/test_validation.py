@@ -4,6 +4,8 @@ Every branch is hit on a graph with two offending nodes (or vertices), so the
 tests pin both the message and which offender is reported first: the lowest
 id, with a node's fanin checks before its arity check before its alphabet
 check, and endpoint checks (driver, then register node) after all nodes.
+Malformed BOGs are unpickled from corrupted columns, the form in which
+untrusted bytes arrive from the disk cache.
 """
 
 import pickle
@@ -12,9 +14,11 @@ import re
 import pytest
 
 from repro.bog import convert
-from repro.bog.graph import BOG, Node, NodeType
+from repro.bog.graph import BOG, NodeType
 from repro.liberty import pseudo_library
 from repro.sta import TimingEndpoint, TimingNetwork, VertexKind
+
+from tests.conftest import corrupted_bog
 
 LIB = pseudo_library()
 
@@ -39,57 +43,43 @@ class TestBOGValidate:
         _bog().validate()
 
     def test_fanin_that_does_not_precede(self):
-        g = _bog()
-        g.nodes[4].fanins = (0, 5)
-        g.nodes[5].fanins = (5, 1)
+        g = corrupted_bog(_bog(), {4: (NodeType.AND, (0, 5)), 5: (NodeType.AND, (5, 1))})
         with _raises("node 4 has fanin 5 that does not precede it"):
             g.validate()
 
     def test_negative_fanin(self):
-        g = _bog()
-        g.nodes[5].fanins = (0, -1)
-        g.nodes[4].fanins = (-3, 1)
+        g = corrupted_bog(_bog(), {5: (NodeType.AND, (0, -1)), 4: (NodeType.AND, (-3, 1))})
         with _raises("node 4 has out-of-range fanin -3"):
             g.validate()
 
     def test_fanin_check_precedes_arity_check(self):
-        g = _bog()
-        g.nodes[5].fanins = (9,)
+        g = corrupted_bog(_bog(), {5: (NodeType.AND, (9,))})
         with _raises("node 5 has fanin 9 that does not precede it"):
             g.validate()
 
     def test_not_arity(self):
-        g = _bog()
-        g.nodes.append(Node(6, NodeType.NOT, (0, 1)))
-        g.nodes.append(Node(7, NodeType.NOT, ()))
+        g = corrupted_bog(_bog(), {6: (NodeType.NOT, (0, 1)), 7: (NodeType.NOT, ())})
         with _raises("NOT node 6 must have exactly one fanin"):
             g.validate()
 
     @pytest.mark.parametrize("node_type", [NodeType.AND, NodeType.OR, NodeType.XOR])
     def test_binary_arity(self, node_type):
-        g = _bog()
-        g.nodes.append(Node(6, node_type, (0,)))
-        g.nodes.append(Node(7, node_type, (0, 1, 2)))
+        g = corrupted_bog(_bog(), {6: (node_type, (0,)), 7: (node_type, (0, 1, 2))})
         with _raises(f"{node_type.value} node 6 must have two fanins"):
             g.validate()
 
     def test_mux_arity(self):
-        g = _bog()
-        g.nodes.append(Node(6, NodeType.MUX, (0, 1)))
-        g.nodes.append(Node(7, NodeType.MUX, (0, 1, 2, 3)))
+        g = corrupted_bog(_bog(), {6: (NodeType.MUX, (0, 1)), 7: (NodeType.MUX, (0, 1, 2, 3))})
         with _raises("MUX node 6 must have three fanins"):
             g.validate()
 
     def test_arity_check_precedes_alphabet_check(self):
-        g = _bog("aig")
-        g.nodes.append(Node(6, NodeType.MUX, (0, 1)))
+        g = corrupted_bog(_bog("aig"), {6: (NodeType.MUX, (0, 1))})
         with _raises("MUX node 6 must have three fanins"):
             g.validate()
 
     def test_operator_outside_alphabet(self):
-        g = _bog("aig")
-        g.nodes.append(Node(6, NodeType.XOR, (0, 1)))
-        g.nodes.append(Node(7, NodeType.OR, (0, 1)))
+        g = corrupted_bog(_bog("aig"), {6: (NodeType.XOR, (0, 1)), 7: (NodeType.OR, (0, 1))})
         with _raises("node 6 of type xor is not allowed in variant 'aig'"):
             g.validate()
 
@@ -131,7 +121,7 @@ class TestBOGValidate:
     def test_node_errors_precede_endpoint_errors(self):
         g = _bog()
         g.add_endpoint("R[1]", "R", 1, 60)
-        g.nodes.append(Node(6, NodeType.NOT, ()))
+        g = corrupted_bog(g, {6: (NodeType.NOT, ())})
         with _raises("NOT node 6 must have exactly one fanin"):
             g.validate()
 
