@@ -92,7 +92,7 @@ def main() -> None:
 
     service = TimingService(
         timer,
-        ServeConfig(max_batch=8, batch_window_s=0.005),
+        ServeConfig(max_batch=8),
         manifest=registry.manifest(MODEL_NAME),
     )
     server = start_server(service, port=0)  # OS-assigned free port

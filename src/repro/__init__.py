@@ -15,7 +15,7 @@ Public entry points (see ``docs/api.md`` for the full reference):
 * :func:`repro.core.build_dataset` -- benchmark suite + label generation
   (parallel + cached via :mod:`repro.runtime`),
 * :mod:`repro.serve` -- the serving layer: versioned model registry
-  (``save_model`` / ``load_model``), the micro-batching
+  (``save_model`` / ``load_model``), the batching
   :class:`~repro.serve.TimingService` and the JSON-over-HTTP server,
 * :mod:`repro.cli` -- the unified ``python -m repro`` command line
   (``train`` / ``predict`` / ``whatif`` / ``serve`` / ``dataset`` /

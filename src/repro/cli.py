@@ -204,11 +204,7 @@ def cmd_serve(args) -> int:
 
     registry = _registry(args)
     timer, manifest = registry.load_with_manifest(args.model)
-    config = settings.configure(
-        ServeConfig,
-        max_batch=args.max_batch,
-        batch_window_s=args.batch_window_ms / 1000.0,
-    )
+    config = settings.configure(ServeConfig, max_batch=args.max_batch)
     if args.workers > 0:
         from repro.serve.service import PooledTimingService
         from repro.serve.supervisor import PoolConfig
@@ -472,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     common_model_args(serve, with_source=False)
     serve.add_argument("--host", default="127.0.0.1", help="bind address (default 127.0.0.1)")
     serve.add_argument("--port", type=int, default=8421, help="bind port (default 8421; 0 = OS-assigned)")
-    serve.add_argument("--max-batch", type=int, default=16, help="max requests fused per model pass")
-    serve.add_argument("--batch-window-ms", type=float, default=5.0, help="micro-batch window (default 5 ms)")
+    serve.add_argument("--max-batch", type=int, default=16, help="max queued requests per model pass")
     serve.add_argument(
         "--workers", type=int, default=0,
         help="supervised worker processes (0 = in-process serving; default 0)",

@@ -112,14 +112,12 @@ def apply_wire_loads(network: TimingNetwork, placement: Placement) -> None:
     for vertex in network.vertices:
         length = placement.wirelength(network, vertex.id)
         vertex.extra_load = WIRE_CAP_PER_UM * length
-    network.invalidate()
 
 
 def clear_wire_loads(network: TimingNetwork) -> None:
     """Remove placement-derived wire loads (back to the synthesis view)."""
     for vertex in network.vertices:
         vertex.extra_load = 0.0
-    network.invalidate()
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,7 @@ class RuntimeReport:
         serve_requests = self.counters.get("serve_requests", 0)
         serve_batches = self.counters.get("serve_batches", 0)
         if serve_requests and serve_batches:
-            # Realized micro-batch size of the serving layer (1.0 = no fusion).
+            # Realized batch size of the serving layer (1.0 = no fusion).
             derived["serve_batch_size"] = round(serve_requests / serve_batches, 2)
         optimize_evals = self.counters.get("optimize_evals", 0)
         score_seconds = self.stages.get(OPT_SCORE_STAGE, 0.0)

@@ -8,8 +8,8 @@ This package is the repo's train-once/serve-many boundary:
   bit-identically to the fitted originals,
 * :mod:`repro.serve.service` — :class:`TimingService`, a load-once,
   thread-safe facade over :class:`~repro.core.pipeline.RTLTimer` that
-  micro-batches concurrent predict calls into single ``predict_batch``
-  passes and records ``serve.*`` runtime stages,
+  batches predict calls queued behind a running pass into single
+  ``predict_batch`` passes and records ``serve.*`` runtime stages,
 * :mod:`repro.serve.http` — a stdlib JSON-over-HTTP server exposing
   ``/predict``, ``/whatif``, ``/health`` and ``/metrics``,
 * :mod:`repro.serve.resilience` — admission control, deadlines and the

@@ -276,7 +276,6 @@ def run_campaign(
             service = PooledTimingService(
                 timer,
                 config=ServeConfig(
-                    batch_window_s=0.02,
                     deadline_s=config.deadline_s,
                     # Keep the in-memory record LRU smaller than the design
                     # rotation so raw-source requests keep hitting the disk

@@ -1,12 +1,12 @@
 """Load-once, thread-safe serving facade over :class:`RTLTimer`.
 
 A :class:`TimingService` owns one fitted timer and answers prediction
-requests from many threads.  Requests that arrive close together are
-**micro-batched**: the first request of a batch waits up to
-``batch_window_s`` for companions, then the whole group runs through one
-:meth:`RTLTimer.predict_batch` call — amortizing per-stage model dispatch
-and sharing the warm path-feature cache — and every caller gets exactly the
-prediction it would have gotten from a serial in-process ``predict``
+requests from many threads.  One batcher thread serves the queue: whenever
+it is free it takes every queued request (up to ``max_batch``) into one
+:meth:`RTLTimer.predict_batch` call, and it never waits for companions, so
+requests are batched only when they queue up behind a running pass.  Every
+caller gets exactly the prediction it would have gotten from a serial
+in-process ``predict``
 (predict_batch is element-wise identical by construction, covered by
 ``tests/test_runtime_engine.py`` and re-asserted for the service in
 ``tests/test_serve.py``).
@@ -59,11 +59,8 @@ class ServeConfig:
     from the ``REPRO_SERVE_*`` environment.
     """
 
-    #: Maximum number of requests fused into one ``predict_batch`` call.
+    #: Maximum number of queued requests taken into one ``predict_batch`` call.
     max_batch: int = 16
-    #: How long the first request of a batch waits for companions (seconds).
-    #: 0 disables micro-batching (every request runs alone, still async-safe).
-    batch_window_s: float = 0.005
     #: Default candidate count for ``what_if`` when none are supplied.
     whatif_k: int = 8
     #: In-process DesignRecords kept hot for repeated source payloads (LRU);
@@ -95,7 +92,7 @@ class _Request:
 
 
 class TimingService:
-    """Thread-safe, micro-batching inference service over one fitted timer."""
+    """Thread-safe, batching inference service over one fitted timer."""
 
     def __init__(
         self,
@@ -206,8 +203,8 @@ class TimingService:
     ) -> RTLTimerPrediction:
         """Predict one design; bit-identical to in-process ``timer.predict``.
 
-        Thread-safe: concurrent callers are fused into one batched model
-        pass when they arrive within the batching window.
+        Thread-safe: callers queued behind a running model pass share the
+        next one.
         """
         prediction, _ = self.predict_with_stats(record, deadline_s=deadline_s)
         return prediction
@@ -359,24 +356,17 @@ class TimingService:
     # -- batching worker -----------------------------------------------------------
 
     def _take_batch(self) -> Optional[List[_Request]]:
-        """Block until a batch is ready (or the service closes)."""
-        config = self.config
+        """Block until a request is queued (or the service closes), then take
+        up to ``max_batch`` of what is queued — without waiting for more."""
         # Clamp like the other ServeConfig knobs: max_batch <= 0 would make
         # the slice below never take anything while the queue stays
         # non-empty — a busy-spinning worker and callers blocked forever.
-        max_batch = max(config.max_batch, 1)
+        max_batch = max(self.config.max_batch, 1)
         with self._wakeup:
             while not self._queue and not self._closed:
                 self._wakeup.wait()
             if not self._queue or self._abort:
                 return None  # closed with an empty queue, or close(drain=False)
-            deadline = time.perf_counter() + config.batch_window_s
-            while (
-                len(self._queue) < max_batch
-                and not self._closed
-                and (remaining := deadline - time.perf_counter()) > 0.0
-            ):
-                self._wakeup.wait(timeout=remaining)
             batch = self._queue[:max_batch]
             del self._queue[:max_batch]
             return batch
@@ -444,7 +434,7 @@ class PooledTimingService(TimingService):
     """A :class:`TimingService` whose predicts run on a supervised worker pool.
 
     The parent keeps everything the single-process service has — admission,
-    micro-batch queueing, deadlines, per-request error isolation — and
+    batch queueing, deadlines, per-request error isolation — and
     fans each taken batch out over :class:`~repro.serve.supervisor.WorkerPool`
     workers.  Records stamped with a build key (every record from
     :meth:`record_for_source`) are pinned by that key, and each worker keeps

@@ -24,7 +24,7 @@ a restart storm.
 
 :class:`~repro.serve.service.PooledTimingService` plugs the pool into the
 :class:`~repro.serve.service.TimingService` front end: admission,
-micro-batch queueing, deadlines and per-request error isolation stay in
+batch queueing, deadlines and per-request error isolation stay in
 the parent; batch execution fans out over the pool, falling back to the
 parent's own timer (bit-identical, counted) if the pool is momentarily
 empty.

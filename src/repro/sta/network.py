@@ -271,7 +271,7 @@ class TimingNetwork:
         return self._fanouts
 
     def invalidate(self) -> None:
-        """Drop cached adjacency after in-place edits (sizing, retiming)."""
+        """Drop cached adjacency after a structural edit (retiming, rewiring)."""
         self._fanouts = None
         self._topo = None
         self._csr = None

@@ -174,7 +174,6 @@ def _sizing_pass(
     trace.passes += 1
     if not touched:
         return report
-    netlist.invalidate()
     return analyze(netlist, clock)
 
 
@@ -199,13 +198,11 @@ def _area_recovery(
                 downsized.append(vertex.id)
     if not downsized:
         return report
-    netlist.invalidate()
     new_report = analyze(netlist, clock)
     if new_report.wns < wns_before - 1.0:
         # Too aggressive: undo the recovery entirely.
         for vertex_id in downsized:
             netlist.upsize(vertex_id)
-        netlist.invalidate()
         return analyze(netlist, clock)
     trace.downsized += len(downsized)
     return new_report

@@ -144,3 +144,36 @@ def corrupted_bog(graph: BOG, rows: dict) -> BOG:
     corrupted = BOG.__new__(BOG)
     corrupted.__setstate__(state)
     return corrupted
+
+
+def queued_at_least(service, count: int, timeout: float = 30.0) -> bool:
+    """Wait until ``count`` requests sit in ``service``'s queue or it closes.
+
+    Waits on the service's own queue condition; ``False`` after ``timeout``.
+    """
+    with service._wakeup:
+        return service._wakeup.wait_for(
+            lambda: len(service._queue) >= count or service._closed, timeout
+        )
+
+
+def hold_first_batch(monkeypatch, count: int, timeout: float = 30.0) -> None:
+    """Hold each new TimingService's batcher until ``count`` requests are queued.
+
+    The batcher's first take waits for ``count`` queued requests (or for the
+    service to close), so it forms one batch of a known size with no
+    wall-clock window.  After ``timeout`` it takes whatever is queued, and
+    the test's batch assertions fail rather than hang.
+    """
+    from repro.serve.service import TimingService
+
+    take = TimingService._take_batch
+    held = set()
+
+    def take_once_queued(service):
+        if id(service) not in held:
+            held.add(id(service))
+            queued_at_least(service, count, timeout)
+        return take(service)
+
+    monkeypatch.setattr(TimingService, "_take_batch", take_once_queued)

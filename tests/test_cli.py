@@ -69,9 +69,7 @@ def test_no_command_prints_help_and_fails(capsys):
 
 def test_parser_covers_documented_flags():
     parser = build_parser()
-    args = parser.parse_args(
-        ["serve", "--model", "m@2", "--port", "0", "--max-batch", "4", "--batch-window-ms", "2"]
-    )
+    args = parser.parse_args(["serve", "--model", "m@2", "--port", "0", "--max-batch", "4"])
     assert args.model == "m@2" and args.port == 0 and args.max_batch == 4
 
 

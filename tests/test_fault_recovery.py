@@ -105,7 +105,7 @@ def test_pooled_service_survives_registry_corruption(
     report = RuntimeReport()
     service = PooledTimingService(
         recovery_timer,
-        ServeConfig(batch_window_s=0.01),
+        ServeConfig(),
         report=report,
         pool_config=PoolConfig(
             workers=1,

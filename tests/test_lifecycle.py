@@ -263,7 +263,7 @@ def test_inprocess_hot_swap_drops_nothing(good_timer, alt_timer, tiny_records):
     new_refs = _arrival_refs(alt_timer, tiny_records)
     service = TimingService(
         good_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.002),
+        ServeConfig(max_batch=4),
         manifest={"bundle_id": "a" * 64},
     )
     results, errors = [], []
@@ -320,7 +320,7 @@ def test_pooled_hot_swap_rolls_workers_without_drops(good_timer, alt_timer, tiny
     payload_new = state_payload(alt_timer.to_state())
     service = PooledTimingService(
         good_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.002),
+        ServeConfig(max_batch=4),
         manifest={"bundle_id": "a" * 64},
         pool_config=PoolConfig(
             workers=2,
@@ -388,7 +388,7 @@ def test_promotion_watcher_swaps_and_reports(tmp_path, good_timer, alt_timer, ti
     first = registry.save(good_timer, "m")
     registry.promote("m", "m@1", eval_digest="digest-1")
     timer, manifest = registry.load_with_manifest("m@promoted")
-    service = TimingService(timer, ServeConfig(batch_window_s=0.0), manifest=dict(manifest))
+    service = TimingService(timer, ServeConfig(), manifest=dict(manifest))
     watcher = PromotionWatcher(service, registry, "m", interval_s=60)
     server = start_server(service, port=0)
     try:
@@ -430,7 +430,7 @@ def test_promotion_watcher_background_thread(tmp_path, good_timer, alt_timer):
     registry.save(good_timer, "m")
     registry.promote("m", "m@1")
     timer, manifest = registry.load_with_manifest("m@promoted")
-    service = TimingService(timer, ServeConfig(batch_window_s=0.0), manifest=dict(manifest))
+    service = TimingService(timer, ServeConfig(), manifest=dict(manifest))
     try:
         with PromotionWatcher(service, registry, "m", interval_s=0.05):
             second = registry.save(alt_timer, "m")

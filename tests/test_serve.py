@@ -1,11 +1,12 @@
-"""TimingService micro-batching and the JSON-over-HTTP server."""
+"""TimingService batching and the JSON-over-HTTP server."""
 
 from __future__ import annotations
 
+import http.client
 import json
 import pickle
+import socket
 import threading
-import time
 import urllib.error
 import urllib.request
 
@@ -18,6 +19,7 @@ from repro.core.sampling import SamplingConfig
 from repro.hdl.parser import ParseError
 from repro.runtime.report import RuntimeReport
 from repro.serve import ServeConfig, TimingService, start_server
+from tests.conftest import hold_first_batch, queued_at_least
 from tests.test_registry import TINY_TIMER_CONFIG
 
 
@@ -28,7 +30,7 @@ def served_timer(tiny_records):
 
 @pytest.fixture()
 def service(served_timer):
-    service = TimingService(served_timer, ServeConfig(max_batch=4, batch_window_s=0.05))
+    service = TimingService(served_timer, ServeConfig(max_batch=4))
     yield service
     service.close()
 
@@ -66,8 +68,10 @@ def test_concurrent_predicts_match_serial(served_timer, tiny_records, service):
         assert served.overall == serial.overall
 
 
-def test_batching_counter_fires(served_timer, tiny_records, service):
-    """Concurrent requests inside the window actually share a model pass."""
+def test_batching_counter_fires(served_timer, tiny_records, monkeypatch):
+    """Requests queued while the batcher is busy share its next model pass."""
+    hold_first_batch(monkeypatch, 4)
+    service = TimingService(served_timer, ServeConfig(max_batch=4))
     barrier = threading.Barrier(4)
     stats = [None] * 4
 
@@ -76,10 +80,13 @@ def test_batching_counter_fires(served_timer, tiny_records, service):
         _, stats[index] = service.predict_with_stats(tiny_records[index])
 
     threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        service.close()
 
     counters = service.report.counters
     assert counters["serve_requests"] == 4
@@ -90,7 +97,7 @@ def test_batching_counter_fires(served_timer, tiny_records, service):
 
 
 def test_requests_above_max_batch_split(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(max_batch=2, batch_window_s=0.05))
+    service = TimingService(served_timer, ServeConfig(max_batch=2))
     try:
         barrier = threading.Barrier(5)
         results = [None] * 5
@@ -113,7 +120,7 @@ def test_requests_above_max_batch_split(served_timer, tiny_records):
 
 def test_nonpositive_max_batch_is_clamped(served_timer, tiny_records):
     """max_batch=0 must not busy-spin the worker and hang every caller."""
-    service = TimingService(served_timer, ServeConfig(max_batch=0, batch_window_s=0.0))
+    service = TimingService(served_timer, ServeConfig(max_batch=0))
     try:
         prediction = service.predict(tiny_records[0])
         assert prediction.design == tiny_records[0].name
@@ -123,7 +130,7 @@ def test_nonpositive_max_batch_is_clamped(served_timer, tiny_records):
 
 
 def test_predict_after_close_raises(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(batch_window_s=0.0))
+    service = TimingService(served_timer, ServeConfig())
     service.close()
     with pytest.raises(RuntimeError, match="closed"):
         service.predict(tiny_records[0])
@@ -227,7 +234,8 @@ def test_bad_record_in_a_batch_fails_alone(served_timer, tiny_records, monkeypat
         return real_predict(record)
 
     monkeypatch.setattr(served_timer.bitwise, "predict", predict_or_fail)
-    service = TimingService(served_timer, ServeConfig(max_batch=3, batch_window_s=5.0))
+    hold_first_batch(monkeypatch, len(records))
+    service = TimingService(served_timer, ServeConfig(max_batch=3))
     try:
         barrier = threading.Barrier(len(records))
         results = {}
@@ -266,7 +274,7 @@ def test_bad_record_in_a_batch_fails_alone(served_timer, tiny_records, monkeypat
 
 @pytest.fixture()
 def http_server(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(max_batch=4, batch_window_s=0.02))
+    service = TimingService(served_timer, ServeConfig(max_batch=4))
     server = start_server(service, port=0)
     for record in tiny_records:
         server.register_record(record)
@@ -337,14 +345,18 @@ def test_http_error_paths(http_server, simple_source):
         _post(http_server, "/predict", {"name": "no-such-design"})
     assert excinfo.value.code == 404
 
-    request = urllib.request.Request(
-        _url(http_server, "/predict"),
-        data=b"this is not json",
-        headers={"Content-Type": "application/json"},
-    )
-    with pytest.raises(urllib.error.HTTPError) as excinfo:
-        urllib.request.urlopen(request)
-    assert excinfo.value.code == 400
+    # Bytes that are not UTF-8 make json.loads raise UnicodeDecodeError, not
+    # JSONDecodeError; both must get a 400, not a dropped connection.
+    for body in (b"this is not json", b'{"source": "\xff"}'):
+        request = urllib.request.Request(
+            _url(http_server, "/predict"),
+            data=body,
+            headers={"Content-Type": "application/json"},
+        )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request)
+        assert excinfo.value.code == 400
+        assert json.loads(excinfo.value.read())["error"] == "request body is not valid JSON"
 
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(http_server, "/whatif", {"name": "whatever", "k": -3})
@@ -369,10 +381,35 @@ def test_http_error_paths(http_server, simple_source):
     assert "'k' must be a positive integer" in json.loads(excinfo.value.read())["error"]
 
 
+def test_http_server_sockets_disable_nagle(http_server, monkeypatch):
+    """Accepted sockets set TCP_NODELAY, so a response body sent after its
+    headers never waits for the client's delayed ACK."""
+    from repro.serve.http import TimingRequestHandler
+
+    accepted = []
+    setup = TimingRequestHandler.setup
+
+    def record_setup(handler):
+        setup(handler)
+        accepted.append(handler.connection)
+
+    monkeypatch.setattr(TimingRequestHandler, "setup", record_setup)
+    host, port = http_server.server_address
+    conn = http.client.HTTPConnection(host, port)
+    try:
+        conn.request("GET", "/health")
+        response = conn.getresponse()
+        response.read()
+        assert response.status == 200
+        # The keep-alive connection is still open on the server side.
+        assert len(accepted) == 1
+        assert accepted[0].getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        conn.close()
+
+
 def test_http_post_unknown_path_does_not_desync_keepalive(http_server):
     """A 404'd POST with an unread body must not poison the connection."""
-    import http.client
-
     host, port = http_server.server_address
     conn = http.client.HTTPConnection(host, port)
     try:
@@ -447,8 +484,6 @@ def test_http_oversized_body_rejected_with_413(http_server):
 
 
 def test_http_chunked_body_rejected(http_server):
-    import http.client
-
     host, port = http_server.server_address
     conn = http.client.HTTPConnection(host, port)
     try:
@@ -466,7 +501,7 @@ def test_http_chunked_body_rejected(http_server):
 def test_http_shed_request_gets_429_with_retry_after(served_timer, tiny_records):
     service = TimingService(
         served_timer,
-        ServeConfig(batch_window_s=0.0, queue_max=1, retry_after_s=2.5),
+        ServeConfig(queue_max=1, retry_after_s=2.5),
     )
     server = start_server(service, port=0)
     for record in tiny_records:
@@ -491,9 +526,7 @@ def test_http_shed_request_gets_429_with_retry_after(served_timer, tiny_records)
 
 
 def test_http_expired_deadline_gets_504(served_timer, tiny_records):
-    service = TimingService(
-        served_timer, ServeConfig(batch_window_s=0.05, deadline_s=1e-6)
-    )
+    service = TimingService(served_timer, ServeConfig(deadline_s=1e-6))
     server = start_server(service, port=0)
     for record in tiny_records:
         server.register_record(record)
@@ -511,7 +544,7 @@ def test_close_drains_inflight_requests(served_timer, tiny_records):
     """predicts racing close(): every caller gets a prediction or a clean
     'closed' error — nobody hangs, nothing is silently dropped."""
     for attempt in range(3):  # several interleavings of the race
-        service = TimingService(served_timer, ServeConfig(batch_window_s=0.01))
+        service = TimingService(served_timer, ServeConfig())
         outcomes = []
         barrier = threading.Barrier(5)
 
@@ -542,8 +575,11 @@ def test_close_drains_inflight_requests(served_timer, tiny_records):
         service.close()  # idempotent
 
 
-def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records):
-    service = TimingService(served_timer, ServeConfig(batch_window_s=5.0))
+def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records, monkeypatch):
+    # The batcher waits for a second request that never comes, so the first
+    # is still queued when close(drain=False) runs.
+    hold_first_batch(monkeypatch, 2)
+    service = TimingService(served_timer, ServeConfig())
     errors = []
 
     def run():
@@ -555,8 +591,9 @@ def test_close_without_drain_aborts_queued_requests(served_timer, tiny_records):
 
     thread = threading.Thread(target=run)
     thread.start()
-    time.sleep(0.1)  # let the request enter the (long) batch window
+    assert queued_at_least(service, 1, timeout=10.0)
     service.close(drain=False, timeout=10.0)
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert len(errors) == 1  # answered either way; an abort error is legal
+    assert isinstance(errors[0], RuntimeError) and "closed" in str(errors[0])

@@ -300,7 +300,7 @@ def test_pool_close_is_idempotent_and_fails_pending(pool_payload):
 def test_pooled_service_bit_identical(pool_timer, tiny_records):
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.02),
+        ServeConfig(max_batch=4),
         pool_config=_fast_pool_config(),
     )
     try:
@@ -321,7 +321,7 @@ def test_pooled_service_ships_source_records_once(pool_timer, simple_source, mon
     monkeypatch.setenv("REPRO_CACHE", "0")
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(batch_window_s=0.0, record_cache_entries=3),
+        ServeConfig(record_cache_entries=3),
         pool_config=_fast_pool_config(workers=1),
     )
     try:
@@ -344,7 +344,7 @@ def test_pooled_service_survives_crash_faults(pool_timer, tiny_records, monkeypa
     monkeypatch.setenv(FAULT_ENV_VAR, "worker.crash:p=0.3:seed=11")
     service = PooledTimingService(
         pool_timer,
-        ServeConfig(max_batch=4, batch_window_s=0.01),
+        ServeConfig(max_batch=4),
         pool_config=_fast_pool_config(),
     )
     try:

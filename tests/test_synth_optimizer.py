@@ -98,3 +98,26 @@ def test_resize_requires_same_function(mapped):
     other_function = "INV" if gate.cell.function != "INV" else "NAND2"
     with pytest.raises(ValueError):
         mapped.resize(gate.id, mapped.library.pick(other_function))
+
+
+@pytest.mark.parametrize("clock_scale", [1.0, 20.0])
+def test_default_synthesis_compiles_its_netlist_once(
+    simple_design, tight_clock, clock_scale, monkeypatch
+):
+    """Sizing (tight clock) and area recovery (loose clock) swap cells, which
+    are value edits: every analysis of one run reuses the first compile."""
+    import repro.sta.network as network_module
+
+    compiles = []
+    compile_graph = network_module.CSRTimingGraph
+
+    def counting_compile(*args):
+        compiles.append(args[0])
+        return compile_graph(*args)
+
+    monkeypatch.setattr(network_module, "CSRTimingGraph", counting_compile)
+    clock = ClockConstraint(period=clock_scale * tight_clock.period)
+    result = synthesize_bog(build_sog(simple_design), clock, SynthesisOptions())
+    edits = result.trace.upsized if clock_scale == 1.0 else result.trace.downsized
+    assert edits > 0
+    assert len(compiles) == 1
