@@ -9,7 +9,9 @@ This package is the repo's train-once/serve-many boundary:
 * :mod:`repro.serve.service` — :class:`TimingService`, a load-once,
   thread-safe facade over :class:`~repro.core.pipeline.RTLTimer` that
   batches predict calls queued behind a running pass into single
-  ``predict_batch`` passes and records ``serve.*`` runtime stages,
+  ``predict_batch`` passes (one batcher per worker under
+  :class:`~repro.serve.service.PooledTimingService`) and records
+  ``serve.*`` runtime stages,
 * :mod:`repro.serve.http` — a stdlib JSON-over-HTTP server exposing
   ``/predict``, ``/whatif``, ``/health`` and ``/metrics``,
 * :mod:`repro.serve.resilience` — admission control, deadlines and the

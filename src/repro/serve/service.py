@@ -1,10 +1,11 @@
 """Load-once, thread-safe serving facade over :class:`RTLTimer`.
 
 A :class:`TimingService` owns one fitted timer and answers prediction
-requests from many threads.  One batcher thread serves the queue: whenever
-it is free it takes every queued request (up to ``max_batch``) into one
+requests from many threads.  A batcher thread serves the queue: whenever it
+is free it takes every queued request (up to ``max_batch``) into one
 :meth:`RTLTimer.predict_batch` call, and it never waits for companions, so
-requests are batched only when they queue up behind a running pass.  Every
+requests are batched only when they queue up behind a running pass
+(:class:`PooledTimingService` runs one batcher per pool worker).  Every
 caller gets exactly the prediction it would have gotten from a serial
 in-process ``predict``
 (predict_batch is element-wise identical by construction, covered by
@@ -127,10 +128,12 @@ class TimingService:
         # Build-on-demand records for ``/predict`` source payloads go through
         # the content-addressed artifact cache (``REPRO_CACHE=0`` disables it).
         self._artifacts = ArtifactCache()
-        self._worker = threading.Thread(
-            target=self._serve_loop, name="timing-service-batcher", daemon=True
-        )
-        self._worker.start()
+        self._batchers = [
+            threading.Thread(target=self._serve_loop, name="timing-service-batcher", daemon=True)
+            for _ in range(self._batcher_count())
+        ]
+        for batcher in self._batchers:
+            batcher.start()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -138,11 +141,11 @@ class TimingService:
         """Stop the service deterministically.
 
         With ``drain`` (the default) requests already queued are completed
-        before the batching worker exits; new requests are rejected from the
+        before the batcher threads exit; new requests are rejected from the
         moment close() is called.  With ``drain=False`` queued requests are
         rejected immediately with ``RuntimeError``.  Either way no client
-        thread is left hanging: anything still unresolved when the worker is
-        gone (including a worker that outlived ``timeout``) is failed
+        thread is left hanging: anything still unresolved when the batchers
+        are gone (including one that outlived ``timeout``) is failed
         explicitly.
         """
         with self._wakeup:
@@ -151,11 +154,13 @@ class TimingService:
             if not drain:
                 self._abort = True
             self._wakeup.notify_all()
-        self._worker.join(timeout=timeout)
+        join_by = time.monotonic() + timeout
+        for batcher in self._batchers:
+            batcher.join(timeout=max(join_by - time.monotonic(), 0.0))
         if already_closed:
             return
-        # Deterministic sweep: fail whatever survived (abort path, or a
-        # worker that did not finish draining within the timeout).
+        # Deterministic sweep: fail whatever is still queued (abort path, or
+        # a batcher that did not finish draining within the timeout).
         with self._wakeup:
             pending, self._queue = self._queue, []
         for request in pending:
@@ -186,7 +191,7 @@ class TimingService:
     def reload(self, timer: RTLTimer, manifest: Optional[Dict[str, Any]] = None) -> None:
         """Swap the served model in place without dropping queued requests.
 
-        The batching worker reads ``self.timer`` once per batch, so a plain
+        Each batcher reads ``self.timer`` once per batch, so a plain
         attribute rebind is atomic under the GIL: every request resolves
         against exactly one bundle — the old one or the new one, never a
         mixture.  Requests already queued keep their answers; nothing is
@@ -234,7 +239,7 @@ class TimingService:
                 self._queue.append(request)
                 self._wakeup.notify_all()
             if not request.done.wait(remaining_or_none(deadline)):
-                # The batch worker will still resolve the request object
+                # A batcher will still resolve the request object
                 # eventually; nobody is listening by then.
                 self.report.incr("serve_deadline_timeouts")
                 raise DeadlineExceeded("predict deadline expired")
@@ -355,6 +360,10 @@ class TimingService:
 
     # -- batching worker -----------------------------------------------------------
 
+    def _batcher_count(self) -> int:
+        """One batcher: this service's model passes run in-process, one at a time."""
+        return 1
+
     def _take_batch(self) -> Optional[List[_Request]]:
         """Block until a request is queued (or the service closes), then take
         up to ``max_batch`` of what is queued — without waiting for more."""
@@ -416,12 +425,6 @@ class TimingService:
                 self.report.incr("serve_batched_requests", len(ready))
             for request in batch:
                 request.done.set()
-        # Fail whatever was still queued when close(drain=False) ran.
-        with self._wakeup:
-            pending, self._queue = self._queue, []
-        for request in pending:
-            request.error = RuntimeError("TimingService closed while request was queued")
-            request.done.set()
 
 
 def _percentile(sorted_values: List[float], fraction: float) -> float:
@@ -434,12 +437,12 @@ class PooledTimingService(TimingService):
     """A :class:`TimingService` whose predicts run on a supervised worker pool.
 
     The parent keeps everything the single-process service has — admission,
-    batch queueing, deadlines, per-request error isolation — and
-    fans each taken batch out over :class:`~repro.serve.supervisor.WorkerPool`
-    workers.  Records stamped with a build key (every record from
-    :meth:`record_for_source`) are pinned by that key, and each worker keeps
-    the last ``record_cache_entries`` of them, so a repeated design ships
-    its key instead of the record.  A worker crash/hang mid-request is
+    batch queueing, deadlines, per-request error isolation — and fans each
+    taken batch out over :class:`~repro.serve.supervisor.WorkerPool` workers,
+    with one batcher per worker.  Records stamped with a build key (every
+    record from :meth:`record_for_source`) are pinned by that key, and each
+    worker keeps the last ``record_cache_entries`` of them, so a repeated
+    design ships its key instead of the record.  A worker crash/hang mid-request is
     retried on a sibling by the pool; if the whole pool is momentarily down
     the parent answers from its own timer — the same bundle state, so every
     path is bit-identical.
@@ -466,7 +469,7 @@ class PooledTimingService(TimingService):
             payload = state_payload(timer.to_state())
             payload_provider = lambda: payload  # noqa: E731 - closure over bytes
         # Pool first: a bad bundle must fail construction before the
-        # batching thread starts accepting requests.
+        # batcher threads start accepting requests.
         self.pool = WorkerPool(
             payload_provider,
             config=pool_config,
@@ -482,6 +485,12 @@ class PooledTimingService(TimingService):
     def close(self, drain: bool = True, timeout: float = 30.0) -> None:
         super().close(drain=drain, timeout=timeout)
         self.pool.close()
+
+    def _batcher_count(self) -> int:
+        # A batch waits for all of its pool handles.  With one batcher a lone
+        # request would hold the queue while the other workers sat idle; one
+        # batcher per worker lets that many passes run at once.
+        return max(self.pool.config.workers, 1)
 
     def _execute_batch(self, batch: List[_Request]) -> None:
         handles = [

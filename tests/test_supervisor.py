@@ -316,6 +316,44 @@ def test_pooled_service_bit_identical(pool_timer, tiny_records):
         service.close()
 
 
+def test_pooled_service_runs_one_pass_per_worker_at_once(pool_timer, tiny_records, monkeypatch):
+    """Two concurrent requests on a two-worker pool are in the pool together.
+
+    Each pass waits at a two-party barrier before it reaches the pool, so
+    both passes must be open at once; a lone batcher would run them one
+    after the other and break the barrier on its timeout.
+    """
+    barrier = threading.Barrier(2, timeout=30)
+    execute = PooledTimingService._execute_batch
+
+    def execute_together(service, batch):
+        barrier.wait()
+        execute(service, batch)
+
+    monkeypatch.setattr(PooledTimingService, "_execute_batch", execute_together)
+    service = PooledTimingService(
+        pool_timer,
+        ServeConfig(max_batch=1),
+        pool_config=_fast_pool_config(),
+    )
+    served = {}
+    try:
+        threads = [
+            threading.Thread(target=lambda r=record: served.update({r.name: service.predict(r)}))
+            for record in tiny_records[:2]
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        service.close()
+    assert not barrier.broken
+    assert service.report.counters["serve_batches"] == 2
+    for record in tiny_records[:2]:
+        assert served[record.name].signal_slack == pool_timer.predict(record).signal_slack
+
+
 def test_pooled_service_ships_source_records_once(pool_timer, simple_source, monkeypatch):
     """Source-built records carry a build key; the pool caches them per worker."""
     monkeypatch.setenv("REPRO_CACHE", "0")
