@@ -19,6 +19,7 @@ Covers the tentpole contracts of the subsystem:
 import json
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -269,6 +270,17 @@ class TestSearchDeterminism:
         path.write_text(json.dumps(payload))
         messages = replay_artifact(path, cache=_no_cache())
         assert any("front" in message for message in messages)
+
+    def test_committed_artifact_replays_exactly(self):
+        """A recorded anneal campaign replays against this tree's optimizer.
+
+        The artifact (syscdes, budget 12, seed 0) was written by
+        ``repro optimize --designs 2 --budgets 12 --seed 0 --artifacts DIR``;
+        it pins the what-if projection, the value patches, the incremental
+        array STA and the search's area accounting end to end.
+        """
+        path = Path(__file__).resolve().parent / "golden" / "optimize_syscdes_anneal_b12_seed0.json"
+        assert replay_artifact(path, cache=_no_cache()) == []
 
 
 # ---------------------------------------------------------------------------
