@@ -37,9 +37,9 @@ from repro.core.sampling import (
 )
 from repro.ml.gnn import GraphData
 from repro.runtime.report import stage as _stage
-from repro.sta.csr import KIND_GATE, AttributeColumns, CSRTimingGraph
+from repro.sta.csr import KIND_GATE, CSRTimingGraph
 from repro.sta.engine import STAReport
-from repro.sta.network import TimingNetwork, VertexKind
+from repro.sta.network import AttributeColumns, TimingNetwork, VertexKind
 from repro.sta.paths import edge_delays, path_arrival
 
 

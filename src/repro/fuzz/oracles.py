@@ -373,11 +373,11 @@ def array_vs_reference_sta(ctx: FuzzContext, rng: random.Random) -> List[str]:
     problems: List[str] = []
     for variant in ("sog", "xag"):
         network = from_bog(ctx.variants[variant])
-        n = len(network.vertices)
+        n = len(network)
         for _ in range(min(16, n)):
-            vertex = network.vertices[rng.randrange(n)]
-            vertex.derate = rng.uniform(0.4, 1.6)
-            vertex.extra_load = rng.uniform(0.0, 6.0)
+            vertex = rng.randrange(n)
+            network.set_derate(vertex, rng.uniform(0.4, 1.6))
+            network.set_extra_load(vertex, rng.uniform(0.0, 6.0))
         reference = sta_analyze(network, clock, kernel="reference")
         array = sta_analyze(network, clock, kernel="array")
         for label, ref_values, array_values in (
@@ -582,11 +582,11 @@ def array_vs_reference_features(ctx: FuzzContext, rng: random.Random) -> List[st
     reports = {}
     for variant, graph in ctx.variants.items():
         network = from_bog(graph)
-        n = len(network.vertices)
+        n = len(network)
         for _ in range(min(16, n)):
-            vertex = network.vertices[rng.randrange(n)]
-            vertex.derate = rng.uniform(0.4, 1.6)
-            vertex.extra_load = rng.uniform(0.0, 6.0)
+            vertex = rng.randrange(n)
+            network.set_derate(vertex, rng.uniform(0.4, 1.6))
+            network.set_extra_load(vertex, rng.uniform(0.0, 6.0))
         networks[variant] = network
         reports[variant] = sta_analyze(network, clock)
     names = sorted({e.name for e in networks["sog"].endpoints if e.kind == "register"})

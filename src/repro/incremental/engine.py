@@ -22,10 +22,14 @@ report matches a from-scratch re-analysis of the patched network exactly —
 the property tests in ``tests/test_incremental.py`` check agreement to 1e-9
 over random patch sequences.
 
+Patches write the network's columns in place, and both kernels read those
+columns directly, so the engine keeps no copy of the attributes of its own.
+
 The :meth:`IncrementalSTA.what_if` context manager applies a patch set,
 yields the re-timed report, and reverts the patches on exit, which makes
 multi-candidate optimization sweeps cheap: one frozen baseline, K small
-cones, no re-synthesis.
+cones, no re-synthesis.  :meth:`IncrementalSTA.apply` commits a patch set,
+or reverts it if any patch (or the re-timing) fails.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from repro.faults import fault_active
 from repro.incremental.patches import TimingPatch
 from repro.runtime import report as report_mod
 from repro.sta.constraints import ClockConstraint
-from repro.sta.csr import AttributeColumns
 from repro.sta.engine import (
     STAReport,
     analyze,
@@ -95,12 +98,6 @@ class IncrementalSTA:
         )
         self.last_stats: Optional[PropagationStats] = None
         self._endpoint_caps_cache: Optional[Dict[int, List[float]]] = None
-        # Attribute-column cache of the array kernel path: valid for one
-        # compiled structure; rows a patch set touched are re-gathered at the
-        # start of the next pass (covering both committed and reverted edits).
-        self._columns: Optional[AttributeColumns] = None
-        self._columns_csr = None
-        self._stale_columns: Set[int] = set()
 
     # -- public API ----------------------------------------------------------
 
@@ -111,17 +108,18 @@ class IncrementalSTA:
     def refresh(self) -> STAReport:
         """Recompute from scratch (e.g. after un-patched external edits)."""
         self._endpoint_caps_cache = None
-        self._columns = None
-        self._columns_csr = None
-        self._stale_columns = set()
         self._report = analyze(self.network, self.clock, kernel=self.kernel)
         return self._report
 
     def apply(self, patches: Sequence[TimingPatch]) -> STAReport:
-        """Apply ``patches`` permanently and re-time the affected cone."""
-        for patch in patches:
-            patch.apply(self.network)
-        self._report = self._propagate(patches)
+        """Apply ``patches`` permanently and re-time the affected cone.
+
+        If a patch or the re-timing raises, the applied patches are reverted
+        before the error propagates, so the network and the committed report
+        are left as they were.
+        """
+        with self._patched(patches, commit=True):
+            self._report = self._propagate(patches)
         return self._report
 
     @contextlib.contextmanager
@@ -134,17 +132,28 @@ class IncrementalSTA:
         *prediction* artifact — it describes the hypothetical network, not
         the restored one.
         """
+        with self._patched(patches):
+            yield self._propagate(patches)
+
+    # -- internals -----------------------------------------------------------
+
+    @contextlib.contextmanager
+    def _patched(self, patches: Sequence[TimingPatch], commit: bool = False) -> Iterator[None]:
+        """Apply ``patches``; revert them in reverse order on exit, or only on an error if ``commit``."""
         applied: List[TimingPatch] = []
+        revert = not commit
         try:
             for patch in patches:
                 patch.apply(self.network)
                 applied.append(patch)
-            yield self._propagate(patches)
+            yield
+        except BaseException:
+            revert = True
+            raise
         finally:
-            for patch in reversed(applied):
-                patch.revert(self.network)
-
-    # -- internals -----------------------------------------------------------
+            if revert:
+                for patch in reversed(applied):
+                    patch.revert(self.network)
 
     def _endpoint_caps(self) -> Dict[int, List[float]]:
         """Per-driver endpoint pin capacitances, in endpoint-list order.
@@ -160,24 +169,27 @@ class IncrementalSTA:
             self._endpoint_caps_cache = caps
         return self._endpoint_caps_cache
 
-    def _recompute_load(
-        self, vertex_id: int, fanouts: List[List[int]], endpoint_caps: Dict[int, List[float]]
-    ) -> float:
-        """One vertex's output load, summed in :func:`compute_loads` order."""
-        vertices = self.network.vertices
-        total = 0.0
-        for consumer_id in fanouts[vertex_id]:
-            cell = vertices[consumer_id].cell
-            if cell is not None:
-                total += cell.input_cap
-        for cap in endpoint_caps.get(vertex_id, ()):
-            total += cap
-        if not fault_active("incremental.extra_load"):
-            # Debug fault point: dropping the extra-load term makes this
-            # path disagree with compute_loads, which the fuzz campaign's
-            # incremental-vs-full oracle must catch (see repro.faults).
-            total += vertices[vertex_id].extra_load
-        return total
+    def _recompute_loads(self, vertices: Set[int], fanouts: List[List[int]], loads) -> None:
+        """Recompute the output load of ``vertices``, summed in :func:`compute_loads` order.
+
+        A consumer without a cell adds an input cap of 0.0, an exact no-op.
+        """
+        cols = self.network.attribute_columns()
+        input_cap = cols.param("input_cap")
+        endpoint_caps = self._endpoint_caps()
+        # Debug fault point: dropping the extra-load term makes this path
+        # disagree with compute_loads, which the fuzz campaign's
+        # incremental-vs-full oracle must catch (see repro.faults).
+        wire_load = not fault_active("incremental.extra_load")
+        for vertex_id in vertices:
+            total = 0.0
+            for consumer_id in fanouts[vertex_id]:
+                total += input_cap[consumer_id]
+            for cap in endpoint_caps.get(vertex_id, ()):
+                total += cap
+            if wire_load:
+                total += cols.extra_load[vertex_id]
+            loads[vertex_id] = total
 
     def _propagate_reference(
         self, seeds: Set[int], fanouts, position, arrivals, slews, loads
@@ -208,23 +220,6 @@ class IncrementalSTA:
                     heapq.heappush(heap, (int(position[consumer]), consumer))
         return changed_drivers, recomputed
 
-    def _columns_for(self, compiled, dirty: Set[int]) -> AttributeColumns:
-        """Cached attribute columns, with the patch-touched rows re-gathered.
-
-        Rows touched by the previous pass are also refreshed: a ``what_if``
-        reverts its patches *after* propagation, so the values gathered for
-        that pass are stale by the time the next one starts.
-        """
-        if self._columns is None or self._columns_csr is not compiled:
-            self._columns = self.network.attribute_columns()
-            self._columns_csr = compiled
-        else:
-            refresh = self._stale_columns | dirty
-            if refresh:
-                self._columns.refresh(self.network, sorted(refresh))
-        self._stale_columns = set(dirty)
-        return self._columns
-
     def _propagate_array(self, seeds: Set[int], arrivals, slews, loads):
         """Dirty level-slice re-sweep sharing the full analysis' array kernel.
 
@@ -235,7 +230,7 @@ class IncrementalSTA:
         float are identical to the reference worklist.
         """
         compiled = self.network.compiled()
-        cols = self._columns_for(compiled, seeds)
+        cols = self.network.attribute_columns()
         level = compiled.level
         fo_ptr = compiled.fanout_indptr
         fo_idx = compiled.fanout_indices
@@ -302,10 +297,7 @@ class IncrementalSTA:
             slews = base.slews.copy()
             loads = base.loads.copy()
 
-            if dirty_load:
-                endpoint_caps = self._endpoint_caps()
-                for vertex_id in dirty_load:
-                    loads[vertex_id] = self._recompute_load(vertex_id, fanouts, endpoint_caps)
+            self._recompute_loads(dirty_load, fanouts, loads)
 
             seeds = dirty_delay | dirty_load
             if self.kernel == "array":

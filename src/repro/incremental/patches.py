@@ -18,8 +18,8 @@ Four edit kinds cover the what-if scenarios the optimization sweep needs:
 * :class:`RewireFanins` — a small structural rewrite of one vertex's fanin
   list (models local BOG rewrites; the only *structural* patch).
 
-Every patch supports ``apply`` / ``revert`` on the live network; ``revert``
-restores the exact previous state, which is what makes the engine's
+Every patch supports ``apply`` / ``revert`` on the live network through its
+column writers; ``revert`` restores the exact previous state, which is what makes the engine's
 :meth:`~repro.incremental.engine.IncrementalSTA.what_if` context safe to run
 against a shared baseline netlist.
 """
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.liberty import Cell
-from repro.sta.network import TimingNetwork, VertexKind
+from repro.sta.csr import KIND_GATE
+from repro.sta.network import TimingNetwork
 
 
 class TimingPatch:
@@ -64,13 +65,12 @@ class SetDerate(TimingPatch):
     _previous: Optional[float] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:
-        target = network.vertices[self.vertex]
-        self._previous = target.derate
-        target.derate = float(self.derate)
+        self._previous = float(network.attribute_columns().derate[self.vertex])
+        network.set_derate(self.vertex, float(self.derate))
 
     def revert(self, network: TimingNetwork) -> None:
         assert self._previous is not None, "revert before apply"
-        network.vertices[self.vertex].derate = self._previous
+        network.set_derate(self.vertex, self._previous)
         self._previous = None
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
@@ -91,22 +91,22 @@ class SwapCell(TimingPatch):
     _previous: Optional[Cell] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:
-        target = network.vertices[self.vertex]
-        if target.cell is None:
+        previous = network.cell_of(self.vertex)
+        if previous is None:
             raise ValueError(f"vertex {self.vertex} has no cell to swap")
-        self._previous = target.cell
-        target.cell = self.cell
+        self._previous = previous
+        network.set_cell(self.vertex, self.cell)
 
     def revert(self, network: TimingNetwork) -> None:
         assert self._previous is not None, "revert before apply"
-        network.vertices[self.vertex].cell = self._previous
+        network.set_cell(self.vertex, self._previous)
         self._previous = None
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)
 
     def dirty_load_vertices(self, network: TimingNetwork) -> Iterable[int]:
-        return tuple(network.vertices[self.vertex].fanins)
+        return tuple(network.fanins_of(self.vertex))
 
 
 @dataclass
@@ -118,15 +118,14 @@ class AddExtraLoad(TimingPatch):
     _previous: Optional[float] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:
-        target = network.vertices[self.vertex]
-        self._previous = target.extra_load
+        self._previous = float(network.attribute_columns().extra_load[self.vertex])
         # Revert restores the saved value instead of subtracting the delta:
         # stacked float additions do not cancel exactly.
-        target.extra_load = self._previous + float(self.delta)
+        network.set_extra_load(self.vertex, self._previous + float(self.delta))
 
     def revert(self, network: TimingNetwork) -> None:
         assert self._previous is not None, "revert before apply"
-        network.vertices[self.vertex].extra_load = self._previous
+        network.set_extra_load(self.vertex, self._previous)
         self._previous = None
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
@@ -150,22 +149,19 @@ class RewireFanins(TimingPatch):
     _previous: Optional[List[int]] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:
-        target = network.vertices[self.vertex]
-        if target.kind is not VertexKind.GATE:
+        if network.kinds()[self.vertex] != KIND_GATE:
             raise ValueError(f"vertex {self.vertex} is not a gate; cannot rewire fanins")
-        self._previous = list(target.fanins)
-        target.fanins = [int(f) for f in self.fanins]
-        network.invalidate()
+        self._previous = network.fanins_of(self.vertex)
+        network.set_fanins(self.vertex, [int(f) for f in self.fanins])
 
     def revert(self, network: TimingNetwork) -> None:
         assert self._previous is not None, "revert before apply"
-        network.vertices[self.vertex].fanins = self._previous
+        network.set_fanins(self.vertex, self._previous)
         self._previous = None
-        network.invalidate()
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)
 
     def dirty_load_vertices(self, network: TimingNetwork) -> Iterable[int]:
         previous = self._previous or []
-        return tuple(set(previous) | set(network.vertices[self.vertex].fanins))
+        return tuple(set(previous) | set(network.fanins_of(self.vertex)))

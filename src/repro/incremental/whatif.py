@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.incremental.engine import IncrementalSTA, PropagationStats
 from repro.incremental.patches import AddExtraLoad, SetDerate, SwapCell, TimingPatch
+from repro.sta.csr import KIND_GATE
 from repro.sta.engine import STAReport
-from repro.sta.network import VertexKind
 from repro.sta.paths import trace_critical_path
 from repro.synth.netlist import Netlist
 from repro.synth.optimizer import SynthesisOptions, group_endpoints
@@ -87,6 +87,8 @@ def patches_for_options(
     planned_cells: Dict[int, object] = {}
 
     # -- retime: derate the gate driving each retimed signal's worst bit.
+    kinds = netlist.kinds().tolist()
+    derate = netlist.attribute_columns().derate
     derated: Dict[int, float] = {}
     for signal in options.retime_signals or []:
         bits = [e for e in report.endpoints if e.signal == signal and e.kind == "register"]
@@ -95,10 +97,10 @@ def patches_for_options(
         worst = min(bits, key=lambda e: e.slack)
         if worst.slack >= 0:
             continue
-        driver = netlist.vertices[worst.driver]
-        if driver.kind is not VertexKind.GATE or driver.id in derated:
+        driver = worst.driver
+        if kinds[driver] != KIND_GATE or driver in derated:
             continue
-        derated[driver.id] = driver.derate * RETIME_DERATE
+        derated[driver] = float(derate[driver]) * RETIME_DERATE
     patches.extend(SetDerate(vertex, derate) for vertex, derate in derated.items())
 
     # -- group_path: upsize along each group's worst critical paths, one
@@ -106,6 +108,7 @@ def patches_for_options(
     #    optimizer's own (``group_endpoints``), so the projection sizes
     #    exactly the endpoints a real ``group_path`` run would.
     groups = options.path_groups or []
+    upsized: Dict[int, object] = {}  # id(cell) -> its next stronger drive
     for group in groups:
         targets = group_endpoints(report, group.signals, options.critical_fraction)
         for _ in range(options.group_effort_passes):
@@ -116,17 +119,18 @@ def patches_for_options(
                     if path_cache is not None:
                         path_cache[name] = path
                 for vertex_id in path.vertices:
-                    vertex = netlist.vertices[vertex_id]
-                    if vertex.kind is not VertexKind.GATE:
+                    if kinds[vertex_id] != KIND_GATE:
                         continue
-                    current = planned_cells.get(vertex_id, vertex.cell)
-                    stronger = netlist.library.upsize(current)
+                    current = planned_cells.get(vertex_id) or netlist.cell_of(vertex_id)
+                    if id(current) not in upsized:
+                        upsized[id(current)] = netlist.library.upsize(current)
+                    stronger = upsized[id(current)]
                     if stronger is not None:
                         planned_cells[vertex_id] = stronger
     patches.extend(
         SwapCell(vertex_id, cell)
         for vertex_id, cell in planned_cells.items()
-        if cell is not netlist.vertices[vertex_id].cell
+        if cell is not netlist.cell_of(vertex_id)
     )
 
     # -- area recovery on the least-critical group: its ample-slack nets get

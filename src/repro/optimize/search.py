@@ -256,7 +256,7 @@ class IncrementalEvaluator:
         delta = 0.0
         for patch in patches:
             if isinstance(patch, SwapCell):
-                current = self.netlist.vertices[patch.vertex].cell
+                current = self.netlist.cell_of(patch.vertex)
                 delta += float(patch.cell.area) - float(current.area)
         return self.base_area + delta
 

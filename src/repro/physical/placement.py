@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
+
+import numpy as np
 
 from repro.sta.network import TimingNetwork
 
@@ -51,11 +53,11 @@ class Placement:
 
     def total_wirelength(self, network: TimingNetwork) -> float:
         """Half-perimeter-style total wirelength of the design (um)."""
-        return sum(self.wirelength(network, v.id) for v in network.vertices)
+        return sum(self.wirelength(network, v) for v in range(len(network)))
 
     def utilization(self, network: TimingNetwork) -> float:
         """Fraction of the die area occupied by cells."""
-        cell_area = sum(v.cell.area for v in network.vertices if v.cell is not None)
+        cell_area = sum(cell.area for cell in network.vertex_cells() if cell is not None)
         die_area = self.die_width * self.die_height
         return cell_area / die_area if die_area > 0 else 0.0
 
@@ -73,30 +75,30 @@ def place(
     load.
     """
     rng = random.Random(seed)
-    n = len(network.vertices)
+    n = len(network)
     die_side = max(10.0, CELL_PITCH * math.sqrt(max(n, 1)) * 1.4)
 
     # Initial positions: x follows logic depth, y is random.
-    depths = _levels(network)
+    depths = network.levels()
     max_depth = max(depths) or 1
     positions: Dict[int, Tuple[float, float]] = {}
-    for vertex in network.vertices:
-        x = die_side * (0.05 + 0.9 * depths[vertex.id] / max_depth)
+    for vertex in range(n):
+        x = die_side * (0.05 + 0.9 * depths[vertex] / max_depth)
         y = die_side * rng.random()
-        positions[vertex.id] = (x, y)
+        positions[vertex] = (x, y)
 
     # Iterative refinement: move every movable cell toward the centroid of
     # its neighbours (fanins and fanouts), then re-spread to avoid clumping.
     fanouts = network.fanouts()
+    neighbours_of = [network.fanins_of(vertex) + fanouts[vertex] for vertex in range(n)]
     for _ in range(sweeps):
-        for vertex in network.vertices:
-            neighbours = list(vertex.fanins) + list(fanouts[vertex.id])
+        for vertex, neighbours in enumerate(neighbours_of):
             if not neighbours:
                 continue
             cx = sum(positions[u][0] for u in neighbours) / len(neighbours)
             cy = sum(positions[u][1] for u in neighbours) / len(neighbours)
-            old_x, old_y = positions[vertex.id]
-            positions[vertex.id] = (0.5 * (old_x + cx), 0.5 * (old_y + cy))
+            old_x, old_y = positions[vertex]
+            positions[vertex] = (0.5 * (old_x + cx), 0.5 * (old_y + cy))
         _spread(positions, die_side, rng)
 
     return Placement(
@@ -109,29 +111,18 @@ def place(
 
 def apply_wire_loads(network: TimingNetwork, placement: Placement) -> None:
     """Annotate every driver with the wire load implied by the placement."""
-    for vertex in network.vertices:
-        length = placement.wirelength(network, vertex.id)
-        vertex.extra_load = WIRE_CAP_PER_UM * length
+    lengths = [placement.wirelength(network, vertex) for vertex in range(len(network))]
+    network.set_extra_load(slice(None), WIRE_CAP_PER_UM * np.array(lengths))
 
 
 def clear_wire_loads(network: TimingNetwork) -> None:
     """Remove placement-derived wire loads (back to the synthesis view)."""
-    for vertex in network.vertices:
-        vertex.extra_load = 0.0
+    network.set_extra_load(slice(None), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-
-
-def _levels(network: TimingNetwork) -> List[int]:
-    levels = [0] * len(network.vertices)
-    for vertex_id in network.topological_order():
-        vertex = network.vertices[vertex_id]
-        if vertex.fanins:
-            levels[vertex_id] = 1 + max(levels[f] for f in vertex.fanins)
-    return levels
 
 
 def _spread(

@@ -2,13 +2,14 @@
 
 from repro.sta.constraints import ClockConstraint
 from repro.sta.network import (
+    AttributeColumns,
     TimingEndpoint,
     TimingNetwork,
     TimingVertex,
     VertexKind,
     from_bog,
 )
-from repro.sta.csr import AttributeColumns, CSRTimingGraph
+from repro.sta.csr import CSRTimingGraph
 from repro.sta.engine import (
     STA_KERNELS,
     EndpointTiming,
@@ -22,7 +23,6 @@ from repro.sta.paths import (
     driving_launch_points,
     input_cone,
     path_arrival,
-    path_cells,
     sample_random_path,
     trace_critical_path,
 )
@@ -46,7 +46,6 @@ __all__ = [
     "driving_launch_points",
     "input_cone",
     "path_arrival",
-    "path_cells",
     "sample_random_path",
     "trace_critical_path",
 ]

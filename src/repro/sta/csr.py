@@ -1,24 +1,23 @@
 """Compiled array-native view of a :class:`~repro.sta.network.TimingNetwork`.
 
-A network at rest is columns (kind codes, a fanin CSR, a cell table and
-per-vertex attribute columns); code that edits it works on ``TimingVertex``
-objects.  :class:`CSRTimingGraph` is the compiled form every hot kernel —
-full STA, the incremental dirty-cone sweep, load computation — runs on:
-int32 CSR fanin/fanout adjacency, a levelization pass
-(``level = 1 + max fanin level``) and a level-major vertex order, over which
-the NLDM timing recurrence runs as whole-level numpy sweeps.  One
-constructor builds it from kind codes and a fanin CSR, whichever form the
-network is in.
+A network is columns (kind codes, a fanin CSR, a cell table and per-vertex
+attribute columns).  :class:`CSRTimingGraph` is the compiled form of its
+structure that every hot kernel — full STA, the incremental dirty-cone
+sweep, load computation — runs on: int32 CSR fanin/fanout adjacency, a
+levelization pass (``level = 1 + max fanin level``) and a level-major
+vertex order, over which the NLDM timing recurrence runs as whole-level
+numpy sweeps.  One constructor builds it from kind codes and a fanin CSR.
 
 Two invariants make the array kernel a drop-in replacement for the
 per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
 
 * **Structure vs attributes.**  The compiled CSR arrays depend only on the
-  graph *structure* (fanins, kinds) and are invalidated exactly when the
-  network's adjacency caches are (``TimingNetwork.invalidate``).  Mutable
-  per-vertex *attributes* (``derate``, ``extra_load``, the cell) are handed
-  over as fresh :class:`AttributeColumns` per analysis, because value
-  patches edit them in place without a structural invalidation.
+  graph *structure* (fanins, kinds) and are rebuilt after a structural edit
+  (``TimingNetwork.invalidate``).  The per-vertex *attributes* (``derate``,
+  ``extra_load``, the cell) are the network's own live
+  :class:`~repro.sta.network.AttributeColumns`, handed to each kernel call,
+  because value edits change them in place without a structural
+  invalidation.
 * **Bit-identical math.**  Each numpy expression applies the same float64
   operations in the same per-element order as the scalar reference
   (``d = (intrinsic + resistance*load) + slew_factor*slew``;
@@ -31,7 +30,7 @@ per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
 from __future__ import annotations
 
 from itertools import chain
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +38,7 @@ from repro.faults import fault_active
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports this module)
     from repro.sta.constraints import ClockConstraint
-    from repro.sta.network import TimingNetwork, TimingVertex
+    from repro.sta.network import AttributeColumns, TimingNetwork
 
 #: Integer codes of :class:`~repro.sta.network.VertexKind`, in declaration order.
 KIND_CONST = 0
@@ -169,92 +168,6 @@ def levelize(
     return level, order, np.asarray(level_ptr, dtype=np.int32)
 
 
-class AttributeColumns:
-    """Columnar per-vertex attributes of one analysis.
-
-    Cell parameters are stored as a small table of distinct cells plus a
-    per-vertex row index (row 0 = no cell, all parameters zero), so the
-    per-analysis gather touches one attribute per vertex instead of seven.
-    A network at rest hands over copies of its own columns; a materialized
-    network gathers them from its vertex objects (:meth:`gather`).
-    """
-
-    __slots__ = ("n", "derate", "extra_load", "cell_row", "_cell_rows", "_cells", "_params")
-
-    def __init__(
-        self,
-        cells: List[object],
-        cell_row: np.ndarray,
-        derate: np.ndarray,
-        extra_load: np.ndarray,
-    ):
-        self.n = len(cell_row)
-        self.derate = derate
-        self.extra_load = extra_load
-        self.cell_row = cell_row
-        self._cells = cells
-        self._cell_rows: Dict[int, int] = {id(cell): row for row, cell in enumerate(cells)}
-        self._params: Dict[str, np.ndarray] = {}
-
-    @classmethod
-    def gather(cls, vertices: Sequence["TimingVertex"]) -> "AttributeColumns":
-        """Columns of the current values of ``vertices`` (C-speed passes)."""
-        n = len(vertices)
-        cells, cell_row = cell_table([v.cell for v in vertices])
-        return cls(
-            cells,
-            cell_row,
-            np.fromiter((v.derate for v in vertices), dtype=np.float64, count=n),
-            np.fromiter((v.extra_load for v in vertices), dtype=np.float64, count=n),
-        )
-
-    def _row_of(self, cell) -> int:
-        if cell is None:
-            return 0
-        row = self._cell_rows.get(id(cell))
-        if row is None:
-            row = len(self._cells)
-            self._cell_rows[id(cell)] = row
-            self._cells.append(cell)
-            self._params.clear()  # table grew; parameter columns are stale
-        return row
-
-    def _gather(self, network: "TimingNetwork", ids) -> None:
-        derate = self.derate
-        extra = self.extra_load
-        rows = self.cell_row
-        for i in ids:
-            vertex = network.vertices[i]
-            derate[i] = vertex.derate
-            extra[i] = vertex.extra_load
-            rows[i] = self._row_of(vertex.cell)
-
-    def refresh(self, network: "TimingNetwork", ids) -> None:
-        """Re-gather the columns of ``ids`` after in-place attribute edits."""
-        self._gather(network, ids)
-        # Derived parameter columns are views of cell_row; rebuild lazily.
-        self._params.clear()
-
-    def param(self, name: str) -> np.ndarray:
-        """Per-vertex cell parameter column (0.0 where the vertex has no cell)."""
-        column = self._params.get(name)
-        if column is None:
-            table = np.array(
-                [0.0] + [getattr(cell, name) for cell in self._cells[1:]], dtype=np.float64
-            )
-            column = table[self.cell_row]
-            self._params[name] = column
-        return column
-
-    def has_cell(self) -> np.ndarray:
-        return self.cell_row != 0
-
-    @property
-    def cells(self) -> List[object]:
-        """The distinct cells, indexed by ``cell_row`` (row 0 is ``None``)."""
-        return self._cells
-
-
 class _SweepPlan:
     """Precomputed structural layout of one full level sweep.
 
@@ -326,8 +239,8 @@ class _SweepPlan:
 class CSRTimingGraph:
     """Compiled structure of one :class:`~repro.sta.network.TimingNetwork`.
 
-    Holds only *structural* state (adjacency, kinds, levels); mutable vertex
-    attributes travel separately as :class:`AttributeColumns`.
+    Holds only *structural* state (adjacency, kinds, levels); vertex
+    attributes travel separately as ``AttributeColumns``.
     """
 
     __slots__ = (
@@ -386,12 +299,9 @@ class CSRTimingGraph:
         indices = self.fanout_indices.tolist()
         return [indices[indptr[v] : indptr[v + 1]] for v in range(self.n)]
 
-    def fanouts_of(self, vertex_id: int) -> np.ndarray:
-        return self.fanout_indices[self.fanout_indptr[vertex_id] : self.fanout_indptr[vertex_id + 1]]
-
     # -- kernels -------------------------------------------------------------
 
-    def compute_loads(self, network: "TimingNetwork", cols: AttributeColumns) -> np.ndarray:
+    def compute_loads(self, network: "TimingNetwork", cols: "AttributeColumns") -> np.ndarray:
         """Vectorized output loads, bit-identical to ``engine.compute_loads``.
 
         ``np.add.at`` is unbuffered and applies the additions in index order,
@@ -420,7 +330,7 @@ class CSRTimingGraph:
     def sweep(
         self,
         ids: np.ndarray,
-        cols: AttributeColumns,
+        cols: "AttributeColumns",
         clock: "ClockConstraint",
         arrivals: np.ndarray,
         slews: np.ndarray,
@@ -489,7 +399,7 @@ class CSRTimingGraph:
 
     def sweep_all(
         self,
-        cols: AttributeColumns,
+        cols: "AttributeColumns",
         clock: "ClockConstraint",
         arrivals: np.ndarray,
         slews: np.ndarray,

@@ -74,10 +74,6 @@ class STAReport:
     def register_endpoints(self) -> List[EndpointTiming]:
         return [e for e in self.endpoints if e.kind == "register"]
 
-    def endpoint_arrivals(self) -> Dict[str, float]:
-        """Bit-level endpoint name -> arrival time."""
-        return {e.name: e.arrival for e in self.endpoints}
-
     def endpoint_slacks(self) -> Dict[str, float]:
         """Bit-level endpoint name -> slack."""
         return {e.name: e.slack for e in self.endpoints}
@@ -114,7 +110,10 @@ class STAReport:
 
 
 def compute_loads(network: TimingNetwork) -> np.ndarray:
-    """Output load of every vertex: fanin pin caps of consumers plus wire load."""
+    """Output load of every vertex: fanin pin caps of consumers plus wire load.
+
+    The per-vertex reference of ``CSRTimingGraph.compute_loads``.
+    """
     loads = np.zeros(len(network.vertices))
     for vertex in network.vertices:
         if vertex.cell is None:
@@ -233,7 +232,8 @@ def arrival_delay_of(
     network: TimingNetwork, report: STAReport, vertex_id: int, fanin: int
 ) -> float:
     """Delay contribution of edge ``fanin -> vertex`` under the analyzed state."""
-    vertex = network.vertices[vertex_id]
-    if vertex.cell is None:
+    cell = network.cell_of(vertex_id)
+    if cell is None:
         return 0.0
-    return vertex.derate * vertex.cell.delay(report.slews[fanin], report.loads[vertex_id])
+    derate = network.attribute_columns().derate[vertex_id]
+    return derate * cell.delay(report.slews[fanin], report.loads[vertex_id])

@@ -6,23 +6,27 @@ this representation, so a single STA engine serves the whole flow — exactly
 the role PrimeTime plays in the paper, plus the pseudo-STA the paper runs
 directly on the RTL representation.
 
-At rest a network is :class:`NetworkColumns`: kind codes, a fanin CSR, a
-cell table with one row index per vertex, and the ``derate`` /
-``extra_load`` / name columns.  :func:`from_bog` lowers a BOG straight to
-them, pickles carry them, and every inference reader (the STA kernel, path
-sampling, features) reads them through :meth:`TimingNetwork.compiled` and
-:meth:`TimingNetwork.attribute_columns`.  Code that edits a network — the
-synthesis mapper and optimizer, incremental patches, placement, the
-reference kernel and the oracles — reads :attr:`TimingNetwork.vertices`,
-which builds :class:`TimingVertex` objects once; from then on the objects
-are the source of truth and are gathered back into columns on demand.
+Columns are a network's only source of truth: kind codes, a fanin CSR, a
+cell table with one row index per vertex (:class:`AttributeColumns`), and
+the ``derate`` / ``extra_load`` / name columns.  :func:`from_bog` lowers a
+BOG straight to them, :meth:`TimingNetwork.add_vertex` appends build rows
+that are frozen into the arrays on the first query, and pickles carry them
+as :class:`NetworkColumns`.  Every editor — the synthesis mapper and
+optimizer, incremental patches, placement — changes a network only through
+its writers (:meth:`~TimingNetwork.set_cell`,
+:meth:`~TimingNetwork.set_derate`, :meth:`~TimingNetwork.set_extra_load`,
+:meth:`~TimingNetwork.set_fanins`, :meth:`~TimingNetwork.add_vertex`), and
+every kernel reads :meth:`~TimingNetwork.compiled` and
+:meth:`~TimingNetwork.attribute_columns`.  :attr:`TimingNetwork.vertices`
+is a cached tuple of immutable :class:`TimingVertex` views for the
+reference kernels, the fuzz oracles and the tests.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +37,6 @@ from repro.sta.csr import (
     KIND_GATE,
     KIND_INPUT,
     KIND_REGISTER,
-    AttributeColumns,
     CSRTimingGraph,
     build_fanin_csr,
     cell_table,
@@ -54,13 +57,12 @@ _KIND_CODE: Dict[VertexKind, int] = {kind: code for code, kind in enumerate(Vert
 _KIND_OF_CODE = tuple(VertexKind)
 
 
-@dataclass(slots=True)
-class TimingVertex:
-    """One vertex of the timing graph."""
+class TimingVertex(NamedTuple):
+    """A read-only view of one vertex of the timing graph."""
 
     id: int
     kind: VertexKind
-    fanins: List[int] = field(default_factory=list)
+    fanins: Tuple[int, ...] = ()
     cell: Optional[Cell] = None
     name: Optional[str] = None
     extra_load: float = 0.0  # wire load added by placement (fF)
@@ -93,7 +95,7 @@ class TimingEndpoint:
 
 @dataclass(slots=True)
 class NetworkColumns:
-    """A timing network's vertices as columns (its form at rest and in pickles).
+    """A timing network's vertices as columns (its form in pickles).
 
     ``cells`` lists the distinct cells in first-use order with ``None`` at
     row 0, and ``cell_row`` indexes it per vertex.  The arrays are shared,
@@ -109,159 +111,271 @@ class NetworkColumns:
     extra_load: np.ndarray  # float64
     names: List[Optional[str]]
 
-    @classmethod
-    def gather(cls, vertices: Sequence[TimingVertex]) -> "NetworkColumns":
-        """The columns of ``vertices``' current structure and values."""
-        kind, indptr, indices = _gather_structure(vertices)
-        attributes = AttributeColumns.gather(vertices)
-        return cls(
-            kind,
-            indptr,
-            indices,
-            attributes.cells,
-            attributes.cell_row,
-            attributes.derate,
-            attributes.extra_load,
-            [v.name for v in vertices],
-        )
 
-    def vertices(self) -> List[TimingVertex]:
-        """One :class:`TimingVertex` per row."""
-        ptr = self.fanin_indptr.tolist()
-        indices = self.fanin_indices.tolist()
-        kinds = [_KIND_OF_CODE[code] for code in self.kind.tolist()]
-        cells = [self.cells[row] for row in self.cell_row.tolist()]
-        return [
-            TimingVertex(
-                id=i,
-                kind=kinds[i],
-                fanins=indices[ptr[i] : ptr[i + 1]],
-                cell=cells[i],
-                name=name,
-                extra_load=extra_load,
-                derate=derate,
+class AttributeColumns:
+    """A network's per-vertex attribute columns, as every kernel reads them.
+
+    Cells are a small table of distinct cells plus a per-vertex row index
+    (row 0 = no cell, all parameters zero).  Only the writers of the owning
+    :class:`TimingNetwork` change the columns.
+    """
+
+    __slots__ = ("derate", "extra_load", "cell_row", "cells", "_cell_rows", "_params")
+
+    def __init__(
+        self,
+        cells: List[Optional[Cell]],
+        cell_row: np.ndarray,
+        derate: np.ndarray,
+        extra_load: np.ndarray,
+    ):
+        self.derate = derate
+        self.extra_load = extra_load
+        self.cell_row = cell_row
+        #: The distinct cells, indexed by ``cell_row`` (row 0 is ``None``).
+        self.cells = cells
+        self._cell_rows: Dict[int, int] = {id(cell): row for row, cell in enumerate(cells)}
+        self._params: Dict[str, np.ndarray] = {}
+
+    def _row_of(self, cell: Optional[Cell]) -> int:
+        """The table row of ``cell``, appending it on first use."""
+        if cell is None:
+            return 0
+        row = self._cell_rows.get(id(cell))
+        if row is None:
+            row = self._cell_rows[id(cell)] = len(self.cells)
+            self.cells.append(cell)
+        return row
+
+    def param(self, name: str) -> np.ndarray:
+        """Per-vertex cell parameter column (0.0 where the vertex has no cell)."""
+        column = self._params.get(name)
+        if column is None:
+            table = np.array(
+                [0.0] + [getattr(cell, name) for cell in self.cells[1:]], dtype=np.float64
             )
-            for i, (name, extra_load, derate) in enumerate(
-                zip(self.names, self.extra_load.tolist(), self.derate.tolist())
-            )
-        ]
+            column = self._params[name] = table[self.cell_row]
+        return column
 
-
-def _gather_structure(vertices: Sequence[TimingVertex]):
-    """``(kind codes, fanin indptr, fanin indices)`` of ``vertices``."""
-    kind = np.fromiter(
-        (_KIND_CODE[v.kind] for v in vertices), dtype=np.int8, count=len(vertices)
-    )
-    return (kind, *build_fanin_csr([v.fanins for v in vertices]))
+    def has_cell(self) -> np.ndarray:
+        return self.cell_row != 0
 
 
 class TimingNetwork:
-    """A flat timing graph, held as columns until code asks for its vertices."""
+    """A flat timing graph, held as columns."""
 
     def __init__(self, name: str, columns: Optional[NetworkColumns] = None):
-        """An empty network to build vertex by vertex, or one at rest over ``columns``."""
+        """An empty network to build vertex by vertex, or one over ``columns``."""
         self.name = name
         self.endpoints: List[TimingEndpoint] = []
-        # Exactly one of the two is set: the columns at rest, or the vertex
-        # objects once something has asked for them.
-        self._columns = columns
-        self._vertices: Optional[List[TimingVertex]] = [] if columns is None else None
+        if columns is None:
+            no_rows = np.empty(0, dtype=np.int32)
+            columns = NetworkColumns(
+                np.empty(0, dtype=np.int8), *build_fanin_csr([]), [None], no_rows, np.empty(0), np.empty(0), []
+            )
+        self._kind = columns.kind
+        self._fanin_indptr = columns.fanin_indptr
+        self._fanin_indices = columns.fanin_indices
+        self._attributes = AttributeColumns(
+            columns.cells, columns.cell_row, columns.derate, columns.extra_load
+        )
+        self._names = columns.names
+        # Rows appended by add_vertex, frozen into the columns on first query.
+        self._pending: List[tuple] = []
+        # Views, dropped on every edit (the compiled ones on structural edits).
+        self._vertices: Optional[Tuple[TimingVertex, ...]] = None
         self._fanouts: Optional[List[List[int]]] = None
         self._topo: Optional[List[int]] = None
         self._csr: Optional[CSRTimingGraph] = None
 
     def __getstate__(self) -> dict:
-        # Pickles carry the columns, never vertex objects.  The compiled CSR
-        # view (and the thin views derived from it) is a pure function of the
-        # structure, rebuilt lazily on demand; dropping it keeps record
-        # fingerprints independent of whether an analysis has run yet.
-        state = self.__dict__.copy()
-        state["_columns"] = self.columns()
-        state["_vertices"] = None
-        state["_fanouts"] = None
-        state["_topo"] = None
-        state["_csr"] = None
+        # Pickles carry the columns and the public attributes (a subclass's
+        # too, e.g. ``Netlist.library``).  The keys and their ``None`` cache
+        # slots keep the layout networks have always pickled with, so record
+        # pickles and their fingerprints stay byte-identical.
+        state = {"name": self.name, "endpoints": self.endpoints, "_columns": self.columns()}
+        state.update(dict.fromkeys(("_vertices", "_fanouts", "_topo", "_csr")))
+        state.update((k, v) for k, v in vars(self).items() if k not in state and k[0] != "_")
         return state
 
-    # -- representations -----------------------------------------------------
+    def __setstate__(self, state: dict) -> None:
+        TimingNetwork.__init__(self, state["name"], state["_columns"])
+        self.__dict__.update((k, v) for k, v in state.items() if k[0] != "_")
 
-    @property
-    def vertices(self) -> List[TimingVertex]:
-        """The vertex objects, built from the columns on first access.
+    # -- columns -------------------------------------------------------------
 
-        From then on they are the source of truth: edits to them (and
-        ``add_vertex``) are what :meth:`columns` and :meth:`compiled` see.
-        """
-        if self._vertices is None:
-            self._vertices = self._columns.vertices()
-            self._columns = None
-        return self._vertices
+    def _freeze(self) -> None:
+        """Append the pending build rows to the columns."""
+        if not self._pending:
+            return
+        codes, fanins, rows, names = zip(*self._pending)
+        self._pending = []
+        indptr, indices = build_fanin_csr(fanins)
+        self._kind = np.concatenate([self._kind, np.array(codes, dtype=np.int8)])
+        self._fanin_indptr = np.concatenate([self._fanin_indptr, indptr[1:] + self._fanin_indptr[-1]])
+        self._fanin_indices = np.concatenate([self._fanin_indices, indices])
+        self._names = self._names + list(names)
+        cols = self._attributes
+        cols.cell_row = np.concatenate([cols.cell_row, np.array(rows, dtype=np.int32)])
+        cols.derate = np.concatenate([cols.derate, np.ones(len(rows))])
+        cols.extra_load = np.concatenate([cols.extra_load, np.zeros(len(rows))])
+        cols._params.clear()
 
     def columns(self) -> NetworkColumns:
-        """The network as columns: its own at rest, else gathered from the vertices."""
-        if self._vertices is None:
-            return self._columns
-        return NetworkColumns.gather(self._vertices)
+        """The network as columns, its cell table in first-use order.
+
+        A cell swap may leave the live table with unused rows or rows out of
+        first-use order; the table returned here is the one
+        :func:`~repro.sta.csr.cell_table` builds from the per-vertex cells,
+        so pickles and digests depend only on which cell each vertex has.
+        """
+        cols = self.attribute_columns()
+        cells, cell_row = cols.cells, cols.cell_row
+        used, first = np.unique(cell_row, return_index=True)
+        order = used[np.argsort(first, kind="stable")]
+        order = order[order != 0]
+        if not np.array_equal(order, np.arange(1, len(cells))):
+            remap = np.zeros(len(cells), dtype=np.int32)
+            remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
+            cells = [None] + [cells[row] for row in order.tolist()]
+            cell_row = remap[cell_row]
+        return NetworkColumns(
+            self._kind,
+            self._fanin_indptr,
+            self._fanin_indices,
+            cells,
+            cell_row,
+            cols.derate,
+            cols.extra_load,
+            self._names,
+        )
 
     def attribute_columns(self) -> AttributeColumns:
-        """Fresh, writable attribute columns of the current values."""
-        if self._vertices is None:
-            columns = self._columns
-            return AttributeColumns(
-                list(columns.cells),
-                columns.cell_row.copy(),
-                columns.derate.copy(),
-                columns.extra_load.copy(),
-            )
-        return AttributeColumns.gather(self._vertices)
+        """The live attribute columns; read them, change them through the writers."""
+        if self._pending:
+            self._freeze()
+        return self._attributes
 
-    # -- construction --------------------------------------------------------
+    @property
+    def vertices(self) -> Tuple[TimingVertex, ...]:
+        """Read-only :class:`TimingVertex` views of the vertices, cached until an edit."""
+        if self._vertices is None:
+            cols = self.attribute_columns()
+            ptr = self._fanin_indptr.tolist()
+            indices = self._fanin_indices.tolist()
+            rows = zip(
+                self._kind.tolist(),
+                self.vertex_cells(),
+                self._names,
+                cols.extra_load.tolist(),
+                cols.derate.tolist(),
+            )
+            self._vertices = tuple(
+                TimingVertex(i, _KIND_OF_CODE[code], tuple(indices[ptr[i] : ptr[i + 1]]), *row)
+                for i, (code, *row) in enumerate(rows)
+            )
+        return self._vertices
+
+    # -- construction and edits ----------------------------------------------
 
     def add_vertex(
         self,
         kind: VertexKind,
-        fanins: Optional[List[int]] = None,
+        fanins: Optional[Sequence[int]] = None,
         cell: Optional[Cell] = None,
         name: Optional[str] = None,
     ) -> int:
-        vertices = self.vertices
-        vertex = TimingVertex(
-            id=len(vertices),
-            kind=kind,
-            fanins=list(fanins or []),
-            cell=cell,
-            name=name,
+        """Append one vertex (``derate`` 1.0, no wire load); return its id."""
+        vertex = len(self)
+        self._pending.append(
+            (_KIND_CODE[kind], list(fanins or ()), self._attributes._row_of(cell), name)
         )
-        vertices.append(vertex)
         self.invalidate()
-        return vertex.id
+        return vertex
 
     def add_endpoint(self, endpoint: TimingEndpoint) -> None:
         self.endpoints.append(endpoint)
 
+    def set_cell(self, vertex: int, cell: Optional[Cell]) -> None:
+        """Make ``cell`` implement ``vertex``."""
+        cols = self.attribute_columns()
+        cols.cell_row[vertex] = cols._row_of(cell)
+        cols._params.clear()
+        self._vertices = None
+
+    def set_derate(self, vertex, derate) -> None:
+        """Set the delay derate of ``vertex`` (an id, or an index such as an id array)."""
+        self.attribute_columns().derate[vertex] = derate
+        self._vertices = None
+
+    def set_extra_load(self, vertex, extra_load) -> None:
+        """Set the wire load (fF) on the net of ``vertex`` (an id, or an index such as an id array)."""
+        self.attribute_columns().extra_load[vertex] = extra_load
+        self._vertices = None
+
+    def set_fanins(self, vertex: int, fanins: Sequence[int]) -> None:
+        """Replace the fanin list of ``vertex`` (a structural edit)."""
+        self._freeze()
+        indptr = self._fanin_indptr
+        start, stop = int(indptr[vertex]), int(indptr[vertex + 1])
+        new = np.array(fanins, dtype=np.int32)
+        self._fanin_indices = np.concatenate(
+            [self._fanin_indices[:start], new, self._fanin_indices[stop:]]
+        )
+        # Copy on write: the CSR arrays may be shared with a BOG or a pickle.
+        self._fanin_indptr = indptr.copy()
+        self._fanin_indptr[vertex + 1 :] += len(new) - (stop - start)
+        self.invalidate()
+
+    def invalidate(self) -> None:
+        """Drop the views after a structural edit."""
+        self._vertices = None
+        self._fanouts = None
+        self._topo = None
+        self._csr = None
+
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._vertices is None:
-            return len(self._columns.kind)
-        return len(self._vertices)
+        return len(self._kind) + len(self._pending)
+
+    def kinds(self) -> np.ndarray:
+        """Kind code (``repro.sta.csr.KIND_*``) of every vertex."""
+        self._freeze()
+        return self._kind
+
+    def fanins_of(self, vertex: int) -> List[int]:
+        """The fanins of ``vertex``, in order."""
+        self._freeze()
+        return self._fanin_indices[self._fanin_indptr[vertex] : self._fanin_indptr[vertex + 1]].tolist()
+
+    def cell_of(self, vertex: int) -> Optional[Cell]:
+        """The cell implementing ``vertex`` (``None`` for launch points without one)."""
+        if self._pending:
+            self._freeze()
+        cols = self._attributes
+        return cols.cells[cols.cell_row[vertex]]
+
+    def vertex_cells(self) -> List[Optional[Cell]]:
+        """The cell of every vertex, in id order."""
+        cols = self.attribute_columns()
+        return [cols.cells[row] for row in cols.cell_row.tolist()]
 
     def compiled(self) -> CSRTimingGraph:
         """The compiled CSR/levelized view of the current structure, cached.
 
         Compilation is lazy: the first structural query after a change
-        (``add_vertex`` or :meth:`invalidate`) rebuilds it; value edits
-        (``derate``, ``extra_load``, cell swaps) do not require one because
-        attribute columns are gathered separately per analysis.  Raises
-        ``ValueError`` on an out-of-range fanin or a combinational cycle.
+        (``add_vertex``, ``set_fanins`` or :meth:`invalidate`) rebuilds it;
+        value edits (cells, ``derate``, ``extra_load``) do not need one,
+        because the kernels read :meth:`attribute_columns` directly.
+        Raises ``ValueError`` on an out-of-range fanin or a combinational
+        cycle.
         """
         if self._csr is None:
-            if self._vertices is None:
-                columns = self._columns
-                structure = (columns.kind, columns.fanin_indptr, columns.fanin_indices)
-            else:
-                structure = _gather_structure(self._vertices)
-            self._csr = CSRTimingGraph(self.name, *structure)
+            self._freeze()
+            self._csr = CSRTimingGraph(
+                self.name, self._kind, self._fanin_indptr, self._fanin_indices
+            )
         return self._csr
 
     def fanouts(self) -> List[List[int]]:
@@ -269,12 +383,6 @@ class TimingNetwork:
         if self._fanouts is None:
             self._fanouts = self.compiled().fanout_lists()
         return self._fanouts
-
-    def invalidate(self) -> None:
-        """Drop cached adjacency after a structural edit (retiming, rewiring)."""
-        self._fanouts = None
-        self._topo = None
-        self._csr = None
 
     def topological_order(self) -> List[int]:
         """Vertex ids in topological order (thin view over the compiled graph).
@@ -301,21 +409,11 @@ class TimingNetwork:
         """Logic level of each vertex (sources at level 0)."""
         return self.compiled().level.tolist()
 
-    def launch_points(self) -> List[TimingVertex]:
-        return [v for v in self.vertices if v.is_launch_point]
-
-    def _kinds(self) -> np.ndarray:
-        if self._csr is not None:
-            return self._csr.kind
-        if self._vertices is None:
-            return self._columns.kind
-        return _gather_structure(self._vertices)[0]
-
     def gate_count(self) -> int:
-        return int(np.count_nonzero(self._kinds() == KIND_GATE))
+        return int(np.count_nonzero(self.kinds() == KIND_GATE))
 
     def register_count(self) -> int:
-        return int(np.count_nonzero(self._kinds() == KIND_REGISTER))
+        return int(np.count_nonzero(self.kinds() == KIND_REGISTER))
 
     def validate(self) -> None:
         """Check fanin ranges, acyclicity, gate cells and endpoint drivers.

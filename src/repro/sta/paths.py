@@ -7,9 +7,11 @@ point (register output or primary input) is reached.  Also provides random
 path sampling within an endpoint's input cone, used to generate the
 additional ``K`` paths per endpoint.
 
-The per-endpoint functions walk the object graph one vertex at a time and are
-kept as the reference implementation.  The array section at the end computes
-the same quantities for every endpoint at once on the compiled
+:func:`trace_critical_path` walks the network's columns one endpoint at a
+time; the synthesis optimizer and the what-if projection trace with it.  The
+other per-endpoint functions walk the read-only vertex views and are kept as
+the reference implementation.  The array section at the end computes the
+same quantities for every endpoint at once on the compiled
 :class:`~repro.sta.csr.CSRTimingGraph`, bit for bit.
 """
 
@@ -21,9 +23,9 @@ from typing import List, Sequence, Set
 
 import numpy as np
 
-from repro.sta.csr import KIND_GATE, KIND_INPUT, KIND_REGISTER, AttributeColumns, gather_edges
+from repro.sta.csr import KIND_GATE, KIND_INPUT, KIND_REGISTER, gather_edges
 from repro.sta.engine import STAReport, arrival_delay_of
-from repro.sta.network import TimingNetwork, VertexKind
+from repro.sta.network import AttributeColumns, TimingNetwork, VertexKind
 
 
 @dataclass
@@ -49,21 +51,25 @@ class TimingPath:
 def trace_critical_path(
     network: TimingNetwork, report: STAReport, endpoint_name: str
 ) -> TimingPath:
-    """Trace the slowest path ending at ``endpoint_name``."""
+    """Trace the slowest path ending at ``endpoint_name``.
+
+    Each step moves to the fanin with the largest arrival plus edge delay;
+    ties go to the first fanin.
+    """
     endpoint = next(e for e in network.endpoints if e.name == endpoint_name)
-    vertices: List[int] = []
-    current = endpoint.driver
-    vertices.append(current)
-    while True:
-        vertex = network.vertices[current]
-        if vertex.kind is not VertexKind.GATE or not vertex.fanins:
+    kinds = network.kinds()
+    vertices = [endpoint.driver]
+    while kinds[vertices[-1]] == KIND_GATE:
+        vertex = vertices[-1]
+        fanins = network.fanins_of(vertex)
+        if not fanins:
             break
-        best_fanin = max(
-            vertex.fanins,
-            key=lambda f: report.arrivals[f] + arrival_delay_of(network, report, current, f),
+        vertices.append(
+            max(
+                fanins,
+                key=lambda f: report.arrivals[f] + arrival_delay_of(network, report, vertex, f),
+            )
         )
-        vertices.append(best_fanin)
-        current = best_fanin
     vertices.reverse()
     return TimingPath(
         endpoint=endpoint_name,
@@ -122,18 +128,6 @@ def path_arrival(network: TimingNetwork, report: STAReport, vertices: Sequence[i
     for previous, current in zip(vertices, vertices[1:]):
         arrival += arrival_delay_of(network, report, current, previous)
     return arrival
-
-
-def path_cells(network: TimingNetwork, vertices: Sequence[int]) -> List[str]:
-    """Cell function names along a path (launch point and gates)."""
-    names = []
-    for vertex_id in vertices:
-        vertex = network.vertices[vertex_id]
-        if vertex.cell is not None:
-            names.append(vertex.cell.function)
-        else:
-            names.append(vertex.kind.value)
-    return names
 
 
 # ---------------------------------------------------------------------------

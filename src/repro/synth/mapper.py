@@ -21,11 +21,14 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.bog.graph import BOG, NodeType
-from repro.sta.network import TimingEndpoint, VertexKind
 from repro.liberty import Library, nangate45_like
+from repro.sta.csr import KIND_GATE
+from repro.sta.network import TimingEndpoint, VertexKind
 from repro.synth.netlist import Netlist
 
 
@@ -58,14 +61,13 @@ def map_to_netlist(
     # Pick initial drive strengths: stronger cells on high-fanout nets, and a
     # sprinkling of pre-sized instances elsewhere (as a real mapper leaves
     # behind after its own internal sizing).
-    fanouts = netlist.fanouts()
-    for vertex in netlist.vertices:
-        if vertex.kind is not VertexKind.GATE:
-            continue
-        if len(fanouts[vertex.id]) >= high_fanout_threshold:
-            netlist.upsize(vertex.id)
+    compiled = netlist.compiled()
+    n_fanouts = np.diff(compiled.fanout_indptr)
+    for vertex in np.flatnonzero(compiled.kind == KIND_GATE).tolist():
+        if n_fanouts[vertex] >= high_fanout_threshold:
+            netlist.upsize(vertex)
         elif rng.random() < 0.1:
-            netlist.upsize(vertex.id)
+            netlist.upsize(vertex)
 
     _apply_cone_effort(netlist, rng)
 
@@ -92,7 +94,11 @@ def _apply_cone_effort(netlist: Netlist, rng: random.Random) -> None:
     operator counts); the random part is the irreducible noise that keeps the
     paper's fine-grained correlation well below 1.0.
     """
-    depths = _gate_depths(netlist)
+    depths = netlist.levels()
+    kinds = netlist.kinds()
+    derate = netlist.attribute_columns().derate
+    compiled = netlist.compiled()
+    indptr, indices = compiled.fanin_indptr.tolist(), compiled.fanin_indices.tolist()
 
     # Group endpoints by word-level signal: the input logic of one register
     # bank is optimized together, so all its bits share one effort level.
@@ -102,47 +108,32 @@ def _apply_cone_effort(netlist: Netlist, rng: random.Random) -> None:
 
     for signal in sorted(drivers_by_signal):
         drivers = drivers_by_signal[signal]
-        cone: Set[int] = set()
-        for driver in drivers:
-            cone.update(_cone_vertices(netlist, driver))
-        gates = [v for v in cone if netlist.vertices[v].kind is VertexKind.GATE]
-        if not gates:
+        cone = _cone_vertices(indptr, indices, drivers)
+        gates = cone[kinds[cone] == KIND_GATE]
+        if not gates.size:
             continue
         depth = max(depths[d] for d in drivers)
         if depth <= 1:
             continue
-        size = len(gates)
+        size = gates.size
         balanced_depth = 2.0 + 2.2 * math.log2(size + 1)
         effort = rng.uniform(0.85, 1.25)
         factor = (balanced_depth * effort) / depth + rng.uniform(-0.06, 0.06)
         factor = max(0.3, min(1.0, factor))
-        for vertex_id in gates:
-            vertex = netlist.vertices[vertex_id]
-            if factor < vertex.derate:
-                vertex.derate = factor
+        netlist.set_derate(gates[factor < derate[gates]], factor)
 
 
-def _gate_depths(netlist: Netlist) -> List[int]:
-    """Logic depth of every vertex (launch points are depth 0)."""
-    depths = [0] * len(netlist.vertices)
-    for vertex_id in netlist.topological_order():
-        vertex = netlist.vertices[vertex_id]
-        if vertex.kind is VertexKind.GATE and vertex.fanins:
-            depths[vertex_id] = 1 + max(depths[f] for f in vertex.fanins)
-    return depths
-
-
-def _cone_vertices(netlist: Netlist, driver: int) -> List[int]:
-    """Transitive fanin cone of ``driver`` (inclusive)."""
+def _cone_vertices(indptr: List[int], indices: List[int], drivers: List[int]) -> np.ndarray:
+    """Transitive fanin cone of ``drivers`` (inclusive) over a fanin CSR."""
     seen = set()
-    stack = [driver]
+    stack = list(drivers)
     while stack:
         current = stack.pop()
         if current in seen:
             continue
         seen.add(current)
-        stack.extend(netlist.vertices[current].fanins)
-    return list(seen)
+        stack.extend(indices[indptr[current] : indptr[current + 1]])
+    return np.fromiter(seen, dtype=np.int64, count=len(seen))
 
 
 class _Mapper:

@@ -16,9 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.sta.engine import STAReport, compute_loads
-from repro.sta.network import TimingEndpoint, TimingNetwork, TimingVertex, VertexKind
-from repro.liberty import Cell, Library
+from repro.liberty import Library
+from repro.sta.csr import KIND_CONST, KIND_GATE, KIND_REGISTER
+from repro.sta.engine import STAReport
+from repro.sta.network import TimingEndpoint, TimingNetwork, VertexKind
 
 
 @dataclass
@@ -58,20 +59,19 @@ class Netlist(TimingNetwork):
 
     def area(self) -> float:
         """Total cell area (um^2)."""
-        return sum(v.cell.area for v in self.vertices if v.cell is not None)
+        return sum(cell.area for cell in self.vertex_cells() if cell is not None)
 
     def leakage_power(self) -> float:
         """Total leakage power (nW)."""
-        return sum(v.cell.leakage for v in self.vertices if v.cell is not None)
+        return sum(cell.leakage for cell in self.vertex_cells() if cell is not None)
 
     def dynamic_power(self, activity: float = 0.1, frequency_ghz: float = 1.0) -> float:
         """Switching power proxy (uW) under a uniform activity factor."""
-        loads = compute_loads(self)
+        loads = self.compiled().compute_loads(self, self.attribute_columns())
         energy = 0.0
-        for vertex in self.vertices:
-            if vertex.cell is None or vertex.kind is VertexKind.CONST:
-                continue
-            energy += vertex.cell.dynamic_energy(float(loads[vertex.id]))
+        for cell, kind, load in zip(self.vertex_cells(), self.kinds().tolist(), loads.tolist()):
+            if cell is not None and kind != KIND_CONST:
+                energy += cell.dynamic_energy(load)
         return activity * frequency_ghz * energy * 1e-3
 
     def qor(self, report: STAReport, activity: float = 0.1) -> QoR:
@@ -92,50 +92,31 @@ class Netlist(TimingNetwork):
     def cell_histogram(self) -> Dict[str, int]:
         """Number of instances per cell function."""
         histogram: Dict[str, int] = {}
-        for vertex in self.vertices:
-            if vertex.cell is None:
-                continue
-            histogram[vertex.cell.function] = histogram.get(vertex.cell.function, 0) + 1
+        for cell in self.vertex_cells():
+            if cell is not None:
+                histogram[cell.function] = histogram.get(cell.function, 0) + 1
         return histogram
 
     # -- edit operations -------------------------------------------------------
 
-    def resize(self, vertex_id: int, cell: Cell) -> None:
-        """Swap the cell implementing ``vertex_id`` (same function, new drive)."""
-        vertex = self.vertices[vertex_id]
-        if vertex.cell is None:
-            raise ValueError(f"vertex {vertex_id} has no cell to resize")
-        if vertex.cell.function != cell.function:
-            raise ValueError(
-                f"resize must preserve the cell function "
-                f"({vertex.cell.function} -> {cell.function})"
-            )
-        vertex.cell = cell
-        # Loads change (input caps differ across drives); arrival caches are
-        # owned by the caller via STAReport, nothing to invalidate here.
-
     def upsize(self, vertex_id: int) -> bool:
         """Replace the vertex's cell with the next stronger drive. Returns
         ``True`` when a stronger variant existed."""
-        vertex = self.vertices[vertex_id]
-        if vertex.cell is None:
-            return False
-        stronger = self.library.upsize(vertex.cell)
-        if stronger is None:
-            return False
-        vertex.cell = stronger
-        return True
+        return self._resize(vertex_id, self.library.upsize)
 
     def downsize(self, vertex_id: int) -> bool:
         """Replace the vertex's cell with the next weaker drive. Returns
         ``True`` when a weaker variant existed."""
-        vertex = self.vertices[vertex_id]
-        if vertex.cell is None:
+        return self._resize(vertex_id, self.library.downsize)
+
+    def _resize(self, vertex_id: int, step) -> bool:
+        cell = self.cell_of(vertex_id)
+        if cell is None:
             return False
-        weaker = self.library.downsize(vertex.cell)
-        if weaker is None:
+        resized = step(cell)
+        if resized is None:
             return False
-        vertex.cell = weaker
+        self.set_cell(vertex_id, resized)
         return True
 
     def retime_endpoint_backward(self, endpoint_name: str) -> bool:
@@ -156,17 +137,18 @@ class Netlist(TimingNetwork):
         endpoint = next((e for e in self.endpoints if e.name == endpoint_name), None)
         if endpoint is None or endpoint.kind != "register":
             return False
-        driver = self.vertices[endpoint.driver]
-        if driver.kind is not VertexKind.GATE or not driver.fanins:
+        driver_fanins = self.fanins_of(endpoint.driver)
+        if self.kinds()[endpoint.driver] != KIND_GATE or not driver_fanins:
             return False
-        register_vertex = self._register_vertex_of(endpoint)
-        if register_vertex is None:
+        register = self._register_vertex_of(endpoint)
+        if register is None:
             return False
+        consumers = dict.fromkeys(self.fanouts()[register])
 
         # 1. One new register per fanin of the driving gate.
         new_regs: List[int] = []
-        reg_cell = register_vertex.cell
-        for index, fanin in enumerate(driver.fanins):
+        reg_cell = self.cell_of(register)
+        for index, fanin in enumerate(driver_fanins):
             reg_id = self.add_vertex(
                 VertexKind.REGISTER,
                 cell=reg_cell,
@@ -187,27 +169,27 @@ class Netlist(TimingNetwork):
         # 2. A copy of the driving gate is placed after the new registers and
         #    takes over the original register's fanout.
         gate_copy = self.add_vertex(
-            VertexKind.GATE, fanins=new_regs, cell=driver.cell, name=None
+            VertexKind.GATE, fanins=new_regs, cell=self.cell_of(endpoint.driver), name=None
         )
-        for vertex in self.vertices:
-            if vertex.id in (gate_copy,):
-                continue
-            vertex.fanins = [gate_copy if f == register_vertex.id else f for f in vertex.fanins]
+        for consumer in consumers:
+            self.set_fanins(
+                consumer, [gate_copy if f == register else f for f in self.fanins_of(consumer)]
+            )
         for other in self.endpoints:
             if other is endpoint:
                 continue
-            if other.driver == register_vertex.id:
+            if other.driver == register:
                 other.driver = gate_copy
 
         # 3. The original endpoint (and its register) disappears.
         self.endpoints.remove(endpoint)
-        register_vertex.fanins = []
-        self.invalidate()
+        self.set_fanins(register, [])
         return True
 
-    def _register_vertex_of(self, endpoint: TimingEndpoint) -> Optional[TimingVertex]:
-        """Find the register (launch) vertex whose name matches the endpoint."""
-        for vertex in self.vertices:
-            if vertex.kind is VertexKind.REGISTER and vertex.name == endpoint.name:
+    def _register_vertex_of(self, endpoint: TimingEndpoint) -> Optional[int]:
+        """The register (launch) vertex whose name matches the endpoint."""
+        columns = self.columns()
+        for vertex, (kind, name) in enumerate(zip(columns.kind.tolist(), columns.names)):
+            if kind == KIND_REGISTER and name == endpoint.name:
                 return vertex
         return None

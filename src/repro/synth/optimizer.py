@@ -24,9 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set
 
+import numpy as np
+
 from repro.sta.constraints import ClockConstraint
+from repro.sta.csr import KIND_GATE
 from repro.sta.engine import STAReport, analyze
-from repro.sta.network import VertexKind
 from repro.sta.paths import trace_critical_path
 from repro.synth.netlist import Netlist
 
@@ -158,6 +160,7 @@ def _sizing_pass(
     """Upsize cells along the critical paths of the selected endpoints."""
     if not endpoint_names:
         return report
+    kinds = netlist.kinds().tolist()
     touched: Set[int] = set()
     for name in endpoint_names:
         try:
@@ -165,8 +168,7 @@ def _sizing_pass(
         except StopIteration:  # endpoint removed by retiming
             continue
         for vertex_id in path.vertices:
-            vertex = netlist.vertices[vertex_id]
-            if vertex.kind is not VertexKind.GATE or vertex_id in touched:
+            if kinds[vertex_id] != KIND_GATE or vertex_id in touched:
                 continue
             if netlist.upsize(vertex_id):
                 touched.add(vertex_id)
@@ -190,12 +192,10 @@ def _area_recovery(
     worst_downstream = _worst_downstream_slack(netlist, report)
     wns_before = report.wns
     downsized: List[int] = []
-    for vertex in netlist.vertices:
-        if vertex.kind is not VertexKind.GATE:
-            continue
-        if worst_downstream.get(vertex.id, 0.0) >= slack_threshold:
-            if netlist.downsize(vertex.id):
-                downsized.append(vertex.id)
+    for vertex in np.flatnonzero(netlist.kinds() == KIND_GATE).tolist():
+        if worst_downstream.get(vertex, 0.0) >= slack_threshold:
+            if netlist.downsize(vertex):
+                downsized.append(vertex)
     if not downsized:
         return report
     new_report = analyze(netlist, clock)
@@ -219,13 +219,13 @@ def _worst_downstream_slack(netlist: Netlist, report: STAReport) -> Dict[int, fl
         if current is None or timing.slack < current:
             worst[endpoint.driver] = timing.slack
     # Propagate backwards in reverse topological order.
-    order = netlist.topological_order()
-    for vertex_id in reversed(order):
-        vertex = netlist.vertices[vertex_id]
+    compiled = netlist.compiled()
+    indptr, indices = compiled.fanin_indptr.tolist(), compiled.fanin_indices.tolist()
+    for vertex_id in reversed(netlist.topological_order()):
         value = worst.get(vertex_id)
         if value is None:
             continue
-        for fanin in vertex.fanins:
+        for fanin in indices[indptr[vertex_id] : indptr[vertex_id + 1]]:
             current = worst.get(fanin)
             if current is None or value < current:
                 worst[fanin] = value

@@ -213,6 +213,40 @@ class TestEngineBehaviour:
             SwapCell(vertex.id, any_cell).apply(network)
 
 
+class TestFailedApplyReverts:
+    """A patch set that fails in ``apply`` leaves the network and report as they were."""
+
+    def _engine(self, record):
+        network = copy.deepcopy(record.synthesis.netlist)
+        return network, IncrementalSTA(network, record.clock)
+
+    def test_rewire_into_a_cycle_is_reverted(self, tiny_records):
+        record = tiny_records[0]
+        network, engine = self._engine(record)
+        committed = engine.report()
+        before = _network_state(network)
+        gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE and v.fanins)
+        with pytest.raises(ValueError, match="combinational cycle"):
+            engine.apply([RewireFanins(gate, [gate])])
+        assert _network_state(network) == before
+        assert engine.report() is committed
+        _assert_matches_full(committed, network, record.clock)
+
+    def test_failed_swap_reverts_the_patches_before_it(self, tiny_records):
+        record = tiny_records[0]
+        network, engine = self._engine(record)
+        committed = engine.report()
+        before = _network_state(network)
+        gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
+        bare = next(v.id for v in network.vertices if v.cell is None)
+        cell = network.vertices[gate].cell
+        with pytest.raises(ValueError, match=f"vertex {bare} has no cell to swap"):
+            engine.apply([SetDerate(gate, 0.25), SwapCell(bare, cell)])
+        assert _network_state(network) == before
+        assert engine.report() is committed
+        _assert_matches_full(committed, network, record.clock)
+
+
 class TestWhatIfProjection:
     def test_candidate_patches_are_nonempty_and_revertible(self, tiny_records):
         record = tiny_records[0]

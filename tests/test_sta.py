@@ -95,9 +95,7 @@ class TestEngine:
         network = from_bog(build_sog(simple_design))
         clock = ClockConstraint(period=500.0)
         base = analyze(network, clock)
-        for vertex in network.vertices:
-            vertex.extra_load += 20.0
-        network.invalidate()
+        network.set_extra_load(slice(None), network.attribute_columns().extra_load + 20.0)
         loaded = analyze(network, clock)
         assert loaded.summary()["max_arrival"] > base.summary()["max_arrival"]
 
@@ -105,8 +103,7 @@ class TestEngine:
         network = from_bog(build_sog(simple_design))
         clock = ClockConstraint(period=500.0)
         base = analyze(network, clock)
-        for vertex in network.vertices:
-            vertex.derate = 0.5
+        network.set_derate(slice(None), 0.5)
         faster = analyze(network, clock)
         assert faster.summary()["max_arrival"] < base.summary()["max_arrival"]
 
@@ -161,8 +158,7 @@ class TestNetworkStructure:
         a = network.add_vertex(VertexKind.INPUT, name="a")
         g1 = network.add_vertex(VertexKind.GATE, fanins=[a], cell=lib.pick("NOT"))
         g2 = network.add_vertex(VertexKind.GATE, fanins=[g1], cell=lib.pick("NOT"))
-        network.vertices[g1].fanins.append(g2)
-        network.invalidate()
+        network.set_fanins(g1, [a, g2])
         with pytest.raises(ValueError):
             network.topological_order()
 

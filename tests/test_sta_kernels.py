@@ -65,10 +65,9 @@ class TestBitIdentity:
         network = from_bog(build_sog(simple_design))
         analyze(network, CLOCK)  # compile once
         rng = np.random.default_rng(5)
-        for vertex_id in rng.choice(len(network.vertices), size=10, replace=False):
-            vertex = network.vertices[int(vertex_id)]
-            vertex.derate = float(rng.uniform(0.3, 1.7))
-            vertex.extra_load = float(rng.uniform(0.0, 5.0))
+        for vertex_id in rng.choice(len(network), size=10, replace=False):
+            network.set_derate(int(vertex_id), float(rng.uniform(0.3, 1.7)))
+            network.set_extra_load(int(vertex_id), float(rng.uniform(0.0, 5.0)))
         array, reference = _both_kernels(network)
         _assert_reports_identical(array, reference)
 
@@ -82,7 +81,7 @@ class TestBitIdentity:
         swapped = 0
         for vertex in network.vertices:
             if vertex.kind is VertexKind.GATE and vertex.cell is not replacement:
-                vertex.cell = replacement
+                network.set_cell(vertex.id, replacement)
                 swapped += 1
                 if swapped == 5:
                     break
@@ -148,8 +147,7 @@ class TestGraphEdgeCases:
             a = network.add_vertex(VertexKind.INPUT, name="a")
             g1 = network.add_vertex(VertexKind.GATE, fanins=[a], cell=cell)
             g2 = network.add_vertex(VertexKind.GATE, fanins=[g1], cell=cell)
-            network.vertices[g1].fanins.append(g2)
-            network.invalidate()
+            network.set_fanins(g1, [a, g2])
             with pytest.raises(ValueError, match="combinational cycle"):
                 analyze(network, CLOCK, kernel=kernel)
 

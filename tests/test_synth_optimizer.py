@@ -91,15 +91,6 @@ def test_options_flags():
     assert options.uses_grouping and options.uses_retiming
 
 
-def test_resize_requires_same_function(mapped):
-    from repro.sta.network import VertexKind
-
-    gate = next(v for v in mapped.vertices if v.kind is VertexKind.GATE)
-    other_function = "INV" if gate.cell.function != "INV" else "NAND2"
-    with pytest.raises(ValueError):
-        mapped.resize(gate.id, mapped.library.pick(other_function))
-
-
 @pytest.mark.parametrize("clock_scale", [1.0, 20.0])
 def test_default_synthesis_compiles_its_netlist_once(
     simple_design, tight_clock, clock_scale, monkeypatch
