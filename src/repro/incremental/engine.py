@@ -53,7 +53,7 @@ from repro.sta.engine import (
     propagate_vertex,
     summarize_slacks,
 )
-from repro.sta.network import TimingNetwork
+from repro.sta.network import AttributeColumns, TimingNetwork
 
 
 @dataclass(slots=True)
@@ -169,12 +169,13 @@ class IncrementalSTA:
             self._endpoint_caps_cache = caps
         return self._endpoint_caps_cache
 
-    def _recompute_loads(self, vertices: Set[int], fanouts: List[List[int]], loads) -> None:
+    def _recompute_loads(
+        self, vertices: Set[int], fanouts: List[List[int]], cols: AttributeColumns, loads
+    ) -> None:
         """Recompute the output load of ``vertices``, summed in :func:`compute_loads` order.
 
         A consumer without a cell adds an input cap of 0.0, an exact no-op.
         """
-        cols = self.network.attribute_columns()
         input_cap = cols.param("input_cap")
         endpoint_caps = self._endpoint_caps()
         # Debug fault point: dropping the extra-load term makes this path
@@ -220,7 +221,7 @@ class IncrementalSTA:
                     heapq.heappush(heap, (int(position[consumer]), consumer))
         return changed_drivers, recomputed
 
-    def _propagate_array(self, seeds: Set[int], arrivals, slews, loads):
+    def _propagate_array(self, seeds: Set[int], cols: AttributeColumns, arrivals, slews, loads):
         """Dirty level-slice re-sweep sharing the full analysis' array kernel.
 
         Dirty vertices are bucketed by logic level and each bucket is
@@ -230,7 +231,6 @@ class IncrementalSTA:
         float are identical to the reference worklist.
         """
         compiled = self.network.compiled()
-        cols = self.network.attribute_columns()
         level = compiled.level
         fo_ptr = compiled.fanout_indptr
         fo_idx = compiled.fanout_indices
@@ -297,12 +297,13 @@ class IncrementalSTA:
             slews = base.slews.copy()
             loads = base.loads.copy()
 
-            self._recompute_loads(dirty_load, fanouts, loads)
+            cols = network.attribute_columns()
+            self._recompute_loads(dirty_load, fanouts, cols, loads)
 
             seeds = dirty_delay | dirty_load
             if self.kernel == "array":
                 changed_drivers, recomputed = self._propagate_array(
-                    seeds, arrivals, slews, loads
+                    seeds, cols, arrivals, slews, loads
                 )
             else:
                 changed_drivers, recomputed = self._propagate_reference(

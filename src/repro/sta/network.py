@@ -113,14 +113,15 @@ class NetworkColumns:
 
 
 class AttributeColumns:
-    """A network's per-vertex attribute columns, as every kernel reads them.
+    """A view of a network's per-vertex attribute columns, as the kernels read them.
 
     Cells are a small table of distinct cells plus a per-vertex row index
-    (row 0 = no cell, all parameters zero).  Only the writers of the owning
-    :class:`TimingNetwork` change the columns.
+    (row 0 = no cell, all parameters zero).  The view shares the network's
+    arrays; its per-vertex parameter columns are derived on first use and
+    live as long as the view, so take a new view after an edit.
     """
 
-    __slots__ = ("derate", "extra_load", "cell_row", "cells", "_cell_rows", "_params")
+    __slots__ = ("cells", "cell_row", "derate", "extra_load", "_params")
 
     def __init__(
         self,
@@ -129,23 +130,12 @@ class AttributeColumns:
         derate: np.ndarray,
         extra_load: np.ndarray,
     ):
-        self.derate = derate
-        self.extra_load = extra_load
-        self.cell_row = cell_row
         #: The distinct cells, indexed by ``cell_row`` (row 0 is ``None``).
         self.cells = cells
-        self._cell_rows: Dict[int, int] = {id(cell): row for row, cell in enumerate(cells)}
+        self.cell_row = cell_row
+        self.derate = derate
+        self.extra_load = extra_load
         self._params: Dict[str, np.ndarray] = {}
-
-    def _row_of(self, cell: Optional[Cell]) -> int:
-        """The table row of ``cell``, appending it on first use."""
-        if cell is None:
-            return 0
-        row = self._cell_rows.get(id(cell))
-        if row is None:
-            row = self._cell_rows[id(cell)] = len(self.cells)
-            self.cells.append(cell)
-        return row
 
     def param(self, name: str) -> np.ndarray:
         """Per-vertex cell parameter column (0.0 where the vertex has no cell)."""
@@ -176,10 +166,13 @@ class TimingNetwork:
         self._kind = columns.kind
         self._fanin_indptr = columns.fanin_indptr
         self._fanin_indices = columns.fanin_indices
-        self._attributes = AttributeColumns(
-            columns.cells, columns.cell_row, columns.derate, columns.extra_load
-        )
+        self._cells = columns.cells
+        self._cell_row = columns.cell_row
+        self._derate = columns.derate
+        self._extra_load = columns.extra_load
         self._names = columns.names
+        # id(cell) -> its row in the cell table.
+        self._cell_rows: Dict[int, int] = {id(cell): row for row, cell in enumerate(self._cells)}
         # Rows appended by add_vertex, frozen into the columns on first query.
         self._pending: List[tuple] = []
         # Views, dropped on every edit (the compiled ones on structural edits).
@@ -215,11 +208,19 @@ class TimingNetwork:
         self._fanin_indptr = np.concatenate([self._fanin_indptr, indptr[1:] + self._fanin_indptr[-1]])
         self._fanin_indices = np.concatenate([self._fanin_indices, indices])
         self._names = self._names + list(names)
-        cols = self._attributes
-        cols.cell_row = np.concatenate([cols.cell_row, np.array(rows, dtype=np.int32)])
-        cols.derate = np.concatenate([cols.derate, np.ones(len(rows))])
-        cols.extra_load = np.concatenate([cols.extra_load, np.zeros(len(rows))])
-        cols._params.clear()
+        self._cell_row = np.concatenate([self._cell_row, np.array(rows, dtype=np.int32)])
+        self._derate = np.concatenate([self._derate, np.ones(len(rows))])
+        self._extra_load = np.concatenate([self._extra_load, np.zeros(len(rows))])
+
+    def _row_of(self, cell: Optional[Cell]) -> int:
+        """The cell-table row of ``cell``, appending it on first use."""
+        if cell is None:
+            return 0
+        row = self._cell_rows.get(id(cell))
+        if row is None:
+            row = self._cell_rows[id(cell)] = len(self._cells)
+            self._cells.append(cell)
+        return row
 
     def columns(self) -> NetworkColumns:
         """The network as columns, its cell table in first-use order.
@@ -229,8 +230,8 @@ class TimingNetwork:
         :func:`~repro.sta.csr.cell_table` builds from the per-vertex cells,
         so pickles and digests depend only on which cell each vertex has.
         """
-        cols = self.attribute_columns()
-        cells, cell_row = cols.cells, cols.cell_row
+        self._freeze()
+        cells, cell_row = self._cells, self._cell_row
         used, first = np.unique(cell_row, return_index=True)
         order = used[np.argsort(first, kind="stable")]
         order = order[order != 0]
@@ -245,30 +246,29 @@ class TimingNetwork:
             self._fanin_indices,
             cells,
             cell_row,
-            cols.derate,
-            cols.extra_load,
+            self._derate,
+            self._extra_load,
             self._names,
         )
 
     def attribute_columns(self) -> AttributeColumns:
-        """The live attribute columns; read them, change them through the writers."""
-        if self._pending:
-            self._freeze()
-        return self._attributes
+        """A view of the live attribute columns; change them through the writers."""
+        self._freeze()
+        return AttributeColumns(self._cells, self._cell_row, self._derate, self._extra_load)
 
     @property
     def vertices(self) -> Tuple[TimingVertex, ...]:
         """Read-only :class:`TimingVertex` views of the vertices, cached until an edit."""
         if self._vertices is None:
-            cols = self.attribute_columns()
+            cells = self.vertex_cells()
             ptr = self._fanin_indptr.tolist()
             indices = self._fanin_indices.tolist()
             rows = zip(
                 self._kind.tolist(),
-                self.vertex_cells(),
+                cells,
                 self._names,
-                cols.extra_load.tolist(),
-                cols.derate.tolist(),
+                self._extra_load.tolist(),
+                self._derate.tolist(),
             )
             self._vertices = tuple(
                 TimingVertex(i, _KIND_OF_CODE[code], tuple(indices[ptr[i] : ptr[i + 1]]), *row)
@@ -288,7 +288,7 @@ class TimingNetwork:
         """Append one vertex (``derate`` 1.0, no wire load); return its id."""
         vertex = len(self)
         self._pending.append(
-            (_KIND_CODE[kind], list(fanins or ()), self._attributes._row_of(cell), name)
+            (_KIND_CODE[kind], list(fanins or ()), self._row_of(cell), name)
         )
         self.invalidate()
         return vertex
@@ -298,19 +298,20 @@ class TimingNetwork:
 
     def set_cell(self, vertex: int, cell: Optional[Cell]) -> None:
         """Make ``cell`` implement ``vertex``."""
-        cols = self.attribute_columns()
-        cols.cell_row[vertex] = cols._row_of(cell)
-        cols._params.clear()
+        self._freeze()
+        self._cell_row[vertex] = self._row_of(cell)
         self._vertices = None
 
     def set_derate(self, vertex, derate) -> None:
         """Set the delay derate of ``vertex`` (an id, or an index such as an id array)."""
-        self.attribute_columns().derate[vertex] = derate
+        self._freeze()
+        self._derate[vertex] = derate
         self._vertices = None
 
     def set_extra_load(self, vertex, extra_load) -> None:
         """Set the wire load (fF) on the net of ``vertex`` (an id, or an index such as an id array)."""
-        self.attribute_columns().extra_load[vertex] = extra_load
+        self._freeze()
+        self._extra_load[vertex] = extra_load
         self._vertices = None
 
     def set_fanins(self, vertex: int, fanins: Sequence[int]) -> None:
@@ -351,15 +352,13 @@ class TimingNetwork:
 
     def cell_of(self, vertex: int) -> Optional[Cell]:
         """The cell implementing ``vertex`` (``None`` for launch points without one)."""
-        if self._pending:
-            self._freeze()
-        cols = self._attributes
-        return cols.cells[cols.cell_row[vertex]]
+        self._freeze()
+        return self._cells[self._cell_row[vertex]]
 
     def vertex_cells(self) -> List[Optional[Cell]]:
         """The cell of every vertex, in id order."""
-        cols = self.attribute_columns()
-        return [cols.cells[row] for row in cols.cell_row.tolist()]
+        self._freeze()
+        return [self._cells[row] for row in self._cell_row.tolist()]
 
     def compiled(self) -> CSRTimingGraph:
         """The compiled CSR/levelized view of the current structure, cached.
@@ -422,7 +421,7 @@ class TimingNetwork:
         naming its first offending vertex or endpoint.
         """
         compiled = self.compiled()  # raises on out-of-range fanins, then cycles
-        missing = (compiled.kind == KIND_GATE) & (self.attribute_columns().cell_row == 0)
+        missing = (compiled.kind == KIND_GATE) & (self._cell_row == 0)
         if missing.any():
             raise ValueError(f"gate vertex {int(np.argmax(missing))} has no cell")
         n = len(self)
