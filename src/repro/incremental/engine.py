@@ -22,8 +22,8 @@ report matches a from-scratch re-analysis of the patched network exactly —
 the property tests in ``tests/test_incremental.py`` check agreement to 1e-9
 over random patch sequences.
 
-Patches write the network's columns in place, and both kernels read those
-columns directly, so the engine keeps no copy of the attributes of its own.
+Patches write the network's columns in place and both kernels read those
+columns directly, so the engine keeps no attribute copy of its own.
 
 The :meth:`IncrementalSTA.what_if` context manager applies a patch set,
 yields the re-timed report, and reverts the patches on exit, which makes

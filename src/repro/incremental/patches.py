@@ -18,8 +18,9 @@ Four edit kinds cover the what-if scenarios the optimization sweep needs:
 * :class:`RewireFanins` — a small structural rewrite of one vertex's fanin
   list (models local BOG rewrites; the only *structural* patch).
 
-Every patch supports ``apply`` / ``revert`` on the live network through its
-column writers; ``revert`` restores the exact previous state, which is what makes the engine's
+Every patch supports ``apply`` / ``revert`` on the live network through the
+network's column writers; ``revert`` restores the exact previous state,
+which is what makes the engine's
 :meth:`~repro.incremental.engine.IncrementalSTA.what_if` context safe to run
 against a shared baseline netlist.
 """
@@ -65,7 +66,7 @@ class SetDerate(TimingPatch):
     _previous: Optional[float] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:
-        self._previous = float(network.attribute_columns().derate[self.vertex])
+        self._previous = float(network.derate_of(self.vertex))
         network.set_derate(self.vertex, float(self.derate))
 
     def revert(self, network: TimingNetwork) -> None:

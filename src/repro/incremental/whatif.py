@@ -88,7 +88,6 @@ def patches_for_options(
 
     # -- retime: derate the gate driving each retimed signal's worst bit.
     kinds = netlist.kinds().tolist()
-    derate = netlist.attribute_columns().derate
     derated: Dict[int, float] = {}
     for signal in options.retime_signals or []:
         bits = [e for e in report.endpoints if e.signal == signal and e.kind == "register"]
@@ -100,7 +99,7 @@ def patches_for_options(
         driver = worst.driver
         if kinds[driver] != KIND_GATE or driver in derated:
             continue
-        derated[driver] = float(derate[driver]) * RETIME_DERATE
+        derated[driver] = float(netlist.derate_of(driver)) * RETIME_DERATE
     patches.extend(SetDerate(vertex, derate) for vertex, derate in derated.items())
 
     # -- group_path: upsize along each group's worst critical paths, one

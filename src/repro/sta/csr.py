@@ -14,9 +14,9 @@ per-vertex reference kernel (:func:`repro.sta.engine.propagate_vertex`):
 * **Structure vs attributes.**  The compiled CSR arrays depend only on the
   graph *structure* (fanins, kinds) and are rebuilt after a structural edit
   (``TimingNetwork.invalidate``).  The per-vertex *attributes* (``derate``,
-  ``extra_load``, the cell) are the network's own live
-  :class:`~repro.sta.network.AttributeColumns`, handed to each kernel call,
-  because value edits change them in place without a structural
+  ``extra_load``, the cell) are handed to each kernel call as an
+  :class:`~repro.sta.network.AttributeColumns` view of the network's own
+  arrays, because value edits change them in place without a structural
   invalidation.
 * **Bit-identical math.**  Each numpy expression applies the same float64
   operations in the same per-element order as the scalar reference

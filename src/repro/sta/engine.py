@@ -235,5 +235,4 @@ def arrival_delay_of(
     cell = network.cell_of(vertex_id)
     if cell is None:
         return 0.0
-    derate = network.attribute_columns().derate[vertex_id]
-    return derate * cell.delay(report.slews[fanin], report.loads[vertex_id])
+    return network.derate_of(vertex_id) * cell.delay(report.slews[fanin], report.loads[vertex_id])

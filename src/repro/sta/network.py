@@ -7,8 +7,8 @@ the role PrimeTime plays in the paper, plus the pseudo-STA the paper runs
 directly on the RTL representation.
 
 Columns are a network's only source of truth: kind codes, a fanin CSR, a
-cell table with one row index per vertex (:class:`AttributeColumns`), and
-the ``derate`` / ``extra_load`` / name columns.  :func:`from_bog` lowers a
+cell table with one row index per vertex, and the ``derate`` /
+``extra_load`` / name columns.  :func:`from_bog` lowers a
 BOG straight to them, :meth:`TimingNetwork.add_vertex` appends build rows
 that are frozen into the arrays on the first query, and pickles carry them
 as :class:`NetworkColumns`.  Every editor — the synthesis mapper and
@@ -16,8 +16,8 @@ optimizer, incremental patches, placement — changes a network only through
 its writers (:meth:`~TimingNetwork.set_cell`,
 :meth:`~TimingNetwork.set_derate`, :meth:`~TimingNetwork.set_extra_load`,
 :meth:`~TimingNetwork.set_fanins`, :meth:`~TimingNetwork.add_vertex`), and
-every kernel reads :meth:`~TimingNetwork.compiled` and
-:meth:`~TimingNetwork.attribute_columns`.  :attr:`TimingNetwork.vertices`
+every kernel reads :meth:`~TimingNetwork.compiled` and an
+:class:`AttributeColumns` view (:meth:`~TimingNetwork.attribute_columns`).  :attr:`TimingNetwork.vertices`
 is a cached tuple of immutable :class:`TimingVertex` views for the
 reference kernels, the fuzz oracles and the tests.
 """
@@ -260,12 +260,12 @@ class TimingNetwork:
     def vertices(self) -> Tuple[TimingVertex, ...]:
         """Read-only :class:`TimingVertex` views of the vertices, cached until an edit."""
         if self._vertices is None:
-            cells = self.vertex_cells()
+            self._freeze()
             ptr = self._fanin_indptr.tolist()
             indices = self._fanin_indices.tolist()
             rows = zip(
                 self._kind.tolist(),
-                cells,
+                self.vertex_cells(),
                 self._names,
                 self._extra_load.tolist(),
                 self._derate.tolist(),
@@ -287,9 +287,7 @@ class TimingNetwork:
     ) -> int:
         """Append one vertex (``derate`` 1.0, no wire load); return its id."""
         vertex = len(self)
-        self._pending.append(
-            (_KIND_CODE[kind], list(fanins or ()), self._row_of(cell), name)
-        )
+        self._pending.append((_KIND_CODE[kind], list(fanins or ()), self._row_of(cell), name))
         self.invalidate()
         return vertex
 
@@ -352,8 +350,15 @@ class TimingNetwork:
 
     def cell_of(self, vertex: int) -> Optional[Cell]:
         """The cell implementing ``vertex`` (``None`` for launch points without one)."""
-        self._freeze()
+        if self._pending:
+            self._freeze()
         return self._cells[self._cell_row[vertex]]
+
+    def derate_of(self, vertex: int) -> float:
+        """The delay derate of ``vertex``."""
+        if self._pending:
+            self._freeze()
+        return self._derate[vertex]
 
     def vertex_cells(self) -> List[Optional[Cell]]:
         """The cell of every vertex, in id order."""
