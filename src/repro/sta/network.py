@@ -232,10 +232,14 @@ class TimingNetwork:
         """
         self._freeze()
         cells, cell_row = self._cells, self._cell_row
-        used, first = np.unique(cell_row, return_index=True)
-        order = used[np.argsort(first, kind="stable")]
-        order = order[order != 0]
-        if not np.array_equal(order, np.arange(1, len(cells))):
+        # The table is in first-use order, with no unused row, exactly when
+        # no vertex's row exceeds the largest row before it by more than one
+        # and the largest row is the last; that check is one pass.
+        top = np.maximum.accumulate(np.concatenate([[0], cell_row]))
+        if top[-1] != len(cells) - 1 or (cell_row > top[:-1] + 1).any():
+            used, first = np.unique(cell_row, return_index=True)
+            order = used[np.argsort(first, kind="stable")]
+            order = order[order != 0]
             remap = np.zeros(len(cells), dtype=np.int32)
             remap[order] = np.arange(1, len(order) + 1, dtype=np.int32)
             cells = [None] + [cells[row] for row in order.tolist()]

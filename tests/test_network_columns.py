@@ -187,6 +187,8 @@ def test_views_are_dropped_on_every_edit(tiny_record):
 def test_sizing_keeps_the_pickled_cell_table_in_first_use_order(tiny_record):
     """A sizing pass appends cells out of first-use order; columns() re-orders them."""
     netlist = _copy(tiny_record.synthesis.netlist)
+    # Unpickled, the table is already in first-use order and passes through.
+    assert netlist.columns().cell_row is netlist.attribute_columns().cell_row
     gates = [v.id for v in netlist.vertices if v.fanins and v.cell is not None]
     for vertex in reversed(gates[len(gates) // 2 :]):
         netlist.upsize(vertex) or netlist.downsize(vertex)
