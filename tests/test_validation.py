@@ -142,8 +142,8 @@ def _network():
 def _without_cells(network, *vertices):
     """A fresh network unpickled from ``network``'s columns with ``vertices``' cells cleared.
 
-    No writer leaves a gate without a cell, but a pickle from the disk cache
-    can carry one.
+    Synthesis never leaves a gate without a cell, but a pickle from the
+    disk cache can carry one.
     """
     state = network.__getstate__()
     columns = state["_columns"]
