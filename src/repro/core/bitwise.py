@@ -26,6 +26,7 @@ from repro.core.features import (
     PathDataset,
     combine_path_datasets,
     extract_path_dataset,
+    path_token_sequences,
 )
 from repro.core.sampling import SamplingConfig
 from repro.core.state import config_from_state, config_to_state
@@ -36,6 +37,19 @@ from repro.ml.preprocessing import StandardScaler, TargetScaler
 from repro.ml.serialize import estimator_from_state, estimator_to_state
 from repro.ml.transformer import TransformerPathRegressor
 from repro.runtime.parallel import canonicalize, fan_out
+
+#: Cone / design context columns the ensemble reads from each endpoint's
+#: slowest path in the first variant's dataset.
+_CONTEXT_COLUMNS = [
+    PATH_FEATURE_NAMES.index(name)
+    for name in (
+        "cone_n_driving_regs",
+        "design_rank_percent",
+        "design_n_total",
+        "endpoint_pseudo_arrival",
+        "endpoint_fanout",
+    )
+]
 
 
 @dataclass(frozen=True)
@@ -70,8 +84,18 @@ class _VariantPathModel:
 
     # -- training ----------------------------------------------------------------
 
-    def fit(self, dataset: PathDataset) -> "_VariantPathModel":
+    def fit(
+        self,
+        records: Sequence[DesignRecord],
+        endpoint_subsets: Sequence[Optional[List[str]]],
+    ) -> "_VariantPathModel":
+        """Fit on the paths of each design's training endpoints (``None``: all)."""
         config = self.config
+        sampling = config.sampling()
+        designs = list(zip(records, endpoint_subsets))
+        dataset = combine_path_datasets(
+            [extract_path_dataset(record, self.variant, sampling, names) for record, names in designs]
+        )
         features = self.scaler.fit_transform(dataset.features)
         labels = self.target_scaler.fit_transform(dataset.endpoint_labels)
 
@@ -98,8 +122,13 @@ class _VariantPathModel:
             self.model_ = TransformerPathRegressor(
                 epochs=config.transformer_epochs, seed=config.seed
             )
+            tokens = [
+                sequence
+                for record, names in designs
+                for sequence in path_token_sequences(record, self.variant, sampling, names)
+            ]
             self.model_.fit(
-                dataset.tokens,
+                tokens,
                 features,
                 labels[dataset.groups],
                 groups=dataset.groups,
@@ -111,20 +140,21 @@ class _VariantPathModel:
 
     # -- inference ---------------------------------------------------------------
 
-    def predict_design(self, record: DesignRecord) -> Tuple[List[str], np.ndarray]:
-        """Endpoint names and per-endpoint arrival predictions of one design."""
-        dataset = extract_path_dataset(record, self.variant, self.config.sampling())
-        return dataset.endpoint_names, self.predict_endpoints(dataset)
+    def predict_design(self, record: DesignRecord) -> Tuple[PathDataset, np.ndarray]:
+        """The design's path dataset and per-endpoint arrival predictions.
 
-    def predict_endpoints(self, dataset: PathDataset) -> np.ndarray:
-        """Per-endpoint arrival predictions (max over the endpoint's paths)."""
+        An endpoint's prediction is the max over its paths' scores.
+        """
+        sampling = self.config.sampling()
+        dataset = extract_path_dataset(record, self.variant, sampling)
         features = self.scaler.transform(dataset.features)
         if self.config.model_type == "transformer":
-            path_scores = self.model_.predict(dataset.tokens, features)
+            tokens = path_token_sequences(record, self.variant, sampling)
+            path_scores = self.model_.predict(tokens, features)
         else:
             path_scores = self.model_.predict(features)
         maxima = group_max(path_scores, dataset.groups, dataset.n_endpoints)
-        return self.target_scaler.inverse_transform(maxima)
+        return dataset, self.target_scaler.inverse_transform(maxima)
 
     # -- serialization -------------------------------------------------------------
 
@@ -154,17 +184,13 @@ class BitwiseArrivalModel:
 
     # -- dataset helpers ------------------------------------------------------------
 
-    def _extract(self, record: DesignRecord, variant: str, training: bool) -> PathDataset:
-        endpoint_names = None
+    def _train_endpoints(self, record: DesignRecord) -> Optional[List[str]]:
+        """The endpoints a design trains the path models on (``None``: all)."""
         limit = self.config.max_train_endpoints_per_design
-        if training and limit is not None and len(record.endpoint_names) > limit:
-            rng = np.random.default_rng(self.config.seed + len(record.name))
-            endpoint_names = list(
-                rng.choice(record.endpoint_names, size=limit, replace=False)
-            )
-        return extract_path_dataset(
-            record, variant, self.config.sampling(), endpoint_names
-        )
+        if limit is None or len(record.endpoint_names) <= limit:
+            return None
+        rng = np.random.default_rng(self.config.seed + len(record.name))
+        return list(rng.choice(record.endpoint_names, size=limit, replace=False))
 
     # -- training --------------------------------------------------------------------
 
@@ -179,16 +205,21 @@ class BitwiseArrivalModel:
         """
         config = self.config
         ensembled = config.ensemble and len(config.variants) > 1
+        subsets = [self._train_endpoints(record) for record in records]
         fitted: Dict[int, Tuple[_VariantPathModel, list]] = {}
 
         def fit_variant(index: int) -> Tuple[_VariantPathModel, list]:
-            variant = config.variants[index]
-            datasets = [self._extract(record, variant, training=True) for record in records]
-            model = _VariantPathModel(config, variant).fit(combine_path_datasets(datasets))
+            model = _VariantPathModel(config, config.variants[index]).fit(records, subsets)
             if not (ensembled or index == 0):
                 return model, []
-            # The ensemble's inputs (without one, the fit's predictions).
-            return model, [model.predict_design(record) for record in records]
+            # The ensemble's inputs (without one, the fit's predictions): per
+            # design, the predictions and, from the first variant, the
+            # critical rows of the dataset that ordered them.
+            outputs = []
+            for record in records:
+                dataset, values = model.predict_design(record)
+                outputs.append((dataset.critical_rows() if index == 0 else None, values))
+            return model, outputs
 
         def collect(index: int, result: Tuple[_VariantPathModel, list], blob: Optional[bytes]) -> None:
             if blob is not None:
@@ -213,14 +244,15 @@ class BitwiseArrivalModel:
             self.training_predictions_ = self._fit_ensemble(records, predicted)
         else:
             self.training_predictions_ = [
-                dict(zip(names, values)) for names, values in predicted[config.variants[0]]
+                dict(zip(critical.endpoint_names, values))
+                for critical, values in predicted[config.variants[0]]
             ]
         return self
 
     def _fit_ensemble(
         self,
         records: Sequence[DesignRecord],
-        predicted: Dict[str, List[Tuple[List[str], np.ndarray]]],
+        predicted: Dict[str, List[Tuple[Optional[PathDataset], np.ndarray]]],
     ) -> List[Dict[str, float]]:
         """Fit the ensemble on each variant's ``predict_design`` of ``records``.
 
@@ -231,9 +263,8 @@ class BitwiseArrivalModel:
         design_names: List[List[str]] = []
         for position, record in enumerate(records):
             values = {variant: outputs[position][1] for variant, outputs in predicted.items()}
-            # Every variant lists the endpoints in the first variant's order.
-            names = predicted[self.config.variants[0]][position][0]
-            features, names = self._ensemble_features(record, (values, names))
+            critical = predicted[self.config.variants[0]][position][0]
+            features, names = self._ensemble_features(values, critical)
             rows.append(features)
             design_names.append(names)
             labels.extend(record.labels[name] for name in names)
@@ -264,22 +295,27 @@ class BitwiseArrivalModel:
 
     # -- inference --------------------------------------------------------------------
 
-    def _variant_predictions(self, record: DesignRecord) -> Tuple[Dict[str, np.ndarray], List[str]]:
+    def _variant_predictions(self, record: DesignRecord) -> Tuple[Dict[str, np.ndarray], PathDataset]:
+        """Each variant's endpoint predictions, and the critical rows of the
+        first variant's dataset (every variant lists the endpoints in its order)."""
         predictions: Dict[str, np.ndarray] = {}
-        names: Optional[List[str]] = None
+        critical: Optional[PathDataset] = None
         for variant, model in self.variant_models_.items():
-            variant_names, predictions[variant] = model.predict_design(record)
-            if names is None:
-                names = variant_names
-        assert names is not None
-        return predictions, names
+            dataset, predictions[variant] = model.predict_design(record)
+            if critical is None:
+                critical = dataset.critical_rows()
+        assert critical is not None
+        return predictions, critical
 
     def _ensemble_features(
-        self,
-        record: DesignRecord,
-        predicted: Optional[Tuple[Dict[str, np.ndarray], List[str]]] = None,
+        self, predictions: Dict[str, np.ndarray], critical: PathDataset
     ) -> Tuple[np.ndarray, List[str]]:
-        predictions, names = predicted or self._variant_predictions(record)
+        """Ensemble rows and their endpoint names.
+
+        ``critical`` holds the first variant's slowest path per endpoint: it
+        gives the endpoint order of ``predictions`` and the cone / design
+        context of each row, so the two align by construction.
+        """
         stacked = np.column_stack([predictions[v] for v in self.variant_models_])
         stats = np.column_stack(
             [
@@ -289,24 +325,8 @@ class BitwiseArrivalModel:
                 stacked.std(axis=1),
             ]
         )
-        # Cone / design context from the SOG dataset (first variant).
-        reference_variant = next(iter(self.variant_models_))
-        reference = extract_path_dataset(
-            record, reference_variant, SamplingConfig(use_sampling=False)
-        )
-        context_columns = [
-            PATH_FEATURE_NAMES.index("cone_n_driving_regs"),
-            PATH_FEATURE_NAMES.index("design_rank_percent"),
-            PATH_FEATURE_NAMES.index("design_n_total"),
-            PATH_FEATURE_NAMES.index("endpoint_pseudo_arrival"),
-            PATH_FEATURE_NAMES.index("endpoint_fanout"),
-        ]
-        context = reference.features[:, context_columns]
-        # The reference dataset has exactly one (critical) path per endpoint, so
-        # its rows align with the endpoint order.
-        if len(context) != len(names):
-            context = context[: len(names)]
-        return np.hstack([stacked, stats, context]), names
+        context = critical.features[:, _CONTEXT_COLUMNS]
+        return np.hstack([stacked, stats, context]), critical.endpoint_names
 
     def predict(self, record: DesignRecord) -> Dict[str, float]:
         """Predicted post-synthesis arrival time for every register endpoint."""
@@ -315,15 +335,15 @@ class BitwiseArrivalModel:
         if getattr(self, "ensemble_model_", None) is not None and self.config.ensemble and len(
             self.config.variants
         ) > 1:
-            features, names = self._ensemble_features(record)
+            features, names = self._ensemble_features(*self._variant_predictions(record))
             scaled = self.ensemble_scaler_.transform(features)
             predictions = self.ensemble_target_scaler_.inverse_transform(
                 self.ensemble_model_.predict(scaled)
             )
             return dict(zip(names, predictions))
-        predictions, names = self._variant_predictions(record)
+        predictions, critical = self._variant_predictions(record)
         single = predictions[next(iter(self.variant_models_))]
-        return dict(zip(names, single))
+        return dict(zip(critical.endpoint_names, single))
 
     def evaluate(self, record: DesignRecord) -> Dict[str, float]:
         """R / MAPE / COVR of the bit-wise predictions on one design."""

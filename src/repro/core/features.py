@@ -11,14 +11,15 @@ Three levels of features are extracted for every sampled path:
   type, and sum/average/standard deviation statistics of fanout, load and
   slew along the path.
 
-The same module also produces the per-path token sequences consumed by the
-transformer path model and the whole-graph records consumed by the GNN
-baseline.
+The same module also builds, on demand, the per-path token sequences read
+only by the transformer path model (:func:`path_token_sequences`), and the
+whole-graph records consumed by the GNN baseline.
 
 Extraction runs as array passes over the compiled CSR graph
 (:func:`extract_path_dataset_uncached`).  The historical per-path extractor
 is kept as :func:`extract_path_dataset_reference`; the two agree bit for bit
-in every array of the returned :class:`PathDataset`.
+in every array of the returned :class:`PathDataset`, and the reference's
+tokens equal :func:`path_token_sequences`.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ class PathDataset:
     variant: str
     features: np.ndarray  # (n_paths, n_features)
     groups: np.ndarray  # (n_paths,) endpoint index local to this dataset
-    tokens: List[np.ndarray]  # per-path token sequences (for the transformer)
     endpoint_names: List[str]
     endpoint_signals: List[str]
     endpoint_labels: np.ndarray  # (n_endpoints,) post-synthesis arrival labels
@@ -105,6 +105,27 @@ class PathDataset:
     @property
     def n_endpoints(self) -> int:
         return len(self.endpoint_names)
+
+    def critical_rows(self) -> "PathDataset":
+        """The first row of every endpoint group: each endpoint's slowest path.
+
+        The sampler lists an endpoint's slowest path first and every feature
+        is a per-row reduction, so this equals the extraction under
+        ``SamplingConfig(use_sampling=False)`` on the same endpoints, bit for
+        bit.  A view: only the feature rows are copied; the per-endpoint
+        fields are shared with this dataset.
+        """
+        starts = np.flatnonzero(np.diff(self.groups, prepend=-1))
+        return PathDataset(
+            design=self.design,
+            variant=self.variant,
+            features=self.features[starts],
+            groups=self.groups[starts],
+            endpoint_names=self.endpoint_names,
+            endpoint_signals=self.endpoint_signals,
+            endpoint_labels=self.endpoint_labels,
+            endpoint_designs=self.endpoint_designs,
+        )
 
 
 def extract_path_dataset(
@@ -142,37 +163,22 @@ def extract_path_dataset_uncached(
     """The extraction proper, without the cache: array passes over one design.
 
     Bit-identical to :func:`extract_path_dataset_reference` in every array
-    of the result, tokens included (fuzzed by the
-    ``array_vs_reference_features`` oracle).
+    of the result (fuzzed by the ``array_vs_reference_features`` oracle).
     """
     sampling = sampling or SamplingConfig()
     network = record.pseudo_networks[variant]
     report = record.pseudo_reports[variant]
 
     wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
-    samples = sample_design_paths(network, report, sampling, wanted)
+    kept_names, kept = _sampled_endpoints(network, report, sampling, wanted)
     rank_percent = _endpoint_rank_percent(report, wanted)
-
-    kept: List[EndpointSamples] = []
-    kept_names: List[str] = []
-    endpoint_labels: List[float] = []
-    paths: List[List[int]] = []
-    groups: List[int] = []
-    for name in wanted:
-        endpoint_samples = samples.get(name)
-        if endpoint_samples is None:
-            continue
-        groups.extend([len(kept)] * len(endpoint_samples.paths))
-        paths.extend(path.vertices for path in endpoint_samples.paths)
-        kept.append(endpoint_samples)
-        kept_names.append(name)
-        endpoint_labels.append(record.labels[name])
-    group_index = np.array(groups, dtype=int)
+    paths = [path.vertices for endpoint in kept for path in endpoint.paths]
+    counts = np.array([len(endpoint.paths) for endpoint in kept], dtype=int)
+    group_index = np.repeat(np.arange(len(kept)), counts)
 
     features = np.zeros((len(paths), len(PATH_FEATURE_NAMES)))
-    tokens: List[np.ndarray] = []
     if paths:
-        tokens = _fill_path_columns(network, report, paths, features)
+        _fill_path_columns(network, report, paths, features)
         for statistic, value in _design_statistics(network).items():
             features[:, _COLUMN[f"design_{statistic}"]] = value
         drivers = np.array([endpoint.driver for endpoint in kept], dtype=np.int64)
@@ -190,12 +196,49 @@ def extract_path_dataset_uncached(
         variant=variant,
         features=features,
         groups=group_index,
-        tokens=tokens,
         endpoint_names=kept_names,
         endpoint_signals=[endpoint.signal for endpoint in kept],
-        endpoint_labels=np.array(endpoint_labels),
+        endpoint_labels=np.array([record.labels[name] for name in kept_names]),
         endpoint_designs=[record.name] * len(kept_names),
     )
+
+
+def path_token_sequences(
+    record: DesignRecord,
+    variant: str = "sog",
+    sampling: Optional[SamplingConfig] = None,
+    endpoint_names: Optional[Sequence[str]] = None,
+) -> List[np.ndarray]:
+    """Per-path token sequences of :func:`extract_path_dataset`'s rows, in row order.
+
+    Only the transformer path model reads tokens, so they are built on
+    demand from the same sampled paths instead of travelling with every
+    :class:`PathDataset`.  Equal to the reference extractor's tokens.
+    """
+    sampling = sampling or SamplingConfig()
+    network = record.pseudo_networks[variant]
+    report = record.pseudo_reports[variant]
+    wanted = list(endpoint_names) if endpoint_names is not None else record.endpoint_names
+    compiled = network.compiled()
+    table = _token_table(
+        _token_codes(compiled, network.attribute_columns()),
+        np.diff(compiled.fanout_indptr).astype(np.float64),
+        report.loads / 10.0,
+    )
+    _, kept = _sampled_endpoints(network, report, sampling, wanted)
+    return [table[path.vertices] for endpoint in kept for path in endpoint.paths]
+
+
+def _sampled_endpoints(
+    network: TimingNetwork,
+    report: STAReport,
+    sampling: SamplingConfig,
+    wanted: Sequence[str],
+) -> Tuple[List[str], List[EndpointSamples]]:
+    """The endpoints one extraction keeps, in row order, and their sampled paths."""
+    samples = sample_design_paths(network, report, sampling, wanted)
+    names = [name for name in wanted if name in samples]
+    return names, [samples[name] for name in names]
 
 
 def extract_path_dataset_reference(
@@ -203,11 +246,13 @@ def extract_path_dataset_reference(
     variant: str = "sog",
     sampling: Optional[SamplingConfig] = None,
     endpoint_names: Optional[Sequence[str]] = None,
-) -> PathDataset:
+) -> Tuple[PathDataset, List[np.ndarray]]:
     """The per-path extractor :func:`extract_path_dataset_uncached` must match.
 
-    Kept as the reference for tests and the ``array_vs_reference_features``
-    fuzz oracle; production code never calls it.
+    Returns the dataset and its per-path token sequences, the reference for
+    :func:`path_token_sequences`.  Kept for tests and the
+    ``array_vs_reference_features`` fuzz oracle; production code never
+    calls it.
     """
     sampling = sampling or SamplingConfig()
     network = record.pseudo_networks[variant]
@@ -250,17 +295,17 @@ def extract_path_dataset_reference(
             token_rows.append(_path_tokens(network, report, path.vertices, fanouts))
             groups.append(local_index)
 
-    return PathDataset(
+    dataset = PathDataset(
         design=record.name,
         variant=variant,
         features=np.array(feature_rows) if feature_rows else np.zeros((0, len(PATH_FEATURE_NAMES))),
         groups=np.array(groups, dtype=int),
-        tokens=token_rows,
         endpoint_names=kept_names,
         endpoint_signals=endpoint_signals,
         endpoint_labels=np.array(endpoint_labels),
         endpoint_designs=[record.name] * len(kept_names),
     )
+    return dataset, token_rows
 
 
 def combine_path_datasets(datasets: Sequence[PathDataset]) -> PathDataset:
@@ -269,7 +314,6 @@ def combine_path_datasets(datasets: Sequence[PathDataset]) -> PathDataset:
     if not datasets:
         raise ValueError("no non-empty datasets to combine")
     features = np.vstack([d.features for d in datasets])
-    tokens: List[np.ndarray] = []
     groups: List[np.ndarray] = []
     names: List[str] = []
     signals: List[str] = []
@@ -277,7 +321,6 @@ def combine_path_datasets(datasets: Sequence[PathDataset]) -> PathDataset:
     designs: List[str] = []
     offset = 0
     for dataset in datasets:
-        tokens.extend(dataset.tokens)
         groups.append(dataset.groups + offset)
         names.extend(dataset.endpoint_names)
         signals.extend(dataset.endpoint_signals)
@@ -289,7 +332,6 @@ def combine_path_datasets(datasets: Sequence[PathDataset]) -> PathDataset:
         variant=datasets[0].variant,
         features=features,
         groups=np.concatenate(groups),
-        tokens=tokens,
         endpoint_names=names,
         endpoint_signals=signals,
         endpoint_labels=np.concatenate(labels),
@@ -355,8 +397,8 @@ def _fill_path_columns(
     report: STAReport,
     paths: List[List[int]],
     features: np.ndarray,
-) -> List[np.ndarray]:
-    """Write the path-level columns of ``features``; return the token sequences.
+) -> None:
+    """Write the path-level columns of ``features``.
 
     Paths are bucketed by length, so each statistic is one axis-1 reduction
     over a C-contiguous ``(n_paths, length)`` block, which numpy evaluates
@@ -366,12 +408,9 @@ def _fill_path_columns(
     compiled = network.compiled()
     cols = network.attribute_columns()
     fanouts = np.diff(compiled.fanout_indptr).astype(np.float64)
-    codes = _token_codes(compiled, cols)
-    token_table = _token_table(codes, fanouts, report.loads / 10.0)
     is_gate = compiled.kind == KIND_GATE
-    gate_codes = np.where(is_gate, codes, -1)
+    gate_codes = np.where(is_gate, _token_codes(compiled, cols), -1)
 
-    tokens: List[np.ndarray] = [None] * len(paths)  # type: ignore[list-item]
     lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     for length in np.unique(lengths).tolist():
         rows = np.flatnonzero(lengths == length)
@@ -399,9 +438,6 @@ def _fill_path_columns(
             columns[column] = (operators == _TOKEN_FUNCTIONS.index(function)).sum(axis=1)
         for column, values in columns.items():
             features[rows, _COLUMN[column]] = values
-        for row, sequence in zip(rows.tolist(), token_table[block]):
-            tokens[row] = sequence
-    return tokens
 
 
 def _path_feature_vector(

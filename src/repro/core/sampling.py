@@ -152,6 +152,8 @@ def sample_design_paths(
     critical = trace_critical_paths(network, report, drivers)
     # A random walk steps from a gate with fanins to a random entry of its
     # CSR fanin slice, the same list (in the same order) as its fanins.
+    # ``randrange(n)`` draws exactly as ``choice`` on a length-n list does
+    # (one ``_randbelow(n)``), without slicing the list.
     if config.use_sampling:
         compiled = network.compiled()
         ptr = compiled.fanin_indptr.tolist()
@@ -172,7 +174,8 @@ def sample_design_paths(
             current = endpoint.driver
             walk = [current]
             while walks_on[current]:
-                current = rng.choice(fanins[ptr[current] : ptr[current + 1]])
+                start = ptr[current]
+                current = fanins[start + rng.randrange(ptr[current + 1] - start)]
                 walk.append(current)
             walk.reverse()
             samples.paths.append(PathSample(endpoint=endpoint.name, vertices=walk, is_critical=False))

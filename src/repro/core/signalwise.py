@@ -51,10 +51,16 @@ class SignalwiseConfig:
 def _signal_feature_matrix(
     record: DesignRecord,
     bitwise_predictions: Optional[Dict[str, float]],
-    use_bitwise: bool,
+    config: SignalwiseConfig,
 ) -> Tuple[np.ndarray, List[str]]:
-    """Per-signal feature rows (and the signal order)."""
-    dataset = extract_path_dataset(record, "sog", SamplingConfig(use_sampling=False))
+    """Per-signal feature rows (and the signal order).
+
+    The rows read each endpoint's slowest SOG path: the critical rows of the
+    sampled SOG dataset, which is the bit-wise model's own extraction when
+    the two stages share a seed (as :func:`~repro.lifecycle.retrain.training_config`
+    sets them).
+    """
+    dataset = extract_path_dataset(record, "sog", SamplingConfig(seed=config.seed)).critical_rows()
     by_signal: Dict[str, List[int]] = {}
     for index, signal in enumerate(dataset.endpoint_signals):
         by_signal.setdefault(signal, []).append(index)
@@ -71,7 +77,7 @@ def _signal_feature_matrix(
         indices = by_signal[signal]
         features = dataset.features[indices]
         names = [dataset.endpoint_names[i] for i in indices]
-        if use_bitwise and bitwise_predictions is not None:
+        if config.use_bitwise and bitwise_predictions is not None:
             bit_preds = np.array(
                 [bitwise_predictions.get(name, 0.0) for name in names]
             )
@@ -130,7 +136,7 @@ class SignalwiseModel:
 
         for record in records:
             bit_preds = (bitwise_predictions or {}).get(record.name)
-            features, signals = _signal_feature_matrix(record, bit_preds, config.use_bitwise)
+            features, signals = _signal_feature_matrix(record, bit_preds, config)
             signal_labels = record.signal_labels()
             values = np.array([signal_labels[s] for s in signals])
             feature_rows.append(features)
@@ -175,9 +181,7 @@ class SignalwiseModel:
         """
         if not hasattr(self, "regressor_"):
             raise RuntimeError("SignalwiseModel must be fitted before predict()")
-        features, signals = _signal_feature_matrix(
-            record, bitwise_predictions, self.config.use_bitwise
-        )
+        features, signals = _signal_feature_matrix(record, bitwise_predictions, self.config)
         scaled = self.scaler_.transform(features)
         arrivals = self.target_scaler_.inverse_transform(self.regressor_.predict(scaled))
         scores = self.ranker_.predict(scaled)

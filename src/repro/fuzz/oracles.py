@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -60,6 +60,7 @@ from repro.core.features import (
     extract_path_dataset,
     extract_path_dataset_reference,
     extract_path_dataset_uncached,
+    path_token_sequences,
 )
 from repro.core.optimize import ranking_from_labels
 from repro.core.sampling import SamplingConfig
@@ -561,10 +562,6 @@ def _dataset_differences(production: PathDataset, reference: PathDataset) -> Lis
     for label in ("endpoint_names", "endpoint_signals"):
         if getattr(production, label) != getattr(reference, label):
             problems.append(f"{label} differ")
-    if len(production.tokens) != len(reference.tokens) or not all(
-        np.array_equal(ours, theirs) for ours, theirs in zip(production.tokens, reference.tokens)
-    ):
-        problems.append("token sequences differ")
     return problems
 
 
@@ -573,9 +570,12 @@ def array_vs_reference_features(ctx: FuzzContext, rng: random.Random) -> List[st
 
     Every BOG variant is lowered and pseudo-timed with a few randomized
     derates and wire loads, then extracted by both implementations under a
-    random :class:`SamplingConfig` and a random endpoint subset.  No
-    synthesis runs (labels are random stand-ins), so the oracle stays cheap
-    enough for the ``large`` size class.
+    random :class:`SamplingConfig` and a random endpoint subset.  The
+    on-demand token sequences must equal the reference's tokens, and a
+    sampled dataset's critical rows must equal the reference's unsampled
+    extraction of the same endpoints.  No synthesis runs (labels are random
+    stand-ins), so the oracle stays cheap enough for the ``large`` size
+    class.
     """
     clock = ClockConstraint(period=1000.0)
     networks = {}
@@ -614,12 +614,25 @@ def array_vs_reference_features(ctx: FuzzContext, rng: random.Random) -> List[st
         if names and rng.random() < 0.5:
             subset = rng.sample(names, rng.randint(1, len(names)))
         production = extract_path_dataset_uncached(record, variant, sampling, subset)
-        reference = extract_path_dataset_reference(record, variant, sampling, subset)
-        scope = "all endpoints" if subset is None else f"{len(subset)} endpoints"
-        problems.extend(
-            f"{variant} ({sampling}, {scope}): {message}"
-            for message in _dataset_differences(production, reference)
+        reference, reference_tokens = extract_path_dataset_reference(
+            record, variant, sampling, subset
         )
+        messages = _dataset_differences(production, reference)
+        tokens = path_token_sequences(record, variant, sampling, subset)
+        if len(tokens) != len(reference_tokens) or not all(
+            np.array_equal(ours, theirs) for ours, theirs in zip(tokens, reference_tokens)
+        ):
+            messages.append("token sequences differ")
+        if sampling.use_sampling:
+            unsampled, _ = extract_path_dataset_reference(
+                record, variant, replace(sampling, use_sampling=False), subset
+            )
+            messages.extend(
+                f"critical rows: {message}"
+                for message in _dataset_differences(production.critical_rows(), unsampled)
+            )
+        scope = "all endpoints" if subset is None else f"{len(subset)} endpoints"
+        problems.extend(f"{variant} ({sampling}, {scope}): {message}" for message in messages)
         if problems:
             return problems
     return problems

@@ -11,6 +11,7 @@ from repro.core.features import (
     combine_path_datasets,
     design_feature_vector,
     extract_path_dataset,
+    path_token_sequences,
 )
 from repro.core.sampling import SamplingConfig, sample_count, sample_design_paths
 
@@ -97,7 +98,7 @@ class TestFeatures:
         assert dataset.features.shape[1] == len(PATH_FEATURE_NAMES)
         assert np.all(np.isfinite(dataset.features))
         assert dataset.n_endpoints == len(tiny_record.endpoint_names)
-        assert len(dataset.tokens) == dataset.n_paths
+        assert len(path_token_sequences(tiny_record, "sog")) == dataset.n_paths
         assert dataset.groups.max() == dataset.n_endpoints - 1
 
     def test_no_sampling_gives_one_path_per_endpoint(self, tiny_record):

@@ -1,9 +1,11 @@
 """The array-native path front end against the kept per-path reference.
 
-Production sampling (:func:`sample_design_paths`) and extraction
-(:func:`extract_path_dataset_uncached`) must reproduce the reference
-implementations exactly: every sampled path, and every feature, group,
-token, name, signal and label of the dataset.
+Production sampling (:func:`sample_design_paths`), extraction
+(:func:`extract_path_dataset_uncached`) and the on-demand token builder
+(:func:`path_token_sequences`) must reproduce the reference implementations
+exactly: every sampled path, every feature, group, name, signal and label of
+the dataset, and every token.  A sampled dataset's critical rows must equal
+the unsampled extraction.
 """
 
 from __future__ import annotations
@@ -12,7 +14,13 @@ import numpy as np
 import pytest
 
 from repro.core.dataset import DesignRecord, build_design_record
-from repro.core.features import extract_path_dataset_reference, extract_path_dataset_uncached
+from dataclasses import replace
+
+from repro.core.features import (
+    extract_path_dataset_reference,
+    extract_path_dataset_uncached,
+    path_token_sequences,
+)
 from repro.core.sampling import SamplingConfig, sample_design_paths, sample_design_paths_reference
 from repro.liberty import pseudo_library
 from repro.sta import ClockConstraint, TimingEndpoint, TimingNetwork, VertexKind, analyze
@@ -56,8 +64,11 @@ def assert_same_dataset(production, reference):
     assert production.endpoint_names == reference.endpoint_names
     assert production.endpoint_signals == reference.endpoint_signals
     assert production.endpoint_designs == reference.endpoint_designs
-    assert len(production.tokens) == len(reference.tokens)
-    for ours, theirs in zip(production.tokens, reference.tokens):
+
+
+def assert_same_tokens(production, reference):
+    assert len(production) == len(reference)
+    for ours, theirs in zip(production, reference):
         assert np.array_equal(ours, theirs)
 
 
@@ -69,9 +80,19 @@ def assert_matches_reference(record, variants=VARIANTS, endpoint_names=None):
             assert sample_design_paths(
                 network, report, sampling, endpoint_names
             ) == sample_design_paths_reference(network, report, sampling, endpoint_names)
+            production = extract_path_dataset_uncached(record, variant, sampling, endpoint_names)
+            reference, tokens = extract_path_dataset_reference(
+                record, variant, sampling, endpoint_names
+            )
+            assert_same_dataset(production, reference)
+            assert_same_tokens(
+                path_token_sequences(record, variant, sampling, endpoint_names), tokens
+            )
             assert_same_dataset(
-                extract_path_dataset_uncached(record, variant, sampling, endpoint_names),
-                extract_path_dataset_reference(record, variant, sampling, endpoint_names),
+                production.critical_rows(),
+                extract_path_dataset_reference(
+                    record, variant, replace(sampling, use_sampling=False), endpoint_names
+                )[0],
             )
 
 

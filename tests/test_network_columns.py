@@ -18,7 +18,7 @@ import pytest
 
 from repro.core.bitwise import BitwiseConfig
 from repro.core.dataset import build_design_record
-from repro.core.features import extract_path_dataset_uncached
+from repro.core.features import extract_path_dataset_uncached, path_token_sequences
 from repro.core.optimize import options_from_ranking, ranking_from_labels
 from repro.core.overall import OverallConfig
 from repro.core.pipeline import RTLTimer, RTLTimerConfig
@@ -139,9 +139,15 @@ def test_path_datasets_identical(cases):
         a, b = datasets
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.groups, b.groups)
-        assert len(a.tokens) == len(b.tokens)
-        assert all(np.array_equal(x, y) for x, y in zip(a.tokens, b.tokens))
         assert a.endpoint_names == b.endpoint_names
+        x_tokens, y_tokens = [
+            path_token_sequences(
+                dataclasses.replace(record, pseudo_networks={variant: network}), variant
+            )
+            for network in (at_rest, twin)
+        ]
+        assert len(x_tokens) == len(y_tokens) == a.n_paths
+        assert all(np.array_equal(x, y) for x, y in zip(x_tokens, y_tokens))
 
 
 def test_pickle_bytes_identical(cases, views):
