@@ -330,20 +330,29 @@ class BitwiseArrivalModel:
 
     def predict(self, record: DesignRecord) -> Dict[str, float]:
         """Predicted post-synthesis arrival time for every register endpoint."""
+        return self.predict_with_critical(record)[0]
+
+    def predict_with_critical(self, record: DesignRecord) -> Tuple[Dict[str, float], PathDataset]:
+        """:meth:`predict`, plus the critical rows of the first variant's path dataset.
+
+        The critical rows are each endpoint's slowest path, whatever the
+        sampling configuration, so a later stage that reads them (the
+        signal-wise model reads the SOG ones) need not extract them again.
+        """
         if not hasattr(self, "variant_models_"):
             raise RuntimeError("BitwiseArrivalModel must be fitted before predict()")
+        predictions, critical = self._variant_predictions(record)
         if getattr(self, "ensemble_model_", None) is not None and self.config.ensemble and len(
             self.config.variants
         ) > 1:
-            features, names = self._ensemble_features(*self._variant_predictions(record))
+            features, names = self._ensemble_features(predictions, critical)
             scaled = self.ensemble_scaler_.transform(features)
-            predictions = self.ensemble_target_scaler_.inverse_transform(
+            values = self.ensemble_target_scaler_.inverse_transform(
                 self.ensemble_model_.predict(scaled)
             )
-            return dict(zip(names, predictions))
-        predictions, critical = self._variant_predictions(record)
+            return dict(zip(names, values)), critical
         single = predictions[next(iter(self.variant_models_))]
-        return dict(zip(critical.endpoint_names, single))
+        return dict(zip(critical.endpoint_names, single)), critical
 
     def evaluate(self, record: DesignRecord) -> Dict[str, float]:
         """R / MAPE / COVR of the bit-wise predictions on one design."""

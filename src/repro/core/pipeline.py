@@ -119,8 +119,8 @@ class RTLTimer:
     def predict(self, record: DesignRecord) -> RTLTimerPrediction:
         """Run the full prediction stack on one (unseen) design."""
         started = time.perf_counter()
-        bitwise_arrival = self.bitwise.predict(record)
-        signal_prediction = self.signalwise.predict(record, bitwise_arrival)
+        bitwise_arrival, critical = self.bitwise.predict_with_critical(record)
+        signal_prediction = self.signalwise.predict(record, bitwise_arrival, critical)
         overall = self.overall.predict(record, bitwise_arrival)
         prediction = self._assemble_prediction(
             record, bitwise_arrival, signal_prediction, overall, 0.0
@@ -156,13 +156,15 @@ class RTLTimer:
 
         with report.stage("inference.batch"):
             with report.stage("inference.bitwise"):
-                bitwise = [
-                    timed(i, lambda i=i: self.bitwise.predict(records[i]))
+                stage = [
+                    timed(i, lambda i=i: self.bitwise.predict_with_critical(records[i]))
                     for i in range(len(records))
                 ]
+                bitwise = [arrival for arrival, _ in stage]
+                critical = [rows for _, rows in stage]
             with report.stage("inference.signalwise"):
                 signal = [
-                    timed(i, lambda i=i: self.signalwise.predict(records[i], bitwise[i]))
+                    timed(i, lambda i=i: self.signalwise.predict(records[i], bitwise[i], critical[i]))
                     for i in range(len(records))
                 ]
             with report.stage("inference.overall"):
@@ -295,7 +297,7 @@ class RTLTimer:
         ``candidates`` defaults to ``k`` option sets generated around the
         predicted criticality ranking.  Each candidate is translated into a
         patch set on the record's baseline synthesis netlist and re-timed
-        incrementally (dirty cone only) — no re-synthesis happens.  Returns
+        in place (patch, one array sweep, revert) — no re-synthesis happens.  Returns
         one :class:`~repro.incremental.whatif.WhatIfEstimate` per candidate,
         in candidate order.
         """

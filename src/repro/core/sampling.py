@@ -94,12 +94,11 @@ def sample_count(n_driving_registers: int, config: SamplingConfig) -> int:
 def sample_endpoint_paths(
     network: TimingNetwork,
     report: STAReport,
-    endpoint_name: str,
+    endpoint: TimingEndpoint,
     config: SamplingConfig,
     rng: random.Random,
 ) -> EndpointSamples:
     """Sample the slowest path plus K random paths for one endpoint (reference)."""
-    endpoint = next(e for e in network.endpoints if e.name == endpoint_name)
     launch_points = driving_launch_points(network, endpoint.driver)
     samples = EndpointSamples(
         endpoint=endpoint.name,
@@ -109,7 +108,7 @@ def sample_endpoint_paths(
         n_driving_registers=len(launch_points),
     )
 
-    critical = trace_critical_path(network, report, endpoint_name)
+    critical = trace_critical_path(network, report, endpoint)
     samples.paths.append(
         PathSample(endpoint=endpoint.name, vertices=critical.vertices, is_critical=True)
     )
@@ -138,10 +137,7 @@ def sample_design_paths(
     config = config or SamplingConfig()
     rng = random.Random(config.seed)
     wanted = set(endpoint_names) if endpoint_names is not None else None
-    # A name resolves to its first endpoint, as the reference's lookup does.
-    by_name: Dict[str, TimingEndpoint] = {}
-    for endpoint in network.endpoints:
-        by_name.setdefault(endpoint.name, endpoint)
+    by_name = _first_endpoint_by_name(network)
     selected = [
         by_name[endpoint.name]
         for endpoint in network.endpoints
@@ -193,6 +189,7 @@ def sample_design_paths_reference(
     config = config or SamplingConfig()
     rng = random.Random(config.seed)
     wanted = set(endpoint_names) if endpoint_names is not None else None
+    by_name = _first_endpoint_by_name(network)
     result: Dict[str, EndpointSamples] = {}
     for endpoint in network.endpoints:
         if endpoint.kind != "register":
@@ -200,6 +197,14 @@ def sample_design_paths_reference(
         if wanted is not None and endpoint.name not in wanted:
             continue
         result[endpoint.name] = sample_endpoint_paths(
-            network, report, endpoint.name, config, rng
+            network, report, by_name[endpoint.name], config, rng
         )
     return result
+
+
+def _first_endpoint_by_name(network: TimingNetwork) -> Dict[str, TimingEndpoint]:
+    """Each endpoint name's first endpoint, the one a by-name lookup finds."""
+    by_name: Dict[str, TimingEndpoint] = {}
+    for endpoint in network.endpoints:
+        by_name.setdefault(endpoint.name, endpoint)
+    return by_name

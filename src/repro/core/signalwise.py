@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.dataset import DesignRecord
-from repro.core.features import PATH_FEATURE_NAMES, extract_path_dataset
+from repro.core.features import PATH_FEATURE_NAMES, PathDataset, extract_path_dataset
 from repro.core.metrics import criticality_groups
 from repro.core.sampling import SamplingConfig
 from repro.core.state import config_from_state, config_to_state
@@ -52,15 +52,20 @@ def _signal_feature_matrix(
     record: DesignRecord,
     bitwise_predictions: Optional[Dict[str, float]],
     config: SignalwiseConfig,
+    critical: Optional[PathDataset] = None,
 ) -> Tuple[np.ndarray, List[str]]:
     """Per-signal feature rows (and the signal order).
 
-    The rows read each endpoint's slowest SOG path: the critical rows of the
-    sampled SOG dataset, which is the bit-wise model's own extraction when
-    the two stages share a seed (as :func:`~repro.lifecycle.retrain.training_config`
-    sets them).
+    The rows read each endpoint's slowest SOG path: ``critical`` when those
+    are SOG rows (the bit-wise model's, see
+    :meth:`~repro.core.bitwise.BitwiseArrivalModel.predict_with_critical`),
+    otherwise the critical rows of the sampled SOG dataset, which is the
+    bit-wise model's own extraction when the two stages share a seed (as
+    :func:`~repro.lifecycle.retrain.training_config` sets them).
     """
-    dataset = extract_path_dataset(record, "sog", SamplingConfig(seed=config.seed)).critical_rows()
+    dataset = critical
+    if dataset is None or dataset.variant != "sog":
+        dataset = extract_path_dataset(record, "sog", SamplingConfig(seed=config.seed)).critical_rows()
     by_signal: Dict[str, List[int]] = {}
     for index, signal in enumerate(dataset.endpoint_signals):
         by_signal.setdefault(signal, []).append(index)
@@ -173,15 +178,18 @@ class SignalwiseModel:
         self,
         record: DesignRecord,
         bitwise_predictions: Optional[Dict[str, float]] = None,
+        critical: Optional[PathDataset] = None,
     ) -> Dict[str, Dict[str, float]]:
         """Predict signal max arrivals and ranking scores for one design.
 
         Returns ``{"arrival": {signal: value}, "ranking": {signal: score}}``
-        where a larger ranking score means *more critical*.
+        where a larger ranking score means *more critical*.  ``critical``
+        (critical rows of a path dataset of ``record``) saves the SOG
+        extraction when they are SOG rows.
         """
         if not hasattr(self, "regressor_"):
             raise RuntimeError("SignalwiseModel must be fitted before predict()")
-        features, signals = _signal_feature_matrix(record, bitwise_predictions, self.config)
+        features, signals = _signal_feature_matrix(record, bitwise_predictions, self.config, critical)
         scaled = self.scaler_.transform(features)
         arrivals = self.target_scaler_.inverse_transform(self.regressor_.predict(scaled))
         scores = self.ranker_.predict(scaled)

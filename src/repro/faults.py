@@ -34,10 +34,11 @@ Known fault points
 
 Differential (silent wrong answers, each caught by a fuzz oracle):
 
-* ``incremental.extra_load`` — :meth:`IncrementalSTA._recompute_load` drops
-  the ``extra_load`` term from the dirty-vertex load sum, so the incremental
-  engine disagrees with a full :func:`repro.sta.engine.analyze` re-run
-  whenever a patch touches a loaded vertex.
+* ``incremental.extra_load`` — the incremental engine (either kernel) drops
+  the ``extra_load`` term from the loads of the patches' load-dirty
+  vertices before re-timing, so it disagrees with a full
+  :func:`repro.sta.engine.analyze` re-run whenever a patch touches a loaded
+  vertex.
 * ``interpret.add`` — the word-level interpreter computes ``a + b + 1``,
   diverging from the bit-blasted ripple-carry adder.
 * ``gbm.hist_threshold`` — the histogram splitter nudges every chosen cut
@@ -91,7 +92,7 @@ FAULT_ENV_VAR = "REPRO_FAULT_INJECT"
 #: parse (a hook may live in an experiment branch), but the chaos CLI
 #: validates its ``--faults`` argument against this registry.
 FAULT_REGISTRY: Dict[str, str] = {
-    "incremental.extra_load": "incremental STA drops extra_load from dirty-vertex loads",
+    "incremental.extra_load": "incremental STA drops extra_load from load-dirty vertex loads",
     "interpret.add": "word-level interpreter computes a + b + 1",
     "gbm.hist_threshold": "histogram splitter nudges chosen cut thresholds upward",
     "sta.array_delay": "array STA kernel perturbs gate arrivals by 1e-6",

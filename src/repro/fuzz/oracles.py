@@ -6,8 +6,10 @@ violation messages (empty list == clean):
 
 * ``interpret_vs_simulate`` — the word-level interpreter against bit-blasted
   simulation of all four BOG variants, bit for bit, under random stimulus;
-* ``incremental_vs_full`` — the dirty-cone incremental STA against a full
-  re-analysis after random patch sequences (1e-9, bit-identical in practice);
+* ``incremental_vs_full`` — both incremental STA kernels (the whole-graph
+  array re-timing and the reference dirty-cone worklist) against a full
+  re-analysis after random patch sequences (1e-9, bit-identical in
+  practice), and the array kernel's footprint stats against the worklist's;
 * ``hist_vs_exact_gbm`` — the histogram GBM splitter against the exact
   reference splitter on the design's extracted path features, plus flattened
   (``FlatTree``) and packed-forest booster prediction against recursive
@@ -83,8 +85,8 @@ from repro.sta.engine import analyze as sta_analyze
 from repro.sta.network import VertexKind, from_bog
 
 #: Numeric tolerance of the incremental-vs-full oracle (matches the
-#: property tests in ``tests/test_incremental.py``; both paths share
-#: ``propagate_vertex`` so agreement is bit-for-bit in practice).
+#: property tests in ``tests/test_incremental.py``; both kernels apply the
+#: full analysis' update rule, so agreement is bit-for-bit in practice).
 STA_TOLERANCE = 1e-9
 
 
@@ -209,38 +211,52 @@ def _random_patches(network, rng: random.Random, count: int):
 def incremental_vs_full(
     ctx: FuzzContext, rng: random.Random, n_rounds: int = 3
 ) -> List[str]:
-    """Dirty-cone incremental STA vs full re-analysis over random patches."""
+    """Both incremental STA kernels vs full re-analysis over random patches.
+
+    The array kernel's footprint stats must also equal the reference
+    worklist's on every patch set.
+    """
     record = ctx.record
     network = record.synthesis.netlist
-    engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
+    engines = [
+        IncrementalSTA(network, record.clock, baseline=record.synthesis.report, kernel=kernel)
+        for kernel in ("array", "reference")
+    ]
     problems: List[str] = []
     for round_index in range(n_rounds):
         patches = _random_patches(network, rng, rng.randint(1, 8))
         if not patches:
             return problems
-        with engine.what_if(patches) as incremental:
-            full = sta_analyze(network, record.clock)
-            for label, inc_array, full_array in (
-                ("arrivals", incremental.arrivals, full.arrivals),
-                ("slews", incremental.slews, full.slews),
-                ("loads", incremental.loads, full.loads),
-            ):
-                worst = float(np.max(np.abs(inc_array - full_array), initial=0.0))
-                if worst > STA_TOLERANCE:
+        for engine in engines:
+            tag = f"round {round_index}: {engine.kernel} incremental"
+            with engine.what_if(patches) as incremental:
+                full = sta_analyze(network, record.clock)
+                for label, inc_array, full_array in (
+                    ("arrivals", incremental.arrivals, full.arrivals),
+                    ("slews", incremental.slews, full.slews),
+                    ("loads", incremental.loads, full.loads),
+                ):
+                    worst = float(np.max(np.abs(inc_array - full_array), initial=0.0))
+                    if worst > STA_TOLERANCE:
+                        problems.append(
+                            f"{tag} {label} diverge from full re-analysis by "
+                            f"{worst:.3e} (> {STA_TOLERANCE}) after {len(patches)} patches"
+                        )
+                if (
+                    abs(incremental.wns - full.wns) > STA_TOLERANCE
+                    or abs(incremental.tns - full.tns) > STA_TOLERANCE
+                ):
                     problems.append(
-                        f"round {round_index}: incremental {label} diverge from full "
-                        f"re-analysis by {worst:.3e} (> {STA_TOLERANCE}) after "
-                        f"{len(patches)} patches"
+                        f"{tag} WNS/TNS mismatch "
+                        f"({incremental.wns:.9f}/{incremental.tns:.9f} vs "
+                        f"{full.wns:.9f}/{full.tns:.9f})"
                     )
-            if (
-                abs(incremental.wns - full.wns) > STA_TOLERANCE
-                or abs(incremental.tns - full.tns) > STA_TOLERANCE
-            ):
-                problems.append(
-                    f"round {round_index}: WNS/TNS mismatch "
-                    f"({incremental.wns:.9f}/{incremental.tns:.9f} vs "
-                    f"{full.wns:.9f}/{full.tns:.9f})"
-                )
+        array_stats, reference_stats = (engine.last_stats for engine in engines)
+        if array_stats != reference_stats:
+            problems.append(
+                f"round {round_index}: array footprint {array_stats} "
+                f"!= reference worklist {reference_stats}"
+            )
         if problems:
             return problems
     return problems

@@ -5,8 +5,9 @@ The subsystem has three layers:
 * :mod:`repro.incremental.patches` — invertible local edits
   (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`,
   :class:`RewireFanins`) with declared timing footprints,
-* :mod:`repro.incremental.engine` — :class:`IncrementalSTA`, dirty-cone
-  re-propagation that matches a full re-analysis bit for bit,
+* :mod:`repro.incremental.engine` — :class:`IncrementalSTA`, re-timing of
+  a patched network that matches a full re-analysis bit for bit and reports
+  each patch set's dirty-cone footprint,
 * :mod:`repro.incremental.whatif` — projection of
   :class:`~repro.synth.optimizer.SynthesisOptions` candidates onto patch
   sets, powering ``RTLTimer.what_if`` and the multi-candidate optimization

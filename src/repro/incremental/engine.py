@@ -1,35 +1,29 @@
-"""Dirty-cone incremental static timing analysis.
+"""Incremental what-if static timing analysis.
 
 :class:`IncrementalSTA` keeps a :class:`~repro.sta.engine.STAReport` for a
 :class:`~repro.sta.network.TimingNetwork` up to date under local edits
-described by :mod:`repro.incremental.patches` patch objects.  Instead of
-re-propagating the whole graph, it
+described by :mod:`repro.incremental.patches` patch objects, which write the
+network's columns in place.
 
-1. recomputes the output load of exactly the vertices a patch declares
-   load-dirty, summing the contributions in the same order as
-   :func:`repro.sta.engine.compute_loads` so the result is bit-identical,
-2. seeds a worklist with the patches' dirty vertices and re-propagates
-   arrivals/slews forward in topological order, using the frozen values of
-   the previous report outside the affected cone, and stopping a branch as
-   soon as a recomputed vertex reproduces its old arrival *and* slew exactly,
-3. rebuilds only the endpoint timings whose driver arrival changed and
-   re-derives WNS/TNS.
+The ``array`` kernel re-times a patched network with one whole-graph pass
+(:meth:`~repro.sta.csr.CSRTimingGraph.compute_loads` plus the cached level
+sweep, i.e. :func:`~repro.sta.engine.analyze`): what-if patch sets reach
+about half to four fifths of a label netlist, and there one vectorized sweep
+costs less than re-sweeping the dirty slices level by level.  Its
+:class:`PropagationStats` are the patch set's timing footprint, derived from
+what changed: the seeds plus the consumers of every vertex whose arrival or
+slew differs from the baseline, exactly the set the ``reference`` kernel's
+dirty-cone worklist visits.  That worklist recomputes only the load-dirty
+loads (in :func:`~repro.sta.engine.compute_loads` order), re-propagates
+from the patches' dirty vertices in topological order with
+:func:`~repro.sta.engine.propagate_vertex`, and stops a branch as soon as a
+vertex reproduces its old arrival and slew exactly.  Both kernels match a
+from-scratch re-analysis bit for bit and report equal stats.
 
-Because step 2 applies the same per-vertex update rule
-(:func:`repro.sta.engine.propagate_vertex`) to the same operands in the same
-order as a full :func:`~repro.sta.engine.analyze` run, the incremental
-report matches a from-scratch re-analysis of the patched network exactly —
-the property tests in ``tests/test_incremental.py`` check agreement to 1e-9
-over random patch sequences.
-
-Patches write the network's columns in place and both kernels read those
-columns directly, so the engine keeps no attribute copy of its own.
-
-The :meth:`IncrementalSTA.what_if` context manager applies a patch set,
-yields the re-timed report, and reverts the patches on exit, which makes
-multi-candidate optimization sweeps cheap: one frozen baseline, K small
-cones, no re-synthesis.  :meth:`IncrementalSTA.apply` commits a patch set,
-or reverts it if any patch (or the re-timing) fails.
+:meth:`IncrementalSTA.what_if` applies a patch set, yields the re-timed
+report and reverts the patches on exit, so K candidates share one frozen
+baseline netlist and none is re-synthesized.  :meth:`IncrementalSTA.apply`
+commits a patch set, or reverts it if any patch (or the re-timing) fails.
 """
 
 from __future__ import annotations
@@ -45,6 +39,7 @@ from repro.faults import fault_active
 from repro.incremental.patches import TimingPatch
 from repro.runtime import report as report_mod
 from repro.sta.constraints import ClockConstraint
+from repro.sta.csr import gather_edges
 from repro.sta.engine import (
     STAReport,
     analyze,
@@ -58,7 +53,7 @@ from repro.sta.network import AttributeColumns, TimingNetwork
 
 @dataclass(slots=True)
 class PropagationStats:
-    """Work accounting for one incremental re-timing pass."""
+    """Timing footprint of one patch set (see the module docstring)."""
 
     n_patches: int
     n_dirty_seeds: int
@@ -68,7 +63,7 @@ class PropagationStats:
 
     @property
     def cone_fraction(self) -> float:
-        """Fraction of the graph actually re-propagated."""
+        """Fraction of the graph in the patch set's dirty cone."""
         if self.n_vertices == 0:
             return 0.0
         return self.n_recomputed / self.n_vertices
@@ -98,6 +93,7 @@ class IncrementalSTA:
         )
         self.last_stats: Optional[PropagationStats] = None
         self._endpoint_caps_cache: Optional[Dict[int, List[float]]] = None
+        self._endpoint_drivers_cache: Optional[np.ndarray] = None
 
     # -- public API ----------------------------------------------------------
 
@@ -108,11 +104,12 @@ class IncrementalSTA:
     def refresh(self) -> STAReport:
         """Recompute from scratch (e.g. after un-patched external edits)."""
         self._endpoint_caps_cache = None
+        self._endpoint_drivers_cache = None
         self._report = analyze(self.network, self.clock, kernel=self.kernel)
         return self._report
 
     def apply(self, patches: Sequence[TimingPatch]) -> STAReport:
-        """Apply ``patches`` permanently and re-time the affected cone.
+        """Apply ``patches`` permanently and re-time the network.
 
         If a patch or the re-timing raises, the applied patches are reverted
         before the error propagates, so the network and the committed report
@@ -169,6 +166,15 @@ class IncrementalSTA:
             self._endpoint_caps_cache = caps
         return self._endpoint_caps_cache
 
+    def _endpoint_drivers(self) -> np.ndarray:
+        """Driver vertex of every endpoint, in endpoint-list order (cached like the caps)."""
+        if self._endpoint_drivers_cache is None:
+            endpoints = self.network.endpoints
+            self._endpoint_drivers_cache = np.fromiter(
+                (e.driver for e in endpoints), dtype=np.int64, count=len(endpoints)
+            )
+        return self._endpoint_drivers_cache
+
     def _recompute_loads(
         self, vertices: Set[int], fanouts: List[List[int]], cols: AttributeColumns, loads
     ) -> None:
@@ -178,30 +184,57 @@ class IncrementalSTA:
         """
         input_cap = cols.param("input_cap")
         endpoint_caps = self._endpoint_caps()
-        # Debug fault point: dropping the extra-load term makes this path
-        # disagree with compute_loads, which the fuzz campaign's
-        # incremental-vs-full oracle must catch (see repro.faults).
-        wire_load = not fault_active("incremental.extra_load")
         for vertex_id in vertices:
             total = 0.0
             for consumer_id in fanouts[vertex_id]:
                 total += input_cap[consumer_id]
             for cap in endpoint_caps.get(vertex_id, ()):
                 total += cap
-            if wire_load:
-                total += cols.extra_load[vertex_id]
-            loads[vertex_id] = total
+            loads[vertex_id] = total + cols.extra_load[vertex_id]
 
-    def _propagate_reference(
-        self, seeds: Set[int], fanouts, position, arrivals, slews, loads
-    ):
-        """Per-vertex dirty-cone worklist over :func:`propagate_vertex`."""
+    def _retime_array(self, seeds: Set[int], dirty_load: Set[int]):
+        """Whole-graph array re-analysis; returns ``(report, recomputed, updated)``.
+
+        With a consistent baseline, a vertex outside the worklist's visit set
+        keeps its baseline value, so the vertices that differ from the
+        baseline are the ones the worklist saw change.
+        """
+        network = self.network
+        base = self._report
+        compiled = network.compiled()
+        cols = network.attribute_columns()
+        loads = compiled.compute_loads(network, cols)
+        _drop_wire_load(dirty_load, cols, loads)
+        report = analyze(network, self.clock, loads=loads)
+        changed = (report.arrivals != base.arrivals) | (report.slews != base.slews)
+        positions, _ = gather_edges(compiled.fanout_indptr, np.flatnonzero(changed))
+        visited = np.zeros(len(network), dtype=bool)
+        visited[np.fromiter(seeds, dtype=np.int64, count=len(seeds))] = True
+        visited[compiled.fanout_indices[positions]] = True
+        updated = int(np.count_nonzero(changed[self._endpoint_drivers()]))
+        return report, int(np.count_nonzero(visited)), updated
+
+    def _retime_reference(self, seeds: Set[int], dirty_load: Set[int]):
+        """Per-vertex dirty-cone worklist; returns ``(report, recomputed, updated)``."""
+        network = self.network
+        base = self._report
+        # Structural patches invalidated the adjacency caches on apply;
+        # these calls rebuild them once if needed (raising on a cycle).
+        fanouts = network.fanouts()
+        position = np.empty(len(network), dtype=np.int64)
+        position[network.topological_order()] = np.arange(len(network))
+        arrivals = base.arrivals.copy()
+        slews = base.slews.copy()
+        loads = base.loads.copy()
+        cols = network.attribute_columns()
+        self._recompute_loads(dirty_load, fanouts, cols, loads)
+        _drop_wire_load(dirty_load, cols, loads)
+
         heap = [(int(position[v]), v) for v in seeds]
         heapq.heapify(heap)
         queued: Set[int] = set(seeds)
         changed_drivers: Set[int] = set()
         recomputed = 0
-        network = self.network
         while heap:
             _, vertex_id = heapq.heappop(heap)
             queued.discard(vertex_id)
@@ -219,105 +252,45 @@ class IncrementalSTA:
                 if consumer not in queued:
                     queued.add(consumer)
                     heapq.heappush(heap, (int(position[consumer]), consumer))
-        return changed_drivers, recomputed
 
-    def _propagate_array(self, seeds: Set[int], cols: AttributeColumns, arrivals, slews, loads):
-        """Dirty level-slice re-sweep sharing the full analysis' array kernel.
-
-        Dirty vertices are bucketed by logic level and each bucket is
-        re-evaluated with one :meth:`~repro.sta.csr.CSRTimingGraph.sweep`
-        call; consumers of vertices whose values changed join the bucket of
-        their (strictly higher) level.  Visit set, early stopping and every
-        float are identical to the reference worklist.
-        """
-        compiled = self.network.compiled()
-        level = compiled.level
-        fo_ptr = compiled.fanout_indptr
-        fo_idx = compiled.fanout_indices
-        buckets: Dict[int, Set[int]] = {}
-        pending: List[int] = []
-        for v in seeds:
-            lvl = int(level[v])
-            bucket = buckets.get(lvl)
-            if bucket is None:
-                buckets[lvl] = {v}
-                heapq.heappush(pending, lvl)
-            else:
-                bucket.add(v)
-        changed_drivers: Set[int] = set()
-        recomputed = 0
-        while pending:
-            lvl = heapq.heappop(pending)
-            members = buckets.pop(lvl)
-            ids = np.fromiter(sorted(members), dtype=np.int64, count=len(members))
-            old_arrivals = arrivals[ids]
-            old_slews = slews[ids]
-            compiled.sweep(ids, cols, self.clock, arrivals, slews, loads)
-            recomputed += len(ids)
-            changed = ids[(arrivals[ids] != old_arrivals) | (slews[ids] != old_slews)]
-            for v in changed:
-                vertex_id = int(v)
-                changed_drivers.add(vertex_id)
-                for consumer in fo_idx[fo_ptr[vertex_id] : fo_ptr[vertex_id + 1]]:
-                    consumer_id = int(consumer)
-                    consumer_level = int(level[consumer_id])
-                    bucket = buckets.get(consumer_level)
-                    if bucket is None:
-                        buckets[consumer_level] = {consumer_id}
-                        heapq.heappush(pending, consumer_level)
-                    else:
-                        bucket.add(consumer_id)
-        return changed_drivers, recomputed
+        endpoints = [
+            endpoint_timing(endpoint, self.clock, arrivals)
+            if endpoint.driver in changed_drivers
+            else base.endpoints[index]
+            for index, endpoint in enumerate(network.endpoints)
+        ]
+        updated = sum(1 for e in network.endpoints if e.driver in changed_drivers)
+        wns, tns = summarize_slacks(endpoints)
+        report = STAReport(
+            design=network.name,
+            clock=self.clock,
+            arrivals=arrivals,
+            slews=slews,
+            loads=loads,
+            endpoints=endpoints,
+            wns=wns,
+            tns=tns,
+        )
+        return report, recomputed, updated
 
     def _propagate(self, patches: Sequence[TimingPatch]) -> STAReport:
         network = self.network
-        base = self._report
         n = len(network)
-        if n != len(base.arrivals):
+        if n != len(self._report.arrivals):
             raise ValueError(
                 "network size changed under the incremental engine; patches must "
                 "not add or remove vertices — call refresh() instead"
             )
 
         with report_mod.stage("incremental.propagate"):
-            # Structural patches invalidated the adjacency caches on apply;
-            # these calls rebuild them once if needed (raising on a cycle).
-            fanouts = network.fanouts()
-            topo = network.topological_order()
-            position = np.empty(n, dtype=np.int64)
-            position[topo] = np.arange(n)
-
             dirty_delay: Set[int] = set()
             dirty_load: Set[int] = set()
             for patch in patches:
                 dirty_delay.update(patch.dirty_delay_vertices(network))
                 dirty_load.update(patch.dirty_load_vertices(network))
-
-            arrivals = base.arrivals.copy()
-            slews = base.slews.copy()
-            loads = base.loads.copy()
-
-            cols = network.attribute_columns()
-            self._recompute_loads(dirty_load, fanouts, cols, loads)
-
             seeds = dirty_delay | dirty_load
-            if self.kernel == "array":
-                changed_drivers, recomputed = self._propagate_array(
-                    seeds, cols, arrivals, slews, loads
-                )
-            else:
-                changed_drivers, recomputed = self._propagate_reference(
-                    seeds, fanouts, position, arrivals, slews, loads
-                )
-
-            endpoints = [
-                endpoint_timing(endpoint, self.clock, arrivals)
-                if endpoint.driver in changed_drivers
-                else base.endpoints[index]
-                for index, endpoint in enumerate(network.endpoints)
-            ]
-            updated = sum(1 for e in network.endpoints if e.driver in changed_drivers)
-            wns, tns = summarize_slacks(endpoints)
+            retime = self._retime_array if self.kernel == "array" else self._retime_reference
+            report, recomputed, updated = retime(seeds, dirty_load)
 
         self.last_stats = PropagationStats(
             n_patches=len(patches),
@@ -329,14 +302,15 @@ class IncrementalSTA:
         report_mod.incr("incremental_runs")
         report_mod.incr("incremental_patches", len(patches))
         report_mod.incr("incremental_recomputed_vertices", recomputed)
+        return report
 
-        return STAReport(
-            design=network.name,
-            clock=self.clock,
-            arrivals=arrivals,
-            slews=slews,
-            loads=loads,
-            endpoints=endpoints,
-            wns=wns,
-            tns=tns,
-        )
+
+def _drop_wire_load(dirty_load: Set[int], cols: AttributeColumns, loads: np.ndarray) -> None:
+    """Debug fault point: drop the wire-load term of the load-dirty vertices.
+
+    The re-timed loads then disagree with :func:`compute_loads`, which the
+    fuzz campaign's incremental-vs-full oracle must catch (see repro.faults).
+    """
+    if dirty_load and fault_active("incremental.extra_load"):
+        ids = np.fromiter(dirty_load, dtype=np.int64, count=len(dirty_load))
+        loads[ids] -= cols.extra_load[ids]

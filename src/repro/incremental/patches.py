@@ -3,9 +3,9 @@
 A patch is a small, invertible edit with a declared *timing footprint*: the
 vertices whose own delay equation changes (``dirty_delay_vertices``) and the
 vertices whose output load changes (``dirty_load_vertices``).  The
-incremental engine uses the footprint to seed its dirty-cone propagation, so
-a patch must be honest about everything it touches — under-reporting breaks
-the equivalence with a full re-analysis.
+incremental engine seeds its footprint stats and its reference dirty-cone
+worklist with them, so a patch must be honest about everything it touches —
+under-reporting breaks the worklist's equivalence with a full re-analysis.
 
 Four edit kinds cover the what-if scenarios the optimization sweep needs:
 

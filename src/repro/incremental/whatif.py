@@ -4,7 +4,7 @@
 re-synthesizing the whole design — minutes of work per candidate.  This
 module answers the same question approximately in milliseconds: it projects
 the *local* effect each directive has on the already-synthesized baseline
-netlist as a patch set and re-times only the affected cone with
+netlist as a patch set and re-times the patched netlist with
 :class:`~repro.incremental.engine.IncrementalSTA`:
 
 * ``retime`` on a signal — the optimizer moves the endpoint register across
@@ -162,7 +162,7 @@ def evaluate_candidates(
     options synthesis (netlist + report, already consistent with
     ``record.clock``) is the shared frozen baseline.  The baseline netlist
     is patched and reverted in place, never copied: K candidates cost K
-    small dirty cones instead of K re-syntheses.  Pass ``keep_reports=True``
+    array re-timings instead of K re-syntheses.  Pass ``keep_reports=True``
     to retain each candidate's full projected :class:`STAReport` for
     endpoint-level inspection.
     """

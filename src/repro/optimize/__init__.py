@@ -5,7 +5,7 @@ The package turns the fixed-K candidate sweep of
 budget-bounded, seed-replayable search over
 :class:`~repro.synth.optimizer.SynthesisOptions` (group fractions, retime
 aggressiveness and per-signal group assignments) whose inner loop is the
-dirty-cone incremental STA engine, with periodic full-synthesis re-anchoring
+incremental what-if STA engine, with periodic full-synthesis re-anchoring
 so incremental drift can never silently corrupt a search.
 
 Layout:

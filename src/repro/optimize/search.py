@@ -3,7 +3,7 @@
 The inner loop is the incremental what-if engine: a candidate is scored by
 projecting its :class:`~repro.optimize.space.CandidateSpec` onto timing
 patches (:func:`repro.incremental.whatif.patches_for_options`) and re-timing
-only the dirty cone — ~an order of magnitude cheaper than the full
+the patched baseline netlist — ~an order of magnitude cheaper than the full
 synthesis it stands in for, which is what makes hundreds-of-candidates
 search affordable.
 

@@ -9,9 +9,10 @@ than trusting the happy path.  One campaign:
    computes the **healthy oracle** — the exact JSON every request must
    produce — before any fault is armed;
 2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption —
-   per-fault probability, one campaign seed) and only then builds a
-   :class:`PooledTimingService` behind the real HTTP server, so forked
-   workers inherit the faults;
+   per-fault probability, one campaign seed) and builds a
+   :class:`PooledTimingService` behind the real HTTP server; the pool draws
+   worker faults in this process at dispatch, so every later arming or
+   clearing reaches all workers at once;
 3. drives concurrent HTTP traffic (registered-name predicts, raw-source
    predicts that exercise elaboration + disk cache + STA kernel, what-if
    sweeps) and checks every 200 against the oracle byte for byte;
@@ -304,9 +305,9 @@ def run_campaign(
                 _directed_sweep(
                     config, records, predict_oracle, report, host, port, result
                 )
-                # Recovery: disarm faults (fresh forks inherit the clean
-                # environment; crashed workers respawn clean) and measure
-                # how long until every design answers correctly again.
+                # Recovery: disarm faults (no worker draws one from here
+                # on) and measure how long until every design answers
+                # correctly again.
                 os.environ.pop(FAULT_ENV_VAR, None)
                 result.recovery_s = _measure_recovery(
                     config, records, predict_oracle, host, port, result

@@ -113,6 +113,21 @@ def _cache_record(
         records.popitem(last=False)
 
 
+#: Fault points that act inside a pool worker (see :mod:`repro.faults`).
+_WORKER_FAULTS = ("worker.crash", "worker.hang", "worker.slow_io")
+
+
+def _worker_faults(request_id: int) -> Tuple[str, ...]:
+    """The worker fault points that fire for one dispatch, drawn in the parent.
+
+    Drawn against the parent's ``REPRO_FAULT_INJECT``, so arming or clearing
+    faults reaches every worker at once, whatever environment it was forked
+    with.  Keyed by the pool-wide request id, so a retry redraws.
+    """
+    token = str(request_id)
+    return tuple(name for name in _WORKER_FAULTS if fault_fires(name, token))
+
+
 def _worker_main(
     slot: int, conn, payload: bytes, config: PoolConfig, record_capacity: int
 ) -> None:
@@ -167,7 +182,7 @@ def _worker_main(
                 if kind != "predict":
                     send(("error", request_id, f"unknown request kind {kind!r}"))
                     continue
-                key, record, expires_at = data
+                key, record, expires_at, faults = data
                 # The record cache step comes first, the same step the parent
                 # took on its mirror for this send, so the two stay in sync
                 # whatever happens to the request afterwards.  A key the
@@ -177,18 +192,14 @@ def _worker_main(
                     if record is None:
                         record = records[key]
                     _cache_record(records, record_capacity, key, record)
-                # Chaos hooks fire before any work, exactly like a crash
-                # between accept and compute would in production.  Draws are
-                # keyed by the pool-wide request id: unique per dispatch, so
-                # a retried request redraws (a fresh worker's per-process
-                # counter would replay the same first draw on every spawn,
-                # turning one unlucky seed into a deterministic crash loop).
-                token = str(request_id)
-                if fault_fires("worker.crash", token):
+                # Chaos hooks (drawn by the parent, see _worker_faults) fire
+                # before any work, exactly like a crash between accept and
+                # compute would in production.
+                if "worker.crash" in faults:
                     os._exit(43)
-                if fault_fires("worker.hang", token):
+                if "worker.hang" in faults:
                     time.sleep(3600.0)
-                if fault_fires("worker.slow_io", token):
+                if "worker.slow_io" in faults:
                     time.sleep(0.05)
                 if expires_at is not None and time.time() >= expires_at:
                     send(("deadline", request_id, None))
@@ -403,7 +414,7 @@ class WorkerPool:
                 # failed send takes the slot down and its respawn starts
                 # both caches empty.
                 hit = key is not None and key in worker.records
-                data = (key, None if hit else record, expires_at)
+                data = (key, None if hit else record, expires_at, _worker_faults(request_id))
                 worker.conn.send((handle.kind, request_id, data))
                 if key is not None:
                     _cache_record(worker.records, self.record_cache_entries, key, None)

@@ -2,8 +2,8 @@
 
 A network is columns (kind codes, a fanin CSR, a cell table and per-vertex
 attribute columns).  :class:`CSRTimingGraph` is the compiled form of its
-structure that every hot kernel — full STA, the incremental dirty-cone
-sweep, load computation — runs on: int32 CSR fanin/fanout adjacency, a
+structure that every hot kernel — full STA, incremental what-if re-timing,
+load computation — runs on: int32 CSR fanin/fanout adjacency, a
 levelization pass (``level = 1 + max fanin level``) and a level-major
 vertex order, over which the NLDM timing recurrence runs as whole-level
 numpy sweeps.  One constructor builds it from kind codes and a fanin CSR.
@@ -327,76 +327,6 @@ class CSRTimingGraph:
         loads += cols.extra_load
         return loads
 
-    def sweep(
-        self,
-        ids: np.ndarray,
-        cols: "AttributeColumns",
-        clock: "ClockConstraint",
-        arrivals: np.ndarray,
-        slews: np.ndarray,
-        loads: np.ndarray,
-    ) -> None:
-        """Apply the NLDM update rule to ``ids`` (one level, ascending), in place.
-
-        This is the single array kernel shared by the full level sweep and
-        the incremental dirty-slice re-sweep: all of ``ids`` must live on one
-        level, so their fanin values are final before the call.
-        """
-        kinds = self.kind[ids]
-
-        inputs = ids[kinds == KIND_INPUT]
-        if inputs.size:
-            arrivals[inputs] = clock.input_delay
-            slews[inputs] = clock.input_slew
-
-        consts = ids[kinds == KIND_CONST]
-        if consts.size:
-            arrivals[consts] = 0.0
-            slews[consts] = clock.input_slew
-
-        registers = ids[kinds == KIND_REGISTER]
-        if registers.size:
-            load = loads[registers]
-            arrivals[registers] = cols.param("clk_to_q")[registers] + cols.param("resistance")[registers] * load
-            slews[registers] = np.where(
-                cols.has_cell()[registers],
-                cols.param("slew_intrinsic")[registers] + cols.param("slew_resistance")[registers] * load,
-                clock.input_slew,
-            )
-
-        gates = ids[kinds == KIND_GATE]
-        if not gates.size:
-            return
-        load = loads[gates]
-        # Per-gate constants of the per-edge delay expression
-        #   d    = (intrinsic + resistance*load) + slew_factor*slew_of_fanin
-        #   cand = arrival_of_fanin + derate*d
-        # evaluated in the reference kernel's float64 operation order.
-        base = cols.param("intrinsic_delay")[gates] + cols.param("resistance")[gates] * load
-        slew_factor = cols.param("slew_factor")[gates]
-        derate = cols.derate[gates]
-
-        positions, counts = gather_edges(self.fanin_indptr, gates)
-        with_fanins = counts > 0
-        if positions.size:
-            sources = self.fanin_indices[positions]
-            owner = np.repeat(np.arange(len(gates), dtype=np.int64), counts)
-            cand = arrivals[sources] + derate[owner] * (base[owner] + slew_factor[owner] * slews[sources])
-            if fault_active("sta.array_delay"):
-                # Debug fault point: a small uniform perturbation of the
-                # candidate arrivals makes the array kernel diverge from the
-                # reference, which the array_vs_reference_sta oracle must
-                # catch (see repro.faults).
-                cand = cand + 1e-6
-            seg_starts = np.zeros(int(with_fanins.sum()), dtype=np.int64)
-            np.cumsum(counts[with_fanins][:-1], out=seg_starts[1:])
-            seg_max = np.maximum.reduceat(cand, seg_starts)
-            # The reference starts its max at 0.0, so clamp exactly likewise.
-            arrivals[gates[with_fanins]] = np.maximum(seg_max, 0.0)
-        if not with_fanins.all():
-            arrivals[gates[~with_fanins]] = 0.0
-        slews[gates] = cols.param("slew_intrinsic")[gates] + cols.param("slew_resistance")[gates] * load
-
     def sweep_all(
         self,
         cols: "AttributeColumns",
@@ -407,12 +337,14 @@ class CSRTimingGraph:
     ) -> None:
         """Full level sweep over the whole graph, in place.
 
-        Same recurrence as :meth:`sweep`, restructured around the cached
-        :class:`_SweepPlan`: everything that does not depend on fanin values
-        — every slew, source/register arrivals, the per-edge delay term —
-        is computed in whole-graph vectorized passes up front, and the
-        level-sequential remainder (gate arrival maxima) runs on contiguous
-        slices of the precomputed level-major edge arrays.
+        The NLDM recurrence of :func:`repro.sta.engine.propagate_vertex`,
+        restructured around the cached :class:`_SweepPlan`: everything that
+        does not depend on fanin values — every slew, source/register
+        arrivals, the per-edge delay term — is computed in whole-graph
+        vectorized passes up front, and the level-sequential remainder (gate
+        arrival maxima) runs on contiguous slices of the precomputed
+        level-major edge arrays.  Full STA and every incremental what-if
+        re-timing run through this one kernel.
         """
         plan = self._plan
         if plan is None:
@@ -458,7 +390,10 @@ class CSRTimingGraph:
         # element-for-element the reference expression derate*(base + sf*slew).
         contrib = derate[owner] * (base[owner] + slew_factor[owner] * slews[plan.edge_src])
         if fault_active("sta.array_delay"):
-            # Debug fault point, mirrored from :meth:`sweep` (see repro.faults).
+            # Debug fault point: a small uniform perturbation of the
+            # candidate arrivals makes the array kernel diverge from the
+            # reference, which the array_vs_reference_sta oracle must catch
+            # (see repro.faults).
             contrib = contrib + 1e-6
 
         edge_src = plan.edge_src

@@ -130,10 +130,10 @@ def compute_loads(network: TimingNetwork) -> np.ndarray:
 def propagate_vertex(vertex, clock: ClockConstraint, arrivals, slews, load) -> tuple:
     """The per-vertex NLDM update rule: (arrival, slew) given fanin state.
 
-    This is the single source of truth for the timing recurrence; both the
-    full :func:`analyze` sweep and the dirty-cone re-propagation of
-    :mod:`repro.incremental` call it, so the two paths agree bit for bit on
-    every vertex they both visit.
+    This is the single source of truth for the timing recurrence of the
+    reference kernel; both the reference :func:`analyze` sweep and the
+    dirty-cone worklist of :mod:`repro.incremental` call it, so the two
+    paths agree bit for bit on every vertex they both visit.
     """
     if vertex.kind is VertexKind.CONST:
         return 0.0, clock.input_slew

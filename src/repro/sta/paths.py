@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence, Set
+from typing import List, Sequence, Set, Union
 
 import numpy as np
 
 from repro.sta.csr import KIND_GATE, KIND_INPUT, KIND_REGISTER, gather_edges
 from repro.sta.engine import STAReport, arrival_delay_of
-from repro.sta.network import AttributeColumns, TimingNetwork, VertexKind
+from repro.sta.network import AttributeColumns, TimingEndpoint, TimingNetwork, VertexKind
 
 
 @dataclass
@@ -49,14 +49,16 @@ class TimingPath:
 
 
 def trace_critical_path(
-    network: TimingNetwork, report: STAReport, endpoint_name: str
+    network: TimingNetwork, report: STAReport, endpoint: Union[str, TimingEndpoint]
 ) -> TimingPath:
-    """Trace the slowest path ending at ``endpoint_name``.
+    """Trace the slowest path ending at ``endpoint`` (an endpoint or its name).
 
-    Each step moves to the fanin with the largest arrival plus edge delay;
-    ties go to the first fanin.
+    A name resolves to the first endpoint of that name.  Each step moves to
+    the fanin with the largest arrival plus edge delay; ties go to the first
+    fanin.
     """
-    endpoint = next(e for e in network.endpoints if e.name == endpoint_name)
+    if isinstance(endpoint, str):
+        endpoint = next(e for e in network.endpoints if e.name == endpoint)
     kinds = network.kinds()
     vertices = [endpoint.driver]
     while kinds[vertices[-1]] == KIND_GATE:
@@ -72,7 +74,7 @@ def trace_critical_path(
         )
     vertices.reverse()
     return TimingPath(
-        endpoint=endpoint_name,
+        endpoint=endpoint.name,
         vertices=vertices,
         arrival=float(report.arrivals[endpoint.driver]),
     )
@@ -80,6 +82,7 @@ def trace_critical_path(
 
 def input_cone(network: TimingNetwork, driver: int) -> Set[int]:
     """All vertices in the transitive fanin of ``driver`` (inclusive)."""
+    vertices = network.vertices
     seen: Set[int] = set()
     stack = [driver]
     while stack:
@@ -87,14 +90,14 @@ def input_cone(network: TimingNetwork, driver: int) -> Set[int]:
         if current in seen:
             continue
         seen.add(current)
-        stack.extend(network.vertices[current].fanins)
+        stack.extend(vertices[current].fanins)
     return seen
 
 
 def driving_launch_points(network: TimingNetwork, driver: int) -> List[int]:
     """Launch points (registers / primary inputs) in the cone of ``driver``."""
-    cone = input_cone(network, driver)
-    return [v for v in cone if network.vertices[v].is_launch_point]
+    vertices = network.vertices
+    return [v for v in input_cone(network, driver) if vertices[v].is_launch_point]
 
 
 def sample_random_path(
@@ -108,10 +111,11 @@ def sample_random_path(
     a random fanin at every step, which matches the paper's random path
     sampling within the endpoint input cone.
     """
+    views = network.vertices
     vertices = [driver]
     current = driver
     while True:
-        vertex = network.vertices[current]
+        vertex = views[current]
         if vertex.kind is not VertexKind.GATE or not vertex.fanins:
             break
         current = rng.choice(vertex.fanins)

@@ -153,6 +153,33 @@ class TestWhatIfEquivalence:
             assert report is engine.report()
             _assert_matches_full(report, network, record.clock)
 
+    def test_kernels_agree_on_reports_and_footprint(self, tiny_records):
+        """The array re-timing and the reference worklist give bit-identical
+        reports and equal stats on the same patch sets, across commits."""
+        record = tiny_records[3]
+        network = copy.deepcopy(record.synthesis.netlist)
+        array = IncrementalSTA(network, record.clock, kernel="array")
+        reference = IncrementalSTA(network, record.clock, kernel="reference")
+        rng = random.Random(21)
+        for step in range(12):
+            patches = _random_patches(network, rng, rng.randint(1, 8))
+            reports = []
+            for engine in (array, reference):
+                if step % 3 == 2:
+                    reports.append(engine.apply(patches))
+                    if engine is array:  # commit once, re-time the same state
+                        for patch in reversed(patches):
+                            patch.revert(network)
+                else:
+                    with engine.what_if(patches) as report:
+                        reports.append(report)
+            for name in ("arrivals", "slews", "loads"):
+                assert np.array_equal(getattr(reports[0], name), getattr(reports[1], name))
+            assert [e.slack for e in reports[0].endpoints] == [e.slack for e in reports[1].endpoints]
+            assert (reports[0].wns, reports[0].tns) == (reports[1].wns, reports[1].tns)
+            assert array.last_stats == reference.last_stats
+            assert 0 < array.last_stats.n_recomputed <= len(network)
+
     def test_structural_rewire_matches_full(self, tiny_records):
         record = tiny_records[2]
         network = record.synthesis.netlist

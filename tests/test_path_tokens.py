@@ -97,10 +97,9 @@ def test_uncached_predict_extracts_no_more_than_before(
         calls = _extractions(lambda: default_timer.predict(record))
     else:
         calls = _extractions(lambda: default_timer.predict_batch([record]))
-    # Without a cache, each stage extracts for itself: four variants plus the
-    # signal-wise model's SOG dataset (six when both the ensemble and the
-    # signal-wise model extracted an unsampled SOG dataset of their own).
-    assert calls <= 6
+    # Without a cache nothing is extracted twice either: the signal-wise model
+    # reads the critical rows of the bit-wise SOG dataset it is handed.
+    assert calls == len(default_timer.config.bitwise.variants) == 4
 
 
 @pytest.mark.parametrize(

@@ -226,14 +226,14 @@ def test_bad_record_in_a_batch_fails_alone(served_timer, tiny_records, monkeypat
     records = tiny_records[:3]
     expected = {record.name: served_timer.predict(record) for record in records}
     bad_name = records[1].name
-    real_predict = served_timer.bitwise.predict
+    real_predict = served_timer.bitwise.predict_with_critical
 
     def predict_or_fail(record):
         if record.name == bad_name:
             raise RuntimeError(f"cannot predict {record.name}")
         return real_predict(record)
 
-    monkeypatch.setattr(served_timer.bitwise, "predict", predict_or_fail)
+    monkeypatch.setattr(served_timer.bitwise, "predict_with_critical", predict_or_fail)
     hold_first_batch(monkeypatch, len(records))
     service = TimingService(served_timer, ServeConfig(max_batch=3))
     try:
