@@ -156,12 +156,12 @@ class RTLTimer:
 
         with report.stage("inference.batch"):
             with report.stage("inference.bitwise"):
-                stage = [
+                outputs = [
                     timed(i, lambda i=i: self.bitwise.predict_with_critical(records[i]))
                     for i in range(len(records))
                 ]
-                bitwise = [arrival for arrival, _ in stage]
-                critical = [rows for _, rows in stage]
+                bitwise = [arrival for arrival, _ in outputs]
+                critical = [rows for _, rows in outputs]
             with report.stage("inference.signalwise"):
                 signal = [
                     timed(i, lambda i=i: self.signalwise.predict(records[i], bitwise[i], critical[i]))

@@ -167,7 +167,9 @@ class TestWhatIfEquivalence:
             for engine in (array, reference):
                 if step % 3 == 2:
                     reports.append(engine.apply(patches))
-                    if engine is array:  # commit once, re-time the same state
+                    if engine is array:
+                        # Undo the network edit only, so the reference engine
+                        # commits the same patches to the same network.
                         for patch in reversed(patches):
                             patch.revert(network)
                 else:
