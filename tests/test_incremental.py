@@ -1,10 +1,11 @@
 """Incremental what-if timing engine: equivalence and safety properties.
 
 The load-bearing property: after any supported patch sequence, the
-dirty-cone re-propagation of :class:`IncrementalSTA` must match a full
+re-timed report of :class:`IncrementalSTA` must match a full
 ``sta.engine.analyze`` re-run of the patched network to 1e-9 on arrivals,
-slews, loads and endpoint slacks (in practice they agree bit for bit,
-because both paths share :func:`repro.sta.engine.propagate_vertex`).
+slews, loads and endpoint slacks (in practice they agree bit for bit), and
+its array kernel must report the same footprint stats as the reference
+dirty-cone worklist.
 """
 
 from __future__ import annotations
