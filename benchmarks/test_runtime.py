@@ -26,7 +26,7 @@ def test_runtime_fractions(dataset_records, benchmark):
 
     # Default synthesis runtime (label flow).
     started = time.perf_counter()
-    synthesize_bog(record.sog, record.clock, SynthesisOptions(seed=3), seed=3)
+    default = synthesize_bog(record.sog, record.clock, SynthesisOptions(seed=3), seed=3)
     synthesis_runtime = time.perf_counter() - started
 
     # RTL processing runtime: representation construction + path sampling/features.
@@ -44,7 +44,7 @@ def test_runtime_fractions(dataset_records, benchmark):
     # Optimization flow runtime overhead.
     ranking = ranking_from_labels(record)
     started = time.perf_counter()
-    synthesize_bog(record.sog, record.clock, options_from_ranking(ranking, seed=3), seed=3)
+    optimized = synthesize_bog(record.sog, record.clock, options_from_ranking(ranking, seed=3), seed=3)
     optimized_runtime = time.perf_counter() - started
 
     rows = [
@@ -54,14 +54,19 @@ def test_runtime_fractions(dataset_records, benchmark):
         ["RTL-Timer total / synthesis", f"{(rtl_processing_runtime + inference_runtime) / synthesis_runtime:.2f}x"],
         ["optimized synthesis (s)", f"{optimized_runtime:.2f}"],
         ["optimization overhead", f"{(optimized_runtime / synthesis_runtime - 1.0) * 100.0:+.0f}%"],
+        ["sizing passes (default / optimized)", f"{default.trace.passes} / {optimized.trace.passes}"],
+        ["upsized cells (default / optimized)", f"{default.trace.upsized} / {optimized.trace.upsized}"],
     ]
     print_table("Section 4.5: runtime analysis (design " + record.name + ")", ["Quantity", "Value"], rows)
 
     # Shape: evaluation is cheap in absolute terms and the option-driven
-    # synthesis flow costs more than the default flow.  (The paper's "4 % of
-    # synthesis runtime" ratio does not transfer directly: our pure-Python
+    # synthesis flow does more work than the default flow.  (The paper's "4 %
+    # of synthesis runtime" ratio does not transfer directly: our pure-Python
     # synthesis substrate is itself tiny on these scaled-down designs, so the
-    # ratio is dominated by Python overhead rather than tool work.)
+    # ratio is dominated by Python overhead rather than tool work.)  The extra
+    # work is asserted as sizing passes and upsized cells, not as a ratio of
+    # two ~25 ms wall clocks, which a scheduling hiccup can flip.
     assert inference_runtime < 5.0
     assert rtl_processing_runtime < 60.0
-    assert optimized_runtime >= synthesis_runtime * 0.8
+    assert optimized.trace.passes > default.trace.passes
+    assert optimized.trace.upsized > default.trace.upsized

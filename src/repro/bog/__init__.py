@@ -12,7 +12,6 @@ from repro.bog.transforms import convert, build_variants
 from repro.bog.simulate import (
     PACKED_LANES,
     evaluate_endpoints,
-    evaluate_endpoints_packed,
     evaluate_nodes,
     evaluate_nodes_packed,
     evaluate_signal_words,
@@ -33,7 +32,6 @@ __all__ = [
     "build_variants",
     "PACKED_LANES",
     "evaluate_endpoints",
-    "evaluate_endpoints_packed",
     "evaluate_nodes",
     "evaluate_nodes_packed",
     "evaluate_signal_words",

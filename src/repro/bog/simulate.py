@@ -190,11 +190,3 @@ def unpack_lane(packed_values: np.ndarray, lane: int) -> List[int]:
     if not 0 <= lane < PACKED_LANES:
         raise ValueError(f"lane must be in [0, {PACKED_LANES}), got {lane}")
     return ((packed_values >> np.uint64(lane)) & np.uint64(1)).astype(int).tolist()
-
-
-def evaluate_endpoints_packed(
-    bog: BOG, packed_sources: Mapping[str, int]
-) -> Dict[str, int]:
-    """Packed evaluation reduced to per-endpoint lane words."""
-    values = evaluate_nodes_packed(bog, packed_sources)
-    return {endpoint.name: int(values[endpoint.driver]) for endpoint in bog.endpoints}

@@ -11,7 +11,6 @@ from repro.fuzz.corpus import (
     SIZE_CLASSES,
     FuzzDesign,
     construct_profile,
-    fixed_suite_constructs,
     generate_fuzz_design,
 )
 from repro.fuzz.oracles import ORACLES, FuzzContext, OracleViolation
@@ -21,7 +20,6 @@ __all__ = [
     "SIZE_CLASSES",
     "FuzzDesign",
     "construct_profile",
-    "fixed_suite_constructs",
     "generate_fuzz_design",
     "ORACLES",
     "FuzzContext",

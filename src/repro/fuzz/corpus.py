@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.hdl.ast_nodes import (
@@ -43,12 +42,7 @@ from repro.hdl.ast_nodes import (
     UnaryOp,
 )
 from repro.hdl.design import Design, analyze
-from repro.hdl.generate import (
-    BENCHMARK_SPECS,
-    DesignSpec,
-    GeneratorConfig,
-    generate_design,
-)
+from repro.hdl.generate import DesignSpec, GeneratorConfig, generate_design
 from repro.hdl.parser import parse_source
 
 _FAMILIES = ("itc99", "opencores", "chipyard", "vexriscv")
@@ -259,12 +253,3 @@ def _port_width(module: Module, name: str):
 
 def _has_one_bit_reg(module: Module) -> bool:
     return any(net.kind == "reg" and net.width == 1 for net in module.nets)
-
-
-@lru_cache(maxsize=1)
-def fixed_suite_constructs() -> FrozenSet[str]:
-    """Union of construct tags over the 21 fixed benchmark designs."""
-    tags = set()
-    for spec in BENCHMARK_SPECS:
-        tags |= construct_profile(generate_design(spec))
-    return frozenset(tags)

@@ -61,10 +61,6 @@ class Signal:
     def is_register(self) -> bool:
         return self.kind is SignalKind.REGISTER
 
-    @property
-    def is_input(self) -> bool:
-        return self.kind is SignalKind.INPUT
-
     def __repr__(self) -> str:
         return f"Signal({self.name}, width={self.width}, {self.kind.value})"
 

@@ -1,9 +1,9 @@
 """Incremental what-if static timing analysis.
 
-:class:`IncrementalSTA` keeps a :class:`~repro.sta.engine.STAReport` for a
-:class:`~repro.sta.network.TimingNetwork` up to date under local edits
-described by :mod:`repro.incremental.patches` patch objects, which write the
-network's columns in place.
+:class:`IncrementalSTA` re-times a :class:`~repro.sta.network.TimingNetwork`
+under local edits described by :mod:`repro.incremental.patches` patch
+objects, which write the network's columns in place, against the network's
+baseline :class:`~repro.sta.engine.STAReport`.
 
 The ``array`` kernel re-times a patched network with one whole-graph pass
 (:meth:`~repro.sta.csr.CSRTimingGraph.compute_loads` plus the cached level
@@ -21,9 +21,9 @@ vertex reproduces its old arrival and slew exactly.  Both kernels match a
 from-scratch re-analysis bit for bit and report equal stats.
 
 :meth:`IncrementalSTA.what_if` applies a patch set, yields the re-timed
-report and reverts the patches on exit, so K candidates share one frozen
-baseline netlist and none is re-synthesized.  :meth:`IncrementalSTA.apply`
-commits a patch set, or reverts it if any patch (or the re-timing) fails.
+report and reverts the patches on exit (also when a patch or the re-timing
+fails), so an engine's baseline stays frozen for its whole lifetime: K
+candidates share one baseline netlist and none is re-synthesized.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ class PropagationStats:
 
 
 class IncrementalSTA:
-    """Incrementally maintained STA state for one network under one clock."""
+    """What-if re-timing of one network under one clock against a frozen baseline."""
 
     def __init__(
         self,
@@ -98,66 +98,37 @@ class IncrementalSTA:
     # -- public API ----------------------------------------------------------
 
     def report(self) -> STAReport:
-        """The report for the network's current state."""
-        return self._report
-
-    def refresh(self) -> STAReport:
-        """Recompute from scratch (e.g. after un-patched external edits)."""
-        self._endpoint_caps_cache = None
-        self._endpoint_drivers_cache = None
-        self._report = analyze(self.network, self.clock, kernel=self.kernel)
-        return self._report
-
-    def apply(self, patches: Sequence[TimingPatch]) -> STAReport:
-        """Apply ``patches`` permanently and re-time the network.
-
-        If a patch or the re-timing raises, the applied patches are reverted
-        before the error propagates, so the network and the committed report
-        are left as they were.
-        """
-        with self._patched(patches, commit=True):
-            self._report = self._propagate(patches)
+        """The baseline report (every what-if leaves it unchanged)."""
         return self._report
 
     @contextlib.contextmanager
     def what_if(self, patches: Sequence[TimingPatch]) -> Iterator[STAReport]:
-        """Evaluate ``patches`` without committing them.
+        """Re-time the network with ``patches`` applied, then revert them.
 
-        Yields the re-timed report of the patched network; on exit every
-        patch is reverted (in reverse order) and the engine's committed
-        report is untouched.  The yielded report stays valid after exit as a
-        *prediction* artifact — it describes the hypothetical network, not
-        the restored one.
+        Yields the re-timed report of the patched network; on exit, or when
+        a patch or the re-timing raises, every applied patch is reverted (in
+        reverse order), so the network and :meth:`report` are left as they
+        were.  The yielded report stays valid after exit as a *prediction*
+        artifact — it describes the hypothetical network, not the restored
+        one.
         """
-        with self._patched(patches):
-            yield self._propagate(patches)
-
-    # -- internals -----------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _patched(self, patches: Sequence[TimingPatch], commit: bool = False) -> Iterator[None]:
-        """Apply ``patches``; revert them in reverse order on exit, or only on an error if ``commit``."""
         applied: List[TimingPatch] = []
-        revert = not commit
         try:
             for patch in patches:
                 patch.apply(self.network)
                 applied.append(patch)
-            yield
-        except BaseException:
-            revert = True
-            raise
+            yield self._propagate(patches)
         finally:
-            if revert:
-                for patch in reversed(applied):
-                    patch.revert(self.network)
+            for patch in reversed(applied):
+                patch.revert(self.network)
+
+    # -- internals -----------------------------------------------------------
 
     def _endpoint_caps(self) -> Dict[int, List[float]]:
         """Per-driver endpoint pin capacitances, in endpoint-list order.
 
         Cached for the engine's lifetime: patches never add, remove or
-        re-drive endpoints (size changes are rejected), and external edits
-        require :meth:`refresh`, which drops the cache.
+        re-drive endpoints (size changes are rejected).
         """
         if self._endpoint_caps_cache is None:
             caps: Dict[int, List[float]] = {}
@@ -279,7 +250,7 @@ class IncrementalSTA:
         if n != len(self._report.arrivals):
             raise ValueError(
                 "network size changed under the incremental engine; patches must "
-                "not add or remove vertices — call refresh() instead"
+                "not add or remove vertices — build a new engine for the edited network"
             )
 
         with report_mod.stage("incremental.propagate"):

@@ -38,10 +38,6 @@ from repro.sta.network import TimingNetwork
 class TimingPatch:
     """Base interface for local timing-network edits."""
 
-    #: Structural patches change the fanin lists (adjacency / topo caches
-    #: must be rebuilt); value patches only touch per-vertex attributes.
-    structural: bool = False
-
     def apply(self, network: TimingNetwork) -> None:
         raise NotImplementedError
 
@@ -146,7 +142,6 @@ class RewireFanins(TimingPatch):
 
     vertex: int
     fanins: List[int]
-    structural = True
     _previous: Optional[List[int]] = field(default=None, repr=False)
 
     def apply(self, network: TimingNetwork) -> None:

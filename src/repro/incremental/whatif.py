@@ -12,7 +12,8 @@ netlist as a patch set and re-times the patched netlist with
   on the gate driving the signal's worst bit,
 * ``group_path`` budgets — every group gets its own sizing passes; projected
   as drive-strength upsizes (:class:`SwapCell`) along the critical paths of
-  each group's worst endpoints,
+  each group's worst endpoints, read from one :func:`critical_path_table`
+  of the frozen baseline,
 * the least-critical group cedes effort to area recovery; projected as a
   small extra wire load on its ample-slack endpoints.
 
@@ -23,14 +24,14 @@ re-synthesis (see :func:`repro.core.optimize.run_optimization_sweep`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.incremental.engine import IncrementalSTA, PropagationStats
 from repro.incremental.patches import AddExtraLoad, SetDerate, SwapCell, TimingPatch
 from repro.sta.csr import KIND_GATE
 from repro.sta.engine import STAReport
-from repro.sta.paths import trace_critical_path
+from repro.sta.paths import trace_critical_paths
 from repro.synth.netlist import Netlist
 from repro.synth.optimizer import SynthesisOptions, group_endpoints
 
@@ -47,20 +48,13 @@ RELAX_SLACK_FRACTION = 0.35
 
 @dataclass
 class WhatIfEstimate:
-    """Projected timing of one candidate option set.
-
-    ``report`` is only populated when :func:`evaluate_candidates` is asked
-    to keep full reports — a sweep only needs wns/tns, and a report holds
-    three vertex-sized arrays that would otherwise stay alive as long as
-    the estimate does.
-    """
+    """Projected timing of one candidate option set."""
 
     options: SynthesisOptions
     wns: float
     tns: float
     n_patches: int
     stats: Optional[PropagationStats] = None
-    report: Optional[STAReport] = field(default=None, repr=False)
 
     def as_row(self) -> Dict[str, float]:
         return {
@@ -71,17 +65,32 @@ class WhatIfEstimate:
         }
 
 
+def critical_path_table(netlist: Netlist, report: STAReport) -> Dict[str, List[int]]:
+    """The slowest-path vertex list of every endpoint name of a baseline run.
+
+    One array trace (:func:`~repro.sta.paths.trace_critical_paths`) covers
+    every endpoint; the first endpoint of a name wins, as in
+    :func:`~repro.sta.paths.trace_critical_path`.  The table holds as long
+    as ``netlist`` and ``report`` stay frozen, so K candidates share one.
+    """
+    endpoints = netlist.endpoints
+    walks = trace_critical_paths(netlist, report, [e.driver for e in endpoints])
+    table: Dict[str, List[int]] = {}
+    for endpoint, walk in zip(endpoints, walks):
+        table.setdefault(endpoint.name, walk)
+    return table
+
+
 def patches_for_options(
     netlist: Netlist,
     report: STAReport,
     options: SynthesisOptions,
-    path_cache: Optional[Dict[str, object]] = None,
+    paths: Optional[Dict[str, List[int]]] = None,
 ) -> List[TimingPatch]:
     """Project one option set onto the baseline netlist as a patch list.
 
-    ``path_cache`` memoizes critical-path traces by endpoint name; the
-    baseline report is frozen during a sweep, so a shared dict lets K
-    candidates trace each endpoint once instead of K times.
+    ``paths`` is the baseline's :func:`critical_path_table`; it is built
+    here when not given.
     """
     patches: List[TimingPatch] = []
     planned_cells: Dict[int, object] = {}
@@ -107,17 +116,14 @@ def patches_for_options(
     #    optimizer's own (``group_endpoints``), so the projection sizes
     #    exactly the endpoints a real ``group_path`` run would.
     groups = options.path_groups or []
+    if groups and paths is None:
+        paths = critical_path_table(netlist, report)
     upsized: Dict[int, object] = {}  # id(cell) -> its next stronger drive
     for group in groups:
         targets = group_endpoints(report, group.signals, options.critical_fraction)
         for _ in range(options.group_effort_passes):
             for name in targets:
-                path = path_cache.get(name) if path_cache is not None else None
-                if path is None:
-                    path = trace_critical_path(netlist, report, name)
-                    if path_cache is not None:
-                        path_cache[name] = path
-                for vertex_id in path.vertices:
+                for vertex_id in paths[name]:
                     if kinds[vertex_id] != KIND_GATE:
                         continue
                     current = planned_cells.get(vertex_id) or netlist.cell_of(vertex_id)
@@ -150,49 +156,41 @@ def patches_for_options(
     return patches
 
 
-def evaluate_candidates(
-    record,
-    candidates: Sequence[SynthesisOptions],
-    engine: Optional[IncrementalSTA] = None,
-    keep_reports: bool = False,
-) -> List[WhatIfEstimate]:
+def estimate_candidate(
+    engine: IncrementalSTA, options: SynthesisOptions, patches: Sequence[TimingPatch]
+) -> WhatIfEstimate:
+    """Score one candidate's patch set against ``engine``'s frozen baseline.
+
+    An empty patch set is the baseline itself: its WNS/TNS and no stats.
+    """
+    if not patches:
+        baseline = engine.report()
+        return WhatIfEstimate(options=options, wns=baseline.wns, tns=baseline.tns, n_patches=0)
+    with engine.what_if(patches) as projected:
+        return WhatIfEstimate(
+            options=options,
+            wns=projected.wns,
+            tns=projected.tns,
+            n_patches=len(patches),
+            stats=engine.last_stats,
+        )
+
+
+def evaluate_candidates(record, candidates: Sequence[SynthesisOptions]) -> List[WhatIfEstimate]:
     """Project every candidate option set against ``record``'s baseline run.
 
     ``record`` is a :class:`~repro.core.dataset.DesignRecord`; its default-
     options synthesis (netlist + report, already consistent with
     ``record.clock``) is the shared frozen baseline.  The baseline netlist
-    is patched and reverted in place, never copied: K candidates cost K
-    array re-timings instead of K re-syntheses.  Pass ``keep_reports=True``
-    to retain each candidate's full projected :class:`STAReport` for
-    endpoint-level inspection.
+    is patched and reverted in place, never copied, and its critical paths
+    are traced once: K candidates cost K array re-timings instead of K
+    re-syntheses.
     """
     netlist = record.synthesis.netlist
-    engine = engine or IncrementalSTA(netlist, record.clock, baseline=record.synthesis.report)
+    engine = IncrementalSTA(netlist, record.clock, baseline=record.synthesis.report)
     baseline = engine.report()
-    path_cache: Dict[str, object] = {}
-    estimates: List[WhatIfEstimate] = []
-    for options in candidates:
-        patches = patches_for_options(netlist, baseline, options, path_cache=path_cache)
-        if not patches:
-            estimates.append(
-                WhatIfEstimate(
-                    options=options,
-                    wns=baseline.wns,
-                    tns=baseline.tns,
-                    n_patches=0,
-                    report=baseline if keep_reports else None,
-                )
-            )
-            continue
-        with engine.what_if(patches) as projected:
-            estimates.append(
-                WhatIfEstimate(
-                    options=options,
-                    wns=projected.wns,
-                    tns=projected.tns,
-                    n_patches=len(patches),
-                    stats=engine.last_stats,
-                    report=projected if keep_reports else None,
-                )
-            )
-    return estimates
+    paths = critical_path_table(netlist, baseline)
+    return [
+        estimate_candidate(engine, options, patches_for_options(netlist, baseline, options, paths))
+        for options in candidates
+    ]

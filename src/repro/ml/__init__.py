@@ -6,8 +6,6 @@ from repro.ml.preprocessing import (
     StandardScaler,
     TargetScaler,
     group_kfold,
-    leave_one_group_out,
-    train_test_split,
 )
 from repro.ml.tree import (
     BinnedMatrix,
@@ -44,8 +42,6 @@ __all__ = [
     "StandardScaler",
     "TargetScaler",
     "group_kfold",
-    "leave_one_group_out",
-    "train_test_split",
     "BinnedMatrix",
     "DecisionTreeRegressor",
     "FlatTree",

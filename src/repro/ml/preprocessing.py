@@ -118,25 +118,6 @@ class TargetScaler:
         return scaler
 
 
-def train_test_split(
-    features: np.ndarray,
-    targets: np.ndarray,
-    test_fraction: float = 0.25,
-    seed: int = 0,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Random row split into train and test partitions."""
-    array = as_2d_array(features)
-    target = as_1d_array(targets)
-    if len(array) != len(target):
-        raise ValueError("features and targets must have the same number of rows")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(array))
-    n_test = int(round(len(array) * test_fraction))
-    test_idx = order[:n_test]
-    train_idx = order[n_test:]
-    return array[train_idx], array[test_idx], target[train_idx], target[test_idx]
-
-
 def group_kfold(groups: Sequence, n_splits: int, seed: int = 0) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Cross-validation folds that never split one group across train/test.
 
@@ -160,11 +141,3 @@ def group_kfold(groups: Sequence, n_splits: int, seed: int = 0) -> Iterator[Tupl
         test_idx = np.where(test_mask)[0]
         train_idx = np.where(~test_mask)[0]
         yield train_idx, test_idx
-
-
-def leave_one_group_out(groups: Sequence) -> Iterator[Tuple[np.ndarray, np.ndarray, object]]:
-    """Yield (train_idx, test_idx, group) triples, one per unique group."""
-    labels = np.asarray(groups)
-    for group in sorted(set(labels.tolist()), key=str):
-        test_mask = labels == group
-        yield np.where(~test_mask)[0], np.where(test_mask)[0], group

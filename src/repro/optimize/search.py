@@ -41,7 +41,12 @@ import numpy as np
 
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import SwapCell, TimingPatch
-from repro.incremental.whatif import WhatIfEstimate, patches_for_options
+from repro.incremental.whatif import (
+    WhatIfEstimate,
+    critical_path_table,
+    estimate_candidate,
+    patches_for_options,
+)
 from repro.optimize.pareto import (
     ParetoFront,
     ParetoPoint,
@@ -235,7 +240,7 @@ class IncrementalEvaluator:
         self.netlist = record.synthesis.netlist
         self.baseline_report = record.synthesis.report
         self.engine = IncrementalSTA(self.netlist, record.clock, baseline=self.baseline_report)
-        self.path_cache: Dict = {}
+        self.paths = critical_path_table(self.netlist, self.baseline_report)
         self.base_area = float(record.synthesis.qor.area)
         self.memo: Dict[str, ScoredCandidate] = {}
         self.evals = 0
@@ -243,12 +248,7 @@ class IncrementalEvaluator:
         self.estimates: List[WhatIfEstimate] = []
 
     def patches(self, options: SynthesisOptions) -> List[TimingPatch]:
-        return patches_for_options(
-            self.netlist,
-            self.baseline_report,
-            options,
-            path_cache=self.path_cache,
-        )
+        return patches_for_options(self.netlist, self.baseline_report, options, self.paths)
 
     def area_of(self, patches: Sequence[TimingPatch]) -> float:
         """Exact area of the patched netlist: cell swaps carry their own
@@ -271,27 +271,19 @@ class IncrementalEvaluator:
             return hit, True
         started = time.perf_counter()
         patches = self.patches(options)
-        if patches:
-            with self.engine.what_if(patches) as projected:
-                wns, tns = float(projected.wns), float(projected.tns)
-            stats = self.engine.last_stats
-        else:
-            wns, tns = float(self.baseline_report.wns), float(self.baseline_report.tns)
-            stats = None
+        estimate = estimate_candidate(self.engine, options, patches)
         seconds = time.perf_counter() - started
         scored = ScoredCandidate(
             key=key,
-            wns=wns,
-            tns=tns,
+            wns=float(estimate.wns),
+            tns=float(estimate.tns),
             area=self.area_of(patches),
-            n_patches=len(patches),
+            n_patches=estimate.n_patches,
             seconds=seconds,
         )
         self.memo[key] = scored
         self.evals += 1
-        self.estimates.append(
-            WhatIfEstimate(options=options, wns=wns, tns=tns, n_patches=len(patches), stats=stats)
-        )
+        self.estimates.append(estimate)
         report = report_mod.active_report()
         if report is not None:
             report.add_stage(OPT_SCORE_STAGE, seconds)

@@ -27,11 +27,6 @@ class PlacementResult:
     post_optimization: STAReport
     trace: OptimizationTrace
 
-    @property
-    def placement_wns_degradation(self) -> float:
-        """WNS change caused by wire loads (negative means worse)."""
-        return self.post_placement.wns - self.pre_placement.wns
-
 
 def place_and_optimize(
     netlist: Netlist,

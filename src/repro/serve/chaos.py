@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.faults import FAULT_ENV_VAR, FAULT_REGISTRY, format_faults, reset_draws
 from repro.runtime import report as report_mod
 from repro.runtime.cache import CACHE_DIR_ENV_VAR
-from repro.serve.http import prediction_to_json, start_server
+from repro.serve.http import prediction_to_json, start_server, whatif_to_json
 from repro.serve.service import PooledTimingService, ServeConfig, _percentile
 from repro.serve.supervisor import PoolConfig
 
@@ -159,10 +159,6 @@ def _canonical_prediction(payload: Dict[str, Any]) -> Dict[str, Any]:
     return canonical
 
 
-def _canonical_whatif(payload: Dict[str, Any]) -> Dict[str, Any]:
-    return dict(payload)
-
-
 class _Client:
     """One worker thread's HTTP client (its own keep-alive connection)."""
 
@@ -253,7 +249,7 @@ def run_campaign(
     }
     whatif_k = 2
     whatif_oracle = {
-        record.name: _whatif_json(record, timer.what_if(record, k=whatif_k))
+        record.name: whatif_to_json(record, timer.what_if(record, k=whatif_k))
         for record in records
     }
 
@@ -327,25 +323,6 @@ def run_campaign(
     return result
 
 
-def _whatif_json(record, estimates) -> Dict[str, Any]:
-    """The /whatif JSON shape (mirrors the HTTP handler, minus transport)."""
-    return {
-        "design": record.name,
-        "candidates": [
-            {
-                "index": index,
-                "wns": float(estimate.wns),
-                "tns": float(estimate.tns),
-                "n_patches": int(estimate.n_patches),
-                "uses_grouping": bool(estimate.options.uses_grouping),
-                "uses_retiming": bool(estimate.options.uses_retiming),
-                "retime_signals": list(estimate.options.retime_signals or []),
-            }
-            for index, estimate in enumerate(estimates)
-        ],
-    }
-
-
 def _drive_traffic(
     config: ChaosConfig,
     records,
@@ -372,7 +349,7 @@ def _drive_traffic(
                 if config.whatif_every and index % config.whatif_every == config.whatif_every - 1:
                     path, payload = "/whatif", {"name": record.name, "k": whatif_k}
                     oracle = whatif_oracle[record.name]
-                    canon = _canonical_whatif
+                    canon = dict
                 elif config.raw_source_every and index % config.raw_source_every == config.raw_source_every - 1:
                     path = "/predict"
                     payload = {"source": record.source, "name": record.name}

@@ -59,6 +59,25 @@ def prediction_to_json(prediction: RTLTimerPrediction) -> Dict[str, Any]:
     }
 
 
+def whatif_to_json(record, estimates) -> Dict[str, Any]:
+    """The JSON shape of one ``/whatif`` answer: the record's candidates in order."""
+    return {
+        "design": record.name,
+        "candidates": [
+            {
+                "index": index,
+                "wns": float(estimate.wns),
+                "tns": float(estimate.tns),
+                "n_patches": int(estimate.n_patches),
+                "uses_grouping": bool(estimate.options.uses_grouping),
+                "uses_retiming": bool(estimate.options.uses_retiming),
+                "retime_signals": list(estimate.options.retime_signals or []),
+            }
+            for index, estimate in enumerate(estimates)
+        ],
+    }
+
+
 class TimingRequestHandler(BaseHTTPRequestHandler):
     """Routes the four endpoints onto the server's :class:`TimingService`."""
 
@@ -202,22 +221,7 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
                 response = prediction_to_json(prediction)
                 response["serve"] = stats
             else:
-                estimates = self.server.service.what_if(record, k=k)
-                response = {
-                    "design": record.name,
-                    "candidates": [
-                        {
-                            "index": index,
-                            "wns": float(estimate.wns),
-                            "tns": float(estimate.tns),
-                            "n_patches": int(estimate.n_patches),
-                            "uses_grouping": bool(estimate.options.uses_grouping),
-                            "uses_retiming": bool(estimate.options.uses_retiming),
-                            "retime_signals": list(estimate.options.retime_signals or []),
-                        }
-                        for index, estimate in enumerate(estimates)
-                    ],
-                }
+                response = whatif_to_json(record, self.server.service.what_if(record, k=k))
             self._send_json(response)
         except RejectedError as exc:  # load shed: bounded queue said no
             self._send_error_json(

@@ -120,10 +120,6 @@ class AdmissionController:
         with self._lock:
             return self._total
 
-    def route_depth(self, route: str) -> int:
-        with self._lock:
-            return self._per_route.get(route, 0)
-
     def admit(self, route: str) -> "_Admission":
         """Admit one request on ``route`` or raise :class:`RejectedError`."""
         with self._lock:

@@ -8,11 +8,12 @@ path sampling within an endpoint's input cone, used to generate the
 additional ``K`` paths per endpoint.
 
 :func:`trace_critical_path` walks the network's columns one endpoint at a
-time; the synthesis optimizer and the what-if projection trace with it.  The
-other per-endpoint functions walk the read-only vertex views and are kept as
-the reference implementation.  The array section at the end computes the
-same quantities for every endpoint at once on the compiled
-:class:`~repro.sta.csr.CSRTimingGraph`, bit for bit.
+time; the synthesis optimizer traces with it.  The other per-endpoint
+functions walk the read-only vertex views and are kept as the reference
+implementation.  The array section at the end computes the same quantities
+for every endpoint at once on the compiled
+:class:`~repro.sta.csr.CSRTimingGraph`, bit for bit; the samplers and the
+what-if projection use it.
 """
 
 from __future__ import annotations

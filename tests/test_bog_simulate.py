@@ -9,7 +9,6 @@ from repro.bog.graph import BOG, NodeType
 from repro.bog.simulate import (
     PACKED_LANES,
     evaluate_endpoints,
-    evaluate_endpoints_packed,
     evaluate_nodes,
     evaluate_nodes_packed,
     evaluate_signal_words,
@@ -91,10 +90,11 @@ class TestPackedSimulation:
 
     def test_packed_endpoints_match_scalar(self, xor_graph):
         vectors = [{"a": a, "b": b} for a in (0, 1) for b in (0, 1)]
-        packed = evaluate_endpoints_packed(xor_graph, pack_source_vectors(vectors))
+        packed = evaluate_nodes_packed(xor_graph, pack_source_vectors(vectors))
+        driver = int(packed[xor_graph.endpoints[0].driver])
         for lane, vector in enumerate(vectors):
             expected = evaluate_endpoints(xor_graph, vector)["R[0]"]
-            assert (packed["R[0]"] >> lane) & 1 == expected
+            assert (driver >> lane) & 1 == expected
 
     def test_partial_lane_count_and_missing_sources(self, xor_graph):
         # Unfilled lanes and missing source names both default to all-zero.
@@ -119,8 +119,8 @@ class TestPackedSimulation:
         g = BOG("c", variant="sog")
         r = g.add_register("R[0]")
         g.add_endpoint("R[0]", "R", 0, g.const1(), reg_node=r)
-        packed = evaluate_endpoints_packed(g, {})
-        assert packed["R[0]"] == (1 << PACKED_LANES) - 1
+        packed = evaluate_nodes_packed(g, {})
+        assert int(packed[g.endpoints[0].driver]) == (1 << PACKED_LANES) - 1
 
 
 class TestTopologicalOrderValidation:

@@ -24,7 +24,6 @@ from repro.fuzz.corpus import (
     SIZE_CLASSES,
     FuzzDesign,
     construct_profile,
-    fixed_suite_constructs,
     generate_fuzz_design,
 )
 from repro.fuzz.oracles import (
@@ -49,7 +48,7 @@ from repro.fuzz.runner import (
     shrink_design,
 )
 from repro.bog.builder import build_sog
-from repro.hdl.generate import DesignSpec, GeneratorConfig
+from repro.hdl.generate import BENCHMARK_SPECS, DesignSpec, GeneratorConfig, generate_design
 from repro.runtime import RuntimeReport, activate
 
 
@@ -97,7 +96,9 @@ class TestCorpus:
 
     def test_corpus_covers_constructs_absent_from_fixed_suite(self):
         """The acceptance gate: ≥3 construct patterns none of the 21 designs use."""
-        fixed = fixed_suite_constructs()
+        fixed = set()
+        for spec in BENCHMARK_SPECS:
+            fixed |= construct_profile(generate_design(spec))
         corpus_tags = set()
         for seed in range(10):
             for size_class in ("tiny", "small"):

@@ -23,11 +23,16 @@ from repro.incremental import (
     SetDerate,
     SwapCell,
 )
-from repro.incremental.whatif import evaluate_candidates, patches_for_options
+from repro.incremental.whatif import (
+    critical_path_table,
+    evaluate_candidates,
+    patches_for_options,
+)
 from repro.core.optimize import generate_candidates, ranking_from_labels
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import analyze
 from repro.sta.network import VertexKind
+from repro.sta.paths import trace_critical_path
 
 TOLERANCE = 1e-9
 
@@ -80,6 +85,17 @@ def _assert_matches_full(incremental, network, clock):
         assert abs(inc_ep.arrival - full_ep.arrival) <= TOLERANCE
     assert abs(incremental.wns - full.wns) <= TOLERANCE
     assert abs(incremental.tns - full.tns) <= TOLERANCE
+
+
+def _assert_fails_cleanly(network, engine, patches, match):
+    """``what_if(patches)`` raises, and the network and baseline report are unchanged."""
+    baseline = engine.report()
+    before = _network_state(network)
+    with pytest.raises(ValueError, match=match):
+        with engine.what_if(patches):
+            pass
+    assert _network_state(network) == before
+    assert engine.report() is baseline
 
 
 class TestWhatIfEquivalence:
@@ -136,46 +152,27 @@ class TestWhatIfEquivalence:
         record = tiny_records[1]
         network = record.synthesis.netlist
         engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
-        committed = engine.report()
+        baseline = engine.report()
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
         with engine.what_if([SetDerate(gate, 0.5)]):
             pass
-        assert engine.report() is committed
+        assert engine.report() is baseline
         _assert_matches_full(engine.report(), network, record.clock)
-
-    def test_sequential_apply_matches_full(self, tiny_records):
-        """apply() commits patches; state stays consistent run over run."""
-        record = tiny_records[0]
-        network = copy.deepcopy(record.synthesis.netlist)
-        engine = IncrementalSTA(network, record.clock)
-        rng = random.Random(7)
-        for _ in range(10):
-            report = engine.apply(_random_patches(network, rng, rng.randint(1, 6)))
-            assert report is engine.report()
-            _assert_matches_full(report, network, record.clock)
 
     def test_kernels_agree_on_reports_and_footprint(self, tiny_records):
         """The array re-timing and the reference worklist give bit-identical
-        reports and equal stats on the same patch sets, across commits."""
+        reports and equal stats on the same patch sets."""
         record = tiny_records[3]
         network = copy.deepcopy(record.synthesis.netlist)
         array = IncrementalSTA(network, record.clock, kernel="array")
         reference = IncrementalSTA(network, record.clock, kernel="reference")
         rng = random.Random(21)
-        for step in range(12):
+        for _ in range(12):
             patches = _random_patches(network, rng, rng.randint(1, 8))
             reports = []
             for engine in (array, reference):
-                if step % 3 == 2:
-                    reports.append(engine.apply(patches))
-                    if engine is array:
-                        # Undo the network edit only, so the reference engine
-                        # commits the same patches to the same network.
-                        for patch in reversed(patches):
-                            patch.revert(network)
-                else:
-                    with engine.what_if(patches) as report:
-                        reports.append(report)
+                with engine.what_if(patches) as report:
+                    reports.append(report)
             for name in ("arrivals", "slews", "loads"):
                 assert np.array_equal(getattr(reports[0], name), getattr(reports[1], name))
             assert [e.slack for e in reports[0].endpoints] == [e.slack for e in reports[1].endpoints]
@@ -226,13 +223,13 @@ class TestEngineBehaviour:
         _assert_matches_full(engine.report(), network, other_clock)
 
     def test_size_change_is_rejected(self, tiny_records):
+        """Patches must not add vertices; an edited network needs a new engine."""
         record = tiny_records[1]
         network = copy.deepcopy(record.synthesis.netlist)
         engine = IncrementalSTA(network, record.clock)
         network.add_vertex(VertexKind.INPUT, name="late_arrival")
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        with pytest.raises(ValueError, match="refresh"):
-            engine.apply([SetDerate(gate, 0.9)])
+        _assert_fails_cleanly(network, engine, [SetDerate(gate, 0.9)], "network size changed")
 
     def test_swap_cell_requires_cell(self, tiny_records):
         record = tiny_records[0]
@@ -243,8 +240,8 @@ class TestEngineBehaviour:
             SwapCell(vertex.id, any_cell).apply(network)
 
 
-class TestFailedApplyReverts:
-    """A patch set that fails in ``apply`` leaves the network and report as they were."""
+class TestFailedWhatIfReverts:
+    """A patch set that fails in ``what_if`` leaves the network and report as they were."""
 
     def _engine(self, record):
         network = copy.deepcopy(record.synthesis.netlist)
@@ -253,28 +250,25 @@ class TestFailedApplyReverts:
     def test_rewire_into_a_cycle_is_reverted(self, tiny_records):
         record = tiny_records[0]
         network, engine = self._engine(record)
-        committed = engine.report()
-        before = _network_state(network)
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE and v.fanins)
-        with pytest.raises(ValueError, match="combinational cycle"):
-            engine.apply([RewireFanins(gate, [gate])])
-        assert _network_state(network) == before
-        assert engine.report() is committed
-        _assert_matches_full(committed, network, record.clock)
+        _assert_fails_cleanly(
+            network, engine, [RewireFanins(gate, [gate])], "combinational cycle"
+        )
+        _assert_matches_full(engine.report(), network, record.clock)
 
     def test_failed_swap_reverts_the_patches_before_it(self, tiny_records):
         record = tiny_records[0]
         network, engine = self._engine(record)
-        committed = engine.report()
-        before = _network_state(network)
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
         bare = next(v.id for v in network.vertices if v.cell is None)
         cell = network.vertices[gate].cell
-        with pytest.raises(ValueError, match=f"vertex {bare} has no cell to swap"):
-            engine.apply([SetDerate(gate, 0.25), SwapCell(bare, cell)])
-        assert _network_state(network) == before
-        assert engine.report() is committed
-        _assert_matches_full(committed, network, record.clock)
+        _assert_fails_cleanly(
+            network,
+            engine,
+            [SetDerate(gate, 0.25), SwapCell(bare, cell)],
+            f"vertex {bare} has no cell to swap",
+        )
+        _assert_matches_full(engine.report(), network, record.clock)
 
 
 class TestWhatIfProjection:
@@ -288,6 +282,18 @@ class TestWhatIfProjection:
         patch_sets = [patches_for_options(netlist, report, c) for c in candidates]
         assert all(patch_sets), "every candidate should project at least one patch"
         assert _network_state(netlist) == before  # projection itself is read-only
+
+    def test_path_table_matches_the_scalar_tracer(self, tiny_records):
+        """The array-traced baseline table holds ``trace_critical_path``'s
+        vertex list for every endpoint name (first endpoint of a name wins)."""
+        for record in tiny_records:
+            netlist = record.synthesis.netlist
+            report = record.synthesis.report
+            table = critical_path_table(netlist, report)
+            names = {endpoint.name for endpoint in netlist.endpoints}
+            assert set(table) == names
+            for name in names:
+                assert table[name] == trace_critical_path(netlist, report, name).vertices
 
     def test_evaluate_candidates_is_pure(self, tiny_records):
         """Evaluation never mutates the record and is run-to-run stable."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.ml import MinMaxScaler, StandardScaler, TargetScaler, group_kfold, leave_one_group_out, train_test_split
+from repro.ml import MinMaxScaler, StandardScaler, TargetScaler, group_kfold
 
 
 def test_standard_scaler_zero_mean_unit_variance():
@@ -42,14 +42,6 @@ def test_target_scaler_roundtrip():
     assert np.allclose(scaler.inverse_transform(scaler.transform(y)), y)
 
 
-def test_train_test_split_sizes_and_disjoint():
-    X = np.arange(100).reshape(-1, 1).astype(float)
-    y = np.arange(100).astype(float)
-    X_tr, X_te, y_tr, y_te = train_test_split(X, y, test_fraction=0.3, seed=1)
-    assert len(X_te) == 30 and len(X_tr) == 70
-    assert set(y_tr.tolist()).isdisjoint(y_te.tolist())
-
-
 def test_group_kfold_never_splits_a_group():
     groups = np.repeat([f"d{i}" for i in range(9)], 7)
     for train_idx, test_idx in group_kfold(groups, n_splits=3, seed=0):
@@ -72,13 +64,6 @@ def test_group_kfold_requires_two_splits():
         list(group_kfold(["a", "b"], n_splits=1))
 
 
-def test_leave_one_group_out():
-    groups = ["a"] * 3 + ["b"] * 2 + ["c"] * 4
-    folds = list(leave_one_group_out(groups))
-    assert len(folds) == 3
-    for train_idx, test_idx, group in folds:
-        assert all(groups[i] == group for i in test_idx)
-        assert all(groups[i] != group for i in train_idx)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=5, max_size=40, unique=True))
 def test_standard_scaler_is_monotone(values):
     X = np.array(values).reshape(-1, 1)
