@@ -15,16 +15,14 @@ Two experiment entry points build on this:
 * :func:`run_optimization_sweep` — the multi-candidate extension: generate
   K candidate option sets around the ranking (varying group fractions and
   retime aggressiveness), *project* each candidate's timing with the
-  incremental what-if engine (:mod:`repro.incremental`) instead of K full
-  re-syntheses, then pay for exactly one real synthesis of the most
-  promising candidate.  The result is an extended Table 6 row carrying the
-  sweep metadata next to the usual percentage changes.
+  incremental what-if engine (:func:`repro.incremental.evaluate_candidates`)
+  instead of K full re-syntheses, then pay for exactly one real synthesis
+  of the most promising candidate.  The result is an extended Table 6 row
+  carrying the sweep metadata next to the usual percentage changes.
 
-The sweep's scoring loop is the ``sweep`` strategy of the search framework
-in :mod:`repro.optimize` — the same evaluator, Pareto bookkeeping and
-budget accounting that drive the ``anneal`` / ``evolution`` strategies of
-``python -m repro optimize`` (the open-ended quality-vs-budget extension of
-Table 6).
+The open-ended quality-vs-budget extension of Table 6 (``python -m repro
+optimize``: the ``anneal`` / ``evolution`` / ``sweep`` strategies) lives in
+:mod:`repro.optimize` and scores candidates with the same what-if step.
 
 Passing the ground-truth ranking instead of the predicted one gives the
 "Opt. w. Real" columns in both protocols.
@@ -37,8 +35,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.dataset import DesignRecord
 from repro.core.metrics import DEFAULT_GROUP_FRACTIONS
-from repro.incremental.whatif import WhatIfEstimate
-from repro.optimize.search import SearchConfig, run_search
+from repro.incremental.whatif import WhatIfEstimate, evaluate_candidates
 from repro.optimize.space import (
     cached_synthesize,
     canonical_option_key,
@@ -213,8 +210,8 @@ def run_optimization_sweep(
     """Multi-candidate prediction-driven optimization for one design.
 
     Evaluates ``k`` candidate option sets with the incremental what-if
-    engine against the record's baseline synthesis (through the ``sweep``
-    strategy of :func:`repro.optimize.run_search`), then runs the full flow
+    engine against the record's baseline synthesis
+    (:func:`repro.incremental.evaluate_candidates`), then runs the full flow
     only for the default options and the best-scoring candidate.  With
     ``k=1`` this degenerates to the paper's two-synthesis protocol (the
     what-if projection is skipped entirely).
@@ -233,19 +230,7 @@ def run_optimization_sweep(
     chosen_index = 0
     if len(candidates) > 1:
         with _stage("optimize.whatif_sweep"):
-            search = run_search(
-                record,
-                ranked_signals,
-                config=SearchConfig(
-                    strategy="sweep",
-                    budget=len(candidates),
-                    seed=seed,
-                    reanchor_every=0,
-                ),
-                cache=cache,
-                candidates=candidates,
-            )
-        estimates = search.estimates
+            estimates = evaluate_candidates(record, candidates)
         # Best projected timing: largest (least negative) TNS, then WNS.
         chosen_index = max(
             range(len(estimates)),

@@ -70,7 +70,7 @@ from repro.fuzz.corpus import FuzzDesign
 from repro.hdl.design import Design
 from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
-from repro.incremental.patches import AddExtraLoad, RewireFanins, SetDerate, SwapCell
+from repro.incremental.patches import AddExtraLoad, SetDerate, SwapCell
 from repro.incremental.whatif import patches_for_options
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
@@ -170,19 +170,18 @@ def interpret_vs_simulate(
 
 
 def _random_patches(network, rng: random.Random, count: int):
-    """A random acyclic patch mix, guaranteed to include one load patch."""
+    """A random mix of the three patch kinds, guaranteed to include one load patch."""
     gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
     loadable = [
         v.id for v in network.vertices if v.kind in (VertexKind.GATE, VertexKind.REGISTER)
     ]
     if not loadable:
         return []
-    position = {v: i for i, v in enumerate(network.topological_order())}
     patches = [AddExtraLoad(rng.choice(loadable), rng.uniform(0.5, 8.0))]
     attempts = 0
     while len(patches) < count and attempts < count * 4:
         attempts += 1
-        kind = rng.choice(("derate", "swap", "load", "rewire"))
+        kind = rng.choice(("derate", "swap", "load"))
         if kind == "load":
             patches.append(AddExtraLoad(rng.choice(loadable), rng.uniform(0.1, 8.0)))
             continue
@@ -191,20 +190,11 @@ def _random_patches(network, rng: random.Random, count: int):
         vertex = rng.choice(gates)
         if kind == "derate":
             patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
-        elif kind == "swap":
+        else:
             cell = network.vertices[vertex].cell
             alternative = network.library.upsize(cell) or network.library.downsize(cell)
             if alternative is not None:
                 patches.append(SwapCell(vertex, alternative))
-        else:
-            fanins = network.vertices[vertex].fanins
-            upstream = [
-                u for u in position if position[u] < position[vertex] and u not in fanins
-            ]
-            if fanins and upstream:
-                rewired = list(fanins)
-                rewired[rng.randrange(len(rewired))] = rng.choice(upstream)
-                patches.append(RewireFanins(vertex, rewired))
     return patches
 
 
@@ -225,8 +215,6 @@ def incremental_vs_full(
     problems: List[str] = []
     for round_index in range(n_rounds):
         patches = _random_patches(network, rng, rng.randint(1, 8))
-        if not patches:
-            return problems
         for engine in engines:
             tag = f"round {round_index}: {engine.kernel} incremental"
             with engine.what_if(patches) as incremental:
@@ -503,28 +491,18 @@ def optimize_search(ctx: FuzzContext, rng: random.Random) -> List[str]:
         spec = CandidateSpec.from_dict(entry.spec)
         options = spec.realize(ranking, seed=config.seed)
         patches = patches_for_options(netlist, baseline_report, options)
-        if patches:
-            engine = IncrementalSTA(netlist, record.clock, baseline=baseline_report)
-            with engine.what_if(patches) as incremental:
-                full = sta_analyze(netlist, record.clock)
-                worst = float(
-                    np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0)
-                )
-                worst = max(
-                    worst,
-                    abs(incremental.wns - full.wns),
-                    abs(incremental.tns - full.tns),
-                )
-                wns, tns = float(incremental.wns), float(incremental.tns)
-            if worst > STA_TOLERANCE:
-                problems.append(
-                    f"accepted candidate at step {entry.step}: incremental score "
-                    f"diverges from full re-analysis by {worst:.3e} "
-                    f"(> {STA_TOLERANCE}) over {len(patches)} patches"
-                )
-        else:
-            wns = float(baseline_report.wns)
-            tns = float(baseline_report.tns)
+        engine = IncrementalSTA(netlist, record.clock, baseline=baseline_report)
+        with engine.what_if(patches) as incremental:
+            full = sta_analyze(netlist, record.clock)
+            worst = float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0))
+            worst = max(worst, abs(incremental.wns - full.wns), abs(incremental.tns - full.tns))
+            wns, tns = float(incremental.wns), float(incremental.tns)
+        if worst > STA_TOLERANCE:
+            problems.append(
+                f"accepted candidate at step {entry.step}: incremental score "
+                f"diverges from full re-analysis by {worst:.3e} "
+                f"(> {STA_TOLERANCE}) over {len(patches)} patches"
+            )
         if abs(wns - entry.wns) > STA_TOLERANCE or abs(tns - entry.tns) > STA_TOLERANCE:
             problems.append(
                 f"accepted candidate at step {entry.step}: logged score "

@@ -69,10 +69,12 @@ class CampaignConfig:
     max_shrink_trials: int = 48
     artifacts_dir: Optional[str] = DEFAULT_ARTIFACTS_DIR
     stop_on_first: bool = False
-    #: Wall-clock budget: no new design is started once this many seconds
-    #: have elapsed (designs already started always finish, so violations
-    #: are never half-reported).  ``None`` means unbounded.  Lets CI lanes
-    #: include expensive size classes (``large``) at a flat time cost.
+    #: Wall-clock budget: no new design and no new oracle run is started
+    #: once this many seconds have elapsed (an oracle run already started
+    #: always finishes, and its violation is shrunk and bundled, so
+    #: violations are never half-reported).  ``None`` means unbounded.  Lets
+    #: CI lanes include expensive size classes (``large``) at a flat time
+    #: cost: a campaign overshoots its budget by at most one oracle run.
     max_seconds: Optional[float] = None
 
     def effective_cadence(self, check: str) -> int:
@@ -275,13 +277,18 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
     result = CampaignResult(config=config)
     artifacts = Path(config.artifacts_dir) if config.artifacts_dir else None
     started = time.perf_counter()
+
+    def out_of_time() -> bool:
+        if (
+            config.max_seconds is not None
+            and time.perf_counter() - started >= config.max_seconds
+        ):
+            result.budget_exhausted = True
+        return result.budget_exhausted
+
     with report_mod.stage("fuzz.campaign"):
         for iteration in range(config.iterations):
-            if (
-                config.max_seconds is not None
-                and time.perf_counter() - started >= config.max_seconds
-            ):
-                result.budget_exhausted = True
+            if out_of_time():
                 break
             size_class = config.size_classes[iteration % len(config.size_classes)]
             seed = design_seed_for(config.seed, iteration)
@@ -292,6 +299,8 @@ def run_campaign(config: Optional[CampaignConfig] = None) -> CampaignResult:
             for check in config.checks:
                 if iteration % config.effective_cadence(check) != 0:
                     continue
+                if out_of_time():
+                    break
                 with report_mod.stage(f"fuzz.oracle.{check}"):
                     messages = _run_oracle(fuzz, check, seed)
                 result.oracle_runs[check] = result.oracle_runs.get(check, 0) + 1
@@ -369,7 +378,7 @@ def _parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
         "--max-seconds",
         type=float,
         default=None,
-        help="wall-clock budget; no new design starts after this (default: unbounded)",
+        help="wall-clock budget; no new design or oracle run starts after this (default: unbounded)",
     )
     parser.add_argument(
         "--bench-out",

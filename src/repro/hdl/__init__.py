@@ -15,8 +15,8 @@ subset sufficient for the benchmark families used in the paper's evaluation
 
 The public entry points are :func:`parse_source` (text -> :class:`Module`
 AST), :func:`analyze` (AST -> :class:`~repro.hdl.design.Design` word-level
-IR) and :func:`generate_design` / :func:`benchmark_suite` (synthetic
-benchmark designs mirroring Table 3 of the paper).
+IR) and :func:`generate_design` (synthetic benchmark designs mirroring
+Table 3 of the paper).
 """
 
 from repro.hdl.ast_nodes import (
@@ -44,7 +44,6 @@ from repro.hdl.generate import (
     DesignSpec,
     GeneratorConfig,
     generate_design,
-    benchmark_suite,
     BENCHMARK_SPECS,
 )
 from repro.hdl.writer import write_verilog
@@ -81,7 +80,6 @@ __all__ = [
     "DesignSpec",
     "GeneratorConfig",
     "generate_design",
-    "benchmark_suite",
     "BENCHMARK_SPECS",
     "write_verilog",
 ]

@@ -27,10 +27,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.hdl.design import Design, analyze
-from repro.hdl.parser import parse_source
 from repro.runtime.report import stage as _stage
 
 
@@ -157,21 +155,6 @@ BENCHMARK_SPECS: Tuple[DesignSpec, ...] = (
 )
 
 
-def benchmark_suite(
-    specs: Optional[Sequence[DesignSpec]] = None,
-    config: Optional[GeneratorConfig] = None,
-) -> Dict[str, str]:
-    """Generate Verilog sources for the benchmark suite.
-
-    Returns a mapping from design name to Verilog source text.
-    """
-    config = config or GeneratorConfig()
-    sources: Dict[str, str] = {}
-    for spec in specs if specs is not None else BENCHMARK_SPECS:
-        sources[spec.name] = generate_design(spec, config)
-    return sources
-
-
 def generate_design(
     spec: DesignSpec,
     config: Optional[GeneratorConfig] = None,
@@ -188,17 +171,6 @@ def generate_design(
     config = config or GeneratorConfig()
     with _stage("hdl.generate_design"):
         return _DesignWriter(spec, config, rng=rng).build()
-
-
-def generate_and_analyze(
-    spec: DesignSpec,
-    config: Optional[GeneratorConfig] = None,
-    rng: Optional[random.Random] = None,
-) -> Design:
-    """Generate, parse and analyze a design in one call."""
-    source = generate_design(spec, config, rng=rng)
-    module = parse_source(source)
-    return analyze(module, source=source)
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,12 @@
 The subsystem has three layers:
 
 * :mod:`repro.incremental.patches` — invertible local edits
-  (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`,
-  :class:`RewireFanins`) with declared timing footprints,
+  (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`) with
+  declared timing footprints, the three kinds the projection emits,
 * :mod:`repro.incremental.engine` — :class:`IncrementalSTA`, re-timing of
   a patched network that matches a full re-analysis bit for bit and reports
-  each patch set's dirty-cone footprint,
+  each patch set's dirty-cone footprint (an empty patch set is the
+  baseline report itself),
 * :mod:`repro.incremental.whatif` — projection of
   :class:`~repro.synth.optimizer.SynthesisOptions` candidates onto patch
   sets, powering ``RTLTimer.what_if`` and the multi-candidate optimization
@@ -17,7 +18,6 @@ The subsystem has three layers:
 from repro.incremental.engine import IncrementalSTA, PropagationStats
 from repro.incremental.patches import (
     AddExtraLoad,
-    RewireFanins,
     SetDerate,
     SwapCell,
     TimingPatch,
@@ -32,7 +32,6 @@ __all__ = [
     "IncrementalSTA",
     "PropagationStats",
     "AddExtraLoad",
-    "RewireFanins",
     "SetDerate",
     "SwapCell",
     "TimingPatch",

@@ -23,7 +23,8 @@ from-scratch re-analysis bit for bit and report equal stats.
 :meth:`IncrementalSTA.what_if` applies a patch set, yields the re-timed
 report and reverts the patches on exit (also when a patch or the re-timing
 fails), so an engine's baseline stays frozen for its whole lifetime: K
-candidates share one baseline netlist and none is re-synthesized.
+candidates share one baseline netlist and none is re-synthesized.  An empty
+patch set yields the baseline report itself, so callers never branch on it.
 """
 
 from __future__ import annotations
@@ -110,8 +111,14 @@ class IncrementalSTA:
         reverse order), so the network and :meth:`report` are left as they
         were.  The yielded report stays valid after exit as a *prediction*
         artifact — it describes the hypothetical network, not the restored
-        one.
+        one.  An empty patch set is the baseline: it yields :meth:`report`
+        itself, re-times nothing, sets :attr:`last_stats` to ``None`` and
+        moves no ``incremental_*`` counter.
         """
+        if not patches:
+            self.last_stats = None
+            yield self._report
+            return
         applied: List[TimingPatch] = []
         try:
             for patch in patches:
@@ -189,8 +196,6 @@ class IncrementalSTA:
         """Per-vertex dirty-cone worklist; returns ``(report, recomputed, updated)``."""
         network = self.network
         base = self._report
-        # Structural patches invalidated the adjacency caches on apply;
-        # these calls rebuild them once if needed (raising on a cycle).
         fanouts = network.fanouts()
         position = np.empty(len(network), dtype=np.int64)
         position[network.topological_order()] = np.arange(len(network))

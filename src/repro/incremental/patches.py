@@ -7,16 +7,18 @@ incremental engine seeds its footprint stats and its reference dirty-cone
 worklist with them, so a patch must be honest about everything it touches —
 under-reporting breaks the worklist's equivalence with a full re-analysis.
 
-Four edit kinds cover the what-if scenarios the optimization sweep needs:
+Three edit kinds cover the what-if scenarios, exactly the kinds
+:func:`~repro.incremental.whatif.patches_for_options` emits:
 
 * :class:`SetDerate` — local optimization-effort change on one gate
   (models the stage rebalancing a ``retime`` directive achieves),
 * :class:`SwapCell` — drive-strength / cell substitution
   (models ``group_path`` sizing budgets),
 * :class:`AddExtraLoad` — wire-load delta on one net
-  (models placement/budget effects on a net),
-* :class:`RewireFanins` — a small structural rewrite of one vertex's fanin
-  list (models local BOG rewrites; the only *structural* patch).
+  (models area recovery on an ample-slack net).
+
+None of them changes the graph's structure, so a patch set never changes
+the network's topology or size.
 
 Every patch supports ``apply`` / ``revert`` on the live network through the
 network's column writers; ``revert`` restores the exact previous state,
@@ -28,10 +30,9 @@ against a shared baseline netlist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from repro.liberty import Cell
-from repro.sta.csr import KIND_GATE
 from repro.sta.network import TimingNetwork
 
 
@@ -130,34 +131,3 @@ class AddExtraLoad(TimingPatch):
 
     def dirty_load_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)
-
-
-@dataclass
-class RewireFanins(TimingPatch):
-    """Replace one vertex's fanin list (a small local BOG rewrite).
-
-    The caller is responsible for keeping the graph acyclic; the engine's
-    topological-order rebuild raises on a cycle, which aborts the patch set.
-    """
-
-    vertex: int
-    fanins: List[int]
-    _previous: Optional[List[int]] = field(default=None, repr=False)
-
-    def apply(self, network: TimingNetwork) -> None:
-        if network.kinds()[self.vertex] != KIND_GATE:
-            raise ValueError(f"vertex {self.vertex} is not a gate; cannot rewire fanins")
-        self._previous = network.fanins_of(self.vertex)
-        network.set_fanins(self.vertex, [int(f) for f in self.fanins])
-
-    def revert(self, network: TimingNetwork) -> None:
-        assert self._previous is not None, "revert before apply"
-        network.set_fanins(self.vertex, self._previous)
-        self._previous = None
-
-    def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
-        return (self.vertex,)
-
-    def dirty_load_vertices(self, network: TimingNetwork) -> Iterable[int]:
-        previous = self._previous or []
-        return tuple(set(previous) | set(network.fanins_of(self.vertex)))

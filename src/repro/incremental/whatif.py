@@ -161,11 +161,8 @@ def estimate_candidate(
 ) -> WhatIfEstimate:
     """Score one candidate's patch set against ``engine``'s frozen baseline.
 
-    An empty patch set is the baseline itself: its WNS/TNS and no stats.
+    An empty patch set scores as the baseline itself, with no stats.
     """
-    if not patches:
-        baseline = engine.report()
-        return WhatIfEstimate(options=options, wns=baseline.wns, tns=baseline.tns, n_patches=0)
     with engine.what_if(patches) as projected:
         return WhatIfEstimate(
             options=options,

@@ -17,9 +17,11 @@ memoized evaluator, budget accounting):
 * ``evolution`` — (mu+lambda) mutation-only evolutionary search with
   deterministic ``(energy, key)`` truncation selection; a budget that runs
   out mid-generation still logs and selects over the partial generation.
-* ``sweep`` — the fixed candidate grid of ``generate_candidates``, run
-  through the same machinery (this is what ``run_optimization_sweep`` now
-  sits on).
+* ``sweep`` — an explicit candidate list (``repro optimize --strategy
+  sweep`` passes the fixed grid of ``generate_candidates``), logged through
+  the same evaluation step as the other two.  The Table 6 sweep
+  ``run_optimization_sweep`` does not run a search: it scores its grid
+  with :func:`repro.incremental.evaluate_candidates` directly.
 
 Re-anchoring: every ``reanchor_every`` accepted moves the engine re-derives
 the incumbent's patches, re-times them incrementally *and* from scratch,
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -42,7 +44,6 @@ import numpy as np
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import SwapCell, TimingPatch
 from repro.incremental.whatif import (
-    WhatIfEstimate,
     critical_path_table,
     estimate_candidate,
     patches_for_options,
@@ -205,7 +206,6 @@ class SearchResult:
     trajectory: List[TrajectoryEntry]
     accounting: Dict[str, object]
     period: float
-    estimates: List[WhatIfEstimate] = field(default_factory=list)
     elapsed_seconds: float = 0.0
 
     @property
@@ -245,7 +245,6 @@ class IncrementalEvaluator:
         self.memo: Dict[str, ScoredCandidate] = {}
         self.evals = 0
         self.memo_hits = 0
-        self.estimates: List[WhatIfEstimate] = []
 
     def patches(self, options: SynthesisOptions) -> List[TimingPatch]:
         return patches_for_options(self.netlist, self.baseline_report, options, self.paths)
@@ -283,7 +282,6 @@ class IncrementalEvaluator:
         )
         self.memo[key] = scored
         self.evals += 1
-        self.estimates.append(estimate)
         report = report_mod.active_report()
         if report is not None:
             report.add_stage(OPT_SCORE_STAGE, seconds)
@@ -348,6 +346,17 @@ class _SearchState:
         generation: Optional[int] = None,
     ) -> Tuple[ScoredCandidate, TrajectoryEntry, bool]:
         options = spec.realize(self.ranking, seed=self.config.seed)
+        return self.eval_options(options, spec, temperature, generation)
+
+    def eval_options(
+        self,
+        options: SynthesisOptions,
+        spec: Optional[CandidateSpec] = None,
+        temperature: Optional[float] = None,
+        generation: Optional[int] = None,
+    ) -> Tuple[ScoredCandidate, TrajectoryEntry, bool]:
+        """Score one option set and log it: memoized score, Pareto insert,
+        one ``eval`` trajectory entry (``spec`` is logged when given)."""
         scored, memo = self.evaluator.score(options)
         entered = self.front.insert(
             ParetoPoint(
@@ -366,7 +375,7 @@ class _SearchState:
             wns=scored.wns,
             tns=scored.tns,
             area=scored.area,
-            spec=spec.to_dict(),
+            spec=spec.to_dict() if spec is not None else None,
             n_patches=scored.n_patches,
             energy=self.energy(scored),
             entered_front=entered,
@@ -411,20 +420,15 @@ class _SearchState:
         evaluator = self.evaluator
         options = spec.realize(self.ranking, seed=self.config.seed)
         patches = evaluator.patches(options)
-        drift = 0.0
-        if patches:
-            with evaluator.engine.what_if(patches) as incremental:
-                full = sta_analyze(evaluator.netlist, self.record.clock)
-                drift = max(
-                    abs(float(incremental.wns) - float(full.wns)),
-                    abs(float(incremental.tns) - float(full.tns)),
-                    float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0)),
-                )
-                incremental_wns = float(incremental.wns)
-                incremental_tns = float(incremental.tns)
-        else:
-            incremental_wns = self.baseline.wns
-            incremental_tns = self.baseline.tns
+        with evaluator.engine.what_if(patches) as incremental:
+            full = sta_analyze(evaluator.netlist, self.record.clock)
+            drift = max(
+                abs(float(incremental.wns) - float(full.wns)),
+                abs(float(incremental.tns) - float(full.tns)),
+                float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0)),
+            )
+            incremental_wns = float(incremental.wns)
+            incremental_tns = float(incremental.tns)
         if drift > ANCHOR_TOLERANCE:
             raise DriftError(
                 f"incremental what-if drifted {drift:.3e} from a from-scratch "
@@ -559,31 +563,7 @@ def _run_sweep(state: _SearchState, candidates: Sequence[SynthesisOptions]) -> N
         if not state.budget_left:
             state.exhausted = True
             break
-        scored, memo = state.evaluator.score(options)
-        entered = state.front.insert(
-            ParetoPoint(
-                wns=scored.wns,
-                tns=scored.tns,
-                area=scored.area,
-                key=scored.key,
-                source="eval",
-                step=state.steps,
-            )
-        )
-        entry = TrajectoryEntry(
-            step=state.steps,
-            kind="eval",
-            key=scored.key,
-            wns=scored.wns,
-            tns=scored.tns,
-            area=scored.area,
-            n_patches=scored.n_patches,
-            energy=state.energy(scored),
-            entered_front=entered,
-            memo=memo,
-        )
-        state.trajectory.append(entry)
-        state.steps += 1
+        scored, entry, _ = state.eval_options(options)
         if best_energy is None or entry.energy < best_energy:
             best_energy = entry.energy
             entry.accepted = True
@@ -633,6 +613,5 @@ def run_search(
         trajectory=state.trajectory,
         accounting=state.accounting_dict(),
         period=state.period,
-        estimates=evaluator.estimates,
         elapsed_seconds=elapsed,
     )

@@ -9,6 +9,10 @@ every candidate valid by construction (every signal lands in exactly one
 group, groups stay ordered most-critical-first) and keeps the trajectory
 log small enough to replay.
 
+:func:`options_from_ranking` — the paper's Table 6 ``group_path`` +
+``retime`` option set — is the realization of a spec without moves, so the
+classic options and every search candidate come from one code path.
+
 Two identity helpers live here as well:
 
 * :func:`canonical_option_key` — content digest of one realized option set.
@@ -31,40 +35,6 @@ from repro.runtime.cache import ArtifactCache, code_fingerprint
 from repro.sta.constraints import ClockConstraint
 from repro.synth.flow import SynthesisResult, synthesize_bog
 from repro.synth.optimizer import PathGroup, SynthesisOptions
-
-
-def options_from_ranking(
-    ranked_signals: Sequence[str],
-    group_fractions: Sequence[float] = DEFAULT_GROUP_FRACTIONS,
-    retime_fraction: float = 0.05,
-    seed: int = 1,
-) -> SynthesisOptions:
-    """Build ``group_path`` + ``retime`` synthesis options from a ranking.
-
-    ``ranked_signals`` is ordered from most critical to least critical.  The
-    group split uses :func:`repro.core.metrics.group_boundaries`, the same
-    helper the annotation/metric grouping uses.
-    """
-    signals = list(ranked_signals)
-    n = len(signals)
-    if n == 0:
-        return SynthesisOptions(seed=seed)
-
-    boundaries = group_boundaries(n, group_fractions)
-    groups: List[PathGroup] = []
-    start = 0
-    for index, boundary in enumerate(boundaries + [n]):
-        members = signals[start:boundary]
-        if members:
-            groups.append(PathGroup(name=f"g{index + 1}", signals=members))
-        start = boundary
-
-    retime_count = max(1, int(round(retime_fraction * n)))
-    return SynthesisOptions(
-        path_groups=groups,
-        retime_signals=signals[:retime_count],
-        seed=seed,
-    )
 
 
 def canonical_option_key(options: SynthesisOptions) -> str:
@@ -120,8 +90,9 @@ class CandidateSpec:
     def realize(self, ranked_signals: Sequence[str], seed: int = 1) -> SynthesisOptions:
         """Concrete options for one design's ranking.
 
-        With no ``moves`` this reproduces :func:`options_from_ranking`
-        exactly (same boundaries, same ``g{i}`` names, same retime list).
+        The group split uses :func:`repro.core.metrics.group_boundaries`,
+        the same helper the annotation/metric grouping uses; ``moves`` are
+        applied on top of it.
         """
         signals = list(ranked_signals)
         n = len(signals)
@@ -171,6 +142,22 @@ class CandidateSpec:
             retime_fraction=float(payload["retime_fraction"]),
             moves=tuple((str(signal), int(group)) for signal, group in payload["moves"]),
         )
+
+
+def options_from_ranking(
+    ranked_signals: Sequence[str],
+    group_fractions: Sequence[float] = DEFAULT_GROUP_FRACTIONS,
+    retime_fraction: float = 0.05,
+    seed: int = 1,
+) -> SynthesisOptions:
+    """Build ``group_path`` + ``retime`` synthesis options from a ranking.
+
+    ``ranked_signals`` is ordered from most critical to least critical.  The
+    options are those of a :class:`CandidateSpec` without moves, so the
+    paper's Table 6 option set and every search candidate are realized by
+    one code path.
+    """
+    return CandidateSpec(tuple(group_fractions), retime_fraction).realize(ranked_signals, seed)
 
 
 def default_spec() -> CandidateSpec:

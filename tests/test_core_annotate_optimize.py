@@ -15,6 +15,8 @@ from repro.core.optimize import (
     summarize_outcomes,
 )
 from repro.hdl.parser import parse_source
+from repro.incremental.whatif import evaluate_candidates
+from repro.optimize.space import canonical_option_key
 
 
 class TestRankingGroups:
@@ -192,6 +194,23 @@ class TestOptimizationSweep:
         row = outcome.as_row()
         assert row["n_candidates"] == float(outcome.n_candidates)
         assert row["estimated_tns"] == chosen.tns
+
+    def test_sweep_estimates_are_evaluate_candidates(self, tiny_records):
+        """The sweep scores exactly ``evaluate_candidates`` over the same
+        generated candidates, field for field."""
+
+        def fields(estimates):
+            return [
+                (canonical_option_key(e.options), e.wns, e.tns, e.n_patches, e.stats)
+                for e in estimates
+            ]
+
+        for record in tiny_records:
+            ranked = ranking_from_labels(record)
+            outcome = run_optimization_sweep(record, ranked, k=8)
+            direct = evaluate_candidates(record, generate_candidates(ranked, k=8, seed=7))
+            assert outcome.n_candidates > 1
+            assert fields(outcome.candidates) == fields(direct)
 
     def test_sweep_with_k1_matches_experiment(self, tiny_record):
         """k=1 degenerates to the paper's two-synthesis protocol."""

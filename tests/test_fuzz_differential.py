@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+import time
 
 import numpy as np
 import pytest
@@ -212,6 +213,32 @@ class TestCampaignBudget:
         assert result.budget_exhausted
         assert result.ok
         assert "budget exhausted" in result.summary()
+
+    def test_budget_stops_between_oracles_of_one_design(self, monkeypatch):
+        """The budget is checked before every oracle run, not only before a
+        design: a slow oracle that spends it stops the rest of its design."""
+        calls = []
+
+        def slow(ctx, rng):
+            calls.append("slow")
+            time.sleep(0.6)
+            return []
+
+        def never(ctx, rng):
+            calls.append("never")
+            return []
+
+        monkeypatch.setitem(ORACLES, "slow_stub", slow)
+        monkeypatch.setitem(ORACLES, "never_stub", never)
+        config = _tiny_campaign(
+            iterations=3, checks=("slow_stub", "never_stub"), max_seconds=0.5
+        )
+        result = run_campaign(config)
+        assert calls == ["slow"]
+        assert result.n_designs == 1
+        assert result.oracle_runs == {"slow_stub": 1}
+        assert result.budget_exhausted
+        assert result.ok
 
     def test_no_budget_by_default(self):
         result = run_campaign(_tiny_campaign(iterations=1))

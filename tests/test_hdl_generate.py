@@ -6,11 +6,16 @@ from repro.hdl.generate import (
     BENCHMARK_SPECS,
     DesignSpec,
     GeneratorConfig,
-    benchmark_suite,
-    generate_and_analyze,
     generate_design,
 )
+from repro.hdl.design import analyze
 from repro.hdl.parser import parse_source
+
+
+def _generate_and_analyze(spec, config=None):
+    """Generate, parse and analyze one design, as ``build_design_record`` does."""
+    source = generate_design(spec, config)
+    return analyze(parse_source(source), source=source)
 
 
 def test_benchmark_has_21_designs_like_the_paper():
@@ -38,7 +43,7 @@ def test_different_seeds_give_different_designs():
 
 @pytest.mark.parametrize("spec", BENCHMARK_SPECS, ids=lambda s: s.name)
 def test_every_benchmark_design_parses_and_analyzes(spec):
-    design = generate_and_analyze(spec)
+    design = _generate_and_analyze(spec)
     assert design.name == spec.name
     assert design.register_signals, "every design must contain registers"
     assert design.total_register_bits >= spec.data_width
@@ -48,8 +53,8 @@ def test_register_bits_scale_with_spec():
     small = DesignSpec("small", "vexriscv", "Verilog", 5, 4, 2, 2, 3, 2)
     large = DesignSpec("large", "vexriscv", "Verilog", 5, 16, 4, 6, 8, 2)
     assert (
-        generate_and_analyze(large).total_register_bits
-        > generate_and_analyze(small).total_register_bits
+        _generate_and_analyze(large).total_register_bits
+        > _generate_and_analyze(small).total_register_bits
     )
 
 
@@ -58,17 +63,10 @@ def test_multiplier_design_contains_multiplication():
     assert "*" in generate_design(spec)
 
 
-def test_suite_returns_all_sources():
-    suite = benchmark_suite(BENCHMARK_SPECS[:3])
-    assert set(suite) == {spec.name for spec in BENCHMARK_SPECS[:3]}
-    for source in suite.values():
-        assert parse_source(source) is not None
-
-
 def test_generator_config_output_fraction():
     spec = BENCHMARK_SPECS[0]
-    few = generate_and_analyze(spec, GeneratorConfig(output_fraction=0.1))
-    many = generate_and_analyze(spec, GeneratorConfig(output_fraction=0.9))
+    few = _generate_and_analyze(spec, GeneratorConfig(output_fraction=0.1))
+    many = _generate_and_analyze(spec, GeneratorConfig(output_fraction=0.9))
     assert len(many.outputs) >= len(few.outputs)
 
 

@@ -19,7 +19,6 @@ import pytest
 from repro.incremental import (
     AddExtraLoad,
     IncrementalSTA,
-    RewireFanins,
     SetDerate,
     SwapCell,
 )
@@ -29,6 +28,8 @@ from repro.incremental.whatif import (
     patches_for_options,
 )
 from repro.core.optimize import generate_candidates, ranking_from_labels
+from repro.runtime import activate
+from repro.runtime.report import RuntimeReport
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import analyze
 from repro.sta.network import VertexKind
@@ -38,12 +39,11 @@ TOLERANCE = 1e-9
 
 
 def _random_patches(network, rng, count):
-    """A random mix of every supported patch kind, guaranteed acyclic."""
+    """A random mix of every supported patch kind."""
     gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
-    position = {v: i for i, v in enumerate(network.topological_order())}
     patches = []
     while len(patches) < count:
-        kind = rng.choice(("derate", "swap", "load", "rewire"))
+        kind = rng.choice(("derate", "swap", "load"))
         vertex = rng.choice(gates)
         if kind == "derate":
             patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
@@ -52,15 +52,8 @@ def _random_patches(network, rng, count):
             alternative = network.library.upsize(cell) or network.library.downsize(cell)
             if alternative is not None:
                 patches.append(SwapCell(vertex, alternative))
-        elif kind == "load":
-            patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
         else:
-            fanins = network.vertices[vertex].fanins
-            upstream = [u for u in position if position[u] < position[vertex] and u not in fanins]
-            if fanins and upstream:
-                rewired = list(fanins)
-                rewired[rng.randrange(len(rewired))] = rng.choice(upstream)
-                patches.append(RewireFanins(vertex, rewired))
+            patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
     return patches
 
 
@@ -114,7 +107,7 @@ class TestWhatIfEquivalence:
 
     def test_pseudo_bog_network_patches_match_full(self, tiny_records):
         """The engine serves BOG pseudo netlists, not just mapped netlists:
-        derate/load/rewire patches on a pseudo-STA network re-time exactly."""
+        derate/load patches on a pseudo-STA network re-time exactly."""
         from repro.sta.constraints import ClockConstraint as Clock
 
         record = tiny_records[0]
@@ -123,28 +116,14 @@ class TestWhatIfEquivalence:
         engine = IncrementalSTA(network, clock, baseline=record.pseudo_reports["sog"])
         rng = random.Random(99)
         gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
-        position = {v: i for i, v in enumerate(network.topological_order())}
         for _ in range(10):
             patches = []
             for _ in range(rng.randint(1, 6)):
                 vertex = rng.choice(gates)
-                kind = rng.choice(("derate", "load", "rewire"))
-                if kind == "derate":
+                if rng.random() < 0.5:
                     patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
-                elif kind == "load":
-                    patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
                 else:
-                    fanins = network.vertices[vertex].fanins
-                    upstream = [
-                        u for u in position
-                        if position[u] < position[vertex] and u not in fanins
-                    ]
-                    if fanins and upstream:
-                        rewired = list(fanins)
-                        rewired[rng.randrange(len(rewired))] = rng.choice(upstream)
-                        patches.append(RewireFanins(vertex, rewired))
-            if not patches:
-                continue
+                    patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
             with engine.what_if(patches) as report:
                 _assert_matches_full(report, network, clock)
 
@@ -180,22 +159,6 @@ class TestWhatIfEquivalence:
             assert array.last_stats == reference.last_stats
             assert 0 < array.last_stats.n_recomputed <= len(network)
 
-    def test_structural_rewire_matches_full(self, tiny_records):
-        record = tiny_records[2]
-        network = record.synthesis.netlist
-        engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
-        position = {v: i for i, v in enumerate(network.topological_order())}
-        gate = max(
-            (v for v in network.vertices if v.kind is VertexKind.GATE and len(v.fanins) >= 2),
-            key=lambda v: position[v.id],
-        )
-        upstream = min(position, key=position.get)
-        rewired = [upstream] + list(gate.fanins[1:])
-        before = _network_state(network)
-        with engine.what_if([RewireFanins(gate.id, rewired)]) as report:
-            _assert_matches_full(report, network, record.clock)
-        assert _network_state(network) == before
-
 
 class TestEngineBehaviour:
     def test_dirty_cone_is_local(self, tiny_records):
@@ -214,6 +177,24 @@ class TestEngineBehaviour:
         assert stats is not None
         assert 0 < stats.n_recomputed < len(network.vertices)
         assert stats.cone_fraction < 1.0
+
+    def test_empty_what_if_is_the_baseline(self, tiny_records):
+        """``what_if([])`` yields the engine's own baseline report: no
+        re-timing, no stats and no ``incremental_*`` counter moves."""
+        record = tiny_records[0]
+        network = record.synthesis.netlist
+        engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
+        gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
+        with engine.what_if([SetDerate(gate, 0.5)]):
+            pass
+        assert engine.last_stats is not None
+        report = RuntimeReport()
+        with activate(report):
+            with engine.what_if([]) as projected:
+                assert projected is engine.report()
+        assert engine.last_stats is None
+        assert not [name for name in report.counters if name.startswith("incremental_")]
+        assert "incremental.propagate" not in report.stages
 
     def test_stale_baseline_is_recomputed(self, tiny_records):
         record = tiny_records[0]
@@ -246,15 +227,6 @@ class TestFailedWhatIfReverts:
     def _engine(self, record):
         network = copy.deepcopy(record.synthesis.netlist)
         return network, IncrementalSTA(network, record.clock)
-
-    def test_rewire_into_a_cycle_is_reverted(self, tiny_records):
-        record = tiny_records[0]
-        network, engine = self._engine(record)
-        gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE and v.fanins)
-        _assert_fails_cleanly(
-            network, engine, [RewireFanins(gate, [gate])], "combinational cycle"
-        )
-        _assert_matches_full(engine.report(), network, record.clock)
 
     def test_failed_swap_reverts_the_patches_before_it(self, tiny_records):
         record = tiny_records[0]
