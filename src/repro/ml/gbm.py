@@ -152,12 +152,9 @@ class GradientBoostingRegressor(Estimator):
             if binned is not None:
                 round_binned = binned if full_batch else binned.take(mask)
             tree.fit_gradients(X[mask], grad[mask], hess[mask], binned=round_binned)
-            if round_binned is not None and full_batch:
-                # The histogram fit already assigned every training row to
-                # its leaf; reuse those values instead of re-routing X.
-                update = tree.training_predictions_
-            else:
-                update = tree.predict(X)
+            # On a full batch the fit already assigned every training row to
+            # its leaf; reuse those values instead of re-routing X.
+            update = tree.training_predictions_ if full_batch else tree.predict(X)
             predictions = predictions + self.learning_rate * update
             self.trees_.append(tree)
 
@@ -230,22 +227,3 @@ class GradientBoostingRegressor(Estimator):
         """Prediction matrix after each boosting round (rounds x rows)."""
         self._check_fitted("trees_")
         return self.forest_.staged_predict(features, self.base_score_)
-
-    def feature_importances(self) -> np.ndarray:
-        """Split-count feature importance, normalized to sum to one."""
-        self._check_fitted("trees_")
-        counts = np.zeros(self._n_features())
-        for tree in self.trees_:
-            stack = [tree.root_]
-            while stack:
-                node = stack.pop()
-                if node.is_leaf:
-                    continue
-                counts[node.feature] += 1
-                stack.append(node.left)
-                stack.append(node.right)
-        total = counts.sum()
-        return counts / total if total > 0 else counts
-
-    def _n_features(self) -> int:
-        return self.trees_[0].n_features_ if self.trees_ else 0

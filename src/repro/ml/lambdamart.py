@@ -114,10 +114,7 @@ class LambdaMARTRanker(Estimator):
                     seed=int(rng.integers(2**31)),
                 )
                 tree.fit_gradients(X, grad, hess, binned=binned)
-                update = (
-                    tree.training_predictions_ if binned is not None else tree.predict(X)
-                )
-                scores = scores + self.learning_rate * update
+                scores = scores + self.learning_rate * tree.training_predictions_
                 self.trees_.append(tree)
                 self.train_ndcg_.append(self._mean_ndcg(scores, rel))
         self._pack()

@@ -15,19 +15,23 @@ When a column has at most ``max_bins`` distinct values the histogram cut
 points coincide with the exact splitter's candidate thresholds, so both
 splitters see identical split gains.
 
-Fitted trees are additionally *flattened* into parallel numpy arrays
-(feature / threshold / left / right / value, :class:`FlatTree`), and the
-trees of a model are packed into one node array (:class:`PackedForest`) that
-routes every (tree, row) pair level by level over whole matrices, replacing
-per-row Python recursion and the per-tree loop.
-Leaf values can be plain means (standalone use) or Newton steps from
-per-sample gradients/hessians (XGBoost-style boosting).
+A fitted tree exists in one form only: parallel numpy arrays (feature /
+threshold / left / right / value, :class:`FlatTree`) that growth appends to
+directly in depth-first pre-order, and that a restored model carries
+verbatim.  One grower serves both splitters and both tree flavours: leaf
+values are plain weighted means (:class:`DecisionTreeRegressor`) or Newton
+steps from per-sample gradients/hessians (:class:`NewtonTreeRegressor`,
+XGBoost-style boosting), and only the per-node statistics differ between
+them.  The trees of a model are packed into one node array
+(:class:`PackedForest`) that routes every (tree, row) pair level by level
+over whole matrices; ``predict_recursive`` walks the arrays row by row as
+the reference the fuzz oracles compare it against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -149,26 +153,14 @@ def bin_feature_matrix(features: np.ndarray, max_bins: Optional[int] = None) -> 
 
 
 @dataclass
-class _Node:
-    """One node of a fitted tree (leaf when ``feature`` is None)."""
-
-    value: float
-    feature: Optional[int] = None
-    threshold: float = 0.0
-    left: Optional["_Node"] = None
-    right: Optional["_Node"] = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
-
-
-@dataclass
 class FlatTree:
-    """A fitted tree flattened into parallel arrays for vectorized predict.
+    """A fitted tree as parallel node arrays, the only form a fitted tree has.
 
-    ``feature[i] == -1`` marks node ``i`` as a leaf; interior nodes route rows
-    with ``x[feature] <= threshold`` to ``left`` and the rest to ``right``.
+    Nodes are stored in depth-first pre-order (node 0 is the root, a node's
+    left subtree follows it directly).  ``feature[i] == -1`` marks node ``i``
+    as a leaf; interior nodes route rows with ``x[feature] <= threshold`` to
+    ``left`` and the rest to ``right``.  Every node carries the value a leaf
+    there would predict.
     """
 
     feature: np.ndarray  # (n_nodes,) int32, -1 at leaves
@@ -180,56 +172,6 @@ class FlatTree:
     @property
     def n_nodes(self) -> int:
         return len(self.value)
-
-    @classmethod
-    def from_node(cls, root: _Node) -> "FlatTree":
-        order: List[_Node] = []
-        index_of = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            index_of[id(node)] = len(order)
-            order.append(node)
-            if not node.is_leaf:
-                stack.append(node.right)
-                stack.append(node.left)
-        n = len(order)
-        feature = np.full(n, -1, dtype=np.int32)
-        threshold = np.zeros(n)
-        left = np.full(n, -1, dtype=np.int32)
-        right = np.full(n, -1, dtype=np.int32)
-        value = np.empty(n)
-        for index, node in enumerate(order):
-            value[index] = node.value
-            if not node.is_leaf:
-                feature[index] = node.feature
-                threshold[index] = node.threshold
-                left[index] = index_of[id(node.left)]
-                right[index] = index_of[id(node.right)]
-        return cls(feature=feature, threshold=threshold, left=left, right=right, value=value)
-
-    def to_node(self) -> _Node:
-        """Rebuild the linked-node form of the tree (index 0 is the root).
-
-        Inverse of :meth:`from_node` up to node identity — routing and leaf
-        values are preserved exactly, so ``predict_recursive`` over the
-        rebuilt nodes matches the flattened ``predict`` bit for bit.  Used
-        when a tree is restored from serialized state, where only the flat
-        arrays are stored.
-        """
-
-        def build(index: int) -> _Node:
-            if self.feature[index] < 0:
-                return _Node(value=float(self.value[index]))
-            return _Node(
-                value=float(self.value[index]),
-                feature=int(self.feature[index]),
-                threshold=float(self.threshold[index]),
-                left=build(int(self.left[index])),
-                right=build(int(self.right[index])),
-            )
-
-        return build(0)
 
     def to_state(self) -> dict:
         """The five parallel arrays as a plain dict (copies, not views)."""
@@ -358,17 +300,29 @@ class PackedForest:
 
 
 # ---------------------------------------------------------------------------
-# Histogram split finding
+# Split finding
 # ---------------------------------------------------------------------------
+
+
+def _split_score(num, den, lam: float, floor: float):
+    """One side's share of a split gain: ``num^2 / (den + lam)``.
+
+    A positive ``floor`` bounds the denominator from below, the variance
+    tree's guard against a zero-weight side.
+    """
+    denominator = den + lam
+    if floor > 0.0:
+        denominator = np.maximum(denominator, floor)
+    return num * num / denominator
 
 
 class _HistogramContext:
     """Per-fit state of the histogram splitter.
 
     The split gain for both tree flavours has the common form
-    ``num^2 / (den + lam)``: the variance splitter uses ``num = w*y`` and
-    ``den = w`` (with a denominator floor), the Newton splitter ``num = g``
-    and ``den = h`` with the L2 regularizer as ``lam``.
+    ``num^2 / (den + lam)`` (:func:`_split_score`): the variance splitter uses
+    ``num = w*y`` and ``den = w`` (with a denominator floor), the Newton
+    splitter ``num = g`` and ``den = h`` with the L2 regularizer as ``lam``.
     """
 
     def __init__(
@@ -392,10 +346,7 @@ class _HistogramContext:
         self.cut_valid = binned.cut_valid()
 
     def split_score(self, num, den):
-        denominator = den + self.lam
-        if self.floor > 0.0:
-            denominator = np.maximum(denominator, self.floor)
-        return num * num / denominator
+        return _split_score(num, den, self.lam, self.floor)
 
     def histograms(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per-bin (num, den, count) sums for the given rows, one bincount each."""
@@ -411,28 +362,39 @@ class _HistogramContext:
         ).reshape(shape)
         return num, den, count
 
-    def partition(self, rows: np.ndarray, hist, feature: int, cut_index: int):
-        """Split rows at a cut; the bigger child's histogram comes by subtraction."""
-        mask = self.binned.codes[rows, feature] <= cut_index
-        left_rows = rows[mask]
-        right_rows = rows[~mask]
+    def child_histograms(self, hist, left_rows: np.ndarray, right_rows: np.ndarray):
+        """Both children's histograms; the bigger child's comes by subtraction."""
         if len(left_rows) <= len(right_rows):
             left_hist = self.histograms(left_rows)
             right_hist = tuple(parent - child for parent, child in zip(hist, left_hist))
         else:
             right_hist = self.histograms(right_rows)
             left_hist = tuple(parent - child for parent, child in zip(hist, right_hist))
-        return left_rows, right_rows, left_hist, right_hist
+        return left_hist, right_hist
+
+
+#: What a tree flavour reports about the rows reaching a node: the leaf value,
+#: the ``(sum num, sum den)`` totals and whether growth stops on purity.
+_NodeStats = Callable[[np.ndarray], Tuple[float, Tuple[float, float], bool]]
+
+#: The :class:`FlatTree` arrays, in the order a node record lists them.
+_NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
 class DecisionTreeRegressor(Estimator):
     """CART regression tree with histogram (default) or exact splits.
 
-    A histogram fit additionally exposes ``training_predictions_`` — the leaf
-    value of every training row, assigned during growth — so boosting loops
-    can skip re-routing the training matrix after each round (bit-identical
-    to ``predict`` on the training data by construction).
+    Growth appends nodes straight into the :class:`FlatTree` arrays
+    (``flat_``), in pre-order, through one grower shared by both splitters
+    and by :class:`NewtonTreeRegressor`.  A fit also exposes
+    ``training_predictions_`` -- the leaf value of every training row,
+    assigned during growth -- so boosting loops can skip re-routing the
+    training matrix after each round (bit-identical to ``predict`` on the
+    training data by construction).
     """
+
+    #: Denominator floor of the split score: a zero-weight side scores 0.
+    _score_floor = 1e-12
 
     def __init__(
         self,
@@ -472,21 +434,17 @@ class DecisionTreeRegressor(Estimator):
         weights = (
             np.ones(len(y)) if sample_weight is None else as_1d_array(sample_weight)
         )
-        self._rng_ = np.random.default_rng(self.seed)
-        self.n_features_ = X.shape[1]
-        if self.splitter == "hist":
-            binned = self._check_binned(X, binned)
-            context = _HistogramContext(binned, num=weights * y, den=weights, lam=0.0, floor=1e-12)
-            rows = np.arange(len(y))
-            self._training_pred_ = np.empty(len(y))
-            self.root_ = self._grow_hist(context, y, weights, rows, context.histograms(rows), 0)
-            self.training_predictions_ = self._training_pred_
-        elif self.splitter == "exact":
-            self.root_ = self._build(X, y, weights, depth=0)
-        else:
-            raise ValueError(f"splitter must be one of {SPLITTERS}, got {self.splitter!r}")
-        self.flat_ = FlatTree.from_node(self.root_)
-        return self
+
+        def node(rows: np.ndarray):
+            node_y, node_w = y[rows], weights[rows]
+            totals = np.dot(node_y, node_w), node_w.sum()
+            if totals[1] > 0:
+                value = float(totals[0] / totals[1])
+            else:
+                value = float(node_y.mean()) if len(node_y) else 0.0
+            return value, totals, bool(np.all(node_y == node_y[:1]))
+
+        return self._fit(X, weights * y, weights, 0.0, binned, node)
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Leaf value of every row, routed by a one-tree :class:`PackedForest`.
@@ -503,49 +461,104 @@ class DecisionTreeRegressor(Estimator):
         return out
 
     def predict_recursive(self, features: np.ndarray) -> np.ndarray:
-        """Reference per-row recursive predict (equivalence testing only)."""
-        self._check_fitted("root_")
+        """Reference predict: each row walks ``flat_`` one node at a time.
+
+        Kept for equivalence testing only; it shares nothing with
+        :class:`PackedForest`'s vectorized level-by-level routing.
+        """
+        self._check_fitted("flat_")
+        flat = self.flat_
+        feature, threshold = flat.feature.tolist(), flat.threshold.tolist()
+        left, right, value = flat.left.tolist(), flat.right.tolist(), flat.value.tolist()
         X = as_2d_array(features)
         out = np.empty(len(X))
-        for i, row in enumerate(X):
-            out[i] = self._predict_row(row)
+        for i, row in enumerate(X.tolist()):
+            node = 0
+            while feature[node] >= 0:
+                node = left[node] if row[feature[node]] <= threshold[node] else right[node]
+            out[i] = value[node]
         return out
 
     def depth(self) -> int:
         """Depth of the fitted tree (a single leaf has depth 0)."""
-        self._check_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self.root_)
+        self._check_fitted("flat_")
+        return PackedForest.pack([self.flat_]).depth
 
     def n_leaves(self) -> int:
         """Number of leaves of the fitted tree."""
-        self._check_fitted("root_")
-
-        def walk(node: _Node) -> int:
-            if node.is_leaf:
-                return 1
-            return walk(node.left) + walk(node.right)
-
-        return walk(self.root_)
+        self._check_fitted("flat_")
+        return int(np.count_nonzero(self.flat_.feature < 0))
 
     # -- serialization ----------------------------------------------------------
 
     def _fitted_state(self) -> dict:
-        """Flat arrays + feature count; ``root_`` is rebuilt on restore."""
+        """The flat arrays + feature count: the whole fitted tree."""
         self._check_fitted("flat_")
         return {"flat": self.flat_.to_state(), "n_features": int(self.n_features_)}
 
     def _restore_fitted(self, fitted) -> None:
         self.flat_ = FlatTree.from_state(fitted["flat"])
-        self.root_ = self.flat_.to_node()
         self.n_features_ = int(fitted["n_features"])
 
-    # -- internals --------------------------------------------------------------
+    # -- growth -----------------------------------------------------------------
+
+    def _fit(
+        self,
+        X: np.ndarray,
+        num: np.ndarray,
+        den: np.ndarray,
+        lam: float,
+        binned: Optional[BinnedMatrix],
+        node: _NodeStats,
+    ) -> "DecisionTreeRegressor":
+        """Grow ``flat_`` from per-row split statistics, for both flavours.
+
+        A side of a split scores ``num^2 / (den + lam)`` under either
+        splitter; ``node`` supplies the flavour's leaf value, the node totals
+        the exact splitter scores the parent and right side with, and the
+        purity stop.  Nodes are appended in depth-first pre-order.
+        """
+        if self.splitter not in SPLITTERS:
+            raise ValueError(f"splitter must be one of {SPLITTERS}, got {self.splitter!r}")
+        self._rng_ = np.random.default_rng(self.seed)
+        self.n_features_ = X.shape[1]
+        context = None
+        if self.splitter == "hist":
+            context = _HistogramContext(
+                self._check_binned(X, binned), num, den, lam, self._score_floor
+            )
+        nodes: List[list] = []
+        training = np.empty(len(X))
+
+        def grow(rows: np.ndarray, hist, depth: int) -> None:
+            value, totals, pure = node(rows)
+            record = [-1, 0.0, -1, -1, value]
+            nodes.append(record)
+            split = None
+            if depth < self.max_depth and len(rows) >= self.min_samples_split and not pure:
+                if context is None:
+                    split = self._best_exact_split(X, rows, num, den, lam, totals)
+                else:
+                    split = self._best_hist_split(context, rows, hist)
+            if split is None:
+                training[rows] = value
+                return
+            feature, threshold, goes_left = split
+            record[0], record[1] = feature, threshold
+            left_rows, right_rows = rows[goes_left], rows[~goes_left]
+            left_hist = right_hist = None
+            if context is not None:
+                left_hist, right_hist = context.child_histograms(hist, left_rows, right_rows)
+            record[2] = len(nodes)
+            grow(left_rows, left_hist, depth + 1)
+            record[3] = len(nodes)
+            grow(right_rows, right_hist, depth + 1)
+
+        rows = np.arange(len(X))
+        grow(rows, None if context is None else context.histograms(rows), 0)
+        self.flat_ = FlatTree.from_state(dict(zip(_NODE_FIELDS, zip(*nodes))))
+        self.training_predictions_ = training
+        return self
 
     def _check_binned(self, X: np.ndarray, binned: Optional[BinnedMatrix]) -> BinnedMatrix:
         if binned is None:
@@ -554,60 +567,16 @@ class DecisionTreeRegressor(Estimator):
             raise ValueError("pre-binned matrix does not match the feature matrix shape")
         return binned
 
-    def _predict_row(self, row: np.ndarray) -> float:
-        node = self.root_
-        while not node.is_leaf:
-            node = node.left if row[node.feature] <= node.threshold else node.right
-        return node.value
-
-    def _leaf_value(self, y: np.ndarray, weights: np.ndarray) -> float:
-        total = weights.sum()
-        if total <= 0:
-            return float(y.mean()) if len(y) else 0.0
-        return float(np.dot(y, weights) / total)
-
     def _candidate_features(self) -> np.ndarray:
         if self.max_features is None:
             return np.arange(self.n_features_)
         count = max(1, int(round(self.max_features * self.n_features_)))
         return self._rng_.choice(self.n_features_, size=count, replace=False)
 
-    # -- histogram splitter ------------------------------------------------------
-
-    def _grow_hist(
-        self,
-        context: _HistogramContext,
-        y: np.ndarray,
-        weights: np.ndarray,
-        rows: np.ndarray,
-        hist,
-        depth: int,
-    ) -> _Node:
-        node_y = y[rows]
-        value = self._leaf_value(node_y, weights[rows])
-        if (
-            depth >= self.max_depth
-            or len(rows) < self.min_samples_split
-            or np.all(node_y == node_y[0])
-        ):
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        split = self._best_hist_split(context, hist)
-        if split is None:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        feature, cut_index, threshold = split
-        left_rows, right_rows, left_hist, right_hist = context.partition(
-            rows, hist, feature, cut_index
-        )
-        left = self._grow_hist(context, y, weights, left_rows, left_hist, depth + 1)
-        right = self._grow_hist(context, y, weights, right_rows, right_hist, depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
-
     def _best_hist_split(
-        self, context: _HistogramContext, hist
-    ) -> Optional[Tuple[int, int, float]]:
-        """Best (feature, cut index, threshold) from the node's histograms.
+        self, context: _HistogramContext, rows: np.ndarray, hist
+    ) -> Optional[Tuple[int, float, np.ndarray]]:
+        """Best (feature, threshold, goes-left mask) from the node's histograms.
 
         All candidate features are scored in one vectorized pass over the
         (features, bins) histogram arrays; tie-breaking matches the exact
@@ -655,70 +624,54 @@ class DecisionTreeRegressor(Estimator):
             # from the exact splitter under the fuzz campaign's
             # hist-vs-exact oracle (see repro.faults).
             cut_index += 1
-        return feature, cut_index, float(context.binned.cuts[feature][cut_index])
+        threshold = float(context.binned.cuts[feature][cut_index])
+        return feature, threshold, context.binned.codes[rows, feature] <= cut_index
 
-    # -- exact splitter ----------------------------------------------------------
+    def _best_exact_split(
+        self,
+        X: np.ndarray,
+        rows: np.ndarray,
+        num: np.ndarray,
+        den: np.ndarray,
+        lam: float,
+        totals: Tuple[float, float],
+    ) -> Optional[Tuple[int, float, np.ndarray]]:
+        """Best (feature, threshold, goes-left mask) over sorted feature columns.
 
-    def _build(self, X: np.ndarray, y: np.ndarray, weights: np.ndarray, depth: int) -> _Node:
-        value = self._leaf_value(y, weights)
-        if (
-            depth >= self.max_depth
-            or len(y) < self.min_samples_split
-            or np.all(y == y[0])
-        ):
-            return _Node(value=value)
-
-        split = self._best_split(X, y, weights)
-        if split is None:
-            return _Node(value=value)
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        left = self._build(X[mask], y[mask], weights[mask], depth + 1)
-        right = self._build(X[~mask], y[~mask], weights[~mask], depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
-
-    def _best_split(
-        self, X: np.ndarray, y: np.ndarray, weights: np.ndarray
-    ) -> Optional[Tuple[int, float]]:
-        """Return (feature, threshold) minimizing weighted squared error."""
+        Candidate thresholds sit midway between consecutive distinct values
+        of the node's rows; the node totals give the parent score and, minus
+        the left prefix sums, the right side.
+        """
+        floor = self._score_floor
+        total_num, total_den = totals
+        parent_score = _split_score(total_num, total_den, lam, floor)
+        node_num, node_den = num[rows], den[rows]
         best_gain = self.min_impurity_decrease
         best: Optional[Tuple[int, float]] = None
-        total_weight = weights.sum()
-        total_sum = np.dot(y, weights)
-        parent_score = total_sum * total_sum / total_weight if total_weight > 0 else 0.0
 
         for feature in self._candidate_features():
-            column = X[:, feature]
+            column = X[rows, feature]
             order = np.argsort(column, kind="stable")
             sorted_x = column[order]
-            sorted_y = y[order]
-            sorted_w = weights[order]
-
-            cum_weight = np.cumsum(sorted_w)
-            cum_sum = np.cumsum(sorted_y * sorted_w)
 
             # Candidate split positions: between distinct consecutive values.
             distinct = np.nonzero(np.diff(sorted_x) > 0)[0]
             if len(distinct) == 0:
                 continue
-            left_weight = cum_weight[distinct]
-            left_sum = cum_sum[distinct]
-            right_weight = total_weight - left_weight
-            right_sum = total_sum - left_sum
-
             counts_left = distinct + 1
-            counts_right = len(y) - counts_left
             valid = (counts_left >= self.min_samples_leaf) & (
-                counts_right >= self.min_samples_leaf
+                len(rows) - counts_left >= self.min_samples_leaf
             )
             if not np.any(valid):
                 continue
+            left_num = np.cumsum(node_num[order])[distinct]
+            left_den = np.cumsum(node_den[order])[distinct]
 
             with np.errstate(divide="ignore", invalid="ignore"):
                 score = np.where(
                     valid,
-                    left_sum**2 / np.maximum(left_weight, 1e-12)
-                    + right_sum**2 / np.maximum(right_weight, 1e-12),
+                    _split_score(left_num, left_den, lam, floor)
+                    + _split_score(total_num - left_num, total_den - left_den, lam, floor),
                     -np.inf,
                 )
             gain = score - parent_score
@@ -728,7 +681,10 @@ class DecisionTreeRegressor(Estimator):
                 position = distinct[index]
                 threshold = 0.5 * (sorted_x[position] + sorted_x[position + 1])
                 best = (int(feature), float(threshold))
-        return best
+        if best is None:
+            return None
+        feature, threshold = best
+        return feature, threshold, X[rows, feature] <= threshold
 
 
 class NewtonTreeRegressor(DecisionTreeRegressor):
@@ -739,6 +695,8 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
     ``G_l^2/(H_l + lambda) + G_r^2/(H_r + lambda) - G^2/(H + lambda)`` and the
     leaf value is ``-G/(H + lambda)``.
     """
+
+    _score_floor = 0.0
 
     def __init__(
         self,
@@ -784,121 +742,20 @@ class NewtonTreeRegressor(DecisionTreeRegressor):
         hess = as_1d_array(hessians)
         if not (len(X) == len(grad) == len(hess)):
             raise ValueError("features, gradients and hessians must align")
-        self._rng_ = np.random.default_rng(self.seed)
-        self.n_features_ = X.shape[1]
-        if self.splitter == "hist":
-            binned = self._check_binned(X, binned)
-            context = _HistogramContext(
-                binned, num=grad, den=hess, lam=self.reg_lambda, floor=0.0
-            )
-            rows = np.arange(len(grad))
-            self._training_pred_ = np.empty(len(grad))
-            self.root_ = self._grow_hist_newton(
-                context, grad, hess, rows, context.histograms(rows), 0
-            )
-            self.training_predictions_ = self._training_pred_
-        elif self.splitter == "exact":
-            self.root_ = self._build_newton(X, grad, hess, depth=0)
-        else:
-            raise ValueError(f"splitter must be one of {SPLITTERS}, got {self.splitter!r}")
-        self.flat_ = FlatTree.from_node(self.root_)
-        return self
+        lam = self.reg_lambda
+
+        def node(rows: np.ndarray):
+            totals = grad[rows].sum(), hess[rows].sum()
+            return float(-totals[0] / (totals[1] + lam)), totals, False
+
+        return self._fit(X, grad, hess, lam, binned, node)
 
     def fit(self, features, targets, sample_weight=None, binned=None):  # type: ignore[override]
-        """Plain regression fit: equivalent to one Newton step on squared loss."""
+        """(Weighted) regression fit: one Newton step on weighted squared loss.
+
+        The loss ``0.5 * w * (p - y)^2`` at ``p = 0`` has gradient ``-w*y``
+        and hessian ``w``, so a leaf predicts ``sum(w*y) / (sum(w) + lambda)``.
+        """
         y = as_1d_array(targets)
-        gradients = -y
-        hessians = np.ones_like(y)
-        return self.fit_gradients(features, gradients, hessians, binned=binned)
-
-    # -- internals --------------------------------------------------------------
-
-    def _newton_value(self, grad: np.ndarray, hess: np.ndarray) -> float:
-        return float(-grad.sum() / (hess.sum() + self.reg_lambda))
-
-    def _grow_hist_newton(
-        self,
-        context: _HistogramContext,
-        grad: np.ndarray,
-        hess: np.ndarray,
-        rows: np.ndarray,
-        hist,
-        depth: int,
-    ) -> _Node:
-        value = self._newton_value(grad[rows], hess[rows])
-        if depth >= self.max_depth or len(rows) < self.min_samples_split:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        split = self._best_hist_split(context, hist)
-        if split is None:
-            self._training_pred_[rows] = value
-            return _Node(value=value)
-        feature, cut_index, threshold = split
-        left_rows, right_rows, left_hist, right_hist = context.partition(
-            rows, hist, feature, cut_index
-        )
-        left = self._grow_hist_newton(context, grad, hess, left_rows, left_hist, depth + 1)
-        right = self._grow_hist_newton(context, grad, hess, right_rows, right_hist, depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
-
-    def _build_newton(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray, depth: int
-    ) -> _Node:
-        value = self._newton_value(grad, hess)
-        if depth >= self.max_depth or len(grad) < self.min_samples_split:
-            return _Node(value=value)
-        split = self._best_newton_split(X, grad, hess)
-        if split is None:
-            return _Node(value=value)
-        feature, threshold = split
-        mask = X[:, feature] <= threshold
-        left = self._build_newton(X[mask], grad[mask], hess[mask], depth + 1)
-        right = self._build_newton(X[~mask], grad[~mask], hess[~mask], depth + 1)
-        return _Node(value=value, feature=feature, threshold=threshold, left=left, right=right)
-
-    def _best_newton_split(
-        self, X: np.ndarray, grad: np.ndarray, hess: np.ndarray
-    ) -> Optional[Tuple[int, float]]:
-        lam = self.reg_lambda
-        total_g = grad.sum()
-        total_h = hess.sum()
-        parent_score = total_g * total_g / (total_h + lam)
-        best_gain = self.min_impurity_decrease
-        best: Optional[Tuple[int, float]] = None
-
-        for feature in self._candidate_features():
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_x = column[order]
-            cum_g = np.cumsum(grad[order])
-            cum_h = np.cumsum(hess[order])
-
-            distinct = np.nonzero(np.diff(sorted_x) > 0)[0]
-            if len(distinct) == 0:
-                continue
-            left_g = cum_g[distinct]
-            left_h = cum_h[distinct]
-            right_g = total_g - left_g
-            right_h = total_h - left_h
-
-            counts_left = distinct + 1
-            counts_right = len(grad) - counts_left
-            valid = (counts_left >= self.min_samples_leaf) & (
-                counts_right >= self.min_samples_leaf
-            )
-            if not np.any(valid):
-                continue
-
-            score = np.where(
-                valid,
-                left_g**2 / (left_h + lam) + right_g**2 / (right_h + lam),
-                -np.inf,
-            )
-            gain = score - parent_score
-            index = int(np.argmax(gain))
-            if gain[index] > best_gain:
-                best_gain = float(gain[index])
-                position = distinct[index]
-                threshold = 0.5 * (sorted_x[position] + sorted_x[position + 1])
-                best = (int(feature), float(threshold))
-        return best
+        weights = np.ones(len(y)) if sample_weight is None else as_1d_array(sample_weight)
+        return self.fit_gradients(features, -weights * y, weights, binned=binned)

@@ -74,19 +74,6 @@ class STAReport:
     def register_endpoints(self) -> List[EndpointTiming]:
         return [e for e in self.endpoints if e.kind == "register"]
 
-    def endpoint_slacks(self) -> Dict[str, float]:
-        """Bit-level endpoint name -> slack."""
-        return {e.name: e.slack for e in self.endpoints}
-
-    def signal_arrivals(self) -> Dict[str, float]:
-        """Word-level signal name -> max arrival time over its bits."""
-        arrivals: Dict[str, float] = {}
-        for endpoint in self.endpoints:
-            current = arrivals.get(endpoint.signal)
-            if current is None or endpoint.arrival > current:
-                arrivals[endpoint.signal] = endpoint.arrival
-        return arrivals
-
     def signal_slacks(self) -> Dict[str, float]:
         """Word-level signal name -> worst slack over its bits."""
         slacks: Dict[str, float] = {}

@@ -84,7 +84,7 @@ def test_regressor_state_roundtrip_bit_identical(build):
 
 
 def test_tree_state_restores_recursive_reference():
-    """The rebuilt node tree predicts identically to the flat arrays."""
+    """The restored flat arrays, walked row by row, predict identically."""
     model = DecisionTreeRegressor(max_depth=6).fit(X, y)
     restored = estimator_from_state(model.to_state())
     assert np.array_equal(restored.predict_recursive(X), model.predict(X))

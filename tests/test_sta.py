@@ -79,11 +79,6 @@ class TestEngine:
         assert long.wns >= short.wns
         assert long.tns >= short.tns
 
-    def test_signal_aggregation(self, report):
-        signal_arrivals = report.signal_arrivals()
-        for endpoint in report.endpoints:
-            assert signal_arrivals[endpoint.signal] >= endpoint.arrival - 1e-9
-
     def test_loads_include_fanout_caps(self, pseudo_net):
         loads = compute_loads(pseudo_net)
         fanouts = pseudo_net.fanouts()
