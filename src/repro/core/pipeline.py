@@ -117,18 +117,8 @@ class RTLTimer:
     # -- inference --------------------------------------------------------------------
 
     def predict(self, record: DesignRecord) -> RTLTimerPrediction:
-        """Run the full prediction stack on one (unseen) design."""
-        started = time.perf_counter()
-        bitwise_arrival, critical = self.bitwise.predict_with_critical(record)
-        signal_prediction = self.signalwise.predict(record, bitwise_arrival, critical)
-        overall = self.overall.predict(record, bitwise_arrival)
-        prediction = self._assemble_prediction(
-            record, bitwise_arrival, signal_prediction, overall, 0.0
-        )
-        # Stamp the runtime after assembly so runtime_seconds covers every
-        # stage — the same quantity predict_batch reports per design.
-        prediction.runtime_seconds = time.perf_counter() - started
-        return prediction
+        """Run the full prediction stack on one (unseen) design (a batch of one)."""
+        return self.predict_batch([record]).predictions[0]
 
     def predict_batch(
         self,
@@ -174,16 +164,10 @@ class RTLTimer:
                 ]
             with report.stage("inference.assemble"):
                 predictions = [
-                    timed(
-                        i,
-                        lambda i=i: self._assemble_prediction(
-                            records[i], bitwise[i], signal[i], overall[i], 0.0
-                        ),
-                    )
+                    timed(i, lambda i=i: self._assemble_prediction(records[i], bitwise[i], signal[i], overall[i]))
                     for i in range(len(records))
                 ]
-                # runtime_seconds covers every stage including assembly, so a
-                # batched prediction reports the same quantity as predict().
+                # runtime_seconds covers every stage, assembly included.
                 for i, prediction in enumerate(predictions):
                     prediction.runtime_seconds = per_design[i]
         report.incr("inference_designs", len(records))
@@ -195,7 +179,6 @@ class RTLTimer:
         bitwise_arrival: Dict[str, float],
         signal_prediction: Mapping[str, Dict[str, float]],
         overall: Dict[str, float],
-        runtime: float,
     ) -> RTLTimerPrediction:
         required = record.clock.required_time(record._setup_time())
         signal_slack = {
@@ -211,7 +194,7 @@ class RTLTimer:
             signal_slack=signal_slack,
             rank_group=groups,
             overall=overall,
-            runtime_seconds=runtime,
+            runtime_seconds=0.0,
         )
 
     # -- persistence --------------------------------------------------------------------
@@ -296,8 +279,9 @@ class RTLTimer:
 
         ``candidates`` defaults to ``k`` option sets generated around the
         predicted criticality ranking.  Each candidate is translated into a
-        patch set on the record's baseline synthesis netlist and re-timed
-        in place (patch, one array sweep, revert) — no re-synthesis happens.  Returns
+        patch set on the record's baseline synthesis netlist and re-timed on
+        its override columns (one array sweep; the netlist is never edited)
+        — no re-synthesis happens.  Returns
         one :class:`~repro.incremental.whatif.WhatIfEstimate` per candidate,
         in candidate order.
         """

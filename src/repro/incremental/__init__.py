@@ -2,11 +2,11 @@
 
 The subsystem has three layers:
 
-* :mod:`repro.incremental.patches` — invertible local edits
-  (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`) with
-  declared timing footprints, the three kinds the projection emits,
+* :mod:`repro.incremental.patches` — local changes written into override
+  columns (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`)
+  with declared timing footprints, the three kinds the projection emits,
 * :mod:`repro.incremental.engine` — :class:`IncrementalSTA`, re-timing of
-  a patched network that matches a full re-analysis bit for bit and reports
+  a candidate's override columns (never an edit of the network) that matches a full re-analysis bit for bit and reports
   each patch set's dirty-cone footprint (an empty patch set is the
   baseline report itself),
 * :mod:`repro.incremental.whatif` — projection of

@@ -1,11 +1,11 @@
 """Incremental what-if static timing analysis.
 
 :class:`IncrementalSTA` re-times a :class:`~repro.sta.network.TimingNetwork`
-under local edits described by :mod:`repro.incremental.patches` patch
-objects, which write the network's columns in place, against the network's
-baseline :class:`~repro.sta.engine.STAReport`.
+on the *override columns* of :mod:`repro.incremental.patches` patch objects
+(:meth:`~repro.sta.network.AttributeColumns.overridden`), against the
+network's baseline :class:`~repro.sta.engine.STAReport`.
 
-The ``array`` kernel re-times a patched network with one whole-graph pass
+The ``array`` kernel re-times a candidate with one whole-graph pass
 (:meth:`~repro.sta.csr.CSRTimingGraph.compute_loads` plus the cached level
 sweep, i.e. :func:`~repro.sta.engine.analyze`): what-if patch sets reach
 about half to four fifths of a label netlist, and there one vectorized sweep
@@ -20,19 +20,18 @@ from the patches' dirty vertices in topological order with
 vertex reproduces its old arrival and slew exactly.  Both kernels match a
 from-scratch re-analysis bit for bit and report equal stats.
 
-:meth:`IncrementalSTA.what_if` applies a patch set, yields the re-timed
-report and reverts the patches on exit (also when a patch or the re-timing
-fails), so an engine's baseline stays frozen for its whole lifetime: K
-candidates share one baseline netlist and none is re-synthesized.  An empty
-patch set yields the baseline report itself, so callers never branch on it.
+:meth:`IncrementalSTA.what_if` returns ``(report, stats)`` and writes
+neither the network nor the baseline, so concurrent what-ifs need no lock:
+K candidates share one frozen baseline netlist and none is re-synthesized.
+An empty patch set returns the baseline report itself and no stats, so
+callers never branch on it.
 """
 
 from __future__ import annotations
 
-import contextlib
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -92,7 +91,6 @@ class IncrementalSTA:
         self._report = (
             baseline if baseline is not None else analyze(network, clock, kernel=kernel)
         )
-        self.last_stats: Optional[PropagationStats] = None
         self._endpoint_caps_cache: Optional[Dict[int, List[float]]] = None
         self._endpoint_drivers_cache: Optional[np.ndarray] = None
 
@@ -102,32 +100,48 @@ class IncrementalSTA:
         """The baseline report (every what-if leaves it unchanged)."""
         return self._report
 
-    @contextlib.contextmanager
-    def what_if(self, patches: Sequence[TimingPatch]) -> Iterator[STAReport]:
-        """Re-time the network with ``patches`` applied, then revert them.
+    def what_if(self, patches: Sequence[TimingPatch]) -> Tuple[STAReport, Optional[PropagationStats]]:
+        """Re-time the network as ``patches`` would leave it: ``(report, stats)``.
 
-        Yields the re-timed report of the patched network; on exit, or when
-        a patch or the re-timing raises, every applied patch is reverted (in
-        reverse order), so the network and :meth:`report` are left as they
-        were.  The yielded report stays valid after exit as a *prediction*
-        artifact — it describes the hypothetical network, not the restored
-        one.  An empty patch set is the baseline: it yields :meth:`report`
-        itself, re-times nothing, sets :attr:`last_stats` to ``None`` and
-        moves no ``incremental_*`` counter.
+        The patches write override columns, never the network, so the
+        network and :meth:`report` are unchanged afterwards, also when a
+        patch raises.  The report describes the hypothetical network.  An
+        empty patch set is the baseline: it returns :meth:`report` itself
+        and ``None`` stats, re-times nothing and moves no ``incremental_*``
+        counter.
         """
         if not patches:
-            self.last_stats = None
-            yield self._report
-            return
-        applied: List[TimingPatch] = []
-        try:
+            return self._report, None
+        network = self.network
+        n = len(network)
+        if n != len(self._report.arrivals):
+            raise ValueError(
+                "network size changed under the incremental engine; patches must "
+                "not add or remove vertices — build a new engine for the edited network"
+            )
+
+        with report_mod.stage("incremental.propagate"):
+            cols = network.attribute_columns().overridden(patches)
+            dirty_delay: Set[int] = set()
+            dirty_load: Set[int] = set()
             for patch in patches:
-                patch.apply(self.network)
-                applied.append(patch)
-            yield self._propagate(patches)
-        finally:
-            for patch in reversed(applied):
-                patch.revert(self.network)
+                dirty_delay.update(patch.dirty_delay_vertices(network))
+                dirty_load.update(patch.dirty_load_vertices(network))
+            seeds = dirty_delay | dirty_load
+            retime = self._retime_array if self.kernel == "array" else self._retime_reference
+            report, recomputed, updated = retime(cols, seeds, dirty_load)
+
+        stats = PropagationStats(
+            n_patches=len(patches),
+            n_dirty_seeds=len(seeds),
+            n_recomputed=recomputed,
+            n_vertices=n,
+            n_endpoints_updated=updated,
+        )
+        report_mod.incr("incremental_runs")
+        report_mod.incr("incremental_patches", len(patches))
+        report_mod.incr("incremental_recomputed_vertices", recomputed)
+        return report, stats
 
     # -- internals -----------------------------------------------------------
 
@@ -170,7 +184,7 @@ class IncrementalSTA:
                 total += cap
             loads[vertex_id] = total + cols.extra_load[vertex_id]
 
-    def _retime_array(self, seeds: Set[int], dirty_load: Set[int]):
+    def _retime_array(self, cols: AttributeColumns, seeds: Set[int], dirty_load: Set[int]):
         """Whole-graph array re-analysis; returns ``(report, recomputed, updated)``.
 
         With a consistent baseline, a vertex outside the worklist's visit set
@@ -180,10 +194,9 @@ class IncrementalSTA:
         network = self.network
         base = self._report
         compiled = network.compiled()
-        cols = network.attribute_columns()
         loads = compiled.compute_loads(network, cols)
         _drop_wire_load(dirty_load, cols, loads)
-        report = analyze(network, self.clock, loads=loads)
+        report = analyze(network, self.clock, loads=loads, cols=cols)
         changed = (report.arrivals != base.arrivals) | (report.slews != base.slews)
         positions, _ = gather_edges(compiled.fanout_indptr, np.flatnonzero(changed))
         visited = np.zeros(len(network), dtype=bool)
@@ -192,7 +205,7 @@ class IncrementalSTA:
         updated = int(np.count_nonzero(changed[self._endpoint_drivers()]))
         return report, int(np.count_nonzero(visited)), updated
 
-    def _retime_reference(self, seeds: Set[int], dirty_load: Set[int]):
+    def _retime_reference(self, cols: AttributeColumns, seeds: Set[int], dirty_load: Set[int]):
         """Per-vertex dirty-cone worklist; returns ``(report, recomputed, updated)``."""
         network = self.network
         base = self._report
@@ -202,7 +215,6 @@ class IncrementalSTA:
         arrivals = base.arrivals.copy()
         slews = base.slews.copy()
         loads = base.loads.copy()
-        cols = network.attribute_columns()
         self._recompute_loads(dirty_load, fanouts, cols, loads)
         _drop_wire_load(dirty_load, cols, loads)
 
@@ -214,7 +226,9 @@ class IncrementalSTA:
         while heap:
             _, vertex_id = heapq.heappop(heap)
             queued.discard(vertex_id)
-            vertex = network.vertices[vertex_id]
+            # The vertex as the candidate has it: its override cell and derate.
+            cell, derate = cols.cells[cols.cell_row[vertex_id]], float(cols.derate[vertex_id])
+            vertex = network.vertices[vertex_id]._replace(cell=cell, derate=derate)
             arrival, slew = propagate_vertex(
                 vertex, self.clock, arrivals, slews, loads[vertex_id]
             )
@@ -248,37 +262,6 @@ class IncrementalSTA:
             tns=tns,
         )
         return report, recomputed, updated
-
-    def _propagate(self, patches: Sequence[TimingPatch]) -> STAReport:
-        network = self.network
-        n = len(network)
-        if n != len(self._report.arrivals):
-            raise ValueError(
-                "network size changed under the incremental engine; patches must "
-                "not add or remove vertices — build a new engine for the edited network"
-            )
-
-        with report_mod.stage("incremental.propagate"):
-            dirty_delay: Set[int] = set()
-            dirty_load: Set[int] = set()
-            for patch in patches:
-                dirty_delay.update(patch.dirty_delay_vertices(network))
-                dirty_load.update(patch.dirty_load_vertices(network))
-            seeds = dirty_delay | dirty_load
-            retime = self._retime_array if self.kernel == "array" else self._retime_reference
-            report, recomputed, updated = retime(seeds, dirty_load)
-
-        self.last_stats = PropagationStats(
-            n_patches=len(patches),
-            n_dirty_seeds=len(seeds),
-            n_recomputed=recomputed,
-            n_vertices=n,
-            n_endpoints_updated=updated,
-        )
-        report_mod.incr("incremental_runs")
-        report_mod.incr("incremental_patches", len(patches))
-        report_mod.incr("incremental_recomputed_vertices", recomputed)
-        return report
 
 
 def _drop_wire_load(dirty_load: Set[int], cols: AttributeColumns, loads: np.ndarray) -> None:

@@ -1,11 +1,12 @@
 """Patch objects describing local edits to a :class:`TimingNetwork`.
 
-A patch is a small, invertible edit with a declared *timing footprint*: the
-vertices whose own delay equation changes (``dirty_delay_vertices``) and the
-vertices whose output load changes (``dirty_load_vertices``).  The
-incremental engine seeds its footprint stats and its reference dirty-cone
-worklist with them, so a patch must be honest about everything it touches —
-under-reporting breaks the worklist's equivalence with a full re-analysis.
+A patch describes one small local change with a declared *timing
+footprint*: the vertices whose own delay equation changes
+(``dirty_delay_vertices``) and the vertices whose output load changes
+(``dirty_load_vertices``).  The incremental engine seeds its footprint stats
+and its reference dirty-cone worklist with them, so a patch must be honest
+about everything it touches — under-reporting breaks the worklist's
+equivalence with a full re-analysis.
 
 Three edit kinds cover the what-if scenarios, exactly the kinds
 :func:`~repro.incremental.whatif.patches_for_options` emits:
@@ -20,29 +21,27 @@ Three edit kinds cover the what-if scenarios, exactly the kinds
 None of them changes the graph's structure, so a patch set never changes
 the network's topology or size.
 
-Every patch supports ``apply`` / ``revert`` on the live network through the
-network's column writers; ``revert`` restores the exact previous state,
-which is what makes the engine's
-:meth:`~repro.incremental.engine.IncrementalSTA.what_if` context safe to run
-against a shared baseline netlist.
+A patch is data, not an edit of the network: its ``write(cols)`` writes
+the candidate's values into an
+:meth:`~repro.sta.network.AttributeColumns.overridden` copy of the
+network's attribute columns, in patch order, so a what-if never edits the
+netlist it re-times and needs no revert.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Iterable
 
 from repro.liberty import Cell
-from repro.sta.network import TimingNetwork
+from repro.sta.network import AttributeColumns, TimingNetwork
 
 
 class TimingPatch:
     """Base interface for local timing-network edits."""
 
-    def apply(self, network: TimingNetwork) -> None:
-        raise NotImplementedError
-
-    def revert(self, network: TimingNetwork) -> None:
+    def write(self, cols: AttributeColumns) -> None:
+        """Write this edit into the candidate columns ``cols``."""
         raise NotImplementedError
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
@@ -60,16 +59,9 @@ class SetDerate(TimingPatch):
 
     vertex: int
     derate: float
-    _previous: Optional[float] = field(default=None, repr=False)
 
-    def apply(self, network: TimingNetwork) -> None:
-        self._previous = float(network.derate_of(self.vertex))
-        network.set_derate(self.vertex, float(self.derate))
-
-    def revert(self, network: TimingNetwork) -> None:
-        assert self._previous is not None, "revert before apply"
-        network.set_derate(self.vertex, self._previous)
-        self._previous = None
+    def write(self, cols: AttributeColumns) -> None:
+        cols.derate[self.vertex] = float(self.derate)
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)
@@ -86,19 +78,11 @@ class SwapCell(TimingPatch):
 
     vertex: int
     cell: Cell
-    _previous: Optional[Cell] = field(default=None, repr=False)
 
-    def apply(self, network: TimingNetwork) -> None:
-        previous = network.cell_of(self.vertex)
-        if previous is None:
+    def write(self, cols: AttributeColumns) -> None:
+        if cols.cells[cols.cell_row[self.vertex]] is None:
             raise ValueError(f"vertex {self.vertex} has no cell to swap")
-        self._previous = previous
-        network.set_cell(self.vertex, self.cell)
-
-    def revert(self, network: TimingNetwork) -> None:
-        assert self._previous is not None, "revert before apply"
-        network.set_cell(self.vertex, self._previous)
-        self._previous = None
+        cols.set_cell(self.vertex, self.cell)
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)
@@ -113,18 +97,10 @@ class AddExtraLoad(TimingPatch):
 
     vertex: int
     delta: float
-    _previous: Optional[float] = field(default=None, repr=False)
 
-    def apply(self, network: TimingNetwork) -> None:
-        self._previous = float(network.attribute_columns().extra_load[self.vertex])
-        # Revert restores the saved value instead of subtracting the delta:
-        # stacked float additions do not cancel exactly.
-        network.set_extra_load(self.vertex, self._previous + float(self.delta))
-
-    def revert(self, network: TimingNetwork) -> None:
-        assert self._previous is not None, "revert before apply"
-        network.set_extra_load(self.vertex, self._previous)
-        self._previous = None
+    def write(self, cols: AttributeColumns) -> None:
+        # Stacked loads add onto the value already written.
+        cols.extra_load[self.vertex] = float(cols.extra_load[self.vertex]) + float(self.delta)
 
     def dirty_delay_vertices(self, network: TimingNetwork) -> Iterable[int]:
         return (self.vertex,)

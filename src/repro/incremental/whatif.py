@@ -4,8 +4,8 @@
 re-synthesizing the whole design — minutes of work per candidate.  This
 module answers the same question approximately in milliseconds: it projects
 the *local* effect each directive has on the already-synthesized baseline
-netlist as a patch set and re-times the patched netlist with
-:class:`~repro.incremental.engine.IncrementalSTA`:
+netlist as a patch set and re-times the netlist on the patches' override
+columns with :class:`~repro.incremental.engine.IncrementalSTA`:
 
 * ``retime`` on a signal — the optimizer moves the endpoint register across
   its driving gate, rebalancing the stage; projected as a derate reduction
@@ -163,14 +163,14 @@ def estimate_candidate(
 
     An empty patch set scores as the baseline itself, with no stats.
     """
-    with engine.what_if(patches) as projected:
-        return WhatIfEstimate(
-            options=options,
-            wns=projected.wns,
-            tns=projected.tns,
-            n_patches=len(patches),
-            stats=engine.last_stats,
-        )
+    projected, stats = engine.what_if(patches)
+    return WhatIfEstimate(
+        options=options,
+        wns=projected.wns,
+        tns=projected.tns,
+        n_patches=len(patches),
+        stats=stats,
+    )
 
 
 def evaluate_candidates(record, candidates: Sequence[SynthesisOptions]) -> List[WhatIfEstimate]:
@@ -178,10 +178,10 @@ def evaluate_candidates(record, candidates: Sequence[SynthesisOptions]) -> List[
 
     ``record`` is a :class:`~repro.core.dataset.DesignRecord`; its default-
     options synthesis (netlist + report, already consistent with
-    ``record.clock``) is the shared frozen baseline.  The baseline netlist
-    is patched and reverted in place, never copied, and its critical paths
-    are traced once: K candidates cost K array re-timings instead of K
-    re-syntheses.
+    ``record.clock``) is the shared frozen baseline.  Each candidate
+    re-times on its own override columns, so the baseline netlist is only
+    read, never copied or edited, and its critical paths are traced once:
+    K candidates cost K array re-timings instead of K re-syntheses.
     """
     netlist = record.synthesis.netlist
     engine = IncrementalSTA(netlist, record.clock, baseline=record.synthesis.report)

@@ -156,6 +156,8 @@ class GradientBoostingRegressor(Estimator):
             # its leaf; reuse those values instead of re-routing X.
             update = tree.training_predictions_ if full_batch else tree.predict(X)
             predictions = predictions + self.learning_rate * update
+            # Read once; kept, it would ride in every pickle of the model.
+            del tree.training_predictions_
             self.trees_.append(tree)
 
             loss = self.objective.loss(predictions, y)

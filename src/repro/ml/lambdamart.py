@@ -115,6 +115,8 @@ class LambdaMARTRanker(Estimator):
                 )
                 tree.fit_gradients(X, grad, hess, binned=binned)
                 scores = scores + self.learning_rate * tree.training_predictions_
+                # Read once; kept, it would ride in every pickle of the model.
+                del tree.training_predictions_
                 self.trees_.append(tree)
                 self.train_ndcg_.append(self._mean_ndcg(scores, rel))
         self._pack()

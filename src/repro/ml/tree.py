@@ -390,7 +390,7 @@ class DecisionTreeRegressor(Estimator):
     ``training_predictions_`` -- the leaf value of every training row,
     assigned during growth -- so boosting loops can skip re-routing the
     training matrix after each round (bit-identical to ``predict`` on the
-    training data by construction).
+    training data by construction); the boosters delete it once read.
     """
 
     #: Denominator floor of the split score: a zero-weight side scores 0.

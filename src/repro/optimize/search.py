@@ -3,9 +3,9 @@
 The inner loop is the incremental what-if engine: a candidate is scored by
 projecting its :class:`~repro.optimize.space.CandidateSpec` onto timing
 patches (:func:`repro.incremental.whatif.patches_for_options`) and re-timing
-the patched baseline netlist — ~an order of magnitude cheaper than the full
-synthesis it stands in for, which is what makes hundreds-of-candidates
-search affordable.
+the baseline netlist on their override columns — ~an order of magnitude
+cheaper than the full synthesis it stands in for, which is what makes
+hundreds-of-candidates search affordable.
 
 Three strategies share one state machine (trajectory log, Pareto front,
 memoized evaluator, budget accounting):
@@ -24,11 +24,11 @@ memoized evaluator, budget accounting):
   with :func:`repro.incremental.evaluate_candidates` directly.
 
 Re-anchoring: every ``reanchor_every`` accepted moves the engine re-derives
-the incumbent's patches, re-times them incrementally *and* from scratch,
-and raises :class:`DriftError` if the two disagree beyond 1e-9 — incremental
-drift can never silently corrupt a search — then runs one real (cached)
-synthesis of the incumbent and logs the ground-truth QoR as an ``anchor``
-trajectory event.
+the incumbent's patches, re-times them incrementally *and* with a full
+analysis of the same override columns, and raises :class:`DriftError` if
+the two disagree beyond 1e-9 — incremental drift can never silently corrupt
+a search — then runs one real (cached) synthesis of the incumbent and logs
+the ground-truth QoR as an ``anchor`` trajectory event.
 """
 
 from __future__ import annotations
@@ -420,15 +420,16 @@ class _SearchState:
         evaluator = self.evaluator
         options = spec.realize(self.ranking, seed=self.config.seed)
         patches = evaluator.patches(options)
-        with evaluator.engine.what_if(patches) as incremental:
-            full = sta_analyze(evaluator.netlist, self.record.clock)
-            drift = max(
-                abs(float(incremental.wns) - float(full.wns)),
-                abs(float(incremental.tns) - float(full.tns)),
-                float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0)),
-            )
-            incremental_wns = float(incremental.wns)
-            incremental_tns = float(incremental.tns)
+        incremental, _ = evaluator.engine.what_if(patches)
+        netlist = evaluator.netlist
+        full = sta_analyze(netlist, self.record.clock, cols=netlist.attribute_columns().overridden(patches))
+        drift = max(
+            abs(float(incremental.wns) - float(full.wns)),
+            abs(float(incremental.tns) - float(full.tns)),
+            float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0)),
+        )
+        incremental_wns = float(incremental.wns)
+        incremental_tns = float(incremental.tns)
         if drift > ANCHOR_TOLERANCE:
             raise DriftError(
                 f"incremental what-if drifted {drift:.3e} from a from-scratch "

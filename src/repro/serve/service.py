@@ -116,7 +116,6 @@ class TimingService:
         self._closed = False
         self._abort = False
         self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
-        self._whatif_mutex = threading.Lock()
         self._record_cache: "OrderedDict[str, DesignRecord]" = OrderedDict()
         self._record_mutex = threading.Lock()
         self.admission = AdmissionController(
@@ -264,15 +263,16 @@ class TimingService:
         """Project candidate synthesis option sets with the incremental engine.
 
         The prediction feeding candidate generation goes through the batched
-        :meth:`predict` path; the incremental what-if sweep itself mutates
-        patch state on the record's baseline netlist, so sweeps are
-        serialized per service.
+        :meth:`predict` path.  The incremental sweep only reads the record's
+        baseline netlist (each candidate re-times on its own override
+        columns), so concurrent sweeps run in parallel, bounded by the
+        ``whatif_concurrency`` admission limit.
         """
         with self.admission.admit("whatif"):
             prediction = None
             if candidates is None:
                 prediction = self.predict(record)
-            with self._whatif_mutex, activate(self.report), self.report.stage(WHATIF_STAGE):
+            with activate(self.report), self.report.stage(WHATIF_STAGE):
                 estimates = self.timer.what_if(
                     record,
                     candidates=candidates,

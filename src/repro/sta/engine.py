@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.sta.constraints import ClockConstraint
-from repro.sta.network import TimingNetwork, VertexKind
+from repro.sta.network import AttributeColumns, TimingNetwork, VertexKind
 
 #: STA kernel backends: ``array`` (level-sweep numpy kernel over the
 #: compiled CSR graph, used everywhere) and ``reference`` (the per-vertex
@@ -172,12 +172,15 @@ def analyze(
     clock: ClockConstraint,
     loads: Optional[np.ndarray] = None,
     kernel: str = "array",
+    cols: Optional[AttributeColumns] = None,
 ) -> STAReport:
     """Run setup STA on ``network`` against ``clock``.
 
     ``kernel`` selects the backend (see :data:`STA_KERNELS`).  Both produce
     bit-identical reports: the array path evaluates the same NLDM recurrence
-    as :func:`propagate_vertex`, one whole level per numpy sweep.
+    as :func:`propagate_vertex`, one whole level per numpy sweep.  ``cols``
+    (array kernel only) stands in for the network's attribute columns, e.g. a
+    what-if candidate's :meth:`~repro.sta.network.AttributeColumns.overridden`.
     """
     n = len(network)
     arrivals = np.zeros(n)
@@ -185,11 +188,14 @@ def analyze(
 
     if check_kernel(kernel) == "array":
         compiled = network.compiled()
-        cols = network.attribute_columns()
+        if cols is None:
+            cols = network.attribute_columns()
         if loads is None:
             loads = compiled.compute_loads(network, cols)
         compiled.sweep_all(cols, clock, arrivals, slews, loads)
     else:
+        if cols is not None:
+            raise ValueError("override columns are read by the array kernel only")
         if loads is None:
             loads = compute_loads(network)
         for vertex_id in network.topological_order():

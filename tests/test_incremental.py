@@ -2,7 +2,8 @@
 
 The load-bearing property: after any supported patch sequence, the
 re-timed report of :class:`IncrementalSTA` must match a full
-``sta.engine.analyze`` re-run of the patched network to 1e-9 on arrivals,
+``sta.engine.analyze`` run of a copy of the network edited by the same
+patches through its writers (``edited_copy``) to 1e-9 on arrivals,
 slews, loads and endpoint slacks (in practice they agree bit for bit), and
 its array kernel must report the same footprint stats as the reference
 dirty-cone worklist.
@@ -11,6 +12,7 @@ dirty-cone worklist.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import random
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.incremental.whatif import (
     patches_for_options,
 )
 from repro.core.optimize import generate_candidates, ranking_from_labels
+from repro.fuzz.oracles import edited_copy
 from repro.runtime import activate
 from repro.runtime.report import RuntimeReport
 from repro.sta.constraints import ClockConstraint
@@ -58,7 +61,7 @@ def _random_patches(network, rng, count):
 
 
 def _network_state(network):
-    """Full observable state of a netlist, for revert checks."""
+    """Full observable state of a netlist, for no-edit checks."""
     return (
         [(v.cell.name if v.cell else None, v.derate, v.extra_load, tuple(v.fanins))
          for v in network.vertices],
@@ -66,8 +69,19 @@ def _network_state(network):
     )
 
 
-def _assert_matches_full(incremental, network, clock):
-    full = analyze(network, clock)
+def _columns_snapshot(network):
+    """``network.columns()`` as plain copies, so an in-place write would show."""
+    columns = network.columns()
+    values = {field.name: getattr(columns, field.name) for field in dataclasses.fields(columns)}
+    return {
+        name: value.tolist() if isinstance(value, np.ndarray) else list(value)
+        for name, value in values.items()
+    }
+
+
+def _assert_matches_full(incremental, network, clock, patches=()):
+    """``incremental`` equals a full analysis of ``network`` edited by ``patches``."""
+    full = analyze(edited_copy(network, patches), clock)
     np.testing.assert_allclose(incremental.arrivals, full.arrivals, atol=TOLERANCE, rtol=0)
     np.testing.assert_allclose(incremental.slews, full.slews, atol=TOLERANCE, rtol=0)
     np.testing.assert_allclose(incremental.loads, full.loads, atol=TOLERANCE, rtol=0)
@@ -84,10 +98,11 @@ def _assert_fails_cleanly(network, engine, patches, match):
     """``what_if(patches)`` raises, and the network and baseline report are unchanged."""
     baseline = engine.report()
     before = _network_state(network)
+    columns = _columns_snapshot(network)
     with pytest.raises(ValueError, match=match):
-        with engine.what_if(patches):
-            pass
+        engine.what_if(patches)
     assert _network_state(network) == before
+    assert _columns_snapshot(network) == columns
     assert engine.report() is baseline
 
 
@@ -101,9 +116,9 @@ class TestWhatIfEquivalence:
         for _ in range(25):
             patches = _random_patches(network, rng, rng.randint(1, 12))
             before = _network_state(network)
-            with engine.what_if(patches) as report:
-                _assert_matches_full(report, network, record.clock)
-            assert _network_state(network) == before  # patches fully reverted
+            report, _ = engine.what_if(patches)
+            _assert_matches_full(report, network, record.clock, patches)
+            assert _network_state(network) == before  # the network is never edited
 
     def test_pseudo_bog_network_patches_match_full(self, tiny_records):
         """The engine serves BOG pseudo netlists, not just mapped netlists:
@@ -124,8 +139,8 @@ class TestWhatIfEquivalence:
                     patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
                 else:
                     patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
-            with engine.what_if(patches) as report:
-                _assert_matches_full(report, network, clock)
+            report, _ = engine.what_if(patches)
+            _assert_matches_full(report, network, clock, patches)
 
     def test_what_if_keeps_committed_report(self, tiny_records):
         record = tiny_records[1]
@@ -133,8 +148,7 @@ class TestWhatIfEquivalence:
         engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
         baseline = engine.report()
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        with engine.what_if([SetDerate(gate, 0.5)]):
-            pass
+        engine.what_if([SetDerate(gate, 0.5)])
         assert engine.report() is baseline
         _assert_matches_full(engine.report(), network, record.clock)
 
@@ -148,16 +162,15 @@ class TestWhatIfEquivalence:
         rng = random.Random(21)
         for _ in range(12):
             patches = _random_patches(network, rng, rng.randint(1, 8))
-            reports = []
-            for engine in (array, reference):
-                with engine.what_if(patches) as report:
-                    reports.append(report)
+            results = [engine.what_if(patches) for engine in (array, reference)]
+            reports = [report for report, _ in results]
+            array_stats, reference_stats = (stats for _, stats in results)
             for name in ("arrivals", "slews", "loads"):
                 assert np.array_equal(getattr(reports[0], name), getattr(reports[1], name))
             assert [e.slack for e in reports[0].endpoints] == [e.slack for e in reports[1].endpoints]
             assert (reports[0].wns, reports[0].tns) == (reports[1].wns, reports[1].tns)
-            assert array.last_stats == reference.last_stats
-            assert 0 < array.last_stats.n_recomputed <= len(network)
+            assert array_stats == reference_stats
+            assert 0 < array_stats.n_recomputed <= len(network)
 
 
 class TestEngineBehaviour:
@@ -171,28 +184,25 @@ class TestEngineBehaviour:
             (v.id for v in network.vertices if network.vertices[v.id].kind is VertexKind.GATE),
             key=lambda v: position[v],
         )
-        with engine.what_if([SetDerate(late_gate, 0.5)]):
-            pass
-        stats = engine.last_stats
+        _, stats = engine.what_if([SetDerate(late_gate, 0.5)])
         assert stats is not None
         assert 0 < stats.n_recomputed < len(network.vertices)
         assert stats.cone_fraction < 1.0
 
     def test_empty_what_if_is_the_baseline(self, tiny_records):
-        """``what_if([])`` yields the engine's own baseline report: no
+        """``what_if([])`` returns the engine's own baseline report: no
         re-timing, no stats and no ``incremental_*`` counter moves."""
         record = tiny_records[0]
         network = record.synthesis.netlist
         engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        with engine.what_if([SetDerate(gate, 0.5)]):
-            pass
-        assert engine.last_stats is not None
+        _, stats = engine.what_if([SetDerate(gate, 0.5)])
+        assert stats is not None
         report = RuntimeReport()
         with activate(report):
-            with engine.what_if([]) as projected:
-                assert projected is engine.report()
-        assert engine.last_stats is None
+            projected, stats = engine.what_if([])
+            assert projected is engine.report()
+        assert stats is None
         assert not [name for name in report.counters if name.startswith("incremental_")]
         assert "incremental.propagate" not in report.stages
 
@@ -218,11 +228,30 @@ class TestEngineBehaviour:
         vertex = next(v for v in network.vertices if v.cell is None)
         any_cell = next(v.cell for v in network.vertices if v.cell is not None)
         with pytest.raises(ValueError, match="no cell"):
-            SwapCell(vertex.id, any_cell).apply(network)
+            network.attribute_columns().overridden([SwapCell(vertex.id, any_cell)])
+
+    def test_override_columns_stack_in_patch_order(self, tiny_records):
+        """Patches write a copy in order (a second load adds onto the first);
+        the network's own view is untouched and refuses a cell write."""
+        network = tiny_records[0].synthesis.netlist
+        gate = next(v for v in network.vertices if v.kind is VertexKind.GATE)
+        own = network.attribute_columns()
+        base = float(own.extra_load[gate.id])
+        cols = own.overridden(
+            [AddExtraLoad(gate.id, 1.5), SetDerate(gate.id, 0.5), AddExtraLoad(gate.id, 0.25)]
+        )
+        assert cols.extra_load[gate.id] == (base + 1.5) + 0.25
+        assert cols.derate[gate.id] == 0.5
+        assert own.extra_load[gate.id] == base and own.derate[gate.id] == gate.derate
+        with pytest.raises(ValueError, match="writers"):
+            SwapCell(gate.id, gate.cell).write(own)
 
 
 class TestFailedWhatIfReverts:
-    """A patch set that fails in ``what_if`` leaves the network and report as they were."""
+    """A patch set that fails in ``what_if`` leaves the network and report as they were.
+
+    Nothing needs reverting: a what-if writes override columns, never the network.
+    """
 
     def _engine(self, record):
         network = copy.deepcopy(record.synthesis.netlist)
@@ -273,9 +302,11 @@ class TestWhatIfProjection:
         ranked = ranking_from_labels(record)
         candidates = generate_candidates(ranked, k=6)
         before = _network_state(record.synthesis.netlist)
+        columns = _columns_snapshot(record.synthesis.netlist)
         first = evaluate_candidates(record, candidates)
         second = evaluate_candidates(record, candidates)
         assert _network_state(record.synthesis.netlist) == before
+        assert _columns_snapshot(record.synthesis.netlist) == columns
         assert [(e.wns, e.tns, e.n_patches) for e in first] == [
             (e.wns, e.tns, e.n_patches) for e in second
         ]

@@ -481,6 +481,19 @@ class TestPackedForest:
         assert isinstance(model.forest_, PackedForest)
         assert set(model.to_state()["fitted"]) == {"base_score", "trees", "train_losses"}
 
+    def test_boosted_trees_drop_their_training_predictions(self, regression_data):
+        """Each round reads its tree's training predictions once; a fitted
+        booster or ranker keeps none of them (they would ride in every pickle)."""
+        X, y = regression_data
+        models = [
+            GradientBoostingRegressor(n_estimators=5).fit(X, y),
+            GradientBoostingRegressor(n_estimators=5, subsample=0.7, seed=3).fit(X, y),
+            LambdaMARTRanker(n_estimators=5).fit(X[:100], (y[:100] > 0).astype(int)),
+        ]
+        for model in models:
+            assert len(model.trees_) == 5
+            assert not any(hasattr(tree, "training_predictions_") for tree in model.trees_)
+
     def test_zero_rows(self, regression_data):
         X, y = regression_data
         model = GradientBoostingRegressor(n_estimators=5).fit(X, y)

@@ -147,6 +147,35 @@ def test_whatif_through_service(served_timer, tiny_records, service):
     assert service.report.stages["serve.whatif"] > 0.0
 
 
+def test_concurrent_whatifs_on_one_record_match_serial(served_timer, tiny_records):
+    """/whatif takes no lock: four sweeps of one record at once equal one serial sweep."""
+    service = TimingService(served_timer, ServeConfig(max_batch=4, whatif_concurrency=4))
+    record = tiny_records[4]
+    try:
+        serial = [(e.wns, e.tns, e.n_patches, e.stats) for e in service.what_if(record, k=8)]
+        start = threading.Barrier(4)
+        results, errors = [None] * 4, []
+
+        def run(index):
+            try:
+                start.wait()
+                results[index] = [
+                    (e.wns, e.tns, e.n_patches, e.stats) for e in service.what_if(record, k=8)
+                ]
+            except BaseException as exc:  # surfaced below as a test failure
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        service.close()
+    assert not errors
+    assert results == [serial] * 4
+
+
 def test_runtime_report_has_serve_stages(served_timer, tiny_records, service):
     service.predict(tiny_records[0])
     service.predict(tiny_records[1])
