@@ -73,7 +73,7 @@ from repro.hdl.design import Design
 from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
 from repro.incremental.patches import AddExtraLoad, SetDerate, SwapCell, TimingPatch
-from repro.incremental.whatif import patches_for_options
+from repro.incremental.whatif import whatif_plan
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
 from repro.optimize.artifact import canonical_payload
@@ -507,9 +507,9 @@ def optimize_search(ctx: FuzzContext, rng: random.Random) -> List[str]:
             continue
         spec = CandidateSpec.from_dict(entry.spec)
         options = spec.realize(ranking, seed=config.seed)
-        patches = patches_for_options(netlist, baseline_report, options)
-        engine = IncrementalSTA(netlist, record.clock, baseline=baseline_report)
-        incremental, _ = engine.what_if(patches)
+        plan = whatif_plan(netlist, record.clock, baseline_report)
+        patches = plan.project(options)
+        incremental, _ = plan.engine.what_if(patches)
         full = sta_analyze(edited_copy(netlist, patches), record.clock)
         worst = float(np.max(np.abs(incremental.arrivals - full.arrivals), initial=0.0))
         worst = max(worst, abs(incremental.wns - full.wns), abs(incremental.tns - full.tns))

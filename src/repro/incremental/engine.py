@@ -1,15 +1,20 @@
 """Incremental what-if static timing analysis.
 
 :class:`IncrementalSTA` re-times a :class:`~repro.sta.network.TimingNetwork`
-on the *override columns* of :mod:`repro.incremental.patches` patch objects
-(:meth:`~repro.sta.network.AttributeColumns.overridden`), against the
-network's baseline :class:`~repro.sta.engine.STAReport`.
+on a candidate's *override columns*, against the network's baseline
+:class:`~repro.sta.engine.STAReport`.  A candidate is a
+:class:`~repro.incremental.patches.PatchPlan` (the projection's arrays,
+scattered into copies of the baseline columns) or any sequence of
+:mod:`repro.incremental.patches` patch objects (written in order into an
+:meth:`~repro.sta.network.AttributeColumns.overridden` copy).
 
 The ``array`` kernel re-times a candidate with one whole-graph pass
 (:meth:`~repro.sta.csr.CSRTimingGraph.compute_loads` plus the cached level
-sweep, i.e. :func:`~repro.sta.engine.analyze`): what-if patch sets reach
-about half to four fifths of a label netlist, and there one vectorized sweep
-costs less than re-sweeping the dirty slices level by level.  Its
+sweep): what-if patch sets reach about half to four fifths of a label
+netlist, and there one vectorized sweep costs less than re-sweeping the
+dirty slices level by level.  Its report is a
+:class:`~repro.sta.engine.SlackReport`: WNS and TNS come from the endpoint
+slack array, and endpoint objects are built only if read.  Its
 :class:`PropagationStats` are the patch set's timing footprint, derived from
 what changed: the seeds plus the consumers of every vertex whose arrival or
 slew differs from the baseline, exactly the set the ``reference`` kernel's
@@ -31,21 +36,23 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.faults import fault_active
-from repro.incremental.patches import TimingPatch
+from repro.incremental.patches import Patches, PatchPlan, patched_vertices
 from repro.runtime import report as report_mod
 from repro.sta.constraints import ClockConstraint
-from repro.sta.csr import gather_edges
 from repro.sta.engine import (
+    SlackReport,
     STAReport,
     analyze,
     check_kernel,
     endpoint_timing,
     propagate_vertex,
+    summarize_slack_array,
     summarize_slacks,
 )
 from repro.sta.network import AttributeColumns, TimingNetwork
@@ -91,8 +98,20 @@ class IncrementalSTA:
         self._report = (
             baseline if baseline is not None else analyze(network, clock, kernel=kernel)
         )
-        self._endpoint_caps_cache: Optional[Dict[int, List[float]]] = None
-        self._endpoint_drivers_cache: Optional[np.ndarray] = None
+        # Structure the engine's frozen network keeps for its lifetime
+        # (patches never change it; a size change is rejected): the consumer
+        # of each fanin edge, and each endpoint's driver, pin cap and
+        # required time, in endpoint order.
+        compiled = network.compiled()
+        self._fanin_owner = np.repeat(
+            np.arange(compiled.n), np.diff(compiled.fanin_indptr).astype(np.int64)
+        )
+        self._endpoint_pins = network.endpoint_pins()
+        self._required = np.fromiter(
+            (clock.required_time(e.setup_time) for e in network.endpoints),
+            dtype=np.float64,
+            count=len(network.endpoints),
+        )
 
     # -- public API ----------------------------------------------------------
 
@@ -100,17 +119,18 @@ class IncrementalSTA:
         """The baseline report (every what-if leaves it unchanged)."""
         return self._report
 
-    def what_if(self, patches: Sequence[TimingPatch]) -> Tuple[STAReport, Optional[PropagationStats]]:
+    def what_if(self, patches: Patches) -> Tuple[STAReport, Optional[PropagationStats]]:
         """Re-time the network as ``patches`` would leave it: ``(report, stats)``.
 
-        The patches write override columns, never the network, so the
-        network and :meth:`report` are unchanged afterwards, also when a
-        patch raises.  The report describes the hypothetical network.  An
-        empty patch set is the baseline: it returns :meth:`report` itself
-        and ``None`` stats, re-times nothing and moves no ``incremental_*``
-        counter.
+        ``patches`` is a :class:`~repro.incremental.patches.PatchPlan` or a
+        sequence of patch objects.  They write override columns, never the
+        network, so the network and :meth:`report` are unchanged afterwards,
+        also when a patch raises.  The report describes the hypothetical
+        network.  An empty patch set is the baseline: it returns
+        :meth:`report` itself and ``None`` stats, re-times nothing and moves
+        no ``incremental_*`` counter.
         """
-        if not patches:
+        if not len(patches):
             return self._report, None
         network = self.network
         n = len(network)
@@ -121,19 +141,18 @@ class IncrementalSTA:
             )
 
         with report_mod.stage("incremental.propagate"):
-            cols = network.attribute_columns().overridden(patches)
-            dirty_delay: Set[int] = set()
-            dirty_load: Set[int] = set()
-            for patch in patches:
-                dirty_delay.update(patch.dirty_delay_vertices(network))
-                dirty_load.update(patch.dirty_load_vertices(network))
-            seeds = dirty_delay | dirty_load
+            base = network.attribute_columns()
+            if isinstance(patches, PatchPlan):
+                cols = patches.columns(base)
+            else:
+                cols = base.overridden(patches)
+            seeds, dirty_load = self._footprint(*patched_vertices(patches))
             retime = self._retime_array if self.kernel == "array" else self._retime_reference
             report, recomputed, updated = retime(cols, seeds, dirty_load)
 
         stats = PropagationStats(
             n_patches=len(patches),
-            n_dirty_seeds=len(seeds),
+            n_dirty_seeds=int(np.count_nonzero(seeds)),
             n_recomputed=recomputed,
             n_vertices=n,
             n_endpoints_updated=updated,
@@ -145,37 +164,40 @@ class IncrementalSTA:
 
     # -- internals -----------------------------------------------------------
 
-    def _endpoint_caps(self) -> Dict[int, List[float]]:
-        """Per-driver endpoint pin capacitances, in endpoint-list order.
+    def _footprint(self, touched: np.ndarray, swapped: np.ndarray, loaded: np.ndarray):
+        """``(seeds, load-dirty)`` vertex masks of a patch set (``patched_vertices``).
 
-        Cached for the engine's lifetime: patches never add, remove or
-        re-drive endpoints (size changes are rejected).
+        Every patched vertex is delay-dirty; a swapped cell's fanins (one
+        pass over the fanin edges) and a loaded net's driver are load-dirty;
+        the seeds are both.
         """
-        if self._endpoint_caps_cache is None:
-            caps: Dict[int, List[float]] = {}
-            for endpoint in self.network.endpoints:
-                caps.setdefault(endpoint.driver, []).append(endpoint.pin_capacitance)
-            self._endpoint_caps_cache = caps
-        return self._endpoint_caps_cache
+        compiled = self.network.compiled()
+        is_swapped = np.zeros(compiled.n, dtype=bool)
+        is_swapped[swapped] = True
+        dirty_load = np.zeros(compiled.n, dtype=bool)
+        dirty_load[compiled.fanin_indices[is_swapped[self._fanin_owner]]] = True
+        dirty_load[loaded] = True
+        seeds = dirty_load.copy()
+        seeds[touched] = True
+        return seeds, dirty_load
 
-    def _endpoint_drivers(self) -> np.ndarray:
-        """Driver vertex of every endpoint, in endpoint-list order (cached like the caps)."""
-        if self._endpoint_drivers_cache is None:
-            endpoints = self.network.endpoints
-            self._endpoint_drivers_cache = np.fromiter(
-                (e.driver for e in endpoints), dtype=np.int64, count=len(endpoints)
-            )
-        return self._endpoint_drivers_cache
+    @cached_property
+    def _endpoint_caps(self) -> Dict[int, List[float]]:
+        """Per-driver endpoint pin capacitances, in endpoint order (the reference kernel's)."""
+        caps: Dict[int, List[float]] = {}
+        for driver, cap in zip(*(pins.tolist() for pins in self._endpoint_pins)):
+            caps.setdefault(driver, []).append(cap)
+        return caps
 
     def _recompute_loads(
-        self, vertices: Set[int], fanouts: List[List[int]], cols: AttributeColumns, loads
+        self, vertices: List[int], fanouts: List[List[int]], cols: AttributeColumns, loads
     ) -> None:
         """Recompute the output load of ``vertices``, summed in :func:`compute_loads` order.
 
         A consumer without a cell adds an input cap of 0.0, an exact no-op.
         """
         input_cap = cols.param("input_cap")
-        endpoint_caps = self._endpoint_caps()
+        endpoint_caps = self._endpoint_caps
         for vertex_id in vertices:
             total = 0.0
             for consumer_id in fanouts[vertex_id]:
@@ -184,7 +206,7 @@ class IncrementalSTA:
                 total += cap
             loads[vertex_id] = total + cols.extra_load[vertex_id]
 
-    def _retime_array(self, cols: AttributeColumns, seeds: Set[int], dirty_load: Set[int]):
+    def _retime_array(self, cols: AttributeColumns, seeds: np.ndarray, dirty_load: np.ndarray):
         """Whole-graph array re-analysis; returns ``(report, recomputed, updated)``.
 
         With a consistent baseline, a vertex outside the worklist's visit set
@@ -192,20 +214,26 @@ class IncrementalSTA:
         baseline are the ones the worklist saw change.
         """
         network = self.network
+        clock = self.clock
         base = self._report
         compiled = network.compiled()
-        loads = compiled.compute_loads(network, cols)
+        loads = compiled.compute_loads(cols, self._endpoint_pins)
         _drop_wire_load(dirty_load, cols, loads)
-        report = analyze(network, self.clock, loads=loads, cols=cols)
-        changed = (report.arrivals != base.arrivals) | (report.slews != base.slews)
-        positions, _ = gather_edges(compiled.fanout_indptr, np.flatnonzero(changed))
-        visited = np.zeros(len(network), dtype=bool)
-        visited[np.fromiter(seeds, dtype=np.int64, count=len(seeds))] = True
-        visited[compiled.fanout_indices[positions]] = True
-        updated = int(np.count_nonzero(changed[self._endpoint_drivers()]))
+        arrivals = np.zeros(compiled.n)
+        slews = np.full(compiled.n, clock.input_slew)
+        compiled.sweep_all(cols, clock, arrivals, slews, loads)
+        drivers = self._endpoint_pins[0]
+        wns, tns = summarize_slack_array(self._required - arrivals[drivers])
+        report = SlackReport(
+            network.name, clock, network.endpoints, arrivals, slews, loads, wns, tns
+        )
+        changed = (arrivals != base.arrivals) | (slews != base.slews)
+        visited = seeds.copy()
+        visited[self._fanin_owner[changed[compiled.fanin_indices]]] = True
+        updated = int(np.count_nonzero(changed[drivers]))
         return report, int(np.count_nonzero(visited)), updated
 
-    def _retime_reference(self, cols: AttributeColumns, seeds: Set[int], dirty_load: Set[int]):
+    def _retime_reference(self, cols: AttributeColumns, seeds: np.ndarray, dirty_load: np.ndarray):
         """Per-vertex dirty-cone worklist; returns ``(report, recomputed, updated)``."""
         network = self.network
         base = self._report
@@ -215,12 +243,12 @@ class IncrementalSTA:
         arrivals = base.arrivals.copy()
         slews = base.slews.copy()
         loads = base.loads.copy()
-        self._recompute_loads(dirty_load, fanouts, cols, loads)
+        self._recompute_loads(np.flatnonzero(dirty_load).tolist(), fanouts, cols, loads)
         _drop_wire_load(dirty_load, cols, loads)
 
-        heap = [(int(position[v]), v) for v in seeds]
+        heap = [(int(position[v]), v) for v in np.flatnonzero(seeds).tolist()]
         heapq.heapify(heap)
-        queued: Set[int] = set(seeds)
+        queued: Set[int] = {v for _, v in heap}
         changed_drivers: Set[int] = set()
         recomputed = 0
         while heap:
@@ -264,12 +292,12 @@ class IncrementalSTA:
         return report, recomputed, updated
 
 
-def _drop_wire_load(dirty_load: Set[int], cols: AttributeColumns, loads: np.ndarray) -> None:
+def _drop_wire_load(dirty_load: np.ndarray, cols: AttributeColumns, loads: np.ndarray) -> None:
     """Debug fault point: drop the wire-load term of the load-dirty vertices.
 
     The re-timed loads then disagree with :func:`compute_loads`, which the
     fuzz campaign's incremental-vs-full oracle must catch (see repro.faults).
     """
-    if dirty_load and fault_active("incremental.extra_load"):
-        ids = np.fromiter(dirty_load, dtype=np.int64, count=len(dirty_load))
+    if dirty_load.any() and fault_active("incremental.extra_load"):
+        ids = np.flatnonzero(dirty_load)
         loads[ids] -= cols.extra_load[ids]

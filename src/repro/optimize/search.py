@@ -2,7 +2,7 @@
 
 The inner loop is the incremental what-if engine: a candidate is scored by
 projecting its :class:`~repro.optimize.space.CandidateSpec` onto timing
-patches (:func:`repro.incremental.whatif.patches_for_options`) and re-timing
+patches (:meth:`repro.incremental.whatif.WhatIfPlan.project`) and re-timing
 the baseline netlist on their override columns — ~an order of magnitude
 cheaper than the full synthesis it stands in for, which is what makes
 hundreds-of-candidates search affordable.
@@ -41,13 +41,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.incremental.engine import IncrementalSTA
-from repro.incremental.patches import SwapCell, TimingPatch
-from repro.incremental.whatif import (
-    critical_path_table,
-    estimate_candidate,
-    patches_for_options,
-)
+from repro.incremental.patches import PatchPlan
+from repro.incremental.whatif import estimate_candidate, record_plan
 from repro.optimize.pareto import (
     ParetoFront,
     ParetoPoint,
@@ -232,32 +227,28 @@ class IncrementalEvaluator:
     baseline netlist (never rebased onto an accepted candidate), so any
     logged score can later be verified by re-deriving the patches and
     re-analyzing from scratch — that is exactly what re-anchoring and the
-    ``optimize_search`` fuzz oracle do.
+    ``optimize_search`` fuzz oracle do.  The engine and the path table are
+    the record's :class:`~repro.incremental.whatif.WhatIfPlan`, the one a
+    ``/whatif`` on the same record reads.
     """
 
     def __init__(self, record) -> None:
         self.record = record
         self.netlist = record.synthesis.netlist
         self.baseline_report = record.synthesis.report
-        self.engine = IncrementalSTA(self.netlist, record.clock, baseline=self.baseline_report)
-        self.paths = critical_path_table(self.netlist, self.baseline_report)
+        self.plan = record_plan(record)
+        self.engine = self.plan.engine
         self.base_area = float(record.synthesis.qor.area)
         self.memo: Dict[str, ScoredCandidate] = {}
         self.evals = 0
         self.memo_hits = 0
 
-    def patches(self, options: SynthesisOptions) -> List[TimingPatch]:
-        return patches_for_options(self.netlist, self.baseline_report, options, self.paths)
+    def patches(self, options: SynthesisOptions) -> PatchPlan:
+        return self.plan.project(options)
 
-    def area_of(self, patches: Sequence[TimingPatch]) -> float:
-        """Exact area of the patched netlist: cell swaps carry their own
-        area deltas; derates and extra loads are area-neutral."""
-        delta = 0.0
-        for patch in patches:
-            if isinstance(patch, SwapCell):
-                current = self.netlist.cell_of(patch.vertex)
-                delta += float(patch.cell.area) - float(current.area)
-        return self.base_area + delta
+    def area_of(self, patches: PatchPlan) -> float:
+        """Exact area of the patched netlist (:meth:`~repro.incremental.whatif.WhatIfPlan.area_delta`)."""
+        return self.base_area + self.plan.area_delta(patches)
 
     def score(self, options: SynthesisOptions, key: Optional[str] = None):
         """Memoized incremental score.  Returns ``(scored, memo_hit)``;

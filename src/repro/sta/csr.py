@@ -38,7 +38,7 @@ from repro.faults import fault_active
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network imports this module)
     from repro.sta.constraints import ClockConstraint
-    from repro.sta.network import AttributeColumns, TimingNetwork
+    from repro.sta.network import AttributeColumns
 
 #: Integer codes of :class:`~repro.sta.network.VertexKind`, in declaration order.
 KIND_CONST = 0
@@ -301,11 +301,15 @@ class CSRTimingGraph:
 
     # -- kernels -------------------------------------------------------------
 
-    def compute_loads(self, network: "TimingNetwork", cols: "AttributeColumns") -> np.ndarray:
+    def compute_loads(
+        self, cols: "AttributeColumns", endpoint_pins: Tuple[np.ndarray, np.ndarray]
+    ) -> np.ndarray:
         """Vectorized output loads, bit-identical to ``engine.compute_loads``.
 
-        ``np.add.at`` is unbuffered and applies the additions in index order,
-        so each vertex's load accumulates its terms in exactly the reference
+        ``endpoint_pins`` is the network's ``(drivers, pin caps)`` per
+        endpoint (``TimingNetwork.endpoint_pins``).  ``np.add.at`` is
+        unbuffered and applies the additions in index order, so each
+        vertex's load accumulates its terms in exactly the reference
         sequence: consumer pin caps in (consumer id, fanin position) order,
         then endpoint pin caps in endpoint-list order, then the wire load.
         Vertices without a cell contribute a 0.0 pin cap, which is an exact
@@ -317,12 +321,8 @@ class CSRTimingGraph:
                 cols.param("input_cap"), np.diff(self.fanin_indptr).astype(np.int64)
             )
             np.add.at(loads, self.fanin_indices, pin_caps)
-        endpoints = network.endpoints
-        if endpoints:
-            drivers = np.fromiter((e.driver for e in endpoints), dtype=np.int64, count=len(endpoints))
-            caps = np.fromiter(
-                (e.pin_capacitance for e in endpoints), dtype=np.float64, count=len(endpoints)
-            )
+        drivers, caps = endpoint_pins
+        if drivers.size:
             np.add.at(loads, drivers, caps)
         loads += cols.extra_load
         return loads

@@ -96,6 +96,43 @@ class STAReport:
         }
 
 
+class SlackReport(STAReport):
+    """An :class:`STAReport` whose endpoint timings are built on first read.
+
+    A what-if candidate's report: WNS and TNS come from an endpoint slack
+    array, and the :class:`EndpointTiming` objects of the network's
+    ``timing_endpoints`` are built from the arrivals only if someone reads
+    :attr:`endpoints` (or looks one up by name).
+    """
+
+    def __init__(self, design: str, clock: ClockConstraint, timing_endpoints, arrivals, slews, loads, wns, tns):
+        self.design = design
+        self.clock = clock
+        self.arrivals = arrivals
+        self.slews = slews
+        self.loads = loads
+        self.wns = wns
+        self.tns = tns
+        self._timing_endpoints = timing_endpoints
+        self._built: Optional[List[EndpointTiming]] = None
+        self._names: Optional[Dict[str, EndpointTiming]] = None
+
+    @property
+    def endpoints(self) -> List[EndpointTiming]:
+        if self._built is None:
+            self._built = [
+                endpoint_timing(endpoint, self.clock, self.arrivals)
+                for endpoint in self._timing_endpoints
+            ]
+        return self._built
+
+    @property
+    def _by_name(self) -> Dict[str, EndpointTiming]:
+        if self._names is None:
+            self._names = {e.name: e for e in self.endpoints}
+        return self._names
+
+
 def compute_loads(network: TimingNetwork) -> np.ndarray:
     """Output load of every vertex: fanin pin caps of consumers plus wire load.
 
@@ -159,12 +196,30 @@ def endpoint_timing(endpoint, clock: ClockConstraint, arrivals) -> EndpointTimin
     )
 
 
+def ordered_sum(values) -> float:
+    """The float sum of ``values`` added one by one, left to right, from 0.0.
+
+    Builtin ``sum`` of floats is compensated from Python 3.12 on and
+    ``np.sum`` is pairwise, so neither gives the same float as a plain loop
+    on every interpreter; ``np.cumsum`` adds strictly in order.  The
+    ``0.0 +`` makes an all ``-0.0`` sum ``0.0``, as a loop from 0.0 has it.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    return float(0.0 + np.cumsum(values)[-1]) if values.size else 0.0
+
+
+def summarize_slack_array(slacks: np.ndarray) -> tuple:
+    """(WNS, TNS) over endpoint slacks in endpoint order; TNS is an :func:`ordered_sum`."""
+    negative = slacks[slacks < 0.0]
+    if not negative.size:
+        return 0.0, 0.0
+    return float(negative.min()), ordered_sum(negative)
+
+
 def summarize_slacks(endpoints: Sequence[EndpointTiming]) -> tuple:
     """(WNS, TNS) over a list of endpoint timings."""
-    negative = [e.slack for e in endpoints if e.slack < 0.0]
-    wns = float(min(negative)) if negative else 0.0
-    tns = float(sum(negative)) if negative else 0.0
-    return wns, tns
+    slacks = np.fromiter((e.slack for e in endpoints), dtype=np.float64, count=len(endpoints))
+    return summarize_slack_array(slacks)
 
 
 def analyze(
@@ -191,7 +246,7 @@ def analyze(
         if cols is None:
             cols = network.attribute_columns()
         if loads is None:
-            loads = compiled.compute_loads(network, cols)
+            loads = compiled.compute_loads(cols, network.endpoint_pins())
         compiled.sweep_all(cols, clock, arrivals, slews, loads)
     else:
         if cols is not None:

@@ -113,17 +113,23 @@ class NetworkColumns:
     names: List[Optional[str]]
 
 
+def cell_table_column(cells: Sequence[Optional[Cell]], name: str) -> np.ndarray:
+    """Cell parameter ``name`` of every row of a cell table (0.0 at row 0, no cell)."""
+    return np.array([0.0] + [getattr(cell, name) for cell in cells[1:]], dtype=np.float64)
+
+
 class AttributeColumns:
     """A view of a network's per-vertex attribute columns, as the kernels read them.
 
     Cells are a small table of distinct cells plus a per-vertex row index
     (row 0 = no cell, all parameters zero).  The view shares the network's
-    arrays (:meth:`overridden` copies them); its per-vertex parameter columns
-    are derived on first use and live as long as the view, so take a new
-    view after an edit.
+    arrays (:meth:`overridden` copies them); its per-row parameter tables
+    (``tables``, which views over the same cell table may share) and its
+    per-vertex parameter columns are derived on first use and live as long
+    as the view, so take a new view after an edit.
     """
 
-    __slots__ = ("cells", "cell_row", "derate", "extra_load", "_params", "_rows")
+    __slots__ = ("cells", "cell_row", "derate", "extra_load", "_params", "_rows", "_tables")
 
     def __init__(
         self,
@@ -131,6 +137,7 @@ class AttributeColumns:
         cell_row: np.ndarray,
         derate: np.ndarray,
         extra_load: np.ndarray,
+        tables: Optional[Dict[str, np.ndarray]] = None,
     ):
         #: The distinct cells, indexed by ``cell_row`` (row 0 is ``None``).
         self.cells = cells
@@ -139,15 +146,20 @@ class AttributeColumns:
         self.extra_load = extra_load
         self._params: Dict[str, np.ndarray] = {}
         self._rows: Optional[Dict[int, int]] = None  # id(cell) -> row, in an overridden copy only
+        self._tables: Dict[str, np.ndarray] = {} if tables is None else tables
+
+    def table(self, name: str) -> np.ndarray:
+        """Cell parameter ``name`` per cell-table row (:func:`cell_table_column`)."""
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = cell_table_column(self.cells, name)
+        return table
 
     def param(self, name: str) -> np.ndarray:
         """Per-vertex cell parameter column (0.0 where the vertex has no cell)."""
         column = self._params.get(name)
         if column is None:
-            table = np.array(
-                [0.0] + [getattr(cell, name) for cell in self.cells[1:]], dtype=np.float64
-            )
-            column = self._params[name] = table[self.cell_row]
+            column = self._params[name] = self.table(name)[self.cell_row]
         return column
 
     def has_cell(self) -> np.ndarray:
@@ -173,6 +185,7 @@ class AttributeColumns:
         if row is None:
             row = self._rows[id(cell)] = len(self.cells)
             self.cells.append(cell)
+            self._tables.clear()  # derived from the shorter cell list
         self.cell_row[vertex] = row
         self._params.clear()
 
@@ -206,6 +219,9 @@ class TimingNetwork:
         self._fanouts: Optional[List[List[int]]] = None
         self._topo: Optional[List[int]] = None
         self._csr: Optional[CSRTimingGraph] = None
+        #: The what-if plan of this network as a frozen baseline
+        #: (:func:`repro.incremental.whatif.whatif_plan`); every writer drops it.
+        self._whatif_plan = None
 
     def __getstate__(self) -> dict:
         # Pickles carry the columns and the public attributes (a subclass's
@@ -323,24 +339,25 @@ class TimingNetwork:
 
     def add_endpoint(self, endpoint: TimingEndpoint) -> None:
         self.endpoints.append(endpoint)
+        self._whatif_plan = None
 
     def set_cell(self, vertex: int, cell: Optional[Cell]) -> None:
         """Make ``cell`` implement ``vertex``."""
         self._freeze()
         self._cell_row[vertex] = self._row_of(cell)
-        self._vertices = None
+        self._values_edited()
 
     def set_derate(self, vertex, derate) -> None:
         """Set the delay derate of ``vertex`` (an id, or an index such as an id array)."""
         self._freeze()
         self._derate[vertex] = derate
-        self._vertices = None
+        self._values_edited()
 
     def set_extra_load(self, vertex, extra_load) -> None:
         """Set the wire load (fF) on the net of ``vertex`` (an id, or an index such as an id array)."""
         self._freeze()
         self._extra_load[vertex] = extra_load
-        self._vertices = None
+        self._values_edited()
 
     def set_fanins(self, vertex: int, fanins: Sequence[int]) -> None:
         """Replace the fanin list of ``vertex`` (a structural edit)."""
@@ -356,9 +373,14 @@ class TimingNetwork:
         self._fanin_indptr[vertex + 1 :] += len(new) - (stop - start)
         self.invalidate()
 
+    def _values_edited(self) -> None:
+        """Drop the views a value edit (cell, derate, wire load) outdates."""
+        self._vertices = None
+        self._whatif_plan = None
+
     def invalidate(self) -> None:
         """Drop the views after a structural edit."""
-        self._vertices = None
+        self._values_edited()
         self._fanouts = None
         self._topo = None
         self._csr = None
@@ -389,6 +411,13 @@ class TimingNetwork:
         if self._pending:
             self._freeze()
         return self._derate[vertex]
+
+    def endpoint_pins(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Driver vertex and pin capacitance of every endpoint, in endpoint order."""
+        n = len(self.endpoints)
+        drivers = np.fromiter((e.driver for e in self.endpoints), dtype=np.int64, count=n)
+        caps = np.fromiter((e.pin_capacitance for e in self.endpoints), dtype=np.float64, count=n)
+        return drivers, caps
 
     def vertex_cells(self) -> List[Optional[Cell]]:
         """The cell of every vertex, in id order."""

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from repro.liberty import Library
 from repro.sta.csr import KIND_CONST, KIND_GATE, KIND_REGISTER
-from repro.sta.engine import STAReport
+from repro.sta.engine import STAReport, ordered_sum
 from repro.sta.network import TimingEndpoint, TimingNetwork, VertexKind
 
 
@@ -58,16 +58,16 @@ class Netlist(TimingNetwork):
     # -- quality of results ---------------------------------------------------
 
     def area(self) -> float:
-        """Total cell area (um^2)."""
-        return sum(cell.area for cell in self.vertex_cells() if cell is not None)
+        """Total cell area (um^2), summed in vertex order."""
+        return ordered_sum([cell.area for cell in self.vertex_cells() if cell is not None])
 
     def leakage_power(self) -> float:
-        """Total leakage power (nW)."""
-        return sum(cell.leakage for cell in self.vertex_cells() if cell is not None)
+        """Total leakage power (nW), summed in vertex order."""
+        return ordered_sum([cell.leakage for cell in self.vertex_cells() if cell is not None])
 
     def dynamic_power(self, activity: float = 0.1, frequency_ghz: float = 1.0) -> float:
         """Switching power proxy (uW) under a uniform activity factor."""
-        loads = self.compiled().compute_loads(self, self.attribute_columns())
+        loads = self.compiled().compute_loads(self.attribute_columns(), self.endpoint_pins())
         energy = 0.0
         for cell, kind, load in zip(self.vertex_cells(), self.kinds().tolist(), loads.tolist()):
             if cell is not None and kind != KIND_CONST:

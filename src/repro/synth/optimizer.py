@@ -141,8 +141,15 @@ def group_endpoints(report: STAReport, signals: Sequence[str], fraction: float) 
     wanted = set(signals)
     members = [e for e in report.endpoints if e.signal in wanted]
     members.sort(key=lambda e: e.slack)
-    count = max(1, int(len(members) * max(fraction, 0.25))) if members else 0
-    return [e.name for e in members[:count]]
+    return [e.name for e in members[: group_target_count(len(members), fraction)]]
+
+
+def group_target_count(n_members: int, fraction: float) -> int:
+    """How many of a group's worst-slack members its sizing budget targets.
+
+    The worst ``max(fraction, 0.25)`` share, at least one member.
+    """
+    return max(1, int(n_members * max(fraction, 0.25))) if n_members else 0
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import numpy as np
 import pytest
@@ -24,10 +27,12 @@ from repro.incremental import (
     SetDerate,
     SwapCell,
 )
+from repro.incremental import whatif as whatif_mod
 from repro.incremental.whatif import (
     critical_path_table,
     evaluate_candidates,
     patches_for_options,
+    record_plan,
 )
 from repro.core.optimize import generate_candidates, ranking_from_labels
 from repro.fuzz.oracles import edited_copy
@@ -36,7 +41,7 @@ from repro.runtime.report import RuntimeReport
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import analyze
 from repro.sta.network import VertexKind
-from repro.sta.paths import trace_critical_path
+from repro.sta.paths import trace_critical_path, trace_critical_paths
 
 TOLERANCE = 1e-9
 
@@ -311,3 +316,68 @@ class TestWhatIfProjection:
             (e.wns, e.tns, e.n_patches) for e in second
         ]
         assert len(first) == len(candidates)
+
+
+class TestWhatIfPlanLifetime:
+    """One :class:`WhatIfPlan` per frozen baseline, kept on the netlist until an edit."""
+
+    @staticmethod
+    def _fresh(record):
+        """A copy of ``record`` with no plan yet (pickles never carry one)."""
+        return pickle.loads(pickle.dumps(record, protocol=5))
+
+    def test_two_evaluations_trace_the_critical_paths_once(self, tiny_records, monkeypatch):
+        record = self._fresh(tiny_records[2])
+        traced = []
+
+        def counting_trace(*args):
+            traced.append(args)
+            return trace_critical_paths(*args)
+
+        monkeypatch.setattr(whatif_mod, "trace_critical_paths", counting_trace)
+        candidates = generate_candidates(ranking_from_labels(record), k=4)
+        report = RuntimeReport()
+        with activate(report):
+            first = evaluate_candidates(record, candidates)
+            second = evaluate_candidates(record, candidates)
+        assert len(traced) == 1
+        assert report.counters["incremental_plan_builds"] == 1
+        assert [(e.wns, e.tns, e.stats) for e in first] == [(e.wns, e.tns, e.stats) for e in second]
+
+    def test_every_writer_drops_the_plan(self, tiny_records):
+        record = self._fresh(tiny_records[0])
+        netlist = record.synthesis.netlist
+        gate = next(v.id for v in netlist.vertices if v.kind is VertexKind.GATE)
+        writes = [
+            lambda: netlist.set_cell(gate, netlist.cell_of(gate)),
+            lambda: netlist.set_derate(gate, netlist.derate_of(gate)),
+            lambda: netlist.set_extra_load(gate, 0.0),
+            lambda: netlist.set_fanins(gate, netlist.fanins_of(gate)),
+            lambda: netlist.add_endpoint(netlist.endpoints[0]),
+            lambda: netlist.add_vertex(VertexKind.INPUT, name="late_input"),
+        ]
+        for write in writes:
+            plan = record_plan(record)
+            assert record_plan(record) is plan
+            write()
+            assert record_plan(record) is not plan
+
+    def test_a_dropped_record_is_freed_without_the_cycle_collector(self, tiny_records):
+        """The plan reaches its netlist only weakly, so it adds no reference cycle."""
+        record = self._fresh(tiny_records[3])
+        evaluate_candidates(record, generate_candidates(ranking_from_labels(record), k=4))
+        netlist = weakref.ref(record.synthesis.netlist)
+        gc.disable()
+        try:
+            del record
+            assert netlist() is None
+        finally:
+            gc.enable()
+
+    def test_what_if_leaves_the_record_pickle_unchanged(self, tiny_records):
+        """Cache keys and pool request bytes do not depend on a what-if having run."""
+        record = self._fresh(tiny_records[1])
+        before = pickle.dumps(record, protocol=5)
+        evaluate_candidates(record, generate_candidates(ranking_from_labels(record), k=4))
+        assert record.synthesis.netlist._whatif_plan is not None
+        assert pickle.dumps(record, protocol=5) == before

@@ -21,12 +21,13 @@ import random
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.optimize import options_from_ranking, ranking_from_labels
 from repro.faults import FAULT_ENV_VAR
 from repro.incremental import whatif
-from repro.incremental.patches import AddExtraLoad
+from repro.incremental.patches import PatchPlan
 from repro.optimize import (
     CandidateSpec,
     DriftError,
@@ -366,11 +367,21 @@ class TestSearchBehaviour:
         returned front is exactly the default-options baseline point."""
         import repro.optimize.search as search_mod
 
-        def pessimal_patches(netlist, report, options, config=None, path_cache=None):
-            worst = min(report.endpoints, key=lambda e: e.slack)
-            return [AddExtraLoad(netlist.vertices[worst.driver].id, 50.0)]
+        def pessimal_patches(evaluator, options):
+            plan = evaluator.plan
+            none = np.empty(0, dtype=np.int64)
+            return PatchPlan(
+                cells=plan.cells,
+                tables=plan.tables,
+                derate_vertices=none,
+                derates=np.empty(0),
+                swap_vertices=none,
+                swap_rows=none,
+                load_vertices=plan.endpoint_driver[plan.by_slack[:1]],  # the worst endpoint's
+                load_deltas=np.array([50.0]),
+            )
 
-        monkeypatch.setattr(search_mod, "patches_for_options", pessimal_patches)
+        monkeypatch.setattr(search_mod.IncrementalEvaluator, "patches", pessimal_patches)
         ranking = ranking_from_labels(tiny_record)
         result = _search(tiny_record, ranking, strategy="anneal", budget=6, seed=1)
         assert [p.key for p in result.front.points] == ["baseline"]

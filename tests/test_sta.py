@@ -1,11 +1,15 @@
 """Tests for the STA engine, constraints and path tracing."""
 
+import dataclasses
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bog.builder import build_sog
-from repro.liberty import pseudo_library
+from repro.liberty import nangate45_like, pseudo_library
 from repro.sta import (
     ClockConstraint,
     TimingNetwork,
@@ -19,6 +23,8 @@ from repro.sta import (
     sample_random_path,
     trace_critical_path,
 )
+from repro.sta.engine import EndpointTiming, ordered_sum, summarize_slacks
+from repro.synth.netlist import Netlist
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +176,50 @@ def test_tns_never_positive_and_wns_bounds_tns(period, simple_design):
     assert report.tns <= 0.0
     assert report.wns <= 0.0
     assert report.tns <= report.wns or report.tns == 0.0
+
+
+class TestOrderedSums:
+    """TNS and netlist area/leakage add their floats strictly left to right.
+
+    From Python 3.12 on builtin ``sum`` of floats is compensated, and
+    ``np.sum`` is pairwise, so either would let pinned digests depend on the
+    interpreter.  ``[-1e16, -1.0, -1.0]`` tells them apart: a plain loop
+    rounds each ``-1e16 - 1.0`` back to ``-1e16``.
+    """
+
+    CRAFTED = [-1e16, -1.0, -1.0]
+
+    def test_crafted_list_sums_like_a_loop(self):
+        total = 0.0
+        for value in self.CRAFTED:
+            total += value
+        assert total == -1e16
+        assert ordered_sum(self.CRAFTED) == total
+        assert ordered_sum([]) == 0.0
+        assert math.copysign(1.0, ordered_sum([-0.0, -0.0])) == 1.0  # a loop from 0.0
+
+    def test_long_random_sums_like_a_loop(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=20_000) * 10.0 ** rng.integers(-8, 12, size=20_000)
+        total = 0.0
+        for value in values.tolist():
+            total += value
+        assert ordered_sum(values) == total
+
+    def test_tns_is_an_ordered_sum(self):
+        endpoints = [
+            EndpointTiming(f"e{i}", "s", i, "output", 0.0, slack, 0)
+            for i, slack in enumerate(self.CRAFTED + [5.0])
+        ]
+        assert summarize_slacks(endpoints) == (-1e16, -1e16)
+
+    def test_netlist_area_and_leakage_are_ordered_sums(self):
+        library = nangate45_like()
+        inverter = library.pick("INV")
+        netlist = Netlist("sums", library)
+        source = netlist.add_vertex(VertexKind.INPUT, name="a")
+        for value in self.CRAFTED:
+            cell = dataclasses.replace(inverter, area=-value, leakage=value)
+            netlist.add_vertex(VertexKind.GATE, [source], cell)
+        assert netlist.area() == 1e16
+        assert netlist.leakage_power() == -1e16

@@ -7,6 +7,12 @@ with the ``incremental_runs`` / ``incremental_recomputed_vertices``
 counters the evaluations report.  The digests were computed with the
 dirty-level worklist re-sweep, so any faster re-timing has to reproduce its
 floats and its footprint accounting bit for bit.
+
+The projection itself is pinned too: every candidate's patches (kind,
+vertex and value, in patch order) and the
+:meth:`~repro.optimize.search.IncrementalEvaluator.area_of` they give,
+computed with the per-vertex projection over patch objects, so a faster
+projection has to reproduce its patch order and its area sums.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import pytest
 from repro.core.dataset import build_design_record
 from repro.core.optimize import generate_candidates, ranking_from_labels
 from repro.fuzz.corpus import generate_fuzz_design
+from repro.incremental.patches import SetDerate, SwapCell
 from repro.incremental.whatif import evaluate_candidates
+from repro.optimize.search import IncrementalEvaluator
 from repro.runtime import RuntimeReport, activate
 
 #: sha256 of the estimates of the five tier-1 fixture designs.
@@ -30,6 +38,9 @@ FUZZ_DIGEST = "622f34fc8924fa8cd2e1f4d69a91ccc9d2a1441eb0dccd911134c97f06c7503d"
 #: ``(incremental_runs, incremental_recomputed_vertices)`` of each set.
 FIXTURE_COUNTERS = (30, 9315)
 FUZZ_COUNTERS = (97, 38426)
+#: sha256 of every candidate's patches and area, fixtures and fuzz seeds.
+FIXTURE_PLAN_DIGEST = "f8321732fdbdc971af9136129af3ab8695f40fe213a78a02093cac9f50c6fe7e"
+FUZZ_PLAN_DIGEST = "22b49d616e24285500ae31767e73a745d33adbcab0870a12491d102b49152660"
 
 K_CANDIDATES = 8
 FUZZ_SEEDS = range(10)
@@ -73,6 +84,28 @@ def _estimates_digest(records):
     return digest.hexdigest(), counters
 
 
+def _patch_value(patch) -> bytes:
+    if isinstance(patch, SwapCell):
+        return patch.cell.name.encode()
+    if isinstance(patch, SetDerate):
+        return np.float64(patch.derate).tobytes()
+    return np.float64(patch.delta).tobytes()
+
+
+def _plans_digest(records) -> str:
+    digest = hashlib.sha256()
+    for record in records:
+        digest.update(record.name.encode() + b"\0")
+        evaluator = IncrementalEvaluator(record)
+        for options in generate_candidates(ranking_from_labels(record), k=K_CANDIDATES):
+            patches = evaluator.patches(options)
+            for patch in patches:
+                digest.update(type(patch).__name__.encode() + struct.pack("<q", patch.vertex))
+                digest.update(_patch_value(patch))
+            digest.update(np.float64(evaluator.area_of(patches)).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def fuzz_records():
     return [
@@ -88,3 +121,11 @@ def test_fixture_estimates_are_pinned(tiny_records):
 
 def test_fuzz_estimates_are_pinned(fuzz_records):
     assert _estimates_digest(fuzz_records) == (FUZZ_DIGEST, FUZZ_COUNTERS)
+
+
+def test_fixture_projection_is_pinned(tiny_records):
+    assert _plans_digest(tiny_records) == FIXTURE_PLAN_DIGEST
+
+
+def test_fuzz_projection_is_pinned(fuzz_records):
+    assert _plans_digest(fuzz_records) == FUZZ_PLAN_DIGEST
