@@ -28,7 +28,7 @@ from repro.core.optimize import (
     run_optimization_sweep,
 )
 from repro.fuzz.oracles import edited_copy
-from repro.incremental import IncrementalSTA, SetDerate, SwapCell
+from repro.incremental import IncrementalSTA, PatchPlan
 from repro.incremental.whatif import evaluate_candidates
 from repro.runtime import activate
 from repro.runtime.report import FULL_RESYNTHESIS_STAGE, WHATIF_SWEEP_STAGE
@@ -51,13 +51,17 @@ def test_incremental_matches_full_sta_on_suite(dataset_records, runtime_report):
 
     with activate(runtime_report):
         for _ in range(5):
-            patches = [SetDerate(rng.choice(gates), rng.uniform(0.5, 1.5)) for _ in range(4)]
+            derates = {}
+            for _ in range(4):
+                derates[rng.choice(gates)] = rng.uniform(0.5, 1.5)
+            swaps = {}
             for _ in range(4):
                 vertex = rng.choice(gates)
                 cell = network.vertices[vertex].cell
                 stronger = network.library.upsize(cell)
                 if stronger is not None:
-                    patches.append(SwapCell(vertex, stronger))
+                    swaps[vertex] = stronger
+            patches = PatchPlan.of(network, derates=derates, swaps=swaps)
             incremental, stats = engine.what_if(patches)
             edited = edited_copy(network, patches)
             with runtime_report.stage("incremental.full_reanalysis"):

@@ -24,7 +24,8 @@ Public entry points (see ``docs/api.md`` for the full reference):
   ``group_path`` / ``retime`` synthesis optimization,
 * :func:`repro.core.run_optimization_sweep` -- its multi-candidate
   extension, scored by :mod:`repro.incremental` what-if re-timing,
-* :mod:`repro.incremental` -- what-if STA under patch sets: patch objects,
+* :mod:`repro.incremental` -- what-if STA under patch plans:
+  :class:`~repro.incremental.PatchPlan`,
   :class:`~repro.incremental.IncrementalSTA` and the what-if projection,
 * :mod:`repro.runtime` -- the execution engine: process-pool fan-out,
   content-addressed artifact caching, structured runtime reports,

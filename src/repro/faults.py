@@ -34,9 +34,9 @@ Known fault points
 
 Differential (silent wrong answers, each caught by a fuzz oracle):
 
-* ``incremental.extra_load`` — the incremental engine (either kernel) drops
-  the ``extra_load`` term from the loads of the patches' load-dirty
-  vertices before re-timing, so it disagrees with a full
+* ``incremental.extra_load`` — the incremental engine drops the
+  ``extra_load`` term from the loads of the plan's load-dirty vertices
+  before re-timing, so it disagrees with a full
   :func:`repro.sta.engine.analyze` re-run whenever a patch touches a loaded
   vertex.
 * ``interpret.add`` — the word-level interpreter computes ``a + b + 1``,

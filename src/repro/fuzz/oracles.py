@@ -6,11 +6,10 @@ violation messages (empty list == clean):
 
 * ``interpret_vs_simulate`` — the word-level interpreter against bit-blasted
   simulation of all four BOG variants, bit for bit, under random stimulus;
-* ``incremental_vs_full`` — both incremental STA kernels (the whole-graph
-  array re-timing and the reference dirty-cone worklist) against a full
-  re-analysis of a writer-edited copy of the network after random patch
-  sequences (1e-9, bit-identical in practice), and the array kernel's
-  footprint stats against the worklist's;
+* ``incremental_vs_full`` — the incremental what-if re-timing against a
+  full re-analysis of a writer-edited copy of the network
+  (:func:`edited_copy`) after random patch plans (1e-9, bit-identical in
+  practice);
 * ``hist_vs_exact_gbm`` — the histogram GBM splitter against the exact
   reference splitter on the design's extracted path features, plus flattened
   (``FlatTree``) and packed-forest booster prediction against recursive
@@ -43,7 +42,7 @@ import copy
 import random
 import tempfile
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -72,7 +71,7 @@ from repro.fuzz.corpus import FuzzDesign
 from repro.hdl.design import Design
 from repro.hdl.interpret import Interpreter
 from repro.incremental.engine import IncrementalSTA
-from repro.incremental.patches import AddExtraLoad, SetDerate, SwapCell, TimingPatch
+from repro.incremental.patches import PatchPlan
 from repro.incremental.whatif import whatif_plan
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.tree import MAX_BINS, DecisionTreeRegressor, NewtonTreeRegressor
@@ -171,96 +170,91 @@ def interpret_vs_simulate(
     return problems
 
 
-def _random_patches(network, rng: random.Random, count: int):
-    """A random mix of the three patch kinds, guaranteed to include one load patch."""
+def _random_patches(network, rng: random.Random, count: int) -> PatchPlan:
+    """A random plan of the three patch kinds, guaranteed to include one load.
+
+    Draws touching a vertex twice coalesce: the last derate or cell wins
+    and loads add up.
+    """
     gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
     loadable = [
         v.id for v in network.vertices if v.kind in (VertexKind.GATE, VertexKind.REGISTER)
     ]
     if not loadable:
-        return []
-    patches = [AddExtraLoad(rng.choice(loadable), rng.uniform(0.5, 8.0))]
-    attempts = 0
-    while len(patches) < count and attempts < count * 4:
+        return PatchPlan.of(network)
+    derates, swaps, loads = {}, {}, {}
+
+    def add_load(vertex: int, delta: float) -> None:
+        loads[vertex] = loads.get(vertex, 0.0) + delta
+
+    add_load(rng.choice(loadable), rng.uniform(0.5, 8.0))
+    drawn, attempts = 1, 0
+    while drawn < count and attempts < count * 4:
         attempts += 1
         kind = rng.choice(("derate", "swap", "load"))
         if kind == "load":
-            patches.append(AddExtraLoad(rng.choice(loadable), rng.uniform(0.1, 8.0)))
+            add_load(rng.choice(loadable), rng.uniform(0.1, 8.0))
+            drawn += 1
             continue
         if not gates:
             continue
         vertex = rng.choice(gates)
         if kind == "derate":
-            patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
+            derates[vertex] = rng.uniform(0.4, 1.6)
+            drawn += 1
         else:
             cell = network.vertices[vertex].cell
             alternative = network.library.upsize(cell) or network.library.downsize(cell)
             if alternative is not None:
-                patches.append(SwapCell(vertex, alternative))
-    return patches
+                swaps[vertex] = alternative
+                drawn += 1
+    return PatchPlan.of(network, derates, swaps, loads)
 
 
-def edited_copy(network: TimingNetwork, patches: Sequence[TimingPatch]) -> TimingNetwork:
-    """A deep copy of ``network`` edited by ``patches`` through its writers: the
+def edited_copy(network: TimingNetwork, plan: PatchPlan) -> TimingNetwork:
+    """A deep copy of ``network`` edited by ``plan`` through its writers: the
     full-analysis side of the incremental checks, independent of override columns."""
     edited = copy.deepcopy(network)
-    for patch in patches:
-        if isinstance(patch, SetDerate):
-            edited.set_derate(patch.vertex, float(patch.derate))
-        elif isinstance(patch, SwapCell):
-            edited.set_cell(patch.vertex, patch.cell)
-        else:
-            load = float(edited.attribute_columns().extra_load[patch.vertex])
-            edited.set_extra_load(patch.vertex, load + float(patch.delta))
+    edited.set_derate(plan.derate_vertices, plan.derates)
+    for vertex, row in zip(plan.swap_vertices.tolist(), plan.swap_rows.tolist()):
+        edited.set_cell(vertex, plan.cells[row])
+    loads = edited.attribute_columns().extra_load[plan.load_vertices]
+    edited.set_extra_load(plan.load_vertices, loads + plan.load_deltas)
     return edited
 
 
 def incremental_vs_full(
     ctx: FuzzContext, rng: random.Random, n_rounds: int = 3
 ) -> List[str]:
-    """Both incremental STA kernels vs full re-analysis of an :func:`edited_copy`.
-
-    The array kernel's footprint stats must also equal the reference
-    worklist's on every patch set.
-    """
+    """The incremental what-if vs full re-analysis of an :func:`edited_copy`."""
     record = ctx.record
     network = record.synthesis.netlist
-    engines = [
-        IncrementalSTA(network, record.clock, baseline=record.synthesis.report, kernel=kernel)
-        for kernel in ("array", "reference")
-    ]
+    engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
     problems: List[str] = []
     for round_index in range(n_rounds):
         patches = _random_patches(network, rng, rng.randint(1, 8))
         full = sta_analyze(edited_copy(network, patches), record.clock)
-        results = [engine.what_if(patches) for engine in engines]
-        for engine, (incremental, _) in zip(engines, results):
-            tag = f"round {round_index}: {engine.kernel} incremental"
-            for label, inc_array, full_array in (
-                ("arrivals", incremental.arrivals, full.arrivals),
-                ("slews", incremental.slews, full.slews),
-                ("loads", incremental.loads, full.loads),
-            ):
-                worst = float(np.max(np.abs(inc_array - full_array), initial=0.0))
-                if worst > STA_TOLERANCE:
-                    problems.append(
-                        f"{tag} {label} diverge from full re-analysis by "
-                        f"{worst:.3e} (> {STA_TOLERANCE}) after {len(patches)} patches"
-                    )
-            if (
-                abs(incremental.wns - full.wns) > STA_TOLERANCE
-                or abs(incremental.tns - full.tns) > STA_TOLERANCE
-            ):
+        incremental, _ = engine.what_if(patches)
+        tag = f"round {round_index}: incremental"
+        for label, inc_array, full_array in (
+            ("arrivals", incremental.arrivals, full.arrivals),
+            ("slews", incremental.slews, full.slews),
+            ("loads", incremental.loads, full.loads),
+        ):
+            worst = float(np.max(np.abs(inc_array - full_array), initial=0.0))
+            if worst > STA_TOLERANCE:
                 problems.append(
-                    f"{tag} WNS/TNS mismatch "
-                    f"({incremental.wns:.9f}/{incremental.tns:.9f} vs "
-                    f"{full.wns:.9f}/{full.tns:.9f})"
+                    f"{tag} {label} diverge from full re-analysis by "
+                    f"{worst:.3e} (> {STA_TOLERANCE}) after {len(patches)} patches"
                 )
-        (_, array_stats), (_, reference_stats) = results
-        if array_stats != reference_stats:
+        if (
+            abs(incremental.wns - full.wns) > STA_TOLERANCE
+            or abs(incremental.tns - full.tns) > STA_TOLERANCE
+        ):
             problems.append(
-                f"round {round_index}: array footprint {array_stats} "
-                f"!= reference worklist {reference_stats}"
+                f"{tag} WNS/TNS mismatch "
+                f"({incremental.wns:.9f}/{incremental.tns:.9f} vs "
+                f"{full.wns:.9f}/{full.tns:.9f})"
             )
         if problems:
             return problems

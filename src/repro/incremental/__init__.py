@@ -2,14 +2,14 @@
 
 The subsystem has three layers:
 
-* :mod:`repro.incremental.patches` — local changes written into override
-  columns (:class:`SetDerate`, :class:`SwapCell`, :class:`AddExtraLoad`)
-  with fixed timing footprints, the three kinds the projection emits, and
-  :class:`PatchPlan`, a patch set held as arrays,
+* :mod:`repro.incremental.patches` — :class:`PatchPlan`, a candidate's
+  local changes held as arrays (derates, cell swaps and extra loads, the
+  three kinds the projection emits) with fixed timing footprints,
+  scattered into override columns,
 * :mod:`repro.incremental.engine` — :class:`IncrementalSTA`, re-timing of
-  a candidate's override columns (never an edit of the network) that matches a full re-analysis bit for bit and reports
-  each patch set's dirty-cone footprint (an empty patch set is the
-  baseline report itself),
+  a candidate's override columns (never an edit of the network) that
+  matches a full re-analysis bit for bit and reports each plan's
+  dirty-cone footprint (an empty plan is the baseline report itself),
 * :mod:`repro.incremental.whatif` — projection of
   :class:`~repro.synth.optimizer.SynthesisOptions` candidates onto patch
   plans through one :class:`WhatIfPlan` per frozen baseline, powering
@@ -18,13 +18,7 @@ The subsystem has three layers:
 """
 
 from repro.incremental.engine import IncrementalSTA, PropagationStats
-from repro.incremental.patches import (
-    AddExtraLoad,
-    PatchPlan,
-    SetDerate,
-    SwapCell,
-    TimingPatch,
-)
+from repro.incremental.patches import PatchPlan
 from repro.incremental.whatif import (
     WhatIfEstimate,
     WhatIfPlan,
@@ -36,11 +30,7 @@ from repro.incremental.whatif import (
 __all__ = [
     "IncrementalSTA",
     "PropagationStats",
-    "AddExtraLoad",
     "PatchPlan",
-    "SetDerate",
-    "SwapCell",
-    "TimingPatch",
     "WhatIfEstimate",
     "WhatIfPlan",
     "evaluate_candidates",

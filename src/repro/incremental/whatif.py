@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.incremental.engine import IncrementalSTA, PropagationStats
-from repro.incremental.patches import Patches, PatchPlan
+from repro.incremental.patches import PatchPlan
 from repro.runtime import report as report_mod
 from repro.sta.constraints import ClockConstraint
 from repro.sta.csr import KIND_GATE
@@ -287,11 +287,11 @@ def patches_for_options(
 
 
 def estimate_candidate(
-    engine: IncrementalSTA, options: SynthesisOptions, patches: Patches
+    engine: IncrementalSTA, options: SynthesisOptions, patches: PatchPlan
 ) -> WhatIfEstimate:
-    """Score one candidate's patch set against ``engine``'s frozen baseline.
+    """Score one candidate's plan against ``engine``'s frozen baseline.
 
-    An empty patch set scores as the baseline itself, with no stats.
+    An empty plan scores as the baseline itself, with no stats.
     """
     projected, stats = engine.what_if(patches)
     return WhatIfEstimate(

@@ -413,7 +413,7 @@ class _SearchState:
         patches = evaluator.patches(options)
         incremental, _ = evaluator.engine.what_if(patches)
         netlist = evaluator.netlist
-        full = sta_analyze(netlist, self.record.clock, cols=netlist.attribute_columns().overridden(patches))
+        full = sta_analyze(netlist, self.record.clock, cols=patches.columns(netlist.attribute_columns()))
         drift = max(
             abs(float(incremental.wns) - float(full.wns)),
             abs(float(incremental.tns) - float(full.tns)),

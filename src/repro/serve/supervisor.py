@@ -403,7 +403,12 @@ class WorkerPool:
                 worker = alive[next(self._route_counter) % len(alive)]
             request_id = next(self._request_ids)
             worker.pending[request_id] = handle
-        handle.attempts += 1
+        # An attempt is charged before the send, so a death that retries the
+        # request counts it, but only to a worker whose process had not
+        # exited, and a failed send refunds it: a request never pays for a
+        # death that came before it was sent.
+        charge = int(worker.process.exitcode is None)
+        handle.attempts += charge
         expires_at = handle.deadline.expires_at if handle.deadline is not None else None
         record = handle.data[0]
         try:
@@ -422,6 +427,7 @@ class WorkerPool:
         # check and the send; a closed Connection surfaces as TypeError (its
         # handle is None) and a conn replaced mid-flight as AttributeError.
         except (OSError, ValueError, TypeError, AttributeError):
+            handle.attempts -= charge
             with self._lock:
                 worker.pending.pop(request_id, None)
             self._mark_dead(worker, reason="send failed")

@@ -155,9 +155,8 @@ def propagate_vertex(vertex, clock: ClockConstraint, arrivals, slews, load) -> t
     """The per-vertex NLDM update rule: (arrival, slew) given fanin state.
 
     This is the single source of truth for the timing recurrence of the
-    reference kernel; both the reference :func:`analyze` sweep and the
-    dirty-cone worklist of :mod:`repro.incremental` call it, so the two
-    paths agree bit for bit on every vertex they both visit.
+    reference :func:`analyze` sweep, the oracle the array kernel is checked
+    against bit for bit.
     """
     if vertex.kind is VertexKind.CONST:
         return 0.0, clock.input_slew
@@ -235,7 +234,7 @@ def analyze(
     bit-identical reports: the array path evaluates the same NLDM recurrence
     as :func:`propagate_vertex`, one whole level per numpy sweep.  ``cols``
     (array kernel only) stands in for the network's attribute columns, e.g. a
-    what-if candidate's :meth:`~repro.sta.network.AttributeColumns.overridden`.
+    what-if candidate's :meth:`~repro.incremental.patches.PatchPlan.columns`.
     """
     n = len(network)
     arrivals = np.zeros(n)

@@ -15,8 +15,8 @@ as :class:`NetworkColumns`.  Every editor — the synthesis mapper and
 optimizer, placement — changes a network only through its writers
 (:meth:`~TimingNetwork.set_cell`, :meth:`~TimingNetwork.set_derate`,
 :meth:`~TimingNetwork.set_extra_load`, :meth:`~TimingNetwork.set_fanins`,
-:meth:`~TimingNetwork.add_vertex`; what-if patches write an
-:meth:`~AttributeColumns.overridden` copy instead), and every kernel reads
+:meth:`~TimingNetwork.add_vertex`; a what-if plan is scattered into
+copies of the columns instead), and every kernel reads
 :meth:`~TimingNetwork.compiled` and an :class:`AttributeColumns` view
 (:meth:`~TimingNetwork.attribute_columns`).  :attr:`TimingNetwork.vertices`
 is a cached tuple of immutable :class:`TimingVertex` views for the
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -123,13 +123,13 @@ class AttributeColumns:
 
     Cells are a small table of distinct cells plus a per-vertex row index
     (row 0 = no cell, all parameters zero).  The view shares the network's
-    arrays (:meth:`overridden` copies them); its per-row parameter tables
-    (``tables``, which views over the same cell table may share) and its
-    per-vertex parameter columns are derived on first use and live as long
-    as the view, so take a new view after an edit.
+    arrays (a what-if candidate's holds copies); its per-row parameter
+    tables (``tables``, which views over the same cell table may share)
+    and its per-vertex parameter columns are derived on first use and live
+    as long as the view, so take a new view after an edit.
     """
 
-    __slots__ = ("cells", "cell_row", "derate", "extra_load", "_params", "_rows", "_tables")
+    __slots__ = ("cells", "cell_row", "derate", "extra_load", "_params", "_tables")
 
     def __init__(
         self,
@@ -145,7 +145,6 @@ class AttributeColumns:
         self.derate = derate
         self.extra_load = extra_load
         self._params: Dict[str, np.ndarray] = {}
-        self._rows: Optional[Dict[int, int]] = None  # id(cell) -> row, in an overridden copy only
         self._tables: Dict[str, np.ndarray] = {} if tables is None else tables
 
     def table(self, name: str) -> np.ndarray:
@@ -164,30 +163,6 @@ class AttributeColumns:
 
     def has_cell(self) -> np.ndarray:
         return self.cell_row != 0
-
-    def overridden(self, patches: Iterable) -> "AttributeColumns":
-        """Copies of these columns with ``patches`` (:mod:`repro.incremental.patches`)
-        written in order through their ``write(cols)``: a what-if candidate, as the
-        timing kernels read it, with its network and this view untouched."""
-        cols = AttributeColumns(
-            list(self.cells), self.cell_row.copy(), self.derate.copy(), self.extra_load.copy()
-        )
-        cols._rows = {id(cell): row for row, cell in enumerate(cols.cells)}
-        for patch in patches:
-            patch.write(cols)
-        return cols
-
-    def set_cell(self, vertex: int, cell: Cell) -> None:
-        """Make ``cell`` implement ``vertex`` in an :meth:`overridden` copy (a new cell gets a row)."""
-        if self._rows is None:
-            raise ValueError("a network's own columns change only through the network's writers")
-        row = self._rows.get(id(cell))
-        if row is None:
-            row = self._rows[id(cell)] = len(self.cells)
-            self.cells.append(cell)
-            self._tables.clear()  # derived from the shorter cell list
-        self.cell_row[vertex] = row
-        self._params.clear()
 
 
 class TimingNetwork:

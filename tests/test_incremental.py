@@ -4,9 +4,7 @@ The load-bearing property: after any supported patch sequence, the
 re-timed report of :class:`IncrementalSTA` must match a full
 ``sta.engine.analyze`` run of a copy of the network edited by the same
 patches through its writers (``edited_copy``) to 1e-9 on arrivals,
-slews, loads and endpoint slacks (in practice they agree bit for bit), and
-its array kernel must report the same footprint stats as the reference
-dirty-cone worklist.
+slews, loads and endpoint slacks (in practice they agree bit for bit).
 """
 
 from __future__ import annotations
@@ -21,12 +19,7 @@ import weakref
 import numpy as np
 import pytest
 
-from repro.incremental import (
-    AddExtraLoad,
-    IncrementalSTA,
-    SetDerate,
-    SwapCell,
-)
+from repro.incremental import IncrementalSTA, PatchPlan
 from repro.incremental import whatif as whatif_mod
 from repro.incremental.whatif import (
     critical_path_table,
@@ -47,22 +40,27 @@ TOLERANCE = 1e-9
 
 
 def _random_patches(network, rng, count):
-    """A random mix of every supported patch kind."""
+    """A random plan of every patch kind (a vertex drawn twice keeps its last
+    derate or cell, and its loads add up)."""
     gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
-    patches = []
-    while len(patches) < count:
+    derates, swaps, loads = {}, {}, {}
+    drawn = 0
+    while drawn < count:
         kind = rng.choice(("derate", "swap", "load"))
         vertex = rng.choice(gates)
         if kind == "derate":
-            patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
+            derates[vertex] = rng.uniform(0.4, 1.6)
+            drawn += 1
         elif kind == "swap":
             cell = network.vertices[vertex].cell
             alternative = network.library.upsize(cell) or network.library.downsize(cell)
             if alternative is not None:
-                patches.append(SwapCell(vertex, alternative))
+                swaps[vertex] = alternative
+                drawn += 1
         else:
-            patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
-    return patches
+            loads[vertex] = loads.get(vertex, 0.0) + rng.uniform(0.1, 8.0)
+            drawn += 1
+    return PatchPlan.of(network, derates, swaps, loads)
 
 
 def _network_state(network):
@@ -84,9 +82,9 @@ def _columns_snapshot(network):
     }
 
 
-def _assert_matches_full(incremental, network, clock, patches=()):
+def _assert_matches_full(incremental, network, clock, patches=None):
     """``incremental`` equals a full analysis of ``network`` edited by ``patches``."""
-    full = analyze(edited_copy(network, patches), clock)
+    full = analyze(edited_copy(network, patches or PatchPlan.of(network)), clock)
     np.testing.assert_allclose(incremental.arrivals, full.arrivals, atol=TOLERANCE, rtol=0)
     np.testing.assert_allclose(incremental.slews, full.slews, atol=TOLERANCE, rtol=0)
     np.testing.assert_allclose(incremental.loads, full.loads, atol=TOLERANCE, rtol=0)
@@ -137,13 +135,14 @@ class TestWhatIfEquivalence:
         rng = random.Random(99)
         gates = [v.id for v in network.vertices if v.kind is VertexKind.GATE]
         for _ in range(10):
-            patches = []
+            derates, loads = {}, {}
             for _ in range(rng.randint(1, 6)):
                 vertex = rng.choice(gates)
                 if rng.random() < 0.5:
-                    patches.append(SetDerate(vertex, rng.uniform(0.4, 1.6)))
+                    derates[vertex] = rng.uniform(0.4, 1.6)
                 else:
-                    patches.append(AddExtraLoad(vertex, rng.uniform(0.1, 8.0)))
+                    loads[vertex] = loads.get(vertex, 0.0) + rng.uniform(0.1, 8.0)
+            patches = PatchPlan.of(network, derates=derates, loads=loads)
             report, _ = engine.what_if(patches)
             _assert_matches_full(report, network, clock, patches)
 
@@ -153,29 +152,33 @@ class TestWhatIfEquivalence:
         engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
         baseline = engine.report()
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        engine.what_if([SetDerate(gate, 0.5)])
+        engine.what_if(PatchPlan.of(network, derates={gate: 0.5}))
         assert engine.report() is baseline
         _assert_matches_full(engine.report(), network, record.clock)
 
-    def test_kernels_agree_on_reports_and_footprint(self, tiny_records):
-        """The array re-timing and the reference worklist give bit-identical
-        reports and equal stats on the same patch sets."""
-        record = tiny_records[3]
-        network = copy.deepcopy(record.synthesis.netlist)
-        array = IncrementalSTA(network, record.clock, kernel="array")
-        reference = IncrementalSTA(network, record.clock, kernel="reference")
-        rng = random.Random(21)
-        for _ in range(12):
-            patches = _random_patches(network, rng, rng.randint(1, 8))
-            results = [engine.what_if(patches) for engine in (array, reference)]
-            reports = [report for report, _ in results]
-            array_stats, reference_stats = (stats for _, stats in results)
-            for name in ("arrivals", "slews", "loads"):
-                assert np.array_equal(getattr(reports[0], name), getattr(reports[1], name))
-            assert [e.slack for e in reports[0].endpoints] == [e.slack for e in reports[1].endpoints]
-            assert (reports[0].wns, reports[0].tns) == (reports[1].wns, reports[1].tns)
-            assert array_stats == reference_stats
-            assert 0 < array_stats.n_recomputed <= len(network)
+    def test_one_gate_with_every_kind_matches_full(self, tiny_records):
+        """A derate, a cell swap and a load on the same gate re-time bit for
+        bit like the same edits written through the network's writers."""
+        record = tiny_records[0]
+        network = record.synthesis.netlist
+        engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
+        gate = next(
+            v for v in network.vertices
+            if v.kind is VertexKind.GATE and network.library.upsize(v.cell) is not None
+        )
+        patches = PatchPlan.of(
+            network,
+            derates={gate.id: 0.5},
+            swaps={gate.id: network.library.upsize(gate.cell)},
+            loads={gate.id: 1.75},
+        )
+        report, stats = engine.what_if(patches)
+        full = analyze(edited_copy(network, patches), record.clock)
+        for name in ("arrivals", "slews", "loads"):
+            assert np.array_equal(getattr(report, name), getattr(full, name))
+        assert [e.slack for e in report.endpoints] == [e.slack for e in full.endpoints]
+        assert (report.wns, report.tns) == (full.wns, full.tns)
+        assert stats.n_patches == 3
 
 
 class TestEngineBehaviour:
@@ -189,23 +192,23 @@ class TestEngineBehaviour:
             (v.id for v in network.vertices if network.vertices[v.id].kind is VertexKind.GATE),
             key=lambda v: position[v],
         )
-        _, stats = engine.what_if([SetDerate(late_gate, 0.5)])
+        _, stats = engine.what_if(PatchPlan.of(network, derates={late_gate: 0.5}))
         assert stats is not None
         assert 0 < stats.n_recomputed < len(network.vertices)
         assert stats.cone_fraction < 1.0
 
     def test_empty_what_if_is_the_baseline(self, tiny_records):
-        """``what_if([])`` returns the engine's own baseline report: no
+        """An empty plan returns the engine's own baseline report: no
         re-timing, no stats and no ``incremental_*`` counter moves."""
         record = tiny_records[0]
         network = record.synthesis.netlist
         engine = IncrementalSTA(network, record.clock, baseline=record.synthesis.report)
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        _, stats = engine.what_if([SetDerate(gate, 0.5)])
+        _, stats = engine.what_if(PatchPlan.of(network, derates={gate: 0.5}))
         assert stats is not None
         report = RuntimeReport()
         with activate(report):
-            projected, stats = engine.what_if([])
+            projected, stats = engine.what_if(PatchPlan.of(network))
             assert projected is engine.report()
         assert stats is None
         assert not [name for name in report.counters if name.startswith("incremental_")]
@@ -225,56 +228,16 @@ class TestEngineBehaviour:
         engine = IncrementalSTA(network, record.clock)
         network.add_vertex(VertexKind.INPUT, name="late_arrival")
         gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        _assert_fails_cleanly(network, engine, [SetDerate(gate, 0.9)], "network size changed")
+        patches = PatchPlan.of(network, derates={gate: 0.9})
+        _assert_fails_cleanly(network, engine, patches, "network size changed")
 
     def test_swap_cell_requires_cell(self, tiny_records):
-        record = tiny_records[0]
-        network = record.synthesis.netlist
+        """A plan cannot swap the cell of a vertex that has none."""
+        network = tiny_records[0].synthesis.netlist
         vertex = next(v for v in network.vertices if v.cell is None)
         any_cell = next(v.cell for v in network.vertices if v.cell is not None)
-        with pytest.raises(ValueError, match="no cell"):
-            network.attribute_columns().overridden([SwapCell(vertex.id, any_cell)])
-
-    def test_override_columns_stack_in_patch_order(self, tiny_records):
-        """Patches write a copy in order (a second load adds onto the first);
-        the network's own view is untouched and refuses a cell write."""
-        network = tiny_records[0].synthesis.netlist
-        gate = next(v for v in network.vertices if v.kind is VertexKind.GATE)
-        own = network.attribute_columns()
-        base = float(own.extra_load[gate.id])
-        cols = own.overridden(
-            [AddExtraLoad(gate.id, 1.5), SetDerate(gate.id, 0.5), AddExtraLoad(gate.id, 0.25)]
-        )
-        assert cols.extra_load[gate.id] == (base + 1.5) + 0.25
-        assert cols.derate[gate.id] == 0.5
-        assert own.extra_load[gate.id] == base and own.derate[gate.id] == gate.derate
-        with pytest.raises(ValueError, match="writers"):
-            SwapCell(gate.id, gate.cell).write(own)
-
-
-class TestFailedWhatIfReverts:
-    """A patch set that fails in ``what_if`` leaves the network and report as they were.
-
-    Nothing needs reverting: a what-if writes override columns, never the network.
-    """
-
-    def _engine(self, record):
-        network = copy.deepcopy(record.synthesis.netlist)
-        return network, IncrementalSTA(network, record.clock)
-
-    def test_failed_swap_reverts_the_patches_before_it(self, tiny_records):
-        record = tiny_records[0]
-        network, engine = self._engine(record)
-        gate = next(v.id for v in network.vertices if v.kind is VertexKind.GATE)
-        bare = next(v.id for v in network.vertices if v.cell is None)
-        cell = network.vertices[gate].cell
-        _assert_fails_cleanly(
-            network,
-            engine,
-            [SetDerate(gate, 0.25), SwapCell(bare, cell)],
-            f"vertex {bare} has no cell to swap",
-        )
-        _assert_matches_full(engine.report(), network, record.clock)
+        with pytest.raises(ValueError, match=f"vertex {vertex.id} has no cell to swap"):
+            PatchPlan.of(network, swaps={vertex.id: any_cell})
 
 
 class TestWhatIfProjection:

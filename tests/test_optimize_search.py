@@ -327,7 +327,7 @@ class TestSearchBehaviour:
         ranking = ranking_from_labels(tiny_record)
         config = SearchConfig(strategy="anneal", budget=8, seed=1, reanchor_every=1)
         # Negative slack threshold marks every endpoint as an area-recovery
-        # victim, guaranteeing AddExtraLoad patches (where the fault lives).
+        # victim, guaranteeing extra-load patches (where the fault lives).
         monkeypatch.setattr(whatif, "RELAX_SLACK_FRACTION", -1.0)
         with pytest.raises(DriftError):
             run_search(tiny_record, ranking, config, cache=_no_cache())

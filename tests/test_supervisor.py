@@ -16,6 +16,7 @@ from repro.core import RTLTimer
 from repro.faults import FAULT_ENV_VAR
 from repro.runtime.report import RuntimeReport
 from repro.serve.registry import state_payload
+from repro.serve.resilience import WorkerUnavailable
 from repro.serve.service import PooledTimingService, ServeConfig
 from repro.serve.supervisor import PoolConfig, WorkerPool
 from tests.test_registry import TINY_TIMER_CONFIG
@@ -114,6 +115,51 @@ def test_pool_parks_requests_when_all_workers_down(pool_timer, pool_payload, tin
         serial = pool_timer.predict(record)
         for pooled in results:
             assert pooled.signal_slack == serial.signal_slack
+
+
+class _Conn:
+    """A stand-in worker pipe: ``send`` raises ``error``, or records the message."""
+
+    def __init__(self, error=None):
+        self.error = error
+        self.sent = []
+
+    def send(self, message):
+        if self.error is not None:
+            raise self.error
+        self.sent.append(message)
+
+
+@pytest.mark.parametrize("case", ["send_fails", "process_exited"])
+def test_pool_charges_no_attempt_for_a_worker_already_gone(
+    pool_payload, tiny_records, monkeypatch, case
+):
+    """A request sent to a worker that was already gone keeps its retry
+    budget and parks, even with no retries allowed at all."""
+    # No supervisor: nothing respawns, so the parked request stays parked.
+    monkeypatch.setattr(WorkerPool, "_supervise", lambda self: None)
+    config = _fast_pool_config(workers=1, retry_limit=0)
+    with WorkerPool(lambda: pool_payload, config) as pool:
+        worker = pool._workers[0]
+        real_conn = worker.conn
+        if case == "send_fails":
+            worker.conn = _Conn(BrokenPipeError("worker gone"))
+            handle = pool.submit("predict", tiny_records[0])
+        else:
+            os.kill(worker.process.pid, signal.SIGKILL)
+            worker.process.join(timeout=10.0)
+            _wait_for(lambda: not worker.alive, message="death noticed")
+            # Replay the window before the death was noticed: the slot still
+            # looks alive and the send goes through.
+            worker.alive, worker.conn = True, _Conn()
+            handle = pool.submit("predict", tiny_records[0])
+            assert len(worker.conn.sent) == 1
+            pool._mark_dead(worker, reason="pipe closed")
+        assert handle.attempts == 0
+        assert pool._parked == [handle] and not handle.done.is_set()
+        worker.conn = real_conn
+    with pytest.raises(WorkerUnavailable, match="pool closed"):
+        handle.result()
 
 
 def test_pool_refreshes_payload_via_provider_on_restart(pool_timer, pool_payload):

@@ -26,7 +26,6 @@ import pytest
 from repro.core.dataset import build_design_record
 from repro.core.optimize import generate_candidates, ranking_from_labels
 from repro.fuzz.corpus import generate_fuzz_design
-from repro.incremental.patches import SetDerate, SwapCell
 from repro.incremental.whatif import evaluate_candidates
 from repro.optimize.search import IncrementalEvaluator
 from repro.runtime import RuntimeReport, activate
@@ -84,12 +83,17 @@ def _estimates_digest(records):
     return digest.hexdigest(), counters
 
 
-def _patch_value(patch) -> bytes:
-    if isinstance(patch, SwapCell):
-        return patch.cell.name.encode()
-    if isinstance(patch, SetDerate):
-        return np.float64(patch.derate).tobytes()
-    return np.float64(patch.delta).tobytes()
+def _patch_records(plan):
+    """``(kind, vertex, value bytes)`` of every patch of ``plan``, in patch order.
+
+    A kind is named as the patch class the digests were computed with.
+    """
+    for vertex, derate in zip(plan.derate_vertices.tolist(), plan.derates.tolist()):
+        yield b"SetDerate", vertex, np.float64(derate).tobytes()
+    for vertex, row in zip(plan.swap_vertices.tolist(), plan.swap_rows.tolist()):
+        yield b"SwapCell", vertex, plan.cells[row].name.encode()
+    for vertex, delta in zip(plan.load_vertices.tolist(), plan.load_deltas.tolist()):
+        yield b"AddExtraLoad", vertex, np.float64(delta).tobytes()
 
 
 def _plans_digest(records) -> str:
@@ -99,9 +103,9 @@ def _plans_digest(records) -> str:
         evaluator = IncrementalEvaluator(record)
         for options in generate_candidates(ranking_from_labels(record), k=K_CANDIDATES):
             patches = evaluator.patches(options)
-            for patch in patches:
-                digest.update(type(patch).__name__.encode() + struct.pack("<q", patch.vertex))
-                digest.update(_patch_value(patch))
+            for kind, vertex, value in _patch_records(patches):
+                digest.update(kind + struct.pack("<q", vertex))
+                digest.update(value)
             digest.update(np.float64(evaluator.area_of(patches)).tobytes())
     return digest.hexdigest()
 
