@@ -9,7 +9,7 @@ from repro.synth.optimizer import SynthesisOptions
 
 
 def _arrival_histogram(report, n_bins=8):
-    arrivals = np.array([e.arrival for e in report.endpoints if e.kind == "register"])
+    arrivals = report.endpoint_arrivals()[report.register_mask()]
     histogram, edges = np.histogram(arrivals, bins=n_bins)
     return histogram, edges, arrivals
 

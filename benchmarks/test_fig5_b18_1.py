@@ -27,8 +27,8 @@ def test_fig5_scatter_and_distribution(cv_results, benchmark):
         series = {}
         # (a) RTL-STA of the four representations vs label.
         for variant in BOG_VARIANTS:
-            report = record.pseudo_reports[variant]
-            arrivals = np.array([report.endpoint(n).arrival for n in names])
+            arrival_of = record.pseudo_reports[variant].register_arrivals()
+            arrivals = np.array([arrival_of[n] for n in names])
             series[f"rtl_sta_{variant}"] = pearson_r(labels, arrivals)
         # (b) bit-wise ensemble prediction vs label.
         bit_preds = cv_results.bitwise[DESIGN]
@@ -50,8 +50,8 @@ def test_fig5_scatter_and_distribution(cv_results, benchmark):
     ranking_scores = cv_results.signal_ranking[DESIGN]
     predicted_ranking = sorted(ranking_scores, key=lambda s: -ranking_scores[s])
     outcome = run_optimization_experiment(record, predicted_ranking, "predicted")
-    default_arrivals = np.array([e.arrival for e in outcome.default.report.endpoints])
-    optimized_arrivals = np.array([e.arrival for e in outcome.optimized.report.endpoints])
+    default_arrivals = outcome.default.report.endpoint_arrivals()
+    optimized_arrivals = outcome.optimized.report.endpoint_arrivals()
     bins = np.histogram_bin_edges(np.concatenate([default_arrivals, optimized_arrivals]), bins=8)
     default_hist, _ = np.histogram(default_arrivals, bins=bins)
     optimized_hist, _ = np.histogram(optimized_arrivals, bins=bins)

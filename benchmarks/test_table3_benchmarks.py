@@ -8,12 +8,12 @@ from repro.hdl.generate import BENCHMARK_SPECS
 
 
 def test_table3_benchmark_summary(dataset_records, benchmark):
-    spec_by_name = {spec.name: spec for spec in BENCHMARK_SPECS}
+    spec_of = {spec.name: spec for spec in BENCHMARK_SPECS}
 
     def compute():
         per_suite = defaultdict(lambda: {"designs": 0, "gates": [], "endpoints": [], "hdl": ""})
         for row in dataset_summary(dataset_records):
-            spec = spec_by_name[row["name"]]
+            spec = spec_of[row["name"]]
             suite = {
                 "itc99": "ITC'99",
                 "opencores": "OpenCores",

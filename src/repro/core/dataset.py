@@ -169,18 +169,15 @@ def build_design_record(
 
         # Choose the design clock so that a realistic fraction of endpoints
         # violate, then recompute the label report against that clock.
-        max_arrival = max((e.arrival for e in synthesis.report.endpoints), default=1.0)
+        arrivals = synthesis.report.endpoint_arrivals()
+        max_arrival = float(arrivals.max()) if arrivals.size else 1.0
         period = max(50.0, config.clock_utilization * max_arrival)
         clock = ClockConstraint(period=period)
         label_report = sta_analyze(synthesis.netlist, clock)
         synthesis.report = label_report
         synthesis.qor = synthesis.netlist.qor(label_report)
 
-    labels = {
-        endpoint.name: endpoint.arrival
-        for endpoint in label_report.endpoints
-        if endpoint.kind == "register"
-    }
+    labels = label_report.register_arrivals()
     # Keep only endpoints that also exist in the RTL representation (register
     # consistency; retiming is never applied to the label run so in practice
     # this keeps everything).

@@ -355,16 +355,16 @@ def _design_statistics(network: TimingNetwork) -> Dict[str, float]:
 
 
 def _endpoint_rank_percent(report: STAReport, names: Sequence[str]) -> Dict[str, float]:
-    """Criticality rank (0 = most critical) of each endpoint, as a percentage."""
-    arrivals = []
-    for name in names:
-        try:
-            arrivals.append((name, report.endpoint(name).arrival))
-        except KeyError:
-            continue
-    arrivals.sort(key=lambda pair: -pair[1])
-    total = max(len(arrivals) - 1, 1)
-    return {name: 100.0 * index / total for index, (name, _) in enumerate(arrivals)}
+    """Criticality rank (0 = most critical) of each endpoint, as a percentage.
+
+    Names the report lacks are skipped; equal arrivals keep ``names`` order.
+    """
+    row_of = {e.name: row for row, e in enumerate(report.timing_endpoints)}
+    kept = [name for name in names if name in row_of]
+    arrivals = report.arrivals[report.drivers[[row_of[name] for name in kept]]]
+    total = max(len(kept) - 1, 1)
+    order = np.argsort(-arrivals, kind="stable").tolist()
+    return {kept[row]: 100.0 * index / total for index, row in enumerate(order)}
 
 
 def _token_codes(compiled: CSRTimingGraph, cols: AttributeColumns) -> np.ndarray:
@@ -518,7 +518,7 @@ def design_feature_vector(record: DesignRecord, variant: str = "sog") -> np.ndar
     """Design-level features used by the overall TNS/WNS model."""
     network = record.pseudo_networks[variant]
     report = record.pseudo_reports[variant]
-    arrivals = np.array([e.arrival for e in report.endpoints if e.kind == "register"])
+    arrivals = report.endpoint_arrivals()[report.register_mask()]
     stats = _design_statistics(network)
     if arrivals.size == 0:
         arrivals = np.zeros(1)

@@ -79,10 +79,7 @@ class OverallTimingModel:
             return design_features
         if mode == "sog_only" or bitwise_predictions is None:
             # Fall back to the raw pseudo-STA arrivals of the SOG representation.
-            report = record.pseudo_reports["sog"]
-            arrivals = {
-                e.name: e.arrival for e in report.endpoints if e.kind == "register"
-            }
+            arrivals = record.pseudo_reports["sog"].register_arrivals()
             # Pseudo arrivals live on a different scale; normalise by their max
             # so the aggregates remain comparable across designs.
             scale = max(arrivals.values()) or 1.0

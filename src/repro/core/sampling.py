@@ -137,7 +137,7 @@ def sample_design_paths(
     config = config or SamplingConfig()
     rng = random.Random(config.seed)
     wanted = set(endpoint_names) if endpoint_names is not None else None
-    by_name = _first_endpoint_by_name(network)
+    by_name = _first_endpoint_of_name(network)
     selected = [
         by_name[endpoint.name]
         for endpoint in network.endpoints
@@ -189,7 +189,7 @@ def sample_design_paths_reference(
     config = config or SamplingConfig()
     rng = random.Random(config.seed)
     wanted = set(endpoint_names) if endpoint_names is not None else None
-    by_name = _first_endpoint_by_name(network)
+    by_name = _first_endpoint_of_name(network)
     result: Dict[str, EndpointSamples] = {}
     for endpoint in network.endpoints:
         if endpoint.kind != "register":
@@ -202,7 +202,7 @@ def sample_design_paths_reference(
     return result
 
 
-def _first_endpoint_by_name(network: TimingNetwork) -> Dict[str, TimingEndpoint]:
+def _first_endpoint_of_name(network: TimingNetwork) -> Dict[str, TimingEndpoint]:
     """Each endpoint name's first endpoint, the one a by-name lookup finds."""
     by_name: Dict[str, TimingEndpoint] = {}
     for endpoint in network.endpoints:

@@ -8,9 +8,9 @@ baseline columns), against the network's baseline
 (:meth:`~repro.sta.csr.CSRTimingGraph.compute_loads` plus the cached level
 sweep): what-if patch sets reach about half to four fifths of a label
 netlist, and there one vectorized sweep costs less than re-sweeping the
-dirty slices level by level.  Its report is a
-:class:`~repro.sta.engine.SlackReport`: WNS and TNS come from the endpoint
-slack array, and endpoint objects are built only if read.  It matches a
+dirty slices level by level.  Its report is a plain
+:class:`~repro.sta.engine.STAReport` on the baseline's endpoint columns
+(``timing_endpoints``, ``drivers`` and ``required``), so it matches a
 from-scratch re-analysis bit for bit.
 
 Its :class:`PropagationStats` are the plan's timing footprint.  The seeds
@@ -37,7 +37,7 @@ from repro.faults import fault_active
 from repro.incremental.patches import PatchPlan
 from repro.runtime import report as report_mod
 from repro.sta.constraints import ClockConstraint
-from repro.sta.engine import SlackReport, STAReport, analyze, summarize_slack_array
+from repro.sta.engine import STAReport, analyze
 from repro.sta.network import AttributeColumns, TimingNetwork
 
 
@@ -71,24 +71,21 @@ class IncrementalSTA:
         self.network = network
         self.clock = clock
         if baseline is not None and (
-            baseline.clock != clock or len(baseline.arrivals) != len(network)
+            baseline.clock != clock
+            or len(baseline.arrivals) != len(network)
+            or len(baseline.drivers) != len(network.endpoints)
         ):
             baseline = None  # stale baseline: recompute rather than trust it
         self._report = baseline if baseline is not None else analyze(network, clock)
         # Structure the engine's frozen network keeps for its lifetime
         # (patches never change it; a size change is rejected): the consumer
-        # of each fanin edge, and each endpoint's driver, pin cap and
-        # required time, in endpoint order.
+        # of each fanin edge, and each endpoint's driver and pin cap, in
+        # endpoint order.
         compiled = network.compiled()
         self._fanin_owner = np.repeat(
             np.arange(compiled.n), np.diff(compiled.fanin_indptr).astype(np.int64)
         )
         self._endpoint_pins = network.endpoint_pins()
-        self._required = np.fromiter(
-            (clock.required_time(e.setup_time) for e in network.endpoints),
-            dtype=np.float64,
-            count=len(network.endpoints),
-        )
 
     # -- public API ----------------------------------------------------------
 
@@ -163,15 +160,13 @@ class IncrementalSTA:
         arrivals = np.zeros(compiled.n)
         slews = np.full(compiled.n, clock.input_slew)
         compiled.sweep_all(cols, clock, arrivals, slews, loads)
-        drivers = self._endpoint_pins[0]
-        wns, tns = summarize_slack_array(self._required - arrivals[drivers])
-        report = SlackReport(
-            network.name, clock, network.endpoints, arrivals, slews, loads, wns, tns
+        report = STAReport.of(
+            network.name, clock, arrivals, slews, loads, base.timing_endpoints, base.drivers, base.required
         )
         changed = (arrivals != base.arrivals) | (slews != base.slews)
         visited = seeds.copy()
         visited[self._fanin_owner[changed[compiled.fanin_indices]]] = True
-        updated = int(np.count_nonzero(changed[drivers]))
+        updated = int(np.count_nonzero(changed[base.drivers]))
         return report, int(np.count_nonzero(visited)), updated
 
 

@@ -13,8 +13,7 @@ arrays) and re-times the netlist on the plan's override columns with
   on the gate driving the signal's worst bit,
 * ``group_path`` budgets — every group gets its own sizing passes; projected
   as drive-strength upsizes (cell swaps) along the critical paths of each
-  group's worst endpoints, read from the :func:`critical_path_table` of the
-  frozen baseline,
+  group's worst endpoints, traced once on the frozen baseline,
 * the least-critical group cedes effort to area recovery; projected as a
   small extra wire load on its ample-slack endpoints.
 
@@ -78,32 +77,17 @@ class WhatIfEstimate:
         }
 
 
-def critical_path_table(netlist: Netlist, report: STAReport) -> Dict[str, List[int]]:
-    """The slowest-path vertex list of every endpoint name of a baseline run.
-
-    One array trace (:func:`~repro.sta.paths.trace_critical_paths`) covers
-    every endpoint; the first endpoint of a name wins, as in
-    :func:`~repro.sta.paths.trace_critical_path`.  The table holds as long
-    as ``netlist`` and ``report`` stay frozen, so K candidates share one.
-    """
-    endpoints = netlist.endpoints
-    walks = trace_critical_paths(netlist, report, [e.driver for e in endpoints])
-    table: Dict[str, List[int]] = {}
-    for endpoint, walk in zip(endpoints, walks):
-        table.setdefault(endpoint.name, walk)
-    return table
-
-
 class WhatIfPlan:
     """What every candidate of one frozen baseline ``(netlist, clock, report)`` shares.
 
-    The :class:`~repro.incremental.engine.IncrementalSTA` (with its endpoint
-    driver, pin-cap and required-time arrays); the critical-path table as a
-    padded matrix of each endpoint's path gates; the cell table extended by
-    every cell a gate can be upsized to, with the row each row reaches after
-    k upsize steps (saturating at the strongest drive); the per-row
-    parameter and area tables; and the baseline endpoints' signals, slacks
-    and drivers.  :meth:`project` turns an option set into a
+    The :class:`~repro.incremental.engine.IncrementalSTA`; every baseline
+    endpoint's critical path (one :func:`~repro.sta.paths.trace_critical_paths`
+    call over the report's ``drivers``) as a padded matrix of its gates; the
+    cell table extended by every cell a gate can be upsized to, with the row
+    each row reaches after k upsize steps (saturating at the strongest
+    drive); the per-row parameter and area tables; and the baseline
+    endpoints' signals, with the report's ``slacks`` and ``drivers``.
+    :meth:`project` turns an option set into a
     :class:`~repro.incremental.patches.PatchPlan` with array passes over
     these.  :func:`whatif_plan` keeps one per netlist.
     """
@@ -151,24 +135,23 @@ class WhatIfPlan:
         self.area = cell_table_column(self.cells, "area")
 
         # Baseline endpoints, in report order, with their critical paths' gates.
-        endpoints = report.endpoints
+        endpoints = report.timing_endpoints
         codes: Dict[str, int] = {}
         self.signal_codes = codes
         self.endpoint_signal = np.array(
             [codes.setdefault(e.signal, len(codes)) for e in endpoints], dtype=np.int64
         )
-        self.endpoint_slack = np.array([e.slack for e in endpoints], dtype=np.float64)
-        self.endpoint_driver = np.array([e.driver for e in endpoints], dtype=np.int64)
+        self.endpoint_slack = report.slacks
+        self.endpoint_driver = report.drivers
         #: Endpoints by slack, worst first; equal slacks keep endpoint order.
         self.by_slack = np.argsort(self.endpoint_slack, kind="stable")
         self.worst_register: Dict[str, Tuple[float, int]] = {}
-        for e in endpoints:
+        for e, slack, driver in zip(endpoints, report.slacks.tolist(), report.drivers.tolist()):
             worst = self.worst_register.get(e.signal)
-            if e.kind == "register" and (worst is None or e.slack < worst[0]):
-                self.worst_register[e.signal] = (e.slack, e.driver)
+            if e.kind == "register" and (worst is None or slack < worst[0]):
+                self.worst_register[e.signal] = (slack, driver)
         # Row i: the gates of endpoint i's critical path, launch point first, -1 padded.
-        table = critical_path_table(netlist, report)
-        walks = [table[e.name] for e in endpoints]
+        walks = trace_critical_paths(netlist, report, report.drivers)
         flat = np.fromiter(chain.from_iterable(walks), dtype=np.int64)
         gate = self.is_gate[flat]
         owner = np.repeat(np.arange(len(walks)), [len(walk) for walk in walks])[gate]

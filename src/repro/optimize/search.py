@@ -290,7 +290,7 @@ class _SearchState:
         self.evaluator = evaluator
         self.cache = cache
         self.period = float(record.clock.period)
-        self.n_endpoints = max(1, len(record.synthesis.report.endpoints))
+        self.n_endpoints = max(1, len(record.synthesis.report.drivers))
         self.baseline = ParetoPoint(
             wns=float(record.synthesis.report.wns),
             tns=float(record.synthesis.report.tns),

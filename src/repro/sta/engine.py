@@ -10,13 +10,13 @@ the quantities PrimeTime provides in the paper's flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.sta.constraints import ClockConstraint
-from repro.sta.network import AttributeColumns, TimingNetwork, VertexKind
+from repro.sta.network import AttributeColumns, TimingEndpoint, TimingNetwork, VertexKind
 
 #: STA kernel backends: ``array`` (level-sweep numpy kernel over the
 #: compiled CSR graph, used everywhere) and ``reference`` (the per-vertex
@@ -34,7 +34,7 @@ def check_kernel(kernel: str) -> str:
 
 @dataclass(slots=True)
 class EndpointTiming:
-    """Timing result at one endpoint."""
+    """Timing result at one endpoint: one row of an :class:`STAReport`."""
 
     name: str
     signal: str
@@ -44,93 +44,106 @@ class EndpointTiming:
     slack: float
     driver: int
 
-    @property
-    def is_violated(self) -> bool:
-        return self.slack < 0.0
-
 
 @dataclass
 class STAReport:
-    """Complete result of one STA run."""
+    """Complete result of one STA run, held as columns.
+
+    Per vertex: ``arrivals``, ``slews`` and ``loads``.  Per endpoint, in the
+    network's endpoint order at analysis time: ``timing_endpoints`` (a
+    snapshot of the network's :class:`~repro.sta.network.TimingEndpoint`
+    objects, read for names, signals, bits and kinds only, because a later
+    retiming move may rewrite their drivers), ``drivers``, ``required`` and
+    ``slacks = required - arrivals[drivers]``.  WNS and TNS are
+    :func:`summarize_slack_array` of ``slacks`` (see :meth:`of`).
+
+    :attr:`endpoints` views the rows as :class:`EndpointTiming` objects,
+    built from the report's own arrays on first read and never pickled.
+    """
 
     design: str
     clock: ClockConstraint
     arrivals: np.ndarray
     slews: np.ndarray
     loads: np.ndarray
-    endpoints: List[EndpointTiming]
+    timing_endpoints: Tuple[TimingEndpoint, ...]
+    drivers: np.ndarray
+    required: np.ndarray
+    slacks: np.ndarray
     wns: float
     tns: float
 
-    _by_name: Dict[str, EndpointTiming] = field(default_factory=dict, repr=False)
+    @classmethod
+    def of(cls, design, clock, arrivals, slews, loads, timing_endpoints, drivers, required):
+        """The report of an analyzed state: endpoint slacks, WNS and TNS derived."""
+        slacks = required - arrivals[drivers]
+        wns, tns = summarize_slack_array(slacks)
+        endpoints = tuple(timing_endpoints)
+        return cls(design, clock, arrivals, slews, loads, endpoints, drivers, required, slacks, wns, tns)
 
-    def __post_init__(self) -> None:
-        self._by_name = {e.name: e for e in self.endpoints}
+    def __getstate__(self) -> dict:
+        return {key: value for key, value in self.__dict__.items() if key != "_view"}
+
+    @property
+    def endpoints(self) -> List[EndpointTiming]:
+        """Every endpoint's timing, in endpoint order (a view built on first read)."""
+        view = self.__dict__.get("_view")
+        if view is None:
+            view = self._view = [
+                EndpointTiming(e.name, e.signal, e.bit, e.kind, arrival, slack, driver)
+                for e, arrival, slack, driver in zip(
+                    self.timing_endpoints,
+                    self.endpoint_arrivals().tolist(),
+                    self.slacks.tolist(),
+                    self.drivers.tolist(),
+                )
+            ]
+        return view
 
     def endpoint(self, name: str) -> EndpointTiming:
-        """Look up one endpoint's timing by bit-level name."""
-        return self._by_name[name]
+        """Look up one endpoint's timing by bit-level name (the last of that name)."""
+        for endpoint in reversed(self.endpoints):
+            if endpoint.name == name:
+                return endpoint
+        raise KeyError(name)
 
     def register_endpoints(self) -> List[EndpointTiming]:
         return [e for e in self.endpoints if e.kind == "register"]
 
+    def endpoint_arrivals(self) -> np.ndarray:
+        """Data arrival time at every endpoint, in endpoint order."""
+        return self.arrivals[self.drivers]
+
+    def register_mask(self) -> np.ndarray:
+        """Which endpoints are register data pins (the rest are outputs)."""
+        return np.array([e.kind == "register" for e in self.timing_endpoints], dtype=bool)
+
+    def register_arrivals(self) -> Dict[str, float]:
+        """Bit-level register endpoint name -> arrival (the last of a name wins)."""
+        return {
+            e.name: arrival
+            for e, arrival in zip(self.timing_endpoints, self.endpoint_arrivals().tolist())
+            if e.kind == "register"
+        }
+
     def signal_slacks(self) -> Dict[str, float]:
         """Word-level signal name -> worst slack over its bits."""
         slacks: Dict[str, float] = {}
-        for endpoint in self.endpoints:
+        for endpoint, slack in zip(self.timing_endpoints, self.slacks.tolist()):
             current = slacks.get(endpoint.signal)
-            if current is None or endpoint.slack < current:
-                slacks[endpoint.signal] = endpoint.slack
+            if current is None or slack < current:
+                slacks[endpoint.signal] = slack
         return slacks
 
-    def violated_endpoints(self) -> List[EndpointTiming]:
-        return [e for e in self.endpoints if e.is_violated]
-
     def summary(self) -> Dict[str, float]:
+        arrivals = self.endpoint_arrivals()
         return {
             "wns": self.wns,
             "tns": self.tns,
-            "n_endpoints": float(len(self.endpoints)),
-            "n_violated": float(len(self.violated_endpoints())),
-            "max_arrival": float(max((e.arrival for e in self.endpoints), default=0.0)),
+            "n_endpoints": float(len(self.drivers)),
+            "n_violated": float(np.count_nonzero(self.slacks < 0.0)),
+            "max_arrival": float(arrivals.max()) if arrivals.size else 0.0,
         }
-
-
-class SlackReport(STAReport):
-    """An :class:`STAReport` whose endpoint timings are built on first read.
-
-    A what-if candidate's report: WNS and TNS come from an endpoint slack
-    array, and the :class:`EndpointTiming` objects of the network's
-    ``timing_endpoints`` are built from the arrivals only if someone reads
-    :attr:`endpoints` (or looks one up by name).
-    """
-
-    def __init__(self, design: str, clock: ClockConstraint, timing_endpoints, arrivals, slews, loads, wns, tns):
-        self.design = design
-        self.clock = clock
-        self.arrivals = arrivals
-        self.slews = slews
-        self.loads = loads
-        self.wns = wns
-        self.tns = tns
-        self._timing_endpoints = timing_endpoints
-        self._built: Optional[List[EndpointTiming]] = None
-        self._names: Optional[Dict[str, EndpointTiming]] = None
-
-    @property
-    def endpoints(self) -> List[EndpointTiming]:
-        if self._built is None:
-            self._built = [
-                endpoint_timing(endpoint, self.clock, self.arrivals)
-                for endpoint in self._timing_endpoints
-            ]
-        return self._built
-
-    @property
-    def _by_name(self) -> Dict[str, EndpointTiming]:
-        if self._names is None:
-            self._names = {e.name: e for e in self.endpoints}
-        return self._names
 
 
 def compute_loads(network: TimingNetwork) -> np.ndarray:
@@ -180,21 +193,6 @@ def propagate_vertex(vertex, clock: ClockConstraint, arrivals, slews, load) -> t
     return best, cell.output_slew(load)
 
 
-def endpoint_timing(endpoint, clock: ClockConstraint, arrivals) -> EndpointTiming:
-    """Slack of one endpoint under the given arrival state."""
-    arrival = float(arrivals[endpoint.driver])
-    required = clock.required_time(endpoint.setup_time)
-    return EndpointTiming(
-        name=endpoint.name,
-        signal=endpoint.signal,
-        bit=endpoint.bit,
-        kind=endpoint.kind,
-        arrival=arrival,
-        slack=required - arrival,
-        driver=endpoint.driver,
-    )
-
-
 def ordered_sum(values) -> float:
     """The float sum of ``values`` added one by one, left to right, from 0.0.
 
@@ -215,12 +213,6 @@ def summarize_slack_array(slacks: np.ndarray) -> tuple:
     return float(negative.min()), ordered_sum(negative)
 
 
-def summarize_slacks(endpoints: Sequence[EndpointTiming]) -> tuple:
-    """(WNS, TNS) over a list of endpoint timings."""
-    slacks = np.fromiter((e.slack for e in endpoints), dtype=np.float64, count=len(endpoints))
-    return summarize_slack_array(slacks)
-
-
 def analyze(
     network: TimingNetwork,
     clock: ClockConstraint,
@@ -239,13 +231,14 @@ def analyze(
     n = len(network)
     arrivals = np.zeros(n)
     slews = np.full(n, clock.input_slew)
+    pins = network.endpoint_pins()
 
     if check_kernel(kernel) == "array":
         compiled = network.compiled()
         if cols is None:
             cols = network.attribute_columns()
         if loads is None:
-            loads = compiled.compute_loads(cols, network.endpoint_pins())
+            loads = compiled.compute_loads(cols, pins)
         compiled.sweep_all(cols, clock, arrivals, slews, loads)
     else:
         if cols is not None:
@@ -258,21 +251,13 @@ def analyze(
                 vertex, clock, arrivals, slews, loads[vertex_id]
             )
 
-    endpoints: List[EndpointTiming] = [
-        endpoint_timing(endpoint, clock, arrivals) for endpoint in network.endpoints
-    ]
-    wns, tns = summarize_slacks(endpoints)
-
-    return STAReport(
-        design=network.name,
-        clock=clock,
-        arrivals=arrivals,
-        slews=slews,
-        loads=loads,
-        endpoints=endpoints,
-        wns=wns,
-        tns=tns,
+    endpoints = network.endpoints
+    required = np.fromiter(
+        (clock.required_time(e.setup_time) for e in endpoints),
+        dtype=np.float64,
+        count=len(endpoints),
     )
+    return STAReport.of(network.name, clock, arrivals, slews, loads, endpoints, pins[0], required)
 
 
 def arrival_delay_of(

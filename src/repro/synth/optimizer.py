@@ -125,10 +125,10 @@ def optimize(
 
 
 def _worst_endpoints(report: STAReport, fraction: float) -> List[str]:
-    """Names of the worst-slack endpoints (at least one)."""
-    ordered = sorted(report.endpoints, key=lambda e: e.slack)
+    """Names of the worst-slack endpoints (at least one); equal slacks keep endpoint order."""
+    ordered = np.argsort(report.slacks, kind="stable")
     count = max(1, int(len(ordered) * fraction))
-    return [e.name for e in ordered[:count]]
+    return [report.timing_endpoints[i].name for i in ordered[:count].tolist()]
 
 
 def group_endpoints(report: STAReport, signals: Sequence[str], fraction: float) -> List[str]:
@@ -139,9 +139,10 @@ def group_endpoints(report: STAReport, signals: Sequence[str], fraction: float) 
     endpoints a real ``group_path`` run would size.
     """
     wanted = set(signals)
-    members = [e for e in report.endpoints if e.signal in wanted]
-    members.sort(key=lambda e: e.slack)
-    return [e.name for e in members[: group_target_count(len(members), fraction)]]
+    endpoints = report.timing_endpoints
+    members = np.array([i for i, e in enumerate(endpoints) if e.signal in wanted], dtype=np.int64)
+    members = members[np.argsort(report.slacks[members], kind="stable")]
+    return [endpoints[i].name for i in members[: group_target_count(len(members), fraction)].tolist()]
 
 
 def group_target_count(n_members: int, fraction: float) -> int:
@@ -217,14 +218,15 @@ def _area_recovery(
 
 def _worst_downstream_slack(netlist: Netlist, report: STAReport) -> Dict[int, float]:
     """Worst endpoint slack in the transitive fanout of each vertex."""
+    slack_of = dict(zip((e.name for e in report.timing_endpoints), report.slacks.tolist()))
     worst: Dict[int, float] = {}
     for endpoint in netlist.endpoints:
-        timing = report.endpoint(endpoint.name) if endpoint.name in report._by_name else None
-        if timing is None:
+        slack = slack_of.get(endpoint.name)
+        if slack is None:
             continue
         current = worst.get(endpoint.driver)
-        if current is None or timing.slack < current:
-            worst[endpoint.driver] = timing.slack
+        if current is None or slack < current:
+            worst[endpoint.driver] = slack
     # Propagate backwards in reverse topological order.
     compiled = netlist.compiled()
     indptr, indices = compiled.fanin_indptr.tolist(), compiled.fanin_indices.tolist()
@@ -254,14 +256,15 @@ def _retime_signals(
     """Retime the worst bit endpoint of each selected signal, keeping the move
     only if design WNS does not degrade."""
     for signal in signals:
-        bits = [e for e in report.endpoints if e.signal == signal and e.kind == "register"]
+        endpoints = report.timing_endpoints
+        bits = [i for i, e in enumerate(endpoints) if e.signal == signal and e.kind == "register"]
         if not bits:
             continue
-        worst_bit = min(bits, key=lambda e: e.slack)
-        if worst_bit.slack >= 0:
+        worst_bit = bits[int(np.argmin(report.slacks[bits]))]
+        if report.slacks[worst_bit] >= 0:
             continue
         wns_before = report.wns
-        moved = netlist.retime_endpoint_backward(worst_bit.name)
+        moved = netlist.retime_endpoint_backward(endpoints[worst_bit].name)
         if not moved:
             continue
         new_report = analyze(netlist, clock)

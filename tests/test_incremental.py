@@ -21,18 +21,13 @@ import pytest
 
 from repro.incremental import IncrementalSTA, PatchPlan
 from repro.incremental import whatif as whatif_mod
-from repro.incremental.whatif import (
-    critical_path_table,
-    evaluate_candidates,
-    patches_for_options,
-    record_plan,
-)
+from repro.incremental.whatif import evaluate_candidates, patches_for_options, record_plan
 from repro.core.optimize import generate_candidates, ranking_from_labels
 from repro.fuzz.oracles import edited_copy
 from repro.runtime import activate
 from repro.runtime.report import RuntimeReport
 from repro.sta.constraints import ClockConstraint
-from repro.sta.engine import analyze
+from repro.sta.engine import STAReport, analyze
 from repro.sta.network import VertexKind
 from repro.sta.paths import trace_critical_path, trace_critical_paths
 
@@ -174,9 +169,10 @@ class TestWhatIfEquivalence:
         )
         report, stats = engine.what_if(patches)
         full = analyze(edited_copy(network, patches), record.clock)
-        for name in ("arrivals", "slews", "loads"):
+        assert type(report) is STAReport
+        for name in ("arrivals", "slews", "loads", "drivers", "required", "slacks"):
             assert np.array_equal(getattr(report, name), getattr(full, name))
-        assert [e.slack for e in report.endpoints] == [e.slack for e in full.endpoints]
+        assert report.timing_endpoints == full.timing_endpoints
         assert (report.wns, report.tns) == (full.wns, full.tns)
         assert stats.n_patches == 3
 
@@ -221,6 +217,14 @@ class TestEngineBehaviour:
         engine = IncrementalSTA(network, other_clock, baseline=record.synthesis.report)
         _assert_matches_full(engine.report(), network, other_clock)
 
+        # Same vertices, one endpoint more: the baseline's endpoint columns are stale.
+        grown = copy.deepcopy(network)
+        grown.add_endpoint(dataclasses.replace(grown.endpoints[0], name="late_endpoint"))
+        engine = IncrementalSTA(grown, record.clock, baseline=record.synthesis.report)
+        assert engine.report() is not record.synthesis.report
+        assert len(engine.report().drivers) == len(grown.endpoints)
+        _assert_matches_full(engine.report(), grown, record.clock)
+
     def test_size_change_is_rejected(self, tiny_records):
         """Patches must not add vertices; an edited network needs a new engine."""
         record = tiny_records[1]
@@ -253,16 +257,15 @@ class TestWhatIfProjection:
         assert _network_state(netlist) == before  # projection itself is read-only
 
     def test_path_table_matches_the_scalar_tracer(self, tiny_records):
-        """The array-traced baseline table holds ``trace_critical_path``'s
-        vertex list for every endpoint name (first endpoint of a name wins)."""
+        """The plan's one array trace over the baseline ``drivers`` holds
+        ``trace_critical_path``'s vertex list for every endpoint, row by row."""
         for record in tiny_records:
             netlist = record.synthesis.netlist
             report = record.synthesis.report
-            table = critical_path_table(netlist, report)
-            names = {endpoint.name for endpoint in netlist.endpoints}
-            assert set(table) == names
-            for name in names:
-                assert table[name] == trace_critical_path(netlist, report, name).vertices
+            walks = trace_critical_paths(netlist, report, report.drivers)
+            assert len(walks) == len(report.timing_endpoints) == len(netlist.endpoints)
+            for walk, endpoint in zip(walks, report.timing_endpoints):
+                assert walk == trace_critical_path(netlist, report, endpoint).vertices
 
     def test_evaluate_candidates_is_pure(self, tiny_records):
         """Evaluation never mutates the record and is run-to-run stable."""

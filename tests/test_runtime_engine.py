@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
+import io
 import json
 import os
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core import RTLTimer, RTLTimerConfig, BitwiseConfig, build_dataset, build_dataset_serial
 from repro.core.dataset import DatasetConfig, build_design_record
 from repro.faults import FAULT_ENV_VAR, fault_fires
@@ -25,6 +30,7 @@ from repro.runtime import (
     resolve_jobs,
     stage,
 )
+from repro.runtime.cache import _CODE_SCOPE, PICKLE_PROTOCOL, code_paths
 
 from tests.conftest import TINY_SPECS
 
@@ -126,6 +132,51 @@ def test_record_key_invalidation():
     assert record_key("module m(); endmodule", name="m") != record_key(
         "module m(clk); input clk; endmodule", name="m"
     )
+
+
+class _ClassRecorder(pickle.Unpickler):
+    """An unpickler that notes the module of every ``repro`` class it loads."""
+
+    def __init__(self, blob: bytes):
+        super().__init__(io.BytesIO(blob))
+        self.modules = set()
+
+    def find_class(self, module, name):
+        if module.split(".")[0] == "repro":
+            self.modules.add(module)
+        return super().find_class(module, name)
+
+
+def test_record_pickle_classes_are_in_the_code_scope(tiny_record):
+    """A cached record holds only classes whose source the record key digests.
+
+    Changing the layout of a pickled class then invalidates every cached
+    record instead of leaving stale ones.
+    """
+    recorder = _ClassRecorder(pickle.dumps(tiny_record, protocol=PICKLE_PROTOCOL))
+    recorder.load()
+    scope = {path.resolve() for path in code_paths()}
+    outside = [
+        module
+        for module in sorted(recorder.modules)
+        if Path(importlib.import_module(module).__file__).resolve() not in scope
+    ]
+    assert "repro.sta.engine" in recorder.modules
+    assert outside == []
+
+
+def test_ci_artifact_cache_keys_hash_the_code_scope():
+    """Every CI artifact-cache key hashes exactly the record key's code scope."""
+    workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "ci.yml"
+    keys = re.findall(r"key: repro-artifacts-.*hashFiles\((.*)\)", workflow.read_text())
+    package = Path(repro.__file__).resolve().parent
+    expected = [
+        f"src/repro/{entry}/**" if (package / entry).is_dir() else f"src/repro/{entry}"
+        for entry in _CODE_SCOPE
+    ]
+    assert keys
+    for key in keys:
+        assert re.findall(r"'([^']*)'", key) == expected
 
 
 # ---------------------------------------------------------------------------
