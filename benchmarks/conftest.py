@@ -37,7 +37,6 @@ from repro.core import (
     RTLTimerConfig,
     SignalwiseConfig,
     build_dataset,
-    feature_cache_enabled,
 )
 from repro.core.dataset import DesignRecord
 from repro.hdl.generate import BENCHMARK_SPECS
@@ -90,7 +89,6 @@ def runtime_report():
             "fast_mode": FAST_MODE,
             "n_folds": N_FOLDS,
             "jobs": resolve_jobs(len(BENCHMARK_SPECS)),
-            "feature_cache": feature_cache_enabled(),
         }
     )
     yield report
@@ -141,21 +139,20 @@ def cv_results(dataset_records, runtime_report) -> CVResults:
                 results.overall[record.name] = prediction.overall
                 results.fold_of[record.name] = fold
 
-    if feature_cache_enabled():
-        # The path-feature cache must collapse per-fold re-extraction: across
-        # all folds there are at most two distinct extractions per (design,
-        # variant) — the endpoint-subsampled training extraction and the
-        # full-sampling prediction extraction — plus one unsampled reference
-        # per design, regardless of the number of folds.
-        extract_calls = (
-            runtime_report.stage_calls.get("features.extract_path_dataset", 0)
-            - extract_calls_before
-        )
-        n_variants = len(FAST_CONFIG.bitwise.variants)
-        assert extract_calls <= len(dataset_records) * (2 * n_variants + 1), (
-            f"feature cache failed to collapse CV re-extraction: {extract_calls} calls"
-        )
-        assert runtime_report.stage_calls.get("features.cache_hit", 0) > 0
+    # The path-feature cache must collapse per-fold re-extraction: across
+    # all folds there are at most two distinct extractions per (design,
+    # variant) — the endpoint-subsampled training extraction and the
+    # full-sampling prediction extraction — plus one unsampled reference
+    # per design, regardless of the number of folds.
+    extract_calls = (
+        runtime_report.stage_calls.get("features.extract_path_dataset", 0)
+        - extract_calls_before
+    )
+    n_variants = len(FAST_CONFIG.bitwise.variants)
+    assert extract_calls <= len(dataset_records) * (2 * n_variants + 1), (
+        f"feature cache failed to collapse CV re-extraction: {extract_calls} calls"
+    )
+    assert runtime_report.stage_calls.get("features.cache_hit", 0) > 0
     return results
 
 

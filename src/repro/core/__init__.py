@@ -56,7 +56,6 @@ from repro.core.features import (
 from repro.core.feature_cache import (
     PathFeatureCache,
     path_feature_cache,
-    feature_cache_enabled,
     path_dataset_key,
     reset_feature_cache,
 )
@@ -106,7 +105,6 @@ __all__ = [
     "extract_path_dataset",
     "PathFeatureCache",
     "path_feature_cache",
-    "feature_cache_enabled",
     "path_dataset_key",
     "reset_feature_cache",
     "BitwiseArrivalModel",

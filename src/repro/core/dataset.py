@@ -29,6 +29,7 @@ from repro.bog.transforms import build_variants
 from repro.hdl.design import Design, analyze
 from repro.hdl.generate import BENCHMARK_SPECS, DesignSpec, generate_design
 from repro.hdl.parser import parse_source
+from repro.runtime.cache import record_key
 from repro.runtime.report import stage as _stage
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import STAReport, analyze as sta_analyze
@@ -47,7 +48,13 @@ class DatasetConfig:
 
 @dataclass
 class DesignRecord:
-    """All per-design artefacts used for training and evaluation."""
+    """All per-design artefacts used for training and evaluation.
+
+    ``key`` is the build key :func:`build_design_record` gives the record
+    (:func:`~repro.runtime.cache.record_key`), its identity for the artifact,
+    path-feature and pool-worker caches.  A record assembled or changed by
+    hand must carry ``key=None``; its features are then never cached.
+    """
 
     name: str
     spec: Optional[DesignSpec]
@@ -59,6 +66,7 @@ class DesignRecord:
     synthesis: SynthesisResult
     clock: ClockConstraint
     labels: Dict[str, float] = field(default_factory=dict)
+    key: Optional[str] = None
 
     # -- derived -----------------------------------------------------------------
 
@@ -195,6 +203,7 @@ def build_design_record(
         synthesis=synthesis,
         clock=clock,
         labels=labels,
+        key=record_key(spec_or_source, config, name),
     )
 
 

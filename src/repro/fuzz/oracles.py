@@ -80,7 +80,7 @@ from repro.optimize.pareto import dominates
 from repro.optimize.search import SearchConfig, run_search
 from repro.optimize.space import CandidateSpec
 from repro.runtime.cache import ArtifactCache, record_fingerprint
-from repro.runtime.parallel import parallel_build_records
+from repro.runtime.parallel import build_dataset_parallel
 from repro.sta.constraints import ClockConstraint
 from repro.sta.engine import analyze as sta_analyze
 from repro.sta.network import TimingNetwork, VertexKind, from_bog
@@ -365,7 +365,9 @@ def build_determinism(ctx: FuzzContext, rng: random.Random) -> List[str]:
 def parallel_vs_serial(ctx: FuzzContext, rng: random.Random) -> List[str]:
     """Pool-worker builds must be byte-identical to in-process builds."""
     serial = record_fingerprint(ctx.record)
-    built = parallel_build_records([ctx.fuzz.source, ctx.fuzz.source], jobs=2)
+    built = build_dataset_parallel(
+        [ctx.fuzz.source, ctx.fuzz.source], jobs=2, cache=ArtifactCache(enabled=False)
+    )
     problems: List[str] = []
     for index, record in enumerate(built):
         fingerprint = record_fingerprint(record)

@@ -46,7 +46,6 @@ _EXPORTS = {
     # parallel
     "build_dataset_parallel": "repro.runtime.parallel",
     "SourceItem": "repro.runtime.parallel",
-    "parallel_build_records": "repro.runtime.parallel",
     "resolve_jobs": "repro.runtime.parallel",
     "JOBS_ENV_VAR": "repro.runtime.parallel",
 }

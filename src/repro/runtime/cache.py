@@ -18,7 +18,9 @@ a shared cache volume) can never observe a torn entry.
 Environment knobs:
 
 * ``REPRO_CACHE_DIR`` — cache directory (default ``~/.cache/repro``),
-* ``REPRO_CACHE=0`` — disable the cache entirely.
+* ``REPRO_CACHE=0`` — disable the cache entirely,
+* ``REPRO_CACHE_MAX_MB`` — size budget; a store keeps to its share of it
+  by pruning itself every :data:`PRUNE_EVERY` stores.
 """
 
 from __future__ import annotations
@@ -56,6 +58,9 @@ CACHE_MAX_MB_ENV_VAR = "REPRO_CACHE_MAX_MB"
 
 #: Pickle protocol used for cached artifacts and fingerprints.
 PICKLE_PROTOCOL = 5
+
+#: Stores between prune passes of one store (a prune walks its directory).
+PRUNE_EVERY = 64
 
 #: Paths (relative to ``src/repro``) whose content participates in cache
 #: keys: everything that can change the bytes of a built DesignRecord.
@@ -139,7 +144,8 @@ def record_key(spec_or_source: Any, config: Any = None, name: Optional[str] = No
     ``spec_or_source`` mirrors :func:`repro.core.dataset.build_design_record`:
     either a :class:`~repro.hdl.generate.DesignSpec` or raw Verilog text.
     Frozen-dataclass ``repr`` is stable and covers every field, so it is used
-    verbatim as the spec/config payload.
+    verbatim as the spec/config payload.  A spec record renamed by ``name``
+    has a key of its own.
     """
     from repro.core.dataset import DatasetConfig
     from repro.hdl.generate import DesignSpec
@@ -148,6 +154,8 @@ def record_key(spec_or_source: Any, config: Any = None, name: Optional[str] = No
     parts = ["design-record/v1", f"code={code_fingerprint()}", f"config={config!r}"]
     if isinstance(spec_or_source, DesignSpec):
         parts.append(f"spec={spec_or_source!r}")
+        if name:
+            parts.append(f"name={name}")
     else:
         parts.append(f"name={name or 'user_design'}")
         parts.append(f"source={spec_or_source}")
@@ -200,6 +208,11 @@ class ArtifactCache:
     increments (``<prefix>_hits`` / ``<prefix>_misses`` / ...), so secondary
     caches layered on this store (e.g. the path-feature cache) report their
     traffic separately from the DesignRecord artifact cache.
+
+    ``budget_share`` sets the store's size budget, ``max_bytes``: ``1/share``
+    of ``REPRO_CACHE_MAX_MB`` as read at construction, or no budget for
+    ``None`` (a store that is never pruned).  Every :data:`PRUNE_EVERY`
+    stores the store prunes itself to that budget.
     """
 
     def __init__(
@@ -207,11 +220,16 @@ class ArtifactCache:
         directory: Optional[os.PathLike] = None,
         enabled: Optional[bool] = None,
         counter_prefix: str = "cache",
+        budget_share: Optional[int] = 1,
     ):
         self.directory = Path(directory) if directory is not None else default_cache_dir()
         self.enabled = cache_enabled() if enabled is None else bool(enabled)
         self.counter_prefix = counter_prefix
+        self.max_bytes: Optional[int] = None
+        if budget_share is not None:
+            self.max_bytes = settings.get(CACHE_MAX_MB_ENV_VAR) * 1024 * 1024 // budget_share
         self.stats = CacheStats()
+        self._stores_since_prune = 0
 
     def path_for(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
@@ -294,6 +312,9 @@ class ArtifactCache:
             return False
         self.stats.stores += 1
         report_mod.incr(f"{self.counter_prefix}_stores")
+        self._stores_since_prune += 1
+        if self._stores_since_prune >= PRUNE_EVERY:
+            self.prune()
         return True
 
     def load_or_build(self, key: str, builder: Callable[[], T]) -> T:
@@ -314,18 +335,20 @@ class ArtifactCache:
 
         Every edit to a file in the key scope orphans the previous generation
         of entries (their keys become unreachable), so without eviction the
-        directory grows by tens of megabytes per generation.  The engine calls
-        this after storing new entries; entries just written or recently hit
-        have fresh mtimes and survive.  ``max_bytes`` defaults to the
-        ``REPRO_CACHE_MAX_MB`` environment variable (2048 MiB).  Returns the
-        number of files deleted.
+        directory grows by tens of megabytes per generation.  The store calls
+        this every :data:`PRUNE_EVERY` stores and the dataset build after
+        storing new entries; entries just written or recently hit have fresh
+        mtimes and survive.  ``max_bytes`` defaults to the store's budget; a
+        store without one is never pruned.  Returns the number of files
+        deleted.
         """
-        if not self.enabled:
+        self._stores_since_prune = 0
+        if max_bytes is None:
+            max_bytes = self.max_bytes
+        if not self.enabled or max_bytes is None:
             # A disabled cache (REPRO_CACHE=0 rebuild) must not mutate the
             # on-disk state it was told not to touch.
             return 0
-        if max_bytes is None:
-            max_bytes = settings.get(CACHE_MAX_MB_ENV_VAR) * 1024 * 1024
         entries = []
         total = 0
         try:

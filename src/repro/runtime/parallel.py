@@ -290,23 +290,6 @@ def _build_records(items: List[Any], config: Any, jobs: Optional[int], store: Co
     return [records[index] for index in range(len(items))]
 
 
-def parallel_build_records(
-    specs: Sequence[Any],
-    config: Any = None,
-    jobs: Optional[int] = None,
-) -> List[Any]:
-    """Build DesignRecords for ``specs`` (uncached), fanning out across processes.
-
-    Items are :class:`~repro.hdl.generate.DesignSpec` or :class:`SourceItem`
-    objects, or raw Verilog text.  Results are returned in item order regardless of
-    completion order.  Falls back to the serial path when ``jobs`` resolves
-    to 1 or the pool cannot be used.
-    """
-    from repro.core.dataset import DatasetConfig
-
-    return _build_records(list(specs), config or DatasetConfig(), jobs, lambda *_: None)
-
-
 def build_dataset_parallel(
     specs: Optional[Sequence[Any]] = None,
     config: Any = None,
@@ -360,13 +343,5 @@ def build_dataset_parallel(
                 # New stores may have pushed the directory past its size
                 # budget (old code generations leave unreachable entries).
                 cache.prune()
-            for record, key in zip(records, keys):
-                # The build key is a full content identity for the record
-                # (item ⊕ config ⊕ build code); stash it so downstream caches
-                # (path features) can address the record without re-pickling
-                # it into a fingerprint.  Any fingerprint that rode along in a
-                # cached pickle predates this session's key and is dropped.
-                record.__dict__.pop("_feature_fingerprint", None)
-                record.__dict__["_content_key"] = key
             report_mod.incr("designs", len(items))
     return records

@@ -221,9 +221,11 @@ class ModelRegistry:
     def __init__(self, directory: Optional[os.PathLike] = None):
         self.directory = Path(directory) if directory is not None else default_model_dir()
         # Model bundles are explicit artifacts, not a transparent cache:
-        # always enabled regardless of REPRO_CACHE so a training run's
-        # save_model cannot silently vanish.
-        self.cache = ArtifactCache(self.directory, enabled=True, counter_prefix="model")
+        # always enabled regardless of REPRO_CACHE, and never pruned, so a
+        # training run's save_model cannot silently vanish.
+        self.cache = ArtifactCache(
+            self.directory, enabled=True, counter_prefix="model", budget_share=None
+        )
         self.index_path = self.directory / "registry.json"
 
     # -- index ------------------------------------------------------------------

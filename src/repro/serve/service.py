@@ -304,12 +304,6 @@ class TimingService:
             record = self._artifacts.load_or_build(
                 key, lambda: build_design_record(source, name=name)
             )
-        # The build key is a full content identity of the record (source ⊕
-        # name ⊕ build code).  Stamped on the record, it addresses the
-        # path-feature cache here and in pool workers without pickling the
-        # record into a fingerprint, and keys the workers' record caches.
-        record.__dict__.pop("_feature_fingerprint", None)
-        record.__dict__["_content_key"] = key
         with self._record_mutex:
             self._record_cache[key] = record
             self._record_cache.move_to_end(key)
@@ -500,7 +494,7 @@ class PooledTimingService(TimingService):
                     "predict",
                     request.record,
                     deadline=request.deadline,
-                    content_key=getattr(request.record, "_content_key", None),
+                    content_key=request.record.key,
                 ),
             )
             for request in batch

@@ -65,15 +65,13 @@ KNOBS: Dict[str, Knob] = {
         # -- runtime ----------------------------------------------------------
         Knob("REPRO_CACHE_DIR", str, None,
              "artifact-cache directory (unset: ~/.cache/repro)"),
-        Knob("REPRO_CACHE", _flag, True, "0 disables the record artifact cache"),
+        Knob("REPRO_CACHE", _flag, True,
+             "0 disables the record, path-feature and synthesis disk caches"),
         Knob("REPRO_CACHE_MAX_MB", int, 2048,
              "artifact-cache size budget in MiB; the path-feature store gets 1/8 of it"),
         Knob("REPRO_JOBS", int, None,
              "dataset-build worker processes (unset: os.cpu_count(); 1 = serial)"),
         Knob("REPRO_BENCH_OUT", str, "BENCH_runtime.json", "where runtime reports are written"),
-        Knob("REPRO_FEATURE_CACHE", _flag, True, "0 disables the path-feature cache"),
-        Knob("REPRO_FEATURE_CACHE_DISK", _flag, True,
-             "0 keeps the path-feature cache in memory only"),
         Knob("REPRO_FAULT_INJECT", str, "",
              "fault injection: name[:p=<prob>][:seed=<seed>], comma-separated"),
         # -- serving ----------------------------------------------------------

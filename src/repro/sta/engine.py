@@ -10,7 +10,7 @@ the quantities PrimeTime provides in the paper's flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -63,13 +63,15 @@ class STAReport:
 
     design: str
     clock: ClockConstraint
-    arrivals: np.ndarray
-    slews: np.ndarray
-    loads: np.ndarray
-    timing_endpoints: Tuple[TimingEndpoint, ...]
-    drivers: np.ndarray
-    required: np.ndarray
-    slacks: np.ndarray
+    # The columns stay out of the repr: a failed assert on a report prints
+    # its summary, not every array.
+    arrivals: np.ndarray = field(repr=False)
+    slews: np.ndarray = field(repr=False)
+    loads: np.ndarray = field(repr=False)
+    timing_endpoints: Tuple[TimingEndpoint, ...] = field(repr=False)
+    drivers: np.ndarray = field(repr=False)
+    required: np.ndarray = field(repr=False)
+    slacks: np.ndarray = field(repr=False)
     wns: float
     tns: float
 

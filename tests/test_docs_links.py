@@ -142,7 +142,6 @@ def test_knob_table_matches_settings():
 def test_serving_doc_covers_every_env_knob():
     """Every process-wide knob a module names is declared and documented."""
     serving = (REPO_ROOT / "docs/serving.md").read_text()
-    from repro.core.feature_cache import FEATURE_CACHE_DISK_ENV_VAR, FEATURE_CACHE_ENV_VAR
     from repro.faults import FAULT_ENV_VAR
     from repro.runtime.cache import (
         CACHE_DIR_ENV_VAR,
@@ -155,8 +154,6 @@ def test_serving_doc_covers_every_env_knob():
     from repro.settings import KNOBS
 
     for variable in (
-        FEATURE_CACHE_DISK_ENV_VAR,
-        FEATURE_CACHE_ENV_VAR,
         FAULT_ENV_VAR,
         CACHE_DIR_ENV_VAR,
         CACHE_ENABLE_ENV_VAR,

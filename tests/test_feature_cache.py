@@ -1,5 +1,6 @@
 """Tests for the fold-aware path-feature cache."""
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -9,13 +10,10 @@ import pytest
 import repro
 from repro.core.feature_cache import (
     CACHE_HIT_STAGE,
-    FEATURE_CACHE_DISK_ENV_VAR,
-    FEATURE_CACHE_ENV_VAR,
     PathFeatureCache,
     feature_code_paths,
     path_feature_cache,
     path_dataset_key,
-    record_fingerprint_cached,
     reset_feature_cache,
 )
 from repro.core.features import (
@@ -26,7 +24,6 @@ from repro.core.features import (
 )
 from repro.core.sampling import SamplingConfig
 from repro.runtime import RuntimeReport, activate
-from repro.runtime.cache import record_fingerprint
 
 EXTRACT_STAGE = "features.extract_path_dataset"
 
@@ -38,6 +35,12 @@ def isolated_cache(tmp_path, monkeypatch):
     reset_feature_cache()
     yield
     reset_feature_cache()
+
+
+@pytest.fixture
+def memory_only(monkeypatch):
+    """``REPRO_CACHE=0``: caches built from here on have no disk layer."""
+    monkeypatch.setenv("REPRO_CACHE", "0")
 
 
 def _datasets_equal(a, b):
@@ -77,11 +80,10 @@ class TestCacheHits:
             counts = [sequence[:, column].sum() for sequence in tokens]
             assert counts == hit.features[:, PATH_FEATURE_NAMES.index(f"path_n_{name}")].tolist()
 
-    def test_hit_matches_uncached_extraction(self, tiny_record, monkeypatch):
+    def test_hit_matches_uncached_extraction(self, tiny_record):
+        extract_path_dataset(tiny_record, "sog", SamplingConfig())
         cached = extract_path_dataset(tiny_record, "sog", SamplingConfig())
-        monkeypatch.setenv(FEATURE_CACHE_ENV_VAR, "0")
-        reset_feature_cache()
-        uncached = extract_path_dataset(tiny_record, "sog", SamplingConfig())
+        uncached = extract_path_dataset_uncached(tiny_record, "sog", SamplingConfig())
         _datasets_equal(cached, uncached)
 
     def test_disk_layer_survives_memory_clear(self, tiny_record):
@@ -94,8 +96,7 @@ class TestCacheHits:
         assert report.stage_calls[EXTRACT_STAGE] == 1  # the disk layer answered
         assert report.counters["feature_disk_hits"] == 1
 
-    def test_memory_only_mode_reextracts_after_clear(self, tiny_record, monkeypatch):
-        monkeypatch.setenv(FEATURE_CACHE_DISK_ENV_VAR, "0")
+    def test_memory_only_mode_reextracts_after_clear(self, tiny_record, memory_only):
         reset_feature_cache()
         report = RuntimeReport()
         with activate(report):
@@ -105,16 +106,17 @@ class TestCacheHits:
         assert report.stage_calls[EXTRACT_STAGE] == 2
         assert "feature_disk_stores" not in report.counters
 
-    def test_disabled_cache_always_extracts(self, tiny_record, monkeypatch):
-        monkeypatch.setenv(FEATURE_CACHE_ENV_VAR, "0")
-        reset_feature_cache()
-        assert path_feature_cache() is None
+    def test_disabled_cache_always_extracts(self, tiny_record):
+        """A record without a build key is extracted without the cache."""
+        unkeyed = dataclasses.replace(tiny_record, key=None)
         report = RuntimeReport()
         with activate(report):
-            extract_path_dataset(tiny_record, "sog", SamplingConfig())
-            extract_path_dataset(tiny_record, "sog", SamplingConfig())
+            extract_path_dataset(unkeyed, "sog", SamplingConfig())
+            extract_path_dataset(unkeyed, "sog", SamplingConfig())
         assert report.stage_calls[EXTRACT_STAGE] == 2
         assert CACHE_HIT_STAGE not in report.stage_calls
+        assert "feature_cache_misses" not in report.counters
+        assert path_feature_cache().n_memory_entries == 0
 
 
 class TestKeys:
@@ -138,11 +140,11 @@ class TestKeys:
         }
         assert len(keys) == len(tiny_records)
 
-    def test_fingerprint_memoized_on_record(self, tiny_record):
-        value = record_fingerprint_cached(tiny_record)
-        assert value == f"fp:{record_fingerprint(tiny_record)}"
-        assert tiny_record.__dict__["_feature_fingerprint"] == value
-        assert record_fingerprint_cached(tiny_record) == value
+    def test_key_needs_a_build_key(self, tiny_record):
+        with pytest.raises(ValueError, match="no build key"):
+            path_dataset_key(
+                dataclasses.replace(tiny_record, key=None), "sog", SamplingConfig(), None
+            )
 
     def test_extractor_code_lies_in_the_key(self, tiny_record):
         """Every source file the extractor runs is hashed into the cache key.
@@ -166,13 +168,21 @@ class TestKeys:
         fingerprinted = {path.resolve() for path in feature_code_paths()}
         assert ours and ours <= fingerprinted, sorted(map(str, ours - fingerprinted))
 
-    def test_engine_built_records_reuse_content_key(self, tiny_record):
-        import copy
 
-        record = copy.copy(tiny_record)
-        record.__dict__.pop("_feature_fingerprint", None)
-        record.__dict__["_content_key"] = "abc123"
-        assert record_fingerprint_cached(record) == "key:abc123"
+class TestRecordIdentity:
+    def test_directly_built_records_are_never_pickled_for_a_key(self, tiny_records, monkeypatch):
+        def refuse(record):
+            raise AssertionError(f"{record.name} was fingerprinted by pickling")
+
+        # Wherever a repro module has bound the name, not only at its source.
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("repro.") and hasattr(module, "record_fingerprint"):
+                monkeypatch.setattr(module, "record_fingerprint", refuse)
+        report = RuntimeReport()
+        with activate(report):
+            prediction = repro.RTLTimer().fit(tiny_records[:2]).predict(tiny_records[4])
+        assert prediction.signal_arrival
+        assert report.counters["feature_cache_misses"] > 0
 
 
 class TestFoldCollapse:
@@ -221,9 +231,9 @@ class TestFailurePaths:
         assert EXTRACT_STAGE not in report.stage_calls
         assert report.counters["feature_disk_hits"] == 1
 
-    def test_lru_eviction_order_under_interleaved_fold_access(self):
+    def test_lru_eviction_order_under_interleaved_fold_access(self, memory_only):
         """Fold-style interleaved reuse keeps hot entries, evicts stale folds."""
-        cache = PathFeatureCache(max_entries=3, disk=False)
+        cache = PathFeatureCache(max_entries=3)
         extractions = []
 
         def extractor(key):
@@ -245,25 +255,26 @@ class TestFailurePaths:
         assert cache.get_or_extract("b", extractor("b")) == "dataset-b"
         assert extractions == ["a", "b", "c", "d", "b"]  # b was the eviction
 
-    def test_unwritable_disk_layer_degrades_to_memory(self, tiny_record, tmp_path):
+    def test_unwritable_disk_layer_degrades_to_memory(self, tiny_record, tmp_path, monkeypatch):
         """A read-only cache directory must not break extraction."""
+        monkeypatch.setenv("REPRO_CACHE", "1")
         blocked = tmp_path / "blocked"
         blocked.write_text("a file, not a directory")
-        cache = PathFeatureCache(directory=blocked / "features", disk=True)
+        cache = PathFeatureCache(directory=blocked / "features")
         value = cache.get_or_extract("key", lambda: "computed")
         assert value == "computed"
         assert cache.get_or_extract("key", lambda: "recomputed") == "computed"
 
 
 class TestEviction:
-    def test_memory_layer_bounded(self, tiny_records):
-        cache = PathFeatureCache(max_entries=2, disk=False)
+    def test_memory_layer_bounded(self, tiny_records, memory_only):
+        cache = PathFeatureCache(max_entries=2)
         for index, record in enumerate(tiny_records[:4]):
             cache.get_or_extract(str(index), lambda r=record: r.name)
         assert cache.n_memory_entries == 2
 
-    def test_lru_keeps_recently_used(self):
-        cache = PathFeatureCache(max_entries=2, disk=False)
+    def test_lru_keeps_recently_used(self, memory_only):
+        cache = PathFeatureCache(max_entries=2)
         cache.get_or_extract("a", lambda: 1)
         cache.get_or_extract("b", lambda: 2)
         cache.get_or_extract("a", lambda: None)  # refresh "a"

@@ -201,14 +201,10 @@ def _fuzz_retrain_config(tmp_path, **overrides) -> RetrainConfig:
 def test_run_retrain_never_fingerprints_ingested_records(tmp_path, monkeypatch):
     """Every ingested record, fuzz ones included, carries its build key, so
     the path-feature cache never pickles a record into a fingerprint."""
-    import repro.core.feature_cache as feature_cache
-    import repro.runtime.cache as cache_mod
-
     def refuse(record):
         raise AssertionError(f"{record.name} was fingerprinted by pickling")
 
-    for module in (cache_mod, feature_cache):
-        monkeypatch.setattr(module, "record_fingerprint", refuse)
+    monkeypatch.setattr("repro.runtime.cache.record_fingerprint", refuse)
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     result = run_retrain(_fuzz_retrain_config(tmp_path), registry=ModelRegistry(tmp_path / "models"))
     assert result["promoted"]

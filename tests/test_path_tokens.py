@@ -7,6 +7,7 @@ sequences on demand leaves a fitted transformer's predictions bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -88,11 +89,9 @@ def test_cold_predict_extracts_each_variant_once(default_timer, tiny_records, fr
 
 @pytest.mark.parametrize("entry", ["predict", "predict_batch"])
 def test_uncached_predict_extracts_no_more_than_before(
-    default_timer, tiny_records, fresh_feature_cache, monkeypatch, entry
+    default_timer, tiny_records, fresh_feature_cache, entry
 ):
-    monkeypatch.setenv("REPRO_FEATURE_CACHE", "0")
-    reset_feature_cache()
-    record = tiny_records[4]
+    record = dataclasses.replace(tiny_records[4], key=None)  # never cached
     if entry == "predict":
         calls = _extractions(lambda: default_timer.predict(record))
     else:

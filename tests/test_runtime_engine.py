@@ -121,6 +121,15 @@ def test_cache_prune_is_a_noop_when_disabled(tmp_path):
     assert writer.path_for(key).exists()
 
 
+def test_built_records_carry_their_cache_key(tiny_records, simple_record, simple_source):
+    """A record's build key is the key the artifact cache stores it under."""
+    assert tiny_records[0].key == record_key(TINY_SPECS[0], DatasetConfig())
+    assert simple_record.key == record_key(simple_source, None, "simple")
+    assert simple_record.key != record_key(simple_source)  # the name is part of it
+    renamed = build_design_record(TINY_SPECS[0], name="renamed")
+    assert renamed.name == "renamed" and renamed.key != tiny_records[0].key
+
+
 def test_record_key_invalidation():
     spec = TINY_SPECS[0]
     base = record_key(spec, DatasetConfig())
@@ -248,7 +257,7 @@ def test_worker_written_entries_match_serial_build(cache):
     # gives the same records, under the same keys /predict uses for source.
     keys = [record_key(TINY_SPECS[0]), record_key(items[1].source, None, items[1].name),
             record_key(TINY_SPECS[1])]
-    assert [record._content_key for record in built] == keys
+    assert [record.key for record in built] == keys
     reloaded = [cache.get(key) for key in keys]
     assert [record_fingerprint(record) for record in reloaded] == expected
 
@@ -293,7 +302,7 @@ def test_crashed_worker_on_a_source_item_is_retried_serially(cache, monkeypatch)
     assert "dataset.build_retry_serial" in report.stages
     record = built[1]
     assert record.name == fuzz.name
-    assert record._content_key == record_key(fuzz.source, None, fuzz.name)
+    assert record.key == record_key(fuzz.source, None, fuzz.name)
     assert record_fingerprint(record) == _serial_fingerprints([fuzz])[0]
     assert [r.name for r in built] == [item.name for item in items]
 

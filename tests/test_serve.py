@@ -19,6 +19,7 @@ from repro.core.sampling import SamplingConfig
 from repro.hdl.parser import ParseError
 from repro.runtime.report import RuntimeReport
 from repro.serve import ServeConfig, TimingService, start_server
+from repro.serve.registry import ModelRegistry
 from tests.conftest import hold_first_batch, queued_at_least
 from tests.test_registry import TINY_TIMER_CONFIG
 
@@ -206,7 +207,6 @@ def test_served_records_carry_their_build_key(served_timer, simple_source, tmp_p
         raise AssertionError("a served record was fingerprinted by pickling")
 
     monkeypatch.setattr("repro.runtime.cache.record_fingerprint", refuse)
-    monkeypatch.setattr("repro.core.feature_cache.record_fingerprint", refuse)
     sampling = SamplingConfig()
     # First a fresh build, then a second service loading it from the artifact cache.
     for _ in range(2):
@@ -216,8 +216,33 @@ def test_served_records_carry_their_build_key(served_timer, simple_source, tmp_p
             key = path_dataset_key(record, "sog", sampling, None)
             shipped = pickle.loads(pickle.dumps(record))  # what a pool worker receives
             assert path_dataset_key(shipped, "sog", sampling, None) == key
+            assert served_timer.predict(record).signal_arrival
         finally:
             service.close()
+
+
+def test_served_records_keep_to_the_cache_budget(
+    served_timer, simple_source, simple_record, tmp_path, monkeypatch
+):
+    """Records stored by a server are pruned to REPRO_CACHE_MAX_MB; bundles never are."""
+    monkeypatch.setattr("repro.runtime.cache.PRUNE_EVERY", 1)
+    monkeypatch.setenv("REPRO_CACHE_MAX_MB", "0")
+    cache_dir = tmp_path / "cache"
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+    service = TimingService(served_timer)
+    try:
+        for index in range(3):
+            service.record_for_source(simple_source, name=f"design{index}")
+    finally:
+        service.close()
+    assert len(list(cache_dir.glob("[0-9a-f][0-9a-f]/*.pkl"))) <= 1
+
+    registry = ModelRegistry(tmp_path / "models")
+    manifests = [registry.save(served_timer, name) for name in ("first", "second")]
+    registry.save(served_timer, "first", metadata={"note": "stored again"})
+    for manifest in manifests:
+        assert registry.cache.path_for(manifest["bundle_id"]).exists()
+    assert registry.load("second").predict(simple_record).signal_arrival
 
 
 def test_malformed_sources_build_once_and_leave_healthy_requests_alone(

@@ -107,3 +107,10 @@ def test_build_predict_and_what_if_make_no_endpoint_objects(tiny_records, monkey
     assert any(estimate.n_patches for estimate in estimates)
     with pytest.raises(AssertionError, match="endpoint object"):
         record.label_report.endpoints  # noqa: B018 - the view is the one maker
+
+
+def test_report_repr_stays_short(tiny_record):
+    """The columns stay out of the repr, so a failed assert prints a summary."""
+    for report in (tiny_record.label_report, *tiny_record.pseudo_reports.values()):
+        assert len(repr(report)) < 300
+        assert f"wns={report.wns!r}" in repr(report)

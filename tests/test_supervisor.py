@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import os
 import signal
@@ -190,10 +189,8 @@ def test_pool_refreshes_payload_via_provider_on_restart(pool_timer, pool_payload
 
 
 def _keyed(record, key):
-    """A copy of ``record`` stamped with build key ``key``."""
-    keyed = copy.copy(record)
-    keyed.__dict__["_content_key"] = key
-    return keyed
+    """A copy of ``record`` carrying build key ``key``."""
+    return dataclasses.replace(record, key=key)
 
 
 def _record_transfers(report):
@@ -207,9 +204,7 @@ def _record_transfers(report):
 def _assert_pooled_matches(pool, timer, record):
     # A worker error reply (e.g. a cache miss on a key-only request) raises
     # from result(), so every call here also asserts zero error replies.
-    pooled = pool.submit(
-        "predict", record, content_key=record.__dict__.get("_content_key")
-    ).result()
+    pooled = pool.submit("predict", record, content_key=record.key).result()
     serial = timer.predict(record)
     # Everything but the wall-clock runtime is bit-identical.
     assert dataclasses.replace(pooled, runtime_seconds=serial.runtime_seconds) == serial
@@ -275,8 +270,7 @@ def test_pool_resends_after_refresh(pool_timer, pool_payload, tiny_records):
 
 
 def test_pool_ships_unkeyed_record_every_time(pool_timer, pool_payload, tiny_records):
-    record = tiny_records[0]
-    assert "_content_key" not in record.__dict__
+    record = dataclasses.replace(tiny_records[0], key=None)
     report = RuntimeReport()
     with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
         for _ in range(3):
@@ -291,7 +285,7 @@ def test_pool_record_mirror_survives_concurrent_senders(pool_timer, pool_payload
     bare key the worker has evicted, which comes back as an error reply.
     """
     records = [_keyed(r, f"key-{i}") for i, r in enumerate(tiny_records[:4])]
-    serial = {r.__dict__["_content_key"]: pool_timer.predict(r).signal_slack for r in records}
+    serial = {r.key: pool_timer.predict(r).signal_slack for r in records}
     report = RuntimeReport()
     failures = []
     per_thread = 8
@@ -300,7 +294,7 @@ def test_pool_record_mirror_survives_concurrent_senders(pool_timer, pool_payload
         try:
             for index in range(per_thread):
                 record = records[(offset + index) % len(records)]
-                key = record.__dict__["_content_key"]
+                key = record.key
                 pooled = pool.submit("predict", record, content_key=key).result()
                 assert pooled.signal_slack == serial[key]
         except BaseException as exc:
