@@ -59,8 +59,9 @@ Availability (crashes and slowdowns, each survived by the serving runtime):
 * ``worker.crash`` — a pool worker calls ``os._exit`` mid-request; the
   supervisor restarts it and the request is retried on a sibling.
 * ``worker.hang`` — a pool worker sleeps forever inside a request; the
-  supervisor detects the stuck request via the heartbeat's busy timestamp,
-  kills and restarts the worker, and the request is retried on a sibling.
+  supervisor sees no reply from it for ``hang_timeout_s`` (counted in
+  ``serve_worker_hangs``), kills and restarts the worker, and the request
+  is retried on a sibling.
 * ``worker.slow_io`` — a pool worker sleeps briefly before answering,
   inflating tail latency without failing anything.
 * ``cache.corrupt_entry`` — an :class:`~repro.runtime.cache.ArtifactCache`

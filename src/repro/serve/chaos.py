@@ -77,7 +77,7 @@ DEFAULT_FAULTS: Dict[str, float] = {
 #: rather than assumed.
 FAULT_EVIDENCE: Dict[str, Sequence[str]] = {
     "worker.crash": ("serve_worker_restarts",),
-    "worker.hang": ("serve_worker_restarts",),
+    "worker.hang": ("serve_worker_hangs",),
     "worker.slow_io": (),
     "cache.corrupt_entry": ("cache_corrupt",),
 }
@@ -101,7 +101,6 @@ class ChaosConfig:
     raw_source_every: int = 5
     whatif_every: int = 9
     hang_timeout_s: float = 1.0
-    heartbeat_timeout_s: float = 3.0
     backoff_max_s: float = 0.5
 
 
@@ -284,8 +283,6 @@ def run_campaign(
                 report=report,
                 pool_config=PoolConfig(
                     workers=config.workers,
-                    heartbeat_interval_s=0.05,
-                    heartbeat_timeout_s=config.heartbeat_timeout_s,
                     hang_timeout_s=config.hang_timeout_s,
                     backoff_base_s=0.05,
                     backoff_max_s=config.backoff_max_s,
@@ -530,6 +527,7 @@ def _finalize(
         name: counters.get(name, 0)
         for name in (
             "serve_worker_restarts",
+            "serve_worker_hangs",
             "serve_request_retries",
             "serve_pool_local_fallbacks",
             "cache_corrupt",

@@ -433,13 +433,14 @@ class PooledTimingService(TimingService):
     The parent keeps everything the single-process service has — admission,
     batch queueing, deadlines, per-request error isolation — and fans each
     taken batch out over :class:`~repro.serve.supervisor.WorkerPool` workers,
-    with one batcher per worker.  Records stamped with a build key (every
-    record from :meth:`record_for_source`) are pinned by that key, and each
+    with one batcher per worker.  Records that carry a build key (every
+    record ``build_design_record`` makes) are pinned by that key, and each
     worker keeps the last ``record_cache_entries`` of them, so a repeated
     design ships its key instead of the record.  A worker crash/hang mid-request is
-    retried on a sibling by the pool; if the whole pool is momentarily down
-    the parent answers from its own timer — the same bundle state, so every
-    path is bit-identical.
+    retried on a sibling by the pool; while no worker is alive requests park
+    until one respawns.  A request whose retry budget is spent is answered
+    by the parent's own timer — the same bundle state, so every path is
+    bit-identical.
 
     ``payload_provider`` supplies verified bundle payload bytes for worker
     (re)loads — typically ``lambda: registry.payload(ref)[0]``; by default

@@ -2,32 +2,32 @@
 
 The ROADMAP's multi-worker front end: every worker is a separate process
 that restores one registry bundle (``RTLTimer.from_state`` over verified
-payload bytes) and answers predict requests over a duplex pipe.  A
-supervisor thread watches a shared heartbeat queue and restarts workers
-that
+payload bytes) and answers predict requests over its own duplex pipe.  A
+worker's health is judged only in the parent, by one rule with two halves:
 
-* **crash** — the process died (``os._exit``, OOM-kill, segfault);
-* **hang** — the heartbeat keeps arriving (the heartbeat *thread* is
-  alive) but its ``busy_since`` timestamp shows the request loop stuck in
-  one request longer than ``hang_timeout_s``;
-* **go silent** — no heartbeat at all for ``heartbeat_timeout_s``.
+* **dead** — its pipe reports EOF (``os._exit``, OOM-kill, segfault) or a
+  send to it fails;
+* **hung** — it has pending requests and has sent no reply for
+  ``hang_timeout_s`` on the parent's clock.  A queue that keeps getting
+  replies is never hung, however long it is.
 
-Heartbeats also carry the worker's RSS, reported by :meth:`WorkerPool.status`.
-
-Restarts use exponential backoff per slot.  In-flight requests on a dead
-worker are retried on a sibling (bounded by ``retry_limit``, respecting the
-request's propagated deadline); predicts are idempotent pure functions of
-the record, so a retry can never change an answer — only save it.  When no
-sibling is alive the request parks and is flushed to the first worker that
-comes back, which is what makes "zero lost accepted requests" hold through
-a restart storm.
+A supervisor thread kills a hung worker and respawns every dead one with
+exponential backoff per slot.  It never writes to a worker pipe: in-flight
+requests of a dead worker are retried on a sibling (bounded by
+``retry_limit``, respecting the request's propagated deadline) from a
+short-lived thread of their own, so a retry blocked on a hung sibling's
+full pipe cannot stop the supervisor from detecting that hang.  Predicts
+are idempotent pure functions of the record, so a retry can never change
+an answer — only save it.  When no sibling is alive the request parks and
+is flushed to the first worker that comes back, which is what makes "zero
+lost accepted requests" hold through a restart storm.
 
 :class:`~repro.serve.service.PooledTimingService` plugs the pool into the
 :class:`~repro.serve.service.TimingService` front end: admission,
 batch queueing, deadlines and per-request error isolation stay in
-the parent; batch execution fans out over the pool, falling back to the
-parent's own timer (bit-identical, counted) if the pool is momentarily
-empty.
+the parent; batch execution fans out over the pool.  A request whose retry
+budget is spent is answered by the parent's own timer (bit-identical,
+counted); a parked request waits for a worker.
 """
 
 from __future__ import annotations
@@ -65,11 +65,8 @@ class PoolConfig:
     """
 
     workers: int = 2
-    #: Seconds between worker heartbeats.
-    heartbeat_interval_s: float = knob_field("REPRO_SERVE_HEARTBEAT_S")
-    #: Seconds without any heartbeat before a worker is declared dead.
-    heartbeat_timeout_s: float = knob_field("REPRO_SERVE_HEARTBEAT_TIMEOUT_S")
-    #: Seconds a worker may stay inside one request before it counts as hung.
+    #: Seconds a worker with pending requests may go without replying
+    #: before it counts as hung.
     hang_timeout_s: float = knob_field("REPRO_SERVE_HANG_TIMEOUT_S")
     #: Base and upper bound of the exponential restart backoff, seconds.
     backoff_base_s: float = knob_field("REPRO_SERVE_BACKOFF_S")
@@ -78,19 +75,22 @@ class PoolConfig:
     retry_limit: int = knob_field("REPRO_SERVE_RETRIES")
 
 
-def _rss_mb() -> float:
-    """Resident set size of this process in MiB (Linux; 0.0 if unknown)."""
-    try:
-        with open("/proc/self/statm") as handle:
-            pages = int(handle.read().split()[1])
-        return pages * os.sysconf("SC_PAGE_SIZE") / (1024 * 1024)
-    except (OSError, ValueError, IndexError):
-        try:
-            import resource
+#: Seconds between the supervisor's checks of every slot.
+_SUPERVISE_POLL_S = 0.05
 
-            return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-        except Exception:
-            return 0.0
+#: Uptime after which a slot's restart backoff starts over: only rapid
+#: crash loops pay exponentially.
+_STABLE_UPTIME_S = 5.0
+
+
+def _rss_mb(pid: int) -> float:
+    """Resident set size of process ``pid`` in MiB (0.0 without ``/proc``)."""
+    try:
+        with open(f"/proc/{pid}/statm") as handle:
+            pages = int(handle.read().split()[1])
+    except (OSError, ValueError, IndexError):
+        return 0.0
+    return pages * os.sysconf("SC_PAGE_SIZE") / (1024 * 1024)
 
 
 # ---------------------------------------------------------------------------
@@ -128,92 +128,62 @@ def _worker_faults(request_id: int) -> Tuple[str, ...]:
     return tuple(name for name in _WORKER_FAULTS if fault_fires(name, token))
 
 
-def _worker_main(
-    slot: int, conn, payload: bytes, config: PoolConfig, record_capacity: int
-) -> None:
-    """Entry point of one pool worker process.
+def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
+    """Entry point of one pool worker process: answer requests until EOF.
 
-    Heartbeats travel over the same per-worker duplex pipe as results —
-    deliberately *not* over a shared ``mp.Queue``: a worker killed mid-put
-    (SIGKILL, ``os._exit`` chaos) would leave the queue's cross-process
-    write lock held forever, silencing every sibling's heartbeats at once.
-    A broken pipe only ever takes down its own worker.
+    The worker sends nothing but replies.  The parent learns of its death
+    from the pipe's EOF and of a hang from the replies that stop coming.
     """
     from repro.core.pipeline import RTLTimer
     from repro.runtime.cache import gc_paused
 
     with gc_paused():
         timer = RTLTimer.from_state(pickle.loads(payload))
-
-    # busy[0] is the wall-clock start of the request currently being
-    # served, or 0.0 when idle; the heartbeat thread snapshots it so the
-    # supervisor can tell a hung request loop from a healthy idle worker.
-    busy = [0.0]
-    stop = threading.Event()
-    send_lock = threading.Lock()
     records: "OrderedDict[str, Any]" = OrderedDict()
 
     def send(message) -> bool:
         try:
-            with send_lock:
-                conn.send(message)
+            conn.send(message)
             return True
         except (OSError, ValueError):
             return False
 
-    def heartbeat() -> None:
-        while not stop.is_set():
-            if not send(("hb", 0, (time.time(), _rss_mb(), busy[0]))):
-                return  # pipe torn down: the parent is gone
-            stop.wait(config.heartbeat_interval_s)
-
-    threading.Thread(target=heartbeat, name=f"worker-{slot}-heartbeat", daemon=True).start()
-
-    try:
-        while True:
-            try:
-                kind, request_id, data = conn.recv()
-            except (EOFError, OSError):
+    while True:
+        try:
+            kind, request_id, data = conn.recv()
+        except (EOFError, OSError):
+            break
+        try:
+            if kind != "predict":
+                send(("error", request_id, f"unknown request kind {kind!r}"))
+                continue
+            key, record, expires_at, faults = data
+            # The record cache step comes first, the same step the parent
+            # took on its mirror for this send, so the two stay in sync
+            # whatever happens to the request afterwards.  A key the cache
+            # does not hold is a bug: it raises into the error reply below.
+            if key is not None:
+                if record is None:
+                    record = records[key]
+                _cache_record(records, record_capacity, key, record)
+            # Chaos hooks (drawn by the parent, see _worker_faults) fire
+            # before any work, exactly like a crash between accept and
+            # compute would in production.
+            if "worker.crash" in faults:
+                os._exit(43)
+            if "worker.hang" in faults:
+                time.sleep(3600.0)
+            if "worker.slow_io" in faults:
+                time.sleep(0.05)
+            if expires_at is not None and time.time() >= expires_at:
+                send(("deadline", request_id, None))
+                continue
+            send(("ok", request_id, timer.predict(record)))
+        except SystemExit:
+            raise
+        except BaseException as exc:
+            if not send(("error", request_id, f"{type(exc).__name__}: {exc}")):
                 break
-            if kind == "shutdown":
-                break
-            busy[0] = time.time()
-            try:
-                if kind != "predict":
-                    send(("error", request_id, f"unknown request kind {kind!r}"))
-                    continue
-                key, record, expires_at, faults = data
-                # The record cache step comes first, the same step the parent
-                # took on its mirror for this send, so the two stay in sync
-                # whatever happens to the request afterwards.  A key the
-                # cache does not hold is a bug: it raises into the error
-                # reply below.
-                if key is not None:
-                    if record is None:
-                        record = records[key]
-                    _cache_record(records, record_capacity, key, record)
-                # Chaos hooks (drawn by the parent, see _worker_faults) fire
-                # before any work, exactly like a crash between accept and
-                # compute would in production.
-                if "worker.crash" in faults:
-                    os._exit(43)
-                if "worker.hang" in faults:
-                    time.sleep(3600.0)
-                if "worker.slow_io" in faults:
-                    time.sleep(0.05)
-                if expires_at is not None and time.time() >= expires_at:
-                    send(("deadline", request_id, None))
-                    continue
-                send(("ok", request_id, timer.predict(record)))
-            except SystemExit:
-                raise
-            except BaseException as exc:
-                if not send(("error", request_id, f"{type(exc).__name__}: {exc}")):
-                    break
-            finally:
-                busy[0] = 0.0
-    finally:
-        stop.set()
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +237,10 @@ class _Worker:
         self.conn = None
         self.send_lock = threading.Lock()
         self.alive = False
-        self.last_heartbeat = 0.0
-        self.busy_since = 0.0
-        self.rss_mb = 0.0
+        #: Parent-clock (monotonic) time of this slot's last sign of
+        #: progress: its spawn, its last reply, or a dispatch that found it
+        #: idle.  A slot with pending requests and a stale stamp is hung.
+        self.progress_at = 0.0
         self.restarts = 0
         self.started_at = 0.0
         #: Payload generation this incarnation was spawned with; a worker
@@ -321,28 +292,26 @@ class WorkerPool:
     # -- lifecycle ---------------------------------------------------------------
 
     def close(self) -> None:
+        """Stop the supervisor and the workers; fail whatever is still pending.
+
+        The workers are terminated rather than asked to stop over their
+        pipes, so a hung worker with a full pipe cannot hold up the close.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             workers = list(self._workers)
-        for worker in workers:
-            with worker.send_lock:
-                if worker.conn is not None:
-                    try:
-                        worker.conn.send(("shutdown", 0, None))
-                    except (OSError, ValueError):
-                        pass
-        deadline = time.monotonic() + 5.0
+        self._supervisor.join(timeout=5.0)
         for worker in workers:
             process = worker.process
             if process is None:
                 continue
-            process.join(timeout=max(deadline - time.monotonic(), 0.1))
+            process.terminate()
+            process.join(timeout=2.0)
             if process.is_alive():
-                process.terminate()
+                process.kill()
                 process.join(timeout=1.0)
-        self._supervisor.join(timeout=5.0)
         with self._lock:
             leftovers = [
                 handle
@@ -379,29 +348,30 @@ class WorkerPool:
         record ships whole and requests round-robin.
         """
         handle = PoolRequestHandle(kind, tuple(data), deadline, content_key)
-        if not self._dispatch(handle):
-            with self._lock:
-                if self._closed:
-                    handle._resolve(error=WorkerUnavailable("worker pool closed"))
-                else:
-                    # Nobody alive right now: park until a restart flushes us.
-                    self._parked.append(handle)
-                    self.report.incr("serve_pool_parked")
+        self._dispatch(handle)
         return handle
 
-    def _dispatch(self, handle: PoolRequestHandle) -> bool:
+    def _dispatch(self, handle: PoolRequestHandle) -> None:
+        """Send ``handle`` to an alive worker, or park it if none is alive."""
         key = handle.content_key
         with self._lock:
             if self._closed:
-                return False
+                handle._resolve(error=WorkerUnavailable("worker pool closed"))
+                return
             alive = [worker for worker in self._workers if worker.alive]
             if not alive:
-                return False
+                # Parked under the same lock a spawn marks its slot alive
+                # under, so a parked request always sees the next flush.
+                self._parked.append(handle)
+                self.report.incr("serve_pool_parked")
+                return
             if key is not None:
                 worker = alive[hash(key) % len(alive)]
             else:
                 worker = alive[next(self._route_counter) % len(alive)]
             request_id = next(self._request_ids)
+            if not worker.pending:
+                worker.progress_at = time.monotonic()
             worker.pending[request_id] = handle
         # An attempt is charged before the send, so a death that retries the
         # request counts it, but only to a worker whose process had not
@@ -429,11 +399,12 @@ class WorkerPool:
         except (OSError, ValueError, TypeError, AttributeError):
             handle.attempts -= charge
             with self._lock:
-                worker.pending.pop(request_id, None)
+                owned = worker.pending.pop(request_id, None) is handle
             self._mark_dead(worker, reason="send failed")
-            return self._dispatch(handle)
+            if owned:  # else the death that broke the send retries it
+                self._dispatch(handle)
+            return
         self.report.incr("serve_pool_record_hits" if hit else "serve_pool_record_sends")
-        return True
 
     # -- worker lifecycle --------------------------------------------------------
 
@@ -441,16 +412,13 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(
-                worker.slot, child_conn, self._payload, self.config,
-                self.record_cache_entries,
-            ),
+            args=(child_conn, self._payload, self.record_cache_entries),
             name=f"timing-worker-{worker.slot}",
             daemon=True,
         )
         process.start()
         child_conn.close()
-        now = time.time()
+        now = time.monotonic()
         # A new pipe means a new, empty worker cache: swap conn and mirror
         # together under send_lock, so no racing sender can pair the fresh
         # pipe with the old incarnation's mirror.
@@ -459,11 +427,10 @@ class WorkerPool:
             worker.conn = parent_conn
             worker.records = OrderedDict()
             worker.alive = True
-            worker.last_heartbeat = now  # grace until the first real beat
-            worker.busy_since = 0.0
-            worker.rss_mb = 0.0
+            worker.progress_at = now
             worker.started_at = now
             worker.generation = self._generation
+            parked = bool(self._parked)
         threading.Thread(
             target=self._receive_loop,
             args=(worker, parent_conn, process),
@@ -471,7 +438,9 @@ class WorkerPool:
             daemon=True,
         ).start()
         self.report.incr("serve_worker_spawns")
-        self._flush_parked()
+        if parked:
+            # Off the supervisor's thread, like every send (see _mark_dead).
+            threading.Thread(target=self._flush_parked, name="pool-flush", daemon=True).start()
 
     def _receive_loop(self, worker: _Worker, conn, process) -> None:
         while True:
@@ -479,17 +448,8 @@ class WorkerPool:
                 status, request_id, value = conn.recv()
             except (EOFError, OSError):
                 break
-            if status == "hb":
-                # Heartbeats ride the result pipe; a beat from a previous
-                # incarnation of the slot cannot arrive here because each
-                # incarnation has its own pipe.
-                if worker.process is process:
-                    beat_at, rss_mb, busy_since = value
-                    worker.last_heartbeat = max(worker.last_heartbeat, beat_at)
-                    worker.rss_mb = rss_mb
-                    worker.busy_since = busy_since
-                continue
             with self._lock:
+                worker.progress_at = time.monotonic()
                 handle = worker.pending.pop(request_id, None)
             if handle is None:
                 continue  # abandoned (deadline) or requeued already
@@ -512,37 +472,36 @@ class WorkerPool:
             orphans = list(worker.pending.values())
             worker.pending.clear()
         if closing:
-            # Expected pipe EOF of a worker we just told to shut down — not
-            # a death.  Anything still pending cannot complete anymore.
+            # Expected pipe EOF of a worker we just stopped — not a death.
+            # Anything still pending cannot complete anymore.
             for handle in orphans:
                 handle._resolve(error=WorkerUnavailable("worker pool closed"))
             return
         log.warning("worker %d down (%s); %d in-flight", worker.slot, reason, len(orphans))
         self.report.incr("serve_worker_deaths")
-        for handle in orphans:
-            self._retry(handle)
+        if orphans:
+            # The retries send, and a send can block on a hung sibling's full
+            # pipe; on their own thread they cannot stall the caller (the
+            # supervisor, from _restart) that must detect that hang.
+            threading.Thread(
+                target=self._retry_all, args=(orphans,), name="pool-retry", daemon=True
+            ).start()
 
-    def _retry(self, handle: PoolRequestHandle) -> None:
-        if handle.done.is_set():
-            return
-        if handle.deadline is not None and handle.deadline.expired:
-            handle._resolve(error=DeadlineExceeded("deadline expired during retry"))
-            return
-        if handle.attempts > self.config.retry_limit:
-            handle._resolve(
-                error=WorkerUnavailable(
-                    f"request failed on {handle.attempts} workers (retry budget spent)"
+    def _retry_all(self, handles: List[PoolRequestHandle]) -> None:
+        for handle in handles:
+            if handle.done.is_set():
+                continue
+            if handle.deadline is not None and handle.deadline.expired:
+                handle._resolve(error=DeadlineExceeded("deadline expired during retry"))
+            elif handle.attempts > self.config.retry_limit:
+                handle._resolve(
+                    error=WorkerUnavailable(
+                        f"request failed on {handle.attempts} workers (retry budget spent)"
+                    )
                 )
-            )
-            return
-        self.report.incr("serve_request_retries")
-        if not self._dispatch(handle):
-            with self._lock:
-                if self._closed:
-                    handle._resolve(error=WorkerUnavailable("worker pool closed"))
-                    return
-                self._parked.append(handle)
-                self.report.incr("serve_pool_parked")
+            else:
+                self.report.incr("serve_request_retries")
+                self._dispatch(handle)
 
     # -- bundle refresh (promotion hot swap) --------------------------------------
 
@@ -581,9 +540,8 @@ class WorkerPool:
         for handle in parked:
             if handle.deadline is not None and handle.deadline.expired:
                 handle._resolve(error=DeadlineExceeded("deadline expired while parked"))
-            elif not self._dispatch(handle):
-                with self._lock:
-                    self._parked.append(handle)
+            else:
+                self._dispatch(handle)
 
     def _restart(self, worker: _Worker, reason: str) -> None:
         self._mark_dead(worker, reason=reason)
@@ -594,14 +552,14 @@ class WorkerPool:
             if process.is_alive():
                 process.kill()
                 process.join(timeout=1.0)
-        with worker.send_lock:  # never close the pipe under a sender's feet
+        # The process is gone, so a sender blocked on its pipe has failed
+        # out and released the lock; never close the pipe under a sender.
+        with worker.send_lock:
             try:
                 worker.conn.close()
             except (OSError, AttributeError):
                 pass
-        # A slot that stayed up well past the heartbeat window earns its
-        # backoff back: only rapid crash loops pay exponentially.
-        if time.time() - worker.started_at > max(self.config.heartbeat_timeout_s, 5.0):
+        if time.monotonic() - worker.started_at > _STABLE_UPTIME_S:
             worker.restarts = 0
         backoff = min(
             self.config.backoff_base_s * (2.0 ** worker.restarts),
@@ -624,26 +582,21 @@ class WorkerPool:
         self._spawn(worker)
 
     def _supervise(self) -> None:
-        check_every = max(self.config.heartbeat_interval_s / 2.0, 0.01)
         while not self._closed:
-            time.sleep(check_every)
-            now = time.time()
+            time.sleep(_SUPERVISE_POLL_S)
             for worker in self._workers:
                 if self._closed:
                     break
-                process = worker.process
                 if not worker.alive:
-                    # The receiver saw the pipe close (crash, send failure):
-                    # the supervisor owns the respawn.
+                    # The receiver saw the pipe close, or a send failed.
                     self._restart(worker, reason="worker died")
-                elif process is not None and not process.is_alive():
-                    self._restart(worker, reason=f"exited with {process.exitcode}")
-                elif now - worker.last_heartbeat > self.config.heartbeat_timeout_s:
-                    self._restart(worker, reason="missed heartbeats")
                 elif (
-                    worker.busy_since > 0.0
-                    and now - worker.busy_since > self.config.hang_timeout_s
+                    # pending is read first: a dispatch stamps progress_at
+                    # before it makes pending non-empty.
+                    worker.pending
+                    and time.monotonic() - worker.progress_at > self.config.hang_timeout_s
                 ):
+                    self.report.incr("serve_worker_hangs")
                     self._restart(worker, reason="request hung")
                 elif worker.generation != self._generation:
                     # Promotion hot swap: roll this slot onto the current
@@ -666,7 +619,7 @@ class WorkerPool:
                     "alive": worker.alive,
                     "pid": worker.process.pid if worker.process else None,
                     "restarts": worker.restarts,
-                    "rss_mb": round(worker.rss_mb, 1),
+                    "rss_mb": round(_rss_mb(worker.process.pid), 1) if worker.process else 0.0,
                     "pending": len(worker.pending),
                     "generation": worker.generation,
                 }

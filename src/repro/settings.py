@@ -85,11 +85,9 @@ KNOBS: Dict[str, Knob] = {
              "Retry-After hint attached to shed (429) responses"),
         Knob("REPRO_SERVE_WHATIF_CONCURRENCY", int, 4,
              "concurrent /whatif sweeps admitted, so sweeps cannot starve predicts"),
-        Knob("REPRO_SERVE_HEARTBEAT_S", float, 0.25, "pool-worker heartbeat interval"),
-        Knob("REPRO_SERVE_HEARTBEAT_TIMEOUT_S", float, 5.0,
-             "missed-heartbeat window before a worker is declared dead"),
         Knob("REPRO_SERVE_HANG_TIMEOUT_S", float, 10.0,
-             "per-request hang bound before the worker is killed and the request retried"),
+             "seconds a pool worker with pending requests may go without replying "
+             "before it is killed and its requests retried"),
         Knob("REPRO_SERVE_BACKOFF_S", float, 0.1,
              "base worker-restart backoff (doubles per rapid crash)"),
         Knob("REPRO_SERVE_BACKOFF_MAX_S", float, 5.0, "worker-restart backoff ceiling"),

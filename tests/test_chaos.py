@@ -40,7 +40,6 @@ def _campaign(**overrides) -> ChaosConfig:
         deadline_s=30.0,
         recovery_timeout_s=30.0,
         hang_timeout_s=1.0,
-        heartbeat_timeout_s=2.0,
         backoff_max_s=0.2,
     )
     defaults.update(overrides)

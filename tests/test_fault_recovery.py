@@ -109,8 +109,6 @@ def test_pooled_service_survives_registry_corruption(
         report=report,
         pool_config=PoolConfig(
             workers=1,
-            heartbeat_interval_s=0.05,
-            heartbeat_timeout_s=2.0,
             backoff_base_s=0.05,
             backoff_max_s=0.2,
         ),

@@ -320,8 +320,6 @@ def test_pooled_hot_swap_rolls_workers_without_drops(good_timer, alt_timer, tiny
         manifest={"bundle_id": "a" * 64},
         pool_config=PoolConfig(
             workers=2,
-            heartbeat_interval_s=0.05,
-            heartbeat_timeout_s=5.0,
             hang_timeout_s=10.0,
             backoff_base_s=0.05,
             backoff_max_s=0.2,

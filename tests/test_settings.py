@@ -83,14 +83,14 @@ def test_malformed_value_raises_naming_knob_and_value(monkeypatch, name, raw):
 
 
 def test_configure_applies_env_and_overrides_win(monkeypatch):
-    monkeypatch.setenv("REPRO_SERVE_HEARTBEAT_S", "0.5")
+    monkeypatch.setenv("REPRO_SERVE_BACKOFF_S", "0.5")
     monkeypatch.setenv("REPRO_SERVE_RETRIES", "5")
     config = settings.configure(PoolConfig, workers=3, retry_limit=1, hang_timeout_s=None)
     assert config.workers == 3
-    assert config.heartbeat_interval_s == 0.5  # from the environment
+    assert config.backoff_base_s == 0.5  # from the environment
     assert config.retry_limit == 1  # a non-None override wins
     assert config.hang_timeout_s == PoolConfig().hang_timeout_s  # None: env/default
-    monkeypatch.delenv("REPRO_SERVE_HEARTBEAT_S")
+    monkeypatch.delenv("REPRO_SERVE_BACKOFF_S")
     monkeypatch.delenv("REPRO_SERVE_RETRIES")
     assert settings.configure(PoolConfig) == PoolConfig()
 

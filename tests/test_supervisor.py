@@ -17,6 +17,7 @@ from repro.runtime.report import RuntimeReport
 from repro.serve.registry import state_payload
 from repro.serve.resilience import WorkerUnavailable
 from repro.serve.service import PooledTimingService, ServeConfig
+from repro.serve import supervisor
 from repro.serve.supervisor import PoolConfig, WorkerPool
 from tests.test_registry import TINY_TIMER_CONFIG
 
@@ -39,8 +40,6 @@ def pool_payload(pool_timer):
 def _fast_pool_config(**overrides) -> PoolConfig:
     defaults = dict(
         workers=2,
-        heartbeat_interval_s=0.05,
-        heartbeat_timeout_s=2.0,
         hang_timeout_s=5.0,
         backoff_base_s=0.05,
         backoff_max_s=0.2,
@@ -116,6 +115,102 @@ def test_pool_parks_requests_when_all_workers_down(pool_timer, pool_payload, tin
             assert pooled.signal_slack == serial.signal_slack
 
 
+def _warm(pool, record):
+    """One answered request per worker (request ids 1..workers), so no worker
+    is still loading its bundle when a test starts the hang clock."""
+    for handle in [pool.submit("predict", record) for _ in pool._workers]:
+        handle.result()
+
+
+def _hang_on(monkeypatch, *request_ids):
+    """Make the dispatches with these pool-wide request ids hang their worker."""
+    monkeypatch.setattr(
+        supervisor,
+        "_worker_faults",
+        lambda request_id: ("worker.hang",) if request_id in request_ids else (),
+    )
+
+
+def test_pool_answers_a_hung_request_on_a_sibling(pool_timer, pool_payload, tiny_records, monkeypatch):
+    """A worker that owes a reply for hang_timeout_s is killed; the request
+    is answered on its sibling."""
+    record = tiny_records[0]
+    report = RuntimeReport()
+    with WorkerPool(
+        lambda: pool_payload, _fast_pool_config(hang_timeout_s=0.5), report=report
+    ) as pool:
+        _warm(pool, record)
+        _hang_on(monkeypatch, 3)
+        handle = pool.submit("predict", record)
+        assert handle.done.wait(20.0), "hung request never answered"
+        assert handle.result().signal_slack == pool_timer.predict(record).signal_slack
+    assert report.counters.get("serve_worker_hangs", 0) == 1
+
+
+def test_pool_detects_both_hangs_when_every_worker_hangs(
+    pool_timer, pool_payload, tiny_records, monkeypatch
+):
+    """Two hung workers with full pipes are both detected and replaced.
+
+    Request ids 3 and 4 hang one worker each.  The unkeyed records after
+    them (about 140 KB pickled each) fill both pipes, so sends block.  The
+    first hang's retries then block on the second worker's pipe; run on the
+    supervisor's thread, they would keep it from ever seeing that hang.
+    """
+    record = tiny_records[0]
+    serial = pool_timer.predict(record)
+    report = RuntimeReport()
+    handles = []
+    pool = WorkerPool(
+        lambda: pool_payload, _fast_pool_config(hang_timeout_s=0.5), report=report
+    )
+    try:
+        _warm(pool, record)
+        _hang_on(monkeypatch, 3, 4)
+
+        def submit_all():
+            for _ in range(16):
+                handles.append(pool.submit("predict", record))
+
+        submitter = threading.Thread(target=submit_all, daemon=True)
+        submitter.start()
+        deadline = time.monotonic() + 20.0
+        submitter.join(timeout=20.0)
+        assert not submitter.is_alive(), f"{len(handles)} of 16 submitted"
+        for handle in handles:
+            assert handle.done.wait(max(deadline - time.monotonic(), 0.0)), (
+                f"{sum(h.done.is_set() for h in handles)} of 16 resolved"
+            )
+            assert handle.result().signal_slack == serial.signal_slack
+    finally:
+        # A stalled pool cannot be closed over its pipes; kill the workers
+        # first so a stall fails this test instead of hanging the suite.
+        for worker in pool._workers:
+            worker.process.kill()
+        pool.close()
+    assert report.counters.get("serve_worker_hangs", 0) >= 2
+
+
+def test_pool_never_calls_a_replying_queue_hung(pool_timer, pool_payload, tiny_records, monkeypatch):
+    """20 slow requests queued on one worker take longer than hang_timeout_s
+    in all, but replies keep coming: the rule is "no reply for
+    hang_timeout_s", not "oldest dispatch too old"."""
+    record = _keyed(tiny_records[0], "key-0")
+    serial = pool_timer.predict(record)
+    report = RuntimeReport()
+    with WorkerPool(
+        lambda: pool_payload, _fast_pool_config(hang_timeout_s=0.5), report=report
+    ) as pool:
+        _warm(pool, record)
+        monkeypatch.setattr(supervisor, "_worker_faults", lambda request_id: ("worker.slow_io",))
+        handles = [pool.submit("predict", record, content_key=record.key) for _ in range(20)]
+        for handle in handles:
+            assert handle.done.wait(20.0)
+            assert handle.result().signal_slack == serial.signal_slack
+    assert report.counters.get("serve_worker_hangs", 0) == 0
+    assert report.counters.get("serve_worker_deaths", 0) == 0
+
+
 class _Conn:
     """A stand-in worker pipe: ``send`` raises ``error``, or records the message."""
 
@@ -154,8 +249,10 @@ def test_pool_charges_no_attempt_for_a_worker_already_gone(
             handle = pool.submit("predict", tiny_records[0])
             assert len(worker.conn.sent) == 1
             pool._mark_dead(worker, reason="pipe closed")
+        # A death retries its orphans on a thread of its own.
+        _wait_for(lambda: pool._parked == [handle], message="request to park")
         assert handle.attempts == 0
-        assert pool._parked == [handle] and not handle.done.is_set()
+        assert not handle.done.is_set()
         worker.conn = real_conn
     with pytest.raises(WorkerUnavailable, match="pool closed"):
         handle.result()
