@@ -580,12 +580,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if not getattr(args, "command", None):
         parser.print_help()
         return 2
+    from repro.core.dataset import INPUT_ERRORS
     from repro.serve.registry import RegistryError
 
     try:
         return args.handler(args)
-    except RegistryError as exc:
+    except (RegistryError, *INPUT_ERRORS) as exc:
         # An unknown model, a missing version or a bundle that no longer
-        # restores is an operator error, not a crash.
+        # restores is an operator error, and RTL that does not parse or has
+        # no register is the user's; neither is a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -26,9 +26,10 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.bog.graph import BOG
 from repro.bog.transforms import build_variants
-from repro.hdl.design import Design, analyze
+from repro.hdl.design import AnalysisError, Design, analyze
 from repro.hdl.generate import BENCHMARK_SPECS, DesignSpec, generate_design
-from repro.hdl.parser import parse_source
+from repro.hdl.lexer import LexerError
+from repro.hdl.parser import ParseError, parse_source
 from repro.runtime.cache import record_key
 from repro.runtime.report import stage as _stage
 from repro.sta.constraints import ClockConstraint
@@ -36,6 +37,16 @@ from repro.sta.engine import STAReport, analyze as sta_analyze
 from repro.sta.network import TimingNetwork, from_bog
 from repro.synth.flow import SynthesisResult, synthesize_bog
 from repro.synth.optimizer import SynthesisOptions
+
+
+class NoRegisterError(ValueError):
+    """The design has no register endpoint, so there is no timing to predict."""
+
+
+#: What user RTL can be at fault for: a syntax error, an unsupported or
+#: inconsistent construct, or a design without a register.  Servers answer
+#: these 400 and the CLI prints one ``error:`` line.
+INPUT_ERRORS = (LexerError, ParseError, AnalysisError, NoRegisterError)
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,11 @@ class DesignRecord:
     def endpoint_names(self) -> List[str]:
         """Register endpoints present both in the RTL representation and netlist."""
         return sorted(self.labels)
+
+    def require_registers(self) -> None:
+        """Raise :class:`NoRegisterError` unless the design has a register endpoint."""
+        if not self.labels:
+            raise NoRegisterError(f"design {self.name!r} has no register endpoint to time")
 
     @property
     def label_report(self) -> STAReport:

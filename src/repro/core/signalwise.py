@@ -66,44 +66,44 @@ def _signal_feature_matrix(
     dataset = critical
     if dataset is None or dataset.variant != "sog":
         dataset = extract_path_dataset(record, "sog", SamplingConfig(seed=config.seed)).critical_rows()
-    by_signal: Dict[str, List[int]] = {}
-    for index, signal in enumerate(dataset.endpoint_signals):
-        by_signal.setdefault(signal, []).append(index)
+    signals = sorted(set(dataset.endpoint_signals))
+    code = {signal: index for index, signal in enumerate(signals)}
+    group = np.array([code[signal] for signal in dataset.endpoint_signals], dtype=np.intp)
+    # Rows grouped by signal, in dataset order within a signal.
+    order = np.argsort(group, kind="stable")
+    counts = np.bincount(group, minlength=len(signals))
+    starts = np.cumsum(counts) - counts
+    features = dataset.features[order]
 
-    cone_col = PATH_FEATURE_NAMES.index("cone_n_driving_regs")
-    rank_col = PATH_FEATURE_NAMES.index("design_rank_percent")
-    arr_col = PATH_FEATURE_NAMES.index("endpoint_pseudo_arrival")
-    total_col = PATH_FEATURE_NAMES.index("design_n_total")
-    levels_col = PATH_FEATURE_NAMES.index("path_n_levels")
+    def column(name: str) -> np.ndarray:
+        return features[:, PATH_FEATURE_NAMES.index(name)]
 
-    signals = sorted(by_signal)
-    rows: List[np.ndarray] = []
-    for signal in signals:
-        indices = by_signal[signal]
-        features = dataset.features[indices]
-        names = [dataset.endpoint_names[i] for i in indices]
-        if config.use_bitwise and bitwise_predictions is not None:
-            bit_preds = np.array(
-                [bitwise_predictions.get(name, 0.0) for name in names]
-            )
-        else:
-            bit_preds = features[:, arr_col]
-        rows.append(
-            np.array(
-                [
-                    float(bit_preds.max()),
-                    float(bit_preds.mean()),
-                    float(bit_preds.std()),
-                    float(len(indices)),
-                    float(features[:, cone_col].max()),
-                    float(features[:, rank_col].min()),
-                    float(features[:, arr_col].max()),
-                    float(features[:, levels_col].max()),
-                    float(features[0, total_col]),
-                ]
-            )
-        )
-    return np.vstack(rows), signals
+    if config.use_bitwise and bitwise_predictions is not None:
+        names = dataset.endpoint_names
+        bit_preds = np.array([bitwise_predictions.get(names[row], 0.0) for row in order.tolist()])
+    else:
+        bit_preds = column("endpoint_pseudo_arrival")
+    # Mean and std over one C-contiguous (signals, width) block per bit
+    # width: numpy reduces each row exactly as the 1-D call on that signal.
+    mean, std = np.empty(len(signals)), np.empty(len(signals))
+    for width in np.unique(counts).tolist():
+        members = np.flatnonzero(counts == width)
+        block = bit_preds[starts[members, None] + np.arange(width)]
+        mean[members], std[members] = block.mean(axis=1), block.std(axis=1)
+    rows = np.column_stack(
+        [
+            np.maximum.reduceat(bit_preds, starts),
+            mean,
+            std,
+            counts,
+            np.maximum.reduceat(column("cone_n_driving_regs"), starts),
+            np.minimum.reduceat(column("design_rank_percent"), starts),
+            np.maximum.reduceat(column("endpoint_pseudo_arrival"), starts),
+            np.maximum.reduceat(column("path_n_levels"), starts),
+            column("design_n_total")[starts],
+        ]
+    )
+    return rows, signals
 
 
 def _relevance_from_labels(labels: np.ndarray) -> np.ndarray:

@@ -22,10 +22,11 @@ verbatim.  One grower serves both splitters and both tree flavours: leaf
 values are plain weighted means (:class:`DecisionTreeRegressor`) or Newton
 steps from per-sample gradients/hessians (:class:`NewtonTreeRegressor`,
 XGBoost-style boosting), and only the per-node statistics differ between
-them.  The trees of a model are packed into one node array
-(:class:`PackedForest`) that routes every (tree, row) pair level by level
-over whole matrices; ``predict_recursive`` walks the arrays row by row as
-the reference the fuzz oracles compare it against.
+them.  The trees of a model are packed into one complete binary heap
+(:class:`PackedForest`) in which a routing step for every (tree, row) pair
+is ``i = 2*i + (x[feature[i]] <= threshold[i])``, with no child table and
+no branch; ``predict_recursive`` walks the arrays row by row as the
+reference the fuzz oracles compare it against.
 """
 
 from __future__ import annotations
@@ -195,68 +196,82 @@ class FlatTree:
         )
 
 
-#: Rows routed per pass of :class:`PackedForest`: bounds the (rows x trees)
-#: node-index scratch so large inputs stay cache-resident.
+#: Rows routed per pass of :class:`PackedForest`: bounds the (trees x rows)
+#: routing scratch so large inputs stay cache-resident.
 ROUTE_CHUNK_ROWS = 512
 
 
 @dataclass
 class PackedForest:
-    """The :class:`FlatTree` s of one model packed into a single node array.
+    """The :class:`FlatTree` s of one model packed into one complete binary heap.
 
-    Tree ``t`` starts at node ``roots[t]``; ``children[2 * i]`` and
-    ``children[2 * i + 1]`` are node ``i``'s left and right child, and a leaf
-    is its own child on both sides (with feature 0), so routing every
-    (row, tree) pair one level down is the same gather for interior nodes
-    and leaves.  ``depth`` such passes land every pair on its leaf.
-    ``value`` holds each node's value times the model's ``scale`` (its
-    learning rate), the exact product the per-tree sum used to form.
+    Tree ``t``'s node at level ``L``, position ``p`` sits in slot
+    ``2**L * (n_trees + t) + p``, so the roots fill slots ``n_trees`` to
+    ``2 * n_trees - 1`` and slot ``i``'s children are ``2 * i + 1`` (left)
+    and ``2 * i`` (right).  One routing step for every (tree, row) pair is
+    then ``i = 2 * i + (x[feature[i]] <= threshold[i])``, with no child
+    table and no branch, and ``depth`` steps land every pair in the leaf
+    level, slots ``n_trees * 2**depth`` onward.  A leaf above the leaf level
+    is repeated in every slot below it (its copies above the leaf level
+    split on feature 0, and either side reaches the same value), which is
+    what makes the heap complete.  Each array has ``n_trees * 2**depth``
+    slots, small at the depths this project fits (at most 8).  ``value``
+    holds the leaf level times the model's ``scale`` (its learning rate),
+    the exact product the per-tree sum used to form.
     """
 
-    feature: np.ndarray  # (n_nodes,) intp, 0 at leaves
-    threshold: np.ndarray  # (n_nodes,) float64
-    children: np.ndarray  # (2 * n_nodes,) intp
-    value: np.ndarray  # (n_nodes,) float64, scaled
-    roots: np.ndarray  # (n_trees,) intp
+    feature: np.ndarray  # (n_trees * 2**depth,) intp; slots below n_trees unused
+    threshold: np.ndarray  # (n_trees * 2**depth,) float64
+    value: np.ndarray  # (n_trees * 2**depth,) float64: the leaf level, scaled
+    n_trees: int
     depth: int
     n_features: int  # columns a routed matrix needs
 
     @classmethod
     def pack(cls, trees: List[FlatTree], scale: float = 1.0) -> "PackedForest":
+        """Lay the trees out level by level, all trees at once."""
         sizes = [tree.n_nodes for tree in trees]
-        roots = np.cumsum([0] + sizes[:-1], dtype=np.intp)[: len(trees)]
-        feature = np.concatenate([tree.feature for tree in trees] or [[]]).astype(np.intp)
+        starts = np.cumsum([0] + sizes, dtype=np.intp)
+
+        def joined(column: str) -> np.ndarray:
+            return np.concatenate([getattr(tree, column) for tree in trees] or [[]])
+
+        feature = joined("feature").astype(np.intp)
+        threshold, value = joined("threshold"), joined("value")
         interior = feature >= 0
+        # Children as node numbers across the joined arrays; a leaf is its
+        # own child, which repeats it down to the leaf level.
         own = np.arange(len(feature), dtype=np.intp)
-        children = np.empty(2 * len(feature), dtype=np.intp)
-        for side, column in ((0, "left"), (1, "right")):
-            offset = [getattr(tree, column) + root for tree, root in zip(trees, roots)]
-            children[side::2] = np.where(interior, np.concatenate(offset or [[]]), own)
-        depth, frontier = 0, roots[interior[roots]]
-        while frontier.size:
-            depth += 1
-            frontier = children.reshape(-1, 2)[frontier].ravel()
-            frontier = frontier[interior[frontier]]
+        offset = np.repeat(starts[:-1], sizes)
+        left = np.where(interior, joined("left").astype(np.intp) + offset, own)
+        right = np.where(interior, joined("right").astype(np.intp) + offset, own)
+        levels_feature = [np.zeros(len(trees), dtype=np.intp)]
+        levels_threshold = [np.zeros(len(trees))]
+        node = starts[:-1, None]  # (trees, 2**level) node numbers, heap order
+        while interior[node].any():
+            # A leaf copy may split anywhere (both its children are copies),
+            # as long as its feature is a column.
+            levels_feature.append(np.where(interior[node], feature[node], 0).ravel())
+            levels_threshold.append(threshold[node].ravel())
+            below = np.empty((len(trees), 2 * node.shape[1]), dtype=np.intp)
+            below[:, 1::2], below[:, 0::2] = left[node], right[node]
+            node = below
         return cls(
-            feature=np.where(interior, feature, 0),
-            threshold=np.concatenate([tree.threshold for tree in trees] or [[]]),
-            children=children,
-            value=scale * np.concatenate([tree.value for tree in trees] or [[]]),
-            roots=roots,
-            depth=depth,
+            feature=np.concatenate(levels_feature),
+            threshold=np.concatenate(levels_threshold),
+            value=scale * value[node].ravel(),
+            n_trees=len(trees),
+            depth=len(levels_feature) - 1,
             n_features=int(feature.max(initial=-1)) + 1,
         )
-
-    @property
-    def n_trees(self) -> int:
-        return len(self.roots)
 
     def leaf_values(self, features: np.ndarray) -> Iterator[Tuple[slice, np.ndarray]]:
         """Yield ``(rows, values)`` per chunk; ``values[t, r]`` is tree ``t``'s leaf value.
 
-        Rows go level-major: one gather pass per depth over every
-        (tree, row) pair of the chunk.  ``x <= threshold`` routes left, so a
-        NaN feature value goes right, as in the recursive reference.
+        Every (tree, row) pair of a chunk steps down one level per pass,
+        through scratch arrays allocated once per call.  ``x <= threshold``
+        routes left, so a NaN feature value goes right, as in the recursive
+        reference.
         """
         X = as_2d_array(features)
         if X.shape[1] < self.n_features:
@@ -265,15 +280,31 @@ class PackedForest:
                 f"column {self.n_features - 1}"
             )
         width = X.shape[1]
+        size = self.n_trees * min(len(X), ROUTE_CHUNK_ROWS)
+        scratch = [np.empty(size, dtype) for dtype in (np.intp, np.intp, float, float, bool)]
+        roots = np.arange(self.n_trees, 2 * self.n_trees, dtype=np.intp)[:, None]
+        leaf_level = self.n_trees << self.depth
         for start in range(0, len(X), ROUTE_CHUNK_ROWS):
             chunk = X[start : start + ROUTE_CHUNK_ROWS]
-            node = np.broadcast_to(self.roots[:, None], (self.n_trees, len(chunk)))
+            # Slot, cell index, cell, threshold and branch of every pair.
+            i, f, x, t, left = (a[: self.n_trees * len(chunk)] for a in scratch)
+            i.reshape(self.n_trees, len(chunk))[:] = roots
+            by_tree = f.reshape(self.n_trees, len(chunk))
             cells = chunk.ravel()
             row_base = np.arange(0, len(chunk) * width, width, dtype=np.intp)
+            # mode="clip" writes straight into ``out`` (the default "raise"
+            # buffers it); every index is in range by construction.
             for _ in range(self.depth):
-                goes_left = cells[row_base + self.feature[node]] <= self.threshold[node]
-                node = self.children[2 * node + 1 - goes_left]
-            yield slice(start, start + len(chunk)), self.value[node]
+                self.feature.take(i, out=f, mode="clip")
+                by_tree += row_base
+                cells.take(f, out=x, mode="clip")
+                self.threshold.take(i, out=t, mode="clip")
+                np.less_equal(x, t, out=left)
+                i += i
+                i += left
+            i -= leaf_level
+            values = self.value[i].reshape(self.n_trees, len(chunk))
+            yield slice(start, start + len(chunk)), values
 
     def predict(self, features: np.ndarray, base: float) -> np.ndarray:
         """``base`` plus every tree's leaf value, added in tree order."""

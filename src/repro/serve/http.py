@@ -37,6 +37,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro import settings
+from repro.core.dataset import INPUT_ERRORS
 from repro.core.pipeline import RTLTimerPrediction
 from repro.serve.resilience import DeadlineExceeded, RejectedError, WorkerUnavailable
 from repro.serve.service import TimingService
@@ -231,6 +232,8 @@ class TimingRequestHandler(BaseHTTPRequestHandler):
             self._send_error_json(504, str(exc) or "request deadline expired")
         except WorkerUnavailable as exc:
             self._send_error_json(503, str(exc) or "no serving worker available")
+        except INPUT_ERRORS as exc:  # the request's RTL, not the server
+            self._send_error_json(400, str(exc))
         except Exception as exc:  # a broken request must not kill the thread
             self._send_error_json(500, f"{type(exc).__name__}: {exc}")
 

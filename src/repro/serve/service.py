@@ -225,6 +225,9 @@ class TimingService:
         (:class:`DeadlineExceeded` rather than an unbounded wait; the
         deadline propagates into pool workers).
         """
+        # Here, not in the model pass, so in-process and pooled serving
+        # answer a register-less design alike, before it reaches a worker.
+        record.require_registers()
         deadline = Deadline.after(
             deadline_s if deadline_s is not None else self.config.deadline_s
         )

@@ -70,6 +70,23 @@ module simple (clk, a, b, sel, q, y);
 endmodule
 """
 
+#: Parses and elaborates, but has no register: nothing to time.
+COMBINATIONAL_VERILOG = """
+module comb (a, b, y);
+  input a;
+  input b;
+  output y;
+  assign y = a & b;
+endmodule
+"""
+
+#: RTL that reaches a server or the CLI and is the user's fault, with a
+#: fragment of the one-line error it must get.
+BAD_RTL = (
+    ("module x(; endmodule\n", "unsupported token in port list"),
+    (COMBINATIONAL_VERILOG, "has no register endpoint"),
+)
+
 
 #: Small specs used for fast end-to-end fixtures.
 TINY_SPECS = (

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import BAD_RTL
 
 REPO_SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,6 +123,21 @@ def test_unknown_model_fails_cleanly(tmp_path, capsys, monkeypatch, design_file)
         assert main([command, "--model", "ghost", str(design_file)]) == 1
         err = capsys.readouterr().err
         assert "error: unknown model 'ghost'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, message", BAD_RTL)
+def test_bad_rtl_fails_cleanly(trained_cli_registry, tmp_path, capsys, monkeypatch, source, message):
+    """RTL that does not parse or has no register: one error line, exit 1."""
+    _, env, _ = trained_cli_registry
+    monkeypatch.setenv("REPRO_MODEL_DIR", env["REPRO_MODEL_DIR"])
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    design = tmp_path / "bad.v"
+    design.write_text(source)
+    for command in ("predict", "whatif"):
+        assert main([command, "--model", "cli-test", str(design)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+        assert err.count("\n") == 1
 
 
 def test_retrain_exit_code_reflects_verdict(tmp_path, capsys, monkeypatch):

@@ -12,7 +12,11 @@ from repro.core.baselines import GNNBaselineConfig, GNNBitwiseBaseline
 from repro.core.bitwise import BitwiseArrivalModel, BitwiseConfig
 from repro.core.metrics import pearson_r
 from repro.core.overall import OverallConfig, OverallTimingModel
-from repro.core.signalwise import SignalwiseConfig, SignalwiseModel
+from repro.core.dataset import build_design_record
+from repro.core.features import PATH_FEATURE_NAMES, extract_path_dataset
+from repro.core.sampling import SamplingConfig
+from repro.core.signalwise import SignalwiseConfig, SignalwiseModel, _signal_feature_matrix
+from tests.conftest import COMBINATIONAL_VERILOG
 
 
 SMALL_BITWISE = BitwiseConfig(
@@ -77,7 +81,57 @@ class TestBitwise:
         assert pearson_r(labels, list(predicted.values())) > 0.2
 
 
+def _per_signal_rows(record, bitwise_predictions, config):
+    """Reference signal feature rows: one signal at a time, in sorted order."""
+    dataset = extract_path_dataset(record, "sog", SamplingConfig(seed=config.seed)).critical_rows()
+    by_signal = {}
+    for index, signal in enumerate(dataset.endpoint_signals):
+        by_signal.setdefault(signal, []).append(index)
+    column = {name: PATH_FEATURE_NAMES.index(name) for name in PATH_FEATURE_NAMES}
+    rows = []
+    for signal in sorted(by_signal):
+        indices = by_signal[signal]
+        features = dataset.features[indices]
+        if config.use_bitwise and bitwise_predictions is not None:
+            bits = np.array(
+                [bitwise_predictions.get(dataset.endpoint_names[i], 0.0) for i in indices]
+            )
+        else:
+            bits = features[:, column["endpoint_pseudo_arrival"]]
+        rows.append(
+            [
+                float(bits.max()),
+                float(bits.mean()),
+                float(bits.std()),
+                float(len(indices)),
+                float(features[:, column["cone_n_driving_regs"]].max()),
+                float(features[:, column["design_rank_percent"]].min()),
+                float(features[:, column["endpoint_pseudo_arrival"]].max()),
+                float(features[:, column["path_n_levels"]].max()),
+                float(features[0, column["design_n_total"]]),
+            ]
+        )
+    return np.array(rows).reshape(-1, 9), sorted(by_signal)
+
+
 class TestSignalwise:
+    @pytest.mark.parametrize("use_bitwise", [True, False])
+    def test_grouped_rows_match_the_per_signal_loop(
+        self, tiny_records, bitwise_predictions, use_bitwise
+    ):
+        config = SignalwiseConfig(use_bitwise=use_bitwise)
+        for record in tiny_records:
+            predictions = bitwise_predictions[record.name]
+            rows, signals = _signal_feature_matrix(record, predictions, config)
+            expected, expected_signals = _per_signal_rows(record, predictions, config)
+            assert signals == expected_signals
+            assert np.array_equal(rows, expected), record.name
+
+    def test_no_endpoints_give_no_rows(self):
+        record = build_design_record(COMBINATIONAL_VERILOG, name="comb")
+        rows, signals = _signal_feature_matrix(record, {}, SignalwiseConfig())
+        assert rows.shape == (0, 9) and signals == []
+
     def test_fit_predict(self, tiny_records, bitwise_predictions):
         model = SignalwiseModel(SignalwiseConfig(n_estimators=20, ranker_estimators=30))
         model.fit(tiny_records[:4], bitwise_predictions)

@@ -1,5 +1,7 @@
 """Tests for regression trees and gradient boosting."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -435,6 +437,60 @@ def _per_tree_stages(model, X, base):
 
 class TestPackedForest:
     """Packed predict equals the per-tree recursive sum, bit for bit."""
+
+    def test_mixed_depths_through_every_chunk(self, regression_data):
+        """Depth-0, -1 and -6 trees share one heap: shallow leaves repeat down."""
+        X, y = regression_data
+        trees = [
+            DecisionTreeRegressor(max_depth=depth, min_samples_leaf=1).fit(X, y + shift)
+            for depth, shift in ((0, 0.0), (6, 1.0), (1, -2.0), (0, 3.0), (6, -0.5))
+        ]
+        assert [tree.depth() for tree in trees] == [0, 6, 1, 0, 6]
+        forest = PackedForest.pack([tree.flat_ for tree in trees], scale=0.3)
+        assert forest.depth == 6 and forest.n_trees == 5
+        many = np.random.default_rng(36).normal(size=(2 * ROUTE_CHUNK_ROWS + 7, X.shape[1]))
+        reference = _per_tree_stages(SimpleNamespace(trees_=trees, learning_rate=0.3), many, 0.25)
+        assert np.array_equal(forest.staged_predict(many, 0.25), reference)
+        assert np.array_equal(forest.predict(many, 0.25), reference[-1])
+
+    def test_left_leaf_beside_a_deep_right_subtree(self):
+        """A leaf child of the root repeats through six levels beside a full subtree."""
+        rng = np.random.default_rng(35)
+        X = rng.normal(size=(400, 3))
+        y = np.where(X[:, 0] <= 0.0, 0.0, 10.0 + rng.normal(size=400))
+        tree = DecisionTreeRegressor(max_depth=7, min_samples_leaf=1, min_samples_split=2).fit(X, y)
+        flat = tree.flat_
+        assert flat.feature[0] == 0 and flat.feature[flat.left[0]] == -1
+        assert tree.depth() == 7
+        stump = DecisionTreeRegressor(max_depth=1).fit(X, -y)
+        fresh = rng.normal(size=(300, 3))
+        assert np.array_equal(tree.predict(fresh), tree.predict_recursive(fresh))
+        forest = PackedForest.pack([stump.flat_, flat], scale=0.5)
+        model = SimpleNamespace(trees_=[stump, tree], learning_rate=0.5)
+        assert np.array_equal(forest.staged_predict(fresh, 1.0), _per_tree_stages(model, fresh, 1.0))
+
+    def test_rows_on_thresholds_nan_and_infinities(self, regression_data):
+        """``x == threshold`` goes left; NaN goes right; +-inf take the ends."""
+        X, y = regression_data
+        model = GradientBoostingRegressor(n_estimators=8, max_depth=5).fit(X, y)
+        trees = [tree.flat_ for tree in model.trees_]
+        edges = []
+        for flat in trees:
+            for node in np.flatnonzero(flat.feature >= 0):
+                row = X[node % len(X)].copy()
+                row[flat.feature[node]] = flat.threshold[node]
+                edges.append(row)
+        for value in (np.nan, np.inf, -np.inf):
+            for column in range(X.shape[1]):
+                row = X[column].copy()
+                row[column] = value
+                edges.append(row)
+            edges.append(np.full(X.shape[1], value))
+        edges = np.array(edges)
+        assert np.array_equal(model.predict(edges), _per_tree_sum(model, edges, model.base_score_))
+        assert np.array_equal(
+            model.staged_predict(edges), _per_tree_stages(model, edges, model.base_score_)
+        )
 
     @pytest.mark.parametrize(
         "params",

@@ -20,7 +20,7 @@ from repro.hdl.parser import ParseError
 from repro.runtime.report import RuntimeReport
 from repro.serve import ServeConfig, TimingService, start_server
 from repro.serve.registry import ModelRegistry
-from tests.conftest import hold_first_batch, queued_at_least
+from tests.conftest import BAD_RTL, hold_first_batch, queued_at_least
 from tests.test_registry import TINY_TIMER_CONFIG
 
 
@@ -67,6 +67,14 @@ def test_concurrent_predicts_match_serial(served_timer, tiny_records, service):
         assert served.signal_slack == serial.signal_slack
         assert served.rank_group == serial.rank_group
         assert served.overall == serial.overall
+
+
+def test_predictions_carry_python_floats(served_timer, tiny_records):
+    """Exact copies of the numpy values, and cheaper to pickle to a pool worker."""
+    prediction = served_timer.predict(tiny_records[4])
+    for field in ("bitwise_arrival", "signal_arrival", "signal_ranking", "signal_slack"):
+        values = getattr(prediction, field).values()
+        assert values and all(type(value) is float for value in values), field
 
 
 def test_batching_counter_fires(served_timer, tiny_records, monkeypatch):
@@ -433,6 +441,41 @@ def test_http_error_paths(http_server, simple_source):
         _post(http_server, "/whatif", {"name": "whatever", "k": True})
     assert excinfo.value.code == 400
     assert "'k' must be a positive integer" in json.loads(excinfo.value.read())["error"]
+
+
+def _assert_bad_rtl_gets_400(server):
+    for source, message in BAD_RTL:
+        for path in ("/predict", "/whatif"):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                _post(server, path, {"source": source, "name": "bad"})
+            assert excinfo.value.code == 400, (path, source)
+            assert message in json.loads(excinfo.value.read())["error"]
+
+
+def test_http_bad_rtl_gets_400(http_server, simple_source):
+    """A syntax error or a design without a register is the client's fault."""
+    _assert_bad_rtl_gets_400(http_server)
+    assert _post(http_server, "/predict", {"source": simple_source})["ranked_signals"]
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="worker pool tests need the fork start method",
+)
+def test_pooled_http_bad_rtl_gets_400_without_reaching_a_worker(served_timer, simple_source):
+    from repro.serve.service import PooledTimingService
+    from repro.serve.supervisor import PoolConfig
+
+    service = PooledTimingService(served_timer, pool_config=PoolConfig(workers=1))
+    server = start_server(service, port=0)
+    try:
+        _assert_bad_rtl_gets_400(server)
+        assert "serve_pool_record_sends" not in service.report.counters
+        assert _post(server, "/predict", {"source": simple_source})["ranked_signals"]
+        assert service.report.counters["serve_pool_record_sends"] == 1
+    finally:
+        server.shutdown()
+        service.close()
 
 
 def test_http_server_sockets_disable_nagle(http_server, monkeypatch):
