@@ -22,7 +22,7 @@ problem, which is driven by arrival times).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bog.graph import BOG
 from repro.bog.transforms import build_variants
@@ -90,6 +90,17 @@ class DesignRecord:
         """Raise :class:`NoRegisterError` unless the design has a register endpoint."""
         if not self.labels:
             raise NoRegisterError(f"design {self.name!r} has no register endpoint to time")
+
+    def build_args(self) -> Optional[Tuple[Union[DesignSpec, str], Optional[str]]]:
+        """``(spec_or_source, name)`` that :func:`build_design_record` rebuilds
+        this record from under its key, or None (no key, or another config)."""
+        if self.key is None:
+            return None
+        origin = self.spec if self.spec is not None else self.source
+        for name in (None, self.name):
+            if record_key(origin, None, name) == self.key:
+                return origin, name
+        return None
 
     @property
     def label_report(self) -> STAReport:

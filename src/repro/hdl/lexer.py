@@ -11,8 +11,11 @@ from typing import Iterator, List, Optional
 class LexerError(ValueError):
     """Raised when the source text contains an unrecognised character."""
 
-    def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+        # Optional: an unpickled copy is rebuilt from the formatted message.
+        if line is not None:
+            message = f"{message} (line {line}, column {column})"
+        super().__init__(message)
         self.line = line
         self.column = column
 

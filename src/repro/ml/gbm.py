@@ -151,7 +151,9 @@ class GradientBoostingRegressor(Estimator):
             full_batch = bool(mask.all())
             if binned is not None:
                 round_binned = binned if full_batch else binned.take(mask)
-            tree.fit_gradients(X[mask], grad[mask], hess[mask], binned=round_binned)
+            tree.fit_gradients(
+                X if full_batch else X[mask], grad[mask], hess[mask], binned=round_binned
+            )
             # On a full batch the fit already assigned every training row to
             # its leaf; reuse those values instead of re-routing X.
             update = tree.training_predictions_ if full_batch else tree.predict(X)

@@ -578,7 +578,13 @@ class DecisionTreeRegressor(Estimator):
             record[0], record[1] = feature, threshold
             left_rows, right_rows = rows[goes_left], rows[~goes_left]
             left_hist = right_hist = None
-            if context is not None:
+            # Only for children that may be searched; a split whose children
+            # are both leaves by depth or size needs no histogram.
+            if (
+                context is not None
+                and depth + 1 < self.max_depth
+                and max(len(left_rows), len(right_rows)) >= self.min_samples_split
+            ):
                 left_hist, right_hist = context.child_histograms(hist, left_rows, right_rows)
             record[2] = len(nodes)
             grow(left_rows, left_hist, depth + 1)

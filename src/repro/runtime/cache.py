@@ -234,12 +234,16 @@ class ArtifactCache:
     def path_for(self, key: str) -> Path:
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str, default: Optional[T] = None) -> Optional[T]:
+    def get(
+        self, key: str, default: Optional[T] = None, corrupt: Optional[bool] = None
+    ) -> Optional[T]:
         """Load the value stored under ``key``; ``default`` on any miss.
 
         A corrupt or unreadable entry (torn write from an old crash, pickle
         from an incompatible class layout) counts as a miss and is deleted so
-        it cannot fail again.
+        it cannot fail again.  ``corrupt`` is the ``cache.corrupt_entry``
+        draw when the caller made it (a pool worker's comes from the
+        parent); None draws it here.
         """
         if not self.enabled:
             self._miss()
@@ -247,7 +251,7 @@ class ArtifactCache:
         path = self.path_for(key)
         try:
             blob = path.read_bytes()
-            if fault_fires("cache.corrupt_entry"):
+            if fault_fires("cache.corrupt_entry") if corrupt is None else corrupt:
                 # Chaos: the read came back bit-flipped and truncated.
                 blob = bytes([blob[0] ^ 0xFF]) + blob[1 : max(len(blob) // 2, 1)]
             with gc_paused():

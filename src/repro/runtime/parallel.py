@@ -235,6 +235,9 @@ def fan_out(
                 with contextlib.suppress(*_POOL_ERRORS, RuntimeError):
                     futures[pool.submit(_run_inherited, key, index, token(index))] = index
             for future in as_completed(futures):
+                # A future holds its result, blob included: popped here and
+                # dropped after collect, so each worker's bytes go at once.
+                del futures[future]
                 # One crashed worker breaks its own future — and, for a
                 # BrokenProcessPool, every future still queued — but the
                 # results already returned stay good.  Only the losses are
@@ -243,12 +246,14 @@ def fan_out(
                     index, blob, worker_report = future.result()
                 except _POOL_ERRORS:
                     continue
+                del future
                 active = report_mod.active_report()
                 if active is not None:
                     active.merge(worker_report)
                 with gc_paused():
                     value = pickle.loads(blob)
                 collect(index, value, blob)
+                del blob, value
                 done.add(index)
     except _POOL_ERRORS:
         # Pool never stood up (resource limits, sandboxed process table).

@@ -25,7 +25,7 @@ import threading
 import time
 from collections import OrderedDict, deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.dataset import DesignRecord, build_design_record
 from repro.core.pipeline import RTLTimer, RTLTimerPrediction
@@ -78,11 +78,25 @@ class ServeConfig:
     whatif_concurrency: int = knob_field("REPRO_SERVE_WHATIF_CONCURRENCY")
 
 
+@dataclass(frozen=True)
+class SourceDesign:
+    """A ``/predict`` design a pooled service has not elaborated: its source,
+    record name and build key.  The pool worker that serves it builds (or
+    fetches) the record, as :func:`build_design_record` would here."""
+
+    source: str
+    name: str
+    key: str
+
+    def build_args(self) -> Tuple[str, str]:
+        return self.source, self.name
+
+
 @dataclass
 class _Request:
     """One queued prediction request and its completion plumbing."""
 
-    record: DesignRecord
+    record: Union[DesignRecord, SourceDesign]
     enqueued_at: float
     deadline: Optional[Deadline] = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -225,9 +239,6 @@ class TimingService:
         (:class:`DeadlineExceeded` rather than an unbounded wait; the
         deadline propagates into pool workers).
         """
-        # Here, not in the model pass, so in-process and pooled serving
-        # answer a register-less design alike, before it reaches a worker.
-        record.require_registers()
         deadline = Deadline.after(
             deadline_s if deadline_s is not None else self.config.deadline_s
         )
@@ -436,11 +447,14 @@ class PooledTimingService(TimingService):
     The parent keeps everything the single-process service has — admission,
     batch queueing, deadlines, per-request error isolation — and fans each
     taken batch out over :class:`~repro.serve.supervisor.WorkerPool` workers,
-    with one batcher per worker.  Records that carry a build key (every
-    record ``build_design_record`` makes) are pinned by that key, and each
-    worker keeps the last ``record_cache_entries`` of them, so a repeated
-    design ships its key instead of the record.  A worker crash/hang mid-request is
-    retried on a sibling by the pool; while no worker is alive requests park
+    with one batcher per worker.  A ``/predict`` source is not elaborated
+    here: :meth:`record_for_source` returns a :class:`SourceDesign`, and the
+    request ships its source to the worker pinned by its build key, which
+    keeps the last ``record_cache_entries`` records it served and otherwise
+    loads or builds the record.  A keyed record ships the spec or source it
+    was built from, and only a ``key=None`` record ships whole.  ``/whatif``
+    reads the labelled record, so it elaborates here.  A worker crash/hang
+    mid-request is retried on a sibling by the pool; while no worker is alive requests park
     until one respawns.  A request whose retry budget is spent is answered
     by the parent's own timer — the same bundle state, so every path is
     bit-identical.
@@ -510,11 +524,23 @@ class PooledTimingService(TimingService):
                 # Pool floor: the parent's own timer, bit-identical.
                 self.report.incr("serve_pool_local_fallbacks")
                 try:
-                    request.prediction = self.timer.predict(request.record)
+                    request.prediction = self.timer.predict(self._elaborated(request.record))
                 except BaseException as exc:
                     request.error = exc
             except BaseException as exc:
                 request.error = exc
+
+    def record_for_source(self, source: str, name: Optional[str] = None) -> SourceDesign:
+        """The design unelaborated: the worker that serves it builds it."""
+        return SourceDesign(source, name or "user_design", record_key(source, None, name))
+
+    def what_if(self, record, candidates=None, k=None):
+        return super().what_if(self._elaborated(record), candidates=candidates, k=k)
+
+    def _elaborated(self, design) -> DesignRecord:
+        if isinstance(design, SourceDesign):
+            return super().record_for_source(design.source, design.name)
+        return design
 
     def metrics(self) -> Dict[str, Any]:
         snapshot = super().metrics()

@@ -3,6 +3,9 @@
 The ROADMAP's multi-worker front end: every worker is a separate process
 that restores one registry bundle (``RTLTimer.from_state`` over verified
 payload bytes) and answers predict requests over its own duplex pipe.  A
+request names its design by build key plus the spec or source it was built
+from; the worker takes the record from its own LRU, the shared artifact
+cache or a build, so elaboration runs where the prediction does.  A
 worker's health is judged only in the parent, by one rule with two halves:
 
 * **dead** — its pipe reports EOF (``os._exit``, OOM-kill, segfault) or a
@@ -17,7 +20,7 @@ requests of a dead worker are retried on a sibling (bounded by
 ``retry_limit``, respecting the request's propagated deadline) from a
 short-lived thread of their own, so a retry blocked on a hung sibling's
 full pipe cannot stop the supervisor from detecting that hang.  Predicts
-are idempotent pure functions of the record, so a retry can never change
+are idempotent pure functions of the design, so a retry can never change
 an answer — only save it.  When no sibling is alive the request parks and
 is flushed to the first worker that comes back, which is what makes "zero
 lost accepted requests" hold through a restart storm.
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.faults import fault_fires
+from repro.runtime import report as report_mod
 from repro.runtime.report import RuntimeReport
 from repro.serve.resilience import (
     Deadline,
@@ -98,23 +102,9 @@ def _rss_mb(pid: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _cache_record(
-    records: "OrderedDict[str, Any]", capacity: int, key: str, record: Any
-) -> None:
-    """One LRU step on a record cache: store/refresh ``key``, evict the oldest.
-
-    The worker runs it on its record cache and the parent on its mirror of
-    that cache (which stores ``None``), so both hold the same keys in the
-    same order.
-    """
-    records[key] = record
-    records.move_to_end(key)
-    while len(records) > capacity:
-        records.popitem(last=False)
-
-
-#: Fault points that act inside a pool worker (see :mod:`repro.faults`).
-_WORKER_FAULTS = ("worker.crash", "worker.hang", "worker.slow_io")
+#: Fault points that act inside a pool worker (see :mod:`repro.faults`);
+#: ``cache.corrupt_entry`` corrupts the worker's artifact-cache read.
+_WORKER_FAULTS = ("worker.crash", "worker.hang", "worker.slow_io", "cache.corrupt_entry")
 
 
 def _worker_faults(request_id: int) -> Tuple[str, ...]:
@@ -128,18 +118,54 @@ def _worker_faults(request_id: int) -> Tuple[str, ...]:
     return tuple(name for name in _WORKER_FAULTS if fault_fires(name, token))
 
 
+def _shipped(design: Any) -> Tuple[Optional[str], Any]:
+    """What one predict ships for ``design``: ``(key, (spec_or_source, name))``
+    when a worker can rebuild it under its build key, else ``(None, design)``."""
+    build_args = getattr(design, "build_args", None)
+    args = build_args() if build_args is not None else None
+    return (None, design) if args is None else (design.key, args)
+
+
+def _worker_record(records, capacity: int, artifacts, key, shipped, corrupt: bool):
+    """The record one request names: ``shipped`` itself when ``key`` is None,
+    else the worker's LRU entry, the shared artifact cache's, or a build."""
+    from repro.core.dataset import build_design_record
+
+    if key is None:
+        return shipped
+    record = records.pop(key, None)
+    if record is not None:
+        report_mod.incr("serve_worker_record_hits")
+    else:
+        record = artifacts.get(key, corrupt=corrupt)
+        if record is not None:
+            report_mod.incr("serve_worker_record_loads")
+        else:
+            spec_or_source, name = shipped
+            record = build_design_record(spec_or_source, name=name)
+            artifacts.put(key, record)
+            report_mod.incr("serve_worker_record_builds")
+    records[key] = record
+    while len(records) > capacity:
+        records.popitem(last=False)
+    return record
+
+
 def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
     """Entry point of one pool worker process: answer requests until EOF.
 
-    The worker sends nothing but replies.  The parent learns of its death
-    from the pipe's EOF and of a hang from the replies that stop coming.
+    The worker sends nothing but replies, each with the counters its record
+    lookup moved.  The parent learns of its death from the pipe's EOF and of
+    a hang from the replies that stop coming.
     """
+    from repro.core.dataset import INPUT_ERRORS
     from repro.core.pipeline import RTLTimer
-    from repro.runtime.cache import gc_paused
+    from repro.runtime.cache import ArtifactCache, gc_paused
 
     with gc_paused():
         timer = RTLTimer.from_state(pickle.loads(payload))
     records: "OrderedDict[str, Any]" = OrderedDict()
+    artifacts = ArtifactCache()
 
     def send(message) -> bool:
         try:
@@ -153,19 +179,12 @@ def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
             kind, request_id, data = conn.recv()
         except (EOFError, OSError):
             break
+        counters = RuntimeReport()
         try:
             if kind != "predict":
-                send(("error", request_id, f"unknown request kind {kind!r}"))
+                send(("error", request_id, f"unknown request kind {kind!r}", {}))
                 continue
-            key, record, expires_at, faults = data
-            # The record cache step comes first, the same step the parent
-            # took on its mirror for this send, so the two stay in sync
-            # whatever happens to the request afterwards.  A key the cache
-            # does not hold is a bug: it raises into the error reply below.
-            if key is not None:
-                if record is None:
-                    record = records[key]
-                _cache_record(records, record_capacity, key, record)
+            key, shipped, expires_at, faults = data
             # Chaos hooks (drawn by the parent, see _worker_faults) fire
             # before any work, exactly like a crash between accept and
             # compute would in production.
@@ -176,13 +195,24 @@ def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
             if "worker.slow_io" in faults:
                 time.sleep(0.05)
             if expires_at is not None and time.time() >= expires_at:
-                send(("deadline", request_id, None))
+                send(("deadline", request_id, None, {}))
                 continue
-            send(("ok", request_id, timer.predict(record)))
+            with report_mod.activate(counters):
+                record = _worker_record(
+                    records, record_capacity, artifacts, key, shipped,
+                    "cache.corrupt_entry" in faults,
+                )
+            send(("ok", request_id, timer.predict(record), counters.counters))
         except SystemExit:
             raise
+        except INPUT_ERRORS as exc:
+            # The request's RTL is at fault: the error goes back as itself,
+            # to be answered as the in-process server would, never retried.
+            if not send(("input_error", request_id, exc, counters.counters)):
+                break
         except BaseException as exc:
-            if not send(("error", request_id, f"{type(exc).__name__}: {exc}")):
+            message = f"{type(exc).__name__}: {exc}"
+            if not send(("error", request_id, message, counters.counters)):
                 break
 
 
@@ -202,10 +232,10 @@ class PoolRequestHandle:
         content_key: Optional[str] = None,
     ):
         self.kind = kind
+        #: ``(key, what ships)`` from :func:`_shipped`.
         self.data = data
         self.deadline = deadline
-        #: Build key of ``data[0]``: the pin and the worker record-cache key,
-        #: kept here so retries and parked flushes keep both.
+        #: The pin, kept here so retries and parked flushes keep it.
         self.content_key = content_key
         self.attempts = 0
         self.done = threading.Event()
@@ -247,9 +277,6 @@ class _Worker:
         #: whose generation trails the pool's is rolled onto the new bundle.
         self.generation = 0
         self.pending: Dict[int, PoolRequestHandle] = {}
-        #: Mirror of the worker's record LRU (keys only).  Touched under
-        #: ``send_lock`` in pipe order and reset together with ``conn``.
-        self.records: "OrderedDict[str, None]" = OrderedDict()
 
 
 class WorkerPool:
@@ -264,7 +291,7 @@ class WorkerPool:
     ):
         self.config = config or configure(PoolConfig)
         self.report = report if report is not None else RuntimeReport()
-        #: Capacity of each worker's record LRU (and of its parent mirror).
+        #: Capacity of each worker's record LRU.
         self.record_cache_entries = max(record_cache_entries, 1)
         self._payload_provider = payload_provider
         self._payload = payload_provider()  # fail fast on a broken registry
@@ -341,13 +368,12 @@ class WorkerPool:
     ) -> PoolRequestHandle:
         """Dispatch one request to a worker; returns a completion handle.
 
-        ``content_key`` is the build key of the record ``data[0]`` (equal
-        keys must mean equal records).  It pins the request to one (alive)
-        worker, which caches the record under that key, so a repeated
-        request ships the key instead of the record.  Without a key the
-        record ships whole and requests round-robin.
+        ``content_key`` pins the request to one (alive) worker; without it
+        requests round-robin.  A design with a build key ships the spec or
+        source it was built from, and the worker takes the record from its
+        LRU, the shared artifact cache or a build; any other ships whole.
         """
-        handle = PoolRequestHandle(kind, tuple(data), deadline, content_key)
+        handle = PoolRequestHandle(kind, _shipped(data[0]), deadline, content_key)
         self._dispatch(handle)
         return handle
 
@@ -380,19 +406,10 @@ class WorkerPool:
         charge = int(worker.process.exitcode is None)
         handle.attempts += charge
         expires_at = handle.deadline.expires_at if handle.deadline is not None else None
-        record = handle.data[0]
+        data = handle.data + (expires_at, _worker_faults(request_id))
         try:
             with worker.send_lock:
-                # The mirror is read and stepped under the same lock as the
-                # send, so it sees exactly the pipe order the worker sees.
-                # It is stepped only after a send that went through: a
-                # failed send takes the slot down and its respawn starts
-                # both caches empty.
-                hit = key is not None and key in worker.records
-                data = (key, None if hit else record, expires_at, _worker_faults(request_id))
                 worker.conn.send((handle.kind, request_id, data))
-                if key is not None:
-                    _cache_record(worker.records, self.record_cache_entries, key, None)
         # A concurrently restarted slot can close the pipe between the alive
         # check and the send; a closed Connection surfaces as TypeError (its
         # handle is None) and a conn replaced mid-flight as AttributeError.
@@ -403,8 +420,6 @@ class WorkerPool:
             self._mark_dead(worker, reason="send failed")
             if owned:  # else the death that broke the send retries it
                 self._dispatch(handle)
-            return
-        self.report.incr("serve_pool_record_hits" if hit else "serve_pool_record_sends")
 
     # -- worker lifecycle --------------------------------------------------------
 
@@ -419,13 +434,9 @@ class WorkerPool:
         process.start()
         child_conn.close()
         now = time.monotonic()
-        # A new pipe means a new, empty worker cache: swap conn and mirror
-        # together under send_lock, so no racing sender can pair the fresh
-        # pipe with the old incarnation's mirror.
-        with self._lock, worker.send_lock:
+        with self._lock:
             worker.process = process
             worker.conn = parent_conn
-            worker.records = OrderedDict()
             worker.alive = True
             worker.progress_at = now
             worker.started_at = now
@@ -445,9 +456,11 @@ class WorkerPool:
     def _receive_loop(self, worker: _Worker, conn, process) -> None:
         while True:
             try:
-                status, request_id, value = conn.recv()
+                status, request_id, value, counters = conn.recv()
             except (EOFError, OSError):
                 break
+            for name, amount in counters.items():
+                self.report.incr(name, amount)
             with self._lock:
                 worker.progress_at = time.monotonic()
                 handle = worker.pending.pop(request_id, None)
@@ -457,6 +470,8 @@ class WorkerPool:
                 handle._resolve(value=value)
             elif status == "deadline":
                 handle._resolve(error=DeadlineExceeded("deadline expired in worker"))
+            elif status == "input_error":
+                handle._resolve(error=value)
             else:
                 handle._resolve(error=RuntimeError(f"worker error: {value}"))
         # Only the incarnation that owns this pipe may declare the slot dead.

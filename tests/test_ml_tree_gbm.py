@@ -609,3 +609,25 @@ def test_tree_predictions_within_target_range(pairs):
     predictions = tree.predict(X)
     assert predictions.min() >= y.min() - 1e-6
     assert predictions.max() <= y.max() + 1e-6
+
+
+@pytest.mark.parametrize("max_depth, expected", [(1, 1), (2, 2)])
+def test_hist_tree_builds_no_histograms_for_unsearched_children(monkeypatch, max_depth, expected):
+    """Children at the depth limit are leaves: the split above them builds
+    no histograms for them (the root's, plus one per searched split)."""
+    from repro.ml import tree as tree_mod
+
+    calls = []
+    histograms = tree_mod._HistogramContext.histograms
+
+    def counted(self, rows):
+        calls.append(len(rows))
+        return histograms(self, rows)
+
+    monkeypatch.setattr(tree_mod._HistogramContext, "histograms", counted)
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(400, 3))
+    y = X[:, 0] + 0.5 * X[:, 1] ** 2
+    model = DecisionTreeRegressor(splitter="hist", max_depth=max_depth).fit(X, y)
+    assert model.flat_.n_nodes == 2 ** (max_depth + 1) - 1
+    assert len(calls) == expected

@@ -547,3 +547,40 @@ def test_ranked_signals_breaks_ties_deterministically():
         runtime_seconds=0.0,
     )
     assert reversed_insertion.ranked_signals() == prediction.ranked_signals()
+
+
+@pytest.mark.skipif(
+    "fork" not in __import__("multiprocessing").get_all_start_methods(),
+    reason="fan-out needs the fork start method",
+)
+def test_fan_out_drops_each_result_after_collect(monkeypatch):
+    """A collected future (and the pickle its result holds) is released
+    before the next result is collected, not kept to the end of the fan-out."""
+    import weakref
+
+    from repro.runtime import parallel
+
+    refs = {}
+
+    class Tracking(parallel.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            future = super().submit(fn, *args, **kwargs)
+            refs[args[1]] = weakref.ref(future)
+            return future
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", Tracking)
+    collected = []
+    alive = []
+
+    def collect(index, value, blob):
+        assert blob is not None  # a worker's result, not a serial rerun
+        assert value == bytes(1000) * index
+        alive.extend(j for j in collected if refs[j]() is not None)
+        collected.append(index)
+
+    parallel.fan_out(
+        lambda index: bytes(1000) * index, 6, collect,
+        stage="test.fan_out", token=str, jobs=2,
+    )
+    assert sorted(collected) == list(range(6))
+    assert alive == []

@@ -462,17 +462,33 @@ def test_http_bad_rtl_gets_400(http_server, simple_source):
     "fork" not in __import__("multiprocessing").get_all_start_methods(),
     reason="worker pool tests need the fork start method",
 )
-def test_pooled_http_bad_rtl_gets_400_without_reaching_a_worker(served_timer, simple_source):
+def test_pooled_http_bad_rtl_gets_400_from_the_worker(
+    served_timer, http_server, simple_source, monkeypatch
+):
+    """The worker elaborates, and its input error comes back as itself: the
+    in-process answer, with no retry, no worker death and no local replay."""
     from repro.serve.service import PooledTimingService
     from repro.serve.supervisor import PoolConfig
 
+    monkeypatch.setenv("REPRO_CACHE", "0")
     service = PooledTimingService(served_timer, pool_config=PoolConfig(workers=1))
     server = start_server(service, port=0)
     try:
         _assert_bad_rtl_gets_400(server)
-        assert "serve_pool_record_sends" not in service.report.counters
+        for source, _ in BAD_RTL:
+            answers = []
+            for each in (server, http_server):
+                with pytest.raises(urllib.error.HTTPError) as excinfo:
+                    _post(each, "/predict", {"source": source, "name": "bad"})
+                answers.append((excinfo.value.code, json.loads(excinfo.value.read())))
+            assert answers[0] == answers[1]
         assert _post(server, "/predict", {"source": simple_source})["ranked_signals"]
-        assert service.report.counters["serve_pool_record_sends"] == 1
+        counters = service.report.counters
+        # The register-less design and simple_source built; the malformed
+        # one never did.
+        assert counters["serve_worker_record_builds"] == 2
+        for name in ("serve_request_retries", "serve_worker_deaths", "serve_pool_local_fallbacks"):
+            assert counters.get(name, 0) == 0, name
     finally:
         server.shutdown()
         service.close()

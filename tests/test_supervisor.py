@@ -281,7 +281,7 @@ def test_pool_refreshes_payload_via_provider_on_restart(pool_timer, pool_payload
 
 
 # ---------------------------------------------------------------------------
-# Worker record cache (parent mirror in sync with each worker's LRU)
+# Worker records: the LRU, then the shared artifact cache, then a build
 # ---------------------------------------------------------------------------
 
 
@@ -290,35 +290,47 @@ def _keyed(record, key):
     return dataclasses.replace(record, key=key)
 
 
-def _record_transfers(report):
+def _record_sources(report):
+    """(LRU hits, artifact-cache loads, builds) the workers reported."""
     counters = report.counters
     return (
-        counters.get("serve_pool_record_sends", 0),
-        counters.get("serve_pool_record_hits", 0),
+        counters.get("serve_worker_record_hits", 0),
+        counters.get("serve_worker_record_loads", 0),
+        counters.get("serve_worker_record_builds", 0),
     )
 
 
 def _assert_pooled_matches(pool, timer, record):
-    # A worker error reply (e.g. a cache miss on a key-only request) raises
-    # from result(), so every call here also asserts zero error replies.
+    # A worker error reply raises from result(), so every call here also
+    # asserts zero error replies.
     pooled = pool.submit("predict", record, content_key=record.key).result()
     serial = timer.predict(record)
     # Everything but the wall-clock runtime is bit-identical.
     assert dataclasses.replace(pooled, runtime_seconds=serial.runtime_seconds) == serial
 
 
-def test_pool_ships_keyed_record_once(pool_timer, pool_payload, tiny_records):
-    record = _keyed(tiny_records[0], "key-0")
+@pytest.fixture()
+def cache_dir(tmp_path, monkeypatch):
+    """An empty artifact cache, set before the pool forks its workers."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    return tmp_path
+
+
+def test_pool_worker_builds_a_keyed_record_once(pool_timer, pool_payload, tiny_records, cache_dir):
+    record = tiny_records[0]
+    # A keyed record ships the spec it was built from, not itself.
+    assert supervisor._shipped(record) == (record.key, (record.spec, None))
     report = RuntimeReport()
     with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
         for _ in range(3):
             _assert_pooled_matches(pool, pool_timer, record)
-    assert _record_transfers(report) == (1, 2)
+    assert _record_sources(report) == (2, 0, 1)
 
 
-def test_pool_resends_evicted_records(pool_timer, pool_payload, tiny_records):
+def test_pool_worker_lru_evicts_at_capacity(pool_timer, pool_payload, tiny_records, cache_dir):
     capacity = 2
-    records = [_keyed(r, f"key-{i}") for i, r in enumerate(tiny_records[: capacity + 1])]
+    records = tiny_records[: capacity + 1]
     report = RuntimeReport()
     with WorkerPool(
         lambda: pool_payload,
@@ -327,61 +339,87 @@ def test_pool_resends_evicted_records(pool_timer, pool_payload, tiny_records):
         record_cache_entries=capacity,
     ) as pool:
         # capacity + 1 keys cycled through an LRU: each evicts the one that
-        # comes next, so every request ships its record.
+        # comes next, so the second round loads every record from disk.
         for record in records + records:
             _assert_pooled_matches(pool, pool_timer, record)
-        assert _record_transfers(report) == (2 * len(records), 0)
-        # The two most recent keys are still cached on both sides.
+        assert _record_sources(report) == (0, len(records), len(records))
+        # The two most recent keys are still in the worker's LRU.
         for record in records[-capacity:]:
             _assert_pooled_matches(pool, pool_timer, record)
-    assert _record_transfers(report) == (2 * len(records), capacity)
+    assert _record_sources(report) == (capacity, len(records), len(records))
 
 
-def test_pool_resends_after_worker_restart(pool_timer, pool_payload, tiny_records):
-    record = _keyed(tiny_records[0], "key-0")
+@pytest.mark.parametrize("cache", ["on", "off"])
+@pytest.mark.parametrize("restart", ["kill", "refresh"])
+def test_pool_worker_reloads_after_restart(
+    pool_timer, pool_payload, tiny_records, cache_dir, monkeypatch, restart, cache
+):
+    """A respawned worker starts with an empty LRU: the record it built
+    before comes back from the artifact cache, or is rebuilt without one."""
+    if cache == "off":
+        monkeypatch.setenv("REPRO_CACHE", "0")
+    record = tiny_records[0]
     report = RuntimeReport()
     with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
         _assert_pooled_matches(pool, pool_timer, record)
         _assert_pooled_matches(pool, pool_timer, record)
-        pool._workers[0].process.kill()
-        _wait_for(
-            lambda: report.counters.get("serve_worker_spawns", 0) == 2
-            and pool.alive_count() == 1,
-            message="killed worker to respawn",
-        )
+        if restart == "kill":
+            pool._workers[0].process.kill()
+            _wait_for(
+                lambda: report.counters.get("serve_worker_spawns", 0) == 2
+                and pool.alive_count() == 1,
+                message="killed worker to respawn",
+            )
+        else:
+            pool.request_refresh()
+            _wait_for(pool.refresh_complete, message="bundle refresh")
         _assert_pooled_matches(pool, pool_timer, record)
         _assert_pooled_matches(pool, pool_timer, record)
-    assert _record_transfers(report) == (2, 2)
+    assert _record_sources(report) == ((2, 1, 1) if cache == "on" else (2, 0, 2))
 
 
-def test_pool_resends_after_refresh(pool_timer, pool_payload, tiny_records):
-    record = _keyed(tiny_records[0], "key-0")
+def test_pool_worker_rebuilds_a_corrupt_cache_entry(
+    pool_timer, pool_payload, tiny_records, cache_dir, monkeypatch
+):
+    """``cache.corrupt_entry`` is drawn in the parent: armed after the worker
+    forked, it still corrupts the worker's read, which rebuilds."""
+    first, second = tiny_records[:2]
     report = RuntimeReport()
-    with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
-        _assert_pooled_matches(pool, pool_timer, record)
-        pool.request_refresh()
-        _wait_for(pool.refresh_complete, message="bundle refresh")
-        _assert_pooled_matches(pool, pool_timer, record)
-        _assert_pooled_matches(pool, pool_timer, record)
-    assert _record_transfers(report) == (2, 1)
+    with WorkerPool(
+        lambda: pool_payload,
+        _fast_pool_config(workers=1),
+        report=report,
+        record_cache_entries=1,
+    ) as pool:
+        _assert_pooled_matches(pool, pool_timer, first)
+        _assert_pooled_matches(pool, pool_timer, second)  # evicts the first
+        monkeypatch.setenv(FAULT_ENV_VAR, "cache.corrupt_entry")
+        _assert_pooled_matches(pool, pool_timer, first)
+    assert report.counters.get("cache_corrupt", 0) == 1
+    assert _record_sources(report) == (0, 0, 3)
 
 
 def test_pool_ships_unkeyed_record_every_time(pool_timer, pool_payload, tiny_records):
-    record = dataclasses.replace(tiny_records[0], key=None)
+    records = (
+        dataclasses.replace(tiny_records[0], key=None),
+        # A key the worker could not rebuild the record under.
+        _keyed(tiny_records[0], "key-0"),
+    )
     report = RuntimeReport()
     with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
-        for _ in range(3):
-            _assert_pooled_matches(pool, pool_timer, record)
-    assert _record_transfers(report) == (3, 0)
+        for record in records:
+            assert supervisor._shipped(record) == (None, record)
+            for _ in range(3):
+                _assert_pooled_matches(pool, pool_timer, record)
+    assert _record_sources(report) == (0, 0, 0)
 
 
-def test_pool_record_mirror_survives_concurrent_senders(pool_timer, pool_payload, tiny_records):
-    """Many threads, small LRUs, more workers than cores: the mirror never drifts.
-
-    A mirror step taken outside the send order would make the parent send a
-    bare key the worker has evicted, which comes back as an error reply.
-    """
-    records = [_keyed(r, f"key-{i}") for i, r in enumerate(tiny_records[:4])]
+def test_pool_worker_lru_survives_concurrent_senders(
+    pool_timer, pool_payload, tiny_records, cache_dir
+):
+    """Many threads, LRUs of one record, more workers than cores: every
+    request is answered right, from the LRU, the artifact cache or a build."""
+    records = tiny_records[:4]
     serial = {r.key: pool_timer.predict(r).signal_slack for r in records}
     report = RuntimeReport()
     failures = []
@@ -404,7 +442,6 @@ def test_pool_record_mirror_survives_concurrent_senders(pool_timer, pool_payload
             lambda: pool_payload,
             _fast_pool_config(workers=(os.cpu_count() or 1) + 1),
             report=report,
-            # Capacity 1: every change of key on a worker is an eviction.
             record_cache_entries=1,
         ) as pool:
             threads = [threading.Thread(target=run, args=(i,)) for i in range(6)]
@@ -416,7 +453,22 @@ def test_pool_record_mirror_survives_concurrent_senders(pool_timer, pool_payload
     finally:
         sys.setswitchinterval(switch_interval)
     assert failures == []
-    assert sum(_record_transfers(report)) == 6 * per_thread
+    assert sum(_record_sources(report)) == 6 * per_thread
+
+
+def test_input_errors_survive_the_worker_pipe():
+    """A worker sends an input error back pickled; it must unpickle as itself."""
+    import pickle
+
+    from repro.core.dataset import INPUT_ERRORS
+    from repro.hdl.lexer import LexerError
+
+    errors = [LexerError("unexpected character '$'", 3, 7)] + [
+        cls("bad design") for cls in INPUT_ERRORS[1:]
+    ]
+    for error in errors:
+        copy = pickle.loads(pickle.dumps(error))
+        assert type(copy) is type(error) and str(copy) == str(error)
 
 
 def test_pool_close_is_idempotent_and_fails_pending(pool_payload):
@@ -491,27 +543,37 @@ def test_pooled_service_runs_one_pass_per_worker_at_once(pool_timer, tiny_record
         assert served[record.name].signal_slack == pool_timer.predict(record).signal_slack
 
 
-def test_pooled_service_ships_source_records_once(pool_timer, simple_source, monkeypatch):
-    """Source-built records carry a build key; the pool caches them per worker."""
+def test_pooled_service_elaborates_source_in_the_worker(pool_timer, simple_source, monkeypatch):
+    """A raw-source predict is elaborated by the worker, never in the parent."""
+    from repro.core import dataset
+    from repro.core.dataset import build_design_record
+    from repro.runtime.cache import record_key
+    from repro.serve import service as service_mod
+
     monkeypatch.setenv("REPRO_CACHE", "0")
+    serial = pool_timer.predict(build_design_record(simple_source, name="simple"))
     service = PooledTimingService(
         pool_timer,
         ServeConfig(record_cache_entries=3),
         pool_config=_fast_pool_config(workers=1),
     )
+
+    def no_parent_builds(*args, **kwargs):
+        raise AssertionError("the parent elaborated a pooled /predict")
+
+    # After the fork, so only the parent's copies raise.
+    monkeypatch.setattr(dataset, "build_design_record", no_parent_builds)
+    monkeypatch.setattr(service_mod, "build_design_record", no_parent_builds)
     try:
         assert service.pool.record_cache_entries == 3
-        record = service.record_for_source(simple_source, name="simple")
-        serial = pool_timer.predict(record)
+        design = service.record_for_source(simple_source, name="simple")
+        assert design.key == record_key(simple_source, None, "simple")
         for _ in range(3):
-            served = service.predict(record)
-            assert served.signal_slack == serial.signal_slack
-            assert served.overall == serial.overall
+            served = service.predict(design)
+            assert dataclasses.replace(served, runtime_seconds=serial.runtime_seconds) == serial
     finally:
         service.close()
-    counters = service.report.counters
-    assert counters.get("serve_pool_record_sends", 0) == 1
-    assert counters.get("serve_pool_record_hits", 0) == 2
+    assert _record_sources(service.report) == (2, 0, 1)
 
 
 def test_pooled_service_survives_crash_faults(pool_timer, tiny_records, monkeypatch):
