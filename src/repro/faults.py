@@ -57,11 +57,12 @@ Differential (silent wrong answers, each caught by a fuzz oracle):
 Availability (crashes and slowdowns, each survived by the serving runtime):
 
 * ``worker.crash`` — a pool worker calls ``os._exit`` mid-request; the
-  supervisor restarts it and the request is retried on a sibling.
+  supervisor restarts it and charges the death to the request, whose one
+  retry runs without the faults it drew.
 * ``worker.hang`` — a pool worker sleeps forever inside a request; the
   supervisor sees no reply from it for ``hang_timeout_s`` (counted in
   ``serve_worker_hangs``), kills and restarts the worker, and the request
-  is retried on a sibling.
+  is charged and retried the same way.
 * ``worker.slow_io`` — a pool worker sleeps briefly before answering,
   inflating tail latency without failing anything.
 * ``cache.corrupt_entry`` — an :class:`~repro.runtime.cache.ArtifactCache`
@@ -178,9 +179,9 @@ def fault_active(name: str) -> bool:
     return name in parse_faults(raw)
 
 
-# Per-process draw counters: each (fault, process) pair walks its own
-# deterministic sequence, so a retry of a crashed request on a sibling
-# worker does not deterministically re-crash.
+# Per-process draw counters for draws without a token (a process's own
+# ``cache.corrupt_entry`` reads): each (fault, process) pair walks its own
+# deterministic sequence, so a seed replays one corruption pattern.
 _DRAW_COUNTERS: Dict[str, "itertools.count"] = {}
 _DRAW_LOCK = threading.Lock()
 

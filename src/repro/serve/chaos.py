@@ -11,8 +11,9 @@ than trusting the happy path.  One campaign:
 2. arms ``REPRO_FAULT_INJECT`` (worker crash/hang, cache corruption —
    per-fault probability, one campaign seed) and builds a
    :class:`PooledTimingService` behind the real HTTP server; the pool draws
-   worker faults in this process at dispatch, so every later arming or
-   clearing reaches all workers at once;
+   each request's worker faults in this process when it is submitted, so
+   every later arming or clearing reaches all workers at once, and a
+   request sheds its faults once it has killed a worker;
 3. drives concurrent HTTP traffic (registered-name predicts, raw-source
    predicts that exercise elaboration + disk cache + STA kernel, what-if
    sweeps) and checks every 200 against the oracle byte for byte;
@@ -529,7 +530,7 @@ def _finalize(
             "serve_worker_restarts",
             "serve_worker_hangs",
             "serve_request_retries",
-            "serve_pool_local_fallbacks",
+            "serve_pool_poisoned",
             "cache_corrupt",
         )
     }

@@ -44,7 +44,8 @@ class DeadlineExceeded(TimeoutError):
 
 
 class WorkerUnavailable(RuntimeError):
-    """No pool worker could answer within the retry budget (HTTP 503)."""
+    """No pool worker can answer: the request was running on two workers when
+    they died, or the pool is closed (HTTP 503)."""
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.serve.resilience import (
     AdmissionController,
     Deadline,
     DeadlineExceeded,
-    WorkerUnavailable,
     remaining_or_none,
 )
 from repro.serve.supervisor import PoolConfig, WorkerPool
@@ -389,10 +388,21 @@ class TimingService:
             return batch
 
     def _execute_batch(self, batch: List[_Request]) -> None:
-        """Fill ``prediction`` for every request in ``batch`` (one model pass)."""
-        predictions = self.timer.predict_batch(
-            [request.record for request in batch], report=self.report
-        )
+        """Fill ``prediction`` or ``error`` for every request in ``batch``
+        (one model pass)."""
+        try:
+            predictions = self.timer.predict_batch(
+                [request.record for request in batch], report=self.report
+            )
+        except BaseException:
+            # The batch failed as a unit: re-run each request alone so a bad
+            # record fails only its own caller.
+            for request in batch:
+                try:
+                    request.prediction = self.timer.predict(request.record)
+                except BaseException as exc:
+                    request.error = exc
+            return
         for request, prediction in zip(batch, predictions):
             request.prediction = prediction
 
@@ -413,20 +423,8 @@ class TimingService:
             for request in ready:
                 request.batch_size = len(ready)
             if ready:
-                try:
-                    with activate(self.report), self.report.stage(PREDICT_BATCH_STAGE):
-                        self._execute_batch(ready)
-                except BaseException:
-                    # The batch failed as a unit: re-run each request alone
-                    # so a bad record fails only its own caller.
-                    for request in ready:
-                        try:
-                            with activate(self.report), self.report.stage(
-                                PREDICT_BATCH_STAGE
-                            ):
-                                request.prediction = self.timer.predict(request.record)
-                        except BaseException as exc:
-                            request.error = exc
+                with activate(self.report), self.report.stage(PREDICT_BATCH_STAGE):
+                    self._execute_batch(ready)
             self.report.incr("serve_requests", len(batch))
             self.report.incr("serve_batches")
             if len(ready) > 1:
@@ -453,11 +451,11 @@ class PooledTimingService(TimingService):
     keeps the last ``record_cache_entries`` records it served and otherwise
     loads or builds the record.  A keyed record ships the spec or source it
     was built from, and only a ``key=None`` record ships whole.  ``/whatif``
-    reads the labelled record, so it elaborates here.  A worker crash/hang
-    mid-request is retried on a sibling by the pool; while no worker is alive requests park
-    until one respawns.  A request whose retry budget is spent is answered
-    by the parent's own timer — the same bundle state, so every path is
-    bit-identical.
+    reads the labelled record, so it elaborates here.  No ``/predict``
+    model pass runs here: a worker crash/hang mid-request is retried by the
+    pool, requests park while no worker is alive, and a request that was
+    running on two workers when they died is answered
+    :class:`~repro.serve.resilience.WorkerUnavailable` (HTTP 503).
 
     ``payload_provider`` supplies verified bundle payload bytes for worker
     (re)loads — typically ``lambda: registry.payload(ref)[0]``; by default
@@ -505,28 +503,17 @@ class PooledTimingService(TimingService):
         return max(self.pool.config.workers, 1)
 
     def _execute_batch(self, batch: List[_Request]) -> None:
-        handles = [
-            (
-                request,
-                self.pool.submit(
-                    "predict",
-                    request.record,
-                    deadline=request.deadline,
-                    content_key=request.record.key,
-                ),
-            )
-            for request in batch
-        ]
+        handles = []
+        for request in batch:
+            try:
+                handles.append(
+                    (request, self.pool.submit(request.record, deadline=request.deadline))
+                )
+            except BaseException as exc:
+                request.error = exc
         for request, handle in handles:
             try:
                 request.prediction = handle.result()
-            except WorkerUnavailable:
-                # Pool floor: the parent's own timer, bit-identical.
-                self.report.incr("serve_pool_local_fallbacks")
-                try:
-                    request.prediction = self.timer.predict(self._elaborated(request.record))
-                except BaseException as exc:
-                    request.error = exc
             except BaseException as exc:
                 request.error = exc
 
@@ -558,9 +545,9 @@ class PooledTimingService(TimingService):
         The parent swap is the atomic rebind of :meth:`TimingService.reload`;
         the pool swap is a rolling generation bump — the supervisor restarts
         one stale worker at a time on the new payload while siblings keep
-        serving, and any request in flight on a restarting worker is retried
-        on a sibling by the pool's existing failover path.  No request is
-        dropped at any point of the roll.
+        serving, and any request in flight on a restarting worker is
+        re-dispatched, uncharged, by the pool's existing failover path.  No
+        request is dropped at any point of the roll.
         """
         super().reload(timer, manifest=manifest)
         provider: Optional[Callable[[], bytes]] = None

@@ -8,29 +8,32 @@ from; the worker takes the record from its own LRU, the shared artifact
 cache or a build, so elaboration runs where the prediction does.  A
 worker's health is judged only in the parent, by one rule with two halves:
 
-* **dead** — its pipe reports EOF (``os._exit``, OOM-kill, segfault) or a
-  send to it fails;
+* **dead** — its pipe reports EOF (``os._exit``, OOM-kill, segfault).  A
+  send that fails parks its own request until that slot respawns: the
+  worker's receiver declares the death once it has read every reply sent
+  before it;
 * **hung** — it has pending requests and has sent no reply for
   ``hang_timeout_s`` on the parent's clock.  A queue that keeps getting
   replies is never hung, however long it is.
 
 A supervisor thread kills a hung worker and respawns every dead one with
-exponential backoff per slot.  It never writes to a worker pipe: in-flight
-requests of a dead worker are retried on a sibling (bounded by
-``retry_limit``, respecting the request's propagated deadline) from a
-short-lived thread of their own, so a retry blocked on a hung sibling's
-full pipe cannot stop the supervisor from detecting that hang.  Predicts
-are idempotent pure functions of the design, so a retry can never change
-an answer — only save it.  When no sibling is alive the request parks and
-is flushed to the first worker that comes back, which is what makes "zero
-lost accepted requests" hold through a restart storm.
+exponential backoff per slot.  It never writes to a worker pipe: a dead
+worker's in-flight requests are retried from a thread of their own, so a
+retry blocked on a hung sibling's full pipe cannot hide that hang from it.
+A death is charged only to the worker's *head*, its oldest pending request
+in pipe order and so the one it was running.  A request charged twice
+resolves :class:`WorkerUnavailable` (``serve_pool_poisoned``): a source
+that kills every worker running it costs two workers and a 503, never the
+server.  Other orphans, and those of a bundle-refresh kill, retry
+uncharged; a predict is a pure function of its design, so a retry never
+changes an answer.  While no worker is alive requests park until one comes
+back, which is what makes "zero lost accepted requests" hold through a
+restart storm.
 
 :class:`~repro.serve.service.PooledTimingService` plugs the pool into the
 :class:`~repro.serve.service.TimingService` front end: admission,
 batch queueing, deadlines and per-request error isolation stay in
-the parent; batch execution fans out over the pool.  A request whose retry
-budget is spent is answered by the parent's own timer (bit-identical,
-counted); a parked request waits for a worker.
+the parent; every ``/predict`` model pass runs in a worker.
 """
 
 from __future__ import annotations
@@ -75,8 +78,6 @@ class PoolConfig:
     #: Base and upper bound of the exponential restart backoff, seconds.
     backoff_base_s: float = knob_field("REPRO_SERVE_BACKOFF_S")
     backoff_max_s: float = knob_field("REPRO_SERVE_BACKOFF_MAX_S")
-    #: How many times one request may be retried on a sibling worker.
-    retry_limit: int = knob_field("REPRO_SERVE_RETRIES")
 
 
 #: Seconds between the supervisor's checks of every slot.
@@ -107,14 +108,15 @@ def _rss_mb(pid: int) -> float:
 _WORKER_FAULTS = ("worker.crash", "worker.hang", "worker.slow_io", "cache.corrupt_entry")
 
 
-def _worker_faults(request_id: int) -> Tuple[str, ...]:
-    """The worker fault points that fire for one dispatch, drawn in the parent.
+def _worker_faults(submit_id: int) -> Tuple[str, ...]:
+    """The worker fault points that fire for one request, drawn in the parent.
 
-    Drawn against the parent's ``REPRO_FAULT_INJECT``, so arming or clearing
-    faults reaches every worker at once, whatever environment it was forked
-    with.  Keyed by the pool-wide request id, so a retry redraws.
+    Drawn once, at submit, against the parent's ``REPRO_FAULT_INJECT``, so
+    arming or clearing faults reaches every worker at once, whatever
+    environment it was forked with.  Keyed by the request's submit count
+    (1, 2, ...); a request sheds them once a death is charged to it.
     """
-    token = str(request_id)
+    token = str(submit_id)
     return tuple(name for name in _WORKER_FAULTS if fault_fires(name, token))
 
 
@@ -176,15 +178,11 @@ def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
 
     while True:
         try:
-            kind, request_id, data = conn.recv()
+            request_id, key, shipped, expires_at, faults = conn.recv()
         except (EOFError, OSError):
             break
         counters = RuntimeReport()
         try:
-            if kind != "predict":
-                send(("error", request_id, f"unknown request kind {kind!r}", {}))
-                continue
-            key, shipped, expires_at, faults = data
             # Chaos hooks (drawn by the parent, see _worker_faults) fire
             # before any work, exactly like a crash between accept and
             # compute would in production.
@@ -224,20 +222,16 @@ def _worker_main(conn, payload: bytes, record_capacity: int) -> None:
 class PoolRequestHandle:
     """Parent-side completion handle for one pool request."""
 
-    def __init__(
-        self,
-        kind: str,
-        data: Tuple,
-        deadline: Optional[Deadline],
-        content_key: Optional[str] = None,
-    ):
-        self.kind = kind
-        #: ``(key, what ships)`` from :func:`_shipped`.
+    def __init__(self, data: Tuple, deadline: Optional[Deadline], faults: Tuple[str, ...]):
+        #: ``(key, what ships)`` from :func:`_shipped`; the key pins the request.
         self.data = data
         self.deadline = deadline
-        #: The pin, kept here so retries and parked flushes keep it.
-        self.content_key = content_key
+        #: Chaos faults drawn for this request (see :func:`_worker_faults`).
+        self.faults = faults
+        #: Sends that reached a worker's pipe.
         self.attempts = 0
+        #: Worker deaths charged to this request: it was their head.
+        self.charges = 0
         self.done = threading.Event()
         self.result_value: Any = None
         self.error: Optional[BaseException] = None
@@ -276,6 +270,8 @@ class _Worker:
         #: Payload generation this incarnation was spawned with; a worker
         #: whose generation trails the pool's is rolled onto the new bundle.
         self.generation = 0
+        #: In-flight requests by request id, in pipe order: the first is the
+        #: one the worker is running.
         self.pending: Dict[int, PoolRequestHandle] = {}
 
 
@@ -303,6 +299,7 @@ class WorkerPool:
         self._lock = threading.RLock()
         self._closed = False
         self._request_ids = itertools.count(1)
+        self._submit_ids = itertools.count(1)
         self._route_counter = itertools.count()
         self._parked: List[PoolRequestHandle] = []
         #: Bumped by :meth:`request_refresh`; workers on an older generation
@@ -359,67 +356,68 @@ class WorkerPool:
 
     # -- submission --------------------------------------------------------------
 
-    def submit(
-        self,
-        kind: str,
-        *data: Any,
-        deadline: Optional[Deadline] = None,
-        content_key: Optional[str] = None,
-    ) -> PoolRequestHandle:
-        """Dispatch one request to a worker; returns a completion handle.
+    def submit(self, design: Any, *, deadline: Optional[Deadline] = None) -> PoolRequestHandle:
+        """Dispatch one predict of ``design`` to a worker; returns a completion handle.
 
-        ``content_key`` pins the request to one (alive) worker; without it
-        requests round-robin.  A design with a build key ships the spec or
-        source it was built from, and the worker takes the record from its
-        LRU, the shared artifact cache or a build; any other ships whole.
+        A design with a build key ships the spec or source it was built
+        from, pinned by that key to one (alive) worker, which takes the
+        record from its LRU, the shared artifact cache or a build; any other
+        ships whole and round-robins.
         """
-        handle = PoolRequestHandle(kind, _shipped(data[0]), deadline, content_key)
+        faults = _worker_faults(next(self._submit_ids))
+        handle = PoolRequestHandle(_shipped(design), deadline, faults)
         self._dispatch(handle)
         return handle
 
+    def _park(self, handle: PoolRequestHandle) -> None:
+        """Hold ``handle`` for the next spawn's flush; call under ``self._lock``,
+        the lock a spawn marks its slot alive under, so it sees that flush."""
+        if self._closed:
+            handle._resolve(error=WorkerUnavailable("worker pool closed"))
+            return
+        self._parked.append(handle)
+        self.report.incr("serve_pool_parked")
+
     def _dispatch(self, handle: PoolRequestHandle) -> None:
         """Send ``handle`` to an alive worker, or park it if none is alive."""
-        key = handle.content_key
+        key = handle.data[0]
         with self._lock:
-            if self._closed:
-                handle._resolve(error=WorkerUnavailable("worker pool closed"))
-                return
             alive = [worker for worker in self._workers if worker.alive]
-            if not alive:
-                # Parked under the same lock a spawn marks its slot alive
-                # under, so a parked request always sees the next flush.
-                self._parked.append(handle)
-                self.report.incr("serve_pool_parked")
+            if self._closed or not alive:
+                self._park(handle)
                 return
             if key is not None:
                 worker = alive[hash(key) % len(alive)]
             else:
                 worker = alive[next(self._route_counter) % len(alive)]
-            request_id = next(self._request_ids)
-            if not worker.pending:
-                worker.progress_at = time.monotonic()
-            worker.pending[request_id] = handle
-        # An attempt is charged before the send, so a death that retries the
-        # request counts it, but only to a worker whose process had not
-        # exited, and a failed send refunds it: a request never pays for a
-        # death that came before it was sent.
-        charge = int(worker.process.exitcode is None)
-        handle.attempts += charge
+        request_id = next(self._request_ids)
         expires_at = handle.deadline.expires_at if handle.deadline is not None else None
-        data = handle.data + (expires_at, _worker_faults(request_id))
-        try:
-            with worker.send_lock:
-                worker.conn.send((handle.kind, request_id, data))
-        # A concurrently restarted slot can close the pipe between the alive
-        # check and the send; a closed Connection surfaces as TypeError (its
-        # handle is None) and a conn replaced mid-flight as AttributeError.
-        except (OSError, ValueError, TypeError, AttributeError):
-            handle.attempts -= charge
+        with worker.send_lock:
             with self._lock:
-                owned = worker.pending.pop(request_id, None) is handle
-            self._mark_dead(worker, reason="send failed")
-            if owned:  # else the death that broke the send retries it
-                self._dispatch(handle)
+                if not worker.alive:
+                    # It died since it was chosen; its respawn flushes the park.
+                    self._park(handle)
+                    return
+                conn = worker.conn
+                if not worker.pending:
+                    worker.progress_at = time.monotonic()
+                # Entered in pipe order, so a worker's oldest pending request
+                # is the one it is running: the one its death is charged to.
+                worker.pending[request_id] = handle
+            try:
+                conn.send((request_id, *handle.data, expires_at, handle.faults))
+                handle.attempts += 1
+            # A concurrently restarted slot can close the pipe between the
+            # alive check and the send; a closed Connection surfaces as
+            # TypeError (its handle is None) and a replaced one as
+            # AttributeError.
+            except (OSError, ValueError, TypeError, AttributeError):
+                # The worker is gone, but its death waits for its receiver to
+                # read every reply; the slot's respawn flushes the park.  Else
+                # the death that broke the send already retries the request.
+                with self._lock:
+                    if worker.pending.pop(request_id, None) is handle:
+                        self._park(handle)
 
     # -- worker lifecycle --------------------------------------------------------
 
@@ -474,18 +472,25 @@ class WorkerPool:
                 handle._resolve(error=value)
             else:
                 handle._resolve(error=RuntimeError(f"worker error: {value}"))
-        # Only the incarnation that owns this pipe may declare the slot dead.
-        if worker.process is process:
-            self._mark_dead(worker, reason="pipe closed")
+        # Not while a send to it is in flight, so a request whose own send
+        # fails is never the head charged for the death.
+        with worker.send_lock:
+            self._mark_dead(worker, process, reason="pipe closed")
 
-    def _mark_dead(self, worker: _Worker, reason: str) -> None:
+    def _mark_dead(self, worker: _Worker, process, reason: str, charge: bool = True) -> None:
         with self._lock:
-            if not worker.alive:
+            # Only the live incarnation ``process`` may be declared dead.
+            if not worker.alive or worker.process is not process:
                 return
             worker.alive = False
             closing = self._closed
             orphans = list(worker.pending.values())
             worker.pending.clear()
+            if charge and orphans:
+                # The head pays for the death; its retry runs without the
+                # faults it drew, as a fault of the worker it killed.
+                orphans[0].charges += 1
+                orphans[0].faults = ()
         if closing:
             # Expected pipe EOF of a worker we just stopped — not a death.
             # Anything still pending cannot complete anymore.
@@ -508,10 +513,11 @@ class WorkerPool:
                 continue
             if handle.deadline is not None and handle.deadline.expired:
                 handle._resolve(error=DeadlineExceeded("deadline expired during retry"))
-            elif handle.attempts > self.config.retry_limit:
+            elif handle.charges > 1:
+                self.report.incr("serve_pool_poisoned")
                 handle._resolve(
                     error=WorkerUnavailable(
-                        f"request failed on {handle.attempts} workers (retry budget spent)"
+                        f"request was running on {handle.charges} workers when they died"
                     )
                 )
             else:
@@ -526,8 +532,9 @@ class WorkerPool:
         The supervisor restarts stale-generation workers **one slot at a
         time** (each respawn completes before the next slot is touched), so
         siblings keep serving throughout and any request in flight on a
-        rolling slot is retried on a sibling by the normal death machinery —
-        a promotion swaps bundles with zero dropped in-flight requests.
+        rolling slot is re-dispatched, uncharged, by the normal death
+        machinery — a promotion swaps bundles with zero dropped in-flight
+        requests.
         ``payload_provider`` replaces the pool's provider (e.g. after a
         promotion changed what ``name@promoted`` resolves to); omitting it
         re-reads the existing provider, which is the right thing when the
@@ -558,9 +565,9 @@ class WorkerPool:
             else:
                 self._dispatch(handle)
 
-    def _restart(self, worker: _Worker, reason: str) -> None:
-        self._mark_dead(worker, reason=reason)
+    def _restart(self, worker: _Worker, reason: str, charge: bool = True) -> None:
         process = worker.process
+        self._mark_dead(worker, process, reason=reason, charge=charge)
         if process is not None and process.is_alive():
             process.terminate()
             process.join(timeout=2.0)
@@ -603,7 +610,7 @@ class WorkerPool:
                 if self._closed:
                     break
                 if not worker.alive:
-                    # The receiver saw the pipe close, or a send failed.
+                    # The receiver saw the pipe close.
                     self._restart(worker, reason="worker died")
                 elif (
                     # pending is read first: a dispatch stamps progress_at
@@ -618,7 +625,7 @@ class WorkerPool:
                     # payload.  _restart respawns synchronously, so only one
                     # slot is ever down for a refresh at a time.
                     self.report.incr("serve_worker_refreshes")
-                    self._restart(worker, reason="bundle refresh")
+                    self._restart(worker, reason="bundle refresh", charge=False)
 
     # -- introspection -----------------------------------------------------------
 

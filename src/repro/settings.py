@@ -91,8 +91,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("REPRO_SERVE_BACKOFF_S", float, 0.1,
              "base worker-restart backoff (doubles per rapid crash)"),
         Knob("REPRO_SERVE_BACKOFF_MAX_S", float, 5.0, "worker-restart backoff ceiling"),
-        Knob("REPRO_SERVE_RETRIES", int, 2,
-             "sibling-worker retries per request before the parent answers locally"),
         # -- lifecycle --------------------------------------------------------
         Knob("REPRO_EVAL_MIN_R_DELTA", float, 0.02,
              "eval gate: max mean-R regression a candidate may show vs the promoted baseline"),

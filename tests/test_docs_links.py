@@ -233,3 +233,39 @@ def test_docs_cover_strategies_and_report_schemas():
         )
     assert OPTIMIZE_RUN_SCHEMA in optimization
     assert DOMINANCE_FAULT in optimization
+
+
+#: Backticked counter names the ops-facing pages may mention.
+_COUNTER_RE = re.compile(r"`((?:serve|cache|model|parallel|chaos|incremental)_[a-z0-9_]+)`")
+
+
+def _emittable_counters() -> set:
+    """Every counter (or derived figure) a runtime report can carry.
+
+    The literal ``incr("...")`` names, each ``ArtifactCache``'s
+    ``<prefix>_{hits,misses,stores,corrupt,evictions}``, the report's
+    ``derived`` figures, and the ``serve_shed_<route>`` family.
+    """
+    source = "\n".join(path.read_text() for path in (REPO_ROOT / "src").rglob("*.py"))
+    names = set(re.findall(r'incr\(\s*"([a-z0-9_]+)"', source))
+    names |= set(re.findall(r'derived\["([a-z0-9_]+)"\]', source))
+    prefixes = {"cache", *re.findall(r'counter_prefix="([a-z_]+)"', source)}
+    names |= {
+        f"{prefix}_{event}"
+        for prefix in prefixes
+        for event in ("hits", "misses", "stores", "corrupt", "evictions")
+    }
+    return names | {"serve_shed_predict", "serve_shed_whatif"}
+
+
+def test_documented_counters_exist():
+    """Every counter docs/operations.md or docs/serving.md names is one the
+    source can emit, so a removed counter cannot outlive its code."""
+    known = _emittable_counters()
+    stale = [
+        f"{doc}: {name}"
+        for doc in ("docs/operations.md", "docs/serving.md")
+        for name in sorted(set(_COUNTER_RE.findall((REPO_ROOT / doc).read_text())))
+        if name not in known
+    ]
+    assert not stale, f"documented counters no code emits: {stale}"

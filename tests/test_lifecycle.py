@@ -323,7 +323,6 @@ def test_pooled_hot_swap_rolls_workers_without_drops(good_timer, alt_timer, tiny
             hang_timeout_s=10.0,
             backoff_base_s=0.05,
             backoff_max_s=0.2,
-            retry_limit=2,
         ),
         payload_provider=lambda: payload_old,
     )

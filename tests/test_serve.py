@@ -466,7 +466,7 @@ def test_pooled_http_bad_rtl_gets_400_from_the_worker(
     served_timer, http_server, simple_source, monkeypatch
 ):
     """The worker elaborates, and its input error comes back as itself: the
-    in-process answer, with no retry, no worker death and no local replay."""
+    in-process answer, with no retry, no worker death and no 503."""
     from repro.serve.service import PooledTimingService
     from repro.serve.supervisor import PoolConfig
 
@@ -487,7 +487,7 @@ def test_pooled_http_bad_rtl_gets_400_from_the_worker(
         # The register-less design and simple_source built; the malformed
         # one never did.
         assert counters["serve_worker_record_builds"] == 2
-        for name in ("serve_request_retries", "serve_worker_deaths", "serve_pool_local_fallbacks"):
+        for name in ("serve_request_retries", "serve_worker_deaths", "serve_pool_poisoned"):
             assert counters.get(name, 0) == 0, name
     finally:
         server.shutdown()

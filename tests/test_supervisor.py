@@ -1,4 +1,4 @@
-"""Supervised worker pool: crash recovery, retries, bit-identical serving."""
+"""Supervised worker pool: crash recovery, the charging rule, bit-identical serving."""
 
 from __future__ import annotations
 
@@ -43,7 +43,6 @@ def _fast_pool_config(**overrides) -> PoolConfig:
         hang_timeout_s=5.0,
         backoff_base_s=0.05,
         backoff_max_s=0.2,
-        retry_limit=2,
     )
     defaults.update(overrides)
     return PoolConfig(**defaults)
@@ -67,7 +66,7 @@ def test_pool_predicts_match_parent_timer(pool_timer, pool_payload, tiny_records
     report = RuntimeReport()
     with WorkerPool(lambda: pool_payload, _fast_pool_config(), report=report) as pool:
         for record in tiny_records[:3]:
-            pooled = pool.submit("predict", record, content_key=record.name).result()
+            pooled = pool.submit(record).result()
             serial = pool_timer.predict(record)
             assert pooled.signal_slack == serial.signal_slack
             assert pooled.overall == serial.overall
@@ -81,9 +80,11 @@ def test_pool_recovers_from_sigkill(pool_timer, pool_payload, tiny_records):
         victim = pool._workers[0].process
         os.kill(victim.pid, signal.SIGKILL)
         record = tiny_records[0]
-        # Requests keep being answered correctly throughout the restart.
+        unkeyed = dataclasses.replace(record, key=None)  # round-robins
+        # Requests keep being answered correctly throughout the restart, and
+        # the first goes to the killed slot.
         for _ in range(4):
-            pooled = pool.submit("predict", record).result()
+            pooled = pool.submit(unkeyed).result()
             assert pooled.signal_slack == pool_timer.predict(record).signal_slack
         _wait_for(
             lambda: pool.alive_count() == 2,
@@ -102,7 +103,7 @@ def test_pool_parks_requests_when_all_workers_down(pool_timer, pool_payload, tin
         results = []
 
         def run():
-            results.append(pool.submit("predict", record).result())
+            results.append(pool.submit(record).result())
 
         threads = [threading.Thread(target=run) for _ in range(3)]
         for thread in threads:
@@ -116,18 +117,20 @@ def test_pool_parks_requests_when_all_workers_down(pool_timer, pool_payload, tin
 
 
 def _warm(pool, record):
-    """One answered request per worker (request ids 1..workers), so no worker
+    """One answered request per worker (submits 1..workers), so no worker
     is still loading its bundle when a test starts the hang clock."""
-    for handle in [pool.submit("predict", record) for _ in pool._workers]:
+    unkeyed = dataclasses.replace(record, key=None)  # round-robins
+    for handle in [pool.submit(unkeyed) for _ in pool._workers]:
         handle.result()
 
 
-def _hang_on(monkeypatch, *request_ids):
-    """Make the dispatches with these pool-wide request ids hang their worker."""
+def _hang_on(monkeypatch, *submit_ids):
+    """Make the pool's submits with these numbers (1, 2, ...) hang their
+    worker."""
     monkeypatch.setattr(
         supervisor,
         "_worker_faults",
-        lambda request_id: ("worker.hang",) if request_id in request_ids else (),
+        lambda submit_id: ("worker.hang",) if submit_id in submit_ids else (),
     )
 
 
@@ -141,7 +144,7 @@ def test_pool_answers_a_hung_request_on_a_sibling(pool_timer, pool_payload, tiny
     ) as pool:
         _warm(pool, record)
         _hang_on(monkeypatch, 3)
-        handle = pool.submit("predict", record)
+        handle = pool.submit(record)
         assert handle.done.wait(20.0), "hung request never answered"
         assert handle.result().signal_slack == pool_timer.predict(record).signal_slack
     assert report.counters.get("serve_worker_hangs", 0) == 1
@@ -152,12 +155,13 @@ def test_pool_detects_both_hangs_when_every_worker_hangs(
 ):
     """Two hung workers with full pipes are both detected and replaced.
 
-    Request ids 3 and 4 hang one worker each.  The unkeyed records after
-    them (about 140 KB pickled each) fill both pipes, so sends block.  The
-    first hang's retries then block on the second worker's pipe; run on the
-    supervisor's thread, they would keep it from ever seeing that hang.
+    Submits 3 and 4 hang one worker each.  The unkeyed records after them
+    round-robin and ship whole (about 140 KB pickled each), so they fill both
+    pipes and sends block.  The first hang's retries then block on the second
+    worker's pipe; run on the supervisor's thread, they would keep it from
+    ever seeing that hang.
     """
-    record = tiny_records[0]
+    record = dataclasses.replace(tiny_records[0], key=None)
     serial = pool_timer.predict(record)
     report = RuntimeReport()
     handles = []
@@ -170,7 +174,7 @@ def test_pool_detects_both_hangs_when_every_worker_hangs(
 
         def submit_all():
             for _ in range(16):
-                handles.append(pool.submit("predict", record))
+                handles.append(pool.submit(record))
 
         submitter = threading.Thread(target=submit_all, daemon=True)
         submitter.start()
@@ -195,15 +199,16 @@ def test_pool_never_calls_a_replying_queue_hung(pool_timer, pool_payload, tiny_r
     """20 slow requests queued on one worker take longer than hang_timeout_s
     in all, but replies keep coming: the rule is "no reply for
     hang_timeout_s", not "oldest dispatch too old"."""
-    record = _keyed(tiny_records[0], "key-0")
+    record = tiny_records[0]  # keyed: every request is pinned to one worker
     serial = pool_timer.predict(record)
     report = RuntimeReport()
     with WorkerPool(
         lambda: pool_payload, _fast_pool_config(hang_timeout_s=0.5), report=report
     ) as pool:
         _warm(pool, record)
-        monkeypatch.setattr(supervisor, "_worker_faults", lambda request_id: ("worker.slow_io",))
-        handles = [pool.submit("predict", record, content_key=record.key) for _ in range(20)]
+        pool.submit(record).result()  # the worker builds the record
+        monkeypatch.setattr(supervisor, "_worker_faults", lambda submit_id: ("worker.slow_io",))
+        handles = [pool.submit(record) for _ in range(20)]
         for handle in handles:
             assert handle.done.wait(20.0)
             assert handle.result().signal_slack == serial.signal_slack
@@ -228,34 +233,90 @@ class _Conn:
 def test_pool_charges_no_attempt_for_a_worker_already_gone(
     pool_payload, tiny_records, monkeypatch, case
 ):
-    """A request sent to a worker that was already gone keeps its retry
-    budget and parks, even with no retries allowed at all."""
-    # No supervisor: nothing respawns, so the parked request stays parked.
+    """A request sent to a worker that was already gone is never charged: its
+    failed send parks it for that slot's respawn, and the worker's death,
+    declared after it, charges nobody, since the request was never that
+    worker's head.  Both workers are gone and neither death is declared yet,
+    so a send that tried a sibling instead would bounce between them."""
+    # No supervisor: nothing respawns, so the parked requests stay parked.
     monkeypatch.setattr(WorkerPool, "_supervise", lambda self: None)
-    config = _fast_pool_config(workers=1, retry_limit=0)
-    with WorkerPool(lambda: pool_payload, config) as pool:
-        worker = pool._workers[0]
-        real_conn = worker.conn
-        if case == "send_fails":
-            worker.conn = _Conn(BrokenPipeError("worker gone"))
-            handle = pool.submit("predict", tiny_records[0])
-        else:
-            os.kill(worker.process.pid, signal.SIGKILL)
-            worker.process.join(timeout=10.0)
-            _wait_for(lambda: not worker.alive, message="death noticed")
-            # Replay the window before the death was noticed: the slot still
-            # looks alive and the send goes through.
-            worker.alive, worker.conn = True, _Conn()
-            handle = pool.submit("predict", tiny_records[0])
-            assert len(worker.conn.sent) == 1
-            pool._mark_dead(worker, reason="pipe closed")
-        # A death retries its orphans on a thread of its own.
-        _wait_for(lambda: pool._parked == [handle], message="request to park")
-        assert handle.attempts == 0
-        assert not handle.done.is_set()
-        worker.conn = real_conn
-    with pytest.raises(WorkerUnavailable, match="pool closed"):
-        handle.result()
+    with WorkerPool(lambda: pool_payload, _fast_pool_config()) as pool:
+        workers = pool._workers
+        real_conns = [worker.conn for worker in workers]
+        for worker in workers:
+            if case == "send_fails":
+                worker.conn = _Conn(BrokenPipeError("worker gone"))
+            else:
+                os.kill(worker.process.pid, signal.SIGKILL)
+                worker.process.join(timeout=10.0)
+                _wait_for(lambda: not worker.alive, message="death noticed")
+                # Replay the window before the death was noticed: the slot
+                # still looks alive, and the send meets the dead process's
+                # closed pipe.
+                worker.alive = True
+        unkeyed = dataclasses.replace(tiny_records[0], key=None)  # round-robins
+        handles = [pool.submit(unkeyed) for _ in workers]
+        # Each request's pipe failed, so it parks at once.
+        assert pool._parked == handles
+        assert all(worker.pending == {} for worker in workers)
+        assert all(worker.alive for worker in workers)  # only receivers declare deaths
+        for worker in workers:
+            pool._mark_dead(worker, worker.process, reason="pipe closed")
+        assert pool._parked == handles
+        for handle in handles:
+            assert (handle.attempts, handle.charges) == (0, 0)
+            assert not handle.done.is_set()
+        for worker, conn in zip(workers, real_conns):
+            worker.conn = conn
+    for handle in handles:
+        with pytest.raises(WorkerUnavailable, match="pool closed"):
+            handle.result()
+
+
+def test_pool_answers_every_crash_fault_after_one_death(pool_timer, pool_payload, tiny_records, monkeypatch):
+    """With ``worker.crash`` at p=1, each request kills the worker it is
+    sent to, is charged for it, and is answered by its clean retry."""
+    report = RuntimeReport()
+    with WorkerPool(lambda: pool_payload, _fast_pool_config(), report=report) as pool:
+        _warm(pool, tiny_records[0])
+        monkeypatch.setenv(FAULT_ENV_VAR, "worker.crash")
+        for deaths, record in enumerate(tiny_records[:3], start=1):
+            handle = pool.submit(record)
+            assert handle.result().signal_slack == pool_timer.predict(record).signal_slack
+            assert (handle.attempts, handle.charges) == (2, 1)
+            assert report.counters["serve_worker_deaths"] == deaths
+    assert report.counters.get("serve_pool_poisoned", 0) == 0
+
+
+def test_pool_charges_no_death_to_a_bundle_refresh(pool_timer, pool_payload, tiny_records, monkeypatch):
+    """A request charged once, then orphaned by a refresh kill, is answered:
+    a refresh kill is the pool's doing, not the request's."""
+    from repro.core.pipeline import RTLTimer
+
+    record = dataclasses.replace(tiny_records[0], key=None)
+    serial = pool_timer.predict(record)
+    predict = RTLTimer.predict
+
+    def slow_predict(timer, design, *args, **kwargs):
+        time.sleep(1.0)  # long enough for the refresh to kill the worker
+        return predict(timer, design, *args, **kwargs)
+
+    # Before the fork, so every worker incarnation is slow.
+    monkeypatch.setattr(RTLTimer, "predict", slow_predict)
+    report = RuntimeReport()
+    with WorkerPool(lambda: pool_payload, _fast_pool_config(workers=1), report=report) as pool:
+        monkeypatch.setattr(
+            supervisor, "_worker_faults", lambda submit_id: ("worker.crash",)
+        )
+        handle = pool.submit(record)
+        _wait_for(lambda: handle.attempts == 2, message="the charged retry to be sent")
+        assert handle.charges == 1 and not handle.done.is_set()
+        pool.request_refresh()
+        assert handle.done.wait(30.0), "request orphaned by the refresh never answered"
+        assert handle.result().signal_slack == serial.signal_slack
+        assert (handle.attempts, handle.charges) == (3, 1)
+    assert report.counters["serve_worker_refreshes"] == 1
+    assert report.counters.get("serve_pool_poisoned", 0) == 0
 
 
 def test_pool_refreshes_payload_via_provider_on_restart(pool_timer, pool_payload):
@@ -303,7 +364,7 @@ def _record_sources(report):
 def _assert_pooled_matches(pool, timer, record):
     # A worker error reply raises from result(), so every call here also
     # asserts zero error replies.
-    pooled = pool.submit("predict", record, content_key=record.key).result()
+    pooled = pool.submit(record).result()
     serial = timer.predict(record)
     # Everything but the wall-clock runtime is bit-identical.
     assert dataclasses.replace(pooled, runtime_seconds=serial.runtime_seconds) == serial
@@ -430,7 +491,7 @@ def test_pool_worker_lru_survives_concurrent_senders(
             for index in range(per_thread):
                 record = records[(offset + index) % len(records)]
                 key = record.key
-                pooled = pool.submit("predict", record, content_key=key).result()
+                pooled = pool.submit(record).result()
                 assert pooled.signal_slack == serial[key]
         except BaseException as exc:
             failures.append(exc)
@@ -478,7 +539,7 @@ def test_pool_close_is_idempotent_and_fails_pending(pool_payload):
     from repro.serve.resilience import WorkerUnavailable
 
     with pytest.raises(WorkerUnavailable):
-        pool.submit("predict", None).result()
+        pool.submit(None).result()
 
 
 # ---------------------------------------------------------------------------
@@ -593,9 +654,74 @@ def test_pooled_service_survives_crash_faults(pool_timer, tiny_records, monkeypa
     finally:
         service.close()
     counters = service.report.counters
-    # The seed guarantees at least one crash in 10+ requests at p=0.3; every
-    # loss was either retried on a sibling or answered by the local fallback.
-    assert (
-        counters.get("serve_worker_restarts", 0) > 0
-        or counters.get("serve_pool_local_fallbacks", 0) > 0
+    # The seed draws a crash for some of the 10 requests at p=0.3; each is
+    # charged once and answered by its clean retry, never a 503.
+    assert counters.get("serve_worker_restarts", 0) > 0
+    assert counters.get("serve_pool_poisoned", 0) == 0
+
+
+@pytest.mark.parametrize("death", ["crash", "hang"])
+def test_pooled_service_answers_a_poison_request_503(
+    pool_timer, tiny_records, monkeypatch, death
+):
+    """A request whose design kills every worker that runs it costs two
+    workers and gets ``WorkerUnavailable``; it never runs in the server, and
+    the requests around it, queued behind it on the same worker, are
+    answered bit-identically."""
+    from repro.core.pipeline import RTLTimer
+    from tests.conftest import hold_first_batch, queued_at_least
+
+    before, poison, *after = tiny_records[:4]
+    serial = {r.name: pool_timer.predict(r) for r in (before, *after)}
+    predict = RTLTimer.predict
+
+    def poisoned_predict(timer, design, *args, **kwargs):
+        if design.name == poison.name:
+            if death == "crash":
+                os._exit(17)
+            time.sleep(3600.0)
+        return predict(timer, design, *args, **kwargs)
+
+    # Before the fork, so every worker incarnation inherits the poison.
+    monkeypatch.setattr(RTLTimer, "predict", poisoned_predict)
+    # One batch of all four requests, in queue order, on the only worker.
+    hold_first_batch(monkeypatch, 4)
+    service = PooledTimingService(
+        pool_timer,
+        ServeConfig(max_batch=4),
+        pool_config=_fast_pool_config(workers=1, hang_timeout_s=0.5),
     )
+
+    def no_parent_pass(*args, **kwargs):
+        raise AssertionError("the server ran a /predict model pass")
+
+    monkeypatch.setattr(service.timer, "predict", no_parent_pass)
+    monkeypatch.setattr(service.timer, "predict_batch", no_parent_pass)
+    outcomes = {}
+
+    def run(record):
+        try:
+            outcomes[record.name] = service.predict(record)
+        except BaseException as exc:
+            outcomes[record.name] = exc
+
+    threads = []
+    try:
+        for queued, record in enumerate((before, poison, *after)):
+            # Each waits for the last to queue; the fourth releases the batch.
+            assert queued_at_least(service, queued)
+            threads.append(threading.Thread(target=run, args=(record,)))
+            threads[-1].start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        service.close()
+    assert isinstance(outcomes[poison.name], WorkerUnavailable), outcomes[poison.name]
+    for name, prediction in serial.items():
+        served = outcomes[name]
+        assert dataclasses.replace(served, runtime_seconds=prediction.runtime_seconds) == prediction
+    counters = service.report.counters
+    assert counters["serve_worker_deaths"] == 2
+    assert counters.get("serve_worker_hangs", 0) == (2 if death == "hang" else 0)
+    assert counters["serve_pool_poisoned"] == 1
